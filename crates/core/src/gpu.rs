@@ -17,7 +17,7 @@ use attila_emu::fragops::DEPTH_MAX;
 use attila_mem::{Client, MemOp, MemRequest, MemoryController};
 use attila_sim::{
     partition_chain, BoxNode, Counter, Cycle, DrainStaged, FaultInjector, Horizon, LintReport,
-    SignalBinder, SimError, StatsRegistry, Topology,
+    SignalBinder, SimError, StatsRegistry, Topology, WakeLine,
 };
 
 use crate::address::{pixel_address, FB_TILE_BYTES};
@@ -225,7 +225,9 @@ pub struct Gpu {
     pub max_cycles: Cycle,
     /// Keep per-frame DAC dumps (disable for long benchmark runs).
     pub keep_frames: bool,
-    /// Let the clock loop jump over provably idle cycles (the
+    /// Do not clock what is provably idle: the serial walk leaves
+    /// individual sleeping boxes unclocked (DESIGN.md §14) and the clock
+    /// loop jumps over cycles in which the whole machine is idle (the
     /// event-horizon scheduler). On by default;
     /// [`arm_faults`](Self::arm_faults) turns it off because injected
     /// faults consult per-clock state the horizon cannot see. Results are
@@ -244,6 +246,8 @@ pub struct Gpu {
     /// folds over the same array so the two can never disagree about
     /// which units exist.
     schedule: Box<[ScheduleEntry]>,
+    /// One sleep gate per [`schedule`](Self::schedule) entry, same order.
+    gates: Box<[BoxGate]>, // state: transient — rebuilt awake at elaboration/restore
     /// Forensic trace sink, when signal tracing is enabled.
     trace: Option<attila_sim::TraceSink>,
     /// Faults tolerated (not aborted on) under `OnFault::{Isolate,Report}`.
@@ -518,7 +522,7 @@ fn stage_crossing<T: std::fmt::Debug + 'static>(
 }
 
 /// Steps a `Busy` horizon verdict stays cached before re-evaluating
-/// (see `Gpu::poll_horizon`).
+/// (see `Gpu::poll_horizon` and [`BoxGate::settle`]).
 const HORIZON_BACKOFF: Cycle = 32;
 
 /// One entry of the flat clock schedule (see [`Gpu::try_step`]): which box
@@ -541,6 +545,99 @@ enum ScheduleEntry {
     ColorWrite(u8),
     Dac,
     Memory,
+}
+
+impl ScheduleEntry {
+    /// The name the box's signals are registered under.
+    fn box_name(self) -> String {
+        match self {
+            ScheduleEntry::Streamer => "Streamer".into(),
+            ScheduleEntry::PrimitiveAssembly => "PrimitiveAssembly".into(),
+            ScheduleEntry::Clipper => "Clipper".into(),
+            ScheduleEntry::Setup => "TriangleSetup".into(),
+            ScheduleEntry::FragGen => "FragmentGenerator".into(),
+            ScheduleEntry::Hz => "HierarchicalZ".into(),
+            ScheduleEntry::ZStencil(u) => format!("ZStencil{u}"),
+            ScheduleEntry::Interpolator => "Interpolator".into(),
+            ScheduleEntry::FragmentFifo => "FragmentFIFO".into(),
+            ScheduleEntry::TexUnit(u) => format!("Texture{u}"),
+            ScheduleEntry::ColorWrite(u) => format!("ColorWrite{u}"),
+            ScheduleEntry::Dac => "DAC".into(),
+            ScheduleEntry::Memory => "MemoryController".into(),
+        }
+    }
+
+    /// The memory client whose replies the box's `clock()` collects, for
+    /// the boxes that can sleep.
+    fn client(self) -> Option<Client> {
+        match self {
+            ScheduleEntry::Streamer => Some(Client::Streamer),
+            ScheduleEntry::ZStencil(u) => Some(Client::ZStencil(u)),
+            ScheduleEntry::TexUnit(u) => Some(Client::Texture(u)),
+            ScheduleEntry::ColorWrite(u) => Some(Client::ColorWrite(u)),
+            _ => None,
+        }
+    }
+}
+
+/// The sleep gate of one [`ScheduleEntry`]: lets the serial walk of
+/// [`Gpu::try_step`] leave a box unclocked while that is provably a no-op
+/// (DESIGN.md §14). A box sleeps on cycle `c` iff nothing written to any
+/// wire it reads is still due, the horizon it reported after its last
+/// clock promises idleness past `c`, and the memory controller holds no
+/// reply for it. Everything that mutates a box behind its wires
+/// (`CpAction`s, checkpoint restore) must call [`Gpu::wake_all_boxes`].
+#[derive(Debug)]
+struct BoxGate {
+    /// Latest arrival over the wires the box reads, data and credit alike.
+    /// [`WakeLine::always_due`] for the wire-less DAC and memory
+    /// controller, which nothing could wake: they are clocked every cycle.
+    wake: WakeLine,
+    /// Whose memory replies wake the box. Box horizons do not cover
+    /// replies the box does not wait on (ROP write-back acknowledgements),
+    /// yet an unpopped reply pins the controller — and with it the
+    /// machine-wide horizon — `Busy`.
+    client: Option<Client>,
+    /// First cycle the box must be clocked again by its own account: `0`
+    /// while awake, the `IdleUntil` cycle or `Cycle::MAX` (`Idle`) while
+    /// asleep. Only trusted on cycles past `wake`.
+    idle_until: Cycle,
+    /// Clocks left before the horizon is read again after a `Busy` (the
+    /// per-box use of [`HORIZON_BACKOFF`]; measured asleep shares move by
+    /// under a point between 0 and 32).
+    backoff: Cycle,
+}
+
+impl BoxGate {
+    fn asleep(&self, cycle: Cycle, mem: &MemoryController) -> bool {
+        cycle > self.wake.latest_arrival()
+            && cycle < self.idle_until
+            && !self.client.is_some_and(|c| mem.has_reply(c))
+    }
+
+    fn wake_up(&mut self) {
+        self.idle_until = 0;
+        self.backoff = 0;
+    }
+
+    /// Re-arms the gate after its box clocked on `cycle`. The horizon is
+    /// only worth reading once every input written so far has been
+    /// absorbed: until then the box is clocked whatever it says.
+    fn settle(&mut self, cycle: Cycle, horizon: impl FnOnce() -> Horizon) {
+        self.idle_until = 0;
+        if self.wake.latest_arrival() > cycle {
+            return;
+        }
+        if self.backoff > 0 {
+            self.backoff -= 1;
+            return;
+        }
+        match horizon() {
+            Horizon::Busy => self.backoff = HORIZON_BACKOFF,
+            Horizon::IdleUntil(t) => self.idle_until = t,
+            Horizon::Idle => self.idle_until = Cycle::MAX,
+        }
+    }
 }
 
 impl Gpu {
@@ -1004,6 +1101,16 @@ impl Gpu {
         schedule.push(ScheduleEntry::Dac);
         schedule.push(ScheduleEntry::Memory);
 
+        let gates: Box<[BoxGate]> = schedule
+            .iter()
+            .map(|entry| BoxGate {
+                wake: binder.wake_line(&entry.box_name()).unwrap_or_else(WakeLine::always_due),
+                client: entry.client(),
+                idle_until: 0,
+                backoff: 0,
+            })
+            .collect();
+
         let cells = Arc::new(PureCells {
             pa: ShardCell::new(pa),
             clipper: ShardCell::new(clipper),
@@ -1061,6 +1168,7 @@ impl Gpu {
             cycles_skipped: 0,
             horizon_backoff: 0,
             schedule: schedule.into_boxed_slice(),
+            gates,
             trace: None,
             fault_log: Vec::new(),
             dump_failure: None,
@@ -1389,29 +1497,76 @@ impl Gpu {
         if h.is_busy() {
             return Horizon::Busy;
         }
-        for entry in &self.schedule {
-            let next = match *entry {
-                // Folded above, ahead of the pipeline boxes.
-                ScheduleEntry::Memory => continue,
-                ScheduleEntry::Streamer => self.streamer.work_horizon(),
-                ScheduleEntry::PrimitiveAssembly => self.pa().work_horizon(),
-                ScheduleEntry::Clipper => self.clipper().work_horizon(),
-                ScheduleEntry::Setup => self.setup().work_horizon(),
-                ScheduleEntry::FragGen => self.fraggen().work_horizon(),
-                ScheduleEntry::Hz => self.hz().work_horizon(),
-                ScheduleEntry::ZStencil(u) => self.zstencil[u as usize].work_horizon(),
-                ScheduleEntry::Interpolator => self.interpolator().work_horizon(),
-                ScheduleEntry::FragmentFifo => self.ffifo().work_horizon(),
-                ScheduleEntry::TexUnit(u) => self.texunits[u as usize].work_horizon(),
-                ScheduleEntry::ColorWrite(u) => self.colorwrite[u as usize].work_horizon(),
-                ScheduleEntry::Dac => self.dac.work_horizon(),
-            };
-            h = h.meet(next);
+        for &entry in &self.schedule {
+            // Folded above, ahead of the pipeline boxes.
+            if matches!(entry, ScheduleEntry::Memory) {
+                continue;
+            }
+            h = h.meet(self.box_horizon(entry));
             if h.is_busy() {
                 return Horizon::Busy;
             }
         }
         h.meet(Horizon::from_event(self.binder.next_event_cycle()))
+    }
+
+    /// The event horizon of one schedule entry's box.
+    fn box_horizon(&self, entry: ScheduleEntry) -> Horizon {
+        match entry {
+            ScheduleEntry::Streamer => self.streamer.work_horizon(),
+            ScheduleEntry::PrimitiveAssembly => self.pa().work_horizon(),
+            ScheduleEntry::Clipper => self.clipper().work_horizon(),
+            ScheduleEntry::Setup => self.setup().work_horizon(),
+            ScheduleEntry::FragGen => self.fraggen().work_horizon(),
+            ScheduleEntry::Hz => self.hz().work_horizon(),
+            ScheduleEntry::ZStencil(u) => self.zstencil[u as usize].work_horizon(),
+            ScheduleEntry::Interpolator => self.interpolator().work_horizon(),
+            ScheduleEntry::FragmentFifo => self.ffifo().work_horizon(),
+            ScheduleEntry::TexUnit(u) => self.texunits[u as usize].work_horizon(),
+            ScheduleEntry::ColorWrite(u) => self.colorwrite[u as usize].work_horizon(),
+            ScheduleEntry::Dac => self.dac.work_horizon(),
+            ScheduleEntry::Memory => self.mem.work_horizon(),
+        }
+    }
+
+    /// Whether the box of one schedule entry holds work, and how many
+    /// objects wait in its input queues and staging buffers.
+    fn box_occupancy(&self, entry: ScheduleEntry) -> (bool, usize) {
+        match entry {
+            ScheduleEntry::Streamer => (self.streamer.busy(), self.streamer.queued()),
+            ScheduleEntry::PrimitiveAssembly => (self.pa().busy(), self.pa().queued()),
+            ScheduleEntry::Clipper => (self.clipper().busy(), self.clipper().queued()),
+            ScheduleEntry::Setup => (self.setup().busy(), self.setup().queued()),
+            ScheduleEntry::FragGen => (self.fraggen().busy(), self.fraggen().queued()),
+            ScheduleEntry::Hz => (self.hz().busy(), self.hz().queued()),
+            ScheduleEntry::ZStencil(u) => {
+                let z = &self.zstencil[u as usize];
+                (z.busy(), z.queued())
+            }
+            ScheduleEntry::Interpolator => {
+                (self.interpolator().busy(), self.interpolator().queued())
+            }
+            ScheduleEntry::FragmentFifo => (self.ffifo().busy(), self.ffifo().queued()),
+            ScheduleEntry::TexUnit(u) => {
+                let t = &self.texunits[u as usize];
+                (t.busy(), t.queued())
+            }
+            ScheduleEntry::ColorWrite(u) => {
+                let c = &self.colorwrite[u as usize];
+                (c.busy(), c.queued())
+            }
+            ScheduleEntry::Dac => (self.dac.busy(), self.dac.pending_reads.len()),
+            ScheduleEntry::Memory => (self.mem.busy(), 0),
+        }
+    }
+
+    /// Wakes every sleeping box: whatever mutates boxes other than through
+    /// their wires and memory replies must call this, because the gates
+    /// cache horizons the mutation may have invalidated.
+    fn wake_all_boxes(&mut self) {
+        for gate in &mut self.gates {
+            gate.wake_up();
+        }
     }
 
     /// Polls the event horizon with adaptive back-off: a `Busy` verdict
@@ -1518,10 +1673,22 @@ impl Gpu {
         }
         // Take the schedule out of `self` so the walk borrows it directly
         // instead of re-indexing (and re-bounds-checking) `self.schedule`
-        // on every entry of the hot loop.
+        // on every entry of the hot loop; the gates come along so they can
+        // be updated while `self` lends out the boxes.
         let schedule = std::mem::take(&mut self.schedule);
+        let mut gates = std::mem::take(&mut self.gates);
+        let gated = self.skip_idle;
         let mut result = Ok(());
-        for &entry in schedule.iter() {
+        for (&entry, gate) in schedule.iter().zip(gates.iter_mut()) {
+            if gated && gate.asleep(cycle, &self.mem) {
+                debug_assert!(
+                    !self.box_horizon(entry).is_busy() && self.box_occupancy(entry).1 == 0,
+                    "{entry:?} left asleep on cycle {cycle} with work: {:?}, {} queued",
+                    self.box_horizon(entry),
+                    self.box_occupancy(entry).1,
+                );
+                continue;
+            }
             let step = match entry {
                 ScheduleEntry::Streamer => self.streamer.clock(cycle, &mut self.mem),
                 ScheduleEntry::PrimitiveAssembly => self.pa_mut().clock(cycle),
@@ -1550,10 +1717,19 @@ impl Gpu {
                 }
             };
             if let Err(e) = step {
+                gate.wake_up();
                 result = Err(e);
                 break;
             }
+            if gated {
+                gate.settle(cycle, || self.box_horizon(entry));
+            } else {
+                // Clocked without consulting the gate: whatever it cached
+                // is stale should `skip_idle` be switched back on.
+                gate.wake_up();
+            }
         }
+        self.gates = gates;
         self.schedule = schedule;
         result?;
         self.stats.tick(cycle);
@@ -1659,6 +1835,8 @@ impl Gpu {
     }
 
     fn apply_action(&mut self, action: CpAction) {
+        // Actions reach into ROP caches, the HZ buffer and the DAC directly.
+        self.wake_all_boxes();
         match action {
             CpAction::ClearColor { base, len, word } => {
                 for c in &mut self.colorwrite {
@@ -2033,6 +2211,7 @@ impl Gpu {
         for drain in &mut self.staged_drains {
             drain.resync();
         }
+        self.wake_all_boxes();
         Ok(())
     }
 
@@ -2044,84 +2223,26 @@ impl Gpu {
 
     /// Snapshots the machine for a post-mortem.
     pub fn failure_report(&self, error: Option<SimError>) -> FailureReport {
-        let mut boxes = vec![
-            BoxStatus {
-                name: "CommandProcessor".into(),
-                busy: !self.cp.done(),
-                queued: self.cp.queued(),
-            },
-            BoxStatus {
-                name: "Streamer".into(),
-                busy: self.streamer.busy(),
-                queued: self.streamer.queued(),
-            },
-            BoxStatus {
-                name: "PrimitiveAssembly".into(),
-                busy: self.pa().busy(),
-                queued: self.pa().queued(),
-            },
-            BoxStatus {
-                name: "Clipper".into(),
-                busy: self.clipper().busy(),
-                queued: self.clipper().queued(),
-            },
-            BoxStatus {
-                name: "TriangleSetup".into(),
-                busy: self.setup().busy(),
-                queued: self.setup().queued(),
-            },
-            BoxStatus {
-                name: "FragmentGenerator".into(),
-                busy: self.fraggen().busy(),
-                queued: self.fraggen().queued(),
-            },
-            BoxStatus {
-                name: "HierarchicalZ".into(),
-                busy: self.hz().busy(),
-                queued: self.hz().queued(),
-            },
-        ];
-        for (i, z) in self.zstencil.iter().enumerate() {
+        // The Command Processor is clocked ahead of the schedule and never
+        // gated; every other row is one schedule entry with its gate.
+        let mut boxes = vec![BoxStatus {
+            name: "CommandProcessor".into(),
+            busy: !self.cp.done(),
+            queued: self.cp.queued(),
+            asleep: false,
+            wake_cycle: None,
+        }];
+        for (&entry, gate) in self.schedule.iter().zip(self.gates.iter()) {
+            let (busy, queued) = self.box_occupancy(entry);
+            let asleep = self.skip_idle && gate.asleep(self.cycle, &self.mem);
             boxes.push(BoxStatus {
-                name: format!("ZStencil{i}"),
-                busy: z.busy(),
-                queued: z.queued(),
+                name: entry.box_name(),
+                busy,
+                queued,
+                asleep,
+                wake_cycle: (asleep && gate.idle_until != Cycle::MAX).then_some(gate.idle_until),
             });
         }
-        boxes.push(BoxStatus {
-            name: "Interpolator".into(),
-            busy: self.interpolator().busy(),
-            queued: self.interpolator().queued(),
-        });
-        boxes.push(BoxStatus {
-            name: "FragmentFIFO".into(),
-            busy: self.ffifo().busy(),
-            queued: self.ffifo().queued(),
-        });
-        for (i, t) in self.texunits.iter().enumerate() {
-            boxes.push(BoxStatus {
-                name: format!("Texture{i}"),
-                busy: t.busy(),
-                queued: t.queued(),
-            });
-        }
-        for (i, c) in self.colorwrite.iter().enumerate() {
-            boxes.push(BoxStatus {
-                name: format!("ColorWrite{i}"),
-                busy: c.busy(),
-                queued: c.queued(),
-            });
-        }
-        boxes.push(BoxStatus {
-            name: "MemoryController".into(),
-            busy: self.mem.busy(),
-            queued: 0,
-        });
-        boxes.push(BoxStatus {
-            name: "DAC".into(),
-            busy: self.dac.busy(),
-            queued: self.dac.pending_reads.len(),
-        });
         let recent_events = self
             .trace
             .as_ref()
@@ -2134,6 +2255,16 @@ impl Gpu {
             signals: self.binder.statuses(),
             recent_events,
             topology: Some(self.topology().summary()),
+        }
+    }
+
+    /// Queues `commands` on the Command Processor without clocking
+    /// anything — [`run_trace`](Self::run_trace)'s first step, on its own
+    /// for callers that drive [`try_step`](Self::try_step) themselves.
+    pub fn enqueue(&mut self, commands: &[GpuCommand]) {
+        self.cp.enqueue(commands.iter().cloned());
+        if self.checkpoint_every.is_some() {
+            self.trace_log.extend(commands.iter().cloned());
         }
     }
 
@@ -2153,12 +2284,11 @@ impl Gpu {
     /// aborting verification failure, and [`GpuError::BadConfig`] when a
     /// swap dumps an out-of-range framebuffer.
     pub fn run_trace(&mut self, commands: &[GpuCommand]) -> Result<RunResult, GpuError> {
-        self.cp.enqueue(commands.iter().cloned());
+        self.enqueue(commands);
         let start_cycle = self.cycle;
         let start_frames = self.frames;
         let limit = start_cycle + self.max_cycles;
         if let Some(every) = self.checkpoint_every {
-            self.trace_log.extend(commands.iter().cloned());
             self.next_checkpoint_at = self.cycle + every;
         }
         while !(self.cp.done() && !self.pipeline_busy() && !self.mem.busy() && !self.dac.busy())

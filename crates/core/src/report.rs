@@ -20,6 +20,14 @@ pub struct BoxStatus {
     pub busy: bool,
     /// Objects waiting in the box's input queues and staging buffers.
     pub queued: usize,
+    /// Whether the scheduler's per-box gate would leave the box unclocked
+    /// on the report's cycle. A box that is asleep *and* busy or queued
+    /// was wrongly left asleep — the hang is the scheduler's.
+    pub asleep: bool,
+    /// The cycle a sleeping box clocks again by its own horizon; `None`
+    /// when awake, or asleep until something external wakes it (a wire
+    /// arrival, a memory reply, a Command Processor action).
+    pub wake_cycle: Option<Cycle>,
 }
 
 /// A snapshot of the machine at the moment a run failed.
@@ -65,13 +73,18 @@ impl std::fmt::Display for FailureReport {
         }
         writeln!(f, "boxes:")?;
         for b in &self.boxes {
-            writeln!(
+            write!(
                 f,
                 "  {:<20} {} queued={}",
                 b.name,
                 if b.busy { "BUSY" } else { "idle" },
                 b.queued
             )?;
+            match (b.asleep, b.wake_cycle) {
+                (false, _) => writeln!(f)?,
+                (true, Some(c)) => writeln!(f, "  [asleep until {c}]")?,
+                (true, None) => writeln!(f, "  [asleep]")?,
+            }
         }
         writeln!(f, "signals (in-flight / written / read / lost):")?;
         for s in &self.signals {
@@ -116,8 +129,20 @@ mod tests {
                 lost: 2,
             }),
             boxes: vec![
-                BoxStatus { name: "Clipper".into(), busy: true, queued: 3 },
-                BoxStatus { name: "TriangleSetup".into(), busy: false, queued: 0 },
+                BoxStatus {
+                    name: "Clipper".into(),
+                    busy: true,
+                    queued: 3,
+                    asleep: false,
+                    wake_cycle: None,
+                },
+                BoxStatus {
+                    name: "TriangleSetup".into(),
+                    busy: false,
+                    queued: 0,
+                    asleep: true,
+                    wake_cycle: Some(1300),
+                },
             ],
             signals: vec![SignalStatus {
                 name: "PA->Clipper.triangles".into(),
@@ -145,7 +170,8 @@ mod tests {
         let text = sample().to_string();
         assert!(text.contains("cycle 1234"), "{text}");
         assert!(text.contains("PA->Clipper.triangles"), "{text}");
-        assert!(text.contains("BUSY queued=3"), "{text}");
+        assert!(text.contains("BUSY queued=3\n"), "{text}");
+        assert!(text.contains("idle queued=0  [asleep until 1300]"), "{text}");
         assert!(text.contains("Triangle#41"), "{text}");
         assert!(text.contains("topology: 2 boxes, 1 signals"), "{text}");
     }

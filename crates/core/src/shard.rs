@@ -38,8 +38,12 @@
 //!    is either private to that box's domain or staged through the
 //!    mailbox lanes in `attila_sim::signal`, which route cross-domain
 //!    writes to a queue owned by the writer and drained by the coordinator
-//!    strictly between epochs. Rc reference counts are never cloned or
-//!    dropped during a parallel phase.
+//!    strictly between epochs. The per-reader wake line every wire
+//!    raises on a write (`attila_sim::WakeLine`) belongs to the reader's
+//!    domain on the same grounds: an unstaged write comes from that
+//!    domain, a staged one is replayed by the coordinator between epochs.
+//!    Rc reference counts are never cloned or dropped during a parallel
+//!    phase.
 //!
 //! Violating any clause is undefined behavior; that is why the accessors
 //! are `unsafe` and why `Gpu` funnels every dereference through two

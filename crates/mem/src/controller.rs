@@ -426,6 +426,15 @@ impl MemoryController {
         reply
     }
 
+    /// Whether a delivered reply awaits pickup by `client` — O(1). A box
+    /// that is otherwise idle must still be clocked while this holds:
+    /// unpopped replies (write-back acknowledgements included) keep the
+    /// controller's own horizon `Busy`.
+    #[inline]
+    pub fn has_reply(&self, client: Client) -> bool {
+        self.ready_replies.get(client.index()).is_some_and(|q| !q.is_empty())
+    }
+
     /// Advances the controller one cycle: issues queued requests to idle
     /// channels, applies functional effects, and delivers due replies.
     pub fn clock(&mut self, cycle: Cycle) {
@@ -840,6 +849,29 @@ mod tests {
         let (_, reply) = run_until_reply(&mut c, Client::Streamer, 0, 200);
         assert_eq!(reply.id, 1);
         assert_eq!(reply.data, vec![9u8; 64]);
+    }
+
+    #[test]
+    fn has_reply_is_per_client_and_cleared_by_pickup() {
+        let mut c = ctl();
+        assert!(!c.has_reply(Client::Texture(3)), "unseen client slots read as empty");
+        c.submit(MemRequest {
+            id: 7,
+            client: Client::ZStencil(1),
+            addr: 64,
+            op: MemOp::TimingWrite { size: 64 },
+        })
+        .unwrap();
+        let mut cycle = 0;
+        while !c.has_reply(Client::ZStencil(1)) {
+            c.clock(cycle);
+            cycle += 1;
+            assert!(cycle < 200, "write-back acknowledgement never delivered");
+        }
+        assert!(!c.has_reply(Client::ColorWrite(1)) && !c.has_reply(Client::Streamer));
+        assert!(c.work_horizon().is_busy(), "an unpopped reply pins the controller Busy");
+        assert_eq!(c.pop_reply(Client::ZStencil(1)).map(|r| r.id), Some(7));
+        assert!(!c.has_reply(Client::ZStencil(1)));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::fmt;
 
 use crate::error::SimError;
 use crate::name::SignalName;
-use crate::signal::{Signal, SignalProbe, SignalReader, SignalStatus, SignalWriter};
+use crate::signal::{Signal, SignalProbe, SignalReader, SignalStatus, SignalWriter, WakeLine};
 use crate::Cycle;
 
 /// Direction of a signal relative to the box that registered it.
@@ -74,6 +74,9 @@ pub struct SignalBinder {
     /// Type-erased handles onto the live wires, kept for post-mortem
     /// reporting and fault isolation.
     probes: BTreeMap<String, SignalProbe>,
+    /// One wake line per reader box, shared by every wire registered
+    /// towards it.
+    wake_lines: BTreeMap<String, WakeLine>,
     /// Next dense [`SignalName`] id, assigned in registration order.
     next_id: u32,
 }
@@ -117,7 +120,8 @@ impl SignalBinder {
         // for a given configuration.
         let interned = SignalName::interned(name, self.next_id);
         self.next_id += 1;
-        let (writer, reader) = Signal::with_name(interned, bandwidth, latency);
+        let wake = self.wake_lines.entry(to_box.to_string()).or_default().clone();
+        let (writer, reader) = Signal::with_wake(interned, bandwidth, latency, wake);
         self.probes.insert(name.to_string(), writer.probe());
         Ok((writer, reader))
     }
@@ -129,6 +133,13 @@ impl SignalBinder {
     /// Returns [`SimError::UnknownSignal`] if no signal has that name.
     pub fn probe(&self, name: &str) -> Result<&SignalProbe, SimError> {
         self.probes.get(name).ok_or_else(|| SimError::UnknownSignal(name.to_string()))
+    }
+
+    /// The wake line of `box_name`: the latest arrival cycle over every
+    /// wire registered with that box as its reader, data and credit
+    /// returns alike. `None` for a box that reads no registered wire.
+    pub fn wake_line(&self, box_name: &str) -> Option<WakeLine> {
+        self.wake_lines.get(box_name).cloned()
     }
 
     /// Degrades (or restores) a registered signal to best-effort delivery
@@ -301,6 +312,26 @@ mod tests {
         assert_eq!(b.drain_cycle(), Some(10), "max over every wire");
         assert_eq!(rx1.read(10), Some(1));
         assert_eq!(b.next_event_cycle(), Some(2), "fast wire still in flight");
+    }
+
+    #[test]
+    fn wake_line_tracks_the_latest_arrival_towards_a_reader() {
+        let mut b = SignalBinder::new();
+        let (mut data, _rx) = b.register::<u32>("a->b", "A", "B", 1, 6).unwrap();
+        let (mut credit, _crx) = b.register::<u32>("b->c.credits", "C", "B", 1, 1).unwrap();
+        let (mut other, _orx) = b.register::<u32>("b->c", "B", "C", 1, 3).unwrap();
+        let line = b.wake_line("B").unwrap();
+        assert!(b.wake_line("Nobody").is_none());
+        assert_eq!(line.latest_arrival(), 0);
+        credit.write(4, 1).unwrap();
+        assert_eq!(line.latest_arrival(), 5, "credit returns wake their reader too");
+        data.write(4, 7).unwrap();
+        assert_eq!(line.latest_arrival(), 10);
+        credit.write(5, 1).unwrap();
+        assert_eq!(line.latest_arrival(), 10, "the line only ever rises");
+        other.write(20, 9).unwrap();
+        assert_eq!(line.latest_arrival(), 10, "wires read by other boxes do not touch it");
+        assert_eq!(b.wake_line("C").unwrap().latest_arrival(), 23);
     }
 
     #[test]

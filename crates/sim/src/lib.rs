@@ -36,6 +36,10 @@
 //!   [`Scheduler::step_many`]) jumps the clock over stretches every unit
 //!   and every in-flight wire agree are dead time. Results are
 //!   bit-identical to per-cycle clocking; only wall-clock time changes.
+//! * [`WakeLine`] — one per reader box, handed out by the binder and
+//!   raised by every write towards that box to the object's arrival
+//!   cycle, so a scheduler can also leave a *single* idle box unclocked
+//!   without missing its next input.
 //!
 //! ## Example
 //!
@@ -90,7 +94,9 @@ pub use name::SignalName;
 pub use object::{DynamicObject, ObjectIdGen, Traceable};
 pub use partition::partition_chain;
 pub use rng::TinyRng;
-pub use signal::{DrainStaged, Signal, SignalProbe, SignalReader, SignalStatus, SignalWriter};
+pub use signal::{
+    DrainStaged, Signal, SignalProbe, SignalReader, SignalStatus, SignalWriter, WakeLine,
+};
 pub use stats::{Counter, Gauge, StatSnapshotEntry, StatsRegistry, StatsSnapshot};
 pub use trace::{SignalTrace, TraceEvent, TraceSink};
 pub use viz::{render_html, VizOptions};

@@ -134,6 +134,40 @@ fn ring_capacity(bandwidth: usize, latency: Cycle) -> usize {
         .clamp(1, RING_SLOTS_MAX as u64) as usize
 }
 
+/// The latest arrival cycle of anything written to any wire one box reads
+/// (data and credit returns alike) — what lets a scheduler leave that box
+/// unclocked without missing an input.
+///
+/// The [`SignalBinder`](crate::SignalBinder) hands one line to every wire
+/// registered towards the same reader box; each write raises it to the
+/// object's arrival cycle, staged-mailbox drains included (they replay
+/// through the same write path). The line is only ever touched by the
+/// phase owner of the reader's wires, like the wires themselves.
+#[derive(Debug, Clone, Default)]
+pub struct WakeLine(Rc<Cell<Cycle>>);
+
+impl WakeLine {
+    /// A line that always reports input due: its box is never left
+    /// unclocked. For units nothing could wake (no input wires at all).
+    pub fn always_due() -> Self {
+        WakeLine(Rc::new(Cell::new(Cycle::MAX)))
+    }
+
+    /// The latest cycle at which a written object reaches the box; the box
+    /// has no wire input due on any later cycle (until the next write).
+    #[inline]
+    pub fn latest_arrival(&self) -> Cycle {
+        self.0.get()
+    }
+
+    #[inline]
+    fn raise(&self, arrival: Cycle) {
+        if arrival > self.0.get() {
+            self.0.set(arrival);
+        }
+    }
+}
+
 /// Shared state of a signal.
 struct SignalCore<T> {
     name: SignalName,
@@ -155,6 +189,8 @@ struct SignalCore<T> {
     trace: Option<TraceSink>,
     /// Injected fault schedule, consulted on every write when armed.
     faults: Option<SignalFaultHandle>,
+    /// The reader box's wake line, raised by every write.
+    wake: WakeLine,
 }
 
 impl<T: fmt::Debug> SignalCore<T> {
@@ -250,6 +286,7 @@ impl<T: fmt::Debug> SignalCore<T> {
             });
         }
         self.in_flight.push_back(arrival, obj);
+        self.wake.raise(arrival);
         Ok(())
     }
 
@@ -399,6 +436,17 @@ impl<T: fmt::Debug> Signal<T> {
         bandwidth: usize,
         latency: Cycle,
     ) -> (SignalWriter<T>, SignalReader<T>) {
+        Self::with_wake(name, bandwidth, latency, WakeLine::default())
+    }
+
+    /// Like [`with_name`](Self::with_name), with every write raising
+    /// `wake` — the reader box's line (see [`WakeLine`]).
+    pub(crate) fn with_wake(
+        name: impl Into<SignalName>,
+        bandwidth: usize,
+        latency: Cycle,
+        wake: WakeLine,
+    ) -> (SignalWriter<T>, SignalReader<T>) {
         assert!(bandwidth > 0, "signal bandwidth must be at least 1 object/cycle");
         let name = name.into();
         let core = Rc::new(RefCell::new(SignalCore {
@@ -414,6 +462,7 @@ impl<T: fmt::Debug> Signal<T> {
             total_lost: 0,
             trace: None,
             faults: None,
+            wake,
         }));
         let writer = SignalWriter {
             core: Rc::clone(&core),

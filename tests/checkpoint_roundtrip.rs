@@ -297,6 +297,40 @@ fn checkpoint_written_at_n_threads_restores_at_m_threads() {
 }
 
 #[test]
+fn resume_from_a_capture_taken_with_boxes_asleep() {
+    // Per-box sleep state is transient: a checkpoint taken while the
+    // scheduler has boxes asleep must restore into a machine whose gates
+    // are all awake (they re-derive sleep from the restored boxes) and
+    // still finish bit-identically.
+    let (reference, total) = baseline(None);
+    let mut gpu = Gpu::new(config());
+    // Enables trace logging for the hash; never fires on its own.
+    gpu.checkpoint_every = Some(1 << 40);
+    gpu.enqueue(scene());
+    while !(gpu.cycle() > total / 3 && gpu.quiescent()) {
+        gpu.try_step().expect("healthy run");
+        assert!(gpu.cycle() < total, "no quiescent point in the middle third of the run");
+    }
+    let asleep = gpu.failure_report(None).boxes.iter().filter(|b| b.asleep).count();
+    assert!(asleep >= 6, "a drained pipeline should have most boxes asleep, found {asleep}");
+
+    let ckpt = gpu.capture_checkpoint();
+    let mut resumed = Gpu::restore(config(), scene(), &ckpt, None).expect("restores");
+    assert!(
+        resumed.failure_report(None).boxes.iter().all(|b| !b.asleep),
+        "gates are rebuilt awake, whatever they were at capture"
+    );
+    resumed.max_cycles = 50_000_000;
+    let result = resumed.run_trace(&[]).expect("resumed run drains");
+    let mut state = final_state(&resumed, &result.framebuffers);
+    // The writer leg stepped cycle by cycle, so only the resumed tail
+    // could jump the clock; everything else must match the reference.
+    assert!(state.cycles_skipped <= reference.cycles_skipped);
+    state.cycles_skipped = reference.cycles_skipped;
+    state.assert_matches(&reference, "capture with boxes asleep");
+}
+
+#[test]
 fn checkpoint_survives_process_exit_semantics() {
     // The file on disk alone — no in-process state — must be enough to
     // finish the run. Everything flows through the serialized JSON.
