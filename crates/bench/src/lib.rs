@@ -185,27 +185,6 @@ pub fn bench_case<F: FnMut()>(name: &str, samples: u32, iters_per_sample: u32, m
     println!("{name:<40} best {:>12}  mean {:>12}", fmt_secs(best), fmt_secs(mean));
 }
 
-/// Serial-vs-parallel timing of one sweep grid (see [`bench_grid`]).
-#[derive(Debug, Clone)]
-pub struct GridTiming {
-    /// Number of configurations in the grid.
-    pub configs: usize,
-    /// Wall seconds for the serial pass (1 worker).
-    pub serial_secs: f64,
-    /// Wall seconds for the parallel pass.
-    pub parallel_secs: f64,
-}
-
-impl GridTiming {
-    /// Serial time over parallel time — the sweep-harness scaling factor.
-    pub fn scaling(&self) -> f64 {
-        if self.parallel_secs <= 0.0 {
-            return 0.0;
-        }
-        self.serial_secs / self.parallel_secs
-    }
-}
-
 /// The standard 8-config sweep grid: texture-unit counts 1–4 crossed with
 /// both shader schedulers, over a small doom3-like trace.
 pub fn standard_grid() -> Vec<attila_core::sweep::SweepJob> {
@@ -224,47 +203,6 @@ pub fn standard_grid() -> Vec<attila_core::sweep::SweepJob> {
         }
     }
     jobs
-}
-
-/// Times the standard 8-config grid serially and across `workers` sweep
-/// threads, asserting the two merged reports are identical first.
-pub fn bench_grid(full: bool, workers: usize) -> GridTiming {
-    use std::sync::Arc;
-    let p = if full {
-        WorkloadParams { width: 96, height: 96, frames: 1, texture_size: 128, ..Default::default() }
-    } else {
-        WorkloadParams { width: 64, height: 64, frames: 1, texture_size: 64, ..Default::default() }
-    };
-    let trace = attila_gl::workloads::doom3_like(p);
-    let jobs = {
-        let mut jobs = standard_grid();
-        for j in &mut jobs {
-            j.config.display.width = trace.width;
-            j.config.display.height = trace.height;
-        }
-        jobs
-    };
-    let commands =
-        Arc::new(compile(trace.width, trace.height, &trace.calls).expect("trace compiles"));
-
-    // Determinism gate before timing anything: the merged report must not
-    // depend on the worker count.
-    let serial_once = attila_core::sweep::run_sweep(jobs.clone(), Arc::clone(&commands), 1);
-    let parallel_once =
-        attila_core::sweep::run_sweep(jobs.clone(), Arc::clone(&commands), workers);
-    assert_eq!(
-        attila_core::sweep::sweep_csv(&serial_once),
-        attila_core::sweep::sweep_csv(&parallel_once),
-        "sweep results must be independent of the worker count"
-    );
-
-    let start = std::time::Instant::now();
-    let _ = attila_core::sweep::run_sweep(jobs.clone(), Arc::clone(&commands), 1);
-    let serial_secs = start.elapsed().as_secs_f64();
-    let start = std::time::Instant::now();
-    let _ = attila_core::sweep::run_sweep(jobs.clone(), commands, workers);
-    let parallel_secs = start.elapsed().as_secs_f64();
-    GridTiming { configs: jobs.len(), serial_secs, parallel_secs }
 }
 
 /// Renders a duration in the most readable unit (s/ms/µs/ns).

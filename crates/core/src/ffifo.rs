@@ -22,7 +22,7 @@
 //! * **in-order input queue** — each unit runs one thread to completion
 //!   before starting the next, so texture latency stalls the unit.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use attila_emu::isa::{limits, Bank, Opcode, Program, ShaderTarget};
@@ -48,12 +48,11 @@ enum GroupState {
     Finished,
 }
 
+/// Threads per group: one fragment quad or up to four vertices
+/// (`shader.group_size`, which config validation pins to this value).
+const GROUP_LANES: usize = 4;
+
 /// What a group computes.
-///
-/// `Quad` dwarfs `Vertices` byte-wise, but it is also the overwhelmingly
-/// common case — boxing it would buy nothing except an allocation per
-/// fragment quad.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum GroupPayload {
     /// Up to four vertices of one batch.
@@ -73,9 +72,14 @@ struct Group {
     target: ShaderTarget,
     program: Arc<Program>,
     payload: GroupPayload,
-    threads: Vec<ThreadId>,
-    finished: Vec<bool>,
-    killed: Vec<bool>,
+    /// Lanes in use: 4 for a quad, 1 to 4 for vertices. Unused lanes read
+    /// as finished.
+    lanes: usize,
+    /// The lanes' emulator threads; `None` while a queued group waits for
+    /// a unit.
+    threads: Option<[ThreadId; GROUP_LANES]>,
+    finished: [bool; GROUP_LANES],
+    killed: [bool; GROUP_LANES],
     state: GroupState,
     /// Mirror of the (lockstep) program counter for dependency checks.
     pc: usize,
@@ -85,6 +89,68 @@ struct Group {
     regs_reserved: usize,
     /// Pending texture request id (while `TexBlocked`).
     tex_id: Option<u64>,
+}
+
+impl Group {
+    /// A fresh group of `lanes` threads; `alloc_group` fills in `id` and
+    /// `order`.
+    fn new(
+        unit: usize,
+        batch_id: u64,
+        target: ShaderTarget,
+        program: Arc<Program>,
+        payload: GroupPayload,
+        lanes: usize,
+        threads: Option<[ThreadId; GROUP_LANES]>,
+    ) -> Self {
+        let temps = program.temps_used().max(1);
+        Group {
+            id: 0,
+            order: 0,
+            unit,
+            batch_id,
+            target,
+            program,
+            payload,
+            lanes,
+            threads,
+            finished: std::array::from_fn(|lane| lane >= lanes),
+            killed: [false; GROUP_LANES],
+            state: GroupState::Ready,
+            pc: 0,
+            reg_ready: [0; limits::TEMPS],
+            inputs_reserved: lanes,
+            regs_reserved: lanes * temps,
+            tex_id: None,
+        }
+    }
+
+    /// The spawned threads of the lanes in use.
+    fn live_threads(&self) -> &[ThreadId] {
+        match &self.threads {
+            Some(threads) => &threads[..self.lanes],
+            None => &[],
+        }
+    }
+
+    /// Spawns one emulator thread per lane in use, on `emu`.
+    fn spawn_threads(payload: &GroupPayload, emu: &mut ShaderEmulator) -> [ThreadId; GROUP_LANES] {
+        let mut threads = [ThreadId(0); GROUP_LANES];
+        match payload {
+            GroupPayload::Vertices(vs) => {
+                for (t, v) in threads.iter_mut().zip(vs) {
+                    *t = emu.spawn(&v.inputs);
+                }
+            }
+            // All four fragments run — dead ones as helper pixels.
+            GroupPayload::Quad(q) => {
+                for (lane, t) in threads.iter_mut().enumerate() {
+                    *t = emu.spawn(q.frag_inputs(lane));
+                }
+            }
+        }
+        threads
+    }
 }
 
 /// Per-shader-unit state.
@@ -161,6 +227,10 @@ pub struct FragmentFifo {
     tex_outbox: VecDeque<QuadTexRequest>,
     /// Vertices being collected into a group.
     vertex_staging: Vec<VertexWork>,
+    /// Emptied vertex-group buffers, handed to the next groups: a group
+    /// is often a single vertex (the Streamer issues one per cycle at
+    /// best), so a fresh buffer per group would be one per vertex.
+    spare_vertex_bufs: Vec<Vec<VertexWork>>,
     /// Cycle the oldest staged vertex arrived (partial-group timeout).
     staging_since: Cycle,
     /// Fragment-pool occupancy.
@@ -172,8 +242,6 @@ pub struct FragmentFifo {
     // state: checkpointed
     next_order: u64,
     next_tex_id: u64,
-    /// Pending texture request id → blocked group id.
-    tex_waiters: BTreeMap<u64, u64>, // state: transient — empty once in-flight texture requests drain
     next_tu: usize,
     ids: ObjectIdGen,
 
@@ -251,6 +319,7 @@ impl FragmentFifo {
             frag_order: VecDeque::new(),
             tex_outbox: VecDeque::new(),
             vertex_staging: Vec::new(),
+            spare_vertex_bufs: Vec::new(),
             staging_since: 0,
             inputs_used: 0,
             regs_used: 0,
@@ -258,7 +327,6 @@ impl FragmentFifo {
             v_regs_used: 0,
             next_order: 0,
             next_tex_id: 0,
-            tex_waiters: BTreeMap::new(),
             next_tu: 0,
             ids: ObjectIdGen::new(),
             stat_vertex_groups: stats.counter("FFIFO.vertex_groups"),
@@ -384,12 +452,15 @@ impl FragmentFifo {
         } else {
             1
         };
-        let vertices: Vec<VertexWork> = self.vertex_staging.drain(..take).collect();
+        let mut vertices = self.spare_vertex_bufs.pop().unwrap_or_default();
+        vertices.extend(self.vertex_staging.drain(..take));
+        let lanes = vertices.len();
+        let payload = GroupPayload::Vertices(vertices);
         let queued = self.config.scheduling == ShaderScheduling::InOrderQueue;
         // Thread-window groups are placed on a unit immediately; queued
         // groups are materialized on whichever unit frees up first.
         let (unit, threads) = if queued {
-            (usize::MAX, Vec::new())
+            (usize::MAX, None)
         } else {
             let unit = self.pick_unit(true).expect("an eligible unit always exists");
             let emu = Self::emulator_for(
@@ -399,28 +470,17 @@ impl FragmentFifo {
                 &program,
                 &batch.state.vertex_constants,
             );
-            (unit, vertices.iter().map(|v| emu.spawn(&v.inputs)).collect())
+            (unit, Some(Group::spawn_threads(&payload, emu)))
         };
-        let n = vertices.len();
-        let temps = program.temps_used().max(1);
-        let gid = self.alloc_group(Group {
-            id: 0,
-            order: 0,
+        let gid = self.alloc_group(Group::new(
             unit,
-            batch_id: batch.id,
-            target: ShaderTarget::Vertex,
+            batch.id,
+            ShaderTarget::Vertex,
             program,
-            payload: GroupPayload::Vertices(vertices),
-            finished: vec![false; n],
-            killed: vec![false; n],
+            payload,
+            lanes,
             threads,
-            state: GroupState::Ready,
-            pc: 0,
-            reg_ready: [0; limits::TEMPS],
-            inputs_reserved: n,
-            regs_reserved: n * temps,
-            tex_id: None,
-        });
+        ));
         self.attach(gid, unit);
         self.stat_vertex_groups.inc();
         true
@@ -429,9 +489,10 @@ impl FragmentFifo {
     fn spawn_fragment_group(&mut self, quad: FragQuad) {
         let batch = Arc::clone(&quad.tri.batch);
         let program = Arc::clone(&batch.state.fragment_program);
+        let payload = GroupPayload::Quad(quad);
         let queued = self.config.scheduling == ShaderScheduling::InOrderQueue;
         let (unit, threads) = if queued {
-            (usize::MAX, Vec::new())
+            (usize::MAX, None)
         } else {
             let unit = self.pick_unit(false).expect("fragment units always exist");
             let emu = Self::emulator_for(
@@ -441,28 +502,17 @@ impl FragmentFifo {
                 &program,
                 &batch.state.fragment_constants,
             );
-            // All four fragments run — dead ones as helper pixels.
-            (unit, quad.frags.iter().map(|f| emu.spawn(&f.inputs)).collect::<Vec<ThreadId>>())
+            (unit, Some(Group::spawn_threads(&payload, emu)))
         };
-        let temps = program.temps_used().max(1);
-        let gid = self.alloc_group(Group {
-            id: 0,
-            order: 0,
+        let gid = self.alloc_group(Group::new(
             unit,
-            batch_id: batch.id,
-            target: ShaderTarget::Fragment,
+            batch.id,
+            ShaderTarget::Fragment,
             program,
-            payload: GroupPayload::Quad(quad),
-            finished: vec![false; 4],
-            killed: vec![false; 4],
+            payload,
+            GROUP_LANES,
             threads,
-            state: GroupState::Ready,
-            pc: 0,
-            reg_ready: [0; limits::TEMPS],
-            inputs_reserved: 4,
-            regs_reserved: 4 * temps,
-            tex_id: None,
-        });
+        ));
         self.attach(gid, unit);
         self.frag_order.push_back(gid);
         self.stat_fragment_groups.inc();
@@ -504,7 +554,7 @@ impl FragmentFifo {
     /// threads in that unit's emulator.
     fn materialize(&mut self, gid: u64, unit_idx: usize) {
         let g = self.groups[gid as usize].as_mut().expect("queued group exists");
-        debug_assert!(g.threads.is_empty());
+        debug_assert!(g.threads.is_none());
         g.unit = unit_idx;
         let (program, constants): (Arc<Program>, Arc<Vec<Vec4>>) = match &g.payload {
             GroupPayload::Vertices(vs) => (
@@ -518,10 +568,7 @@ impl FragmentFifo {
         };
         let emu =
             Self::emulator_for(&mut self.units[unit_idx], g.batch_id, g.target, &program, &constants);
-        g.threads = match &g.payload {
-            GroupPayload::Vertices(vs) => vs.iter().map(|v| emu.spawn(&v.inputs)).collect(),
-            GroupPayload::Quad(q) => q.frags.iter().map(|f| emu.spawn(&f.inputs)).collect(),
-        };
+        g.threads = Some(Group::spawn_threads(&g.payload, emu));
         self.units[unit_idx].resident.push(gid);
         self.units[unit_idx].current = Some(gid);
     }
@@ -646,7 +693,8 @@ impl FragmentFifo {
         let mut tex_coords: [Option<Vec4>; 4] = [None; 4];
         let mut tex_meta: Option<(u8, f32, bool)> = None;
         let mut advanced = false;
-        for (i, &tid) in g.threads.iter().enumerate() {
+        let threads = g.threads.expect("resident groups have spawned threads");
+        for (i, &tid) in threads[..g.lanes].iter().enumerate() {
             if g.finished[i] {
                 continue;
             }
@@ -695,9 +743,7 @@ impl FragmentFifo {
             let id = self.next_tex_id;
             self.next_tex_id += 1;
             g.tex_id = Some(id);
-            let gid_for_reply = g.id;
             g.state = GroupState::TexBlocked;
-            self.tex_waiters.insert(id, gid_for_reply);
             self.stat_tex_requests.inc();
             let unit_idx = g.unit;
             self.tex_outbox.push_back(QuadTexRequest {
@@ -708,6 +754,7 @@ impl FragmentFifo {
                 lod_bias,
                 projective,
                 batch,
+                group: g.id as u32,
             });
             return true;
         }
@@ -754,15 +801,21 @@ impl FragmentFifo {
     fn receive_tex_replies(&mut self, cycle: Cycle) -> Result<(), SimError> {
         for tu in 0..self.tex_replies.len() {
             while let Some(reply) = self.tex_replies[tu].try_pop(cycle)? {
-                let Some(gid) = self.tex_waiters.remove(&reply.id) else { continue };
-                let Some(g) = self.groups.get_mut(gid as usize).and_then(|s| s.as_mut()) else {
+                // The reply names its group's slot; a reply nobody waits
+                // for (a duplicate, or one whose slot has been recycled)
+                // does not match the slot's pending request id.
+                let Some(g) = self.groups.get_mut(reply.group as usize).and_then(|s| s.as_mut())
+                else {
                     continue;
                 };
+                if g.tex_id != Some(reply.id) {
+                    continue;
+                }
                 let unit = &mut self.units[g.unit];
                 let emu = unit
                     .emu_mut(g.batch_id, g.target)
                     .expect("emulator alive while group blocked"); // lint:allow(clock-unwrap) emulators outlive their blocked groups
-                for (i, &tid) in g.threads.iter().enumerate() {
+                for (i, &tid) in g.live_threads().iter().enumerate() {
                     if !g.finished[i] {
                         emu.complete_texture(tid, reply.texels[i]);
                     }
@@ -818,7 +871,7 @@ impl FragmentFifo {
                     return Ok(false);
                 }
                 for (i, v) in vs.iter().enumerate() {
-                    let outputs: Arc<VertexOutputs> = Arc::new(emu.outputs(g.threads[i]));
+                    let outputs: Arc<VertexOutputs> = Arc::new(emu.outputs(g.live_threads()[i]));
                     let sv = ShadedVertex {
                         obj: DynamicObject::child_of(self.ids.next_id(), &v.obj),
                         batch: Arc::clone(&v.batch),
@@ -857,7 +910,7 @@ impl FragmentFifo {
                 let emu = unit.emu(g.batch_id, g.target).expect("alive"); // lint:allow(clock-unwrap) emulators outlive their groups
                 let mut any_alive = false;
                 for i in 0..4 {
-                    quad.frags[i].color = emu.output(g.threads[i], 0);
+                    quad.frags[i].color = emu.output(g.live_threads()[i], 0);
                     if g.killed[i] {
                         quad.frags[i].alive = false;
                     }
@@ -865,8 +918,8 @@ impl FragmentFifo {
                         any_alive = true;
                         self.stat_frags_shaded.inc();
                     }
-                    quad.frags[i].inputs = Vec::new();
                 }
+                quad.inputs = Vec::new();
                 if any_alive {
                     let send_early = quad.tri.batch.state.early_z();
                     if send_early {
@@ -889,13 +942,20 @@ impl FragmentFifo {
         let unit = &mut self.units[g.unit];
         unit.resident.retain(|x| *x != gid);
         let emu = unit.emu_mut(g.batch_id, g.target).expect("alive");
-        for &tid in &g.threads {
+        for &tid in g.live_threads() {
             emu.retire(tid);
         }
         // Prune idle emulators of other batches to bound memory.
         if unit.emulators.len() > 8 {
             let batch = g.batch_id;
             unit.emulators.retain(|((b, _), e)| *b == batch || e.live_threads() > 0);
+        }
+        if let GroupPayload::Vertices(mut vertices) = g.payload {
+            // (A delivered quad group leaves a placeholder with no buffer.)
+            if vertices.capacity() > 0 {
+                vertices.clear();
+                self.spare_vertex_bufs.push(vertices);
+            }
         }
         let vertex = g.target == ShaderTarget::Vertex && !self.config.unified;
         if vertex {

@@ -33,6 +33,8 @@ pub struct HzUpdate {
     pub max_depth: f32,
 }
 
+const _: () = assert!(std::mem::size_of::<HzUpdate>() <= 112);
+
 /// The on-chip Hierarchical Z buffer: one max-depth entry per 8×8 block,
 /// quantized to the configured precision (8 bits in the paper, 256 KB for
 /// 4096×4096).
@@ -292,12 +294,7 @@ impl HierarchicalZ {
             let size = FB_TILE;
             for qy in (0..size).step_by(2) {
                 for qx in (0..size).step_by(2) {
-                    let mut frags: [QuadFrag; 4] = [
-                        QuadFrag::dead(),
-                        QuadFrag::dead(),
-                        QuadFrag::dead(),
-                        QuadFrag::dead(),
-                    ];
+                    let mut frags = [QuadFrag::dead(); 4];
                     let mut any = false;
                     for (slot, (dx, dy)) in
                         [(0u32, 0u32), (1, 0), (0, 1), (1, 1)].iter().enumerate()
@@ -307,7 +304,6 @@ impl HierarchicalZ {
                             alive: !f.culled,
                             edges: f.edges,
                             depth: f.depth,
-                            inputs: Vec::new(),
                             color: attila_emu::Vec4::ZERO,
                         };
                         if !f.culled {
@@ -319,13 +315,15 @@ impl HierarchicalZ {
                     if !any {
                         continue;
                     }
-                    self.pending.push_back(FragQuad {
-                        obj: DynamicObject::child_of(self.ids.next_id(), &tile.obj),
-                        tri: Arc::clone(&tile.tri),
-                        x: tile.x + qx,
-                        y: tile.y + qy,
+                    // The quad's one allocation: from here to the ROPs
+                    // it travels as a pointer.
+                    self.pending.push_back(FragQuad::new(
+                        DynamicObject::child_of(self.ids.next_id(), &tile.obj),
+                        Arc::clone(&tile.tri),
+                        tile.x + qx,
+                        tile.y + qy,
                         frags,
-                    });
+                    ));
                 }
             }
         }

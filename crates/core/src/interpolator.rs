@@ -90,7 +90,9 @@ impl Interpolator {
                     taken += 1;
                     let varyings = quad.tri.batch.state.varying_count as usize;
                     // Perspective-correct interpolation for every
-                    // fragment, including helpers.
+                    // fragment, including helpers, into the quad's one
+                    // input buffer (fragment-major).
+                    let mut inputs = Vec::with_capacity(4 * varyings);
                     for i in 0..4 {
                         let (x, y) = quad.frag_coords(i);
                         // Use exact pixel-centre edge values (dead helper
@@ -100,7 +102,6 @@ impl Interpolator {
                         } else {
                             quad.frags[i].edges
                         };
-                        let mut inputs = Vec::with_capacity(varyings);
                         for v in 0..varyings {
                             let attrs = [
                                 quad.tri.outputs[0][v + 1],
@@ -109,8 +110,8 @@ impl Interpolator {
                             ];
                             inputs.push(quad.tri.setup.interpolate(e, &attrs));
                         }
-                        quad.frags[i].inputs = inputs;
                     }
+                    quad.inputs = inputs;
                     self.stat_quads.inc();
                     self.stat_attributes.add(4 * varyings as u64);
                     let latency = self.config.base_latency

@@ -42,8 +42,20 @@
 //!    raises on a write (`attila_sim::WakeLine`) belongs to the reader's
 //!    domain on the same grounds: an unstaged write comes from that
 //!    domain, a staged one is replayed by the coordinator between epochs.
-//!    Rc reference counts are never cloned or dropped during a parallel
-//!    phase.
+//!    So do the wire's two words in the binder's wire table
+//!    (`attila_sim::signal`, "The wire table"): the table is one
+//!    allocation shared by every wire, but each pair of words has the
+//!    single phase owner of its core — the reader polls and advances
+//!    them, an unstaged writer updates them through the core from the
+//!    same domain, a staged writer never touches them (its bandwidth and
+//!    time-travel checks are lane-local) and its writes reach them when
+//!    the coordinator drains the mailbox between epochs. Words of wires
+//!    owned by different domains may share a cache line; that costs
+//!    coherence traffic, not correctness — they are distinct memory
+//!    locations, each accessed by one thread per phase.
+//!    `SignalBinder::next_event_cycle` reads the whole table and is only
+//!    called by the coordinator in serial phases. Rc reference counts are
+//!    never cloned or dropped during a parallel phase.
 //!
 //! Violating any clause is undefined behavior; that is why the accessors
 //! are `unsafe` and why `Gpu` funnels every dereference through two

@@ -95,6 +95,9 @@ pub struct Streamer {
     /// Recently fetched 64-byte index-buffer chunks.
     index_chunks: VecDeque<u64>,
     index_chunk_pending: Option<(u64, u64)>, // state: transient — in-flight chunk fetch, drained at the boundary
+    /// Scratch for one vertex's attribute-fetch transactions, `(address,
+    /// size)`; empty between vertices.
+    fetch_pieces: Vec<(u64, u32)>, // state: transient — per-vertex scratch
     next_req_id: u64,
     ids: ObjectIdGen,
 
@@ -131,6 +134,7 @@ impl Streamer {
             vcache_batch: u64::MAX,
             index_chunks: VecDeque::new(),
             index_chunk_pending: None,
+            fetch_pieces: Vec::new(),
             next_req_id: 0,
             ids: ObjectIdGen::new(),
             stat_vertices: stats.counter("Streamer.vertices"),
@@ -252,7 +256,7 @@ impl Streamer {
                                 id,
                                 client: Client::Streamer,
                                 addr: chunk,
-                                op: MemOp::Read { size: 64 },
+                                op: MemOp::TimingRead { size: 64 },
                             })
                             .expect("can_accept checked"); // lint:allow(clock-unwrap) submit follows the can_accept check above
                             self.outstanding_mem += 1;
@@ -281,20 +285,31 @@ impl Streamer {
                 continue;
             }
 
-            // Fetch attributes.
-            let mut pieces: Vec<(u64, u32)> = Vec::new();
-            let mut inputs = Vec::new();
+            // Fetch attributes: first the transactions the fetch costs,
+            // which decide whether the vertex can start this cycle at all.
+            self.fetch_pieces.clear();
+            for b in batch.state.attributes.iter().flatten() {
+                self.fetch_pieces.extend(attila_mem::controller::split_transactions(
+                    b.element_address(index),
+                    b.element_bytes() as u64,
+                ));
+            }
+            if self.outstanding_mem + self.fetch_pieces.len() > self.config.max_memory_requests
+                || self.fetch_pieces.iter().any(|(a, _)| !mem.can_accept(Client::Streamer, *a))
+            {
+                break; // stall: too many outstanding fetches
+            }
+            // Then the values, read from the memory image right here
+            // (execution-driven: the bytes are exact, the requests only
+            // charge the time — timing reads, whose replies carry no data)
+            // and converted to the internal 4x f32 format.
+            let mut inputs = Vec::with_capacity(batch.state.attributes.len());
             for binding in batch.state.attributes.iter() {
                 let Some(b) = binding else {
                     inputs.push(Vec4::ZERO);
                     continue;
                 };
                 let addr = b.element_address(index);
-                pieces.extend(attila_mem::controller::split_transactions(
-                    addr,
-                    b.element_bytes() as u64,
-                ));
-                // Functional conversion to the internal 4x f32 format.
                 let mut v = Vec4::new(0.0, 0.0, 0.0, b.default_w);
                 for c in 0..b.components as usize {
                     let mut bytes = [0u8; 4];
@@ -302,11 +317,6 @@ impl Streamer {
                     v[c] = f32::from_le_bytes(bytes);
                 }
                 inputs.push(v);
-            }
-            if self.outstanding_mem + pieces.len() > self.config.max_memory_requests
-                || pieces.iter().any(|(a, _)| !mem.can_accept(Client::Streamer, *a))
-            {
-                break; // stall: too many outstanding fetches
             }
             let slot = self
                 .pending_slots
@@ -316,7 +326,7 @@ impl Streamer {
                     self.pending_slots.push(None);
                     self.pending_slots.len() - 1
                 });
-            if pieces.is_empty() {
+            if self.fetch_pieces.is_empty() {
                 // No attributes bound: ready immediately.
                 self.ready_to_shade.push_back(VertexWork {
                     obj: DynamicObject::new(self.ids.next_id()),
@@ -326,15 +336,16 @@ impl Streamer {
                     inputs,
                 });
             } else {
-                let count = pieces.len();
-                for (addr, size) in pieces {
+                let count = self.fetch_pieces.len();
+                for i in 0..count {
+                    let (addr, size) = self.fetch_pieces[i];
                     let id = self.alloc_id();
                     self.pending.insert(id, slot);
                     mem.submit(MemRequest {
                         id,
                         client: Client::Streamer,
                         addr,
-                        op: MemOp::Read { size },
+                        op: MemOp::TimingRead { size },
                     })
                     .expect("can_accept checked"); // lint:allow(clock-unwrap) submit follows the can_accept check above
                     self.outstanding_mem += 1;

@@ -13,8 +13,6 @@
 //! optimized" distribution) makes neighbouring quads land on different
 //! units and replicates texture lines across their caches.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use attila_emu::texture::{TexelSource, TextureDesc, TextureEmulator};
 use attila_emu::vector::Vec4;
 use attila_mem::controller::split_transactions;
@@ -34,16 +32,20 @@ impl TexelSource for ImageSource<'_> {
     }
 }
 
-/// A request being serviced.
+/// A request being serviced. Its cache-line bookkeeping lives in the
+/// unit's `lines_todo` / `lines_pending`, whose buffers outlive requests.
 #[derive(Debug)]
 struct CurrentRequest {
     reply: QuadTexReply,
-    /// Cache lines still to be looked up.
-    lines_todo: Vec<u64>,
-    /// Lines with fills in flight.
-    lines_pending: BTreeSet<u64>,
     /// Earliest cycle the filtering pipeline can deliver (throughput).
     ready_at: Cycle,
+}
+
+/// Removes the first entry of `list` matching `pred` (order is not kept:
+/// these lists are keyed sets of a handful of entries) and returns it.
+fn take_where<T>(list: &mut Vec<T>, pred: impl Fn(&T) -> bool) -> Option<T> {
+    let at = list.iter().position(pred)?;
+    Some(list.swap_remove(at))
 }
 
 /// One texture unit of the pool.
@@ -60,8 +62,16 @@ pub struct TextureUnit {
     // state: transient — in-flight request/fill bookkeeping, drained at
     // the quiescent checkpoint boundary
     current: Option<CurrentRequest>,
-    fills: BTreeMap<u64, u64>,
-    fills_per_line: BTreeMap<u64, usize>,
+    /// Cache lines of the current request still to be looked up, in
+    /// ascending address order.
+    lines_todo: Vec<u64>,
+    /// Lines of the current request with fills in flight.
+    lines_pending: Vec<u64>,
+    /// Outstanding fill transactions as `(request id, line)`.
+    fills: Vec<(u64, u64)>,
+    /// Transactions still outstanding per line being filled, as
+    /// `(line, count)`.
+    fills_per_line: Vec<(u64, usize)>,
     // state: checkpointed
     next_req_id: u64,
     stat_requests: Counter,
@@ -88,8 +98,10 @@ impl TextureUnit {
             out_replies,
             emulator: TextureEmulator::new(),
             current: None,
-            fills: BTreeMap::new(),
-            fills_per_line: BTreeMap::new(),
+            lines_todo: Vec::new(),
+            lines_pending: Vec::new(),
+            fills: Vec::new(),
+            fills_per_line: Vec::new(),
             next_req_id: 0,
             stat_requests: stats.counter(&format!("{prefix}.requests")),
             stat_bilinear_ops: stats.counter(&format!("{prefix}.bilinear_samples")),
@@ -125,15 +137,17 @@ impl TextureUnit {
 
         // Fill completions.
         while let Some(reply) = mem.pop_reply(self.client()) {
-            if let Some(line) = self.fills.remove(&reply.id) {
-                let left = self.fills_per_line.get_mut(&line).expect("bookkeeping"); // lint:allow(clock-unwrap) reply ids only map to lines with live fill entries
-                *left -= 1;
-                if *left == 0 {
-                    self.fills_per_line.remove(&line);
+            if let Some((_, line)) = take_where(&mut self.fills, |(id, _)| *id == reply.id) {
+                let at = self
+                    .fills_per_line
+                    .iter()
+                    .position(|(l, _)| *l == line)
+                    .expect("bookkeeping"); // lint:allow(clock-unwrap) reply ids only map to lines with live fill entries
+                self.fills_per_line[at].1 -= 1;
+                if self.fills_per_line[at].1 == 0 {
+                    self.fills_per_line.swap_remove(at);
                     self.cache.fill_done(line);
-                    if let Some(cur) = &mut self.current {
-                        cur.lines_pending.remove(&line);
-                    }
+                    take_where(&mut self.lines_pending, |l| *l == line);
                 }
             }
         }
@@ -159,8 +173,8 @@ impl TextureUnit {
             let next_req_id = &mut self.next_req_id;
             let stat_bytes_read = &self.stat_bytes_read;
             let unit = self.unit;
-            let lines_pending = &mut cur.lines_pending;
-            cur.lines_todo.retain(|&line| {
+            let lines_pending = &mut self.lines_pending;
+            self.lines_todo.retain(|&line| {
                 match cache.lookup(cycle, line, false) {
                     Lookup::Hit => false,
                     Lookup::Blocked => true,
@@ -184,7 +198,7 @@ impl TextureUnit {
                                 {
                                     let id = *next_req_id;
                                     *next_req_id += 1;
-                                    fills.insert(id, line);
+                                    fills.push((id, line));
                                     mem.submit(MemRequest {
                                         id,
                                         client: Client::Texture(unit),
@@ -194,9 +208,9 @@ impl TextureUnit {
                                     .expect("slots reserved"); // lint:allow(clock-unwrap) free_slots reserved queue space above
                                     count += 1;
                                 }
-                                fills_per_line.insert(line, count);
+                                fills_per_line.push((line, count));
                                 stat_bytes_read.add(line_bytes as u64);
-                                lines_pending.insert(line);
+                                lines_pending.push(line);
                                 false
                             }
                             Err(()) => true,
@@ -204,8 +218,8 @@ impl TextureUnit {
                     }
                 }
             });
-            if cur.lines_todo.is_empty()
-                && cur.lines_pending.is_empty()
+            if self.lines_todo.is_empty()
+                && self.lines_pending.is_empty()
                 && cycle >= cur.ready_at
                 && self.out_replies.can_send(cycle)
             {
@@ -232,6 +246,7 @@ impl TextureUnit {
             .textures
             .get(req.sampler as usize)
             .and_then(|d| d.clone());
+        debug_assert!(self.lines_todo.is_empty() && self.lines_pending.is_empty());
         let Some(mut desc) = desc else {
             // Unbound sampler: sample as opaque black, zero cost.
             return CurrentRequest {
@@ -239,9 +254,8 @@ impl TextureUnit {
                     id: req.id,
                     shader_unit: req.shader_unit,
                     texels: [Vec4::new(0.0, 0.0, 0.0, 1.0); 4],
+                    group: req.group,
                 },
-                lines_todo: Vec::new(),
-                lines_pending: BTreeSet::new(),
                 ready_at: cycle + 1,
             };
         };
@@ -250,28 +264,29 @@ impl TextureUnit {
         let results =
             self.emulator.sample_quad(&desc, &mut source, &req.coords, req.lod_bias, req.projective);
         let mut texels = [Vec4::ZERO; 4];
-        let mut lines = BTreeSet::new();
         let mut ops = 0u32;
         for (i, r) in results.iter().enumerate() {
             texels[i] = r.value;
             ops += r.bilinear_ops;
-            for (addr, len) in &r.accesses {
-                let first = self.cache.line_addr(*addr);
-                let last = self.cache.line_addr(addr + *len as u64 - 1);
-                lines.insert(first);
-                lines.insert(last);
+            for (addr, len) in r.accesses.iter() {
+                self.lines_todo.push(self.cache.line_addr(*addr));
+                self.lines_todo.push(self.cache.line_addr(addr + *len as u64 - 1));
             }
         }
+        // Each line once, in ascending address order, so fills are issued
+        // deterministically — cache allocation (and therefore cycle
+        // counts) must not vary run to run.
+        self.lines_todo.sort_unstable();
+        self.lines_todo.dedup();
         self.stat_bilinear_ops.add(ops as u64);
         let cost = (ops / self.config.bilinears_per_cycle.max(1)).max(1) as u64;
-        // The BTreeSet iterates in ascending address order, so fills are
-        // issued deterministically — cache allocation (and therefore
-        // cycle counts) must not vary run to run.
-        let lines_todo: Vec<u64> = lines.into_iter().collect();
         CurrentRequest {
-            reply: QuadTexReply { id: req.id, shader_unit: req.shader_unit, texels },
-            lines_todo,
-            lines_pending: BTreeSet::new(),
+            reply: QuadTexReply {
+                id: req.id,
+                shader_unit: req.shader_unit,
+                texels,
+                group: req.group,
+            },
             ready_at: cycle + cost,
         }
     }

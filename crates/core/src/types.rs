@@ -3,7 +3,14 @@
 //! Every payload embeds a [`DynamicObject`] identity so signal traces can
 //! associate fragments with their triangle and batch (the multilevel
 //! hierarchy of paper §3).
+//!
+//! A payload is copied into and out of a ring slot, a port queue and a
+//! `Result<Option<T>>` on every hop, so each one stays thin: shared data
+//! sits behind an `Arc`, the fragment quad behind a `Box`. The
+//! `size_of` assertions beside the definitions hold that line.
 
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use attila_emu::isa::limits;
@@ -45,6 +52,9 @@ pub struct VertexWork {
     pub inputs: Vec<Vec4>,
 }
 
+const _: () = assert!(std::mem::size_of::<VertexWork>() <= 112);
+const _: () = assert!(std::mem::size_of::<Arc<Batch>>() <= 112);
+
 impl Traceable for VertexWork {
     fn dyn_object(&self) -> &DynamicObject {
         &self.obj
@@ -66,6 +76,8 @@ pub struct ShadedVertex {
     pub outputs: Arc<VertexOutputs>,
 }
 
+const _: () = assert!(std::mem::size_of::<ShadedVertex>() <= 112);
+
 impl Traceable for ShadedVertex {
     fn dyn_object(&self) -> &DynamicObject {
         &self.obj
@@ -85,6 +97,8 @@ pub struct TriangleWork {
     /// track batch completion).
     pub end_of_batch: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<TriangleWork>() <= 112);
 
 impl Traceable for TriangleWork {
     fn dyn_object(&self) -> &DynamicObject {
@@ -114,6 +128,8 @@ pub struct SetupTriWork {
     pub end_of_batch: bool,
 }
 
+const _: () = assert!(std::mem::size_of::<SetupTriWork>() <= 112);
+
 impl Traceable for SetupTriWork {
     fn dyn_object(&self) -> &DynamicObject {
         &self.obj
@@ -137,6 +153,8 @@ pub struct FragTile {
     pub min_depth: f32,
 }
 
+const _: () = assert!(std::mem::size_of::<FragTile>() <= 112);
+
 impl Traceable for FragTile {
     fn dyn_object(&self) -> &DynamicObject {
         &self.obj
@@ -144,7 +162,7 @@ impl Traceable for FragTile {
 }
 
 /// One fragment inside a quad.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct QuadFrag {
     /// Whether the fragment is still live (inside triangle, not yet
     /// culled by any test). Dead fragments keep flowing with their quad —
@@ -154,8 +172,6 @@ pub struct QuadFrag {
     pub edges: [f32; 3],
     /// Window-space depth.
     pub depth: f32,
-    /// Interpolated shader inputs (filled by the Interpolator).
-    pub inputs: Vec<Vec4>,
     /// Shaded colour (filled by the shader).
     pub color: Vec4,
 }
@@ -163,20 +179,13 @@ pub struct QuadFrag {
 impl QuadFrag {
     /// A dead fragment placeholder.
     pub fn dead() -> Self {
-        QuadFrag {
-            alive: false,
-            edges: [0.0; 3],
-            depth: 0.0,
-            inputs: Vec::new(),
-            color: Vec4::ZERO,
-        }
+        QuadFrag { alive: false, edges: [0.0; 3], depth: 0.0, color: Vec4::ZERO }
     }
 }
 
-/// A 2×2 fragment quad — "the basic work unit for our fragment processing
-/// stages" (§2.2).
+/// What a [`FragQuad`] points at.
 #[derive(Debug, Clone)]
-pub struct FragQuad {
+pub struct QuadBody {
     /// Trace identity.
     pub obj: DynamicObject,
     /// Shared triangle data.
@@ -188,9 +197,64 @@ pub struct FragQuad {
     pub y: u32,
     /// The four fragments.
     pub frags: [QuadFrag; 4],
+    /// Interpolated shader inputs of all four fragments in one buffer,
+    /// fragment-major: fragment `i` owns an equal quarter (see
+    /// [`FragQuad::frag_inputs`]). Filled by the Interpolator, empty
+    /// before it and after shading.
+    pub inputs: Vec<Vec4>,
+}
+
+/// A 2×2 fragment quad — "the basic work unit for our fragment processing
+/// stages" (§2.2).
+///
+/// A pointer to a [`QuadBody`] boxed once, where Hierarchical Z splits a
+/// tile: a quad crosses five wires, and every ring slot, port queue and
+/// return value on the way moves eight bytes instead of the body.
+/// Dereferences to the body, so fields read as `quad.x`, `quad.frags[i]`.
+#[derive(Clone)]
+pub struct FragQuad(Box<QuadBody>);
+
+const _: () = assert!(std::mem::size_of::<FragQuad>() <= 16);
+
+impl Deref for FragQuad {
+    type Target = QuadBody;
+
+    fn deref(&self) -> &QuadBody {
+        &self.0
+    }
+}
+
+impl DerefMut for FragQuad {
+    fn deref_mut(&mut self) -> &mut QuadBody {
+        &mut self.0
+    }
+}
+
+impl fmt::Debug for FragQuad {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
 }
 
 impl FragQuad {
+    /// Boxes a quad with no interpolated inputs yet.
+    pub fn new(
+        obj: DynamicObject,
+        tri: Arc<TriangleData>,
+        x: u32,
+        y: u32,
+        frags: [QuadFrag; 4],
+    ) -> Self {
+        FragQuad(Box::new(QuadBody { obj, tri, x, y, frags, inputs: Vec::new() }))
+    }
+
+    /// The interpolated shader inputs of fragment `i` (empty until the
+    /// Interpolator has run).
+    pub fn frag_inputs(&self, i: usize) -> &[Vec4] {
+        let per_frag = self.inputs.len() / 4;
+        &self.inputs[i * per_frag..(i + 1) * per_frag]
+    }
+
     /// Whether any fragment is still alive.
     pub fn any_alive(&self) -> bool {
         self.frags.iter().any(|f| f.alive)
@@ -231,7 +295,12 @@ pub struct QuadTexRequest {
     pub projective: bool,
     /// Owning batch (provides the texture descriptors).
     pub batch: Arc<Batch>,
+    /// The issuing shader scheduler's slot for the waiting thread group;
+    /// the reply carries it back, so no id → group map is kept.
+    pub group: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<QuadTexRequest>() <= 112);
 
 /// A filtered reply for a quad texture request.
 #[derive(Debug, Clone)]
@@ -242,7 +311,11 @@ pub struct QuadTexReply {
     pub shader_unit: usize,
     /// The four filtered texels.
     pub texels: [Vec4; 4],
+    /// The waiting thread group's slot, copied from the request.
+    pub group: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<QuadTexReply>() <= 112);
 
 #[cfg(test)]
 mod tests {
@@ -250,9 +323,9 @@ mod tests {
 
     #[test]
     fn quad_coords_walk_the_2x2() {
-        let quad = FragQuad {
-            obj: DynamicObject::new(0),
-            tri: Arc::new(TriangleData {
+        let quad = FragQuad::new(
+            DynamicObject::new(0),
+            Arc::new(TriangleData {
                 batch: Arc::new(Batch {
                     id: 0,
                     state: Arc::new(RenderState::default()),
@@ -277,10 +350,10 @@ mod tests {
                     Arc::new([Vec4::ZERO; limits::OUTPUTS]),
                 ],
             }),
-            x: 4,
-            y: 6,
-            frags: [QuadFrag::dead(), QuadFrag::dead(), QuadFrag::dead(), QuadFrag::dead()],
-        };
+            4,
+            6,
+            [QuadFrag::dead(); 4],
+        );
         assert_eq!(quad.frag_coords(0), (4, 6));
         assert_eq!(quad.frag_coords(1), (5, 6));
         assert_eq!(quad.frag_coords(2), (4, 7));

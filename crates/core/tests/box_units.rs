@@ -60,16 +60,15 @@ fn make_quad(state: RenderState, x: u32, y: u32, depth: f32) -> FragQuad {
         alive,
         edges: [1.0, 1.0, 1.0],
         depth,
-        inputs: Vec::new(),
         color: Vec4::ONE,
     };
-    FragQuad {
-        obj: attila_sim::DynamicObject::new(1),
+    FragQuad::new(
+        attila_sim::DynamicObject::new(1),
         tri,
         x,
         y,
-        frags: [frag(true), frag(true), frag(true), frag(true)],
-    }
+        [frag(true), frag(true), frag(true), frag(true)],
+    )
 }
 
 /// Drives one ZStencil unit: quads against a cleared buffer must pass,

@@ -135,6 +135,7 @@ fn texture_unit_cache_and_throughput() {
         lod_bias: 0.0,
         projective: false,
         batch: Arc::clone(&batch),
+        group: 0,
     };
 
     let mut latencies = Vec::new();
@@ -194,6 +195,7 @@ fn texture_unit_unbound_sampler_is_black() {
             lod_bias: 0.0,
             projective: false,
             batch,
+            group: 0,
         },
     );
     for cycle in 0..100 {

@@ -272,6 +272,78 @@ pub fn full_mip_levels(w: u32, h: u32, d: u32) -> u32 {
     32 - m.leading_zeros()
 }
 
+/// Byte ranges `(start, length)` one sample read from memory.
+///
+/// A bilinear sample reads four texels and a trilinear one eight, once per
+/// fragment per texture instruction, so the list keeps that many entries
+/// inline; only anisotropic sampling (up to `max_aniso` probes) moves it to
+/// the heap. Reads as a slice.
+#[derive(Clone, Default)]
+pub struct AccessList {
+    /// Entries held in `inline`; meaningless once `spill` is in use.
+    len: usize,
+    inline: [(u64, u32); AccessList::INLINE],
+    /// Every entry, once there are more than `INLINE` of them.
+    spill: Vec<(u64, u32)>,
+}
+
+impl AccessList {
+    /// Entries stored without touching the heap: a trilinear sample's
+    /// eight taps.
+    const INLINE: usize = 8;
+
+    /// An empty list.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Makes room for `total` entries in one step, for callers that know
+    /// they will exceed the inline capacity.
+    pub fn reserve(&mut self, total: usize) {
+        if total > Self::INLINE {
+            self.spill.reserve(total);
+        }
+    }
+
+    /// Appends one access.
+    pub fn push(&mut self, access: (u64, u32)) {
+        if !self.spill.is_empty() {
+            self.spill.push(access);
+        } else if self.len < Self::INLINE {
+            self.inline[self.len] = access;
+            self.len += 1;
+        } else {
+            self.spill.reserve(2 * Self::INLINE);
+            self.spill.extend_from_slice(&self.inline);
+            self.spill.push(access);
+        }
+    }
+}
+
+impl std::ops::Deref for AccessList {
+    type Target = [(u64, u32)];
+
+    fn deref(&self) -> &[(u64, u32)] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
+impl std::fmt::Debug for AccessList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl PartialEq for AccessList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
 /// The result of sampling: the filtered texel plus the memory footprint of
 /// the access (the byte ranges read), which the timing model converts into
 /// texture-cache lookups. Execution-driven simulation in a nutshell: real
@@ -281,7 +353,7 @@ pub struct SampleResult {
     /// Filtered texel, RGBA in `[0,1]`.
     pub value: Vec4,
     /// Byte addresses (start, length) read from memory for this sample.
-    pub accesses: Vec<(u64, u32)>,
+    pub accesses: AccessList,
     /// Number of bilinear sample operations the access cost (1 for
     /// bilinear, 2 for trilinear, up to `max_aniso`×2 for anisotropic) —
     /// drives the Texture Unit's throughput model.
@@ -372,14 +444,17 @@ impl TextureEmulator {
         // axis, as the paper's TextureEmulator "calculates the number of
         // samples for anisotropic filtering".
         let mut value = Vec4::ZERO;
-        let mut accesses = Vec::new();
+        let mut accesses = AccessList::new();
+        accesses.reserve(samples as usize * AccessList::INLINE);
         let mut ops = 0;
         for i in 0..samples {
             let t = (i as f32 + 0.5) / samples as f32 - 0.5;
             let probe = Vec4::new(coord.x + major.0 * t, coord.y + major.1 * t, coord.z, coord.w);
             let r = self.sample_isotropic(desc, mem, probe, lod);
             value = value + r.value;
-            accesses.extend(r.accesses);
+            for access in r.accesses.iter() {
+                accesses.push(*access);
+            }
             ops += r.bilinear_ops;
         }
         SampleResult { value: value / samples as f32, accesses, bilinear_ops: ops }
@@ -406,18 +481,18 @@ impl TextureEmulator {
             if lod <= 0.0 { magnify_filter(desc.min_filter) } else { desc.min_filter };
         match filter {
             TexFilter::Nearest => {
-                let mut acc = Vec::new();
+                let mut acc = AccessList::new();
                 let v = self.point_sample(desc, mem, coord, 0, face, &mut acc);
                 SampleResult { value: v, accesses: acc, bilinear_ops: 1 }
             }
             TexFilter::Bilinear => {
-                let mut acc = Vec::new();
+                let mut acc = AccessList::new();
                 let v = self.bilinear_sample(desc, mem, coord, 0, face, &mut acc);
                 SampleResult { value: v, accesses: acc, bilinear_ops: 1 }
             }
             TexFilter::BilinearMipNearest => {
                 let level = lod.round().clamp(0.0, max_level) as u32;
-                let mut acc = Vec::new();
+                let mut acc = AccessList::new();
                 let v = self.bilinear_sample(desc, mem, coord, level, face, &mut acc);
                 SampleResult { value: v, accesses: acc, bilinear_ops: 1 }
             }
@@ -426,7 +501,7 @@ impl TextureEmulator {
                 let lo = clamped.floor() as u32;
                 let hi = (lo + 1).min(desc.mip_levels - 1);
                 let frac = clamped - lo as f32;
-                let mut acc = Vec::new();
+                let mut acc = AccessList::new();
                 let a = self.bilinear_sample(desc, mem, coord, lo, face, &mut acc);
                 if hi == lo || frac == 0.0 {
                     return SampleResult { value: a, accesses: acc, bilinear_ops: 1 };
@@ -445,7 +520,7 @@ impl TextureEmulator {
         coord: Vec4,
         level: u32,
         face: u32,
-        accesses: &mut Vec<(u64, u32)>,
+        accesses: &mut AccessList,
     ) -> Vec4 {
         let (w, h, d) = desc.level_dims(level);
         let i = desc.wrap_s.wrap((coord.x * w as f32).floor() as i64, w);
@@ -462,7 +537,7 @@ impl TextureEmulator {
         coord: Vec4,
         level: u32,
         face: u32,
-        accesses: &mut Vec<(u64, u32)>,
+        accesses: &mut AccessList,
     ) -> Vec4 {
         let (w, h, d) = desc.level_dims(level);
         let slice = slice_for(desc, coord, d);
@@ -501,7 +576,7 @@ impl TextureEmulator {
         j: u32,
         level: u32,
         face: u32,
-        accesses: &mut Vec<(u64, u32)>,
+        accesses: &mut AccessList,
     ) -> Vec4 {
         self.fetch_texel_3d(desc, mem, i, j, 0, level, face, accesses)
     }
@@ -517,7 +592,7 @@ impl TextureEmulator {
         slice: u32,
         level: u32,
         face: u32,
-        accesses: &mut Vec<(u64, u32)>,
+        accesses: &mut AccessList,
     ) -> Vec4 {
         let (w, h, d) = desc.level_dims(level);
         debug_assert!(i < w && j < h && slice < d);
@@ -538,7 +613,7 @@ impl TextureEmulator {
         i: u32,
         j: u32,
         w: u32,
-        accesses: &mut Vec<(u64, u32)>,
+        accesses: &mut AccessList,
     ) -> Vec4 {
         if desc.format.is_compressed() {
             let bw = w.div_ceil(4);

@@ -241,8 +241,12 @@ pub struct MemoryController {
     channels: Vec<ChannelState>,
     // state: transient — reply/upload pipelines below are empty by the
     // fully_drained checkpoint precondition
-    /// Replies scheduled for delivery, keyed by due cycle.
-    pending_replies: BTreeMap<Cycle, Vec<MemReply>>,
+    /// Replies scheduled for delivery as `(due cycle, reply)`, ordered by
+    /// due cycle and, within one cycle, by issue order. A deque kept
+    /// sorted on insert: a few dozen entries at most, nearly always
+    /// appended at the back, and no allocation once it has reached its
+    /// peak length.
+    pending_replies: VecDeque<(Cycle, MemReply)>,
     /// Delivered replies awaiting pickup, indexed by [`Client::index`] —
     /// a dense slot per client so the per-cycle `pop_reply` polls every
     /// box performs are an array index, not a tree lookup.
@@ -285,7 +289,7 @@ impl MemoryController {
             config,
             gpu_mem: MemoryImage::new(gpu_mem_bytes),
             channels,
-            pending_replies: BTreeMap::new(),
+            pending_replies: VecDeque::new(),
             ready_replies: Vec::new(),
             ready_count: 0,
             system_copies: VecDeque::new(),
@@ -544,22 +548,20 @@ impl MemoryController {
                     0
                 };
                 let due = done + latency_extra + self.config.bus_latency;
-                self.pending_replies.entry(due).or_default().push(reply);
+                let at = self.pending_replies.partition_point(|(d, _)| *d <= due);
+                self.pending_replies.insert(at, (due, reply));
             }
         }
 
         // Deliver replies due now or earlier.
-        let due: Vec<Cycle> =
-            self.pending_replies.range(..=cycle).map(|(c, _)| *c).collect();
-        for c in due {
-            for reply in self.pending_replies.remove(&c).expect("key exists") {
-                let slot = reply.client.index();
-                if slot >= self.ready_replies.len() {
-                    self.ready_replies.resize_with(slot + 1, VecDeque::new);
-                }
-                self.ready_replies[slot].push_back(reply);
-                self.ready_count += 1;
+        while self.pending_replies.front().is_some_and(|(due, _)| *due <= cycle) {
+            let (_, reply) = self.pending_replies.pop_front().expect("front exists");
+            let slot = reply.client.index();
+            if slot >= self.ready_replies.len() {
+                self.ready_replies.resize_with(slot + 1, VecDeque::new);
             }
+            self.ready_replies[slot].push_back(reply);
+            self.ready_count += 1;
         }
     }
 
@@ -675,7 +677,7 @@ impl MemoryController {
     /// an in-flight reply becomes deliverable or a system-bus upload
     /// lands, if anything is in flight at all.
     pub fn next_completion_cycle(&self) -> Option<Cycle> {
-        let reply = self.pending_replies.keys().next().copied();
+        let reply = self.pending_replies.front().map(|(due, _)| *due);
         // Uploads serialize on the system bus, so the front is earliest.
         let upload = self.system_copies.front().map(|c| c.done_at);
         match (reply, upload) {
@@ -798,18 +800,22 @@ impl std::fmt::Debug for MemoryController {
 }
 
 /// Splits an arbitrary `(addr, len)` range into [`MAX_TRANSACTION`]-sized,
-/// boundary-aligned pieces suitable for [`MemoryController::submit`].
-pub fn split_transactions(addr: u64, len: u64) -> Vec<(u64, u32)> {
-    let mut out = Vec::new();
+/// boundary-aligned pieces suitable for [`MemoryController::submit`],
+/// yielded in address order (callers run once per cache line or vertex
+/// attribute, so nothing is collected).
+pub fn split_transactions(addr: u64, len: u64) -> impl Iterator<Item = (u64, u32)> {
     let mut cur = addr;
     let end = addr + len;
-    while cur < end {
+    std::iter::from_fn(move || {
+        if cur >= end {
+            return None;
+        }
         let boundary = (cur / MAX_TRANSACTION as u64 + 1) * MAX_TRANSACTION as u64;
         let piece_end = boundary.min(end);
-        out.push((cur, (piece_end - cur) as u32));
+        let piece = (cur, (piece_end - cur) as u32);
         cur = piece_end;
-    }
-    out
+        Some(piece)
+    })
 }
 
 #[cfg(test)]
@@ -1127,11 +1133,12 @@ mod tests {
 
     #[test]
     fn split_transactions_respects_boundaries() {
-        assert_eq!(split_transactions(0, 64), vec![(0, 64)]);
-        assert_eq!(split_transactions(0, 128), vec![(0, 64), (64, 64)]);
-        assert_eq!(split_transactions(60, 8), vec![(60, 4), (64, 4)]);
-        assert_eq!(split_transactions(100, 0), vec![]);
-        let pieces = split_transactions(3, 200);
+        let split = |addr, len| split_transactions(addr, len).collect::<Vec<_>>();
+        assert_eq!(split(0, 64), vec![(0, 64)]);
+        assert_eq!(split(0, 128), vec![(0, 64), (64, 64)]);
+        assert_eq!(split(60, 8), vec![(60, 4), (64, 4)]);
+        assert_eq!(split(100, 0), vec![]);
+        let pieces = split(3, 200);
         assert_eq!(pieces.iter().map(|(_, l)| *l as u64).sum::<u64>(), 200);
         for (a, l) in pieces {
             assert!(a / 64 == (a + l as u64 - 1) / 64, "piece ({a},{l}) crosses 64B");

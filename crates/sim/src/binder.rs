@@ -17,8 +17,18 @@ use std::fmt;
 
 use crate::error::SimError;
 use crate::name::SignalName;
-use crate::signal::{Signal, SignalProbe, SignalReader, SignalStatus, SignalWriter, WakeLine};
+use std::rc::Rc;
+
+use crate::signal::{
+    ring_capacity, Due, Signal, SignalProbe, SignalReader, SignalStatus, SignalWriter, WakeLine,
+    WireSlot, WireWords,
+};
 use crate::Cycle;
+
+/// Wires per chunk of the wire table. One chunk (64 wires × two words =
+/// 16 cache lines) holds every wire of the baseline machine; a larger
+/// machine adds chunks, so handles into earlier ones stay valid.
+const TABLE_CHUNK: usize = 64;
 
 /// Direction of a signal relative to the box that registered it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,6 +62,12 @@ pub struct SignalInfo {
     pub bandwidth: usize,
     /// Cycles between write and arrival.
     pub latency: Cycle,
+    /// Bytes one in-flight object occupies in the wire's ring:
+    /// `size_of::<(Cycle, T)>()` for payload type `T`. A payload that
+    /// grows shows up here (and in `attila --dump-pipeline`).
+    pub slot_bytes: usize,
+    /// Slots preallocated for the ring: `(latency + 1) × bandwidth`.
+    pub ring_slots: usize,
 }
 
 /// Registry of every signal in a simulator instance.
@@ -71,14 +87,19 @@ pub struct SignalInfo {
 #[derive(Debug, Default)]
 pub struct SignalBinder {
     signals: BTreeMap<String, SignalInfo>,
-    /// Type-erased handles onto the live wires, kept for post-mortem
-    /// reporting and fault isolation.
-    probes: BTreeMap<String, SignalProbe>,
+    /// Type-erased handles onto the live wires, in id (registration)
+    /// order: post-mortem reporting, fault isolation, and the wires whose
+    /// table word says to ask the core.
+    probes: Vec<SignalProbe>,
+    /// Signal name → id (index into `probes` and the wire table).
+    ids: BTreeMap<String, usize>,
     /// One wake line per reader box, shared by every wire registered
     /// towards it.
     wake_lines: BTreeMap<String, WakeLine>,
-    /// Next dense [`SignalName`] id, assigned in registration order.
-    next_id: u32,
+    /// The wire table: the words of the wire with [`SignalName`] id `i`
+    /// are `table[i / TABLE_CHUNK][i % TABLE_CHUNK]` (see
+    /// [`signal`](crate::signal) for what they hold).
+    table: Vec<Rc<[WireWords]>>,
 }
 
 impl SignalBinder {
@@ -113,16 +134,23 @@ impl SignalBinder {
                 to_box: to_box.to_string(),
                 bandwidth,
                 latency,
+                slot_bytes: std::mem::size_of::<(Cycle, T)>(),
+                ring_slots: ring_capacity(bandwidth, latency),
             },
         );
         // Intern the name with a dense id in registration order: the
         // pipeline is wired in a fixed sequence, so ids are deterministic
         // for a given configuration.
-        let interned = SignalName::interned(name, self.next_id);
-        self.next_id += 1;
+        let id = self.probes.len();
+        let interned = SignalName::interned(name, id as u32);
+        if id / TABLE_CHUNK == self.table.len() {
+            self.table.push((0..TABLE_CHUNK).map(|_| WireWords::idle()).collect());
+        }
+        let wire = WireSlot::new(Rc::clone(&self.table[id / TABLE_CHUNK]), id % TABLE_CHUNK);
         let wake = self.wake_lines.entry(to_box.to_string()).or_default().clone();
-        let (writer, reader) = Signal::with_wake(interned, bandwidth, latency, wake);
-        self.probes.insert(name.to_string(), writer.probe());
+        let (writer, reader) = Signal::wired(interned, bandwidth, latency, wake, wire);
+        self.ids.insert(name.to_string(), id);
+        self.probes.push(writer.probe());
         Ok((writer, reader))
     }
 
@@ -132,7 +160,10 @@ impl SignalBinder {
     ///
     /// Returns [`SimError::UnknownSignal`] if no signal has that name.
     pub fn probe(&self, name: &str) -> Result<&SignalProbe, SimError> {
-        self.probes.get(name).ok_or_else(|| SimError::UnknownSignal(name.to_string()))
+        match self.ids.get(name) {
+            Some(&id) => Ok(&self.probes[id]),
+            None => Err(SimError::UnknownSignal(name.to_string())),
+        }
     }
 
     /// The wake line of `box_name`: the latest arrival cycle over every
@@ -171,7 +202,7 @@ impl SignalBinder {
     /// Snapshots the health counters of every registered signal, in name
     /// order — the signal section of a failure report.
     pub fn statuses(&self) -> Vec<SignalStatus> {
-        self.probes.values().map(SignalProbe::status).collect()
+        self.ids.values().map(|&id| self.probes[id].status()).collect()
     }
 
     /// The earliest delivery cycle across every registered signal's
@@ -181,14 +212,26 @@ impl SignalBinder {
     /// idle-aware scheduler may only jump the clock to a cycle no later
     /// than this, because every in-flight object (data *and* credit
     /// returns) must be readable at its exact arrival cycle.
+    ///
+    /// Answered from the wire table: one pass over its words, touching a
+    /// wire's core only where the word says so (pinned wires).
     pub fn next_event_cycle(&self) -> Option<Cycle> {
-        self.probes.values().filter_map(SignalProbe::next_arrival).min()
+        let words = self.table.iter().flat_map(|chunk| chunk.iter());
+        self.probes
+            .iter()
+            .zip(words)
+            .filter_map(|(probe, words)| match words.due() {
+                Due::Empty => None,
+                Due::At(arrival) => Some(arrival),
+                Due::AskCore => probe.next_arrival(),
+            })
+            .min()
     }
 
     /// The latest delivery cycle across every registered signal's
     /// in-flight objects — the cycle by which all wires have drained.
     pub fn drain_cycle(&self) -> Option<Cycle> {
-        self.probes.values().filter_map(SignalProbe::drain_cycle).max()
+        self.probes.iter().filter_map(SignalProbe::drain_cycle).max()
     }
 
     /// Snapshots every registered signal as a topology edge — metadata
@@ -199,11 +242,14 @@ impl SignalBinder {
         self.signals
             .values()
             .map(|info| {
-                let (in_flight, next_arrival) = match self.probes.get(&info.name) {
-                    Some(p) => (p.status().in_flight, p.next_arrival()),
-                    None => (0, None),
-                };
-                crate::lint::SignalEdge { info: info.clone(), in_flight, next_arrival }
+                // `signals` and `ids` are keyed alike: both are filled by
+                // `register`.
+                let probe = &self.probes[self.ids[&info.name]];
+                crate::lint::SignalEdge {
+                    info: info.clone(),
+                    in_flight: probe.status().in_flight,
+                    next_arrival: probe.next_arrival(),
+                }
             })
             .collect()
     }
@@ -238,15 +284,23 @@ impl SignalBinder {
         self.signals.is_empty()
     }
 
-    /// Renders a human-readable interface summary (one line per signal),
-    /// useful in debug dumps and documentation of configured pipelines.
+    /// Renders a human-readable interface summary: one line per signal
+    /// with its ring geometry (`slot` bytes × `ring` slots), then the ring
+    /// storage of all wires together — a payload type that fattens the
+    /// rings shows here without a profiler. Useful in debug dumps and
+    /// documentation of configured pipelines.
     pub fn describe(&self) -> String {
         let mut out = String::new();
+        let mut total = 0;
         for s in self.signals.values() {
             out.push_str(&format!(
-                "{:<36} {} -> {} bw={} lat={}\n",
-                s.name, s.from_box, s.to_box, s.bandwidth, s.latency
+                "{:<36} {} -> {} bw={} lat={} slot={}B ring={}\n",
+                s.name, s.from_box, s.to_box, s.bandwidth, s.latency, s.slot_bytes, s.ring_slots
             ));
+            total += s.slot_bytes * s.ring_slots;
+        }
+        if !self.signals.is_empty() {
+            out.push_str(&format!("ring storage: {total} bytes in {} wires\n", self.len()));
         }
         out
     }
@@ -315,6 +369,83 @@ mod tests {
     }
 
     #[test]
+    fn next_event_cycle_follows_reads_and_losses() {
+        let mut b = SignalBinder::new();
+        let (mut tx, mut rx) = b.register::<u32>("w", "A", "B", 2, 3).unwrap();
+        tx.write(0, 1).unwrap(); // arrives at 3
+        tx.write(1, 2).unwrap(); // arrives at 4
+        assert_eq!(b.next_event_cycle(), Some(3));
+        assert_eq!(rx.read(2), None, "an empty poll leaves the event in place");
+        assert_eq!(b.next_event_cycle(), Some(3));
+        assert_eq!(rx.read(3), Some(1));
+        assert_eq!(b.next_event_cycle(), Some(4), "the next object moves to the front");
+        // Polling past it loses it; the wire is then empty.
+        assert!(rx.try_read(6).is_err());
+        assert_eq!(b.next_event_cycle(), None);
+    }
+
+    #[test]
+    fn next_event_cycle_asks_the_core_of_a_pinned_wire() {
+        let mut b = SignalBinder::new();
+        let (mut plain, _rx1) = b.register::<u32>("plain", "A", "B", 1, 9).unwrap();
+        let (mut lossy, mut rx2) = b.register::<u32>("lossy", "B", "C", 1, 4).unwrap();
+        // A lossy wire pins its table word: nothing may be concluded from
+        // it, in flight or empty.
+        lossy.set_lossy(true);
+        assert_eq!(b.next_event_cycle(), None);
+        plain.write(0, 1).unwrap(); // arrives at 9
+        lossy.write(0, 2).unwrap(); // arrives at 4
+        assert_eq!(b.next_event_cycle(), Some(4));
+        assert_eq!(rx2.read(4), Some(2));
+        assert_eq!(b.next_event_cycle(), Some(9));
+        // Unpinning re-derives the word from the ring.
+        lossy.write(5, 3).unwrap(); // arrives at 9
+        b.set_lossy("lossy", false).unwrap();
+        plain.write(1, 4).unwrap(); // arrives at 10
+        assert_eq!(b.next_event_cycle(), Some(9));
+        assert_eq!(rx2.next_arrival(), Some(9));
+    }
+
+    #[test]
+    fn next_event_cycle_sees_an_arrival_at_cycle_zero() {
+        let mut b = SignalBinder::new();
+        let (mut tx, mut rx) = b.register::<u32>("now", "A", "B", 1, 0).unwrap();
+        tx.write(0, 7).unwrap();
+        assert_eq!(b.next_event_cycle(), Some(0));
+        assert!(rx.has_data(0));
+        assert_eq!(rx.read(0), Some(7));
+        assert_eq!(b.next_event_cycle(), None);
+    }
+
+    #[test]
+    fn wire_table_grows_past_one_chunk() {
+        let mut b = SignalBinder::new();
+        let mut ends = Vec::new();
+        for i in 0..(TABLE_CHUNK + 3) {
+            ends.push(b.register::<u32>(&format!("w{i}"), "A", "B", 1, 5).unwrap());
+        }
+        assert_eq!(b.next_event_cycle(), None);
+        // First and last chunk, independently.
+        ends[TABLE_CHUNK + 2].0.write(3, 1).unwrap(); // arrives at 8
+        assert_eq!(b.next_event_cycle(), Some(8));
+        ends[1].0.write(1, 2).unwrap(); // arrives at 6
+        assert_eq!(b.next_event_cycle(), Some(6));
+        assert_eq!(ends[1].1.read(6), Some(2));
+        assert_eq!(b.next_event_cycle(), Some(8));
+        assert_eq!(ends[TABLE_CHUNK + 2].1.read(8), Some(1));
+        assert_eq!(b.next_event_cycle(), None);
+    }
+
+    #[test]
+    fn info_reports_ring_geometry() {
+        let mut b = SignalBinder::new();
+        b.register::<u64>("w", "A", "B", 2, 3).unwrap();
+        let info = b.info("w").unwrap();
+        assert_eq!(info.ring_slots, 8, "(latency + 1) × bandwidth");
+        assert_eq!(info.slot_bytes, 16, "arrival cycle + payload");
+    }
+
+    #[test]
     fn wake_line_tracks_the_latest_arrival_towards_a_reader() {
         let mut b = SignalBinder::new();
         let (mut data, _rx) = b.register::<u32>("a->b", "A", "B", 1, 6).unwrap();
@@ -342,5 +473,8 @@ mod tests {
         let d = b.describe();
         assert!(d.contains("alpha") && d.contains("beta"));
         assert!(d.contains("bw=8") && d.contains("lat=3"));
+        // u8 payload: 16-byte slots; 2 and 32 ring slots.
+        assert!(d.contains("slot=16B ring=32"), "{d}");
+        assert!(d.contains("ring storage: 544 bytes in 2 wires"), "{d}");
     }
 }

@@ -618,6 +618,8 @@ mod tests {
                 to_box: to.into(),
                 bandwidth,
                 latency,
+                slot_bytes: 16,
+                ring_slots: 2,
             },
             in_flight: 0,
             next_arrival: None,

@@ -12,6 +12,19 @@
 //! In this Rust port, pipeline data types *embed* a [`DynamicObject`] value
 //! and expose it through the [`Traceable`] trait instead of inheriting from
 //! a base class.
+//!
+//! # What replaced `OptimizedMemory`
+//!
+//! The original gives `DynamicObject` a pooled allocator so that creating,
+//! passing and destroying objects is nearly free. The port gets the same
+//! effect from the shape of the data instead of from a pool: the identity
+//! is three plain words (24 bytes, `Copy`-cheap, no heap part), small
+//! payloads embed it and travel by value, and the one large payload — the
+//! fragment quad — is boxed once where Hierarchical Z creates it, so every
+//! wire slot, port queue and `Result<Option<T>>` on its way to the ROPs
+//! moves a pointer. One allocation per quad, freed by whichever box
+//! retires it, is all a pool would have saved; a pool would also have to
+//! be shared between clock domains, which the threaded loop forbids.
 
 use std::fmt;
 
@@ -27,25 +40,32 @@ use std::fmt;
 /// let fragment = DynamicObject::child_of(ids.next_id(), &triangle);
 /// assert_eq!(fragment.parent(), Some(triangle.id()));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct DynamicObject {
     id: u64,
-    parent: Option<u64>,
+    /// Parent identifier, [`NO_PARENT`] for a root object.
+    parent: u64,
     color: u32,
-    info: String,
 }
+
+/// Sentinel `parent` of a root object. Identifiers are issued from 0
+/// upwards by [`ObjectIdGen`], so the all-ones value never names one.
+const NO_PARENT: u64 = u64::MAX;
+
+// Every payload embeds one of these in every wire slot it occupies.
+const _: () = assert!(std::mem::size_of::<DynamicObject>() <= 24);
 
 impl DynamicObject {
     /// Creates a root object (no parent) with the given identifier.
     pub fn new(id: u64) -> Self {
-        DynamicObject { id, parent: None, color: 0, info: String::new() }
+        DynamicObject { id, parent: NO_PARENT, color: 0 }
     }
 
     /// Creates an object linked to a parent object, forming the multilevel
     /// hierarchy used to relate e.g. memory accesses to fragments to
     /// triangles.
     pub fn child_of(id: u64, parent: &DynamicObject) -> Self {
-        DynamicObject { id, parent: Some(parent.id), color: parent.color, info: String::new() }
+        DynamicObject { id, parent: parent.id, color: parent.color }
     }
 
     /// The unique identifier of this object.
@@ -55,7 +75,7 @@ impl DynamicObject {
 
     /// The identifier of the parent object, if any.
     pub fn parent(&self) -> Option<u64> {
-        self.parent
+        (self.parent != NO_PARENT).then_some(self.parent)
     }
 
     /// The debug colour used by the Signal Trace Visualizer to group
@@ -68,28 +88,26 @@ impl DynamicObject {
     pub fn set_color(&mut self, color: u32) {
         self.color = color;
     }
+}
 
-    /// Free-form debug text shown by the Signal Trace Visualizer.
-    pub fn info(&self) -> &str {
-        &self.info
-    }
-
-    /// Replaces the debug text.
-    pub fn set_info(&mut self, info: impl Into<String>) {
-        self.info = info.into();
+impl fmt::Debug for DynamicObject {
+    /// Shows `parent` as the `Option` the accessor returns, not as the
+    /// stored sentinel (this text ends up in signal traces).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DynamicObject")
+            .field("id", &self.id)
+            .field("parent", &self.parent())
+            .field("color", &self.color)
+            .finish()
     }
 }
 
 impl fmt::Display for DynamicObject {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.parent {
+        match self.parent() {
             Some(p) => write!(f, "#{}<-#{}", self.id, p),
             None => write!(f, "#{}", self.id),
-        }?;
-        if !self.info.is_empty() {
-            write!(f, " {}", self.info)?;
         }
-        Ok(())
     }
 }
 
@@ -114,9 +132,9 @@ impl Traceable for DynamicObject {
 
 /// Monotonic generator for [`DynamicObject`] identifiers.
 ///
-/// The original simulator implements `OptimizedMemory` for cheap object
-/// creation/destruction; in Rust, values are stack-allocated or live in
-/// `Vec`s, so only the id allocation survives the port.
+/// Of the original's `OptimizedMemory` object pool only the id allocation
+/// survives the port; the module documentation says what does the pool's
+/// job instead.
 #[derive(Debug, Default, Clone)]
 pub struct ObjectIdGen {
     next: u64,
@@ -173,15 +191,12 @@ mod tests {
     }
 
     #[test]
-    fn display_shows_hierarchy_and_info() {
+    fn display_shows_hierarchy() {
         let mut g = ObjectIdGen::new();
         let tri = DynamicObject::new(g.next_id());
-        let mut frag = DynamicObject::child_of(g.next_id(), &tri);
-        frag.set_info("frag(3,4)");
-        let s = frag.to_string();
-        assert!(s.contains("#1"), "{s}");
-        assert!(s.contains("#0"), "{s}");
-        assert!(s.contains("frag(3,4)"), "{s}");
+        let frag = DynamicObject::child_of(g.next_id(), &tri);
+        assert_eq!(tri.parent(), None);
+        assert_eq!(frag.to_string(), "#1<-#0");
     }
 
     #[test]

@@ -23,6 +23,22 @@
 //!   clock moves past its arrival cycle (data loss) — unless the signal is
 //!   explicitly marked [lossy](SignalWriter::set_lossy);
 //! * writing for a cycle earlier than one already observed.
+//!
+//! # The wire table
+//!
+//! A box polls every wire it reads on every cycle it is clocked, and on
+//! most of those polls nothing has arrived. So that such a poll costs one
+//! compare against a hot word instead of a trip through the shared
+//! `Rc<RefCell<_>>` core, every wire keeps two words in a dense table
+//! (`WireWords`; the [`SignalBinder`](crate::SignalBinder) owns one table
+//! for all the wires it registers, indexed by the [`SignalName`] id): the
+//! arrival cycle of the front in-flight object (`due`) and the latest
+//! cycle either endpoint has observed (`latest`). The core maintains `due`
+//! after every change to its ring; readers answer "nothing due" from the
+//! word alone. A wire with a fault hook, a trace sink or the lossy flag
+//! *pins* `due` to `DUE_PINNED` (zero), so every operation on it falls through
+//! to the core — those features live there and keep their exact
+//! behaviour.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -126,12 +142,103 @@ impl<T> Ring<T> {
 /// [`RING_SLOTS_MAX`]. `VecDeque` rounds the allocation up to a power of
 /// two internally, so index arithmetic wraps with a mask, never a
 /// division.
-fn ring_capacity(bandwidth: usize, latency: Cycle) -> usize {
+pub(crate) fn ring_capacity(bandwidth: usize, latency: Cycle) -> usize {
     let per_cycle = bandwidth.max(1) as u64;
     latency
         .saturating_add(1)
         .saturating_mul(per_cycle)
         .clamp(1, RING_SLOTS_MAX as u64) as usize
+}
+
+/// `due` value of a wire whose every operation must go through the core
+/// (fault hook, trace sink or lossy flag armed). Zero is never later than
+/// the polled cycle, so the fast paths never take it for "nothing due".
+const DUE_PINNED: Cycle = 0;
+
+/// The two table words of one wire (see the module documentation).
+#[derive(Debug)]
+pub(crate) struct WireWords {
+    /// Earliest arrival among the in-flight objects, `Cycle::MAX` when the
+    /// wire is empty, [`DUE_PINNED`] when pinned.
+    due: Cell<Cycle>, // state: derived — front arrival of the ring
+    /// Latest cycle observed by either endpoint. This is the wire's only
+    /// copy of that cycle: the time-travel and bandwidth checks read it
+    /// here, so an empty poll that advances it keeps them exact.
+    latest: Cell<Cycle>, // state: derived — wires are drained at a checkpoint; the first access re-observes the cycle
+}
+
+impl WireWords {
+    pub(crate) fn idle() -> Self {
+        WireWords { due: Cell::new(Cycle::MAX), latest: Cell::new(0) }
+    }
+
+    #[inline]
+    pub(crate) fn due(&self) -> Due {
+        match self.due.get() {
+            Cycle::MAX => Due::Empty,
+            DUE_PINNED => Due::AskCore,
+            arrival => Due::At(arrival),
+        }
+    }
+}
+
+/// What [`WireWords::due`] says about a wire, without borrowing its core.
+pub(crate) enum Due {
+    /// Nothing in flight.
+    Empty,
+    /// The earliest in-flight arrival.
+    At(Cycle),
+    /// Pinned (or an arrival at cycle 0): only the core knows.
+    AskCore,
+}
+
+/// One wire's handle onto its [`WireWords`]: a shared table plus an index.
+/// The core and both endpoints hold a clone each.
+#[derive(Debug, Clone)]
+pub(crate) struct WireSlot {
+    table: Rc<[WireWords]>,
+    index: usize,
+}
+
+impl WireSlot {
+    pub(crate) fn new(table: Rc<[WireWords]>, index: usize) -> Self {
+        assert!(index < table.len(), "wire slot outside its table");
+        WireSlot { table, index }
+    }
+
+    /// A private one-wire table, for signals created without a binder.
+    fn private() -> Self {
+        WireSlot::new(Rc::new([WireWords::idle()]), 0)
+    }
+
+    #[inline]
+    fn words(&self) -> &WireWords {
+        &self.table[self.index]
+    }
+
+    #[inline]
+    fn latest(&self) -> Cycle {
+        self.words().latest.get()
+    }
+
+    /// `true` — and the cycle is observed, exactly as the core would — when
+    /// nothing is due at or overdue by `cycle`.
+    #[inline]
+    fn nothing_due(&self, cycle: Cycle) -> bool {
+        let words = self.words();
+        if words.due.get() <= cycle {
+            return false;
+        }
+        if cycle > words.latest.get() {
+            words.latest.set(cycle);
+        }
+        true
+    }
+
+    #[inline]
+    fn due(&self) -> Due {
+        self.words().due()
+    }
 }
 
 /// The latest arrival cycle of anything written to any wire one box reads
@@ -175,10 +282,18 @@ struct SignalCore<T> {
     latency: Cycle,
     /// Objects in flight, in write order (arrival order unless faulted).
     in_flight: Ring<T>,
-    /// Latest cycle observed by either endpoint.
-    latest_cycle: Cycle,
-    /// Number of writes performed at `latest_cycle`.
+    /// The wire's table words: `due`, kept in step with `in_flight` by
+    /// [`sync_due`](Self::sync_due), and the latest observed cycle.
+    wire: WireSlot,
+    /// Number of writes performed at cycle `writes_at`. It counts against
+    /// the bandwidth only while `writes_at` is still the latest observed
+    /// cycle, so advancing that cycle — which an empty poll does without
+    /// the core — resets the budget without touching this field.
     writes_this_cycle: usize,
+    writes_at: Cycle,
+    /// Whether the wire is lossy, faulted or traced; see
+    /// [`repin`](Self::repin).
+    pinned: bool,
     /// When `true`, the signal degrades instead of failing verification:
     /// unread, late or over-bandwidth objects are dropped (and counted)
     /// rather than aborting the simulation.
@@ -194,28 +309,65 @@ struct SignalCore<T> {
 }
 
 impl<T: fmt::Debug> SignalCore<T> {
+    /// Writes already performed at the latest observed cycle.
+    #[inline]
+    fn writes_used(&self) -> usize {
+        if self.writes_at == self.wire.latest() {
+            self.writes_this_cycle
+        } else {
+            0
+        }
+    }
+
+    /// Re-derives `pinned` and the `due` word after a change to the
+    /// conditions that pin a wire: every operation on a lossy, faulted or
+    /// traced wire must reach the core.
+    fn repin(&mut self) {
+        self.pinned = self.lossy || self.faults.is_some() || self.trace.is_some();
+        self.sync_due();
+    }
+
+    /// Re-derives the `due` word from the ring. Called after a pop; a push
+    /// only ever lowers the word (see [`write`](Self::write)).
+    #[inline]
+    fn sync_due(&self) {
+        let due = if self.pinned {
+            DUE_PINNED
+        } else {
+            // Only a delay fault writes arrivals out of order, and a
+            // faulted wire is pinned: here the front is the earliest.
+            debug_assert!(self.in_flight.sorted);
+            self.in_flight.front().map_or(Cycle::MAX, |(arrival, _)| *arrival)
+        };
+        self.wire.words().due.set(due);
+    }
+
     /// Advances the internal notion of time, detecting data loss.
+    #[inline]
     fn observe_cycle(&mut self, cycle: Cycle) -> Result<(), SimError> {
-        if cycle > self.latest_cycle {
-            self.latest_cycle = cycle;
-            self.writes_this_cycle = 0;
+        let latest = &self.wire.words().latest;
+        if cycle > latest.get() {
+            latest.set(cycle);
         }
-        // Objects whose arrival cycle is already in the past can never be
-        // read again: they have fallen off the wire.
+        match self.in_flight.front() {
+            Some((arrival, _)) if *arrival < cycle => self.drop_overdue(cycle),
+            _ => Ok(()),
+        }
+    }
+
+    /// Objects whose arrival cycle is already in the past can never be
+    /// read again: they have fallen off the wire.
+    #[cold]
+    fn drop_overdue(&mut self, cycle: Cycle) -> Result<(), SimError> {
         let mut lost = 0usize;
-        while let Some((arrival, _)) = self.in_flight.front() {
-            if *arrival < cycle {
-                self.in_flight.pop_front();
-                lost += 1;
-            } else {
-                break;
-            }
+        while self.in_flight.front().is_some_and(|(arrival, _)| *arrival < cycle) {
+            self.in_flight.pop_front();
+            lost += 1;
         }
-        if lost > 0 {
-            self.total_lost += lost as u64;
-            if !self.lossy {
-                return Err(SimError::DataLost { signal: self.name.clone(), cycle, lost });
-            }
+        self.sync_due();
+        self.total_lost += lost as u64;
+        if !self.lossy {
+            return Err(SimError::DataLost { signal: self.name.clone(), cycle, lost });
         }
         Ok(())
     }
@@ -238,21 +390,23 @@ impl<T: fmt::Debug> SignalCore<T> {
             Some(SignalFaultKind::Duplicate) => slots = 2,
             None => {}
         }
-        if cycle < self.latest_cycle {
+        let latest = self.wire.latest();
+        if cycle < latest {
             if self.lossy {
                 // Degraded wire: a write in the past cannot be latched;
                 // drop it instead of failing verification.
                 self.total_lost += 1;
                 return Ok(());
             }
-            return Err(SimError::TimeTravel {
-                signal: self.name.clone(),
-                cycle,
-                latest: self.latest_cycle,
-            });
+            return Err(SimError::TimeTravel { signal: self.name.clone(), cycle, latest });
         }
         self.observe_cycle(cycle)?;
-        if self.writes_this_cycle + slots > self.bandwidth {
+        // `cycle` is the latest observed cycle from here on, so the
+        // writes that count are those stamped with it.
+        let used = if self.writes_at == cycle { self.writes_this_cycle } else { 0 };
+        self.writes_at = cycle;
+        self.writes_this_cycle = used;
+        if used + slots > self.bandwidth {
             if self.lossy {
                 // Degraded wire: excess objects fall on the floor.
                 self.writes_this_cycle = self.bandwidth;
@@ -286,6 +440,12 @@ impl<T: fmt::Debug> SignalCore<T> {
             });
         }
         self.in_flight.push_back(arrival, obj);
+        // The new object is the front if the ring was empty (`due` is
+        // `Cycle::MAX`); a pinned word is already the minimum.
+        let due = &self.wire.words().due;
+        if arrival < due.get() {
+            due.set(arrival);
+        }
         self.wake.raise(arrival);
         Ok(())
     }
@@ -306,15 +466,16 @@ impl<T: fmt::Debug> SignalCore<T> {
     }
 
     fn read(&mut self, cycle: Cycle) -> Result<Option<T>, SimError> {
-        // Reading never moves `latest_cycle` backwards, and reading at a
+        // Reading never moves the latest cycle backwards, and reading at a
         // cycle older than data already dropped is harmless.
-        if cycle >= self.latest_cycle {
+        if cycle >= self.wire.latest() {
             self.observe_cycle(cycle)?;
         }
         match self.in_flight.front() {
             Some((arrival, _)) if *arrival == cycle => match self.in_flight.pop_front() {
                 Some((_, obj)) => {
                     self.total_read += 1;
+                    self.sync_due();
                     Ok(Some(obj))
                 }
                 None => Ok(None),
@@ -436,16 +597,18 @@ impl<T: fmt::Debug> Signal<T> {
         bandwidth: usize,
         latency: Cycle,
     ) -> (SignalWriter<T>, SignalReader<T>) {
-        Self::with_wake(name, bandwidth, latency, WakeLine::default())
+        Self::wired(name, bandwidth, latency, WakeLine::default(), WireSlot::private())
     }
 
     /// Like [`with_name`](Self::with_name), with every write raising
-    /// `wake` — the reader box's line (see [`WakeLine`]).
-    pub(crate) fn with_wake(
+    /// `wake` — the reader box's line (see [`WakeLine`]) — and the wire's
+    /// words living in the caller's table.
+    pub(crate) fn wired(
         name: impl Into<SignalName>,
         bandwidth: usize,
         latency: Cycle,
         wake: WakeLine,
+        wire: WireSlot,
     ) -> (SignalWriter<T>, SignalReader<T>) {
         assert!(bandwidth > 0, "signal bandwidth must be at least 1 object/cycle");
         let name = name.into();
@@ -454,8 +617,10 @@ impl<T: fmt::Debug> Signal<T> {
             bandwidth,
             latency,
             in_flight: Ring::with_capacity(ring_capacity(bandwidth, latency)),
-            latest_cycle: 0,
+            wire: wire.clone(),
             writes_this_cycle: 0,
+            writes_at: 0,
+            pinned: false,
             lossy: false,
             total_written: 0,
             total_read: 0,
@@ -466,18 +631,21 @@ impl<T: fmt::Debug> Signal<T> {
         }));
         let writer = SignalWriter {
             core: Rc::clone(&core),
+            wire: wire.clone(),
             staged: None,
             decl_bandwidth: bandwidth,
             decl_latency: latency,
             cached_name: name,
         };
-        (writer, SignalReader { core })
+        (writer, SignalReader { core, wire })
     }
 }
 
 /// The producing endpoint of a [`Signal`].
 pub struct SignalWriter<T> {
     core: Rc<RefCell<SignalCore<T>>>,
+    /// The wire's table words (see the module documentation).
+    wire: WireSlot,
     /// Mailbox lane for cross-thread wires; `None` on every wire of a
     /// single-threaded simulator. Boxed so the serial hot path only pays
     /// one pointer of writer footprint for it. See [`StagedLane`].
@@ -605,11 +773,9 @@ impl<T: fmt::Debug> SignalWriter<T> {
                 return cycle > lane.latest_cycle || lane.writes_this_cycle < self.decl_bandwidth;
             }
         }
-        let core = self.core.borrow();
-        if cycle > core.latest_cycle {
-            true
-        } else {
-            core.writes_this_cycle < core.bandwidth
+        cycle > self.wire.latest() || {
+            let core = self.core.borrow();
+            core.writes_used() < core.bandwidth
         }
     }
 
@@ -625,32 +791,33 @@ impl<T: fmt::Debug> SignalWriter<T> {
                 };
             }
         }
-        let core = self.core.borrow();
-        if cycle > core.latest_cycle {
-            core.bandwidth
-        } else {
-            core.bandwidth - core.writes_this_cycle.min(core.bandwidth)
+        if cycle > self.wire.latest() {
+            return self.decl_bandwidth;
         }
+        let core = self.core.borrow();
+        core.bandwidth - core.writes_used().min(core.bandwidth)
     }
 
     /// Marks the signal as lossy: unread objects are dropped and counted
     /// instead of aborting the simulation. Used for purely informational
     /// wires (e.g. performance-counter broadcasts).
     pub fn set_lossy(&mut self, lossy: bool) {
-        self.core.borrow_mut().lossy = lossy;
+        ProbeOps::set_lossy(&*self.core, lossy);
     }
 
     /// Attaches a trace sink; every written object is recorded (with its
     /// arrival cycle) for the Signal Trace Visualizer.
     pub fn attach_trace(&mut self, sink: TraceSink) {
-        self.core.borrow_mut().trace = Some(sink);
+        let mut core = self.core.borrow_mut();
+        core.trace = Some(sink);
+        core.repin();
     }
 
     /// Attaches a compiled fault schedule (see
     /// [`FaultInjector`](crate::FaultInjector)); every subsequent write
     /// consults it.
     pub fn attach_faults(&mut self, hook: SignalFaultHandle) {
-        self.core.borrow_mut().faults = Some(hook);
+        ProbeOps::attach_faults(&*self.core, hook);
     }
 
     /// The signal's configured bandwidth in objects per cycle.
@@ -747,11 +914,15 @@ impl<T: fmt::Debug> ProbeOps for RefCell<SignalCore<T>> {
     }
 
     fn set_lossy(&self, lossy: bool) {
-        self.borrow_mut().lossy = lossy;
+        let mut core = self.borrow_mut();
+        core.lossy = lossy;
+        core.repin();
     }
 
     fn attach_faults(&self, hook: SignalFaultHandle) {
-        self.borrow_mut().faults = Some(hook);
+        let mut core = self.borrow_mut();
+        core.faults = Some(hook);
+        core.repin();
     }
 
     fn next_arrival(&self) -> Option<Cycle> {
@@ -844,6 +1015,9 @@ impl<T> fmt::Debug for SignalWriter<T> {
 /// The consuming endpoint of a [`Signal`].
 pub struct SignalReader<T> {
     core: Rc<RefCell<SignalCore<T>>>,
+    /// The wire's table words: what lets a poll that finds nothing due
+    /// return without touching `core`.
+    wire: WireSlot,
 }
 
 impl<T: fmt::Debug> SignalReader<T> {
@@ -858,7 +1032,7 @@ impl<T: fmt::Debug> SignalReader<T> {
     /// signal (a data-loss verification failure — a bug in the consuming
     /// box).
     pub fn read(&mut self, cycle: Cycle) -> Option<T> {
-        match self.core.borrow_mut().read(cycle) {
+        match self.try_read(cycle) {
             Ok(v) => v,
             Err(e) => panic!("signal verification failed: {e}"),
         }
@@ -870,7 +1044,13 @@ impl<T: fmt::Debug> SignalReader<T> {
     ///
     /// Returns [`SimError::DataLost`] instead of panicking when unread data
     /// fell off a non-lossy wire.
+    #[inline]
     pub fn try_read(&mut self, cycle: Cycle) -> Result<Option<T>, SimError> {
+        // Nothing due or overdue: the table word answers. An overdue front
+        // object fails this test and reaches the core's data-loss check.
+        if self.wire.nothing_due(cycle) {
+            return Ok(None);
+        }
         self.core.borrow_mut().read(cycle)
     }
 
@@ -903,19 +1083,32 @@ impl<T: fmt::Debug> SignalReader<T> {
 
     /// Returns `true` if an object is due to arrive exactly at `cycle`.
     pub fn has_data(&self, cycle: Cycle) -> bool {
-        let core = self.core.borrow();
-        core.in_flight.front().map(|(a, _)| *a == cycle).unwrap_or(false)
+        match self.wire.due() {
+            Due::Empty => false,
+            Due::At(arrival) => arrival == cycle,
+            Due::AskCore => {
+                let core = self.core.borrow();
+                core.in_flight.front().map(|(a, _)| *a == cycle).unwrap_or(false)
+            }
+        }
     }
 
     /// Number of objects currently travelling through the wire.
     pub fn in_flight(&self) -> usize {
-        self.core.borrow().in_flight.len()
+        match self.wire.due() {
+            Due::Empty => 0,
+            _ => self.core.borrow().in_flight.len(),
+        }
     }
 
     /// The earliest delivery cycle among in-flight objects, if any — when
     /// this reader next has something to read.
     pub fn next_arrival(&self) -> Option<Cycle> {
-        self.core.borrow().next_arrival()
+        match self.wire.due() {
+            Due::Empty => None,
+            Due::At(arrival) => Some(arrival),
+            Due::AskCore => self.core.borrow().next_arrival(),
+        }
     }
 
     /// The latest in-flight write's delivery cycle, if any — the cycle by

@@ -143,6 +143,22 @@ impl RefWire {
         }
     }
 
+    fn can_write(&self, cycle: u64) -> bool {
+        cycle > self.latest_cycle || self.writes_this_cycle < self.bandwidth
+    }
+
+    fn slots_left(&self, cycle: u64) -> usize {
+        if cycle > self.latest_cycle {
+            self.bandwidth
+        } else {
+            self.bandwidth - self.writes_this_cycle.min(self.bandwidth)
+        }
+    }
+
+    fn has_data(&self, cycle: u64) -> bool {
+        self.in_flight.front().map(|(a, _)| *a == cycle).unwrap_or(false)
+    }
+
     fn next_arrival(&self) -> Option<u64> {
         self.in_flight.iter().map(|(a, _)| *a).min()
     }
@@ -245,6 +261,113 @@ fn ring_transport_matches_vecdeque_reference() {
             assert_eq!(rx.total_lost(), reference.total_lost, "seed {seed} cycle {cycle}");
         }
     }
+}
+
+/// The table-fronted fast paths against the reference, on the wires that
+/// take them: strict, un-faulted, untraced. Every cycle runs a random
+/// interleaving of empty polls, bandwidth probes (at, before and after
+/// the current cycle), writes (some over bandwidth, some in the past),
+/// reads before and after same-cycle writes, and horizon queries; now and
+/// then the reader oversleeps so that a front object is overdue when it
+/// next polls. Each operation's result — `Ok`/`Err` variant and payload —
+/// must equal the reference's, in particular: an empty poll must advance
+/// the observed cycle (or a later write in the past would be accepted and
+/// `can_write` would answer from a stale budget), and an overdue object
+/// must still be reported as `DataLost`.
+#[test]
+fn fast_paths_match_reference_on_unfaulted_wires() {
+    let mut lost_seen = 0u32;
+    let mut time_travel_seen = 0u32;
+    let mut empty_polls = 0u32;
+    for seed in 0..256u64 {
+        let mut rng = TinyRng::new(0xF1A7 ^ seed);
+        let latency = rng.range_u64(0, 10);
+        let bandwidth = rng.range_u32(1, 5) as usize;
+        let (mut tx, mut rx) = Signal::<u32>::with_name("p", bandwidth, latency);
+        let mut reference = RefWire::new("p", bandwidth, latency);
+        let mut value = 0u32;
+        let mut asleep_until = 0u64;
+        for cycle in 0..120u64 {
+            if rng.chance(1, 40) {
+                // Oversleep: whatever arrives meanwhile is overdue at the
+                // next poll.
+                asleep_until = cycle + rng.range_u64(1, 6);
+            }
+            let reader_awake = cycle >= asleep_until;
+            for _ in 0..rng.range_u32(2, 9) {
+                let at = format!("seed {seed} cycle {cycle}");
+                match rng.range_u32(0, 8) {
+                    0 | 1 if reader_awake => {
+                        let got = rx.try_read(cycle);
+                        assert_eq!(got, reference.read(cycle), "{at}: read");
+                        match got {
+                            Ok(None) => empty_polls += 1,
+                            Err(SimError::DataLost { .. }) => lost_seen += 1,
+                            _ => {}
+                        }
+                    }
+                    2 | 3 => {
+                        value += 1;
+                        let got = tx.write(cycle, value);
+                        assert_eq!(got, reference.write(cycle, value), "{at}: write");
+                        if matches!(got, Err(SimError::DataLost { .. })) {
+                            lost_seen += 1;
+                        }
+                    }
+                    4 => {
+                        // A write in the past: time travel, unless nothing
+                        // has observed a later cycle yet.
+                        let past = cycle.saturating_sub(rng.range_u64(1, 4));
+                        value += 1;
+                        let got = tx.write(past, value);
+                        assert_eq!(got, reference.write(past, value), "{at}: past write");
+                        if matches!(got, Err(SimError::TimeTravel { .. })) {
+                            time_travel_seen += 1;
+                        }
+                    }
+                    5 => {
+                        let probe = (cycle + rng.range_u64(0, 3)).saturating_sub(1);
+                        assert_eq!(tx.can_write(probe), reference.can_write(probe), "{at}: can_write");
+                        assert_eq!(
+                            tx.slots_left(probe),
+                            reference.slots_left(probe),
+                            "{at}: slots_left"
+                        );
+                    }
+                    6 if reader_awake => {
+                        // A poll in the past observes nothing.
+                        let past = cycle.saturating_sub(1);
+                        assert_eq!(rx.try_read(past), reference.read(past), "{at}: past read");
+                    }
+                    _ => {
+                        assert_eq!(rx.has_data(cycle), reference.has_data(cycle), "{at}: has_data");
+                        assert_eq!(rx.next_arrival(), reference.next_arrival(), "{at}: next_arrival");
+                        assert_eq!(rx.drain_cycle(), reference.drain_cycle(), "{at}: drain_cycle");
+                        assert_eq!(rx.in_flight(), reference.in_flight.len(), "{at}: in_flight");
+                    }
+                }
+            }
+            if reader_awake {
+                // Drain what is due, as a box does, so most seeds mostly
+                // stay healthy.
+                loop {
+                    let got = rx.try_read(cycle);
+                    assert_eq!(got, reference.read(cycle), "seed {seed} cycle {cycle}: drain");
+                    if !matches!(got, Ok(Some(_))) {
+                        break;
+                    }
+                }
+            }
+            assert_eq!(tx.total_written(), reference.total_written, "seed {seed} cycle {cycle}");
+            assert_eq!(rx.total_read(), reference.total_read, "seed {seed} cycle {cycle}");
+            assert_eq!(rx.total_lost(), reference.total_lost, "seed {seed} cycle {cycle}");
+        }
+    }
+    // The traffic must actually reach the cases the fast path could get
+    // wrong.
+    assert!(empty_polls > 1_000, "only {empty_polls} empty polls");
+    assert!(lost_seen > 50, "only {lost_seen} overdue objects detected");
+    assert!(time_travel_seen > 200, "only {time_travel_seen} time-travel rejections");
 }
 
 /// Sustained saturation: every cycle writes exactly `bandwidth` objects

@@ -22,6 +22,8 @@ fn edge(
             to_box: to.into(),
             bandwidth: 1,
             latency,
+            slot_bytes: 16,
+            ring_slots: 2,
         },
         in_flight,
         next_arrival,
