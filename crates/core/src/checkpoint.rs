@@ -9,14 +9,15 @@
 //! carries. Transient state (objects on wires, partially processed
 //! batches) is provably empty and never serialized.
 //!
-//! # File format
+//! # File format (version 3)
 //!
-//! One JSON object, written through the in-repo `attila-json`:
+//! One pretty-printed JSON object, written through the in-repo
+//! `attila-json`:
 //!
 //! ```text
 //! {
 //!   "magic":       "ATTILA-CKPT",
-//!   "version":     1,
+//!   "version":     3,
 //!   "config_hash": "<fnv1a64 of the config's JSON, hex>",
 //!   "trace_hash":  "<fnv1a64 of the canonical trace encoding, hex>",
 //!   "body_crc":    <crc32 of the body's compact rendering>,
@@ -26,22 +27,38 @@
 //!
 //! Restore refuses the file — with a typed
 //! [`SimError::CheckpointMismatch`] — when the magic is wrong, the CRC
-//! does not match (truncated or corrupted file), or the config/trace
-//! hashes differ from the run being resumed. An unreadable format version
-//! gets its own [`SimError::CheckpointVersion`] variant carrying the
-//! version found in the file, so quarantine reports can say exactly which
-//! format was rejected. A resumed run
-//! is bit-identical to one that never stopped; the differential tests in
-//! `tests/checkpoint_roundtrip.rs` prove it across seeds, checkpoint
-//! cycles and active fault injection.
+//! does not match (truncated or corrupted file), a field is malformed or
+//! the config/trace hashes differ from the run being resumed; any other
+//! format version gets [`SimError::CheckpointVersion`] carrying the
+//! version found. A resumed run is bit-identical to one that never
+//! stopped; `tests/checkpoint_roundtrip.rs` proves it across seeds,
+//! checkpoint cycles and active fault injection.
 //!
-//! `u64` values are serialized as 16-digit hex strings because the JSON
-//! number line (`f64`) is only exact up to ±2^53; Hierarchical-Z entries
-//! travel as `f32::to_bits` words for the same reason (the buffer's
-//! `+inf` poison value has no JSON rendering at all). Bulk bytes — the
-//! memory image, framebuffer dumps — use a run-length encoding
-//! (`[count, value, count, value, ...]`) that collapses the zero oceans
-//! of a fresh image.
+//! `u64` values are 16-digit hex strings because the JSON number line
+//! (`f64`) is only exact up to ±2^53; Hierarchical-Z entries travel as
+//! `f32::to_bits` words for the same reason (`+inf` has no JSON
+//! rendering at all).
+//!
+//! Bulk bytes — the memory image and each kept frame — are **sparse hex
+//! extents**, `[offset, "hex…", offset, "hex…", …]`: each offset a
+//! multiple of 4096 at or past the end of the extent before it, each
+//! string two lowercase hex digits per byte, every extent inside the
+//! image (`memory_len`, or `width × height × 4`). The memory image's
+//! extents are its maximal runs of 4 KiB pages that are not all zero; an
+//! omitted page *is* zero. That is sound because a body is only ever
+//! loaded into a machine fresh from `Gpu::new`, whose image is all zeros:
+//! restore writes the extents and touches nothing else, so a checkpoint
+//! costs what its live bytes cost and not what the 64 MiB image would. A
+//! frame is one extent holding every byte — its size comes from the
+//! file, and the decoder never allocates more than the hex it was given.
+//!
+//! Hex inside JSON, not a binary container, because the file is read as
+//! text: by `attila_json::parse`, by `grep`, by the tests that find
+//! `"version"` by search, by people. Hex, not base64 (2 characters per
+//! byte against 1.33): a byte is a character pair, so a page boundary is
+//! a character boundary and an address can be found in the file by
+//! counting; both directions are one table lookup per digit; and with
+//! the zero pages gone the remaining third is cheaper than another codec.
 
 use std::path::Path;
 
@@ -73,8 +90,10 @@ pub const MAGIC: &str = "ATTILA-CKPT";
 /// restore refuses older or newer versions outright.
 ///
 /// Version history: 1 = flat open-page DRAM state; 2 = per-bank FSM
-/// snapshots (`banks` replaces `open_pages` in each channel).
-pub const FORMAT_VERSION: u64 = 2;
+/// snapshots (`banks` replaces `open_pages` in each channel); 3 = bulk
+/// bytes as sparse hex extents (replacing `[count, value, …]` run
+/// lengths).
+pub const FORMAT_VERSION: u64 = 3;
 
 // ---------------------------------------------------------------------
 // Hashing
@@ -86,10 +105,6 @@ struct Fnv(u64);
 impl Fnv {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv(Self::OFFSET)
-    }
 
     fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
@@ -110,19 +125,15 @@ impl Fnv {
         self.write_bytes(s.as_bytes());
         self.write_bytes(&[0xff]); // field separator
     }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// FNV-1a-64 over the config's compact JSON rendering: two configs hash
 /// equal exactly when every one of their ~100 parameters matches.
 pub fn config_hash(config: &GpuConfig) -> u64 {
     let json = <GpuConfig as attila_json::ToJson>::to_json(config);
-    let mut h = Fnv::new();
+    let mut h = Fnv(Fnv::OFFSET);
     h.write_bytes(json.render().as_bytes());
-    h.finish()
+    h.0
 }
 
 /// FNV-1a-64 over a canonical per-command encoding of the trace: the
@@ -130,7 +141,16 @@ pub fn config_hash(config: &GpuConfig) -> u64 {
 /// bytes of buffer uploads. A checkpoint taken against one trace refuses
 /// to restore against another.
 pub fn trace_hash(commands: &[GpuCommand]) -> u64 {
-    let mut h = Fnv::new();
+    extend_trace_hash(Fnv::OFFSET, commands)
+}
+
+/// [`trace_hash`] of a trace that went on with `commands` after hashing
+/// to `hash`: FNV's whole state is the value it reports, so a trace
+/// hashed in any number of chunks hashes as the whole. The machine
+/// advances its hash as commands are enqueued and a capture reads it in
+/// O(1).
+pub fn extend_trace_hash(hash: u64, commands: &[GpuCommand]) -> u64 {
+    let mut h = Fnv(hash);
     for c in commands {
         h.write_str(c.mnemonic());
         match c {
@@ -161,22 +181,51 @@ pub fn trace_hash(commands: &[GpuCommand]) -> u64 {
             }
         }
     }
-    h.finish()
+    h.0
 }
 
-/// CRC-32 (IEEE 802.3 polynomial) over `bytes`.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut table = [0u32; 256];
-    for (i, slot) in table.iter_mut().enumerate() {
+/// Slicing-by-8 tables: `CRC_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so eight input bytes fold in one step.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
         let mut c = i as u32;
-        for _ in 0..8 {
+        let mut bit = 0;
+        while bit < 8 {
             c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        *slot = c;
+        t[0][i] = c;
+        i += 1;
     }
+    while i < 8 * 256 {
+        let prev = t[i / 256 - 1][i % 256];
+        t[i / 256][i % 256] = t[0][(prev & 0xff) as usize] ^ (prev >> 8);
+        i += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3 polynomial) over `bytes` — a checkpoint's
+/// `body_crc` is this over the body's compact rendering.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = (crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]])).to_le_bytes();
+        crc = t[7][lo[0] as usize]
+            ^ t[6][lo[1] as usize]
+            ^ t[5][lo[2] as usize]
+            ^ t[4][lo[3] as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
     }
     crc ^ 0xffff_ffff
 }
@@ -208,28 +257,16 @@ fn get_u64(obj: &Json, key: &str) -> Result<u64, SimError> {
     parse_hex64(field(obj, key)?, key)
 }
 
-fn get_f64(obj: &Json, key: &str) -> Result<f64, SimError> {
-    field(obj, key)?
-        .as_f64()
-        .ok_or_else(|| mismatch(format!("field `{key}` is not a number")))
+/// A non-negative integer that JSON's `f64` carries exactly and `T` holds.
+fn as_int<T: TryFrom<u64>>(j: &Json, what: &str) -> Result<T, SimError> {
+    j.as_f64()
+        .filter(|v| *v >= 0.0 && v.fract() == 0.0 && *v <= 2f64.powi(53))
+        .and_then(|v| T::try_from(v as u64).ok())
+        .ok_or_else(|| mismatch(format!("`{what}` is not a non-negative integer in range")))
 }
 
-fn get_small(obj: &Json, key: &str) -> Result<u64, SimError> {
-    let v = get_f64(obj, key)?;
-    if v < 0.0 || v.fract() != 0.0 || v > 2f64.powi(53) {
-        return Err(mismatch(format!("field `{key}` is not a small non-negative integer")));
-    }
-    Ok(v as u64)
-}
-
-fn get_u32(obj: &Json, key: &str) -> Result<u32, SimError> {
-    u32::try_from(get_small(obj, key)?)
-        .map_err(|_| mismatch(format!("field `{key}` overflows u32")))
-}
-
-fn get_usize(obj: &Json, key: &str) -> Result<usize, SimError> {
-    usize::try_from(get_small(obj, key)?)
-        .map_err(|_| mismatch(format!("field `{key}` overflows usize")))
+fn get_int<T: TryFrom<u64>>(obj: &Json, key: &str) -> Result<T, SimError> {
+    as_int(field(obj, key)?, key)
 }
 
 fn get_bool(obj: &Json, key: &str) -> Result<bool, SimError> {
@@ -245,10 +282,26 @@ fn get_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, SimError> {
         .ok_or_else(|| mismatch(format!("field `{key}` is not a string")))
 }
 
-fn get_arr<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], SimError> {
+/// Every element of the array field `key`, through `item`.
+fn get_vec<T>(
+    obj: &Json,
+    key: &str,
+    item: impl FnMut(&Json) -> Result<T, SimError>,
+) -> Result<Vec<T>, SimError> {
     match field(obj, key)? {
-        Json::Arr(items) => Ok(items),
+        Json::Arr(items) => items.iter().map(item).collect(),
         other => Err(mismatch(format!("field `{key}` is not an array, got {}", other.type_name()))),
+    }
+}
+
+/// `null` as `None`, anything else through `some`.
+fn opt_from_json<T>(
+    j: &Json,
+    some: impl FnOnce(&Json) -> Result<T, SimError>,
+) -> Result<Option<T>, SimError> {
+    match j {
+        Json::Null => Ok(None),
+        j => some(j).map(Some),
     }
 }
 
@@ -256,61 +309,139 @@ fn num(v: impl Into<f64>) -> Json {
     Json::Num(v.into())
 }
 
+/// Every item of `items`, through `item`, as an array.
+fn arr<T>(items: &[T], item: impl Fn(&T) -> Json) -> Json {
+    Json::Arr(items.iter().map(item).collect())
+}
+
 fn obj(fields: Vec<(&str, Json)>) -> Json {
     Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 // ---------------------------------------------------------------------
-// Run-length byte encoding
+// Sparse hex extents
 // ---------------------------------------------------------------------
 
-/// Encodes bytes as a flat `[count, value, count, value, ...]` array.
-fn rle_encode(bytes: &[u8]) -> Json {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let v = bytes[i];
-        let mut n = 1u64;
-        while i + (n as usize) < bytes.len() && bytes[i + n as usize] == v {
-            n += 1;
+/// Extent granularity: the host's page, so a sparse image costs what the
+/// pages it touched cost — to scan for, to write and to restore.
+const PAGE: usize = 4096;
+
+/// Bulk bytes without their all-zero pages: every byte of the dense
+/// image outside `extents` is zero.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SparseBytes {
+    /// Length of the dense image.
+    pub len: usize,
+    /// `(offset, bytes)` runs: page-aligned offsets, ascending, disjoint,
+    /// inside `len`.
+    pub extents: Vec<(usize, Vec<u8>)>,
+}
+
+impl SparseBytes {
+    /// The maximal runs of non-zero pages of `bytes`, found with one
+    /// page-sized slice compare (a `memcmp`) per page and copied; zero
+    /// pages are not copied and, in a lazily-zeroed image, never made
+    /// resident.
+    pub fn scan(bytes: &[u8]) -> Self {
+        let live = |page: &&[u8]| **page != [0u8; PAGE][..page.len()];
+        let mut extents = Vec::new();
+        let mut at = 0;
+        while at < bytes.len() {
+            let run: usize = bytes[at..].chunks(PAGE).take_while(live).map(<[u8]>::len).sum();
+            if run > 0 {
+                extents.push((at, bytes[at..at + run].to_vec()));
+            }
+            at += run.max(PAGE);
         }
-        out.push(Json::Num(n as f64));
-        out.push(Json::Num(v as f64));
-        i += n as usize;
+        SparseBytes { len: bytes.len(), extents }
+    }
+
+    /// Bytes the extents hold.
+    pub fn live_bytes(&self) -> usize {
+        self.extents.iter().map(|(_, bytes)| bytes.len()).sum()
+    }
+
+    /// The extents as `[offset, "hex…", offset, "hex…", …]`.
+    pub fn to_json(&self) -> Json {
+        extents_to_json(self.extents.iter().map(|(at, bytes)| (*at, &bytes[..])))
+    }
+
+    /// Decodes [`to_json`](Self::to_json)'s array for an image of `len`
+    /// bytes, allocating only what the hex strings hold, whatever `len`
+    /// claims.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::CheckpointMismatch`] for odd-length or non-hex text
+    /// and for an extent that is unaligned, out of order, overlapping or
+    /// past `len`.
+    pub fn from_json(j: &Json, len: usize, what: &str) -> Result<Self, SimError> {
+        let items = match j {
+            Json::Arr(items) if items.len().is_multiple_of(2) => items,
+            _ => return Err(mismatch(format!("{what}: not an array of offset, hex pairs"))),
+        };
+        let mut extents = Vec::with_capacity(items.len() / 2);
+        let mut end = 0usize;
+        for pair in items.chunks(2) {
+            let at: usize = as_int(&pair[0], "extent offset")?;
+            if !at.is_multiple_of(PAGE) || at < end {
+                return Err(mismatch(format!(
+                    "{what}: extent at {at} is unaligned, out of order or overlaps its predecessor"
+                )));
+            }
+            let bytes = pair[1].as_str().and_then(hex_decode).ok_or_else(|| {
+                mismatch(format!("{what}: extent at {at} is not a string of lowercase hex pairs"))
+            })?;
+            end = at.checked_add(bytes.len()).filter(|end| *end <= len).ok_or_else(|| {
+                mismatch(format!("{what}: extent at {at} runs past the image's {len} bytes"))
+            })?;
+            extents.push((at, bytes));
+        }
+        Ok(SparseBytes { len, extents })
+    }
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Value of each lowercase hex digit; `0xff` for every other byte.
+const HEX_VALUES: [u8; 256] = {
+    let mut values = [0xffu8; 256];
+    let mut i = 0;
+    while i < 16 {
+        values[HEX_DIGITS[i] as usize] = i as u8;
+        i += 1;
+    }
+    values
+};
+
+fn extents_to_json<'a>(extents: impl Iterator<Item = (usize, &'a [u8])>) -> Json {
+    let mut out = Vec::new();
+    for (at, bytes) in extents {
+        let mut hex = vec![0u8; bytes.len() * 2];
+        for (pair, &b) in hex.chunks_exact_mut(2).zip(bytes) {
+            pair[0] = HEX_DIGITS[usize::from(b >> 4)];
+            pair[1] = HEX_DIGITS[usize::from(b & 15)];
+        }
+        out.push(num(at as f64));
+        out.push(Json::Str(String::from_utf8(hex).expect("hex digits are ASCII")));
     }
     Json::Arr(out)
 }
 
-/// Decodes a [`rle_encode`] array, checking the total length.
-fn rle_decode(j: &Json, expected_len: usize, what: &str) -> Result<Vec<u8>, SimError> {
-    let Json::Arr(items) = j else {
-        return Err(mismatch(format!("{what}: RLE payload is not an array")));
-    };
-    if items.len() % 2 != 0 {
-        return Err(mismatch(format!("{what}: RLE payload has odd length")));
-    }
-    let mut out = Vec::with_capacity(expected_len);
-    for pair in items.chunks(2) {
-        let n = pair[0]
-            .as_f64()
-            .filter(|v| *v >= 1.0 && v.fract() == 0.0)
-            .ok_or_else(|| mismatch(format!("{what}: bad RLE count")))?;
-        let v = pair[1]
-            .as_f64()
-            .filter(|v| (0.0..=255.0).contains(v) && v.fract() == 0.0)
-            .ok_or_else(|| mismatch(format!("{what}: bad RLE value")))?;
-        if out.len() + n as usize > expected_len {
-            return Err(mismatch(format!("{what}: RLE payload longer than {expected_len} bytes")));
-        }
-        out.resize(out.len() + n as usize, v as u8);
-    }
-    if out.len() != expected_len {
-        return Err(mismatch(format!(
-            "{what}: RLE payload is {} bytes, expected {expected_len}",
-            out.len()
-        )));
-    }
-    Ok(out)
+/// Decodes lowercase hex; `None` for an odd length or any other character.
+fn hex_decode(hex: &str) -> Option<Vec<u8>> {
+    // An invalid digit's 0xff survives the OR; valid ones stay below 16.
+    let mut seen = 0u8;
+    let bytes = hex
+        .as_bytes()
+        .chunks_exact(2)
+        .map(|pair| {
+            let (hi, lo) = (HEX_VALUES[pair[0] as usize], HEX_VALUES[pair[1] as usize]);
+            seen |= hi | lo;
+            hi << 4 | lo
+        })
+        .collect();
+    (hex.len().is_multiple_of(2) && seen < 16).then_some(bytes)
 }
 
 // ---------------------------------------------------------------------
@@ -318,20 +449,16 @@ fn rle_decode(j: &Json, expected_len: usize, what: &str) -> Result<Vec<u8>, SimE
 // ---------------------------------------------------------------------
 
 fn cache_to_json(s: &CacheState) -> Json {
-    let lines = s
-        .lines
-        .iter()
-        .map(|l| {
-            obj(vec![
-                ("tag", hex64(l.tag)),
-                ("valid", Json::Bool(l.valid)),
-                ("dirty", Json::Bool(l.dirty)),
-                ("last_use", hex64(l.last_use)),
-            ])
-        })
-        .collect();
+    let lines = arr(&s.lines, |l| {
+        obj(vec![
+            ("tag", hex64(l.tag)),
+            ("valid", Json::Bool(l.valid)),
+            ("dirty", Json::Bool(l.dirty)),
+            ("last_use", hex64(l.last_use)),
+        ])
+    });
     obj(vec![
-        ("lines", Json::Arr(lines)),
+        ("lines", lines),
         ("access_counter", hex64(s.access_counter)),
         ("hits", hex64(s.hits)),
         ("misses", hex64(s.misses)),
@@ -340,15 +467,14 @@ fn cache_to_json(s: &CacheState) -> Json {
 }
 
 fn cache_from_json(j: &Json) -> Result<CacheState, SimError> {
-    let mut lines = Vec::new();
-    for l in get_arr(j, "lines")? {
-        lines.push(CacheLineState {
+    let lines = get_vec(j, "lines", |l| {
+        Ok(CacheLineState {
             tag: get_u64(l, "tag")?,
             valid: get_bool(l, "valid")?,
             dirty: get_bool(l, "dirty")?,
             last_use: get_u64(l, "last_use")?,
-        });
-    }
+        })
+    })?;
     Ok(CacheState {
         lines,
         access_counter: get_u64(j, "access_counter")?,
@@ -370,9 +496,7 @@ fn block_state_from_json(j: &Json) -> Result<BlockState, SimError> {
     match j {
         Json::Str(s) if s == "C" => Ok(BlockState::Cleared),
         Json::Str(s) if s == "U" => Ok(BlockState::Uncompressed),
-        Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u32::MAX as f64 => {
-            Ok(BlockState::Compressed { bytes: *v as u32 })
-        }
+        Json::Num(_) => Ok(BlockState::Compressed { bytes: as_int(j, "compressed block bytes")? }),
         other => Err(mismatch(format!("bad block state: {}", other.render()))),
     }
 }
@@ -382,7 +506,7 @@ fn rop_cache_to_json(s: &RopCacheState) -> Json {
         ("cache", cache_to_json(&s.cache)),
         ("base", hex64(s.base)),
         ("len", hex64(s.len)),
-        ("blocks", Json::Arr(s.block_states.iter().map(block_state_to_json).collect())),
+        ("blocks", arr(&s.block_states, block_state_to_json)),
         ("clear_word", num(s.clear_word)),
         ("bytes_transferred", hex64(s.bytes_transferred)),
         ("bytes_uncompressed_equiv", hex64(s.bytes_uncompressed_equiv)),
@@ -391,16 +515,12 @@ fn rop_cache_to_json(s: &RopCacheState) -> Json {
 }
 
 fn rop_cache_from_json(j: &Json) -> Result<RopCacheState, SimError> {
-    let block_states = get_arr(j, "blocks")?
-        .iter()
-        .map(block_state_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
     Ok(RopCacheState {
         cache: cache_from_json(field(j, "cache")?)?,
         base: get_u64(j, "base")?,
         len: get_u64(j, "len")?,
-        block_states,
-        clear_word: get_u32(j, "clear_word")?,
+        block_states: get_vec(j, "blocks", block_state_from_json)?,
+        clear_word: get_int(j, "clear_word")?,
         bytes_transferred: get_u64(j, "bytes_transferred")?,
         bytes_uncompressed_equiv: get_u64(j, "bytes_uncompressed_equiv")?,
         fast_clears: get_u64(j, "fast_clears")?,
@@ -448,13 +568,7 @@ fn bank_fsm_from_json(j: &Json) -> Result<BankFsm, SimError> {
 fn bank_to_json(s: &BankSnapshot) -> Json {
     obj(vec![
         ("state", bank_fsm_to_json(&s.state)),
-        (
-            "last_activate",
-            match s.last_activate {
-                Some(c) => hex64(c),
-                None => Json::Null,
-            },
-        ),
+        ("last_activate", s.last_activate.map_or(Json::Null, hex64)),
         ("row_hits", hex64(s.row_hits)),
         ("row_misses", hex64(s.row_misses)),
         ("row_conflicts", hex64(s.row_conflicts)),
@@ -463,13 +577,9 @@ fn bank_to_json(s: &BankSnapshot) -> Json {
 }
 
 fn bank_from_json(j: &Json) -> Result<BankSnapshot, SimError> {
-    let last_activate = match field(j, "last_activate")? {
-        Json::Null => None,
-        other => Some(parse_hex64(other, "last_activate")?),
-    };
     Ok(BankSnapshot {
         state: bank_fsm_from_json(field(j, "state")?)?,
-        last_activate,
+        last_activate: opt_from_json(field(j, "last_activate")?, |c| parse_hex64(c, "activate"))?,
         row_hits: get_u64(j, "row_hits")?,
         row_misses: get_u64(j, "row_misses")?,
         row_conflicts: get_u64(j, "row_conflicts")?,
@@ -479,7 +589,7 @@ fn bank_from_json(j: &Json) -> Result<BankSnapshot, SimError> {
 
 fn gddr_to_json(s: &GddrState) -> Json {
     obj(vec![
-        ("banks", Json::Arr(s.banks.iter().map(bank_to_json).collect())),
+        ("banks", arr(&s.banks, bank_to_json)),
         ("busy_until", hex64(s.busy_until)),
         (
             "last_dir",
@@ -496,10 +606,6 @@ fn gddr_to_json(s: &GddrState) -> Json {
 }
 
 fn gddr_from_json(j: &Json) -> Result<GddrState, SimError> {
-    let banks = get_arr(j, "banks")?
-        .iter()
-        .map(bank_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
     let last_dir = match field(j, "last_dir")? {
         Json::Null => None,
         Json::Str(s) if s == "R" => Some(Direction::Read),
@@ -507,7 +613,7 @@ fn gddr_from_json(j: &Json) -> Result<GddrState, SimError> {
         other => return Err(mismatch(format!("bad last_dir: {}", other.render()))),
     };
     Ok(GddrState {
-        banks,
+        banks: get_vec(j, "banks", bank_from_json)?,
         busy_until: get_u64(j, "busy_until")?,
         last_dir,
         total_transactions: get_u64(j, "total_transactions")?,
@@ -518,65 +624,36 @@ fn gddr_from_json(j: &Json) -> Result<GddrState, SimError> {
 
 fn mem_ctrl_to_json(s: &MemControllerState) -> Json {
     obj(vec![
-        ("channels", Json::Arr(s.channels.iter().map(gddr_to_json).collect())),
-        ("next_clients", Json::Arr(s.next_clients.iter().map(|&n| num(n as f64)).collect())),
-        ("queue_slots", Json::Arr(s.queue_slots.iter().map(|&n| num(n as f64)).collect())),
+        ("channels", arr(&s.channels, gddr_to_json)),
+        ("next_clients", arr(&s.next_clients, |&n| num(n as f64))),
+        ("queue_slots", arr(&s.queue_slots, |&n| num(n as f64))),
         ("system_bus_free_at", hex64(s.system_bus_free_at)),
         ("bytes_read", hex64(s.bytes_read)),
         ("bytes_written", hex64(s.bytes_written)),
         (
             "per_client_bytes",
-            Json::Arr(
-                s.per_client_bytes
-                    .iter()
-                    .map(|(c, b)| Json::Arr(vec![num(c.code()), hex64(*b)]))
-                    .collect(),
-            ),
+            arr(&s.per_client_bytes, |(c, b)| Json::Arr(vec![num(c.code()), hex64(*b)])),
         ),
     ])
 }
 
 fn mem_ctrl_from_json(j: &Json) -> Result<MemControllerState, SimError> {
-    let channels = get_arr(j, "channels")?
-        .iter()
-        .map(gddr_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut next_clients = Vec::new();
-    for n in get_arr(j, "next_clients")? {
-        let v = n
-            .as_f64()
-            .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-            .ok_or_else(|| mismatch("bad next_clients entry"))?;
-        next_clients.push(v as usize);
-    }
-    let mut queue_slots = Vec::new();
-    for n in get_arr(j, "queue_slots")? {
-        let v = n
-            .as_f64()
-            .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-            .ok_or_else(|| mismatch("bad queue_slots entry"))?;
-        queue_slots.push(v as usize);
-    }
-    let mut per_client_bytes = Vec::new();
-    for e in get_arr(j, "per_client_bytes")? {
+    let per_client_bytes = get_vec(j, "per_client_bytes", |e| {
         let Json::Arr(pair) = e else {
             return Err(mismatch("per_client_bytes entry is not a pair"));
         };
         if pair.len() != 2 {
             return Err(mismatch("per_client_bytes entry is not a pair"));
         }
-        let code = pair[0]
-            .as_f64()
-            .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-            .ok_or_else(|| mismatch("bad client code"))? as u32;
+        let code: u32 = as_int(&pair[0], "client code")?;
         let client = Client::from_code(code)
             .ok_or_else(|| mismatch(format!("unknown client code {code}")))?;
-        per_client_bytes.push((client, parse_hex64(&pair[1], "per_client_bytes")?));
-    }
+        Ok((client, parse_hex64(&pair[1], "per_client_bytes")?))
+    })?;
     Ok(MemControllerState {
-        channels,
-        next_clients,
-        queue_slots,
+        channels: get_vec(j, "channels", gddr_from_json)?,
+        next_clients: get_vec(j, "next_clients", |n| as_int(n, "next_clients"))?,
+        queue_slots: get_vec(j, "queue_slots", |n| as_int(n, "queue_slots"))?,
         system_bus_free_at: get_u64(j, "system_bus_free_at")?,
         bytes_read: get_u64(j, "bytes_read")?,
         bytes_written: get_u64(j, "bytes_written")?,
@@ -585,89 +662,71 @@ fn mem_ctrl_from_json(j: &Json) -> Result<MemControllerState, SimError> {
 }
 
 fn stats_to_json(s: &StatsSnapshot) -> Json {
-    let entries = s
-        .entries
-        .iter()
-        .map(|e| {
-            obj(vec![
-                ("name", Json::Str(e.name.clone())),
-                ("counter", Json::Bool(e.is_counter)),
-                ("total", hex64(e.total)),
-                ("gauge", num(e.gauge)),
-                ("windows", Json::Arr(e.windows.iter().map(|&w| num(w)).collect())),
-                ("last_total", hex64(e.last_total)),
-            ])
-        })
-        .collect();
+    let entries = arr(&s.entries, |e| {
+        obj(vec![
+            ("name", Json::Str(e.name.clone())),
+            ("counter", Json::Bool(e.is_counter)),
+            ("total", hex64(e.total)),
+            ("gauge", num(e.gauge)),
+            ("windows", arr(&e.windows, |&w| num(w))),
+            ("last_total", hex64(e.last_total)),
+        ])
+    });
     obj(vec![
-        ("entries", Json::Arr(entries)),
+        ("entries", entries),
         ("windows_closed", num(s.windows_closed as f64)),
     ])
 }
 
 fn stats_from_json(j: &Json) -> Result<StatsSnapshot, SimError> {
-    let mut entries = Vec::new();
-    for e in get_arr(j, "entries")? {
-        let mut windows = Vec::new();
-        for w in get_arr(e, "windows")? {
-            windows.push(w.as_f64().ok_or_else(|| mismatch("bad stats window"))?);
-        }
-        entries.push(StatSnapshotEntry {
+    let entries = get_vec(j, "entries", |e| {
+        Ok(StatSnapshotEntry {
             name: get_str(e, "name")?.to_string(),
             is_counter: get_bool(e, "counter")?,
             total: get_u64(e, "total")?,
-            gauge: get_f64(e, "gauge")?,
-            windows,
+            gauge: field(e, "gauge")?.as_f64().ok_or_else(|| mismatch("bad stats gauge"))?,
+            windows: get_vec(e, "windows", |w| {
+                w.as_f64().ok_or_else(|| mismatch("bad stats window"))
+            })?,
             last_total: get_u64(e, "last_total")?,
-        });
-    }
-    Ok(StatsSnapshot { entries, windows_closed: get_usize(j, "windows_closed")? })
+        })
+    })?;
+    Ok(StatsSnapshot { entries, windows_closed: get_int(j, "windows_closed")? })
 }
 
 fn fault_to_json(s: &FaultInjectorState) -> Json {
-    let hooks = s
-        .hooks
-        .iter()
-        .map(|h| {
-            obj(vec![
-                ("signal", Json::Str(h.signal.clone())),
-                ("write_index", hex64(h.write_index)),
-                ("hits", hex64(h.hits)),
-            ])
-        })
-        .collect();
-    let mem = match &s.mem {
-        Some(m) => obj(vec![
+    let hooks = arr(&s.hooks, |h| {
+        obj(vec![
+            ("signal", Json::Str(h.signal.clone())),
+            ("write_index", hex64(h.write_index)),
+            ("hits", hex64(h.hits)),
+        ])
+    });
+    let mem = s.mem.as_ref().map_or(Json::Null, |m| {
+        obj(vec![
             ("replies_seen", hex64(m.replies_seen)),
             ("stall_cycles_served", hex64(m.stall_cycles_served)),
             ("bits_flipped", hex64(m.bits_flipped)),
-        ]),
-        None => Json::Null,
-    };
-    obj(vec![
-        ("rng_state", hex64(s.rng_state)),
-        ("hooks", Json::Arr(hooks)),
-        ("mem", mem),
-    ])
+        ])
+    });
+    obj(vec![("rng_state", hex64(s.rng_state)), ("hooks", hooks), ("mem", mem)])
 }
 
 fn fault_from_json(j: &Json) -> Result<FaultInjectorState, SimError> {
-    let mut hooks = Vec::new();
-    for h in get_arr(j, "hooks")? {
-        hooks.push(SignalFaultsState {
+    let hooks = get_vec(j, "hooks", |h| {
+        Ok(SignalFaultsState {
             signal: get_str(h, "signal")?.to_string(),
             write_index: get_u64(h, "write_index")?,
             hits: get_u64(h, "hits")?,
-        });
-    }
-    let mem = match field(j, "mem")? {
-        Json::Null => None,
-        m => Some(MemFaultsState {
+        })
+    })?;
+    let mem = opt_from_json(field(j, "mem")?, |m| {
+        Ok(MemFaultsState {
             replies_seen: get_u64(m, "replies_seen")?,
             stall_cycles_served: get_u64(m, "stall_cycles_served")?,
             bits_flipped: get_u64(m, "bits_flipped")?,
-        }),
-    };
+        })
+    })?;
     Ok(FaultInjectorState { rng_state: get_u64(j, "rng_state")?, hooks, mem })
 }
 
@@ -675,28 +734,31 @@ fn frame_to_json(f: &FrameDump) -> Json {
     obj(vec![
         ("width", num(f.width)),
         ("height", num(f.height)),
-        ("rgba", rle_encode(&f.rgba)),
+        // One extent with every byte: the file says how big a frame is,
+        // so the decoder believes only the bytes that are there.
+        ("rgba", extents_to_json(std::iter::once((0, &f.rgba[..])))),
     ])
 }
 
 fn frame_from_json(j: &Json) -> Result<FrameDump, SimError> {
-    let width = get_u32(j, "width")?;
-    let height = get_u32(j, "height")?;
-    let rgba = rle_decode(field(j, "rgba")?, (width as usize) * (height as usize) * 4, "frame")?;
-    Ok(FrameDump { width, height, rgba })
+    let width: u32 = get_int(j, "width")?;
+    let height: u32 = get_int(j, "height")?;
+    let len = (width as usize)
+        .checked_mul(height as usize)
+        .and_then(|n| n.checked_mul(4))
+        .ok_or_else(|| mismatch("frame: size overflows usize"))?;
+    let sparse = SparseBytes::from_json(field(j, "rgba")?, len, "frame")?;
+    match <[_; 1]>::try_from(sparse.extents) {
+        Ok([(0, rgba)]) if rgba.len() == len => Ok(FrameDump { width, height, rgba }),
+        _ => Err(mismatch(format!("frame: {width}x{height} needs one extent of {len} bytes"))),
+    }
 }
 
 fn cp_to_json(s: &CommandProcessorState) -> Json {
     obj(vec![
         ("next_upload_id", hex64(s.next_upload_id)),
         ("next_batch_id", hex64(s.next_batch_id)),
-        (
-            "last_draw_early",
-            match s.last_draw_early {
-                Some(b) => Json::Bool(b),
-                None => Json::Null,
-            },
-        ),
+        ("last_draw_early", s.last_draw_early.map_or(Json::Null, Json::Bool)),
     ])
 }
 
@@ -715,19 +777,15 @@ fn cp_from_json(j: &Json) -> Result<CommandProcessorState, SimError> {
 
 fn streamer_to_json(s: &StreamerState) -> Json {
     obj(vec![
-        ("index_chunks", Json::Arr(s.index_chunks.iter().map(|&c| hex64(c)).collect())),
+        ("index_chunks", arr(&s.index_chunks, |&c| hex64(c))),
         ("next_req_id", hex64(s.next_req_id)),
         ("ids_issued", hex64(s.ids_issued)),
     ])
 }
 
 fn streamer_from_json(j: &Json) -> Result<StreamerState, SimError> {
-    let index_chunks = get_arr(j, "index_chunks")?
-        .iter()
-        .map(|c| parse_hex64(c, "index_chunks"))
-        .collect::<Result<Vec<_>, _>>()?;
     Ok(StreamerState {
-        index_chunks,
+        index_chunks: get_vec(j, "index_chunks", |c| parse_hex64(c, "index_chunks"))?,
         next_req_id: get_u64(j, "next_req_id")?,
         ids_issued: get_u64(j, "ids_issued")?,
     })
@@ -735,47 +793,29 @@ fn streamer_from_json(j: &Json) -> Result<StreamerState, SimError> {
 
 fn hz_to_json(s: &HzState) -> Json {
     obj(vec![
-        ("entry_bits", Json::Arr(s.entry_bits.iter().map(|&b| num(b)).collect())),
+        ("entry_bits", arr(&s.entry_bits, |&b| num(b))),
         ("target_width", num(s.target_width)),
         (
             "bound_z",
-            match s.bound_z {
-                Some((base, w, h)) => Json::Arr(vec![hex64(base), num(w), num(h)]),
-                None => Json::Null,
-            },
+            s.bound_z
+                .map_or(Json::Null, |(base, w, h)| Json::Arr(vec![hex64(base), num(w), num(h)])),
         ),
         ("ids_issued", hex64(s.ids_issued)),
     ])
 }
 
 fn hz_from_json(j: &Json) -> Result<HzState, SimError> {
-    let mut entry_bits = Vec::new();
-    for b in get_arr(j, "entry_bits")? {
-        let v = b
-            .as_f64()
-            .filter(|v| *v >= 0.0 && v.fract() == 0.0 && *v <= u32::MAX as f64)
-            .ok_or_else(|| mismatch("bad HZ entry bits"))?;
-        entry_bits.push(v as u32);
-    }
-    let bound_z = match field(j, "bound_z")? {
-        Json::Null => None,
-        Json::Arr(t) if t.len() == 3 => {
-            let base = parse_hex64(&t[0], "bound_z")?;
-            let w = t[1]
-                .as_f64()
-                .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-                .ok_or_else(|| mismatch("bad bound_z width"))? as u32;
-            let h = t[2]
-                .as_f64()
-                .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-                .ok_or_else(|| mismatch("bad bound_z height"))? as u32;
-            Some((base, w, h))
-        }
-        other => return Err(mismatch(format!("bad bound_z: {}", other.render()))),
-    };
+    let bound_z = opt_from_json(field(j, "bound_z")?, |t| match t {
+        Json::Arr(t) if t.len() == 3 => Ok((
+            parse_hex64(&t[0], "bound_z")?,
+            as_int(&t[1], "bound_z width")?,
+            as_int(&t[2], "bound_z height")?,
+        )),
+        other => Err(mismatch(format!("bad bound_z: {}", other.render()))),
+    })?;
     Ok(HzState {
-        entry_bits,
-        target_width: get_u32(j, "target_width")?,
+        entry_bits: get_vec(j, "entry_bits", |b| as_int(b, "HZ entry bits"))?,
+        target_width: get_int(j, "target_width")?,
         bound_z,
         ids_issued: get_u64(j, "ids_issued")?,
     })
@@ -794,7 +834,7 @@ fn ffifo_from_json(j: &Json) -> Result<FragmentFifoState, SimError> {
     Ok(FragmentFifoState {
         next_order: get_u64(j, "next_order")?,
         next_tex_id: get_u64(j, "next_tex_id")?,
-        next_tu: get_usize(j, "next_tu")?,
+        next_tu: get_int(j, "next_tu")?,
         ids_issued: get_u64(j, "ids_issued")?,
     })
 }
@@ -815,13 +855,7 @@ fn texunit_from_json(j: &Json) -> Result<TextureUnitState, SimError> {
 
 fn zstencil_to_json(s: &ZStencilState) -> Json {
     obj(vec![
-        (
-            "cache",
-            match &s.cache {
-                Some(c) => rop_cache_to_json(c),
-                None => Json::Null,
-            },
-        ),
+        ("cache", s.cache.as_ref().map_or(Json::Null, rop_cache_to_json)),
         ("target_width", num(s.target_width)),
         ("prefer_late", Json::Bool(s.prefer_late)),
         ("next_req_id", hex64(s.next_req_id)),
@@ -829,13 +863,9 @@ fn zstencil_to_json(s: &ZStencilState) -> Json {
 }
 
 fn zstencil_from_json(j: &Json) -> Result<ZStencilState, SimError> {
-    let cache = match field(j, "cache")? {
-        Json::Null => None,
-        c => Some(rop_cache_from_json(c)?),
-    };
     Ok(ZStencilState {
-        cache,
-        target_width: get_u32(j, "target_width")?,
+        cache: opt_from_json(field(j, "cache")?, rop_cache_from_json)?,
+        target_width: get_int(j, "target_width")?,
         prefer_late: get_bool(j, "prefer_late")?,
         next_req_id: get_u64(j, "next_req_id")?,
     })
@@ -843,25 +873,15 @@ fn zstencil_from_json(j: &Json) -> Result<ZStencilState, SimError> {
 
 fn colorwrite_to_json(s: &ColorWriteState) -> Json {
     obj(vec![
-        (
-            "cache",
-            match &s.cache {
-                Some(c) => rop_cache_to_json(c),
-                None => Json::Null,
-            },
-        ),
+        ("cache", s.cache.as_ref().map_or(Json::Null, rop_cache_to_json)),
         ("prefer_late", Json::Bool(s.prefer_late)),
         ("next_req_id", hex64(s.next_req_id)),
     ])
 }
 
 fn colorwrite_from_json(j: &Json) -> Result<ColorWriteState, SimError> {
-    let cache = match field(j, "cache")? {
-        Json::Null => None,
-        c => Some(rop_cache_from_json(c)?),
-    };
     Ok(ColorWriteState {
-        cache,
+        cache: opt_from_json(field(j, "cache")?, rop_cache_from_json)?,
         prefer_late: get_bool(j, "prefer_late")?,
         next_req_id: get_u64(j, "next_req_id")?,
     })
@@ -903,8 +923,8 @@ pub struct CheckpointBody {
     /// Commands the Command Processor has fully consumed; restore
     /// re-enqueues the rest of the trace from this index.
     pub commands_consumed: u64,
-    /// The full GPU memory image.
-    pub memory: Vec<u8>,
+    /// The GPU memory image, without its all-zero pages.
+    pub memory: SparseBytes,
     /// Framebuffer dumps accumulated so far (when
     /// [`keep_frames`](crate::gpu::Gpu::keep_frames) is on).
     pub framebuffers: Vec<FrameDump>,
@@ -950,9 +970,9 @@ impl CheckpointBody {
             ("cycles_skipped", hex64(self.cycles_skipped)),
             ("horizon_backoff", hex64(self.horizon_backoff)),
             ("commands_consumed", hex64(self.commands_consumed)),
-            ("memory_len", num(self.memory.len() as f64)),
-            ("memory", rle_encode(&self.memory)),
-            ("framebuffers", Json::Arr(self.framebuffers.iter().map(frame_to_json).collect())),
+            ("memory_len", num(self.memory.len as f64)),
+            ("memory", self.memory.to_json()),
+            ("framebuffers", arr(&self.framebuffers, frame_to_json)),
             ("mem_ctrl", mem_ctrl_to_json(&self.mem_ctrl)),
             ("cp", cp_to_json(&self.cp)),
             ("streamer", streamer_to_json(&self.streamer)),
@@ -962,69 +982,37 @@ impl CheckpointBody {
             ("hz", hz_to_json(&self.hz)),
             ("interpolator_next_input", num(self.interpolator_next_input as f64)),
             ("ffifo", ffifo_to_json(&self.ffifo)),
-            ("texunits", Json::Arr(self.texunits.iter().map(texunit_to_json).collect())),
-            ("zstencil", Json::Arr(self.zstencil.iter().map(zstencil_to_json).collect())),
-            ("colorwrite", Json::Arr(self.colorwrite.iter().map(colorwrite_to_json).collect())),
+            ("texunits", arr(&self.texunits, texunit_to_json)),
+            ("zstencil", arr(&self.zstencil, zstencil_to_json)),
+            ("colorwrite", arr(&self.colorwrite, colorwrite_to_json)),
             ("dac_next_id", hex64(self.dac_next_id)),
             ("stats", stats_to_json(&self.stats)),
             (
                 "signals",
-                Json::Arr(
-                    self.signals
-                        .iter()
-                        .map(|s| {
-                            obj(vec![
-                                ("name", Json::Str(s.name.clone())),
-                                ("written", hex64(s.written)),
-                                ("read", hex64(s.read)),
-                                ("lost", hex64(s.lost)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                arr(&self.signals, |s| {
+                    obj(vec![
+                        ("name", Json::Str(s.name.clone())),
+                        ("written", hex64(s.written)),
+                        ("read", hex64(s.read)),
+                        ("lost", hex64(s.lost)),
+                    ])
+                }),
             ),
-            (
-                "fault",
-                match &self.fault {
-                    Some(f) => fault_to_json(f),
-                    None => Json::Null,
-                },
-            ),
+            ("fault", self.fault.as_ref().map_or(Json::Null, fault_to_json)),
         ])
     }
 
     fn from_json(j: &Json) -> Result<Self, SimError> {
-        let memory_len = get_usize(j, "memory_len")?;
-        let memory = rle_decode(field(j, "memory")?, memory_len, "memory image")?;
-        let framebuffers = get_arr(j, "framebuffers")?
-            .iter()
-            .map(frame_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let texunits = get_arr(j, "texunits")?
-            .iter()
-            .map(texunit_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let zstencil = get_arr(j, "zstencil")?
-            .iter()
-            .map(zstencil_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let colorwrite = get_arr(j, "colorwrite")?
-            .iter()
-            .map(colorwrite_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut signals = Vec::new();
-        for s in get_arr(j, "signals")? {
-            signals.push(SignalCounterState {
+        let memory =
+            SparseBytes::from_json(field(j, "memory")?, get_int(j, "memory_len")?, "memory image")?;
+        let signals = get_vec(j, "signals", |s| {
+            Ok(SignalCounterState {
                 name: get_str(s, "name")?.to_string(),
                 written: get_u64(s, "written")?,
                 read: get_u64(s, "read")?,
                 lost: get_u64(s, "lost")?,
-            });
-        }
-        let fault = match field(j, "fault")? {
-            Json::Null => None,
-            f => Some(fault_from_json(f)?),
-        };
+            })
+        })?;
         Ok(CheckpointBody {
             cycle: get_u64(j, "cycle")?,
             frames: get_u64(j, "frames")?,
@@ -1032,7 +1020,7 @@ impl CheckpointBody {
             horizon_backoff: get_u64(j, "horizon_backoff")?,
             commands_consumed: get_u64(j, "commands_consumed")?,
             memory,
-            framebuffers,
+            framebuffers: get_vec(j, "framebuffers", frame_from_json)?,
             mem_ctrl: mem_ctrl_from_json(field(j, "mem_ctrl")?)?,
             cp: cp_from_json(field(j, "cp")?)?,
             streamer: streamer_from_json(field(j, "streamer")?)?,
@@ -1040,15 +1028,15 @@ impl CheckpointBody {
             setup_ids: get_u64(j, "setup_ids")?,
             fraggen_ids: get_u64(j, "fraggen_ids")?,
             hz: hz_from_json(field(j, "hz")?)?,
-            interpolator_next_input: get_usize(j, "interpolator_next_input")?,
+            interpolator_next_input: get_int(j, "interpolator_next_input")?,
             ffifo: ffifo_from_json(field(j, "ffifo")?)?,
-            texunits,
-            zstencil,
-            colorwrite,
+            texunits: get_vec(j, "texunits", texunit_from_json)?,
+            zstencil: get_vec(j, "zstencil", zstencil_from_json)?,
+            colorwrite: get_vec(j, "colorwrite", colorwrite_from_json)?,
             dac_next_id: get_u64(j, "dac_next_id")?,
             stats: stats_from_json(field(j, "stats")?)?,
             signals,
-            fault,
+            fault: opt_from_json(field(j, "fault")?, fault_from_json)?,
         })
     }
 }
@@ -1093,16 +1081,13 @@ impl Checkpoint {
         if magic != MAGIC {
             return Err(mismatch(format!("bad magic `{magic}`, expected `{MAGIC}`")));
         }
-        let version = get_small(j, "version")?;
-        if version != FORMAT_VERSION {
-            return Err(SimError::CheckpointVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
+        let found: u64 = get_int(j, "version")?;
+        if found != FORMAT_VERSION {
+            return Err(SimError::CheckpointVersion { found, supported: FORMAT_VERSION });
         }
         let body_json = field(j, "body")?;
         let crc = crc32(body_json.render().as_bytes());
-        let stored = get_small(j, "body_crc")? as u32;
+        let stored: u32 = get_int(j, "body_crc")?;
         if crc != stored {
             return Err(mismatch(format!(
                 "body CRC mismatch: stored {stored:#010x}, computed {crc:#010x} (truncated or corrupted file)"
@@ -1124,6 +1109,11 @@ impl Checkpoint {
     /// Returns [`SimError::CheckpointMismatch`] describing the I/O
     /// failure.
     pub fn write_file(&self, path: &Path) -> Result<(), SimError> {
+        self.write_file_sized(path).map(|_| ())
+    }
+
+    /// [`write_file`](Self::write_file), returning the bytes written.
+    pub(crate) fn write_file_sized(&self, path: &Path) -> Result<u64, SimError> {
         use std::io::Write;
         let text = self.to_json().pretty();
         let tmp = path.with_extension("ckpt.tmp");
@@ -1133,7 +1123,7 @@ impl Checkpoint {
         f.sync_all().map_err(io)?;
         drop(f);
         std::fs::rename(&tmp, path).map_err(io)?;
-        Ok(())
+        Ok(text.len() as u64)
     }
 
     /// Reads and validates a checkpoint file.
@@ -1147,6 +1137,7 @@ impl Checkpoint {
             .map_err(|e| mismatch(format!("cannot read checkpoint {}: {e}", path.display())))?;
         let json = attila_json::parse(&text)
             .map_err(|e| mismatch(format!("checkpoint is not valid JSON: {e}")))?;
+        drop(text); // the tree owns its strings; do not hold the file twice
         Self::from_json(&json)
     }
 
@@ -1185,31 +1176,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv_is_stable() {
-        let mut h = Fnv::new();
-        h.write_bytes(b"attila");
-        let a = h.finish();
-        let mut h = Fnv::new();
-        h.write_bytes(b"attila");
-        assert_eq!(a, h.finish());
-        let mut h = Fnv::new();
-        h.write_bytes(b"attilb");
-        assert_ne!(a, h.finish());
+    fn fnv_matches_known_vectors() {
+        let hash = |bytes: &[u8]| {
+            let mut h = Fnv(Fnv::OFFSET);
+            h.write_bytes(bytes);
+            h.0
+        };
+        // The reference FNV-1a-64 test vectors for "" and "a".
+        assert_eq!(hash(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(hash(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]
     fn crc32_matches_known_vector() {
-        // The canonical IEEE CRC-32 of "123456789".
+        // The canonical IEEE CRC-32 check values: one sliced word and a
+        // byte, then five words chained and three bytes.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414f_a339);
     }
 
     #[test]
-    fn rle_round_trips() {
-        let data = [0u8, 0, 0, 7, 7, 1, 0, 0, 0, 0, 255];
-        let enc = rle_encode(&data);
-        assert_eq!(rle_decode(&enc, data.len(), "t").unwrap(), data);
-        assert!(rle_decode(&enc, data.len() + 1, "t").is_err());
-        assert!(rle_decode(&enc, data.len() - 1, "t").is_err());
+    fn extents_skip_zero_pages_and_round_trip() {
+        let mut data = vec![0u8; 5 * PAGE + 17];
+        data[PAGE] = 7;
+        data[3 * PAGE - 1] = 1;
+        data[5 * PAGE + 16] = 255;
+        let sparse = SparseBytes::scan(&data);
+        assert!(sparse.extents.iter().map(|e| e.0).eq([PAGE, 5 * PAGE]));
+        assert_eq!(sparse.live_bytes(), 2 * PAGE + 17);
+        let enc = sparse.to_json();
+        assert_eq!(SparseBytes::from_json(&enc, data.len(), "t").unwrap(), sparse);
+        assert!(SparseBytes::from_json(&enc, data.len() - 1, "t").is_err());
+        assert_eq!(hex_decode("00ff1a"), Some(vec![0, 255, 26]));
+        assert_eq!([hex_decode("0"), hex_decode("0G"), hex_decode("0A")], [None, None, None]);
     }
 
     #[test]

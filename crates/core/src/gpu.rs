@@ -21,7 +21,7 @@ use attila_sim::{
 };
 
 use crate::address::{pixel_address, FB_TILE_BYTES};
-use crate::checkpoint::{Checkpoint, CheckpointBody, SignalCounterState};
+use crate::checkpoint::{Checkpoint, CheckpointBody, SignalCounterState, SparseBytes};
 use crate::clipper::Clipper;
 use crate::colorwrite::ColorWriteUnit;
 use crate::command_processor::{CommandProcessor, CpAction};
@@ -263,9 +263,14 @@ pub struct Gpu {
     pub checkpoint_path: Option<std::path::PathBuf>,
     /// Cycle at or after which the next automatic checkpoint is due.
     next_checkpoint_at: Cycle,
-    /// Every command ever enqueued — the trace-hash input, maintained
-    /// while checkpointing is enabled.
-    trace_log: Vec<GpuCommand>,
+    /// Running [`trace_hash`](crate::checkpoint::trace_hash) of every
+    /// command ever enqueued, advanced while checkpointing is enabled so
+    /// a capture reads it instead of re-hashing the trace.
+    trace_hash: u64,
+    /// Automatic checkpoints [`run_trace`](Self::run_trace) has written.
+    checkpoints_written: u64,
+    /// Their total file bytes.
+    checkpoint_bytes_written: u64,
     /// A fault injector adopted via [`adopt_faults`](Self::adopt_faults),
     /// owned so checkpoints carry its progress.
     fault_injector: Option<FaultInjector>,
@@ -1175,7 +1180,9 @@ impl Gpu {
             checkpoint_every: None,
             checkpoint_path: None,
             next_checkpoint_at: 0,
-            trace_log: Vec::new(),
+            trace_hash: crate::checkpoint::trace_hash(&[]),
+            checkpoints_written: 0,
+            checkpoint_bytes_written: 0,
             fault_injector: None,
             coord_schedule: coord_schedule.into_boxed_slice(),
             staged_drains,
@@ -2031,7 +2038,7 @@ impl Gpu {
             cycles_skipped: self.cycles_skipped,
             horizon_backoff: self.horizon_backoff,
             commands_consumed: self.cp.commands_processed(),
-            memory: self.mem.gpu_mem().as_slice().to_vec(),
+            memory: SparseBytes::scan(self.mem.gpu_mem().as_slice()),
             framebuffers: self.framebuffers.clone(),
             mem_ctrl: self.mem.save_state(),
             cp: self.cp.save_state(),
@@ -2052,7 +2059,7 @@ impl Gpu {
         };
         Checkpoint {
             config_hash: crate::checkpoint::config_hash(&self.config),
-            trace_hash: crate::checkpoint::trace_hash(&self.trace_log),
+            trace_hash: self.trace_hash,
             body,
         }
     }
@@ -2115,14 +2122,20 @@ impl Gpu {
                 reason: format!("cannot re-arm the fault injector: {e}"),
             })?;
         }
-        gpu.apply_body(&ckpt.body, commands)?;
+        // Fresh from `Gpu::new`, so its memory image is all zeros: that
+        // is what lets `apply_body` write the extents and nothing else
+        // ("omitted page = zero"). `validate_against` just hashed
+        // `commands` to `ckpt.trace_hash`, so the machine resumes from it.
+        gpu.apply_body(&ckpt.body, ckpt.trace_hash, commands)?;
         Ok(gpu)
     }
 
-    /// Loads a checkpoint body into a freshly built machine.
+    /// Loads a checkpoint body into a freshly built machine; `trace_hash`
+    /// is the hash of `commands`.
     fn apply_body(
         &mut self,
         body: &CheckpointBody,
+        trace_hash: u64,
         commands: &[GpuCommand],
     ) -> Result<(), SimError> {
         let mismatch = |reason: String| SimError::CheckpointMismatch { reason };
@@ -2134,14 +2147,21 @@ impl Gpu {
                 commands.len()
             )));
         }
-        if body.memory.len() != self.mem.gpu_mem().size() {
+        let size = self.mem.gpu_mem().size();
+        if body.memory.len != size {
             return Err(mismatch(format!(
-                "memory image is {} bytes, this machine has {}",
-                body.memory.len(),
-                self.mem.gpu_mem().size()
+                "memory image is {} bytes, this machine has {size}",
+                body.memory.len
             )));
         }
-        self.mem.gpu_mem_mut().write(0, &body.memory);
+        // Only the extents are touched: the rest of the image stays the
+        // untouched (never resident) zero pages `Gpu::new` allocated.
+        for (at, bytes) in &body.memory.extents {
+            if at.checked_add(bytes.len()).is_none_or(|end| end > size) {
+                return Err(mismatch(format!("memory extent at {at} runs past the image")));
+            }
+            self.mem.gpu_mem_mut().write(*at as u64, bytes);
+        }
         self.mem.load_state(&body.mem_ctrl)?;
         // The Command Processor's render state is not serialized (it holds
         // compiled shader programs); the last SetState among the consumed
@@ -2204,7 +2224,7 @@ impl Gpu {
         self.cycles_skipped = body.cycles_skipped;
         self.horizon_backoff = body.horizon_backoff;
         self.framebuffers = body.framebuffers.clone();
-        self.trace_log = commands.to_vec();
+        self.trace_hash = trace_hash;
         // The staged lanes mirror their wire's `total_written` locally;
         // the probe restore above rewrote the core counters underneath
         // them, so re-seed every mirror.
@@ -2213,6 +2233,18 @@ impl Gpu {
         }
         self.wake_all_boxes();
         Ok(())
+    }
+
+    /// Automatic checkpoints this machine has written
+    /// ([`checkpoint_every`](Self::checkpoint_every)); a count, not a
+    /// clock, so it repeats exactly.
+    pub fn checkpoints_written(&self) -> u64 {
+        self.checkpoints_written
+    }
+
+    /// Total file bytes of the automatic checkpoints written so far.
+    pub fn checkpoint_bytes_written(&self) -> u64 {
+        self.checkpoint_bytes_written
     }
 
     /// Faults tolerated so far under [`OnFault::Isolate`] or
@@ -2264,7 +2296,7 @@ impl Gpu {
     pub fn enqueue(&mut self, commands: &[GpuCommand]) {
         self.cp.enqueue(commands.iter().cloned());
         if self.checkpoint_every.is_some() {
-            self.trace_log.extend(commands.iter().cloned());
+            self.trace_hash = crate::checkpoint::extend_trace_hash(self.trace_hash, commands);
         }
     }
 
@@ -2334,15 +2366,7 @@ impl Gpu {
             }
             if let Some(every) = self.checkpoint_every {
                 if self.cycle >= self.next_checkpoint_at && self.quiescent() {
-                    if let Some(path) = self.checkpoint_path.clone() {
-                        let ckpt = self.capture_checkpoint();
-                        if let Err(error) = ckpt.write_file(&path) {
-                            return Err(GpuError::Sim {
-                                report: Box::new(self.failure_report(Some(error.clone()))),
-                                error,
-                            });
-                        }
-                    }
+                    self.write_due_checkpoint()?;
                     self.next_checkpoint_at = self.cycle + every;
                 }
             }
@@ -2352,6 +2376,25 @@ impl Gpu {
             frames: self.frames - start_frames,
             framebuffers: std::mem::take(&mut self.framebuffers),
         })
+    }
+
+    /// Writes the automatic checkpoint that has come due to
+    /// [`checkpoint_path`](Self::checkpoint_path), if one is set. Out of
+    /// line: [`run_trace`](Self::run_trace)'s loop only tests for it.
+    #[cold]
+    fn write_due_checkpoint(&mut self) -> Result<(), GpuError> {
+        let Some(path) = self.checkpoint_path.clone() else { return Ok(()) };
+        match self.capture_checkpoint().write_file_sized(&path) {
+            Ok(bytes) => {
+                self.checkpoints_written += 1;
+                self.checkpoint_bytes_written += bytes;
+                Ok(())
+            }
+            Err(error) => Err(GpuError::Sim {
+                report: Box::new(self.failure_report(Some(error.clone()))),
+                error,
+            }),
+        }
     }
 
     /// Aggregate texture-cache statistics `(hits, misses, hit_rate)` over

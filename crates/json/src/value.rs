@@ -141,27 +141,55 @@ fn write_number(out: &mut String, x: f64) {
         // JSON has no Inf/NaN; `null` is the least-bad conventional stand-in.
         out.push_str("null");
     } else if x == x.trunc() && x.abs() < 9.007_199_254_740_992e15 {
-        let _ = write!(out, "{}", x as i64);
+        write_integer(out, x as i64);
     } else {
         // Rust's shortest round-trip float formatting.
         let _ = write!(out, "{x}");
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Decimal digits without `fmt`: counts, offsets and small integers are
+/// most of the numbers a checkpoint or a config holds.
+fn write_integer(out: &mut String, v: i64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut rest = v.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
+    if v < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ascii digits"));
+}
+
+/// Writes a string literal. Text between characters that need an escape
+/// (`"`, `\`, anything below 0x20 — all ASCII, so every cut is a char
+/// boundary) moves with one `push_str`.
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut rest = s;
+    let needs_escape = |b: u8| b == b'"' || b == b'\\' || b < 0x20;
+    while let Some(at) = rest.bytes().position(needs_escape) {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{c:04x}");
+            }
+        }
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
     out.push('"');
 }

@@ -772,16 +772,23 @@ fn run() -> Result<(), CliError> {
     let mut gpu = if args.resume {
         // Restore refuses (typed, no panic) on a corrupt file, a future
         // format version or a config/trace that doesn't hash-match.
+        // lint:allow(wall-clock) host cost of the resume, printed once; the simulator never sees it
+        let started = std::time::Instant::now();
         let ckpt = Checkpoint::read_file(&ckpt_path)
             .map_err(|e| CliError::Usage(format!("{}: {e}", ckpt_path.display())))?;
         let gpu = Gpu::restore_with_threads(config, args.threads, &commands, &ckpt, None)
             .map_err(|e| CliError::Usage(format!("{}: {e}", ckpt_path.display())))?;
+        let host_ms = started.elapsed().as_secs_f64() * 1e3;
         eprintln!(
-            "resumed from {} at cycle {} ({} of {} commands consumed)",
+            "resumed from {} at cycle {} ({} of {} commands consumed); {} file bytes, \
+             {} extents holding {} live bytes, read + restore {host_ms:.1} ms",
             ckpt_path.display(),
             ckpt.body.cycle,
             ckpt.body.commands_consumed,
             commands.len(),
+            std::fs::metadata(&ckpt_path).map_or(0, |m| m.len()),
+            ckpt.body.memory.extents.len(),
+            ckpt.body.memory.live_bytes(),
         );
         resumed = true;
         gpu
@@ -805,6 +812,13 @@ fn run() -> Result<(), CliError> {
     }
 
     println!("{}", gpu.summary());
+    if gpu.checkpoint_every.is_some() {
+        println!(
+            "checkpoints written: {} ({} bytes)",
+            gpu.checkpoints_written(),
+            gpu.checkpoint_bytes_written()
+        );
+    }
     println!("fps at {clock} MHz: {:.2}", result.fps(clock));
     for (i, frame) in result.framebuffers.iter().enumerate() {
         let path = args.out_dir.join(format!("frame{i}.ppm"));

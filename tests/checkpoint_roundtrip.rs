@@ -12,12 +12,14 @@
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
+use attila::core::checkpoint::{crc32, SparseBytes, FORMAT_VERSION};
 use attila::core::commands::GpuCommand;
 use attila::core::config::GpuConfig;
 use attila::core::gpu::Gpu;
-use attila::core::{Checkpoint, ShaderScheduling};
-use attila::gl::{compile, workloads};
-use attila::sim::{FaultInjector, FaultPlan, SimError};
+use attila::core::{trace_hash, Checkpoint, ShaderScheduling};
+use attila::gl::{compile, workloads, GlCall};
+use attila::sim::{FaultInjector, FaultPlan, SimError, TinyRng};
+use attila_json::Json;
 
 const W: u32 = 48;
 const H: u32 = 48;
@@ -403,17 +405,23 @@ fn corrupted_body_fails_the_crc() {
 #[test]
 fn wrong_format_version_is_refused() {
     let (path, text) = write_valid_checkpoint("version");
-    let current = format!("\"version\": {}", attila::core::checkpoint::FORMAT_VERSION);
-    let bumped = text.replace(&current, "\"version\": 999");
-    assert_ne!(bumped, text, "version field must be present to bump");
-    std::fs::write(&path, bumped).unwrap();
-    match Checkpoint::read_file(&path) {
-        Err(SimError::CheckpointVersion { found, supported }) => {
-            assert_eq!(found, 999, "error must report the version found in the file");
-            assert_eq!(supported, attila::core::checkpoint::FORMAT_VERSION);
+    let current = format!("\"version\": {FORMAT_VERSION}");
+    // 999 is a future format; 2 is the run-length format this one
+    // replaced, whose files the gate must turn away before it looks at
+    // their body.
+    assert_eq!(FORMAT_VERSION, 3);
+    for other in [999u64, 2] {
+        let changed = text.replace(&current, &format!("\"version\": {other}"));
+        assert_ne!(changed, text, "version field must be present to change");
+        std::fs::write(&path, changed).unwrap();
+        match Checkpoint::read_file(&path) {
+            Err(SimError::CheckpointVersion { found, supported }) => {
+                assert_eq!(found, other, "error must report the version found in the file");
+                assert_eq!(supported, FORMAT_VERSION);
+            }
+            Err(other) => panic!("other version: wrong error type: {other:?}"),
+            Ok(_) => panic!("other version: accepted a bad checkpoint"),
         }
-        Err(other) => panic!("future version: wrong error type: {other:?}"),
-        Ok(_) => panic!("future version: accepted a bad checkpoint"),
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -462,4 +470,353 @@ fn missing_file_yields_typed_error_not_panic() {
     let path = std::env::temp_dir().join("attila-ckpt-never-written.ckpt");
     let _ = std::fs::remove_file(&path);
     expect_mismatch(Checkpoint::read_file(&path), "missing file");
+}
+
+// ---------------------------------------------------------------------
+// Version 3: sparse hex extents
+// ---------------------------------------------------------------------
+
+/// A machine stepped to the first quiescent point past `after` cycles of
+/// `commands`, logging the trace hash as a checkpointing run would.
+fn quiescent_machine(config: GpuConfig, commands: &[GpuCommand], after: u64) -> Gpu {
+    let mut gpu = Gpu::new(config);
+    gpu.checkpoint_every = Some(1 << 40);
+    gpu.enqueue(commands);
+    while !(gpu.cycle() > after && gpu.quiescent()) {
+        gpu.try_step().expect("healthy run");
+        assert!(gpu.cycle() < 50_000_000, "no quiescent point after cycle {after}");
+    }
+    gpu
+}
+
+/// Bytes of the image that sit in 4 KiB pages with any non-zero byte —
+/// counted byte by byte, independently of the codec's page scan.
+fn bytes_in_live_pages(image: &[u8]) -> usize {
+    image.chunks(4096).filter(|p| p.iter().any(|&b| b != 0)).map(<[u8]>::len).sum()
+}
+
+/// Captures `gpu`, writes the file, and holds its size to what the live
+/// pages cost: two hex digits a byte, 10 % for the pretty printer and
+/// the small state, 256 KiB for the rest of the body.
+fn assert_file_is_byte_proportional(gpu: &Gpu, commands: &[GpuCommand], tag: &str) {
+    let path = tmp_ckpt(tag, 3);
+    gpu.capture_checkpoint().write_file(&path).expect("writes");
+    let file = std::fs::metadata(&path).expect("written").len() as usize;
+    let live = bytes_in_live_pages(gpu.memory().gpu_mem().as_slice());
+    assert!(live > 0, "{tag}: the image must hold something");
+    assert!(
+        file <= live * 22 / 10 + (256 << 10),
+        "{tag}: {file} file bytes for {live} bytes in non-zero pages"
+    );
+    let ckpt = Checkpoint::read_file(&path).expect("reads back");
+    assert_eq!(ckpt.body.memory.live_bytes(), live, "{tag}: extents are the non-zero pages");
+    let restored = Gpu::restore(gpu.config().clone(), commands, &ckpt, None).expect("restores");
+    assert!(
+        restored.memory().gpu_mem().as_slice() == gpu.memory().gpu_mem().as_slice(),
+        "{tag}: restored image differs"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn file_size_is_proportional_to_the_live_pages() {
+    let (_, total) = baseline(None);
+    let gpu = quiescent_machine(config(), scene(), total / 3);
+    assert_file_is_byte_proportional(&gpu, scene(), "size-scene");
+
+    // Texel-heavy: four 256x256 RGBA8 uploads whose low bits are noise, so
+    // no two neighbouring bytes repeat (the run-length format spent ~20
+    // file bytes on each).
+    let params = workloads::WorkloadParams {
+        width: W,
+        height: H,
+        frames: 4,
+        texture_size: 256,
+        ..Default::default()
+    };
+    let mut trace = workloads::texture_stream(params);
+    let mut rng = TinyRng::new(11);
+    for call in &mut trace.calls {
+        if let GlCall::TexImage2D { pixels, .. } = call {
+            pixels.iter_mut().for_each(|b| *b ^= (rng.next_u64() & 0xf) as u8);
+        }
+    }
+    let commands = compile(trace.width, trace.height, &trace.calls).expect("compiles");
+    let mut stream_config = GpuConfig::baseline();
+    stream_config.display.width = W;
+    stream_config.display.height = H;
+    // Far past the end: the loop stops at the drained end of the run.
+    let mut gpu = Gpu::new(stream_config);
+    gpu.checkpoint_every = Some(1 << 40);
+    gpu.run_trace(&commands).expect("drains");
+    while !gpu.quiescent() {
+        gpu.try_step().expect("healthy run");
+    }
+    assert!(bytes_in_live_pages(gpu.memory().gpu_mem().as_slice()) >= 4 * 256 * 256 * 4);
+    assert_file_is_byte_proportional(&gpu, &commands, "size-texels");
+}
+
+#[test]
+fn sparse_images_survive_encode_render_parse_decode() {
+    const PAGE: usize = 4096;
+    let dense = |s: &SparseBytes| {
+        let mut image = vec![0u8; s.len];
+        for (at, bytes) in &s.extents {
+            image[*at..*at + bytes.len()].copy_from_slice(bytes);
+        }
+        image
+    };
+    let mut images: Vec<Vec<u8>> = vec![
+        Vec::new(),
+        vec![0; 3 * PAGE],      // all zero
+        vec![0; 17],            // all zero, shorter than a page
+        vec![0xa5; 5 * PAGE],   // all non-zero
+        vec![1; 2 * PAGE + 99], // all non-zero, ragged end
+    ];
+    let edges = [(4 * PAGE, PAGE - 1), (4 * PAGE, PAGE), (4 * PAGE, 0), (3 * PAGE + 1, 3 * PAGE)];
+    for (len, at) in edges {
+        let mut one = vec![0; len]; // one non-zero byte, on a page edge
+        one[at] = 1;
+        images.push(one);
+    }
+    for seed in 0..64u64 {
+        // Zero oceans with islands of noise at seeded places and sizes.
+        let mut rng = TinyRng::new(seed);
+        let mut image = vec![0u8; rng.range_u64(1, 40 * PAGE as u64) as usize];
+        for _ in 0..rng.range_u64(0, 6) {
+            let at = rng.range_u64(0, image.len() as u64) as usize;
+            let end = (at + rng.range_u64(1, 3 * PAGE as u64) as usize).min(image.len());
+            image[at..end].iter_mut().for_each(|b| *b = rng.next_u64() as u8);
+        }
+        images.push(image);
+    }
+    for (n, image) in images.iter().enumerate() {
+        let sparse = SparseBytes::scan(image);
+        assert_eq!(sparse.len, image.len());
+        assert_eq!(sparse.live_bytes(), bytes_in_live_pages(image), "image {n}");
+        let mut end = 0;
+        for (at, bytes) in &sparse.extents {
+            assert!(at % PAGE == 0 && !bytes.is_empty(), "image {n}: extent at {at}");
+            assert!(*at > end || (end == 0 && *at == 0), "image {n}: runs are maximal");
+            end = at + bytes.len();
+        }
+        for text in [sparse.to_json().render(), sparse.to_json().pretty()] {
+            let parsed = attila_json::parse(&text).expect("a JSON document");
+            let back = SparseBytes::from_json(&parsed, image.len(), "image").expect("decodes");
+            assert_eq!(back, sparse, "image {n}");
+            assert!(dense(&back) == *image, "image {n}: bytes differ");
+        }
+    }
+}
+
+fn field_mut<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {
+    let Json::Obj(fields) = j else { panic!("not an object") };
+    let found = fields.iter_mut().find(|(k, _)| k == key);
+    &mut found.unwrap_or_else(|| panic!("no field `{key}`")).1
+}
+
+fn items_mut(j: &mut Json) -> &mut Vec<Json> {
+    let Json::Arr(items) = j else { panic!("not an array") };
+    items
+}
+
+/// The file's document with `mutate` applied to its body and the body
+/// CRC computed again, so the change reaches the decoder instead of
+/// stopping at the checksum (which is no secret).
+fn with_body(text: &str, mutate: impl FnOnce(&mut Json)) -> Json {
+    let mut doc = attila_json::parse(text).expect("a valid file");
+    mutate(field_mut(&mut doc, "body"));
+    let crc = crc32(field_mut(&mut doc, "body").render().as_bytes());
+    *field_mut(&mut doc, "body_crc") = Json::Num(f64::from(crc));
+    doc
+}
+
+/// A checkpoint of [`scene`] past its first frame, as file text: three
+/// memory extents and one kept frame.
+fn valid_text_with_a_frame() -> String {
+    let (_, total) = baseline(None);
+    let gpu = quiescent_machine(config(), scene(), total / 2);
+    let text = gpu.capture_checkpoint().to_json().pretty();
+    let ckpt = Checkpoint::from_json(&attila_json::parse(&text).unwrap()).expect("valid");
+    assert!(ckpt.body.memory.extents.len() >= 2 && !ckpt.body.framebuffers.is_empty());
+    text
+}
+
+#[test]
+fn malformed_extents_yield_typed_errors() {
+    let text = valid_text_with_a_frame();
+    fn hex_mut(extents: &mut Json, i: usize) -> &mut String {
+        let Json::Str(hex) = &mut items_mut(extents)[2 * i + 1] else { panic!("no hex") };
+        hex
+    }
+    /// Moves extent `i` to where extent `from` starts, plus `delta`.
+    fn move_extent(extents: &mut Json, i: usize, from: usize, delta: f64) {
+        let at = items_mut(extents)[2 * from].as_f64().expect("an offset") + delta;
+        items_mut(extents)[2 * i] = Json::Num(at);
+    }
+    type Mutation = Box<dyn Fn(&mut Json)>;
+    let memory_cases: Vec<(&str, Mutation)> = vec![
+        ("odd-length hex", Box::new(|m| hex_mut(m, 0).truncate(4095))),
+        ("non-hex text", Box::new(|m| hex_mut(m, 0).replace_range(0..1, "g"))),
+        ("uppercase hex", Box::new(|m| hex_mut(m, 0).replace_range(0..2, "AB"))),
+        ("non-ASCII text", Box::new(|m| hex_mut(m, 0).replace_range(0..2, "é"))),
+        ("hex is a number", Box::new(|m| items_mut(m)[1] = Json::Num(7.0))),
+        ("unaligned extent", Box::new(|m| move_extent(m, 1, 1, 1.0))),
+        ("fractional offset", Box::new(|m| move_extent(m, 0, 0, 0.5))),
+        ("negative offset", Box::new(|m| move_extent(m, 0, 0, -4096.0 * 1024.0))),
+        ("out of order", Box::new(|m| items_mut(m).swap(0, 2))),
+        ("overlapping", Box::new(|m| move_extent(m, 1, 0, 0.0))),
+        ("past the image", Box::new(|m| move_extent(m, 0, 0, 2f64.powi(52)))),
+        ("dangling offset", Box::new(|m| items_mut(m).push(Json::Num(0.0)))),
+        ("not an array", Box::new(|m| *m = Json::Str("00".into()))),
+    ];
+    for (what, mutate) in &memory_cases {
+        let doc = with_body(&text, |body| mutate(field_mut(body, "memory")));
+        expect_mismatch(Checkpoint::from_json(&doc), what);
+    }
+
+    // A length the extents no longer fit in fails in the decoder; one
+    // that is merely wrong (and absurd: the old decoder reserved it and
+    // aborted) decodes, allocating nothing, and fails against the machine.
+    let doc = with_body(&text, |body| *field_mut(body, "memory_len") = Json::Num(4096.0));
+    expect_mismatch(Checkpoint::from_json(&doc), "image shorter than its extents");
+    let doc = with_body(&text, |body| *field_mut(body, "memory_len") = Json::Num(2f64.powi(50)));
+    let huge = Checkpoint::from_json(&doc).expect("a length alone allocates nothing");
+    assert_eq!(huge.body.memory.len, 1 << 50);
+    match Gpu::restore(config(), scene(), &huge, None) {
+        Err(SimError::CheckpointMismatch { reason }) => {
+            assert!(reason.contains("memory image"), "names the image: {reason}")
+        }
+        other => panic!("wrong image size must be refused, got {other:?}"),
+    }
+
+    // Frames: the decoded bytes must be width x height x 4, whatever the
+    // file claims the size is.
+    fn resize(frame: &mut Json, width: f64, height: f64) {
+        *field_mut(frame, "width") = Json::Num(width);
+        *field_mut(frame, "height") = Json::Num(height);
+    }
+    let frame_cases: Vec<(&str, Mutation)> = vec![
+        ("wider than its bytes", Box::new(|f| resize(f, f64::from(W + 1), f64::from(H)))),
+        ("17 GB claimed", Box::new(|f| resize(f, 65535.0, 65535.0))),
+        ("size overflows", Box::new(|f| resize(f, 4294967295.0, 4294967295.0))),
+        ("zero pages omitted", Box::new(|f| items_mut(field_mut(f, "rgba")).clear())),
+        ("not at offset 0", Box::new(|f| items_mut(field_mut(f, "rgba"))[0] = Json::Num(4096.0))),
+    ];
+    for (what, mutate) in &frame_cases {
+        let doc = with_body(&text, |body| {
+            mutate(&mut items_mut(field_mut(body, "framebuffers"))[0]);
+        });
+        expect_mismatch(Checkpoint::from_json(&doc), what);
+    }
+
+    // The helper itself keeps a file valid when it changes nothing.
+    Checkpoint::from_json(&with_body(&text, |_| {})).expect("unchanged body still loads");
+}
+
+/// The `n`-th leaf under `j`, depth first (`n` is reduced as leaves pass).
+fn nth_leaf<'a>(j: &'a mut Json, n: &mut usize) -> Option<&'a mut Json> {
+    match j {
+        Json::Arr(items) => items.iter_mut().find_map(|v| nth_leaf(v, n)),
+        Json::Obj(fields) => fields.iter_mut().find_map(|(_, v)| nth_leaf(v, n)),
+        leaf if *n == 0 => Some(leaf),
+        _ => {
+            *n -= 1;
+            None
+        }
+    }
+}
+
+fn count_leaves(j: &Json) -> usize {
+    match j {
+        Json::Arr(items) => items.iter().map(count_leaves).sum(),
+        Json::Obj(fields) => fields.iter().map(|(_, v)| count_leaves(v)).sum(),
+        _ => 1,
+    }
+}
+
+#[test]
+fn mutated_files_never_panic_across_512_seeds() {
+    let text = valid_text_with_a_frame();
+    let path = tmp_ckpt("fuzz", 0);
+    let leaves = count_leaves(attila_json::parse(&text).unwrap().get("body").unwrap());
+    let (mut loaded, mut refused) = (0, 0);
+    let mut outcome = |result: Result<Checkpoint, SimError>, seed: u64| {
+        // Whatever loads must also survive being applied to a machine.
+        match result.and_then(|ckpt| Gpu::restore(config(), scene(), &ckpt, None)) {
+            Ok(_) => loaded += 1,
+            Err(SimError::CheckpointMismatch { reason }) => {
+                assert!(!reason.is_empty(), "seed {seed}");
+                refused += 1;
+            }
+            Err(SimError::CheckpointVersion { .. }) => refused += 1,
+            Err(other) => panic!("seed {seed}: untyped failure {other:?}"),
+        }
+    };
+    for seed in 0..512u64 {
+        let mut rng = TinyRng::new(seed);
+        if seed.is_multiple_of(2) {
+            // Raw bytes of the file: flips, overwrites, a cut, an insertion.
+            let mut bytes = text.clone().into_bytes();
+            for _ in 0..rng.range_u64(1, 5) {
+                let at = rng.range_u64(0, bytes.len() as u64) as usize;
+                match rng.range_u32(0, 4) {
+                    0 => bytes[at] ^= 1 << rng.range_u32(0, 8),
+                    1 => bytes[at] = rng.next_u64() as u8,
+                    2 => bytes.truncate(at),
+                    _ => bytes.insert(at, rng.next_u64() as u8),
+                }
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            outcome(Checkpoint::read_file(&path), seed);
+        } else {
+            // One leaf of the body, behind a fresh CRC: this is what gets
+            // past the checksum and into the decoders.
+            let doc = with_body(&text, |body| {
+                let mut n = rng.range_u64(0, leaves as u64) as usize;
+                let leaf = nth_leaf(body, &mut n).expect("counted");
+                *leaf = match (&*leaf, rng.range_u32(0, 4)) {
+                    (Json::Str(s), 0) if !s.is_empty() => Json::Str(s[..s.len() - 1].to_string()),
+                    (Json::Str(s), 1) => Json::Str(format!("{s}0")),
+                    (Json::Str(_), 2) => Json::Str("zz".into()),
+                    (Json::Num(v), 0) => Json::Num(v + 1.0),
+                    (Json::Num(v), 1) => Json::Num(-v - 0.5),
+                    (Json::Num(_), 2) => Json::Num(2f64.powi(rng.range_u32(20, 70) as i32)),
+                    (Json::Bool(b), _) => Json::Bool(!b),
+                    (Json::Null, _) => Json::Num(1.0),
+                    _ => Json::Null,
+                };
+            });
+            outcome(Checkpoint::from_json(&doc), seed);
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+    assert!(refused >= 256, "only {refused} of 512 mutations were refused ({loaded} loaded)");
+}
+
+#[test]
+fn running_trace_hash_is_chunk_independent_and_survives_restore() {
+    let whole = trace_hash(scene());
+    for chunks in [1usize, 2, 7] {
+        let mut gpu = Gpu::new(config());
+        gpu.checkpoint_every = Some(1 << 40);
+        for chunk in scene().chunks(scene().len().div_ceil(chunks)) {
+            gpu.enqueue(chunk);
+        }
+        assert_eq!(gpu.capture_checkpoint().trace_hash, whole, "{chunks} chunks");
+    }
+
+    // A restored machine picks the hash up where the file left it: more
+    // commands enqueued on it hash as the longer trace.
+    let (_, total) = baseline(None);
+    let gpu = quiescent_machine(config(), scene(), total / 2);
+    let ckpt = gpu.capture_checkpoint();
+    assert_eq!(ckpt.trace_hash, whole);
+    let mut resumed = Gpu::restore(config(), scene(), &ckpt, None).expect("restores");
+    resumed.checkpoint_every = Some(1 << 40);
+    assert_eq!(resumed.capture_checkpoint().trace_hash, whole);
+    let extra = &scene()[..5];
+    resumed.enqueue(extra);
+    let longer: Vec<GpuCommand> = scene().iter().chain(extra).cloned().collect();
+    assert_eq!(resumed.capture_checkpoint().trace_hash, trace_hash(&longer));
 }
