@@ -198,7 +198,6 @@ pub fn standard_grid() -> Vec<attila_core::sweep::SweepJob> {
             jobs.push(attila_core::sweep::SweepJob {
                 label: format!("tus={tus},sched={name}"),
                 config: GpuConfig::case_study(tus, sched),
-                threads: 1,
             });
         }
     }

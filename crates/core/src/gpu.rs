@@ -7,17 +7,13 @@
 //! [`Gpu::run_trace`] feeds a Command Processor trace and clocks the
 //! machine until it drains, collecting statistics and framebuffer dumps.
 
-use std::cell::Cell;
 use std::fmt::Write as _;
-use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use attila_emu::fragops::DEPTH_MAX;
 use attila_mem::{Client, MemOp, MemRequest, MemoryController};
 use attila_sim::{
-    partition_chain, BoxNode, Counter, Cycle, DrainStaged, FaultInjector, Horizon, LintReport,
-    SignalBinder, SimError, StatsRegistry, Topology, WakeLine,
+    BoxNode, Counter, Cycle, FaultInjector, Horizon, LintReport, SignalBinder, SimError,
+    StatsRegistry, Topology, WakeLine,
 };
 
 use crate::address::{pixel_address, FB_TILE_BYTES};
@@ -31,11 +27,10 @@ use crate::ffifo::FragmentFifo;
 use crate::fraggen::FragmentGenerator;
 use crate::hz::HierarchicalZ;
 use crate::interpolator::Interpolator;
-use crate::port::{port, PortReceiver, PortSender};
+use crate::port::port;
 use crate::primitive_assembly::PrimitiveAssembly;
 use crate::report::{BoxStatus, FailureReport};
 use crate::setup::TriangleSetup;
-use crate::shard::ShardCell;
 use crate::streamer::Streamer;
 use crate::texunit::TextureUnit;
 use crate::zstencil::ZStencilUnit;
@@ -199,22 +194,20 @@ impl std::error::Error for GpuError {
 
 /// The assembled ATTILA GPU.
 pub struct Gpu {
-    /// Declared first so the clock-domain workers join (in
-    /// [`WorkerPool`]'s `Drop`) before any state they could observe is
-    /// torn down.
-    pool: Option<WorkerPool>,
     config: GpuConfig,
     binder: SignalBinder,
     stats: StatsRegistry,
     mem: MemoryController,
     cp: CommandProcessor,
     streamer: Streamer,
-    /// The seven memory-decoupled pipeline boxes, behind [`ShardCell`]s so
-    /// the worker pool can clock them during the parallel phase of each
-    /// cycle. A single-threaded machine uses the same layout; the cells
-    /// are then only ever touched from one thread.
-    cells: Arc<PureCells>,
+    pa: PrimitiveAssembly,
+    clipper: Clipper,
+    setup: TriangleSetup,
+    fraggen: FragmentGenerator,
+    hz: HierarchicalZ,
     zstencil: Vec<ZStencilUnit>,
+    interpolator: Interpolator,
+    ffifo: FragmentFifo,
     texunits: Vec<TextureUnit>,
     colorwrite: Vec<ColorWriteUnit>,
     dac: Dac,
@@ -225,7 +218,7 @@ pub struct Gpu {
     pub max_cycles: Cycle,
     /// Keep per-frame DAC dumps (disable for long benchmark runs).
     pub keep_frames: bool,
-    /// Do not clock what is provably idle: the serial walk leaves
+    /// Do not clock what is provably idle: the schedule walk leaves
     /// individual sleeping boxes unclocked (DESIGN.md §14) and the clock
     /// loop jumps over cycles in which the whole machine is idle (the
     /// event-horizon scheduler). On by default;
@@ -274,256 +267,6 @@ pub struct Gpu {
     /// A fault injector adopted via [`adopt_faults`](Self::adopt_faults),
     /// owned so checkpoints carry its progress.
     fault_injector: Option<FaultInjector>,
-    /// The coordinator's share of the threaded schedule: every
-    /// memory-coupled box, tagged with its position in the serial
-    /// [`schedule`](Self::schedule) for deterministic error selection.
-    coord_schedule: Box<[(ScheduleEntry, u32)]>,
-    /// Drain handles for every staged cross-domain wire, in wiring order —
-    /// the fixed topology order mailboxes flush in at the barrier.
-    staged_drains: Vec<Box<dyn DrainStaged>>,
-    /// Arms the staged (mailbox) transport on the crossing wires. Shared
-    /// with every staged [`SignalWriter`](attila_sim::SignalWriter);
-    /// cleared — one way — when fault injection or signal tracing needs
-    /// the serial transport's full semantics.
-    staging_enabled: Rc<Cell<bool>>,
-    /// Effective clock-loop thread count (1 = serial).
-    threads: usize,
-}
-
-/// Box names of the memory-decoupled pipeline chain, in schedule order —
-/// the seven units whose `clock()` touches only their own state and their
-/// signal endpoints, and can therefore run on worker threads. The chain is
-/// split into contiguous clock domains by [`partition_chain`] at
-/// elaboration, minimizing the signal bandwidth crossing the cuts.
-const PURE_CHAIN: [&str; 7] = [
-    "PrimitiveAssembly",
-    "Clipper",
-    "TriangleSetup",
-    "FragmentGenerator",
-    "HierarchicalZ",
-    "Interpolator",
-    "FragmentFIFO",
-];
-
-/// The worker-steppable boxes, stored behind [`ShardCell`]s (see
-/// [`crate::shard`] for the phase-ownership protocol that makes the
-/// accessors sound).
-struct PureCells {
-    pa: ShardCell<PrimitiveAssembly>,
-    clipper: ShardCell<Clipper>,
-    setup: ShardCell<TriangleSetup>,
-    fraggen: ShardCell<FragmentGenerator>,
-    hz: ShardCell<HierarchicalZ>,
-    interpolator: ShardCell<Interpolator>,
-    ffifo: ShardCell<FragmentFifo>,
-}
-
-/// Which pure box a worker plan entry clocks.
-#[derive(Debug, Clone, Copy)]
-enum PureKind {
-    Pa,
-    Clipper,
-    Setup,
-    FragGen,
-    Hz,
-    Interpolator,
-    FragmentFifo,
-}
-
-/// Clocks one pure box through its cell — the only routine that touches
-/// the cells from worker threads.
-#[allow(unsafe_code)]
-fn clock_pure(cells: &PureCells, kind: PureKind, cycle: Cycle) -> Result<(), SimError> {
-    // SAFETY: the caller is the phase owner of this box's clock domain
-    // (the worker assigned to it during a parallel phase; the coordinator
-    // otherwise — see `crate::shard`), so no other thread touches the
-    // cell concurrently.
-    unsafe {
-        match kind {
-            PureKind::Pa => cells.pa.get_mut().clock(cycle),
-            PureKind::Clipper => cells.clipper.get_mut().clock(cycle),
-            PureKind::Setup => cells.setup.get_mut().clock(cycle),
-            PureKind::FragGen => cells.fraggen.get_mut().clock(cycle),
-            PureKind::Hz => cells.hz.get_mut().clock(cycle),
-            PureKind::Interpolator => cells.interpolator.get_mut().clock(cycle),
-            PureKind::FragmentFifo => cells.ffifo.get_mut().clock(cycle),
-        }
-    }
-}
-
-/// How a worker's share of a cycle went wrong, tagged with the failing
-/// box's position in the serial schedule so the coordinator can report the
-/// same first error a serial walk would have hit.
-enum WorkerFailure {
-    /// A signal verification error from a box's `clock()`.
-    Error {
-        /// Serial schedule position of the failing box.
-        pos: u32,
-        /// The verification error itself.
-        error: SimError,
-    },
-    /// A box panicked; the payload is re-thrown on the coordinator.
-    Panic {
-        /// Serial schedule position of the panicking box.
-        pos: u32,
-        /// The panic message, best-effort.
-        message: String,
-    },
-}
-
-impl WorkerFailure {
-    fn pos(&self) -> u32 {
-        match self {
-            WorkerFailure::Error { pos, .. } | WorkerFailure::Panic { pos, .. } => *pos,
-        }
-    }
-}
-
-/// State shared between the coordinator and the clock-domain workers.
-struct PoolShared {
-    cells: Arc<PureCells>,
-    /// Per-worker clock plans: `(box, serial schedule position)`, in
-    /// serial schedule order within each plan.
-    plans: Vec<Vec<(PureKind, u32)>>,
-    /// Barrier epoch. The coordinator publishes `cycle`, then bumps this
-    /// (Release) to hand the cells to the workers for one parallel phase.
-    epoch: AtomicU64,
-    /// The cycle the current epoch clocks.
-    cycle: AtomicU64,
-    /// Last epoch each worker completed (Release on store; the
-    /// coordinator's Acquire load takes the cells back).
-    done: Vec<AtomicU64>,
-    /// Tells the workers to exit at the next epoch bump.
-    stop: AtomicBool,
-    /// First failure per worker in the current epoch, if any.
-    failures: Vec<Mutex<Option<WorkerFailure>>>,
-}
-
-/// The clock-domain worker threads; joined on drop.
-struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn new(cells: Arc<PureCells>, plans: Vec<Vec<(PureKind, u32)>>) -> Self {
-        let workers = plans.len();
-        let shared = Arc::new(PoolShared {
-            cells,
-            plans,
-            epoch: AtomicU64::new(0),
-            cycle: AtomicU64::new(0),
-            done: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            stop: AtomicBool::new(false),
-            failures: (0..workers).map(|_| Mutex::new(None)).collect(),
-        });
-        let handles = (0..workers)
-            .map(|idx| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("attila-domain-{idx}"))
-                    .spawn(move || worker_loop(&shared, idx))
-                    .expect("spawn clock-domain worker")
-            })
-            .collect();
-        WorkerPool { shared, handles }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.epoch.fetch_add(1, Ordering::Release);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Extracts a printable message from a caught panic payload.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "clock-domain worker panicked".to_string()
-    }
-}
-
-/// Spin briefly, then yield — parked threads must not starve a loaded
-/// (or single-core) machine.
-fn barrier_wait(spins: &mut u32) {
-    *spins = spins.wrapping_add(1);
-    if *spins < 64 {
-        std::hint::spin_loop();
-    } else {
-        std::thread::yield_now();
-    }
-}
-
-/// One clock-domain worker: waits for an epoch, clocks its plan in serial
-/// schedule order, records the first failure, signals done.
-fn worker_loop(shared: &PoolShared, idx: usize) {
-    let mut seen = 0u64;
-    loop {
-        let mut spins = 0u32;
-        let epoch = loop {
-            let e = shared.epoch.load(Ordering::Acquire);
-            if e != seen {
-                break e;
-            }
-            barrier_wait(&mut spins);
-        };
-        seen = epoch;
-        if shared.stop.load(Ordering::Acquire) {
-            return;
-        }
-        let cycle = shared.cycle.load(Ordering::Relaxed);
-        let mut failure = None;
-        for &(kind, pos) in &shared.plans[idx] {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                clock_pure(&shared.cells, kind, cycle)
-            }));
-            match outcome {
-                Ok(Ok(())) => {}
-                Ok(Err(error)) => {
-                    failure = Some(WorkerFailure::Error { pos, error });
-                    break;
-                }
-                Err(payload) => {
-                    failure = Some(WorkerFailure::Panic {
-                        pos,
-                        message: panic_text(payload.as_ref()),
-                    });
-                    break;
-                }
-            }
-        }
-        if failure.is_some() {
-            *shared.failures[idx].lock().expect("failure slot poisoned") = failure;
-        }
-        shared.done[idx].store(epoch, Ordering::Release);
-    }
-}
-
-/// Stages both wires of a flow-controlled port when its endpoints landed
-/// in different clock domains: data flows sender→receiver, credits flow
-/// back, so each side owns one crossing writer. Staged writers latch into
-/// preallocated mailboxes the coordinator drains between epochs in wiring
-/// order.
-fn stage_crossing<T: std::fmt::Debug + 'static>(
-    drains: &mut Vec<Box<dyn DrainStaged>>,
-    enabled: &Rc<Cell<bool>>,
-    from_domain: usize,
-    to_domain: usize,
-    tx: &mut PortSender<T>,
-    rx: &mut PortReceiver<T>,
-) {
-    if from_domain != to_domain {
-        drains.push(tx.stage(Rc::clone(enabled)));
-        drains.push(rx.stage_credits(Rc::clone(enabled)));
-    }
 }
 
 /// Steps a `Busy` horizon verdict stays cached before re-evaluating
@@ -585,7 +328,7 @@ impl ScheduleEntry {
     }
 }
 
-/// The sleep gate of one [`ScheduleEntry`]: lets the serial walk of
+/// The sleep gate of one [`ScheduleEntry`]: lets the walk of
 /// [`Gpu::try_step`] leave a box unclocked while that is provably a no-op
 /// (DESIGN.md §14). A box sleeps on cycle `c` iff nothing written to any
 /// wire it reads is still due, the horizon it reported after its last
@@ -649,7 +392,7 @@ impl Gpu {
     /// Events retained by the forensic trace a fault injector arms.
     const FORENSIC_TRACE_EVENTS: usize = 32;
 
-    /// Builds the GPU described by `config` with the serial clock loop.
+    /// Builds the GPU described by `config`.
     ///
     /// # Panics
     ///
@@ -657,29 +400,6 @@ impl Gpu {
     /// Z-stencil and colour-write unit counts — the paper couples its
     /// "fragment test and framebuffer update" units).
     pub fn new(config: GpuConfig) -> Self {
-        Self::with_threads(config, 1)
-    }
-
-    /// Builds the GPU with a threaded clock loop: the memory-decoupled
-    /// pipeline chain (`PURE_CHAIN`) is partitioned into up to
-    /// `threads - 1` contiguous clock domains (a min-bandwidth cut over
-    /// the signal topology), each stepped by a dedicated worker thread
-    /// under a per-cycle barrier, while the coordinator clocks the
-    /// memory-coupled boxes. Cross-domain signals flow through staged
-    /// mailboxes drained at the barrier in fixed wiring order, which keeps
-    /// cycles, statistics and framebuffers bit-identical to the serial
-    /// loop at every thread count.
-    ///
-    /// `threads <= 1` (or a fault policy other than [`OnFault::Abort`],
-    /// whose tolerate-and-continue semantics need the serial transport)
-    /// yields the plain serial machine. Arming fault injection or signal
-    /// tracing on a threaded machine likewise drops it back to the serial
-    /// loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent, as [`Gpu::new`] does.
-    pub fn with_threads(config: GpuConfig, threads: usize) -> Self {
         if let Err(e) = config.validate() {
             panic!("bad GPU configuration: {e}");
         }
@@ -696,13 +416,13 @@ impl Gpu {
         let n_tu = config.texture.units;
 
         // --- ports -------------------------------------------------------
-        let (mut cp_draw_tx, mut cp_draw_rx) =
+        let (cp_draw_tx, cp_draw_rx) =
             port(b, "CP->Streamer.draws", "CommandProcessor", "Streamer", 1, 1, 2).unwrap();
-        let (mut st_work_tx, mut st_work_rx) =
+        let (st_work_tx, st_work_rx) =
             port(b, "Streamer->FFIFO.vertices", "Streamer", "FragmentFIFO", 1, 1, 16).unwrap();
-        let (mut ff_shaded_tx, mut ff_shaded_rx) =
+        let (ff_shaded_tx, ff_shaded_rx) =
             port(b, "FFIFO->Streamer.shaded", "FragmentFIFO", "Streamer", 4, 1, 16).unwrap();
-        let (mut st_out_tx, mut st_out_rx) = port(
+        let (st_out_tx, st_out_rx) = port(
             b,
             "Streamer->PA.vertices",
             "Streamer",
@@ -712,7 +432,7 @@ impl Gpu {
             config.primitive_assembly.input_queue,
         )
         .unwrap();
-        let (mut pa_tx, mut pa_rx) = port(
+        let (pa_tx, pa_rx) = port(
             b,
             "PA->Clipper.triangles",
             "PrimitiveAssembly",
@@ -722,7 +442,7 @@ impl Gpu {
             config.clipper.input_queue,
         )
         .unwrap();
-        let (mut cl_tx, mut cl_rx) = port(
+        let (cl_tx, cl_rx) = port(
             b,
             "Clipper->Setup.triangles",
             "Clipper",
@@ -732,7 +452,7 @@ impl Gpu {
             config.setup.input_queue,
         )
         .unwrap();
-        let (mut su_tx, mut su_rx) = port(
+        let (su_tx, su_rx) = port(
             b,
             "Setup->FragGen.triangles",
             "TriangleSetup",
@@ -742,7 +462,7 @@ impl Gpu {
             config.fraggen.input_queue,
         )
         .unwrap();
-        let (mut fg_tx, mut fg_rx) = port(
+        let (fg_tx, fg_rx) = port(
             b,
             "FragGen->HZ.tiles",
             "FragmentGenerator",
@@ -841,7 +561,7 @@ impl Gpu {
             zst_hz_tx.push(tx);
             zst_hz_rx.push(rx);
         }
-        let (mut hz_late_tx, mut hz_late_rx) = port(
+        let (hz_late_tx, hz_late_rx) = port(
             b,
             "HZ->Interpolator.quads",
             "HierarchicalZ",
@@ -851,7 +571,7 @@ impl Gpu {
             16,
         )
         .unwrap();
-        let (mut in_tx, mut in_rx) = port(
+        let (in_tx, in_rx) = port(
             b,
             "Interpolator->FFIFO.quads",
             "Interpolator",
@@ -884,119 +604,6 @@ impl Gpu {
                 port(b, &format!("{tu}->FFIFO.replies"), &tu, "FragmentFIFO", 1, 1, 16).unwrap();
             tex_rep_tx.push(tx);
             tex_rep_rx.push(rx);
-        }
-
-        // --- clock domains ----------------------------------------------
-        // The memory-coupled boxes (Streamer, ZStencil, TexUnit,
-        // ColorWrite, DAC, Memory) stay on the coordinator — domain 0.
-        // The pure chain splits into up to `threads - 1` worker domains
-        // along the minimum-bandwidth cuts of the signal graph; every
-        // wire whose writer and reader landed in different domains gets a
-        // staged mailbox lane.
-        let workers = if threads > 1 && config.on_fault == OnFault::Abort {
-            (threads - 1).min(PURE_CHAIN.len())
-        } else {
-            0
-        };
-        let staging_enabled = Rc::new(Cell::new(workers > 0));
-        let mut staged_drains: Vec<Box<dyn DrainStaged>> = Vec::new();
-        let seg = if workers > 0 {
-            partition_chain(&PURE_CHAIN, workers, &binder.edges())
-        } else {
-            vec![0; PURE_CHAIN.len()]
-        };
-        // Domain of a box: 0 for coordinator boxes, 1 + segment for the
-        // chain (all zero when running serial, so nothing stages).
-        let dom = |name: &str| -> usize {
-            if workers == 0 {
-                return 0;
-            }
-            PURE_CHAIN.iter().position(|&c| c == name).map_or(0, |i| seg[i] + 1)
-        };
-        {
-            let d = &mut staged_drains;
-            let en = &staging_enabled;
-            stage_crossing(d, en, 0, dom("Streamer"), &mut cp_draw_tx, &mut cp_draw_rx);
-            stage_crossing(
-                d,
-                en,
-                dom("Streamer"),
-                dom("FragmentFIFO"),
-                &mut st_work_tx,
-                &mut st_work_rx,
-            );
-            stage_crossing(
-                d,
-                en,
-                dom("FragmentFIFO"),
-                dom("Streamer"),
-                &mut ff_shaded_tx,
-                &mut ff_shaded_rx,
-            );
-            stage_crossing(
-                d,
-                en,
-                dom("Streamer"),
-                dom("PrimitiveAssembly"),
-                &mut st_out_tx,
-                &mut st_out_rx,
-            );
-            stage_crossing(
-                d,
-                en,
-                dom("PrimitiveAssembly"),
-                dom("Clipper"),
-                &mut pa_tx,
-                &mut pa_rx,
-            );
-            stage_crossing(
-                d,
-                en,
-                dom("Clipper"),
-                dom("TriangleSetup"),
-                &mut cl_tx,
-                &mut cl_rx,
-            );
-            stage_crossing(
-                d,
-                en,
-                dom("TriangleSetup"),
-                dom("FragmentGenerator"),
-                &mut su_tx,
-                &mut su_rx,
-            );
-            stage_crossing(
-                d,
-                en,
-                dom("FragmentGenerator"),
-                dom("HierarchicalZ"),
-                &mut fg_tx,
-                &mut fg_rx,
-            );
-            let hz_d = dom("HierarchicalZ");
-            let interp_d = dom("Interpolator");
-            let ffifo_d = dom("FragmentFIFO");
-            for i in 0..hz_to_zst_tx.len() {
-                // ZStencil / ColorWrite / Texture units are domain 0.
-                stage_crossing(d, en, hz_d, 0, &mut hz_to_zst_tx[i], &mut hz_to_zst_rx[i]);
-                stage_crossing(
-                    d,
-                    en,
-                    0,
-                    interp_d,
-                    &mut zst_to_interp_tx[i],
-                    &mut zst_to_interp_rx[i],
-                );
-                stage_crossing(d, en, ffifo_d, 0, &mut ff_to_zst_tx[i], &mut ff_to_zst_rx[i]);
-                stage_crossing(d, en, ffifo_d, 0, &mut ff_to_cw_tx[i], &mut ff_to_cw_rx[i]);
-                stage_crossing(d, en, 0, hz_d, &mut zst_hz_tx[i], &mut zst_hz_rx[i]);
-            }
-            stage_crossing(d, en, hz_d, interp_d, &mut hz_late_tx, &mut hz_late_rx);
-            stage_crossing(d, en, interp_d, ffifo_d, &mut in_tx, &mut in_rx);
-            for i in 0..tex_req_tx.len() {
-                stage_crossing(d, en, ffifo_d, 0, &mut tex_req_tx[i], &mut tex_req_rx[i]);
-                stage_crossing(d, en, 0, ffifo_d, &mut tex_rep_tx[i], &mut tex_rep_rx[i]);
-            }
         }
 
         // --- boxes -------------------------------------------------------
@@ -1116,51 +723,21 @@ impl Gpu {
             })
             .collect();
 
-        let cells = Arc::new(PureCells {
-            pa: ShardCell::new(pa),
-            clipper: ShardCell::new(clipper),
-            setup: ShardCell::new(setup),
-            fraggen: ShardCell::new(fraggen),
-            hz: ShardCell::new(hz),
-            interpolator: ShardCell::new(interpolator),
-            ffifo: ShardCell::new(ffifo),
-        });
-
-        // Split the serial schedule between the coordinator and the worker
-        // plans, recording each entry's serial position so threaded error
-        // reporting can pick the same first failure a serial walk would.
-        let mut coord_schedule = Vec::new();
-        let mut plans: Vec<Vec<(PureKind, u32)>> = vec![Vec::new(); workers];
-        for (pos, &entry) in schedule.iter().enumerate() {
-            let pos = pos as u32;
-            let pure = match entry {
-                ScheduleEntry::PrimitiveAssembly => Some((PureKind::Pa, seg[0])),
-                ScheduleEntry::Clipper => Some((PureKind::Clipper, seg[1])),
-                ScheduleEntry::Setup => Some((PureKind::Setup, seg[2])),
-                ScheduleEntry::FragGen => Some((PureKind::FragGen, seg[3])),
-                ScheduleEntry::Hz => Some((PureKind::Hz, seg[4])),
-                ScheduleEntry::Interpolator => Some((PureKind::Interpolator, seg[5])),
-                ScheduleEntry::FragmentFifo => Some((PureKind::FragmentFifo, seg[6])),
-                _ => None,
-            };
-            match pure {
-                Some((kind, domain)) if workers > 0 => plans[domain].push((kind, pos)),
-                _ => coord_schedule.push((entry, pos)),
-            }
-        }
-        let pool = (workers > 0).then(|| WorkerPool::new(Arc::clone(&cells), plans));
-        let effective_threads = workers + 1;
-
         let gpu = Gpu {
-            pool,
             config,
             binder,
             stats,
             mem,
             cp,
             streamer,
-            cells,
+            pa,
+            clipper,
+            setup,
+            fraggen,
+            hz,
             zstencil,
+            interpolator,
+            ffifo,
             texunits,
             colorwrite,
             dac,
@@ -1184,10 +761,6 @@ impl Gpu {
             checkpoints_written: 0,
             checkpoint_bytes_written: 0,
             fault_injector: None,
-            coord_schedule: coord_schedule.into_boxed_slice(),
-            staged_drains,
-            staging_enabled,
-            threads: effective_threads,
         };
         if gpu.config.lint_on_start {
             let report = gpu.lint();
@@ -1196,111 +769,6 @@ impl Gpu {
             }
         }
         gpu
-    }
-
-    // --- pure-box accessors ---------------------------------------------
-    // All of these run on the coordinator thread during a serial phase of
-    // the cycle protocol (see `crate::shard`): the workers are parked
-    // between epochs, so the coordinator owns every cell and the borrow
-    // checker's usual exclusivity reasoning applies to `&self`/`&mut self`.
-
-    #[allow(unsafe_code)]
-    fn pa(&self) -> &PrimitiveAssembly {
-        // SAFETY: serial-phase coordinator access (workers parked).
-        unsafe { self.cells.pa.get() }
-    }
-
-    #[allow(unsafe_code)]
-    fn pa_mut(&mut self) -> &mut PrimitiveAssembly {
-        // SAFETY: serial-phase coordinator access (workers parked).
-        unsafe { self.cells.pa.get_mut() }
-    }
-
-    #[allow(unsafe_code)]
-    fn clipper(&self) -> &Clipper {
-        // SAFETY: serial-phase coordinator access (workers parked).
-        unsafe { self.cells.clipper.get() }
-    }
-
-    #[allow(unsafe_code)]
-    fn clipper_mut(&mut self) -> &mut Clipper {
-        // SAFETY: serial-phase coordinator access (workers parked).
-        unsafe { self.cells.clipper.get_mut() }
-    }
-
-    #[allow(unsafe_code)]
-    fn setup(&self) -> &TriangleSetup {
-        // SAFETY: serial-phase coordinator access (workers parked).
-        unsafe { self.cells.setup.get() }
-    }
-
-    #[allow(unsafe_code)]
-    fn setup_mut(&mut self) -> &mut TriangleSetup {
-        // SAFETY: serial-phase coordinator access (workers parked).
-        unsafe { self.cells.setup.get_mut() }
-    }
-
-    #[allow(unsafe_code)]
-    fn fraggen(&self) -> &FragmentGenerator {
-        // SAFETY: serial-phase coordinator access (workers parked).
-        unsafe { self.cells.fraggen.get() }
-    }
-
-    #[allow(unsafe_code)]
-    fn fraggen_mut(&mut self) -> &mut FragmentGenerator {
-        // SAFETY: serial-phase coordinator access (workers parked).
-        unsafe { self.cells.fraggen.get_mut() }
-    }
-
-    #[allow(unsafe_code)]
-    fn hz(&self) -> &HierarchicalZ {
-        // SAFETY: serial-phase coordinator access (workers parked).
-        unsafe { self.cells.hz.get() }
-    }
-
-    #[allow(unsafe_code)]
-    fn hz_mut(&mut self) -> &mut HierarchicalZ {
-        // SAFETY: serial-phase coordinator access (workers parked).
-        unsafe { self.cells.hz.get_mut() }
-    }
-
-    #[allow(unsafe_code)]
-    fn interpolator(&self) -> &Interpolator {
-        // SAFETY: serial-phase coordinator access (workers parked).
-        unsafe { self.cells.interpolator.get() }
-    }
-
-    #[allow(unsafe_code)]
-    fn interpolator_mut(&mut self) -> &mut Interpolator {
-        // SAFETY: serial-phase coordinator access (workers parked).
-        unsafe { self.cells.interpolator.get_mut() }
-    }
-
-    #[allow(unsafe_code)]
-    fn ffifo(&self) -> &FragmentFifo {
-        // SAFETY: serial-phase coordinator access (workers parked).
-        unsafe { self.cells.ffifo.get() }
-    }
-
-    #[allow(unsafe_code)]
-    fn ffifo_mut(&mut self) -> &mut FragmentFifo {
-        // SAFETY: serial-phase coordinator access (workers parked).
-        unsafe { self.cells.ffifo.get_mut() }
-    }
-
-    /// Whether the threaded scheduler is live: a worker pool was spawned
-    /// and the staged transport is still armed (fault injection and signal
-    /// tracing drop the machine back to the serial loop, one way).
-    pub fn threading_active(&self) -> bool {
-        self.pool.is_some() && self.staging_enabled.get()
-    }
-
-    /// Effective clock-loop thread count (1 = serial). May be lower than
-    /// the count requested from [`with_threads`](Self::with_threads): the
-    /// pipeline chain bounds the useful worker count, and non-`Abort`
-    /// fault policies force the serial loop.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Extracts the wired design as a [`Topology`] graph: every box with
@@ -1314,23 +782,23 @@ impl Gpu {
                 self.cp.declared_ports(),
             ),
             BoxNode::new("Streamer", self.streamer.work_horizon(), self.streamer.declared_ports()),
-            BoxNode::new("PrimitiveAssembly", self.pa().work_horizon(), self.pa().declared_ports()),
+            BoxNode::new("PrimitiveAssembly", self.pa.work_horizon(), self.pa.declared_ports()),
             BoxNode::new(
                 "Clipper",
-                self.clipper().work_horizon(),
-                self.clipper().declared_ports(),
+                self.clipper.work_horizon(),
+                self.clipper.declared_ports(),
             ),
             BoxNode::new(
                 "TriangleSetup",
-                self.setup().work_horizon(),
-                self.setup().declared_ports(),
+                self.setup.work_horizon(),
+                self.setup.declared_ports(),
             ),
             BoxNode::new(
                 "FragmentGenerator",
-                self.fraggen().work_horizon(),
-                self.fraggen().declared_ports(),
+                self.fraggen.work_horizon(),
+                self.fraggen.declared_ports(),
             ),
-            BoxNode::new("HierarchicalZ", self.hz().work_horizon(), self.hz().declared_ports()),
+            BoxNode::new("HierarchicalZ", self.hz.work_horizon(), self.hz.declared_ports()),
         ];
         for (i, z) in self.zstencil.iter().enumerate() {
             boxes.push(BoxNode::new(
@@ -1341,13 +809,13 @@ impl Gpu {
         }
         boxes.push(BoxNode::new(
             "Interpolator",
-            self.interpolator().work_horizon(),
-            self.interpolator().declared_ports(),
+            self.interpolator.work_horizon(),
+            self.interpolator.declared_ports(),
         ));
         boxes.push(BoxNode::new(
             "FragmentFIFO",
-            self.ffifo().work_horizon(),
-            self.ffifo().declared_ports(),
+            self.ffifo.work_horizon(),
+            self.ffifo.declared_ports(),
         ));
         for (i, t) in self.texunits.iter().enumerate() {
             boxes.push(BoxNode::new(
@@ -1403,37 +871,34 @@ impl Gpu {
     /// `capacity` events (0 = unbounded — long runs will use a lot of
     /// memory, exactly why the real tool streams to disk).
     pub fn enable_signal_trace(&mut self, capacity: usize) -> attila_sim::TraceSink {
-        // Trace capture happens inside the serial transport's write path;
-        // staged lanes bypass it, so tracing forces the serial loop.
-        self.staging_enabled.set(false);
         let sink: attila_sim::TraceSink = std::rc::Rc::new(std::cell::RefCell::new(
             attila_sim::SignalTrace::with_capacity(capacity),
         ));
         self.cp.out_draws.attach_trace(sink.clone());
         self.streamer.out_work.attach_trace(sink.clone());
         self.streamer.out_assembled.attach_trace(sink.clone());
-        self.pa_mut().out_tris.attach_trace(sink.clone());
-        self.clipper_mut().out_tris.attach_trace(sink.clone());
-        self.setup_mut().out_tris.attach_trace(sink.clone());
-        self.fraggen_mut().out_tiles.attach_trace(sink.clone());
-        for p in &mut self.hz_mut().out_early {
+        self.pa.out_tris.attach_trace(sink.clone());
+        self.clipper.out_tris.attach_trace(sink.clone());
+        self.setup.out_tris.attach_trace(sink.clone());
+        self.fraggen.out_tiles.attach_trace(sink.clone());
+        for p in &mut self.hz.out_early {
             p.attach_trace(sink.clone());
         }
-        self.hz_mut().out_late.attach_trace(sink.clone());
+        self.hz.out_late.attach_trace(sink.clone());
         for z in &mut self.zstencil {
             z.out_early.attach_trace(sink.clone());
             z.out_late.attach_trace(sink.clone());
             z.out_hz.attach_trace(sink.clone());
         }
-        self.interpolator_mut().out_quads.attach_trace(sink.clone());
-        self.ffifo_mut().out_shaded.attach_trace(sink.clone());
-        for p in &mut self.ffifo_mut().out_color {
+        self.interpolator.out_quads.attach_trace(sink.clone());
+        self.ffifo.out_shaded.attach_trace(sink.clone());
+        for p in &mut self.ffifo.out_color {
             p.attach_trace(sink.clone());
         }
-        for p in &mut self.ffifo_mut().out_zstencil {
+        for p in &mut self.ffifo.out_zstencil {
             p.attach_trace(sink.clone());
         }
-        for p in &mut self.ffifo_mut().tex_requests {
+        for p in &mut self.ffifo.tex_requests {
             p.attach_trace(sink.clone());
         }
         for t in &mut self.texunits {
@@ -1466,14 +931,14 @@ impl Gpu {
     /// DAC) still holds work.
     pub fn pipeline_busy(&self) -> bool {
         self.streamer.busy()
-            || self.pa().busy()
-            || self.clipper().busy()
-            || self.setup().busy()
-            || self.fraggen().busy()
-            || self.hz().busy()
+            || self.pa.busy()
+            || self.clipper.busy()
+            || self.setup.busy()
+            || self.fraggen.busy()
+            || self.hz.busy()
             || self.zstencil.iter().any(|z| z.busy())
-            || self.interpolator().busy()
-            || self.ffifo().busy()
+            || self.interpolator.busy()
+            || self.ffifo.busy()
             || self.texunits.iter().any(|t| t.busy())
             || self.colorwrite.iter().any(|c| c.busy())
     }
@@ -1521,14 +986,14 @@ impl Gpu {
     fn box_horizon(&self, entry: ScheduleEntry) -> Horizon {
         match entry {
             ScheduleEntry::Streamer => self.streamer.work_horizon(),
-            ScheduleEntry::PrimitiveAssembly => self.pa().work_horizon(),
-            ScheduleEntry::Clipper => self.clipper().work_horizon(),
-            ScheduleEntry::Setup => self.setup().work_horizon(),
-            ScheduleEntry::FragGen => self.fraggen().work_horizon(),
-            ScheduleEntry::Hz => self.hz().work_horizon(),
+            ScheduleEntry::PrimitiveAssembly => self.pa.work_horizon(),
+            ScheduleEntry::Clipper => self.clipper.work_horizon(),
+            ScheduleEntry::Setup => self.setup.work_horizon(),
+            ScheduleEntry::FragGen => self.fraggen.work_horizon(),
+            ScheduleEntry::Hz => self.hz.work_horizon(),
             ScheduleEntry::ZStencil(u) => self.zstencil[u as usize].work_horizon(),
-            ScheduleEntry::Interpolator => self.interpolator().work_horizon(),
-            ScheduleEntry::FragmentFifo => self.ffifo().work_horizon(),
+            ScheduleEntry::Interpolator => self.interpolator.work_horizon(),
+            ScheduleEntry::FragmentFifo => self.ffifo.work_horizon(),
             ScheduleEntry::TexUnit(u) => self.texunits[u as usize].work_horizon(),
             ScheduleEntry::ColorWrite(u) => self.colorwrite[u as usize].work_horizon(),
             ScheduleEntry::Dac => self.dac.work_horizon(),
@@ -1541,19 +1006,19 @@ impl Gpu {
     fn box_occupancy(&self, entry: ScheduleEntry) -> (bool, usize) {
         match entry {
             ScheduleEntry::Streamer => (self.streamer.busy(), self.streamer.queued()),
-            ScheduleEntry::PrimitiveAssembly => (self.pa().busy(), self.pa().queued()),
-            ScheduleEntry::Clipper => (self.clipper().busy(), self.clipper().queued()),
-            ScheduleEntry::Setup => (self.setup().busy(), self.setup().queued()),
-            ScheduleEntry::FragGen => (self.fraggen().busy(), self.fraggen().queued()),
-            ScheduleEntry::Hz => (self.hz().busy(), self.hz().queued()),
+            ScheduleEntry::PrimitiveAssembly => (self.pa.busy(), self.pa.queued()),
+            ScheduleEntry::Clipper => (self.clipper.busy(), self.clipper.queued()),
+            ScheduleEntry::Setup => (self.setup.busy(), self.setup.queued()),
+            ScheduleEntry::FragGen => (self.fraggen.busy(), self.fraggen.queued()),
+            ScheduleEntry::Hz => (self.hz.busy(), self.hz.queued()),
             ScheduleEntry::ZStencil(u) => {
                 let z = &self.zstencil[u as usize];
                 (z.busy(), z.queued())
             }
             ScheduleEntry::Interpolator => {
-                (self.interpolator().busy(), self.interpolator().queued())
+                (self.interpolator.busy(), self.interpolator.queued())
             }
-            ScheduleEntry::FragmentFifo => (self.ffifo().busy(), self.ffifo().queued()),
+            ScheduleEntry::FragmentFifo => (self.ffifo.busy(), self.ffifo.queued()),
             ScheduleEntry::TexUnit(u) => {
                 let t = &self.texunits[u as usize];
                 (t.busy(), t.queued())
@@ -1663,9 +1128,6 @@ impl Gpu {
     ///
     /// Returns the first [`SimError`] raised by any box's signals.
     pub fn try_step(&mut self) -> Result<(), SimError> {
-        if self.threading_active() {
-            return self.try_step_threaded();
-        }
         let cycle = self.cycle;
         self.cycle += 1;
         // `pipeline_busy` walks every box; only compute it on the cycles
@@ -1698,16 +1160,16 @@ impl Gpu {
             }
             let step = match entry {
                 ScheduleEntry::Streamer => self.streamer.clock(cycle, &mut self.mem),
-                ScheduleEntry::PrimitiveAssembly => self.pa_mut().clock(cycle),
-                ScheduleEntry::Clipper => self.clipper_mut().clock(cycle),
-                ScheduleEntry::Setup => self.setup_mut().clock(cycle),
-                ScheduleEntry::FragGen => self.fraggen_mut().clock(cycle),
-                ScheduleEntry::Hz => self.hz_mut().clock(cycle),
+                ScheduleEntry::PrimitiveAssembly => self.pa.clock(cycle),
+                ScheduleEntry::Clipper => self.clipper.clock(cycle),
+                ScheduleEntry::Setup => self.setup.clock(cycle),
+                ScheduleEntry::FragGen => self.fraggen.clock(cycle),
+                ScheduleEntry::Hz => self.hz.clock(cycle),
                 ScheduleEntry::ZStencil(u) => {
                     self.zstencil[u as usize].clock(cycle, &mut self.mem)
                 }
-                ScheduleEntry::Interpolator => self.interpolator_mut().clock(cycle),
-                ScheduleEntry::FragmentFifo => self.ffifo_mut().clock(cycle),
+                ScheduleEntry::Interpolator => self.interpolator.clock(cycle),
+                ScheduleEntry::FragmentFifo => self.ffifo.clock(cycle),
                 ScheduleEntry::TexUnit(u) => {
                     self.texunits[u as usize].clock(cycle, &mut self.mem)
                 }
@@ -1743,104 +1205,6 @@ impl Gpu {
         Ok(())
     }
 
-    /// One cycle under the threaded scheduler: serial prologue (Command
-    /// Processor and its side effects), parallel phase (the workers clock
-    /// the pipeline-chain domains while the coordinator clocks the
-    /// memory-coupled boxes), barrier, then mailbox drain in fixed wiring
-    /// order and the stats tick. Bit-identical to the serial walk — see
-    /// DESIGN.md §18 for the argument.
-    fn try_step_threaded(&mut self) -> Result<(), SimError> {
-        let cycle = self.cycle;
-        self.cycle += 1;
-        let idle =
-            self.cp.needs_idle_probe() && !self.pipeline_busy() && !self.mem.busy();
-        self.cp.clock(cycle, &mut self.mem, idle)?;
-        while let Some(action) = self.cp.actions.pop_front() {
-            self.apply_action(action);
-        }
-        // lint:allow(clock-unwrap) guarded by threading_active() at the try_step dispatch
-        let shared = Arc::clone(&self.pool.as_ref().expect("threaded step without a pool").shared);
-        let epoch = shared.epoch.load(Ordering::Relaxed) + 1;
-        shared.cycle.store(cycle, Ordering::Relaxed);
-        shared.epoch.store(epoch, Ordering::Release);
-        // The coordinator's own share of the cycle, while the workers run.
-        let mut first_failure: Option<WorkerFailure> = None;
-        let coord = std::mem::take(&mut self.coord_schedule);
-        for &(entry, pos) in coord.iter() {
-            let step = match entry {
-                ScheduleEntry::Streamer => self.streamer.clock(cycle, &mut self.mem),
-                ScheduleEntry::ZStencil(u) => {
-                    self.zstencil[u as usize].clock(cycle, &mut self.mem)
-                }
-                ScheduleEntry::TexUnit(u) => {
-                    self.texunits[u as usize].clock(cycle, &mut self.mem)
-                }
-                ScheduleEntry::ColorWrite(u) => {
-                    self.colorwrite[u as usize].clock(cycle, &mut self.mem)
-                }
-                ScheduleEntry::Dac => {
-                    self.dac.clock(cycle, &mut self.mem);
-                    Ok(())
-                }
-                ScheduleEntry::Memory => {
-                    self.mem.clock(cycle);
-                    Ok(())
-                }
-                // Chain boxes never land in the coordinator schedule.
-                _ => Ok(()),
-            };
-            if let Err(error) = step {
-                first_failure = Some(WorkerFailure::Error { pos, error });
-                break;
-            }
-        }
-        self.coord_schedule = coord;
-        // Barrier: wait until every worker has finished this epoch. The
-        // Acquire loads pair with the workers' Release stores, handing the
-        // cells (and every staged mailbox) back to the coordinator.
-        for done in &shared.done {
-            let mut spins = 0u32;
-            while done.load(Ordering::Acquire) != epoch {
-                barrier_wait(&mut spins);
-            }
-        }
-        // Deterministic error selection: of everything that failed this
-        // cycle, the failure at the smallest serial schedule position wins
-        // — exactly the error a serial walk would have surfaced first.
-        for slot in &shared.failures {
-            // lint:allow(clock-unwrap) a poisoned slot means a worker died mid-store; unrecoverable
-            if let Some(f) = slot.lock().expect("failure slot poisoned").take() {
-                if first_failure.as_ref().is_none_or(|b| f.pos() < b.pos()) {
-                    first_failure = Some(f);
-                }
-            }
-        }
-        match first_failure {
-            Some(WorkerFailure::Panic { message, .. }) => std::panic::panic_any(message),
-            Some(WorkerFailure::Error { error, .. }) => {
-                // Mirror the serial early-return: the machine is aborting,
-                // but flush what was latched so post-mortem counters
-                // reflect every completed write.
-                let _ = self.drain_staged();
-                Err(error)
-            }
-            None => {
-                self.drain_staged()?;
-                self.stats.tick(cycle);
-                Ok(())
-            }
-        }
-    }
-
-    /// Flushes every staged cross-domain mailbox into its wire, in fixed
-    /// wiring order.
-    fn drain_staged(&mut self) -> Result<(), SimError> {
-        for drain in &mut self.staged_drains {
-            drain.drain()?;
-        }
-        Ok(())
-    }
-
     fn apply_action(&mut self, action: CpAction) {
         // Actions reach into ROP caches, the HZ buffer and the DAC directly.
         self.wake_all_boxes();
@@ -1857,7 +1221,7 @@ impl Gpu {
                 let depth = (word & DEPTH_MAX) as f32 / DEPTH_MAX as f32;
                 let state = self.cp.state();
                 let (w, h) = (state.target_width, state.target_height);
-                self.hz_mut().fast_clear_for(base, w, h, depth);
+                self.hz.fast_clear_for(base, w, h, depth);
             }
             CpAction::Swap => {
                 for z in &mut self.zstencil {
@@ -1919,7 +1283,7 @@ impl Gpu {
         if end > self.mem.gpu_mem().size() as u64 {
             // lint:allow(hot-alloc) cold failure path: runs once, then the simulation aborts
             return Err(GpuError::BadConfig(format!(
-                "framebuffer {base:#x}..{end:#x} exceeds GPU memory                  ({} bytes)",
+                "framebuffer {base:#x}..{end:#x} exceeds GPU memory ({} bytes)",
                 self.mem.gpu_mem().size()
             )));
         }
@@ -1951,10 +1315,6 @@ impl Gpu {
         // Injected faults (stall windows, per-cycle hooks) consult state
         // the horizon cannot see; never skip cycles on a faulty machine.
         self.skip_idle = false;
-        // Fault hooks run inside the serial transport's write path; the
-        // staged lanes bypass it, so a chaos-tested machine clocks
-        // serially (the pool, if any, stays parked).
-        self.staging_enabled.set(false);
         let targets: Vec<String> = injector
             .plans()
             .iter()
@@ -2043,12 +1403,12 @@ impl Gpu {
             mem_ctrl: self.mem.save_state(),
             cp: self.cp.save_state(),
             streamer: self.streamer.save_state(),
-            pa_ids: self.pa().ids_issued(),
-            setup_ids: self.setup().ids_issued(),
-            fraggen_ids: self.fraggen().ids_issued(),
-            hz: self.hz().save_state(),
-            interpolator_next_input: self.interpolator().next_input(),
-            ffifo: self.ffifo().save_state(),
+            pa_ids: self.pa.ids_issued(),
+            setup_ids: self.setup.ids_issued(),
+            fraggen_ids: self.fraggen.ids_issued(),
+            hz: self.hz.save_state(),
+            interpolator_next_input: self.interpolator.next_input(),
+            ffifo: self.ffifo.save_state(),
             texunits: self.texunits.iter().map(TextureUnit::save_state).collect(),
             zstencil: self.zstencil.iter().map(ZStencilUnit::save_state).collect(),
             colorwrite: self.colorwrite.iter().map(ColorWriteUnit::save_state).collect(),
@@ -2090,33 +1450,8 @@ impl Gpu {
         ckpt: &Checkpoint,
         injector: Option<FaultInjector>,
     ) -> Result<Gpu, SimError> {
-        Self::restore_with_threads(config, 1, commands, ckpt, injector)
-    }
-
-    /// Like [`restore`](Self::restore), but rebuilds the machine with a
-    /// threaded clock loop ([`with_threads`](Self::with_threads)). The
-    /// thread count is free to differ from the run that wrote the
-    /// checkpoint — checkpoints capture only architectural state, and
-    /// every thread count produces bit-identical state, so a checkpoint
-    /// written at N threads restores and runs exactly the same at M.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::CheckpointMismatch`] on any hash, geometry or
-    /// layout mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config` itself is invalid (as [`Gpu::new`] would).
-    pub fn restore_with_threads(
-        config: GpuConfig,
-        threads: usize,
-        commands: &[GpuCommand],
-        ckpt: &Checkpoint,
-        injector: Option<FaultInjector>,
-    ) -> Result<Gpu, SimError> {
         ckpt.validate_against(&config, commands)?;
-        let mut gpu = Gpu::with_threads(config, threads);
+        let mut gpu = Gpu::new(config);
         if let Some(injector) = injector {
             gpu.adopt_faults(injector).map_err(|e| SimError::CheckpointMismatch {
                 reason: format!("cannot re-arm the fault injector: {e}"),
@@ -2176,12 +1511,12 @@ impl Gpu {
         }
         self.cp.enqueue(commands[consumed..].iter().cloned());
         self.streamer.load_state(&body.streamer);
-        self.pa_mut().restore_ids(body.pa_ids);
-        self.setup_mut().restore_ids(body.setup_ids);
-        self.fraggen_mut().restore_ids(body.fraggen_ids);
-        self.hz_mut().load_state(&body.hz)?;
-        self.interpolator_mut().restore_next_input(body.interpolator_next_input);
-        self.ffifo_mut().load_state(&body.ffifo);
+        self.pa.restore_ids(body.pa_ids);
+        self.setup.restore_ids(body.setup_ids);
+        self.fraggen.restore_ids(body.fraggen_ids);
+        self.hz.load_state(&body.hz)?;
+        self.interpolator.restore_next_input(body.interpolator_next_input);
+        self.ffifo.load_state(&body.ffifo);
         if body.texunits.len() != self.texunits.len()
             || body.zstencil.len() != self.zstencil.len()
             || body.colorwrite.len() != self.colorwrite.len()
@@ -2225,12 +1560,6 @@ impl Gpu {
         self.horizon_backoff = body.horizon_backoff;
         self.framebuffers = body.framebuffers.clone();
         self.trace_hash = trace_hash;
-        // The staged lanes mirror their wire's `total_written` locally;
-        // the probe restore above rewrote the core counters underneath
-        // them, so re-seed every mirror.
-        for drain in &mut self.staged_drains {
-            drain.resync();
-        }
         self.wake_all_boxes();
         Ok(())
     }
@@ -2418,7 +1747,7 @@ impl Gpu {
 
     /// Per-shader-unit busy cycles (Figure 9's shader utilization).
     pub fn shader_busy_cycles(&self) -> Vec<u64> {
-        self.ffifo().unit_busy_cycles()
+        self.ffifo.unit_busy_cycles()
     }
 
     /// Per-texture-unit busy cycles (Figure 9's TU utilization).
@@ -2434,15 +1763,15 @@ impl Gpu {
         let _ = writeln!(out, "draws:               {}", self.cp.draws_issued());
         let _ = writeln!(out, "vertices:            {}", self.streamer.vertices_issued());
         let _ = writeln!(out, "vertex cache hits:   {}", self.streamer.vertex_cache_hits());
-        let _ = writeln!(out, "triangles assembled: {}", self.pa().triangles_assembled());
-        let _ = writeln!(out, "triangles rejected:  {}", self.clipper().rejected());
-        let _ = writeln!(out, "faces culled:        {}", self.setup().face_culled());
-        let _ = writeln!(out, "fragments generated: {}", self.fraggen().fragments_generated());
-        let _ = writeln!(out, "HZ tiles rejected:   {}", self.hz().tiles_rejected());
+        let _ = writeln!(out, "triangles assembled: {}", self.pa.triangles_assembled());
+        let _ = writeln!(out, "triangles rejected:  {}", self.clipper.rejected());
+        let _ = writeln!(out, "faces culled:        {}", self.setup.face_culled());
+        let _ = writeln!(out, "fragments generated: {}", self.fraggen.fragments_generated());
+        let _ = writeln!(out, "HZ tiles rejected:   {}", self.hz.tiles_rejected());
         let z_tested: u64 = self.zstencil.iter().map(|z| z.fragments_tested()).sum();
         let z_passed: u64 = self.zstencil.iter().map(|z| z.fragments_passed()).sum();
         let _ = writeln!(out, "Z tested / passed:   {z_tested} / {z_passed}");
-        let _ = writeln!(out, "fragments shaded:    {}", self.ffifo().fragments_shaded());
+        let _ = writeln!(out, "fragments shaded:    {}", self.ffifo.fragments_shaded());
         let written: u64 = self.colorwrite.iter().map(|c| c.fragments_written()).sum();
         let _ = writeln!(out, "fragments written:   {written}");
         let (h, m, r) = self.texture_cache_stats();
@@ -2496,5 +1825,26 @@ mod tests {
         // 10 ms is 6000 frames per second.
         let r = RunResult { cycles: 4_000_000, frames: 60, framebuffers: Vec::new() };
         assert!((r.fps(400) - 6000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dump_framebuffer_refuses_out_of_range_surfaces() {
+        let gpu = Gpu::new(GpuConfig::baseline());
+        let size = gpu.memory().gpu_mem().size() as u64;
+        // One 8x8 tile (256 bytes) starting 64 bytes short of the end.
+        let base = size - 64;
+        assert_eq!(
+            gpu.dump_framebuffer(base, 8, 8),
+            Err(GpuError::BadConfig(format!(
+                "framebuffer {base:#x}..{:#x} exceeds GPU memory ({size} bytes)",
+                base + 256
+            )))
+        );
+        assert_eq!(
+            gpu.dump_framebuffer(u64::MAX - 8, 8, 8),
+            Err(GpuError::BadConfig(
+                "framebuffer at 0xfffffffffffffff7 wraps the address space".into()
+            ))
+        );
     }
 }

@@ -43,10 +43,7 @@
 //! several times faster in wall-clock.
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the one sanctioned exception is
-// [`shard::ShardCell`], the audited phase-disjoint cell behind the
-// multi-threaded clock loop, which opts in with a scoped `allow`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod address;
 pub mod checkpoint;
@@ -66,7 +63,6 @@ pub mod primitive_assembly;
 pub mod report;
 pub mod serve;
 pub mod setup;
-pub mod shard;
 pub mod state;
 pub mod streamer;
 pub mod sweep;

@@ -9,11 +9,9 @@
 //! dropped and no queue can overflow — queue-full conditions propagate
 //! upstream as back-pressure, exactly like the real pipeline.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
-use attila_sim::{Cycle, DrainStaged, Signal, SignalBinder, SignalReader, SignalWriter, SimError};
+use attila_sim::{Cycle, Signal, SignalBinder, SignalReader, SignalWriter, SimError};
 
 /// The sending endpoint of a flow-controlled connection.
 #[derive(Debug)]
@@ -128,15 +126,6 @@ impl<T: std::fmt::Debug> PortSender<T> {
         attila_sim::PortDecl::output(self.name())
             .with_bandwidth(self.bandwidth())
             .with_flow_control()
-    }
-
-    /// Puts the forward data wire into staged (mailbox) mode for the
-    /// multi-threaded clock loop; see [`SignalWriter::stage`].
-    pub fn stage(&mut self, enabled: Rc<Cell<bool>>) -> Box<dyn DrainStaged>
-    where
-        T: 'static,
-    {
-        self.data.stage(enabled)
     }
 }
 
@@ -260,14 +249,6 @@ impl<T: std::fmt::Debug> PortReceiver<T> {
         attila_sim::PortDecl::input(self.name())
             .with_bandwidth(self.bandwidth())
             .with_flow_control()
-    }
-
-    /// Puts the backward credit wire into staged (mailbox) mode for the
-    /// multi-threaded clock loop; see [`SignalWriter::stage`]. A port that
-    /// crosses a thread boundary stages *both* wires: data is written by
-    /// the sender's thread, credits by this receiver's thread.
-    pub fn stage_credits(&mut self, enabled: Rc<Cell<bool>>) -> Box<dyn DrainStaged> {
-        self.credits_out.stage(enabled)
     }
 }
 

@@ -45,6 +45,7 @@ use crate::commands::GpuCommand;
 use crate::config::GpuConfig;
 use crate::gpu::Gpu;
 use crate::report::FailureReport;
+use crate::sweep::panic_text;
 
 /// One trace job submitted to the daemon.
 #[derive(Debug, Clone)]
@@ -66,11 +67,6 @@ pub struct JobSpec {
     /// Used by [`smoke`] and the tests to prove the daemon survives a
     /// panicking worker; empty in normal operation.
     pub panic_on_attempts: Vec<u32>,
-    /// Clock-loop threads for this job's machine (1 = the serial loop).
-    /// Results are bit-identical at every count — see
-    /// [`Gpu::with_threads`] — and resumed attempts are free to use a
-    /// different count than the attempt that wrote the checkpoint.
-    pub threads: usize,
 }
 
 impl JobSpec {
@@ -83,7 +79,6 @@ impl JobSpec {
             max_cycles: 2_000_000_000,
             checkpoint_every: None,
             panic_on_attempts: Vec::new(),
-            threads: 1,
         }
     }
 }
@@ -260,16 +255,6 @@ fn checkpoint_path(work_dir: &Path, id: &str) -> PathBuf {
     work_dir.join(format!("{stem}.ckpt"))
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 /// Tries to resume from the job's checkpoint file. Any problem — no
 /// file, corrupt file, hash mismatch — falls back to a fresh start, so a
 /// bad checkpoint can never wedge a retry.
@@ -279,14 +264,7 @@ fn try_resume(spec: &JobSpec, ckpt_path: &Path) -> Option<(Gpu, u64)> {
     }
     let ckpt = Checkpoint::read_file(ckpt_path).ok()?;
     let base_frames = ckpt.body.frames;
-    let gpu = Gpu::restore_with_threads(
-        spec.config.clone(),
-        spec.threads.max(1),
-        &spec.commands,
-        &ckpt,
-        None,
-    )
-    .ok()?;
+    let gpu = Gpu::restore(spec.config.clone(), &spec.commands, &ckpt, None).ok()?;
     Some((gpu, base_frames))
 }
 
@@ -301,7 +279,7 @@ fn run_attempt(
     }
     let (mut gpu, base_frames, resumed) = match try_resume(spec, ckpt_path) {
         Some((gpu, frames)) => (gpu, frames, true),
-        None => (Gpu::with_threads(spec.config.clone(), spec.threads.max(1)), 0, false),
+        None => (Gpu::new(spec.config.clone()), 0, false),
     };
     gpu.max_cycles = spec.max_cycles;
     gpu.keep_frames = false;

@@ -27,11 +27,6 @@ pub struct SweepJob {
     pub label: String,
     /// The full GPU configuration for this run.
     pub config: GpuConfig,
-    /// Clock-loop threads for this job's machine (1 = the serial loop;
-    /// see [`Gpu::with_threads`]). Results are bit-identical at every
-    /// count, so this only trades per-job wall-clock against the number
-    /// of sweep workers sharing the host.
-    pub threads: usize,
 }
 
 /// The outcome of one sweep job.
@@ -64,18 +59,15 @@ pub struct SweepOutcome {
     pub error: Option<String>,
 }
 
-/// How many end-of-run statistics to keep per job (the full ~300-stat
-/// dump times the grid size gets large; sweeps keep the totals).
-fn collect_outcome(
-    label: String,
-    config: GpuConfig,
-    commands: &[GpuCommand],
-    threads: usize,
-) -> SweepOutcome {
+/// Runs one job to completion on a fresh [`Gpu`] (no frame dumps, a
+/// 2 G-cycle watchdog) and reduces it to its report row: cycle and frame
+/// counts, memory and texture-cache totals and every end-of-run statistic
+/// total. A run that aborts yields a row carrying the error instead.
+fn collect_outcome(label: String, config: GpuConfig, commands: &[GpuCommand]) -> SweepOutcome {
     let clock = config.display.clock_mhz;
     // lint:allow(wall-clock) host-side harness timing; excluded from the deterministic report fields
     let start = std::time::Instant::now();
-    let mut gpu = Gpu::with_threads(config, threads.max(1));
+    let mut gpu = Gpu::new(config);
     gpu.keep_frames = false;
     gpu.max_cycles = 2_000_000_000;
     match gpu.run_trace(commands) {
@@ -131,16 +123,16 @@ fn collect_outcome_caught(
     label: String,
     config: GpuConfig,
     commands: &[GpuCommand],
-    threads: usize,
 ) -> SweepOutcome {
     let keep = label.clone();
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        collect_outcome(label, config, commands, threads)
+        collect_outcome(label, config, commands)
     }));
     caught.unwrap_or_else(|payload| failed_outcome(keep, panic_text(payload.as_ref())))
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+/// Extracts a printable message from a caught panic payload.
+pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -183,7 +175,7 @@ pub fn run_sweep(
     if workers <= 1 || n_jobs <= 1 {
         return jobs
             .into_iter()
-            .map(|j| collect_outcome_caught(j.label, j.config, &commands, j.threads))
+            .map(|j| collect_outcome_caught(j.label, j.config, &commands))
             .collect();
     }
     let labels: Vec<String> = jobs.iter().map(|j| j.label.clone()).collect();
@@ -202,8 +194,7 @@ pub fn run_sweep(
             scope.spawn(move || loop {
                 let job = queue.lock().expect("queue lock").pop();
                 let Some((idx, job)) = job else { break };
-                let outcome =
-                    collect_outcome_caught(job.label, job.config, &commands, job.threads);
+                let outcome = collect_outcome_caught(job.label, job.config, &commands);
                 results.lock().expect("results lock")[idx] = Some(outcome);
             });
         }
@@ -299,7 +290,7 @@ mod tests {
                 );
                 config.display.width = 32;
                 config.display.height = 32;
-                SweepJob { label: format!("job{i}"), config, threads: 1 + i % 2 }
+                SweepJob { label: format!("job{i}"), config }
             })
             .collect()
     }
@@ -339,7 +330,7 @@ mod tests {
         bad.colorwrite.units = 1;
         for workers in [1, 3] {
             let mut jobs = tiny_jobs(3);
-            jobs.insert(1, SweepJob { label: "bad".into(), config: bad.clone(), threads: 1 });
+            jobs.insert(1, SweepJob { label: "bad".into(), config: bad.clone() });
             let outcomes = run_sweep(jobs, tiny_commands(), workers);
             assert_eq!(outcomes.len(), 4, "workers={workers}: all rows present");
             assert_eq!(outcomes[1].label, "bad", "workers={workers}: job order kept");

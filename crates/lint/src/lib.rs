@@ -34,18 +34,18 @@
 //! | `clock-unwrap`   | warn     | `.unwrap()` / `.expect(` / `panic!` in clock-reachable functions that return `Result` |
 //! | `as-cast`        | warn     | narrowing `as` casts on lines doing address arithmetic in clock-reachable functions |
 //! | `hot-alloc`      | deny     | growable-container construction (`VecDeque::new`) and `String` building (`format!`, `.to_string()`, `String::from`, `.to_owned()`) in clock-reachable functions |
-//! | `shared-mut`     | deny     | `RefCell`/`Cell` tokens or `.borrow()`/`.borrow_mut()` calls in clock- or domain-step-reachable functions of the clocked box crates |
+//! | `shared-mut`     | deny     | `RefCell`/`Cell` tokens or `.borrow()`/`.borrow_mut()` calls in clock-reachable functions of the clocked box crates |
 //! | `state-coverage` | deny     | a field of a checkpoint-participating struct that is neither serialized nor annotated `// state: derived` / `// state: transient` |
 //! | `state-pair`     | deny     | a field covered by *some* but not *all* of its save/restore paths (checkpoint drift) |
 //! | `state-annotation`| warn    | a `// state:` annotation whose kind is not `derived` or `transient` |
-//! | `phase-safety`   | deny     | `static mut`, `ShardCell` dereferenced outside its sanctioned funnels, or lock traffic reachable from the threaded domain-step entry points |
-//! | `phase-unsafe`   | deny     | an `unsafe` block or impl outside `crates/core`, or inside it without a `// SAFETY:` comment directly above |
 //! | `horizon-purity` | deny     | field mutation, interior mutability or statistic writes reachable from any `work_horizon()` |
 //! | `unused-allow`   | warn     | a `lint:allow(...)` suppression that no longer matches any finding |
 //!
-//! The three v2 passes (`state-*`, `phase-*`, `horizon-purity`) run on a
-//! lightweight struct/impl-aware model of the workspace ([`model`]) and
-//! are documented in detail in `DESIGN.md` §21.
+//! The v2 passes (`state-*`, `horizon-purity`) run on a lightweight
+//! struct/impl-aware model of the workspace ([`model`]) and are
+//! documented in detail in `DESIGN.md` §21. There is no `unsafe` rule:
+//! every library crate root carries `#![forbid(unsafe_code)]`, which the
+//! compiler checks (and without `unsafe` a `static mut` cannot be used).
 //!
 //! The `hot-alloc` rule guards the zero-allocation signal transport: the
 //! per-cycle path must never build strings (signal names are interned
@@ -53,15 +53,16 @@
 //! bind time). Construction-time code (`new`, `with_name`, binders) is
 //! not clock-reachable and stays free to allocate.
 //!
-//! The `shared-mut` rule guards the clock-domain scheduler: a box whose
-//! `clock()` reaches an `Rc<RefCell<…>>` or `Cell<…>` has hidden shared
-//! state that the min-cut partitioner cannot see, so two domains could
-//! race through it. Boxes must communicate through registered signals
-//! (which the partitioner counts) or `ShardCell` (whose phase-ownership
-//! discipline is documented at each access). The rule is scoped to
-//! `crates/core/` and `crates/mem/` — `crates/sim/` is the sanctioned
-//! transport layer and owns the one legitimate shared lane (the staged
-//! mailbox, drained single-threaded at the cycle barrier).
+//! The `shared-mut` rule guards the paper's model — boxes talk only
+//! through signals: a box whose `clock()` reaches an `Rc<RefCell<…>>` or
+//! `Cell<…>` may share state with another box behind the wires, a channel
+//! with no latency, no bandwidth and no verification, whose effect
+//! depends on the order the boxes are clocked in. The rule is scoped to
+//! `crates/core/` and `crates/mem/` — `crates/sim/` is the transport
+//! layer, and its wires are the one sanctioned piece of state two boxes
+//! share.
+
+#![forbid(unsafe_code)]
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -82,8 +83,6 @@ pub const RULES: &[&str] = &[
     "state-coverage",
     "state-pair",
     "state-annotation",
-    "phase-safety",
-    "phase-unsafe",
     "horizon-purity",
     "unused-allow",
 ];
@@ -144,9 +143,6 @@ pub struct ScannedFile {
     /// `state: <kind>` field annotations by 0-based line number. The kind
     /// is the first word after the colon (`derived`, `transient`, ...).
     pub state_notes: BTreeMap<usize, String>,
-    /// 0-based lines whose comment text contains `SAFETY` — the
-    /// obligation-discharge markers required next to `unsafe` blocks.
-    pub safety_lines: BTreeSet<usize>,
 }
 
 impl ScannedFile {
@@ -159,7 +155,6 @@ impl ScannedFile {
             lines: s.lines,
             allows: s.allows,
             state_notes: s.state_notes,
-            safety_lines: s.safety_lines,
         }
     }
 
@@ -178,29 +173,6 @@ impl ScannedFile {
             .or_else(|| line.checked_sub(1).and_then(|l| self.state_notes.get(&l)))
             .map(String::as_str)
     }
-
-    /// Whether a `SAFETY` comment covers `line`: on the line itself
-    /// (trailing) or anywhere in the contiguous run of comment/blank
-    /// lines directly above it — multi-line `// SAFETY:` blocks carry
-    /// the marker only on their first line.
-    pub fn safety_nearby(&self, line: usize) -> bool {
-        if self.safety_lines.contains(&line) {
-            return true;
-        }
-        let mut l = line;
-        while l > 0 {
-            l -= 1;
-            if self.safety_lines.contains(&l) {
-                return true;
-            }
-            // Stop at the first line that holds actual code: stripped
-            // comment-only lines are empty.
-            if !self.lines.get(l).is_some_and(|s| s.trim().is_empty()) {
-                return false;
-            }
-        }
-        false
-    }
 }
 
 /// Collector for the stripped view of one source file.
@@ -208,7 +180,6 @@ struct Stripped {
     lines: Vec<String>,
     allows: BTreeMap<usize, BTreeSet<String>>,
     state_notes: BTreeMap<usize, String>,
-    safety_lines: BTreeSet<usize>,
 }
 
 /// Records every `lint:allow(a, b)` occurrence in a comment's text.
@@ -224,8 +195,8 @@ fn record_allows(text: &str, line: usize, allows: &mut BTreeMap<usize, BTreeSet<
     }
 }
 
-/// Processes one comment's text: suppressions, `state:` annotations and
-/// `SAFETY` markers. Doc comments (`///`, `//!`) are documentation, not
+/// Processes one comment's text: suppressions and `state:` annotations.
+/// Doc comments (`///`, `//!`) are documentation, not
 /// annotations — a rendered example like `lint:allow(rule)` in rustdoc
 /// must not suppress anything. `state:` must lead the comment (after
 /// `/`, `*`, `!` decoration) so prose like "machine state: all of it"
@@ -242,21 +213,17 @@ fn record_comment(text: &str, line: usize, s: &mut Stripped) {
             s.state_notes.insert(line, kind);
         }
     }
-    if text.contains("SAFETY") {
-        s.safety_lines.insert(line);
-    }
 }
 
 /// Blanks comments and string/char-literal contents, preserving the line
-/// structure, and collects suppression/state/SAFETY annotations from
-/// comment text.
+/// structure, and collects suppression/state annotations from comment
+/// text.
 fn strip(source: &str) -> Stripped {
     let chars: Vec<char> = source.chars().collect();
     let mut s = Stripped {
         lines: Vec::new(),
         allows: BTreeMap::new(),
         state_notes: BTreeMap::new(),
-        safety_lines: BTreeSet::new(),
     };
     let mut cur = String::new();
     let mut line = 0usize;
@@ -900,8 +867,8 @@ mod tests {
         assert_eq!(shared.len(), 2, "{hits:?}");
         assert!(shared.iter().all(|h| h.severity == Severity::Deny));
 
-        // Identifier boundaries: ShardCell/UnsafeCell are not `Cell`.
-        let src2 = "fn clock(&mut self) { let s: &ShardCell<u8> = cells; }\n";
+        // Identifier boundaries: `UnsafeCell` is not `Cell`.
+        let src2 = "fn clock(&mut self) { let s: &UnsafeCell<u8> = cells; }\n";
         assert!(core(src2).iter().all(|h| h.rule != "shared-mut"));
 
         // Same code off the clock path (bind time): clean.
@@ -909,7 +876,7 @@ mod tests {
             .iter()
             .all(|h| h.rule != "shared-mut"));
 
-        // The transport crate is the sanctioned owner of shared lanes.
+        // The transport crate owns the wires, the sanctioned shared state.
         let sim = lint(&[ScannedFile::new(
             "crates/sim/src/signal.rs",
             "fn clock(&mut self) { let q = lane.borrow_mut(); }\n",
@@ -918,7 +885,7 @@ mod tests {
 
         // The escape hatch still works.
         let src3 = "fn clock(&mut self) {\n\
-                        // lint:allow(shared-mut) drained single-threaded at the barrier\n\
+                        // lint:allow(shared-mut) private to this box\n\
                         let q = lane.borrow_mut();\n\
                     }\n";
         assert!(core(src3).iter().all(|h| h.rule != "shared-mut"));

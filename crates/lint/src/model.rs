@@ -25,7 +25,7 @@ pub struct FnInfo {
     /// Index into the scanned-file slice.
     pub file: usize,
     /// The innermost `impl` block's type name containing this function
-    /// (`impl Streamer` and `impl SimBox for Streamer` both own as
+    /// (`impl Streamer` and `impl Debug for Streamer` both own as
     /// `Streamer`), or `None` for free functions.
     pub owner: Option<String>,
     /// The extracted function.
@@ -603,16 +603,16 @@ mod tests {
     #[test]
     fn reachability_walks_the_call_graph() {
         let f = file(
-            "fn clock_pure() { step_one(); }\n\
+            "fn try_step() { step_one(); }\n\
              fn step_one() { leaf(); }\n\
              fn leaf() {}\n\
              fn unrelated() { leaf(); }\n",
         );
         let m = SourceModel::build(std::slice::from_ref(&f));
-        let roots = m.fns_named(&["clock_pure"]);
+        let roots = m.fns_named(&["try_step"]);
         let reach = m.reachable(&roots);
         let names: Vec<&str> =
             reach.iter().map(|&i| m.fns[i].func.name.as_str()).collect();
-        assert_eq!(names, ["clock_pure", "step_one", "leaf"]);
+        assert_eq!(names, ["try_step", "step_one", "leaf"]);
     }
 }

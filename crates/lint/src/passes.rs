@@ -2,11 +2,9 @@
 //!
 //! Rules fall into four groups:
 //!
-//! * whole-file scans (`hash-iter`, `wall-clock`, plus the structural
-//!   parts of `phase-safety`/`phase-unsafe`),
-//! * clock-reachability rules rooted at `clock`/`try_step`/`clock_pure`
-//!   (`clock-unwrap`, `as-cast`, `hot-alloc`, `shared-mut`, and the
-//!   lock-traffic part of `phase-safety`),
+//! * whole-file scans (`hash-iter`, `wall-clock`),
+//! * clock-reachability rules rooted at `clock`/`try_step`
+//!   (`clock-unwrap`, `as-cast`, `hot-alloc`, `shared-mut`),
 //! * horizon-reachability rules rooted at `work_horizon`
 //!   (`horizon-purity`),
 //! * checkpoint coverage over struct fields (`state-coverage`,
@@ -25,18 +23,9 @@ use crate::{has_narrowing_cast, has_token, is_ident_char, Finding, ScannedFile, 
 const CLOCKED_CRATES: &[&str] = &["core", "mem", "sim"];
 
 /// Crates holding the clocked boxes themselves. `crates/sim/` is absent:
-/// it is the transport layer and owns the sanctioned shared lane (the
-/// staged mailbox drained at the barrier).
+/// it is the transport layer, whose wires are the one sanctioned piece of
+/// state two boxes share.
 const BOX_CRATES: &[&str] = &["core", "mem"];
-
-/// The only files that may name `ShardCell`: its definition, the
-/// phase-ownership coordinator, and the crate root that re-exports it.
-const SHARD_FUNNELS: &[&str] =
-    &["crates/core/src/shard.rs", "crates/core/src/gpu.rs", "crates/core/src/lib.rs"];
-
-/// The coordinator file whose barrier machinery (worker failure slots,
-/// parked-thread handoff) legitimately uses locks off the hot path.
-const COORDINATOR: &str = "crates/core/src/gpu.rs";
 
 /// `state:` annotation kinds that exempt a field from checkpoint
 /// coverage: `derived` (rebuilt at elaboration or from other state),
@@ -95,10 +84,6 @@ fn in_crates(path: &str, crates: &[&str]) -> bool {
     crates.iter().any(|k| in_crate(path, k))
 }
 
-fn path_is(path: &str, tail: &str) -> bool {
-    path == tail || (path.ends_with(tail) && path[..path.len() - tail.len()].ends_with('/'))
-}
-
 /// Emits findings, consuming suppressions and recording which were used.
 struct Emitter<'m> {
     files: &'m [ScannedFile],
@@ -154,7 +139,6 @@ pub fn run(model: &SourceModel<'_>) -> Vec<Finding> {
 
 fn whole_file_rules(model: &SourceModel<'_>, em: &mut Emitter<'_>) {
     for (fi, file) in model.files.iter().enumerate() {
-        let shard_funnel = SHARD_FUNNELS.iter().any(|t| path_is(&file.path, t));
         for (li, line) in file.lines.iter().enumerate() {
             if has_token(line, "HashMap") || has_token(line, "HashSet") {
                 em.emit(
@@ -179,92 +163,12 @@ fn whole_file_rules(model: &SourceModel<'_>, em: &mut Emitter<'_>) {
                     "wall-clock reads make simulated timing depend on host speed".into(),
                 );
             }
-            if line.contains("static mut") {
-                em.emit(
-                    fi,
-                    li,
-                    "phase-safety",
-                    Severity::Deny,
-                    "mutable statics are unsynchronized shared state invisible to \
-                     the phase-ownership discipline"
-                        .into(),
-                );
-            }
-            if !shard_funnel && has_token(line, "ShardCell") {
-                em.emit(
-                    fi,
-                    li,
-                    "phase-safety",
-                    Severity::Deny,
-                    "`ShardCell` may only be touched through its sanctioned \
-                     funnels (shard.rs and the gpu.rs coordinator accessors); \
-                     route chain-box access through those"
-                        .into(),
-                );
-            }
-            unsafe_rule(fi, li, line, &file.path, em);
         }
     }
-}
-
-/// `phase-unsafe`: an `unsafe` block or impl is only legal inside
-/// `crates/core` and only with a `SAFETY` comment at most two lines
-/// above. `unsafe fn` declarations are contracts, not uses — the caller
-/// carries the obligation — so they pass.
-fn unsafe_rule(fi: usize, li: usize, line: &str, path: &str, em: &mut Emitter<'_>) {
-    let Some(pos) = find_token(line, "unsafe") else { return };
-    let rest = line[pos + "unsafe".len()..].trim_start();
-    if rest.starts_with("fn") && !rest[2..].starts_with(|c: char| is_ident_char(c)) {
-        return;
-    }
-    if !in_crate(path, "core") {
-        em.emit(
-            fi,
-            li,
-            "phase-unsafe",
-            Severity::Deny,
-            "`unsafe` is only sanctioned in crates/core (the ShardCell \
-             phase-ownership machinery); this crate must stay safe"
-                .into(),
-        );
-        return;
-    }
-    if !em.files[fi].safety_nearby(li) {
-        em.emit(
-            fi,
-            li,
-            "phase-unsafe",
-            Severity::Deny,
-            "`unsafe` without a `// SAFETY:` comment directly above; document \
-             which phase owns the touched state and why the access cannot race"
-                .into(),
-        );
-    }
-}
-
-/// Byte offset of `needle` as a whole token in `hay`, if present.
-fn find_token(hay: &str, needle: &str) -> Option<usize> {
-    let mut offset = 0usize;
-    while let Some(pos) = hay[offset..].find(needle) {
-        let abs = offset + pos;
-        let before_ok = abs == 0 || !hay[..abs].chars().next_back().is_some_and(is_ident_char);
-        let after = abs + needle.len();
-        let after_ok =
-            after >= hay.len() || !hay[after..].chars().next().is_some_and(is_ident_char);
-        if before_ok && after_ok {
-            return Some(abs);
-        }
-        offset = abs + needle.len();
-    }
-    None
 }
 
 fn clock_rules(model: &SourceModel<'_>, em: &mut Emitter<'_>) {
-    // `clock`/`try_step` are the serial-loop roots; `clock_pure` is the
-    // per-domain step funnel every worker thread runs, which extends the
-    // shared-state rules from a name list to a reachability argument
-    // over the threaded path as well.
-    let roots = model.fns_named(&["clock", "try_step", "clock_pure"]);
+    let roots = model.fns_named(&["clock", "try_step"]);
     for &idx in &model.reachable(&roots) {
         let info = &model.fns[idx];
         let file = &model.files[info.file];
@@ -327,50 +231,26 @@ fn clock_rules(model: &SourceModel<'_>, em: &mut Emitter<'_>) {
                     ),
                 );
             }
-            if in_crates(&file.path, BOX_CRATES) {
-                if line.contains(".borrow_mut(")
+            if in_crates(&file.path, BOX_CRATES)
+                && (line.contains(".borrow_mut(")
                     || line.contains(".borrow(")
                     || has_token(line, "RefCell")
-                    || has_token(line, "Cell")
-                {
-                    em.emit(
-                        info.file,
-                        li,
-                        "shared-mut",
-                        Severity::Deny,
-                        format!(
-                            "shared interior mutability on the clock path in `{}`: \
-                             `Rc<RefCell<..>>`/`Cell<..>` is invisible to the \
-                             clock-domain partitioner and can race across domains; \
-                             use registered signals or `ShardCell` with a \
-                             documented phase owner",
-                            f.name
-                        ),
-                    );
-                }
-                // Lock traffic on the clocked path deadlocks the cycle
-                // barrier; only the gpu.rs coordinator (worker failure
-                // slots, parked-thread handoff) may hold locks.
-                if !path_is(&file.path, COORDINATOR)
-                    && (has_token(line, "Mutex")
-                        || has_token(line, "RwLock")
-                        || has_token(line, "Condvar")
-                        || line.contains(".lock("))
-                {
-                    em.emit(
-                        info.file,
-                        li,
-                        "phase-safety",
-                        Severity::Deny,
-                        format!(
-                            "lock traffic in clock-reachable `{}`: blocking \
-                             inside a domain step can deadlock the cycle \
-                             barrier; cross-domain data belongs in signals or \
-                             the staged mailbox",
-                            f.name
-                        ),
-                    );
-                }
+                    || has_token(line, "Cell"))
+            {
+                em.emit(
+                    info.file,
+                    li,
+                    "shared-mut",
+                    Severity::Deny,
+                    format!(
+                        "shared interior mutability on the clock path in `{}`: \
+                         boxes talk only through signals, and state reached \
+                         through `Rc<RefCell<..>>`/`Cell<..>` is a channel \
+                         with no latency, bandwidth or verification; use a \
+                         registered signal",
+                        f.name
+                    ),
+                );
             }
         }
     }

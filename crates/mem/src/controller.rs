@@ -267,8 +267,6 @@ pub struct MemoryController {
     /// Injected fault schedule (stalls, reply bit flips), when armed.
     faults: Option<MemFaultHandle>, // state: transient — fault schedules are re-armed per run, never checkpointed
     /// Signal-trace sink for per-bank DRAM issue events, when attached.
-    /// Tracing already forces the serial clock loop, so the shared sink
-    /// is never touched from a worker thread.
     trace: Option<TraceSink>,
 }
 
@@ -445,7 +443,7 @@ impl MemoryController {
         // An injected stall freezes the whole controller: nothing is
         // issued, completed or delivered while the window is open.
         if let Some(f) = &self.faults {
-            // lint:allow(shared-mut) fault hooks force the serial loop; never clocked from a worker
+            // lint:allow(shared-mut) shared with the fault injector that owns the schedule, not with another box
             if f.borrow_mut().stalled(cycle) {
                 return;
             }
@@ -529,7 +527,7 @@ impl MemoryController {
                         // A scheduled single-bit error: the DRAM cell itself
                         // is flipped, so the corruption reaches both this
                         // reply and every later functional read.
-                        // lint:allow(shared-mut) fault hooks force the serial loop; never clocked from a worker
+                        // lint:allow(shared-mut) shared with the fault injector that owns the schedule, not with another box
                         if let Some(bit) = f.borrow_mut().next_read_flip() {
                             let mask = 1u8 << bit;
                             let mut byte = [0u8; 1];
@@ -567,9 +565,9 @@ impl MemoryController {
 
     /// Records one DRAM issue on the channel/bank's interned signal.
     ///
-    /// Out of line and cold: tracing is a debug mode that already forces
-    /// the serial clock loop and accepts formatting costs, exactly like
-    /// the fault hooks above. The hot path pays only the `is_some` check.
+    /// Out of line and cold: tracing is a debug mode that accepts
+    /// formatting costs, exactly like the fault hooks above. The hot path
+    /// pays only the `is_some` check.
     #[cold]
     fn trace_issue(&self, ch_idx: usize, report: IssueReport, dir: Direction) {
         let Some(sink) = &self.trace else { return };
@@ -587,7 +585,7 @@ impl MemoryController {
             report.start,
             report.done
         );
-        // lint:allow(shared-mut) trace sink is only written under the serial loop
+        // lint:allow(shared-mut) the trace sink is a write-only observer, not a channel to another box
         sink.borrow_mut().push(TraceEvent { cycle: report.done, signal: signal.clone(), info });
     }
 

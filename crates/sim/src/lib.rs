@@ -6,10 +6,13 @@
 //!
 //! The framework is structured on two fundamental abstractions:
 //!
-//! * **Boxes** ([`SimBox`]) model a "large enough" piece of a hardware
-//!   pipeline — e.g. the Clipper or the Fragment Generator. A box may use
-//!   local data (registers, queues) and data read from its input signals to
-//!   update its state and drive its output signals, once per cycle.
+//! * **Boxes** model a "large enough" piece of a hardware pipeline — e.g.
+//!   the Clipper or the Fragment Generator. A box may use local data
+//!   (registers, queues) and data read from its input signals to update
+//!   its state and drive its output signals, once per cycle. This crate
+//!   has no box type: a box is any struct that owns signal endpoints and
+//!   has a `clock(cycle)` method, and the one clock loop that drives them
+//!   is `attila_core::Gpu::try_step`.
 //! * **Signals** ([`Signal`]) are the wires connecting boxes. All
 //!   communication between boxes happens in a message-passing style by
 //!   sending data through a signal. Every signal has an associated
@@ -26,20 +29,19 @@
 //!   ([`trace`] module).
 //! * [`DynamicObject`] — identity attached to the objects that travel
 //!   through signals (an id, a parent id forming a multilevel hierarchy —
-//!   fragment → triangle → batch —, a colour and an info string).
+//!   fragment → triangle → batch — and a colour; three plain words).
 //! * [`StatsRegistry`] — named statistics, sampled in configurable cycle
 //!   windows and dumped as CSV (the paper's simulator supports ~300
 //!   statistics).
 //! * [`Horizon`] — the event-horizon contract behind idle-aware clocking:
 //!   each box reports whether clocking it before some future cycle could
-//!   change observable state, and a scheduler (see
-//!   [`Scheduler::step_many`]) jumps the clock over stretches every unit
-//!   and every in-flight wire agree are dead time. Results are
+//!   change observable state, and the clock loop jumps over stretches
+//!   every unit and every in-flight wire agree are dead time. Results are
 //!   bit-identical to per-cycle clocking; only wall-clock time changes.
 //! * [`WakeLine`] — one per reader box, handed out by the binder and
 //!   raised by every write towards that box to the object's arrival
-//!   cycle, so a scheduler can also leave a *single* idle box unclocked
-//!   without missing its next input.
+//!   cycle, so the clock loop can also leave a *single* idle box
+//!   unclocked without missing its next input.
 //!
 //! ## Example
 //!
@@ -67,13 +69,12 @@
 #![forbid(unsafe_code)]
 
 pub mod binder;
-pub mod boxes;
 pub mod error;
 pub mod fault;
+pub mod horizon;
 pub mod lint;
 pub mod name;
 pub mod object;
-pub mod partition;
 pub mod rng;
 pub mod signal;
 pub mod stats;
@@ -84,19 +85,16 @@ pub use binder::{SignalBinder, SignalDirection, SignalInfo};
 pub use lint::{
     BoxNode, LintFinding, LintReport, PortDecl, Severity, SignalEdge, Topology, TopologySummary,
 };
-pub use boxes::{Horizon, Scheduler, SimBox};
 pub use error::SimError;
 pub use fault::{
     FaultInjector, FaultInjectorState, FaultPlan, FaultWrite, MemFaultHandle, MemFaultsState,
     SignalFaultHandle, SignalFaultsState,
 };
+pub use horizon::Horizon;
 pub use name::SignalName;
 pub use object::{DynamicObject, ObjectIdGen, Traceable};
-pub use partition::partition_chain;
 pub use rng::TinyRng;
-pub use signal::{
-    DrainStaged, Signal, SignalProbe, SignalReader, SignalStatus, SignalWriter, WakeLine,
-};
+pub use signal::{Signal, SignalProbe, SignalReader, SignalStatus, SignalWriter, WakeLine};
 pub use stats::{Counter, Gauge, StatSnapshotEntry, StatsRegistry, StatsSnapshot};
 pub use trace::{SignalTrace, TraceEvent, TraceSink};
 pub use viz::{render_html, VizOptions};

@@ -40,7 +40,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::binder::{SignalDirection, SignalInfo};
-use crate::boxes::Horizon;
+use crate::horizon::Horizon;
 use crate::Cycle;
 
 /// One port a box declares as part of its interface contract.

@@ -23,8 +23,7 @@
 //! fragment quad — is boxed once where Hierarchical Z creates it, so every
 //! wire slot, port queue and `Result<Option<T>>` on its way to the ROPs
 //! moves a pointer. One allocation per quad, freed by whichever box
-//! retires it, is all a pool would have saved; a pool would also have to
-//! be shared between clock domains, which the threaded loop forbids.
+//! retires it, is all a pool would have saved.
 
 use std::fmt;
 

@@ -247,9 +247,7 @@ impl WireSlot {
 ///
 /// The [`SignalBinder`](crate::SignalBinder) hands one line to every wire
 /// registered towards the same reader box; each write raises it to the
-/// object's arrival cycle, staged-mailbox drains included (they replay
-/// through the same write path). The line is only ever touched by the
-/// phase owner of the reader's wires, like the wires themselves.
+/// object's arrival cycle.
 #[derive(Debug, Clone, Default)]
 pub struct WakeLine(Rc<Cell<Cycle>>);
 
@@ -485,86 +483,6 @@ impl<T: fmt::Debug> SignalCore<T> {
     }
 }
 
-/// Staged (mailbox) writing state of a [`SignalWriter`], used by the
-/// multi-threaded clock loop.
-///
-/// When a wire crosses a clock-domain (thread) boundary, the writer stops
-/// touching the shared [`SignalCore`] during the parallel phase of a cycle
-/// — the core is owned by the *reader's* thread then — and instead latches
-/// writes into this private, preallocated mailbox. The scheduler drains
-/// every mailbox into its core between barrier epochs, in fixed wiring
-/// order, via the matching [`DrainStaged`] handle.
-///
-/// The lane performs the same verification the core would (strict
-/// time-travel and bandwidth checks against the declared parameters), so a
-/// buggy box fails identically under serial and threaded clocking. Lossy
-/// degradation, traces and fault schedules are core-side features; the
-/// scheduler only enables staging on strict, untraced, unfaulted wires and
-/// flips `enabled` off (routing writes back to the core) the moment any of
-/// those are armed.
-struct StagedLane<T> {
-    /// Pending writes, `(write cycle, object)` in write order. Shared with
-    /// the [`StagedDrain`] handle; only the writer's thread touches it
-    /// during a parallel phase, only the coordinator between epochs.
-    mailbox: Rc<RefCell<VecDeque<(Cycle, T)>>>,
-    /// Master switch, shared with the scheduler: `false` routes writes
-    /// straight to the core (exact serial transport).
-    enabled: Rc<Cell<bool>>,
-    /// Mirror of the core's `total_written`, shared with the drain handle
-    /// so it can be resynced after a checkpoint restore. Kept by the lane
-    /// so `total_written()` (used by boxes for sequence ids mid-cycle)
-    /// never has to borrow the possibly-foreign core.
-    total_written: Rc<Cell<u64>>,
-    /// Latest write cycle this writer has latched (lane-local time).
-    latest_cycle: Cycle,
-    /// Writes latched at `latest_cycle`.
-    writes_this_cycle: usize,
-}
-
-/// Coordinator-side handle that flushes one staged mailbox into its signal
-/// core (see [`SignalWriter::stage`]). Type-erased so the scheduler can
-/// hold one list for wires of every payload type.
-pub trait DrainStaged {
-    /// Moves every staged write into the signal core, preserving write
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the core's verification result — a staged write replays
-    /// exactly as if the writer had hit the core directly, so
-    /// [`SimError::DataLost`] (the wire advanced past an unread arrival)
-    /// or any other check surfaces here instead of at the write site.
-    fn drain(&mut self) -> Result<(), SimError>;
-
-    /// Re-seeds the lane's `total_written` mirror from the core, after a
-    /// checkpoint restore overwrote the core's lifetime counters.
-    fn resync(&mut self);
-}
-
-struct StagedDrain<T> {
-    mailbox: Rc<RefCell<VecDeque<(Cycle, T)>>>,
-    core: Rc<RefCell<SignalCore<T>>>,
-    total_written: Rc<Cell<u64>>,
-}
-
-impl<T: fmt::Debug> DrainStaged for StagedDrain<T> {
-    fn drain(&mut self) -> Result<(), SimError> {
-        let mut mailbox = self.mailbox.borrow_mut();
-        if mailbox.is_empty() {
-            return Ok(());
-        }
-        let mut core = self.core.borrow_mut();
-        while let Some((cycle, obj)) = mailbox.pop_front() {
-            core.write(cycle, obj)?;
-        }
-        Ok(())
-    }
-
-    fn resync(&mut self) {
-        self.total_written.set(self.core.borrow().total_written);
-    }
-}
-
 /// A signal under construction; see [`Signal::with_name`].
 ///
 /// `Signal` itself is a factory: creating one yields a connected
@@ -632,7 +550,6 @@ impl<T: fmt::Debug> Signal<T> {
         let writer = SignalWriter {
             core: Rc::clone(&core),
             wire: wire.clone(),
-            staged: None,
             decl_bandwidth: bandwidth,
             decl_latency: latency,
             cached_name: name,
@@ -646,12 +563,8 @@ pub struct SignalWriter<T> {
     core: Rc<RefCell<SignalCore<T>>>,
     /// The wire's table words (see the module documentation).
     wire: WireSlot,
-    /// Mailbox lane for cross-thread wires; `None` on every wire of a
-    /// single-threaded simulator. Boxed so the serial hot path only pays
-    /// one pointer of writer footprint for it. See [`StagedLane`].
-    staged: Option<Box<StagedLane<T>>>,
     /// Declared bandwidth, cached at bind time (immutable in the core) so
-    /// staged writers never borrow the core to check it.
+    /// the table-fronted fast paths answer without borrowing the core.
     decl_bandwidth: usize,
     /// Declared latency, cached like `decl_bandwidth`.
     decl_latency: Cycle,
@@ -671,81 +584,7 @@ impl<T: fmt::Debug> SignalWriter<T> {
     /// clock exposes unread data on a non-lossy signal.
     #[inline]
     pub fn write(&mut self, cycle: Cycle, obj: T) -> Result<(), SimError> {
-        // The staged branch is out-of-line so a single-threaded machine's
-        // write (the simulator's hottest function) keeps its pre-staging
-        // code size and inlines as before.
-        if self.staged.is_some() {
-            return self.write_slow(cycle, obj);
-        }
         self.core.borrow_mut().write(cycle, obj)
-    }
-
-    /// Out-of-line write for wires that carry a mailbox lane: verify
-    /// against the declared parameters and latch into the mailbox; the
-    /// core (owned by the reader's thread mid-cycle) is updated at the
-    /// next barrier drain. With the lane disabled, falls through to the
-    /// exact serial transport.
-    #[cold]
-    fn write_slow(&mut self, cycle: Cycle, obj: T) -> Result<(), SimError> {
-        if let Some(lane) = &mut self.staged {
-            if lane.enabled.get() {
-                if cycle < lane.latest_cycle {
-                    return Err(SimError::TimeTravel {
-                        signal: self.cached_name.clone(),
-                        cycle,
-                        latest: lane.latest_cycle,
-                    });
-                }
-                if cycle > lane.latest_cycle {
-                    lane.latest_cycle = cycle;
-                    lane.writes_this_cycle = 0;
-                }
-                if lane.writes_this_cycle >= self.decl_bandwidth {
-                    return Err(SimError::BandwidthExceeded {
-                        signal: self.cached_name.clone(),
-                        cycle,
-                        bandwidth: self.decl_bandwidth,
-                    });
-                }
-                lane.writes_this_cycle += 1;
-                lane.total_written.set(lane.total_written.get() + 1);
-                lane.mailbox.borrow_mut().push_back((cycle, obj));
-                return Ok(());
-            }
-        }
-        self.core.borrow_mut().write(cycle, obj)
-    }
-
-    /// Puts this writer into staged (mailbox) mode for cross-thread use and
-    /// returns the coordinator-side handle that drains the mailbox into the
-    /// core at each barrier.
-    ///
-    /// While `enabled` reads `true`, writes latch into a private mailbox
-    /// instead of the shared core, and the bookkeeping getters
-    /// ([`can_write`](Self::can_write), [`slots_left`](Self::slots_left),
-    /// [`total_written`](Self::total_written)) answer from lane-local
-    /// mirrors — the writer never borrows the core, which mid-cycle belongs
-    /// to the reader's thread. Flipping `enabled` to `false` (only ever
-    /// done between cycles, with the mailbox drained) routes everything
-    /// back through the core, byte-for-byte the serial transport.
-    pub fn stage(&mut self, enabled: Rc<Cell<bool>>) -> Box<dyn DrainStaged>
-    where
-        T: 'static,
-    {
-        let total_written = Rc::new(Cell::new(self.core.borrow().total_written));
-        // A healthy wire stages at most `bandwidth` writes per cycle and is
-        // drained every cycle; preallocate double that so the mailbox never
-        // grows on the hot path.
-        let mailbox: Rc<RefCell<VecDeque<(Cycle, T)>>> =
-            Rc::new(RefCell::new(VecDeque::with_capacity(self.decl_bandwidth.max(1) * 2)));
-        self.staged = Some(Box::new(StagedLane {
-            mailbox: Rc::clone(&mailbox),
-            enabled,
-            total_written: Rc::clone(&total_written),
-            latest_cycle: 0,
-            writes_this_cycle: 0,
-        }));
-        Box::new(StagedDrain { mailbox, core: Rc::clone(&self.core), total_written })
     }
 
     /// Like [`write`](Self::write) but panics on verification failure.
@@ -768,11 +607,6 @@ impl<T: fmt::Debug> SignalWriter<T> {
     /// `cycle` without exceeding the bandwidth.
     #[inline]
     pub fn can_write(&self, cycle: Cycle) -> bool {
-        if let Some(lane) = &self.staged {
-            if lane.enabled.get() {
-                return cycle > lane.latest_cycle || lane.writes_this_cycle < self.decl_bandwidth;
-            }
-        }
         cycle > self.wire.latest() || {
             let core = self.core.borrow();
             core.writes_used() < core.bandwidth
@@ -782,15 +616,6 @@ impl<T: fmt::Debug> SignalWriter<T> {
     /// Remaining write slots at `cycle`.
     #[inline]
     pub fn slots_left(&self, cycle: Cycle) -> usize {
-        if let Some(lane) = &self.staged {
-            if lane.enabled.get() {
-                return if cycle > lane.latest_cycle {
-                    self.decl_bandwidth
-                } else {
-                    self.decl_bandwidth - lane.writes_this_cycle.min(self.decl_bandwidth)
-                };
-            }
-        }
         if cycle > self.wire.latest() {
             return self.decl_bandwidth;
         }
@@ -830,16 +655,9 @@ impl<T: fmt::Debug> SignalWriter<T> {
         self.decl_latency
     }
 
-    /// Total number of objects ever written (staged writes included the
-    /// moment they are latched, so mid-cycle sequence numbering is
-    /// identical under serial and threaded clocking).
+    /// Total number of objects ever written.
     #[inline]
     pub fn total_written(&self) -> u64 {
-        if let Some(lane) = &self.staged {
-            if lane.enabled.get() {
-                return lane.total_written.get();
-            }
-        }
         self.core.borrow().total_written
     }
 
@@ -1007,7 +825,6 @@ impl<T> fmt::Debug for SignalWriter<T> {
             .field("name", &self.cached_name)
             .field("bandwidth", &self.decl_bandwidth)
             .field("latency", &self.decl_latency)
-            .field("staged", &self.staged.is_some())
             .finish()
     }
 }
@@ -1278,81 +1095,5 @@ mod tests {
         tx.write(0, 1).unwrap();
         assert_eq!(tx.slots_left(0), 2);
         assert_eq!(tx.slots_left(1), 3);
-    }
-
-    #[test]
-    fn staged_writes_arrive_after_drain_with_serial_timing() {
-        let (mut tx, mut rx) = Signal::<u32>::with_name("s", 2, 3);
-        let enabled = Rc::new(Cell::new(true));
-        let mut drain = tx.stage(Rc::clone(&enabled));
-        tx.write(5, 7).unwrap();
-        tx.write(5, 8).unwrap();
-        // Latched but not yet on the wire: the reader sees nothing even at
-        // the arrival cycle, and bookkeeping still counts the writes.
-        assert_eq!(rx.in_flight(), 0);
-        assert_eq!(tx.total_written(), 2);
-        assert_eq!(tx.slots_left(5), 0);
-        drain.drain().unwrap();
-        assert_eq!(rx.in_flight(), 2);
-        assert_eq!(rx.read(8), Some(7));
-        assert_eq!(rx.read(8), Some(8));
-    }
-
-    #[test]
-    fn staged_lane_enforces_bandwidth_and_time_travel() {
-        let (mut tx, _rx) = Signal::<u32>::with_name("s", 1, 1);
-        let enabled = Rc::new(Cell::new(true));
-        let _drain = tx.stage(Rc::clone(&enabled));
-        tx.write(4, 1).unwrap();
-        let err = tx.write(4, 2).unwrap_err();
-        assert!(matches!(err, SimError::BandwidthExceeded { bandwidth: 1, cycle: 4, .. }));
-        let err = tx.write(3, 3).unwrap_err();
-        assert!(matches!(err, SimError::TimeTravel { cycle: 3, latest: 4, .. }));
-        assert!(!tx.can_write(4));
-        assert!(tx.can_write(5));
-    }
-
-    #[test]
-    fn disabled_lane_bypasses_to_core() {
-        let (mut tx, mut rx) = Signal::<u32>::with_name("s", 1, 2);
-        let enabled = Rc::new(Cell::new(false));
-        let mut drain = tx.stage(Rc::clone(&enabled));
-        tx.write(0, 42).unwrap();
-        // Straight onto the wire, no drain needed; the mailbox stays empty.
-        assert_eq!(rx.in_flight(), 1);
-        drain.drain().unwrap();
-        assert_eq!(rx.read(2), Some(42));
-        assert_eq!(tx.total_written(), 1);
-    }
-
-    #[test]
-    fn drain_surfaces_loss_exactly_like_a_direct_write() {
-        let (mut tx, mut rx) = Signal::<u32>::with_name("s", 1, 1);
-        let enabled = Rc::new(Cell::new(true));
-        let mut drain = tx.stage(Rc::clone(&enabled));
-        tx.write(0, 1).unwrap();
-        drain.drain().unwrap();
-        tx.write(5, 2).unwrap();
-        // The cycle-0 object (arrival 1) was never read; replaying the
-        // cycle-5 write at drain time trips the same DataLost check the
-        // serial writer would have hit.
-        let err = drain.drain().unwrap_err();
-        assert!(matches!(err, SimError::DataLost { lost: 1, .. }));
-        assert_eq!(rx.try_read(5).unwrap(), None);
-    }
-
-    #[test]
-    fn resync_reseeds_the_written_mirror() {
-        let (mut tx, _rx) = Signal::<u32>::with_name("s", 1, 1);
-        let enabled = Rc::new(Cell::new(true));
-        let mut drain = tx.stage(Rc::clone(&enabled));
-        // A checkpoint restore rewrites the core's lifetime counters
-        // behind the lane's back; resync() catches the mirror up.
-        tx.probe().restore_counters(17, 12, 0);
-        assert_eq!(tx.total_written(), 0);
-        drain.resync();
-        assert_eq!(tx.total_written(), 17);
-        tx.write(9, 1).unwrap();
-        assert_eq!(tx.total_written(), 18);
     }
 }

@@ -38,7 +38,6 @@ struct Args {
     serve_smoke: bool,
     retry_limit: u32,
     workers: Option<usize>,
-    threads: usize,
     checkpoint_every: Option<u64>,
     checkpoint_path: Option<PathBuf>,
     resume: bool,
@@ -76,13 +75,6 @@ GPU selection:
     --scheduler <s>          window | queue
     --dump-config            print the effective config JSON and exit
     --dump-pipeline          print the box/signal topology (Figures 1/2/5)
-    --threads <n>            clock-domain worker threads per simulated GPU
-                             (default 1 = the serial loop). The pipeline is
-                             partitioned into clock domains by min-cut over
-                             signal traffic; results are bit-identical to
-                             the serial loop at every thread count. Under
-                             sweep/serve the budget is split across the
-                             job workers: each job gets max(1, n/workers).
 
 Input selection:
     --trace <file.json>      run a captured GlTrace file
@@ -130,7 +122,7 @@ Subcommands:
       --all-presets          lint every shipped preset configuration
       --deny-warnings        treat warn-level findings as errors
       --source               run the source analyses (state-coverage,
-                             phase-safety, horizon-purity, determinism
+                             shared-mut, horizon-purity, determinism
                              rules) over the workspace tree instead of
                              an elaborated GPU; exits 1 on findings
       --report <file>        with --source: also write the findings to
@@ -201,7 +193,6 @@ fn parse_args() -> Result<Args, String> {
         serve_smoke: false,
         retry_limit: 3,
         workers: None,
-        threads: 1,
         checkpoint_every: None,
         checkpoint_path: None,
         resume: false,
@@ -305,12 +296,6 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => {
                 args.workers =
                     Some(val("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?)
-            }
-            "--threads" => {
-                args.threads = val("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?;
-                if args.threads == 0 {
-                    return Err("--threads needs at least 1".into());
-                }
             }
             "--config" => args.config_file = Some(PathBuf::from(val("--config")?)),
             "--preset" => args.preset = val("--preset")?,
@@ -456,7 +441,7 @@ fn run_lint(args: &Args) -> Result<(), CliError> {
 }
 
 /// `attila lint --source`: run the whole-workspace source analyses
-/// (state-coverage, phase-safety, horizon-purity plus the determinism
+/// (state-coverage, shared-mut, horizon-purity plus the determinism
 /// rules) over the tree at `--root` and exit 1 on findings. This is the
 /// single CI gate; `cargo run -p attila-lint` is the same engine behind
 /// a standalone binary.
@@ -539,21 +524,15 @@ fn run_sweep_cli(args: &Args) -> Result<(), CliError> {
     let player = GlPlayer { skip_frames: args.hot_start, max_frames: args.max_frames };
     let commands = player.replay(&trace).map_err(|e| CliError::Usage(e.to_string()))?;
 
-    let mut jobs: Vec<SweepJob> = sweep_grid(args, trace.width, trace.height)?
+    let jobs: Vec<SweepJob> = sweep_grid(args, trace.width, trace.height)?
         .into_iter()
-        .map(|(label, config)| SweepJob { label, config, threads: 1 })
+        .map(|(label, config)| SweepJob { label, config })
         .collect();
     let workers = args.workers.unwrap_or_else(|| {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     });
-    // Thread-budget arbitration: `--threads` is a machine-wide budget, so
-    // each concurrent job gets an equal share (never below the serial loop).
-    let per_job = (args.threads / workers.max(1)).max(1);
-    for j in &mut jobs {
-        j.threads = per_job;
-    }
     eprintln!(
-        "sweep: {} configs ({} tus x {} schedulers) on {workers} worker(s), {per_job} thread(s)/job",
+        "sweep: {} configs ({} tus x {} schedulers) on {workers} worker(s)",
         jobs.len(),
         args.sweep_tus.len(),
         args.sweep_schedulers.len(),
@@ -638,12 +617,7 @@ fn run_serve_cli(args: &Args) -> Result<(), CliError> {
     let workers = args.workers.unwrap_or_else(|| {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     });
-    // Same budget arbitration as sweep: split `--threads` across workers.
-    let per_job = (args.threads / workers.max(1)).max(1);
-    for job in &mut jobs {
-        job.threads = per_job;
-    }
-    eprintln!("serve: {} job(s) on {workers} worker(s), {per_job} thread(s)/job, retry limit {}",
+    eprintln!("serve: {} job(s) on {workers} worker(s), retry limit {}",
         jobs.len(), args.retry_limit);
     let serve_config = ServeConfig {
         workers,
@@ -776,7 +750,7 @@ fn run() -> Result<(), CliError> {
         let started = std::time::Instant::now();
         let ckpt = Checkpoint::read_file(&ckpt_path)
             .map_err(|e| CliError::Usage(format!("{}: {e}", ckpt_path.display())))?;
-        let gpu = Gpu::restore_with_threads(config, args.threads, &commands, &ckpt, None)
+        let gpu = Gpu::restore(config, &commands, &ckpt, None)
             .map_err(|e| CliError::Usage(format!("{}: {e}", ckpt_path.display())))?;
         let host_ms = started.elapsed().as_secs_f64() * 1e3;
         eprintln!(
@@ -793,7 +767,7 @@ fn run() -> Result<(), CliError> {
         resumed = true;
         gpu
     } else {
-        Gpu::with_threads(config, args.threads)
+        Gpu::new(config)
     };
     if let Some(limit) = args.max_cycles {
         gpu.max_cycles = limit;

@@ -268,37 +268,6 @@ fn bank_state_survives_restore_under_stressed_timings() {
 }
 
 #[test]
-fn checkpoint_written_at_n_threads_restores_at_m_threads() {
-    // Checkpoints capture only architectural state, and every thread
-    // count produces bit-identical state — so a checkpoint written by a
-    // 4-thread run must restore and finish identically on a serial
-    // machine, a 2-thread machine, and an 8-thread machine.
-    let (reference, total) = baseline(None);
-    let path = tmp_ckpt("threads", 4);
-    let _ = std::fs::remove_file(&path);
-
-    let mut gpu = Gpu::with_threads(config(), 4);
-    assert!(gpu.threading_active(), "writer leg runs threaded");
-    gpu.max_cycles = total * 3 / 5;
-    gpu.checkpoint_every = Some(300);
-    gpu.checkpoint_path = Some(path.clone());
-    let killed = gpu.run_trace(scene());
-    assert!(killed.is_err(), "watchdog interrupts the writer leg");
-    drop(gpu);
-
-    let ckpt = Checkpoint::read_file(&path).expect("checkpoint written while threaded");
-    for threads in [1usize, 2, 8] {
-        let mut gpu = Gpu::restore_with_threads(config(), threads, scene(), &ckpt, None)
-            .expect("restores at a different thread count");
-        gpu.max_cycles = 50_000_000;
-        let result = gpu.run_trace(&[]).expect("resumed run drains");
-        final_state(&gpu, &result.framebuffers)
-            .assert_matches(&reference, &format!("4-thread checkpoint resumed at {threads}"));
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
 fn resume_from_a_capture_taken_with_boxes_asleep() {
     // Per-box sleep state is transient: a checkpoint taken while the
     // scheduler has boxes asleep must restore into a machine whose gates
