@@ -52,9 +52,10 @@ pub fn block_index(width: u32, x: u32, y: u32) -> usize {
     ((y / FB_TILE) * tiles_per_row(width) + x / FB_TILE) as usize
 }
 
-/// Number of 8×8 blocks covering a surface.
+/// Number of 8×8 blocks covering a surface. Widened before multiplying:
+/// the product of two `u32` tile counts fits a `usize`, not a `u32`.
 pub fn block_count(width: u32, height: u32) -> usize {
-    (tiles_per_row(width) * height.div_ceil(FB_TILE)) as usize
+    tiles_per_row(width) as usize * height.div_ceil(FB_TILE) as usize
 }
 
 #[cfg(test)]

@@ -39,6 +39,36 @@
 //! `f32::to_bits` words for the same reason (`+inf` has no JSON
 //! rendering at all).
 //!
+//! # Who owns what
+//!
+//! This module owns the container and the body's header: `cycle`,
+//! `frames`, `cycles_skipped`, `horizon_backoff`, `commands_consumed`,
+//! the memory image and the kept frames. Every other key of the body
+//! (`mem_ctrl` … `fault`) is the state of one box, and the box's own file
+//! both renders and reads it through [`attila_json::JsonState`];
+//! [`CheckpointBody::boxes`] carries those keys as the parsed tree and
+//! `Gpu`'s own state list pairs each with the field that owns it. Key
+//! order *is* the format (`Json::Obj` keeps insertion order; the CRC is
+//! over the body's rendering): a change of order, key or encoding is a
+//! new [`FORMAT_VERSION`].
+//!
+//! **Adding a persistent field** is one line: its name in the owner's
+//! [`impl_json_state!`](attila_json::impl_json_state) list (`field`,
+//! `field: hex` for a `u64`, `field: state` for a nested box, `key =
+//! field` where the names differ), which expands to both directions. An
+//! encoding that is *derived* rather than 1:1 — a ROP cache rebuilt on the
+//! surface the file names, statistics matched by name — is a hand-written
+//! `save_state`/`load_state` pair, adjacent, in the owner's file; two
+//! functions is the ceiling. A field left out needs a `// state:`
+//! annotation saying why (`attila lint --source`, rule `state-coverage`).
+//!
+//! **Loaders size by what the file carries.** An allocation is sized by
+//! an array that is in the file, then checked against the machine — never
+//! by a number the file states: a ROP cache's `len` must equal its
+//! `blocks` array × the line size, `hz.bound_z`'s block count its
+//! `entry_bits`, `windows_closed` every statistic's `windows`. A refusal
+//! names the path to the leaf (`zstencil: [0]: cache: len: …`).
+//!
 //! Bulk bytes — the memory image and each kept frame — are **sparse hex
 //! extents**, `[offset, "hex…", offset, "hex…", …]`: each offset a
 //! multiple of 4096 at or past the end of the extent before it, each
@@ -62,26 +92,13 @@
 
 use std::path::Path;
 
-use attila_json::Json;
-use attila_mem::{
-    BankFsm, BankSnapshot, BlockState, CacheLineState, CacheState, Client, Direction, GddrState,
-    MemControllerState, RopCacheState,
-};
-use attila_sim::{
-    FaultInjectorState, MemFaultsState, SignalFaultsState, SimError, StatSnapshotEntry,
-    StatsSnapshot,
-};
+use attila_json::{array, field, field_with, FromJson, HexJson, Json, JsonError, ToJson};
+use attila_mem::MemoryImage;
+use attila_sim::SimError;
 
-use crate::colorwrite::ColorWriteState;
-use crate::command_processor::CommandProcessorState;
 use crate::commands::GpuCommand;
 use crate::config::GpuConfig;
-use crate::ffifo::FragmentFifoState;
 use crate::gpu::FrameDump;
-use crate::hz::HzState;
-use crate::streamer::StreamerState;
-use crate::texunit::TextureUnitState;
-use crate::zstencil::ZStencilState;
 
 /// File magic: the first field of every checkpoint.
 pub const MAGIC: &str = "ATTILA-CKPT";
@@ -233,92 +250,14 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc ^ 0xffff_ffff
 }
 
-// ---------------------------------------------------------------------
-// JSON helpers
-// ---------------------------------------------------------------------
-
-fn mismatch(reason: impl Into<String>) -> SimError {
+pub(crate) fn mismatch(reason: impl Into<String>) -> SimError {
     SimError::CheckpointMismatch { reason: reason.into() }
 }
 
-fn hex64(v: u64) -> Json {
-    Json::Str(format!("{v:016x}"))
-}
-
-fn parse_hex64(j: &Json, what: &str) -> Result<u64, SimError> {
-    let Json::Str(s) = j else {
-        return Err(mismatch(format!("{what}: expected hex string, got {}", j.type_name())));
-    };
-    u64::from_str_radix(s, 16).map_err(|_| mismatch(format!("{what}: bad hex string `{s}`")))
-}
-
-fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, SimError> {
-    obj.get(key).ok_or_else(|| mismatch(format!("missing field `{key}`")))
-}
-
-fn get_u64(obj: &Json, key: &str) -> Result<u64, SimError> {
-    parse_hex64(field(obj, key)?, key)
-}
-
-/// A non-negative integer that JSON's `f64` carries exactly and `T` holds.
-fn as_int<T: TryFrom<u64>>(j: &Json, what: &str) -> Result<T, SimError> {
-    j.as_f64()
-        .filter(|v| *v >= 0.0 && v.fract() == 0.0 && *v <= 2f64.powi(53))
-        .and_then(|v| T::try_from(v as u64).ok())
-        .ok_or_else(|| mismatch(format!("`{what}` is not a non-negative integer in range")))
-}
-
-fn get_int<T: TryFrom<u64>>(obj: &Json, key: &str) -> Result<T, SimError> {
-    as_int(field(obj, key)?, key)
-}
-
-fn get_bool(obj: &Json, key: &str) -> Result<bool, SimError> {
-    match field(obj, key)? {
-        Json::Bool(b) => Ok(*b),
-        other => Err(mismatch(format!("field `{key}` is not a bool, got {}", other.type_name()))),
-    }
-}
-
-fn get_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, SimError> {
-    field(obj, key)?
-        .as_str()
-        .ok_or_else(|| mismatch(format!("field `{key}` is not a string")))
-}
-
-/// Every element of the array field `key`, through `item`.
-fn get_vec<T>(
-    obj: &Json,
-    key: &str,
-    item: impl FnMut(&Json) -> Result<T, SimError>,
-) -> Result<Vec<T>, SimError> {
-    match field(obj, key)? {
-        Json::Arr(items) => items.iter().map(item).collect(),
-        other => Err(mismatch(format!("field `{key}` is not an array, got {}", other.type_name()))),
-    }
-}
-
-/// `null` as `None`, anything else through `some`.
-fn opt_from_json<T>(
-    j: &Json,
-    some: impl FnOnce(&Json) -> Result<T, SimError>,
-) -> Result<Option<T>, SimError> {
-    match j {
-        Json::Null => Ok(None),
-        j => some(j).map(Some),
-    }
-}
-
-fn num(v: impl Into<f64>) -> Json {
-    Json::Num(v.into())
-}
-
-/// Every item of `items`, through `item`, as an array.
-fn arr<T>(items: &[T], item: impl Fn(&T) -> Json) -> Json {
-    Json::Arr(items.iter().map(item).collect())
-}
-
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+/// What a state loader refused, as the checkpoint layer's typed error:
+/// the one place a [`JsonError`]'s path becomes a refusal reason.
+pub(crate) fn refused(e: JsonError) -> SimError {
+    mismatch(e.to_string())
 }
 
 // ---------------------------------------------------------------------
@@ -359,6 +298,27 @@ impl SparseBytes {
         SparseBytes { len: bytes.len(), extents }
     }
 
+    /// Writes the extents into `image` and touches nothing else: sound
+    /// only for an image that is all zeros, as one fresh from `Gpu::new`
+    /// is — and then the omitted pages stay the untouched (never
+    /// resident) zero pages it allocated.
+    pub(crate) fn write_into(&self, image: &mut MemoryImage) -> Result<(), SimError> {
+        let size = image.size();
+        if self.len != size {
+            return Err(mismatch(format!(
+                "memory image is {} bytes, this machine has {size}",
+                self.len
+            )));
+        }
+        for (at, bytes) in &self.extents {
+            if at.checked_add(bytes.len()).is_none_or(|end| end > size) {
+                return Err(mismatch(format!("memory extent at {at} runs past the image")));
+            }
+            image.write(*at as u64, bytes);
+        }
+        Ok(())
+    }
+
     /// Bytes the extents hold.
     pub fn live_bytes(&self) -> usize {
         self.extents.iter().map(|(_, bytes)| bytes.len()).sum()
@@ -379,24 +339,28 @@ impl SparseBytes {
     /// and for an extent that is unaligned, out of order, overlapping or
     /// past `len`.
     pub fn from_json(j: &Json, len: usize, what: &str) -> Result<Self, SimError> {
+        Self::read_extents(j, len).map_err(|e| refused(e.in_context(what)))
+    }
+
+    fn read_extents(j: &Json, len: usize) -> Result<Self, JsonError> {
         let items = match j {
             Json::Arr(items) if items.len().is_multiple_of(2) => items,
-            _ => return Err(mismatch(format!("{what}: not an array of offset, hex pairs"))),
+            _ => return Err(JsonError::msg("not an array of offset, hex pairs")),
         };
         let mut extents = Vec::with_capacity(items.len() / 2);
         let mut end = 0usize;
         for pair in items.chunks(2) {
-            let at: usize = as_int(&pair[0], "extent offset")?;
+            let at = usize::from_json(&pair[0]).map_err(|e| e.in_context("extent offset"))?;
             if !at.is_multiple_of(PAGE) || at < end {
-                return Err(mismatch(format!(
-                    "{what}: extent at {at} is unaligned, out of order or overlaps its predecessor"
+                return Err(JsonError::msg(format!(
+                    "extent at {at} is unaligned, out of order or overlaps its predecessor"
                 )));
             }
             let bytes = pair[1].as_str().and_then(hex_decode).ok_or_else(|| {
-                mismatch(format!("{what}: extent at {at} is not a string of lowercase hex pairs"))
+                JsonError::msg(format!("extent at {at} is not a string of lowercase hex pairs"))
             })?;
             end = at.checked_add(bytes.len()).filter(|end| *end <= len).ok_or_else(|| {
-                mismatch(format!("{what}: extent at {at} runs past the image's {len} bytes"))
+                JsonError::msg(format!("extent at {at} runs past the image's {len} bytes"))
             })?;
             extents.push((at, bytes));
         }
@@ -425,7 +389,7 @@ fn extents_to_json<'a>(extents: impl Iterator<Item = (usize, &'a [u8])>) -> Json
             pair[0] = HEX_DIGITS[usize::from(b >> 4)];
             pair[1] = HEX_DIGITS[usize::from(b & 15)];
         }
-        out.push(num(at as f64));
+        out.push(at.to_json());
         out.push(Json::Str(String::from_utf8(hex).expect("hex digits are ASCII")));
     }
     Json::Arr(out)
@@ -448,464 +412,31 @@ fn hex_decode(hex: &str) -> Option<Vec<u8>> {
 }
 
 // ---------------------------------------------------------------------
-// State-struct conversions
+// The checkpoint body and container
 // ---------------------------------------------------------------------
 
-fn cache_to_json(s: &CacheState) -> Json {
-    let lines = arr(&s.lines, |l| {
-        obj(vec![
-            ("tag", hex64(l.tag)),
-            ("valid", Json::Bool(l.valid)),
-            ("dirty", Json::Bool(l.dirty)),
-            ("last_use", hex64(l.last_use)),
-        ])
-    });
-    obj(vec![
-        ("lines", lines),
-        ("access_counter", hex64(s.access_counter)),
-        ("hits", hex64(s.hits)),
-        ("misses", hex64(s.misses)),
-        ("blocked", hex64(s.blocked)),
-    ])
-}
-
-fn cache_from_json(j: &Json) -> Result<CacheState, SimError> {
-    let lines = get_vec(j, "lines", |l| {
-        Ok(CacheLineState {
-            tag: get_u64(l, "tag")?,
-            valid: get_bool(l, "valid")?,
-            dirty: get_bool(l, "dirty")?,
-            last_use: get_u64(l, "last_use")?,
-        })
-    })?;
-    Ok(CacheState {
-        lines,
-        access_counter: get_u64(j, "access_counter")?,
-        hits: get_u64(j, "hits")?,
-        misses: get_u64(j, "misses")?,
-        blocked: get_u64(j, "blocked")?,
-    })
-}
-
-fn block_state_to_json(b: &BlockState) -> Json {
-    match b {
-        BlockState::Cleared => Json::Str("C".into()),
-        BlockState::Uncompressed => Json::Str("U".into()),
-        BlockState::Compressed { bytes } => num(*bytes),
-    }
-}
-
-fn block_state_from_json(j: &Json) -> Result<BlockState, SimError> {
-    match j {
-        Json::Str(s) if s == "C" => Ok(BlockState::Cleared),
-        Json::Str(s) if s == "U" => Ok(BlockState::Uncompressed),
-        Json::Num(_) => Ok(BlockState::Compressed { bytes: as_int(j, "compressed block bytes")? }),
-        other => Err(mismatch(format!("bad block state: {}", other.render()))),
-    }
-}
-
-fn rop_cache_to_json(s: &RopCacheState) -> Json {
-    obj(vec![
-        ("cache", cache_to_json(&s.cache)),
-        ("base", hex64(s.base)),
-        ("len", hex64(s.len)),
-        ("blocks", arr(&s.block_states, block_state_to_json)),
-        ("clear_word", num(s.clear_word)),
-        ("bytes_transferred", hex64(s.bytes_transferred)),
-        ("bytes_uncompressed_equiv", hex64(s.bytes_uncompressed_equiv)),
-        ("fast_clears", hex64(s.fast_clears)),
-    ])
-}
-
-fn rop_cache_from_json(j: &Json) -> Result<RopCacheState, SimError> {
-    Ok(RopCacheState {
-        cache: cache_from_json(field(j, "cache")?)?,
-        base: get_u64(j, "base")?,
-        len: get_u64(j, "len")?,
-        block_states: get_vec(j, "blocks", block_state_from_json)?,
-        clear_word: get_int(j, "clear_word")?,
-        bytes_transferred: get_u64(j, "bytes_transferred")?,
-        bytes_uncompressed_equiv: get_u64(j, "bytes_uncompressed_equiv")?,
-        fast_clears: get_u64(j, "fast_clears")?,
-    })
-}
-
-/// Bank FSM state as a compact tagged array: `"I"` (idle),
-/// `["A", row]` (active), `["G", row, ready_at]` (activating — "going
-/// active"), `["P", ready_at]` (precharging).
-fn bank_fsm_to_json(s: &BankFsm) -> Json {
-    match s {
-        BankFsm::Idle => Json::Str("I".into()),
-        BankFsm::Active { row } => Json::Arr(vec![Json::Str("A".into()), hex64(*row)]),
-        BankFsm::Activating { row, ready_at } => {
-            Json::Arr(vec![Json::Str("G".into()), hex64(*row), hex64(*ready_at)])
-        }
-        BankFsm::Precharging { ready_at } => {
-            Json::Arr(vec![Json::Str("P".into()), hex64(*ready_at)])
-        }
-    }
-}
-
-fn bank_fsm_from_json(j: &Json) -> Result<BankFsm, SimError> {
-    let bad = || mismatch(format!("bad bank state: {}", j.render()));
-    match j {
-        Json::Str(s) if s == "I" => Ok(BankFsm::Idle),
-        Json::Arr(parts) => {
-            let Some(Json::Str(tag)) = parts.first() else { return Err(bad()) };
-            match (tag.as_str(), parts.len()) {
-                ("A", 2) => Ok(BankFsm::Active { row: parse_hex64(&parts[1], "bank row")? }),
-                ("G", 3) => Ok(BankFsm::Activating {
-                    row: parse_hex64(&parts[1], "bank row")?,
-                    ready_at: parse_hex64(&parts[2], "bank ready_at")?,
-                }),
-                ("P", 2) => {
-                    Ok(BankFsm::Precharging { ready_at: parse_hex64(&parts[1], "bank ready_at")? })
-                }
-                _ => Err(bad()),
-            }
-        }
-        _ => Err(bad()),
-    }
-}
-
-fn bank_to_json(s: &BankSnapshot) -> Json {
-    obj(vec![
-        ("state", bank_fsm_to_json(&s.state)),
-        ("last_activate", s.last_activate.map_or(Json::Null, hex64)),
-        ("row_hits", hex64(s.row_hits)),
-        ("row_misses", hex64(s.row_misses)),
-        ("row_conflicts", hex64(s.row_conflicts)),
-        ("busy_cycles", hex64(s.busy_cycles)),
-    ])
-}
-
-fn bank_from_json(j: &Json) -> Result<BankSnapshot, SimError> {
-    Ok(BankSnapshot {
-        state: bank_fsm_from_json(field(j, "state")?)?,
-        last_activate: opt_from_json(field(j, "last_activate")?, |c| parse_hex64(c, "activate"))?,
-        row_hits: get_u64(j, "row_hits")?,
-        row_misses: get_u64(j, "row_misses")?,
-        row_conflicts: get_u64(j, "row_conflicts")?,
-        busy_cycles: get_u64(j, "busy_cycles")?,
-    })
-}
-
-fn gddr_to_json(s: &GddrState) -> Json {
-    obj(vec![
-        ("banks", arr(&s.banks, bank_to_json)),
-        ("busy_until", hex64(s.busy_until)),
-        (
-            "last_dir",
-            match s.last_dir {
-                Some(Direction::Read) => Json::Str("R".into()),
-                Some(Direction::Write) => Json::Str("W".into()),
-                None => Json::Null,
-            },
-        ),
-        ("total_transactions", hex64(s.total_transactions)),
-        ("total_busy_cycles", hex64(s.total_busy_cycles)),
-        ("turnarounds", hex64(s.turnarounds)),
-    ])
-}
-
-fn gddr_from_json(j: &Json) -> Result<GddrState, SimError> {
-    let last_dir = match field(j, "last_dir")? {
-        Json::Null => None,
-        Json::Str(s) if s == "R" => Some(Direction::Read),
-        Json::Str(s) if s == "W" => Some(Direction::Write),
-        other => return Err(mismatch(format!("bad last_dir: {}", other.render()))),
-    };
-    Ok(GddrState {
-        banks: get_vec(j, "banks", bank_from_json)?,
-        busy_until: get_u64(j, "busy_until")?,
-        last_dir,
-        total_transactions: get_u64(j, "total_transactions")?,
-        total_busy_cycles: get_u64(j, "total_busy_cycles")?,
-        turnarounds: get_u64(j, "turnarounds")?,
-    })
-}
-
-fn mem_ctrl_to_json(s: &MemControllerState) -> Json {
-    obj(vec![
-        ("channels", arr(&s.channels, gddr_to_json)),
-        ("next_clients", arr(&s.next_clients, |&n| num(n as f64))),
-        ("queue_slots", arr(&s.queue_slots, |&n| num(n as f64))),
-        ("system_bus_free_at", hex64(s.system_bus_free_at)),
-        ("bytes_read", hex64(s.bytes_read)),
-        ("bytes_written", hex64(s.bytes_written)),
-        (
-            "per_client_bytes",
-            arr(&s.per_client_bytes, |(c, b)| Json::Arr(vec![num(c.code()), hex64(*b)])),
-        ),
-    ])
-}
-
-fn mem_ctrl_from_json(j: &Json) -> Result<MemControllerState, SimError> {
-    let per_client_bytes = get_vec(j, "per_client_bytes", |e| {
-        let Json::Arr(pair) = e else {
-            return Err(mismatch("per_client_bytes entry is not a pair"));
-        };
-        if pair.len() != 2 {
-            return Err(mismatch("per_client_bytes entry is not a pair"));
-        }
-        let code: u32 = as_int(&pair[0], "client code")?;
-        let client = Client::from_code(code)
-            .ok_or_else(|| mismatch(format!("unknown client code {code}")))?;
-        Ok((client, parse_hex64(&pair[1], "per_client_bytes")?))
-    })?;
-    Ok(MemControllerState {
-        channels: get_vec(j, "channels", gddr_from_json)?,
-        next_clients: get_vec(j, "next_clients", |n| as_int(n, "next_clients"))?,
-        queue_slots: get_vec(j, "queue_slots", |n| as_int(n, "queue_slots"))?,
-        system_bus_free_at: get_u64(j, "system_bus_free_at")?,
-        bytes_read: get_u64(j, "bytes_read")?,
-        bytes_written: get_u64(j, "bytes_written")?,
-        per_client_bytes,
-    })
-}
-
-fn stats_to_json(s: &StatsSnapshot) -> Json {
-    let entries = arr(&s.entries, |e| {
-        obj(vec![
-            ("name", Json::Str(e.name.clone())),
-            ("counter", Json::Bool(e.is_counter)),
-            ("total", hex64(e.total)),
-            ("gauge", num(e.gauge)),
-            ("windows", arr(&e.windows, |&w| num(w))),
-            ("last_total", hex64(e.last_total)),
-        ])
-    });
-    obj(vec![
-        ("entries", entries),
-        ("windows_closed", num(s.windows_closed as f64)),
-    ])
-}
-
-fn stats_from_json(j: &Json) -> Result<StatsSnapshot, SimError> {
-    let entries = get_vec(j, "entries", |e| {
-        Ok(StatSnapshotEntry {
-            name: get_str(e, "name")?.to_string(),
-            is_counter: get_bool(e, "counter")?,
-            total: get_u64(e, "total")?,
-            gauge: field(e, "gauge")?.as_f64().ok_or_else(|| mismatch("bad stats gauge"))?,
-            windows: get_vec(e, "windows", |w| {
-                w.as_f64().ok_or_else(|| mismatch("bad stats window"))
-            })?,
-            last_total: get_u64(e, "last_total")?,
-        })
-    })?;
-    Ok(StatsSnapshot { entries, windows_closed: get_int(j, "windows_closed")? })
-}
-
-fn fault_to_json(s: &FaultInjectorState) -> Json {
-    let hooks = arr(&s.hooks, |h| {
-        obj(vec![
-            ("signal", Json::Str(h.signal.clone())),
-            ("write_index", hex64(h.write_index)),
-            ("hits", hex64(h.hits)),
-        ])
-    });
-    let mem = s.mem.as_ref().map_or(Json::Null, |m| {
-        obj(vec![
-            ("replies_seen", hex64(m.replies_seen)),
-            ("stall_cycles_served", hex64(m.stall_cycles_served)),
-            ("bits_flipped", hex64(m.bits_flipped)),
-        ])
-    });
-    obj(vec![("rng_state", hex64(s.rng_state)), ("hooks", hooks), ("mem", mem)])
-}
-
-fn fault_from_json(j: &Json) -> Result<FaultInjectorState, SimError> {
-    let hooks = get_vec(j, "hooks", |h| {
-        Ok(SignalFaultsState {
-            signal: get_str(h, "signal")?.to_string(),
-            write_index: get_u64(h, "write_index")?,
-            hits: get_u64(h, "hits")?,
-        })
-    })?;
-    let mem = opt_from_json(field(j, "mem")?, |m| {
-        Ok(MemFaultsState {
-            replies_seen: get_u64(m, "replies_seen")?,
-            stall_cycles_served: get_u64(m, "stall_cycles_served")?,
-            bits_flipped: get_u64(m, "bits_flipped")?,
-        })
-    })?;
-    Ok(FaultInjectorState { rng_state: get_u64(j, "rng_state")?, hooks, mem })
-}
-
 fn frame_to_json(f: &FrameDump) -> Json {
-    obj(vec![
-        ("width", num(f.width)),
-        ("height", num(f.height)),
+    Json::obj([
+        ("width", f.width.to_json()),
+        ("height", f.height.to_json()),
         // One extent with every byte: the file says how big a frame is,
         // so the decoder believes only the bytes that are there.
         ("rgba", extents_to_json(std::iter::once((0, &f.rgba[..])))),
     ])
 }
 
-fn frame_from_json(j: &Json) -> Result<FrameDump, SimError> {
-    let width: u32 = get_int(j, "width")?;
-    let height: u32 = get_int(j, "height")?;
+fn frame_from_json(j: &Json) -> Result<FrameDump, JsonError> {
+    let width: u32 = field(j, "width")?;
+    let height: u32 = field(j, "height")?;
     let len = (width as usize)
         .checked_mul(height as usize)
         .and_then(|n| n.checked_mul(4))
-        .ok_or_else(|| mismatch("frame: size overflows usize"))?;
-    let sparse = SparseBytes::from_json(field(j, "rgba")?, len, "frame")?;
+        .ok_or_else(|| JsonError::msg("size overflows usize"))?;
+    let sparse = field_with(j, "rgba", |rgba| SparseBytes::read_extents(rgba, len))?;
     match <[_; 1]>::try_from(sparse.extents) {
         Ok([(0, rgba)]) if rgba.len() == len => Ok(FrameDump { width, height, rgba }),
-        _ => Err(mismatch(format!("frame: {width}x{height} needs one extent of {len} bytes"))),
+        _ => Err(JsonError::msg(format!("{width}x{height} needs one extent of {len} bytes"))),
     }
-}
-
-fn cp_to_json(s: &CommandProcessorState) -> Json {
-    obj(vec![
-        ("next_upload_id", hex64(s.next_upload_id)),
-        ("next_batch_id", hex64(s.next_batch_id)),
-        ("last_draw_early", s.last_draw_early.map_or(Json::Null, Json::Bool)),
-    ])
-}
-
-fn cp_from_json(j: &Json) -> Result<CommandProcessorState, SimError> {
-    let last_draw_early = match field(j, "last_draw_early")? {
-        Json::Null => None,
-        Json::Bool(b) => Some(*b),
-        other => return Err(mismatch(format!("bad last_draw_early: {}", other.render()))),
-    };
-    Ok(CommandProcessorState {
-        next_upload_id: get_u64(j, "next_upload_id")?,
-        next_batch_id: get_u64(j, "next_batch_id")?,
-        last_draw_early,
-    })
-}
-
-fn streamer_to_json(s: &StreamerState) -> Json {
-    obj(vec![
-        ("index_chunks", arr(&s.index_chunks, |&c| hex64(c))),
-        ("next_req_id", hex64(s.next_req_id)),
-        ("ids_issued", hex64(s.ids_issued)),
-    ])
-}
-
-fn streamer_from_json(j: &Json) -> Result<StreamerState, SimError> {
-    Ok(StreamerState {
-        index_chunks: get_vec(j, "index_chunks", |c| parse_hex64(c, "index_chunks"))?,
-        next_req_id: get_u64(j, "next_req_id")?,
-        ids_issued: get_u64(j, "ids_issued")?,
-    })
-}
-
-fn hz_to_json(s: &HzState) -> Json {
-    obj(vec![
-        ("entry_bits", arr(&s.entry_bits, |&b| num(b))),
-        ("target_width", num(s.target_width)),
-        (
-            "bound_z",
-            s.bound_z
-                .map_or(Json::Null, |(base, w, h)| Json::Arr(vec![hex64(base), num(w), num(h)])),
-        ),
-        ("ids_issued", hex64(s.ids_issued)),
-    ])
-}
-
-fn hz_from_json(j: &Json) -> Result<HzState, SimError> {
-    let bound_z = opt_from_json(field(j, "bound_z")?, |t| match t {
-        Json::Arr(t) if t.len() == 3 => Ok((
-            parse_hex64(&t[0], "bound_z")?,
-            as_int(&t[1], "bound_z width")?,
-            as_int(&t[2], "bound_z height")?,
-        )),
-        other => Err(mismatch(format!("bad bound_z: {}", other.render()))),
-    })?;
-    Ok(HzState {
-        entry_bits: get_vec(j, "entry_bits", |b| as_int(b, "HZ entry bits"))?,
-        target_width: get_int(j, "target_width")?,
-        bound_z,
-        ids_issued: get_u64(j, "ids_issued")?,
-    })
-}
-
-fn ffifo_to_json(s: &FragmentFifoState) -> Json {
-    obj(vec![
-        ("next_order", hex64(s.next_order)),
-        ("next_tex_id", hex64(s.next_tex_id)),
-        ("next_tu", num(s.next_tu as f64)),
-        ("ids_issued", hex64(s.ids_issued)),
-    ])
-}
-
-fn ffifo_from_json(j: &Json) -> Result<FragmentFifoState, SimError> {
-    Ok(FragmentFifoState {
-        next_order: get_u64(j, "next_order")?,
-        next_tex_id: get_u64(j, "next_tex_id")?,
-        next_tu: get_int(j, "next_tu")?,
-        ids_issued: get_u64(j, "ids_issued")?,
-    })
-}
-
-fn texunit_to_json(s: &TextureUnitState) -> Json {
-    obj(vec![
-        ("cache", cache_to_json(&s.cache)),
-        ("next_req_id", hex64(s.next_req_id)),
-    ])
-}
-
-fn texunit_from_json(j: &Json) -> Result<TextureUnitState, SimError> {
-    Ok(TextureUnitState {
-        cache: cache_from_json(field(j, "cache")?)?,
-        next_req_id: get_u64(j, "next_req_id")?,
-    })
-}
-
-fn zstencil_to_json(s: &ZStencilState) -> Json {
-    obj(vec![
-        ("cache", s.cache.as_ref().map_or(Json::Null, rop_cache_to_json)),
-        ("target_width", num(s.target_width)),
-        ("prefer_late", Json::Bool(s.prefer_late)),
-        ("next_req_id", hex64(s.next_req_id)),
-    ])
-}
-
-fn zstencil_from_json(j: &Json) -> Result<ZStencilState, SimError> {
-    Ok(ZStencilState {
-        cache: opt_from_json(field(j, "cache")?, rop_cache_from_json)?,
-        target_width: get_int(j, "target_width")?,
-        prefer_late: get_bool(j, "prefer_late")?,
-        next_req_id: get_u64(j, "next_req_id")?,
-    })
-}
-
-fn colorwrite_to_json(s: &ColorWriteState) -> Json {
-    obj(vec![
-        ("cache", s.cache.as_ref().map_or(Json::Null, rop_cache_to_json)),
-        ("prefer_late", Json::Bool(s.prefer_late)),
-        ("next_req_id", hex64(s.next_req_id)),
-    ])
-}
-
-fn colorwrite_from_json(j: &Json) -> Result<ColorWriteState, SimError> {
-    Ok(ColorWriteState {
-        cache: opt_from_json(field(j, "cache")?, rop_cache_from_json)?,
-        prefer_late: get_bool(j, "prefer_late")?,
-        next_req_id: get_u64(j, "next_req_id")?,
-    })
-}
-
-// ---------------------------------------------------------------------
-// The checkpoint body and container
-// ---------------------------------------------------------------------
-
-/// Health counters of one signal, restored so a resumed run's failure
-/// reports and signal statistics match a never-stopped run's.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SignalCounterState {
-    /// The signal's registered name.
-    pub name: String,
-    /// Objects written so far.
-    pub written: u64,
-    /// Objects read so far.
-    pub read: u64,
-    /// Objects lost so far (lossy/isolated wires).
-    pub lost: u64,
 }
 
 /// The machine state carried by a checkpoint: everything persistent, and
@@ -931,115 +462,65 @@ pub struct CheckpointBody {
     /// Framebuffer dumps accumulated so far (when
     /// [`keep_frames`](crate::gpu::Gpu::keep_frames) is on).
     pub framebuffers: Vec<FrameDump>,
-    /// Memory-controller and DRAM-channel state.
-    pub mem_ctrl: MemControllerState,
-    /// Command Processor registers.
-    pub cp: CommandProcessorState,
-    /// Streamer state.
-    pub streamer: StreamerState,
-    /// Primitive Assembly object-id cursor.
-    pub pa_ids: u64,
-    /// Triangle Setup object-id cursor.
-    pub setup_ids: u64,
-    /// Fragment Generator object-id cursor.
-    pub fraggen_ids: u64,
-    /// Hierarchical Z buffer and registers.
-    pub hz: HzState,
-    /// Interpolator round-robin cursor.
-    pub interpolator_next_input: usize,
-    /// Fragment FIFO cursors.
-    pub ffifo: FragmentFifoState,
-    /// Per-texture-unit state, in unit order.
-    pub texunits: Vec<TextureUnitState>,
-    /// Per-ROPz-unit state, in unit order.
-    pub zstencil: Vec<ZStencilState>,
-    /// Per-ROPc-unit state, in unit order.
-    pub colorwrite: Vec<ColorWriteState>,
-    /// DAC read-request id cursor.
-    pub dac_next_id: u64,
-    /// Every statistic's counters and windows.
-    pub stats: StatsSnapshot,
-    /// Per-signal health counters, in name order.
-    pub signals: Vec<SignalCounterState>,
-    /// Fault-injector progress, when the run is chaos-tested.
-    pub fault: Option<FaultInjectorState>,
+    /// Every other key of the body in file order, `mem_ctrl` … `fault`,
+    /// as one object: one key per stateful box, holding the tree that box
+    /// rendered ([`Gpu::capture_checkpoint`](crate::gpu::Gpu::capture_checkpoint))
+    /// and will decode ([`Gpu::restore`](crate::gpu::Gpu::restore)).
+    /// Nothing in this module knows their layout.
+    pub boxes: Json,
 }
 
 impl CheckpointBody {
+    /// Keys this module decodes itself; every other one is a box's.
+    const TYPED_KEYS: [&str; 8] = [
+        "cycle",
+        "frames",
+        "cycles_skipped",
+        "horizon_backoff",
+        "commands_consumed",
+        "memory_len",
+        "memory",
+        "framebuffers",
+    ];
+
     fn to_json(&self) -> Json {
-        obj(vec![
-            ("cycle", hex64(self.cycle)),
-            ("frames", hex64(self.frames)),
-            ("cycles_skipped", hex64(self.cycles_skipped)),
-            ("horizon_backoff", hex64(self.horizon_backoff)),
-            ("commands_consumed", hex64(self.commands_consumed)),
-            ("memory_len", num(self.memory.len as f64)),
+        let typed = [
+            ("cycle", self.cycle.to_hex()),
+            ("frames", self.frames.to_hex()),
+            ("cycles_skipped", self.cycles_skipped.to_hex()),
+            ("horizon_backoff", self.horizon_backoff.to_hex()),
+            ("commands_consumed", self.commands_consumed.to_hex()),
+            ("memory_len", self.memory.len.to_json()),
             ("memory", self.memory.to_json()),
-            ("framebuffers", arr(&self.framebuffers, frame_to_json)),
-            ("mem_ctrl", mem_ctrl_to_json(&self.mem_ctrl)),
-            ("cp", cp_to_json(&self.cp)),
-            ("streamer", streamer_to_json(&self.streamer)),
-            ("pa_ids", hex64(self.pa_ids)),
-            ("setup_ids", hex64(self.setup_ids)),
-            ("fraggen_ids", hex64(self.fraggen_ids)),
-            ("hz", hz_to_json(&self.hz)),
-            ("interpolator_next_input", num(self.interpolator_next_input as f64)),
-            ("ffifo", ffifo_to_json(&self.ffifo)),
-            ("texunits", arr(&self.texunits, texunit_to_json)),
-            ("zstencil", arr(&self.zstencil, zstencil_to_json)),
-            ("colorwrite", arr(&self.colorwrite, colorwrite_to_json)),
-            ("dac_next_id", hex64(self.dac_next_id)),
-            ("stats", stats_to_json(&self.stats)),
-            (
-                "signals",
-                arr(&self.signals, |s| {
-                    obj(vec![
-                        ("name", Json::Str(s.name.clone())),
-                        ("written", hex64(s.written)),
-                        ("read", hex64(s.read)),
-                        ("lost", hex64(s.lost)),
-                    ])
-                }),
-            ),
-            ("fault", self.fault.as_ref().map_or(Json::Null, fault_to_json)),
-        ])
+            ("framebuffers", Json::Arr(self.framebuffers.iter().map(frame_to_json).collect())),
+        ];
+        let Json::Obj(boxes) = &self.boxes else { return Json::obj(typed) };
+        let boxes = boxes.iter().map(|(key, state)| (key.as_str(), state.clone()));
+        Json::obj(typed.into_iter().chain(boxes))
     }
 
-    fn from_json(j: &Json) -> Result<Self, SimError> {
-        let memory =
-            SparseBytes::from_json(field(j, "memory")?, get_int(j, "memory_len")?, "memory image")?;
-        let signals = get_vec(j, "signals", |s| {
-            Ok(SignalCounterState {
-                name: get_str(s, "name")?.to_string(),
-                written: get_u64(s, "written")?,
-                read: get_u64(s, "read")?,
-                lost: get_u64(s, "lost")?,
-            })
-        })?;
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        let Json::Obj(fields) = j else {
+            return Err(JsonError::msg(format!("expected object, found {}", j.type_name())));
+        };
+        let memory_len = field(j, "memory_len")?;
         Ok(CheckpointBody {
-            cycle: get_u64(j, "cycle")?,
-            frames: get_u64(j, "frames")?,
-            cycles_skipped: get_u64(j, "cycles_skipped")?,
-            horizon_backoff: get_u64(j, "horizon_backoff")?,
-            commands_consumed: get_u64(j, "commands_consumed")?,
-            memory,
-            framebuffers: get_vec(j, "framebuffers", frame_from_json)?,
-            mem_ctrl: mem_ctrl_from_json(field(j, "mem_ctrl")?)?,
-            cp: cp_from_json(field(j, "cp")?)?,
-            streamer: streamer_from_json(field(j, "streamer")?)?,
-            pa_ids: get_u64(j, "pa_ids")?,
-            setup_ids: get_u64(j, "setup_ids")?,
-            fraggen_ids: get_u64(j, "fraggen_ids")?,
-            hz: hz_from_json(field(j, "hz")?)?,
-            interpolator_next_input: get_int(j, "interpolator_next_input")?,
-            ffifo: ffifo_from_json(field(j, "ffifo")?)?,
-            texunits: get_vec(j, "texunits", texunit_from_json)?,
-            zstencil: get_vec(j, "zstencil", zstencil_from_json)?,
-            colorwrite: get_vec(j, "colorwrite", colorwrite_from_json)?,
-            dac_next_id: get_u64(j, "dac_next_id")?,
-            stats: stats_from_json(field(j, "stats")?)?,
-            signals,
-            fault: opt_from_json(field(j, "fault")?, fault_from_json)?,
+            cycle: field_with(j, "cycle", u64::from_hex)?,
+            frames: field_with(j, "frames", u64::from_hex)?,
+            cycles_skipped: field_with(j, "cycles_skipped", u64::from_hex)?,
+            horizon_backoff: field_with(j, "horizon_backoff", u64::from_hex)?,
+            commands_consumed: field_with(j, "commands_consumed", u64::from_hex)?,
+            memory: field_with(j, "memory", |m| SparseBytes::read_extents(m, memory_len))?,
+            framebuffers: field_with(j, "framebuffers", |frames| {
+                array(frames)?.iter().map(frame_from_json).collect()
+            })?,
+            boxes: Json::Obj(
+                fields
+                    .iter()
+                    .filter(|(key, _)| !Self::TYPED_KEYS.contains(&key.as_str()))
+                    .cloned()
+                    .collect(),
+            ),
         })
     }
 }
@@ -1061,18 +542,20 @@ impl Checkpoint {
     pub fn to_json(&self) -> Json {
         let body = self.body.to_json();
         let crc = crc32(body.render().as_bytes());
-        obj(vec![
-            ("magic", Json::Str(MAGIC.into())),
-            ("version", num(FORMAT_VERSION as f64)),
-            ("config_hash", hex64(self.config_hash)),
-            ("trace_hash", hex64(self.trace_hash)),
-            ("body_crc", num(crc)),
+        Json::obj([
+            ("magic", MAGIC.to_json()),
+            ("version", FORMAT_VERSION.to_json()),
+            ("config_hash", self.config_hash.to_hex()),
+            ("trace_hash", self.trace_hash.to_hex()),
+            ("body_crc", crc.to_json()),
             ("body", body),
         ])
     }
 
     /// Parses and validates a checkpoint document: magic, format version
-    /// and body CRC are all checked before the body is decoded.
+    /// and body CRC are all checked before the body is decoded. The boxes'
+    /// own state is carried as parsed; a malformed leaf there is refused
+    /// when [`Gpu::restore`](crate::gpu::Gpu::restore) hands it to its box.
     ///
     /// # Errors
     ///
@@ -1080,32 +563,34 @@ impl Checkpoint {
     /// an unsupported format version which yields the typed
     /// [`SimError::CheckpointVersion`].
     pub fn from_json(j: &Json) -> Result<Self, SimError> {
-        let magic = get_str(j, "magic")?;
+        let magic: String = field(j, "magic").map_err(refused)?;
         if magic != MAGIC {
             return Err(mismatch(format!("bad magic `{magic}`, expected `{MAGIC}`")));
         }
-        let found: u64 = get_int(j, "version")?;
+        let found: u64 = field(j, "version").map_err(refused)?;
         if found != FORMAT_VERSION {
             return Err(SimError::CheckpointVersion { found, supported: FORMAT_VERSION });
         }
-        let body_json = field(j, "body")?;
+        let body_json = field_with(j, "body", Ok).map_err(refused)?;
         let crc = crc32(body_json.render().as_bytes());
-        let stored: u32 = get_int(j, "body_crc")?;
+        let stored: u32 = field(j, "body_crc").map_err(refused)?;
         if crc != stored {
             return Err(mismatch(format!(
                 "body CRC mismatch: stored {stored:#010x}, computed {crc:#010x} (truncated or corrupted file)"
             )));
         }
         Ok(Checkpoint {
-            config_hash: get_u64(j, "config_hash")?,
-            trace_hash: get_u64(j, "trace_hash")?,
-            body: CheckpointBody::from_json(body_json)?,
+            config_hash: field_with(j, "config_hash", u64::from_hex).map_err(refused)?,
+            trace_hash: field_with(j, "trace_hash", u64::from_hex).map_err(refused)?,
+            body: CheckpointBody::from_json(body_json)
+                .map_err(|e| refused(e.in_context("body")))?,
         })
     }
 
     /// Writes the checkpoint atomically: the document lands in a `.tmp`
     /// sibling, is flushed, then renamed over `path` — a process killed
-    /// mid-write always leaves the previous valid checkpoint in place.
+    /// mid-write always leaves the previous valid checkpoint in place, and
+    /// a write that fails removes the sibling it created.
     ///
     /// # Errors
     ///
@@ -1120,17 +605,24 @@ impl Checkpoint {
         use std::io::Write;
         let text = self.to_json().pretty();
         let tmp = path.with_extension("ckpt.tmp");
-        let io = |e: std::io::Error| mismatch(format!("checkpoint write failed: {e}"));
-        let mut f = std::fs::File::create(&tmp).map_err(io)?;
-        // Bounded writes: one multi-megabyte `write` makes ext4 back it
-        // with megabyte page-cache folios, and allocating those took 0.3 ms
-        // or 6–13 ms from one checkpoint to the next (EXPERIMENTS.md).
-        for part in text.as_bytes().chunks(WRITE_CHUNK) {
-            f.write_all(part).map_err(io)?;
-        }
-        f.sync_all().map_err(io)?;
-        drop(f);
-        std::fs::rename(&tmp, path).map_err(io)?;
+        let write = || {
+            let mut f = std::fs::File::create(&tmp)?;
+            // Bounded writes: one multi-megabyte `write` makes ext4 back it
+            // with megabyte page-cache folios, and allocating those took
+            // 0.3 ms or 6–13 ms from one checkpoint to the next
+            // (EXPERIMENTS.md).
+            for part in text.as_bytes().chunks(WRITE_CHUNK) {
+                f.write_all(part)?;
+            }
+            f.sync_all()?;
+            drop(f);
+            std::fs::rename(&tmp, path)
+        };
+        write().map_err(|e: std::io::Error| {
+            // A write that failed part-way must not leave its temp file.
+            let _ = std::fs::remove_file(&tmp);
+            mismatch(format!("checkpoint write failed: {e}"))
+        })?;
         Ok(text.len() as u64)
     }
 
@@ -1222,7 +714,7 @@ mod tests {
     #[test]
     fn hex_round_trips_extremes() {
         for v in [0u64, 1, u64::MAX, 1 << 53, (1 << 53) + 1] {
-            assert_eq!(parse_hex64(&hex64(v), "t").unwrap(), v);
+            assert_eq!(u64::from_hex(&v.to_hex()).unwrap(), v);
         }
     }
 

@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 
 use attila_emu::fragops::{blend, compress_z_block, pack_rgba8, unpack_rgba8, ZBLOCK_WORDS};
+use attila_json::{field, field_with, HexJson, Json, JsonError, JsonState, ToJson};
 use attila_mem::controller::split_transactions;
 use attila_mem::{Client, MemOp, MemRequest, MemoryController, RopCache};
 use attila_sim::{Counter, Cycle, SimError};
@@ -353,46 +354,27 @@ impl ColorWriteUnit {
     pub fn fragments_written(&self) -> u64 {
         self.stat_frags_written.value()
     }
-
-    /// Captures the unit's persistent state for checkpointing. Only valid
-    /// at a quiescent point (no fills or writebacks in flight).
-    pub fn save_state(&self) -> ColorWriteState {
-        ColorWriteState {
-            cache: self.cache.as_ref().map(RopCache::save_state),
-            prefer_late: self.prefer_late,
-            next_req_id: self.next_req_id,
-        }
-    }
-
-    /// Restores a snapshot taken by [`save_state`](Self::save_state). A
-    /// checkpointed cache is rebuilt bound to the checkpointed surface.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::CheckpointMismatch`] when the cache geometry
-    /// differs from the checkpointed one.
-    pub fn load_state(&mut self, state: &ColorWriteState) -> Result<(), SimError> {
-        self.cache = match &state.cache {
-            Some(cs) => {
-                let mut cache = RopCache::new(self.config.cache.into(), "Color", cs.base, cs.len);
-                cache.load_state(cs)?;
-                Some(cache)
-            }
-            None => None,
-        };
-        self.prefer_late = state.prefer_late;
-        self.next_req_id = state.next_req_id;
-        Ok(())
-    }
 }
 
-/// Plain-data snapshot of a [`ColorWriteUnit`], for checkpointing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColorWriteState {
-    /// The colour cache's full state, if a colour buffer is bound.
-    pub cache: Option<attila_mem::RopCacheState>,
-    /// Round-robin preference between the early and late input queues.
-    pub prefer_late: bool,
-    /// Next memory-request id.
-    pub next_req_id: u64,
+/// Valid at a quiescent point (no fills or writebacks in flight). A bound
+/// colour cache is rebuilt on the surface the file names before its lines
+/// load (see [`RopCache::load_state`]).
+impl JsonState for ColorWriteUnit {
+    fn save_state(&self) -> Json {
+        Json::obj([
+            ("cache", self.cache.as_ref().map_or(Json::Null, RopCache::save_state)),
+            ("prefer_late", self.prefer_late.to_json()),
+            ("next_req_id", self.next_req_id.to_hex()),
+        ])
+    }
+
+    fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
+        self.cache = field_with(v, "cache", |c| match c {
+            Json::Null => Ok(None),
+            c => RopCache::load_state(self.config.cache.into(), "Color", c).map(Some),
+        })?;
+        self.prefer_late = field(v, "prefer_late")?;
+        self.next_req_id = field_with(v, "next_req_id", u64::from_hex)?;
+        Ok(())
+    }
 }

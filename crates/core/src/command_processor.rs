@@ -16,6 +16,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use attila_json::impl_json_state;
 use attila_mem::MemoryController;
 use attila_sim::{Counter, Cycle, SimError};
 
@@ -50,27 +51,13 @@ pub enum CpAction {
     Swap,
 }
 
-/// Plain-data snapshot of the Command Processor's persistent state, for
-/// checkpointing. Captured only at a quiescent point, so the transient
-/// queues (pending actions, in-flight uploads) are empty by construction
-/// and never appear here.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommandProcessorState {
-    /// Next system-upload request id.
-    pub next_upload_id: u64,
-    /// Next draw-batch id.
-    pub next_batch_id: u64,
-    /// Datapath (early/late Z) of the last issued draw, if any.
-    pub last_draw_early: Option<bool>,
-}
-
 /// The Command Processor box.
 #[derive(Debug)]
 pub struct CommandProcessor {
     commands: VecDeque<GpuCommand>, // state: external — the frame driver requeues unconsumed commands on restore
     /// Draw batches to the Streamer.
     pub out_draws: PortSender<Arc<Batch>>,
-    state: Arc<RenderState>, // state: derived — rebuilt by replaying the last SetState (see restore_render_state)
+    state: Arc<RenderState>, // state: derived — rebuilt by replaying the last SetState (see resume)
     /// Cycles the current command still needs before completing.
     stall_cycles: Cycle, // state: transient — zero at the command-boundary checkpoint
     outstanding_uploads: usize, // state: transient — zero at the command-boundary checkpoint
@@ -320,30 +307,19 @@ impl CommandProcessor {
         self.stall_cycles == 0 && self.outstanding_uploads == 0 && self.actions.is_empty()
     }
 
-    /// Captures the CP's persistent state for checkpointing. Only valid at
-    /// a [command boundary](Self::at_command_boundary), where the queue of
-    /// unprocessed commands plus these three fields fully determine the
-    /// box's future behaviour.
-    pub fn save_state(&self) -> CommandProcessorState {
-        CommandProcessorState {
-            next_upload_id: self.next_upload_id,
-            next_batch_id: self.next_batch_id,
-            last_draw_early: self.last_draw_early,
+    /// Resumes a trace `consumed` commands in. The render state is not
+    /// serialized (it holds compiled shader programs): the last `SetState`
+    /// among the consumed commands reconstructs it exactly. The rest of
+    /// the trace is queued.
+    pub fn resume(&mut self, commands: &[GpuCommand], consumed: usize) {
+        let set_state = |c: &GpuCommand| match c {
+            GpuCommand::SetState(s) => Some(Arc::new((**s).clone())),
+            _ => None,
+        };
+        if let Some(state) = commands[..consumed].iter().rev().find_map(set_state) {
+            self.state = state;
         }
-    }
-
-    /// Restores a snapshot taken by [`save_state`](Self::save_state).
-    pub fn load_state(&mut self, state: &CommandProcessorState) {
-        self.next_upload_id = state.next_upload_id;
-        self.next_batch_id = state.next_batch_id;
-        self.last_draw_early = state.last_draw_early;
-    }
-
-    /// Overwrites the current render state; used on restore, where the
-    /// state is reconstructed by replaying the last `SetState` among the
-    /// already-consumed commands.
-    pub fn restore_render_state(&mut self, state: Arc<RenderState>) {
-        self.state = state;
+        self.enqueue(commands[consumed..].iter().cloned());
     }
 
     /// Commands processed so far.
@@ -356,3 +332,8 @@ impl CommandProcessor {
         self.stat_draws.value()
     }
 }
+
+// Valid at a command boundary (`at_command_boundary`), where the queue of
+// unprocessed commands plus these three fields fully determine the box's
+// future behaviour; the transient queues are empty by construction.
+impl_json_state!(CommandProcessor { next_upload_id: hex, next_batch_id: hex, last_draw_early });

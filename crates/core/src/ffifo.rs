@@ -28,6 +28,7 @@ use std::sync::Arc;
 use attila_emu::isa::{limits, Bank, Opcode, Program, ShaderTarget};
 use attila_emu::shader::{ShaderEmulator, StepResult, ThreadId};
 use attila_emu::vector::Vec4;
+use attila_json::impl_json_state;
 use attila_sim::{Counter, Cycle, DynamicObject, ObjectIdGen, SimError};
 
 use crate::config::{ShaderConfig, ShaderScheduling};
@@ -1041,43 +1042,18 @@ impl FragmentFifo {
     pub fn unit_busy_cycles(&self) -> Vec<u64> {
         self.units.iter().map(|u| u.stat_busy.value()).collect()
     }
-
-    /// Captures the scheduler's persistent state for checkpointing. Only
-    /// valid at a quiescent point: with no live groups the slab, queues,
-    /// occupancy counters and per-unit emulators (recreated on demand,
-    /// keyed by batch id) are all empty or cold-rebuildable, leaving the
-    /// four monotonic cursors below.
-    pub fn save_state(&self) -> FragmentFifoState {
-        FragmentFifoState {
-            next_order: self.next_order,
-            next_tex_id: self.next_tex_id,
-            next_tu: self.next_tu,
-            ids_issued: self.ids.issued(),
-        }
-    }
-
-    /// Restores a snapshot taken by [`save_state`](Self::save_state).
-    pub fn load_state(&mut self, state: &FragmentFifoState) {
-        self.next_order = state.next_order;
-        self.next_tex_id = state.next_tex_id;
-        self.next_tu = state.next_tu;
-        self.ids.restore_issued(state.ids_issued);
-    }
 }
 
-/// Plain-data snapshot of the Fragment FIFO's persistent state, for
-/// checkpointing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FragmentFifoState {
-    /// Next group admission-order stamp.
-    pub next_order: u64,
-    /// Next texture-request id.
-    pub next_tex_id: u64,
-    /// Round-robin texture-unit cursor.
-    pub next_tu: usize,
-    /// Dynamic-object ids issued so far.
-    pub ids_issued: u64,
-}
+// Valid at a quiescent point: with no live groups the slab, queues,
+// occupancy counters and per-unit emulators (recreated on demand, keyed by
+// batch id) are all empty or cold-rebuildable, leaving the four monotonic
+// cursors below.
+impl_json_state!(FragmentFifo {
+    next_order: hex,
+    next_tex_id: hex,
+    next_tu,
+    ids_issued = ids: state,
+});
 
 impl std::fmt::Debug for FragmentFifo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

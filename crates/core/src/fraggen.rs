@@ -9,6 +9,7 @@
 //! (Table 1: 2×64 fragments).
 
 use attila_emu::raster::{covered_tiles, gen_fragment, RasterFragment};
+use attila_json::impl_json_state;
 use attila_sim::{Counter, Cycle, DynamicObject, ObjectIdGen, SimError};
 
 use crate::config::FragGenConfig;
@@ -28,7 +29,7 @@ pub struct FragmentGenerator {
     /// Generated 8×8 fragment tiles to Hierarchical Z.
     pub out_tiles: PortSender<FragTile>,
     /// The triangle being traversed and its remaining tiles.
-    current: Option<ActiveTraversal>,
+    current: Option<ActiveTraversal>, // state: transient — `None` at any quiescent point
     ids: ObjectIdGen,
     stat_tiles: Counter,
     stat_fragments: Counter,
@@ -173,18 +174,9 @@ impl FragmentGenerator {
     pub fn fragments_generated(&self) -> u64 {
         self.stat_fragments.value()
     }
-
-    /// Dynamic-object ids issued so far (the box's whole persistent state:
-    /// `current` is `None` at any quiescent point).
-    pub fn ids_issued(&self) -> u64 {
-        self.ids.issued()
-    }
-
-    /// Restores the dynamic-object id counter from a checkpoint.
-    pub fn restore_ids(&mut self, issued: u64) {
-        self.ids.restore_issued(issued);
-    }
 }
+
+impl_json_state!(FragmentGenerator = ids: state);
 
 #[cfg(test)]
 mod tests {

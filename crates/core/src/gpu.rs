@@ -10,6 +10,7 @@
 use std::fmt::Write as _;
 
 use attila_emu::fragops::DEPTH_MAX;
+use attila_json::{impl_json_state, JsonState};
 use attila_mem::{Client, MemOp, MemRequest, MemoryController};
 use attila_sim::{
     BoxNode, Counter, Cycle, FaultInjector, Horizon, LintReport, SignalBinder, SimError,
@@ -17,7 +18,7 @@ use attila_sim::{
 };
 
 use crate::address::{pixel_address, FB_TILE_BYTES};
-use crate::checkpoint::{Checkpoint, CheckpointBody, SignalCounterState, SparseBytes};
+use crate::checkpoint::{mismatch, refused, Checkpoint, CheckpointBody, SparseBytes};
 use crate::clipper::Clipper;
 use crate::colorwrite::ColorWriteUnit;
 use crate::command_processor::{CommandProcessor, CpAction};
@@ -75,7 +76,7 @@ impl FrameDump {
 /// refresh bandwidth with timing reads.
 #[derive(Debug)]
 struct Dac {
-    pending_reads: std::collections::VecDeque<u64>,
+    pending_reads: std::collections::VecDeque<u64>, // state: transient — `Gpu::quiescent` requires it empty
     next_id: u64,
     stat_bytes: Counter,
 }
@@ -192,6 +193,8 @@ impl std::error::Error for GpuError {
     }
 }
 
+impl_json_state!(Dac = next_id: hex);
+
 /// The assembled ATTILA GPU.
 pub struct Gpu {
     config: GpuConfig,
@@ -201,7 +204,7 @@ pub struct Gpu {
     cp: CommandProcessor,
     streamer: Streamer,
     pa: PrimitiveAssembly,
-    clipper: Clipper,
+    clipper: Clipper, // state: transient — ports and statistics only
     setup: TriangleSetup,
     fraggen: FragmentGenerator,
     hz: HierarchicalZ,
@@ -211,6 +214,8 @@ pub struct Gpu {
     texunits: Vec<TextureUnit>,
     colorwrite: Vec<ColorWriteUnit>,
     dac: Dac,
+    // state: external — `CheckpointBody`'s typed header (`capture_checkpoint`
+    // writes it, `restore` reads it back), or an option the caller sets
     cycle: Cycle,
     frames: u64,
     framebuffers: Vec<FrameDump>,
@@ -238,9 +243,11 @@ pub struct Gpu {
     /// its per-variant loops) every cycle, and [`work_horizon`](Self::work_horizon)
     /// folds over the same array so the two can never disagree about
     /// which units exist.
-    schedule: Box<[ScheduleEntry]>,
+    schedule: Box<[ScheduleEntry]>, // state: derived — fixed at elaboration
     /// One sleep gate per [`schedule`](Self::schedule) entry, same order.
     gates: Box<[BoxGate]>, // state: transient — rebuilt awake at elaboration/restore
+    // state: transient — this process's diagnostics, checkpointing options
+    // and accounting; `trace_hash` travels in the file's header
     /// Forensic trace sink, when signal tracing is enabled.
     trace: Option<attila_sim::TraceSink>,
     /// Faults tolerated (not aborted on) under `OnFault::{Isolate,Report}`.
@@ -264,10 +271,33 @@ pub struct Gpu {
     checkpoints_written: u64,
     /// Their total file bytes.
     checkpoint_bytes_written: u64,
+    // state: checkpointed
     /// A fault injector adopted via [`adopt_faults`](Self::adopt_faults),
     /// owned so checkpoints carry its progress.
     fault_injector: Option<FaultInjector>,
 }
+
+// `CheckpointBody::boxes`: the boxes' keys in file order, each with the
+// field that owns the state. A box added to the machine and not to this
+// list fails `state-coverage`; only the injector (`fault`) may be absent.
+impl_json_state!(Gpu {
+    mem_ctrl = mem: state,
+    cp: state,
+    streamer: state,
+    pa_ids = pa: state,
+    setup_ids = setup: state,
+    fraggen_ids = fraggen: state,
+    hz: state,
+    interpolator_next_input = interpolator: state,
+    ffifo: state,
+    texunits: state,
+    zstencil: state,
+    colorwrite: state,
+    dac_next_id = dac: state,
+    stats: state,
+    signals = binder: state,
+    fault = fault_injector: state,
+});
 
 /// Steps a `Busy` horizon verdict stays cached before re-evaluating
 /// (see `Gpu::poll_horizon` and [`BoxGate::settle`]).
@@ -1381,46 +1411,19 @@ impl Gpu {
     /// transient state in flight could not restore faithfully.
     pub fn capture_checkpoint(&self) -> Checkpoint {
         assert!(self.quiescent(), "checkpoint requested outside a quiescent point");
-        let signals = self
-            .binder
-            .statuses()
-            .into_iter()
-            .map(|s| SignalCounterState {
-                name: s.name.as_str().to_string(),
-                written: s.written,
-                read: s.read,
-                lost: s.lost,
-            })
-            .collect();
-        let body = CheckpointBody {
-            cycle: self.cycle,
-            frames: self.frames,
-            cycles_skipped: self.cycles_skipped,
-            horizon_backoff: self.horizon_backoff,
-            commands_consumed: self.cp.commands_processed(),
-            memory: SparseBytes::scan(self.mem.gpu_mem().as_slice()),
-            framebuffers: self.framebuffers.clone(),
-            mem_ctrl: self.mem.save_state(),
-            cp: self.cp.save_state(),
-            streamer: self.streamer.save_state(),
-            pa_ids: self.pa.ids_issued(),
-            setup_ids: self.setup.ids_issued(),
-            fraggen_ids: self.fraggen.ids_issued(),
-            hz: self.hz.save_state(),
-            interpolator_next_input: self.interpolator.next_input(),
-            ffifo: self.ffifo.save_state(),
-            texunits: self.texunits.iter().map(TextureUnit::save_state).collect(),
-            zstencil: self.zstencil.iter().map(ZStencilUnit::save_state).collect(),
-            colorwrite: self.colorwrite.iter().map(ColorWriteUnit::save_state).collect(),
-            dac_next_id: self.dac.next_id,
-            stats: self.stats.save_state(),
-            signals,
-            fault: self.fault_injector.as_ref().map(FaultInjector::save_state),
-        };
         Checkpoint {
             config_hash: crate::checkpoint::config_hash(&self.config),
             trace_hash: self.trace_hash,
-            body,
+            body: CheckpointBody {
+                cycle: self.cycle,
+                frames: self.frames,
+                cycles_skipped: self.cycles_skipped,
+                horizon_backoff: self.horizon_backoff,
+                commands_consumed: self.cp.commands_processed(),
+                memory: SparseBytes::scan(self.mem.gpu_mem().as_slice()),
+                framebuffers: self.framebuffers.clone(),
+                boxes: self.save_state(),
+            },
         }
     }
 
@@ -1451,117 +1454,44 @@ impl Gpu {
         injector: Option<FaultInjector>,
     ) -> Result<Gpu, SimError> {
         ckpt.validate_against(&config, commands)?;
-        let mut gpu = Gpu::new(config);
-        if let Some(injector) = injector {
-            gpu.adopt_faults(injector).map_err(|e| SimError::CheckpointMismatch {
-                reason: format!("cannot re-arm the fault injector: {e}"),
-            })?;
-        }
-        // Fresh from `Gpu::new`, so its memory image is all zeros: that
-        // is what lets `apply_body` write the extents and nothing else
-        // ("omitted page = zero"). `validate_against` just hashed
-        // `commands` to `ckpt.trace_hash`, so the machine resumes from it.
-        gpu.apply_body(&ckpt.body, ckpt.trace_hash, commands)?;
-        Ok(gpu)
-    }
-
-    /// Loads a checkpoint body into a freshly built machine; `trace_hash`
-    /// is the hash of `commands`.
-    fn apply_body(
-        &mut self,
-        body: &CheckpointBody,
-        trace_hash: u64,
-        commands: &[GpuCommand],
-    ) -> Result<(), SimError> {
-        let mismatch = |reason: String| SimError::CheckpointMismatch { reason };
-        let consumed = usize::try_from(body.commands_consumed)
-            .map_err(|_| mismatch("absurd consumed-command count".into()))?;
+        let body = &ckpt.body;
+        let consumed = usize::try_from(body.commands_consumed).unwrap_or(usize::MAX);
         if consumed > commands.len() {
             return Err(mismatch(format!(
                 "checkpoint consumed {consumed} commands but the trace has only {}",
                 commands.len()
             )));
         }
-        let size = self.mem.gpu_mem().size();
-        if body.memory.len != size {
+        let mut gpu = Gpu::new(config);
+        if let Some(injector) = injector {
+            gpu.adopt_faults(injector)
+                .map_err(|e| mismatch(format!("cannot re-arm the fault injector: {e}")))?;
+        }
+        // Fresh from `Gpu::new`, so the image is all zeros, which is what lets
+        // the extents be written and nothing else ("omitted page = zero").
+        body.memory.write_into(gpu.mem.gpu_mem_mut())?;
+        gpu.load_state(&body.boxes).map_err(refused)?;
+        // A ROP cache's surface lies in GPU memory: fast clears write it
+        // and evictions read it back.
+        let size = gpu.mem.gpu_mem().size() as u64;
+        let z = gpu.zstencil.iter().map(ZStencilUnit::cache);
+        let mut rops = z.chain(gpu.colorwrite.iter().map(ColorWriteUnit::cache)).flatten();
+        if let Some(c) = rops.find(|c| c.base().checked_add(c.len()).is_none_or(|e| e > size)) {
+            let (base, len) = (c.base(), c.len());
             return Err(mismatch(format!(
-                "memory image is {} bytes, this machine has {size}",
-                body.memory.len
+                "ROP cache: base {base:#x} + len {len} runs past the {size} bytes of GPU memory"
             )));
         }
-        // Only the extents are touched: the rest of the image stays the
-        // untouched (never resident) zero pages `Gpu::new` allocated.
-        for (at, bytes) in &body.memory.extents {
-            if at.checked_add(bytes.len()).is_none_or(|end| end > size) {
-                return Err(mismatch(format!("memory extent at {at} runs past the image")));
-            }
-            self.mem.gpu_mem_mut().write(*at as u64, bytes);
-        }
-        self.mem.load_state(&body.mem_ctrl)?;
-        // The Command Processor's render state is not serialized (it holds
-        // compiled shader programs); the last SetState among the consumed
-        // commands reconstructs it exactly.
-        self.cp.load_state(&body.cp);
-        let state = commands[..consumed].iter().rev().find_map(|c| match c {
-            GpuCommand::SetState(s) => Some(std::sync::Arc::new((**s).clone())),
-            _ => None,
-        });
-        if let Some(state) = state {
-            self.cp.restore_render_state(state);
-        }
-        self.cp.enqueue(commands[consumed..].iter().cloned());
-        self.streamer.load_state(&body.streamer);
-        self.pa.restore_ids(body.pa_ids);
-        self.setup.restore_ids(body.setup_ids);
-        self.fraggen.restore_ids(body.fraggen_ids);
-        self.hz.load_state(&body.hz)?;
-        self.interpolator.restore_next_input(body.interpolator_next_input);
-        self.ffifo.load_state(&body.ffifo);
-        if body.texunits.len() != self.texunits.len()
-            || body.zstencil.len() != self.zstencil.len()
-            || body.colorwrite.len() != self.colorwrite.len()
-        {
-            return Err(mismatch("checkpointed unit counts differ from this machine's".into()));
-        }
-        for (t, s) in self.texunits.iter_mut().zip(&body.texunits) {
-            t.load_state(s)?;
-        }
-        for (z, s) in self.zstencil.iter_mut().zip(&body.zstencil) {
-            z.load_state(s)?;
-        }
-        for (c, s) in self.colorwrite.iter_mut().zip(&body.colorwrite) {
-            c.load_state(s)?;
-        }
-        self.dac.next_id = body.dac_next_id;
-        self.stats.load_state(&body.stats)?;
-        for s in &body.signals {
-            let probe = self.binder.probe(&s.name).map_err(|_| {
-                mismatch(format!("checkpoint names an unregistered signal `{}`", s.name))
-            })?;
-            probe.restore_counters(s.written, s.read, s.lost);
-        }
-        match (&body.fault, self.fault_injector.as_mut()) {
-            (Some(fs), Some(inj)) => inj.load_state(fs)?,
-            (Some(_), None) => {
-                return Err(mismatch(
-                    "checkpoint carries fault-injector state but no injector was supplied".into(),
-                ));
-            }
-            (None, Some(_)) => {
-                return Err(mismatch(
-                    "an injector was supplied but the checkpoint carries no fault state".into(),
-                ));
-            }
-            (None, None) => {}
-        }
-        self.cycle = body.cycle;
-        self.frames = body.frames;
-        self.cycles_skipped = body.cycles_skipped;
-        self.horizon_backoff = body.horizon_backoff;
-        self.framebuffers = body.framebuffers.clone();
-        self.trace_hash = trace_hash;
-        self.wake_all_boxes();
-        Ok(())
+        gpu.cp.resume(commands, consumed);
+        gpu.cycle = body.cycle;
+        gpu.frames = body.frames;
+        gpu.cycles_skipped = body.cycles_skipped;
+        gpu.horizon_backoff = body.horizon_backoff;
+        gpu.framebuffers = body.framebuffers.clone();
+        // `validate_against` just hashed `commands` to this.
+        gpu.trace_hash = ckpt.trace_hash;
+        gpu.wake_all_boxes();
+        Ok(gpu)
     }
 
     /// Automatic checkpoints this machine has written

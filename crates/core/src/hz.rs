@@ -17,6 +17,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use attila_emu::fragops::CompareFunc;
+use attila_json::{array, field, field_with, FromJson, HexJson, Json, JsonError, JsonState, ToJson};
 use attila_sim::{Counter, Cycle, DynamicObject, ObjectIdGen, SimError};
 
 use crate::address::{block_count, block_index, FB_TILE};
@@ -104,49 +105,6 @@ impl HzBuffer {
     pub fn reference(&self, block: usize) -> f32 {
         self.entries[block]
     }
-
-    /// The raw reference entries as IEEE-754 bit patterns, for
-    /// checkpointing. Bits rather than values: the no-rejection poison
-    /// entry is `f32::INFINITY`, which a decimal serialization cannot
-    /// round-trip.
-    pub fn entry_bits(&self) -> Vec<u32> {
-        self.entries.iter().map(|e| e.to_bits()).collect()
-    }
-
-    /// Restores entries captured by [`entry_bits`](Self::entry_bits).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::CheckpointMismatch`] when the entry counts
-    /// differ (the checkpoint describes a different render-target size).
-    pub fn load_entry_bits(&mut self, bits: &[u32]) -> Result<(), SimError> {
-        if bits.len() != self.entries.len() {
-            return Err(SimError::CheckpointMismatch {
-                reason: format!(
-                    "HZ buffer has {} blocks, checkpoint carries {}",
-                    self.entries.len(),
-                    bits.len()
-                ),
-            });
-        }
-        for (e, b) in self.entries.iter_mut().zip(bits) {
-            *e = f32::from_bits(*b);
-        }
-        Ok(())
-    }
-}
-
-/// Plain-data snapshot of the Hierarchical Z box, for checkpointing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HzState {
-    /// HZ reference entries as IEEE-754 bit patterns, in block order.
-    pub entry_bits: Vec<u32>,
-    /// Width of the render target the block indexing derives from.
-    pub target_width: u32,
-    /// The bound depth buffer (base, width, height), if any.
-    pub bound_z: Option<(u64, u32, u32)>,
-    /// Dynamic-object ids issued so far.
-    pub ids_issued: u64,
 }
 
 /// The Hierarchical Z / tile-to-quad box.
@@ -395,35 +353,59 @@ impl HierarchicalZ {
     pub fn tiles_rejected(&self) -> u64 {
         self.stat_tiles_rejected.value()
     }
+}
 
-    /// Captures the box's persistent state for checkpointing. Only valid
-    /// at a quiescent point (no staged quads, drained wires).
-    pub fn save_state(&self) -> HzState {
-        HzState {
-            entry_bits: self.buffer.entry_bits(),
-            target_width: self.target_width,
-            bound_z: self.bound_z,
-            ids_issued: self.ids.issued(),
-        }
+/// The HZ buffer and registers; valid at a quiescent point (no staged
+/// quads, drained wires). Entries travel as `f32::to_bits` words — the
+/// no-rejection poison entry is `f32::INFINITY`, which no decimal
+/// rendering round-trips — and become the buffer as the file carries
+/// them: the surface `bound_z` names (or, unbound, the one elaboration
+/// built) is held to their count, never allocated from.
+impl JsonState for HierarchicalZ {
+    fn save_state(&self) -> Json {
+        let bound_z = self.bound_z.map_or(Json::Null, |(base, width, height)| {
+            Json::Arr(vec![base.to_hex(), width.to_json(), height.to_json()])
+        });
+        let entry_bits = self.buffer.entries.iter().map(|e| e.to_bits().to_json());
+        Json::obj([
+            ("entry_bits", Json::Arr(entry_bits.collect())),
+            ("target_width", self.target_width.to_json()),
+            ("bound_z", bound_z),
+            ("ids_issued", self.ids.save_state()),
+        ])
     }
 
-    /// Restores a snapshot taken by [`save_state`](Self::save_state). The
-    /// HZ buffer is rebuilt at the checkpointed render-target size before
-    /// its entries are loaded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::CheckpointMismatch`] when the entry count does
-    /// not match the (re-derived) buffer geometry.
-    pub fn load_state(&mut self, state: &HzState) -> Result<(), SimError> {
-        if let Some((_, w, h)) = state.bound_z {
-            self.buffer = HzBuffer::new(w, h, self.config.depth_bits);
+    fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
+        let entry_bits: Vec<u32> = field(v, "entry_bits")?;
+        let bound_z = field_with(v, "bound_z", |b| match b {
+            Json::Null => Ok(None),
+            b => match array(b)? {
+                [base, width, height] => Ok(Some((
+                    u64::from_hex(base)?,
+                    u32::from_json(width)?,
+                    u32::from_json(height)?,
+                ))),
+                _ => Err(JsonError::msg(format!("bad surface: {}", b.render()))),
+            },
+        })?;
+        let (width, blocks) = match bound_z {
+            Some((_, width, height)) => (width, block_count(width, height)),
+            None => (self.target_width, self.buffer.entries.len()),
+        };
+        if entry_bits.len() != blocks {
+            return Err(JsonError::msg(format!(
+                "entry_bits: {} entries, but bound_z covers {blocks} blocks",
+                entry_bits.len()
+            )));
         }
-        self.buffer.load_entry_bits(&state.entry_bits)?;
-        self.target_width = state.target_width;
-        self.bound_z = state.bound_z;
-        self.ids.restore_issued(state.ids_issued);
-        Ok(())
+        // Block indexing derives from the bound surface's width.
+        if field::<u32>(v, "target_width")? != width {
+            return Err(JsonError::msg(format!("target_width: bound_z is {width} pixels wide")));
+        }
+        self.buffer.entries = entry_bits.into_iter().map(f32::from_bits).collect();
+        self.target_width = width;
+        self.bound_z = bound_z;
+        field_with(v, "ids_issued", |ids| self.ids.load_state(ids))
     }
 }
 

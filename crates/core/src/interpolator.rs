@@ -14,6 +14,7 @@
 
 use std::collections::VecDeque;
 
+use attila_json::impl_json_state;
 use attila_sim::{Counter, Cycle, SimError};
 
 use crate::config::InterpolatorConfig;
@@ -32,7 +33,7 @@ pub struct Interpolator {
     pub out_quads: PortSender<FragQuad>,
     /// Internal delay pipe modelling the attribute-count-dependent
     /// latency.
-    pipe: VecDeque<(Cycle, FragQuad)>,
+    pipe: VecDeque<(Cycle, FragQuad)>, // state: transient — empty at any quiescent point
     next_input: usize,
     stat_quads: Counter,
     stat_attributes: Counter,
@@ -173,15 +174,6 @@ impl Interpolator {
     pub fn quads_interpolated(&self) -> u64 {
         self.stat_quads.value()
     }
-
-    /// The round-robin input cursor — the box's whole persistent state
-    /// (the delay pipe is empty at any quiescent point).
-    pub fn next_input(&self) -> usize {
-        self.next_input
-    }
-
-    /// Restores the round-robin input cursor from a checkpoint.
-    pub fn restore_next_input(&mut self, next_input: usize) {
-        self.next_input = next_input;
-    }
 }
+
+impl_json_state!(Interpolator = next_input);

@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use attila_json::impl_json_state;
 use attila_sim::{Counter, Cycle, DynamicObject, ObjectIdGen, SimError};
 
 use crate::commands::Primitive;
@@ -21,6 +22,8 @@ pub struct PrimitiveAssembly {
     /// Assembled triangles to the Clipper.
     pub out_tris: PortSender<TriangleWork>,
 
+    // state: transient — per-batch assembly, reset by the next batch id
+    // and empty at the quiescent checkpoint boundary
     batch: Option<Arc<Batch>>,
     received: u32,
     /// Vertex window: at most the last 4 vertices are needed.
@@ -29,6 +32,7 @@ pub struct PrimitiveAssembly {
     parity: bool,
     /// Triangles assembled, awaiting the 1/cycle output slot.
     pending_out: std::collections::VecDeque<TriangleWork>,
+    // state: checkpointed
     ids: ObjectIdGen,
     stat_triangles: Counter,
 }
@@ -207,19 +211,12 @@ impl PrimitiveAssembly {
     pub fn triangles_assembled(&self) -> u64 {
         self.stat_triangles.value()
     }
-
-    /// Dynamic-object ids issued so far (the box's whole persistent state:
-    /// the vertex window and batch pointer reset when a new batch id
-    /// arrives, and are empty at any quiescent point).
-    pub fn ids_issued(&self) -> u64 {
-        self.ids.issued()
-    }
-
-    /// Restores the dynamic-object id counter from a checkpoint.
-    pub fn restore_ids(&mut self, issued: u64) {
-        self.ids.restore_issued(issued);
-    }
 }
+
+// The id cursor is the box's whole persistent state: the vertex window and
+// batch pointer reset when a new batch id arrives, and are empty at any
+// quiescent point.
+impl_json_state!(PrimitiveAssembly = ids: state);
 
 #[cfg(test)]
 mod tests {

@@ -8,6 +8,7 @@
 use std::sync::Arc;
 
 use attila_emu::raster::setup_triangle;
+use attila_json::impl_json_state;
 use attila_sim::{Counter, Cycle, DynamicObject, ObjectIdGen, SimError};
 
 use crate::port::{PortReceiver, PortSender};
@@ -113,15 +114,8 @@ impl TriangleSetup {
     pub fn face_culled(&self) -> u64 {
         self.stat_culled.value()
     }
-
-    /// Dynamic-object ids issued so far (the box's whole persistent state;
-    /// Setup holds no buffers beyond its ports).
-    pub fn ids_issued(&self) -> u64 {
-        self.ids.issued()
-    }
-
-    /// Restores the dynamic-object id counter from a checkpoint.
-    pub fn restore_ids(&mut self, issued: u64) {
-        self.ids.restore_issued(issued);
-    }
 }
+
+// The id cursor is the box's whole persistent state; Setup holds no
+// buffers beyond its ports.
+impl_json_state!(TriangleSetup = ids: state);

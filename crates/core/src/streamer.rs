@@ -16,6 +16,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use attila_emu::vector::Vec4;
+use attila_json::impl_json_state;
 use attila_mem::{Client, MemOp, MemRequest, MemoryController};
 use attila_sim::{Counter, Cycle, DynamicObject, ObjectIdGen, SimError};
 
@@ -48,21 +49,6 @@ struct ActiveBatch {
     batch: Arc<Batch>,
     next_seq: u32,
     total: u32,
-}
-
-/// Plain-data snapshot of the Streamer's persistent state, for
-/// checkpointing. The post-shading vertex cache is deliberately *not*
-/// captured: it only serves lookups for the batch named by its tag, batch
-/// ids never repeat within a run, and at a quiescent point no batch is
-/// active — so a cold cache after restore is behaviourally identical.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamerState {
-    /// Recently fetched 64-byte index-buffer chunk addresses, oldest first.
-    pub index_chunks: Vec<u64>,
-    /// Next memory-request id.
-    pub next_req_id: u64,
-    /// Dynamic-object ids issued so far.
-    pub ids_issued: u64,
 }
 
 /// The Streamer box.
@@ -446,24 +432,6 @@ impl Streamer {
             + self.pending.len()
     }
 
-    /// Captures the Streamer's persistent state for checkpointing. Only
-    /// valid at a quiescent point (no active batch, empty fetch/commit
-    /// buffers, no outstanding memory requests).
-    pub fn save_state(&self) -> StreamerState {
-        StreamerState {
-            index_chunks: self.index_chunks.iter().copied().collect(),
-            next_req_id: self.next_req_id,
-            ids_issued: self.ids.issued(),
-        }
-    }
-
-    /// Restores a snapshot taken by [`save_state`](Self::save_state).
-    pub fn load_state(&mut self, state: &StreamerState) {
-        self.index_chunks = state.index_chunks.iter().copied().collect();
-        self.next_req_id = state.next_req_id;
-        self.ids.restore_issued(state.ids_issued);
-    }
-
     /// Vertices issued so far.
     pub fn vertices_issued(&self) -> u64 {
         self.stat_vertices.value()
@@ -474,3 +442,11 @@ impl Streamer {
         self.stat_vcache_hits.value()
     }
 }
+
+// Valid at a quiescent point (no active batch, empty fetch/commit buffers,
+// no outstanding memory requests). The post-shading vertex cache is
+// deliberately *not* listed: it only serves lookups for the batch named by
+// its tag, batch ids never repeat within a run, and at a quiescent point no
+// batch is active — so a cold cache after restore is behaviourally
+// identical.
+impl_json_state!(Streamer { index_chunks: hex, next_req_id: hex, ids_issued = ids: state });

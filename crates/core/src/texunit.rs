@@ -15,6 +15,7 @@
 
 use attila_emu::texture::{TexelSource, TextureDesc, TextureEmulator};
 use attila_emu::vector::Vec4;
+use attila_json::impl_json_state;
 use attila_mem::controller::split_transactions;
 use attila_mem::{Cache, Client, Lookup, MemOp, MemRequest, MemoryController, MemoryImage};
 use attila_sim::{Counter, Cycle, SimError};
@@ -331,31 +332,8 @@ impl TextureUnit {
     pub fn bytes_read(&self) -> u64 {
         self.stat_bytes_read.value()
     }
-
-    /// Captures the unit's persistent state for checkpointing. Only valid
-    /// at a quiescent point (no request in service, no outstanding fills).
-    pub fn save_state(&self) -> TextureUnitState {
-        TextureUnitState { cache: self.cache.save_state(), next_req_id: self.next_req_id }
-    }
-
-    /// Restores a snapshot taken by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`attila_sim::SimError::CheckpointMismatch`] when the cache
-    /// geometry differs from the checkpointed one.
-    pub fn load_state(&mut self, state: &TextureUnitState) -> Result<(), attila_sim::SimError> {
-        self.cache.load_state(&state.cache)?;
-        self.next_req_id = state.next_req_id;
-        Ok(())
-    }
 }
 
-/// Plain-data snapshot of a [`TextureUnit`], for checkpointing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TextureUnitState {
-    /// The texture cache's tag/LRU/counter state.
-    pub cache: attila_mem::CacheState,
-    /// Next memory-request id.
-    pub next_req_id: u64,
-}
+// Valid at a quiescent point (no request in service, no outstanding
+// fills); a file whose cache geometry differs is refused.
+impl_json_state!(TextureUnit { cache: state, next_req_id: hex });

@@ -21,6 +21,7 @@ use attila_emu::fragops::{
     compress_z_block, quantize_depth, unpack_depth_stencil, z_stencil_test, DEPTH_MAX,
     ZBLOCK_WORDS,
 };
+use attila_json::{field, field_with, HexJson, Json, JsonError, JsonState, ToJson};
 use attila_mem::controller::split_transactions;
 use attila_mem::{Client, MemOp, MemRequest, MemoryController, RopCache};
 use attila_sim::{Counter, Cycle, SimError};
@@ -511,51 +512,29 @@ impl ZStencilUnit {
     pub fn fragments_tested(&self) -> u64 {
         self.stat_frags_tested.value()
     }
-
-    /// Captures the unit's persistent state for checkpointing. Only valid
-    /// at a quiescent point (no fills, writebacks or HZ updates in
-    /// flight).
-    pub fn save_state(&self) -> ZStencilState {
-        ZStencilState {
-            cache: self.cache.as_ref().map(RopCache::save_state),
-            target_width: self.target_width,
-            prefer_late: self.prefer_late,
-            next_req_id: self.next_req_id,
-        }
-    }
-
-    /// Restores a snapshot taken by [`save_state`](Self::save_state). A
-    /// checkpointed cache is rebuilt bound to the checkpointed surface.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::CheckpointMismatch`] when the cache geometry
-    /// differs from the checkpointed one.
-    pub fn load_state(&mut self, state: &ZStencilState) -> Result<(), SimError> {
-        self.cache = match &state.cache {
-            Some(cs) => {
-                let mut cache = RopCache::new(self.config.cache.into(), "Z", cs.base, cs.len);
-                cache.load_state(cs)?;
-                Some(cache)
-            }
-            None => None,
-        };
-        self.target_width = state.target_width;
-        self.prefer_late = state.prefer_late;
-        self.next_req_id = state.next_req_id;
-        Ok(())
-    }
 }
 
-/// Plain-data snapshot of a [`ZStencilUnit`], for checkpointing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ZStencilState {
-    /// The Z cache's full state, if a depth buffer is bound.
-    pub cache: Option<attila_mem::RopCacheState>,
-    /// Width of the render target the pixel addressing derives from.
-    pub target_width: u32,
-    /// Round-robin preference between the early and late input queues.
-    pub prefer_late: bool,
-    /// Next memory-request id.
-    pub next_req_id: u64,
+/// Valid at a quiescent point (no fills, writebacks or HZ updates in
+/// flight). A bound Z cache is rebuilt on the surface the file names
+/// before its lines load (see [`RopCache::load_state`]).
+impl JsonState for ZStencilUnit {
+    fn save_state(&self) -> Json {
+        Json::obj([
+            ("cache", self.cache.as_ref().map_or(Json::Null, RopCache::save_state)),
+            ("target_width", self.target_width.to_json()),
+            ("prefer_late", self.prefer_late.to_json()),
+            ("next_req_id", self.next_req_id.to_hex()),
+        ])
+    }
+
+    fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
+        self.cache = field_with(v, "cache", |c| match c {
+            Json::Null => Ok(None),
+            c => RopCache::load_state(self.config.cache.into(), "Z", c).map(Some),
+        })?;
+        self.target_width = field(v, "target_width")?;
+        self.prefer_late = field(v, "prefer_late")?;
+        self.next_req_id = field_with(v, "next_req_id", u64::from_hex)?;
+        Ok(())
+    }
 }

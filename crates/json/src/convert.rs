@@ -30,9 +30,35 @@ pub trait FromJson: Sized {
 ///
 /// Returns a [`JsonError`] if the field is absent or fails to convert.
 pub fn field<T: FromJson>(v: &Json, name: &str) -> Result<T, JsonError> {
+    field_with(v, name, T::from_json)
+}
+
+/// [`field`] for a value that is not read through [`FromJson`]: hands the
+/// named member to `read` and prefixes the name to whatever it refuses.
+///
+/// # Errors
+///
+/// Returns a [`JsonError`] if the field is absent or `read` fails.
+pub fn field_with<'a, T>(
+    v: &'a Json,
+    name: &str,
+    read: impl FnOnce(&'a Json) -> Result<T, JsonError>,
+) -> Result<T, JsonError> {
     match v.get(name) {
-        Some(inner) => T::from_json(inner).map_err(|e| e.in_context(name)),
+        Some(inner) => read(inner).map_err(|e| e.in_context(name)),
         None => Err(JsonError::msg(format!("missing field `{name}`"))),
+    }
+}
+
+/// The elements of an array value.
+///
+/// # Errors
+///
+/// Returns a [`JsonError`] for any other kind of value.
+pub fn array(v: &Json) -> Result<&[Json], JsonError> {
+    match v {
+        Json::Arr(items) => Ok(items),
+        other => Err(JsonError::msg(format!("expected array, found {}", other.type_name()))),
     }
 }
 
@@ -54,7 +80,9 @@ macro_rules! impl_json_int {
                     return Err(JsonError::msg(format!("expected integer, found {x}")));
                 }
                 let out = x as $t;
-                if out as f64 != x {
+                // Past 2^53 an `f64` skips integers, and `as` saturates:
+                // 2^64 would read back as `u64::MAX`.
+                if out as f64 != x || x.abs() > 9_007_199_254_740_992.0 {
                     return Err(JsonError::msg(format!(
                         "{x} out of range for {}",
                         stringify!($t)
@@ -130,14 +158,11 @@ impl<T: ToJson> ToJson for Vec<T> {
 }
 impl<T: FromJson> FromJson for Vec<T> {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Arr(items) => items
-                .iter()
-                .enumerate()
-                .map(|(i, x)| T::from_json(x).map_err(|e| e.in_context(&format!("[{i}]"))))
-                .collect(),
-            other => Err(JsonError::msg(format!("expected array, found {}", other.type_name()))),
-        }
+        array(v)?
+            .iter()
+            .enumerate()
+            .map(|(i, x)| T::from_json(x).map_err(|e| e.in_context(&format!("[{i}]"))))
+            .collect()
     }
 }
 

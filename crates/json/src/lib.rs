@@ -1,5 +1,6 @@
 //! A small, dependency-free JSON library for the simulator's on-disk
-//! formats (GPU configuration files and captured API traces).
+//! formats (GPU configuration files, captured API traces and
+//! checkpoints).
 //!
 //! The crate provides a [`Json`] value model, a strict recursive-descent
 //! [`parse`] function, compact and pretty printers, and the
@@ -10,15 +11,22 @@
 //! unit enum variants serialize as strings, data-carrying variants as
 //! single-key objects (`{"Variant": {...}}`), so files written by earlier
 //! serde-based builds keep parsing.
+//!
+//! State that cannot be built from a document — a simulator box holds
+//! wiring only elaboration provides — is saved and loaded *in place*
+//! through [`JsonState`], generated from one field list by
+//! [`impl_json_state!`]; [`HexJson`] carries its 64-bit counters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod convert;
 mod parse;
+mod state;
 mod value;
 
-pub use convert::{field, FromJson, ToJson};
+pub use convert::{array, field, field_with, FromJson, ToJson};
+pub use state::{HexJson, JsonState};
 pub use parse::parse;
 pub use value::Json;
 
@@ -174,5 +182,21 @@ mod tests {
         assert_eq!(o.to_json(), Json::Null);
         assert_eq!(<Option<u32>>::from_json(&Json::Null).unwrap(), None);
         assert_eq!(<Option<u32>>::from_json(&Json::Num(4.0)).unwrap(), Some(4));
+    }
+
+    #[test]
+    fn integers_are_read_exactly_or_refused() {
+        let two53 = 2f64.powi(53);
+        assert_eq!(u64::from_json(&Json::Num(two53)).unwrap(), 1 << 53);
+        assert_eq!(i64::from_json(&Json::Num(-two53)).unwrap(), -(1 << 53));
+        assert_eq!(u32::from_json(&Json::Num(4294967295.0)).unwrap(), u32::MAX);
+        // 2^64 saturates to `u64::MAX` under `as`, which casts back to 2^64.
+        for past in [two53 * 2.0, 2f64.powi(64), 2f64.powi(63), -two53 * 2.0] {
+            assert!(u64::from_json(&Json::Num(past)).is_err(), "{past}");
+            assert!(i64::from_json(&Json::Num(past)).is_err(), "{past}");
+        }
+        for bad in [-1.0, 0.5, 4294967296.0, f64::NAN, f64::INFINITY] {
+            assert!(u32::from_json(&Json::Num(bad)).is_err(), "{bad}");
+        }
     }
 }

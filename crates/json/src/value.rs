@@ -29,6 +29,11 @@ impl Json {
         Json::Obj(vec![(key.to_string(), value)])
     }
 
+    /// Builds an object from `(key, value)` pairs, in the order given.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
     /// Looks up a key in an object; `None` for absent keys or non-objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {

@@ -35,8 +35,8 @@
 //! | `as-cast`        | warn     | narrowing `as` casts on lines doing address arithmetic in clock-reachable functions |
 //! | `hot-alloc`      | deny     | growable-container construction (`VecDeque::new`) and `String` building (`format!`, `.to_string()`, `String::from`, `.to_owned()`) in clock-reachable functions |
 //! | `shared-mut`     | deny     | `RefCell`/`Cell` tokens or `.borrow()`/`.borrow_mut()` calls in clock-reachable functions of the clocked box crates |
-//! | `state-coverage` | deny     | a field of a checkpoint-participating struct that is neither serialized nor annotated `// state: derived` / `// state: transient` |
-//! | `state-pair`     | deny     | a field covered by *some* but not *all* of its save/restore paths (checkpoint drift) |
+//! | `state-coverage` | deny     | a field of a struct with a checkpoint state declaration (an `impl_json_state!` list or a `save_state`/`load_state` pair) that is neither declared nor annotated `// state: derived` / `// state: transient` |
+//! | `state-pair`     | deny     | a field in one function of a hand-written `save_state`/`load_state` pair but not the other (checkpoint drift) |
 //! | `state-annotation`| warn    | a `// state:` annotation whose kind is not `derived` or `transient` |
 //! | `horizon-purity` | deny     | field mutation, interior mutability or statistic writes reachable from any `work_horizon()` |
 //! | `unused-allow`   | warn     | a `lint:allow(...)` suppression that no longer matches any finding |
@@ -163,15 +163,6 @@ impl ScannedFile {
     pub fn allowed(&self, line: usize, rule: &str) -> bool {
         let hit = |l: usize| self.allows.get(&l).is_some_and(|set| set.contains(rule));
         hit(line) || (line > 0 && hit(line - 1))
-    }
-
-    /// The `// state: <kind>` annotation covering 0-based line `line`
-    /// (on the same line or the one above), if any.
-    pub fn state_note(&self, line: usize) -> Option<&str> {
-        self.state_notes
-            .get(&line)
-            .or_else(|| line.checked_sub(1).and_then(|l| self.state_notes.get(&l)))
-            .map(String::as_str)
     }
 }
 

@@ -59,8 +59,8 @@ pub struct StructInfo {
 }
 
 /// The whole-workspace source model: every function with its impl owner,
-/// every braced struct with its fields, and a name index for call-graph
-/// walks.
+/// every braced struct with its fields, every state list, and a name index
+/// for call-graph walks.
 pub struct SourceModel<'a> {
     /// The scanned files the model was built from.
     pub files: &'a [ScannedFile],
@@ -68,6 +68,10 @@ pub struct SourceModel<'a> {
     pub fns: Vec<FnInfo>,
     /// Every braced struct.
     pub structs: Vec<StructInfo>,
+    /// Every `impl_json_state!(Type …)` invocation, as `(Type, the tokens
+    /// after it)`: the field list that is the type's checkpoint saver
+    /// *and* loader.
+    pub state_lists: Vec<(String, String)>,
     by_name: BTreeMap<String, Vec<usize>>,
 }
 
@@ -77,6 +81,7 @@ impl<'a> SourceModel<'a> {
     pub fn build(files: &'a [ScannedFile]) -> Self {
         let mut fns = Vec::new();
         let mut structs = Vec::new();
+        let mut state_lists = Vec::new();
         for (fi, file) in files.iter().enumerate() {
             let impls = extract_impls(&file.lines);
             for func in extract_functions(&file.lines) {
@@ -88,12 +93,13 @@ impl<'a> SourceModel<'a> {
                 fns.push(FnInfo { file: fi, owner, func });
             }
             structs.extend(extract_structs(fi, &file.lines));
+            state_lists.extend(extract_state_lists(&file.lines));
         }
         let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         for (idx, f) in fns.iter().enumerate() {
             by_name.entry(f.func.name.clone()).or_default().push(idx);
         }
-        SourceModel { files, fns, structs, by_name }
+        SourceModel { files, fns, structs, state_lists, by_name }
     }
 
     /// Indices of every function with one of the given bare names.
@@ -324,6 +330,26 @@ fn impl_position_ok(chars: &[char], i: usize) -> bool {
         return word == "unsafe";
     }
     matches!(prev, '}' | ';' | ']' | '{')
+}
+
+/// Extracts every `impl_json_state!(Type …)` invocation from a stripped
+/// file. The macro's own definition does not match: there the name is
+/// followed by `{`, and its internal calls open with `@`, not a type.
+fn extract_state_lists(lines: &[String]) -> Vec<(String, String)> {
+    const OPEN: &str = "impl_json_state!(";
+    let text = lines.join("\n");
+    let list = |(at, _): (usize, &str)| {
+        let rest = &text[at + OPEN.len()..];
+        let name_len = rest.find(|c: char| !is_ident_char(c)).filter(|len| *len > 0)?;
+        let mut depth = 1i64;
+        let close = rest.find(|c: char| {
+            depth += i64::from(c == '(') - i64::from(c == ')');
+            depth == 0
+        })?;
+        let (owner, body) = rest[..close].split_at(name_len);
+        Some((owner.to_string(), body.to_string()))
+    };
+    text.match_indices(OPEN).filter_map(list).collect()
 }
 
 /// Extracts every braced struct and its fields from a stripped file.

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::model::{FnInfo, SourceModel};
+use crate::model::SourceModel;
 use crate::{has_narrowing_cast, has_token, is_ident_char, Finding, ScannedFile, Severity, RULES};
 
 /// Crates whose code is clocked per simulated cycle; the allocation rule
@@ -37,10 +37,6 @@ const EXEMPT_KINDS: &[&str] = &["derived", "transient", "external"];
 /// `state:` annotation kinds that end an exempt section and restore the
 /// coverage requirement.
 const RESET_KINDS: &[&str] = &["saved", "checkpointed"];
-
-/// Mirror-struct name suffixes that mark a type as a checkpoint payload
-/// even without a `save_state` method of its own.
-const MIRROR_SUFFIXES: &[&str] = &["State", "Snapshot", "Body", "Dump"];
 
 /// Field types that are wiring, not architectural state: ports, signal
 /// endpoints, statistics and configuration are rebuilt at elaboration
@@ -330,42 +326,31 @@ fn has_assignment(line: &str) -> bool {
 }
 
 /// `state-coverage` / `state-pair` / `state-annotation`: every field of
-/// a checkpoint participant must flow through every save and every
-/// restore path, or carry a `state:` annotation saying why not.
+/// a checkpoint participant must be declared persistent or carry a
+/// `state:` annotation saying why not. A participant is a type that
+/// carries a state declaration: an `impl_json_state!` field list (one
+/// token body that is saver *and* loader, so it cannot drift) or a
+/// hand-written `save_state`/`load_state` pair on the type itself.
 fn state_rules(model: &SourceModel<'_>, em: &mut Emitter<'_>) {
     for s in &model.structs {
         let file = &model.files[s.file];
         if !in_crates(&file.path, BOX_CRATES) {
             continue;
         }
-        let refs = |f: &FnInfo| {
-            f.owner.as_deref() == Some(s.name.as_str()) || has_token(&f.func.signature, &s.name)
+        let own = |name: &'static str| {
+            model
+                .fns
+                .iter()
+                .filter(move |f| f.func.name == name && f.owner.as_deref() == Some(&s.name))
+                .map(move |f| (format!("{}::{name}", s.name), f.func.body.as_str()))
         };
-        let savers: Vec<&FnInfo> = model
-            .fns
-            .iter()
-            .filter(|f| {
-                (f.func.name == "save_state"
-                    || f.func.name == "to_json"
-                    || f.func.name.ends_with("_to_json"))
-                    && refs(f)
-            })
-            .collect();
-        let loaders: Vec<&FnInfo> = model
-            .fns
-            .iter()
-            .filter(|f| {
-                (f.func.name == "load_state"
-                    || f.func.name == "from_json"
-                    || f.func.name.ends_with("_from_json"))
-                    && refs(f)
-            })
-            .collect();
-        let box_side = savers
-            .iter()
-            .any(|f| f.func.name == "save_state" && f.owner.as_deref() == Some(s.name.as_str()));
-        let mirror = MIRROR_SUFFIXES.iter().any(|suf| s.name.ends_with(suf));
-        if savers.is_empty() || loaders.is_empty() || !(box_side || mirror) {
+        let lists = model.state_lists.iter().filter(|(owner, _)| *owner == s.name);
+        let mut paths: Vec<(String, &str)> =
+            lists.map(|(_, body)| ("its state list".to_string(), body.as_str())).collect();
+        if own("save_state").next().is_some() && own("load_state").next().is_some() {
+            paths.extend(own("save_state").chain(own("load_state")));
+        }
+        if paths.is_empty() {
             continue;
         }
 
@@ -387,7 +372,7 @@ fn state_rules(model: &SourceModel<'_>, em: &mut Emitter<'_>) {
         }
 
         for field in &s.fields {
-            if box_side && is_wiring(&field.ty) {
+            if is_wiring(&field.ty) {
                 continue;
             }
             if let Some(kind) = field_note(file, s.line, field.line) {
@@ -395,27 +380,23 @@ fn state_rules(model: &SourceModel<'_>, em: &mut Emitter<'_>) {
                     continue;
                 }
             }
-            let missing: Vec<String> = savers
+            let missing: Vec<&str> = paths
                 .iter()
-                .chain(loaders.iter())
-                .filter(|f| !has_token(&f.func.body, &field.name))
-                .map(|f| match &f.owner {
-                    Some(o) => format!("{o}::{}", f.func.name),
-                    None => f.func.name.clone(),
-                })
+                .filter(|(_, body)| !has_token(body, &field.name))
+                .map(|(label, _)| label.as_str())
                 .collect();
             if missing.is_empty() {
                 continue;
             }
-            if missing.len() == savers.len() + loaders.len() {
+            if missing.len() == paths.len() {
                 em.emit(
                     s.file,
                     field.line,
                     "state-coverage",
                     Severity::Deny,
                     format!(
-                        "field `{}` of `{}` is not checkpointed: serialize it on \
-                         the save and restore paths, or annotate it `// state: \
+                        "field `{}` of `{}` is not checkpointed: add it to the \
+                         type's state declaration, or annotate it `// state: \
                          transient` / `// state: derived` with a reason",
                         field.name, s.name
                     ),

@@ -24,6 +24,7 @@
 //! `busy_until`, so idle-skip can never jump over a bank event — see
 //! DESIGN.md §19 for the full argument).
 
+use attila_json::{array, impl_json_state, FromJson, HexJson, Json, JsonError, ToJson};
 use attila_sim::Cycle;
 
 /// Bank-level timing parameters, in core-clock cycles.
@@ -274,53 +275,59 @@ impl Bank {
     pub fn busy_cycles(&self) -> u64 {
         self.busy_cycles
     }
+}
 
-    /// Captures the bank as plain data for checkpointing. Everything here
-    /// shapes future timing (the open row decides hit vs conflict, the
-    /// last ACTIVATE bounds tRC), so a bit-identical resume must restore
-    /// every field.
-    pub fn snapshot(&self) -> BankSnapshot {
-        BankSnapshot {
-            state: self.state,
-            last_activate: self.last_activate,
-            row_hits: self.row_hits,
-            row_misses: self.row_misses,
-            row_conflicts: self.row_conflicts,
-            busy_cycles: self.busy_cycles,
+// Everything here shapes future timing (the open row decides hit vs
+// conflict, the last ACTIVATE bounds tRC), so a bit-identical resume
+// restores every field.
+impl_json_state!(Bank {
+    state,
+    last_activate: hex,
+    row_hits: hex,
+    row_misses: hex,
+    row_conflicts: hex,
+    busy_cycles: hex,
+});
+
+/// A compact tagged value: `"I"` (idle), `["A", row]` (active),
+/// `["G", row, ready_at]` (activating — "going active"),
+/// `["P", ready_at]` (precharging), rows and cycles in hex.
+impl ToJson for BankFsm {
+    fn to_json(&self) -> Json {
+        let tagged = |tag: &str, words: &[u64]| {
+            Json::Arr(std::iter::once(tag.to_json()).chain(words.iter().map(u64::to_hex)).collect())
+        };
+        match *self {
+            BankFsm::Idle => "I".to_json(),
+            BankFsm::Active { row } => tagged("A", &[row]),
+            BankFsm::Activating { row, ready_at } => tagged("G", &[row, ready_at]),
+            BankFsm::Precharging { ready_at } => tagged("P", &[ready_at]),
         }
-    }
-
-    /// Restores a snapshot taken by [`snapshot`](Self::snapshot).
-    pub fn restore(&mut self, s: &BankSnapshot) {
-        self.state = s.state;
-        self.last_activate = s.last_activate;
-        self.row_hits = s.row_hits;
-        self.row_misses = s.row_misses;
-        self.row_conflicts = s.row_conflicts;
-        self.busy_cycles = s.busy_cycles;
     }
 }
 
-/// Plain-data snapshot of a [`Bank`], for checkpointing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BankSnapshot {
-    /// The FSM state, including any in-flight transition deadline.
-    pub state: BankFsm,
-    /// Cycle of the most recent ACTIVATE (tRC bookkeeping).
-    pub last_activate: Option<Cycle>,
-    /// Row hits so far.
-    pub row_hits: u64,
-    /// Row misses so far.
-    pub row_misses: u64,
-    /// Row conflicts so far.
-    pub row_conflicts: u64,
-    /// Activating + precharging cycles so far.
-    pub busy_cycles: u64,
+impl FromJson for BankFsm {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let bad = || JsonError::msg(format!("bad bank state: {}", v.render()));
+        if v.as_str() == Some("I") {
+            return Ok(BankFsm::Idle);
+        }
+        let parts = array(v).map_err(|_| bad())?;
+        let tag = parts.first().and_then(Json::as_str).ok_or_else(bad)?;
+        let words = parts[1..].iter().map(u64::from_hex).collect::<Result<Vec<_>, _>>()?;
+        match (tag, words.as_slice()) {
+            ("A", &[row]) => Ok(BankFsm::Active { row }),
+            ("G", &[row, ready_at]) => Ok(BankFsm::Activating { row, ready_at }),
+            ("P", &[ready_at]) => Ok(BankFsm::Precharging { ready_at }),
+            _ => Err(bad()),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use attila_json::JsonState;
 
     fn t() -> BankTiming {
         BankTiming { t_rcd: 6, t_rp: 6, t_rc: 16 }
@@ -393,9 +400,9 @@ mod tests {
         b.access(0, 1, &t());
         b.access(10, 2, &t());
         b.access(40, 2, &t());
-        let snap = b.snapshot();
+        let saved = b.save_state();
         let mut fresh = Bank::new();
-        fresh.restore(&snap);
+        fresh.load_state(&saved).unwrap();
         assert_eq!(fresh, b);
         // The restored bank times future accesses identically.
         let a = b.access(100, 3, &t());

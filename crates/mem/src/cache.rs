@@ -12,7 +12,8 @@
 //! while the cache tracks tags, dirtiness and port pressure to produce
 //! exact hit/miss/bandwidth behaviour.
 
-use attila_sim::{Cycle, SimError};
+use attila_json::{field, field_with, HexJson, Json, JsonError, JsonState, ToJson};
+use attila_sim::Cycle;
 
 /// Geometry and port configuration of a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -316,6 +317,21 @@ impl Cache {
         dirty
     }
 
+    /// Base address of every resident (valid) line; `None` for a tag that
+    /// names no address — only a corrupted checkpoint holds one.
+    pub fn resident_lines(&self) -> impl Iterator<Item = Option<u64>> + '_ {
+        let (sets, ways) = (u64::from(self.config.sets()), self.config.ways as usize);
+        let line_bytes = u64::from(self.config.line_bytes);
+        self.lines
+            .iter()
+            .enumerate()
+            .filter(|(_, line)| matches!(line.state, LineState::Valid { .. }))
+            .map(move |(i, line)| {
+                let block = line.tag.checked_mul(sets)?.checked_add((i / ways) as u64)?;
+                block.checked_mul(line_bytes)
+            })
+    }
+
     /// Total hits.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -340,92 +356,52 @@ impl Cache {
             self.hits as f64 / total as f64
         }
     }
+}
 
-    /// Captures tags, dirtiness, LRU order and statistics as plain data
-    /// for checkpointing. Only meaningful on a drained cache: a line whose
-    /// fill is still in flight is recorded as invalid (the checkpointing
-    /// layer snapshots at quiescent points, where none exist).
-    pub fn save_state(&self) -> CacheState {
-        CacheState {
-            lines: self
-                .lines
-                .iter()
-                .map(|l| CacheLineState {
-                    tag: l.tag,
-                    valid: matches!(l.state, LineState::Valid { .. }),
-                    dirty: matches!(l.state, LineState::Valid { dirty: true }),
-                    last_use: l.last_use,
-                })
-                .collect(),
-            access_counter: self.access_counter,
-            hits: self.hits,
-            misses: self.misses,
-            blocked: self.blocked,
-        }
+/// `LineState` as `valid`/`dirty`: a line whose fill is still in flight is
+/// recorded as invalid (checkpoints are taken at quiescent points, where
+/// none exist).
+impl JsonState for Line {
+    fn save_state(&self) -> Json {
+        Json::obj([
+            ("tag", self.tag.to_hex()),
+            ("valid", matches!(self.state, LineState::Valid { .. }).to_json()),
+            ("dirty", matches!(self.state, LineState::Valid { dirty: true }).to_json()),
+            ("last_use", self.last_use.to_hex()),
+        ])
     }
 
-    /// Restores a snapshot taken by [`save_state`](Self::save_state) into
-    /// a cache of identical geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::CheckpointMismatch`] when the line counts
-    /// differ (the checkpoint came from a different configuration).
-    pub fn load_state(&mut self, state: &CacheState) -> Result<(), SimError> {
-        if state.lines.len() != self.lines.len() {
-            return Err(SimError::CheckpointMismatch {
-                reason: format!(
-                    "cache `{}` has {} lines, checkpoint carries {}",
-                    self.name,
-                    self.lines.len(),
-                    state.lines.len()
-                ),
-            });
-        }
-        for (line, s) in self.lines.iter_mut().zip(&state.lines) {
-            line.tag = s.tag;
-            line.state = if s.valid {
-                LineState::Valid { dirty: s.dirty }
-            } else {
-                LineState::Invalid
-            };
-            line.last_use = s.last_use;
-        }
-        self.access_counter = state.access_counter;
-        self.ports_used_at = (0, 0);
-        self.hits = state.hits;
-        self.misses = state.misses;
-        self.blocked = state.blocked;
+    fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
+        self.tag = field_with(v, "tag", u64::from_hex)?;
+        let (valid, dirty) = (field(v, "valid")?, field(v, "dirty")?);
+        self.state = if valid { LineState::Valid { dirty } } else { LineState::Invalid };
+        self.last_use = field_with(v, "last_use", u64::from_hex)?;
         Ok(())
     }
 }
 
-/// Plain-data snapshot of one cache line, for checkpointing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheLineState {
-    /// The line's tag.
-    pub tag: u64,
-    /// Whether the line holds valid data.
-    pub valid: bool,
-    /// Whether the line is dirty (implies `valid`).
-    pub dirty: bool,
-    /// LRU timestamp.
-    pub last_use: u64,
-}
+/// Tags, dirtiness, LRU order and statistics, loaded into a cache of
+/// identical geometry: a file from another line count is refused.
+impl JsonState for Cache {
+    fn save_state(&self) -> Json {
+        Json::obj([
+            ("lines", self.lines.save_state()),
+            ("access_counter", self.access_counter.to_hex()),
+            ("hits", self.hits.to_hex()),
+            ("misses", self.misses.to_hex()),
+            ("blocked", self.blocked.to_hex()),
+        ])
+    }
 
-/// Plain-data snapshot of a whole [`Cache`], for checkpointing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheState {
-    /// Every line, in set-major order.
-    pub lines: Vec<CacheLineState>,
-    /// The monotonic LRU access counter.
-    pub access_counter: u64,
-    /// Total hits.
-    pub hits: u64,
-    /// Total misses.
-    pub misses: u64,
-    /// Total blocked lookups.
-    pub blocked: u64,
+    fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
+        field_with(v, "lines", |lines| self.lines.load_state(lines))?;
+        self.access_counter = field_with(v, "access_counter", u64::from_hex)?;
+        self.ports_used_at = (0, 0);
+        self.hits = field_with(v, "hits", u64::from_hex)?;
+        self.misses = field_with(v, "misses", u64::from_hex)?;
+        self.blocked = field_with(v, "blocked", u64::from_hex)?;
+        Ok(())
+    }
 }
 
 #[cfg(test)]

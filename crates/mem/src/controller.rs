@@ -18,6 +18,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use attila_json::{array, field, field_with, FromJson, HexJson, Json, JsonError, JsonState, ToJson};
 use attila_sim::fault::MemFaultHandle;
 use attila_sim::{Cycle, SignalName, TraceEvent, TraceSink};
 
@@ -45,7 +46,7 @@ impl Client {
     /// Dense slot index for per-client reply queues. Unit-numbered
     /// variants interleave (`3 + 3u`, `4 + 3u`, `5 + 3u`), so the index
     /// stays compact for any unit count without a per-type bound.
-    fn index(self) -> usize {
+    const fn index(self) -> usize {
         match self {
             Client::CommandProcessor => 0,
             Client::Streamer => 1,
@@ -55,6 +56,10 @@ impl Client {
             Client::Texture(u) => 5 + 3 * u as usize,
         }
     }
+
+    /// One past the largest [`index`](Self::index): the most queue slots a
+    /// channel can ever grow.
+    const SLOTS: usize = Client::Texture(u8::MAX).index() + 1;
 
     /// Stable numeric code identifying this client across processes —
     /// the serialized form used by checkpoints (unlike the private
@@ -606,71 +611,6 @@ impl MemoryController {
         !self.busy() && self.ready_count == 0 && self.finished_uploads.is_empty()
     }
 
-    /// Captures the controller's persistent state — per-channel DRAM
-    /// state, arbitration pointers, bus occupancy and byte accounting — as
-    /// plain data for checkpointing. The functional memory image is
-    /// snapshotted separately (via [`gpu_mem`](Self::gpu_mem)); request
-    /// queues and reply pipelines are empty by the
-    /// [`fully_drained`](Self::fully_drained) precondition.
-    pub fn save_state(&self) -> MemControllerState {
-        MemControllerState {
-            channels: self.channels.iter().map(|c| c.dram.save_state()).collect(),
-            next_clients: self.channels.iter().map(|c| c.next_client).collect(),
-            queue_slots: self.channels.iter().map(|c| c.queues.len()).collect(),
-            system_bus_free_at: self.system_bus_free_at,
-            bytes_read: self.bytes_read,
-            bytes_written: self.bytes_written,
-            per_client_bytes: self
-                .per_client_bytes
-                .iter()
-                .map(|(c, b)| (*c, *b))
-                .collect(),
-        }
-    }
-
-    /// Restores a snapshot taken by [`save_state`](Self::save_state) into
-    /// a freshly built controller of the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`attila_sim::SimError::CheckpointMismatch`] when the
-    /// channel counts differ.
-    pub fn load_state(
-        &mut self,
-        state: &MemControllerState,
-    ) -> Result<(), attila_sim::SimError> {
-        if state.channels.len() != self.channels.len()
-            || state.next_clients.len() != self.channels.len()
-            || state.queue_slots.len() != self.channels.len()
-        {
-            return Err(attila_sim::SimError::CheckpointMismatch {
-                reason: format!(
-                    "controller has {} channels, checkpoint carries {}",
-                    self.channels.len(),
-                    state.channels.len()
-                ),
-            });
-        }
-        for (ch, ((dram, next), slots)) in self.channels.iter_mut().zip(
-            state.channels.iter().zip(&state.next_clients).zip(&state.queue_slots),
-        ) {
-            ch.dram.load_state(dram)?;
-            ch.next_client = *next;
-            // The dense queue vector's length is arbitration state: the
-            // rotation pointer wraps modulo the slot count, so a resumed
-            // run must scan the same ring as the uninterrupted one even
-            // though every queue is empty at a checkpoint.
-            if ch.queues.len() < *slots {
-                ch.queues.resize_with(*slots, VecDeque::new);
-            }
-        }
-        self.system_bus_free_at = state.system_bus_free_at;
-        self.bytes_read = state.bytes_read;
-        self.bytes_written = state.bytes_written;
-        self.per_client_bytes = state.per_client_bytes.iter().copied().collect();
-        Ok(())
-    }
-
     /// The controller's next completion cycle: the earliest cycle at which
     /// an in-flight reply becomes deliverable or a system-bus upload
     /// lands, if anything is in flight at all.
@@ -764,26 +704,80 @@ impl MemoryController {
     }
 }
 
-/// Plain-data snapshot of a [`MemoryController`]'s persistent state, for
-/// checkpointing (the functional memory image travels separately).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemControllerState {
-    /// Per-channel DRAM state, in channel order.
-    pub channels: Vec<crate::gddr::GddrState>,
-    /// Per-channel round-robin arbitration pointer, in channel order.
-    pub next_clients: Vec<usize>,
-    /// Per-channel dense-queue slot count, in channel order. The slot
-    /// vector grows on first submit per client and its length is the
-    /// rotation modulus, so it must survive a restore.
-    pub queue_slots: Vec<usize>,
-    /// Cycle at which the system write bus frees.
-    pub system_bus_free_at: Cycle,
-    /// Total bytes read so far.
-    pub bytes_read: u64,
-    /// Total bytes written so far.
-    pub bytes_written: u64,
-    /// Per-client byte accounting, in client order.
-    pub per_client_bytes: Vec<(Client, u64)>,
+/// Per-channel DRAM state, arbitration pointers and queue-slot counts (as
+/// three parallel arrays in channel order), bus occupancy and byte
+/// accounting. The functional memory image travels separately (via
+/// [`gpu_mem`](MemoryController::gpu_mem)); request queues and reply
+/// pipelines are empty by the [`fully_drained`](MemoryController::fully_drained)
+/// precondition. Loads into a freshly built controller of the same
+/// configuration; a file from another channel count is refused.
+impl JsonState for MemoryController {
+    fn save_state(&self) -> Json {
+        let per_channel = |state: &dyn Fn(&ChannelState) -> Json| {
+            Json::Arr(self.channels.iter().map(state).collect())
+        };
+        let bytes = |(c, b): (&Client, &u64)| Json::Arr(vec![c.code().to_json(), b.to_hex()]);
+        Json::obj([
+            ("channels", per_channel(&|c| c.dram.save_state())),
+            ("next_clients", per_channel(&|c| c.next_client.to_json())),
+            ("queue_slots", per_channel(&|c| c.queues.len().to_json())),
+            ("system_bus_free_at", self.system_bus_free_at.to_hex()),
+            ("bytes_read", self.bytes_read.to_hex()),
+            ("bytes_written", self.bytes_written.to_hex()),
+            ("per_client_bytes", Json::Arr(self.per_client_bytes.iter().map(bytes).collect())),
+        ])
+    }
+
+    fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
+        let drams = field_with(v, "channels", array)?;
+        let next_clients: Vec<usize> = field(v, "next_clients")?;
+        let queue_slots: Vec<usize> = field(v, "queue_slots")?;
+        let carried = [drams.len(), next_clients.len(), queue_slots.len()];
+        if carried != [self.channels.len(); 3] {
+            return Err(JsonError::msg(format!(
+                "controller has {} channels, the file's channels, next_clients and queue_slots \
+                 carry {carried:?}",
+                self.channels.len()
+            )));
+        }
+        for (i, ch) in self.channels.iter_mut().enumerate() {
+            ch.dram
+                .load_state(&drams[i])
+                .map_err(|e| e.in_context(&format!("channels: [{i}]")))?;
+            ch.next_client = next_clients[i];
+            // The dense queue vector's length is arbitration state: the
+            // rotation pointer wraps modulo the slot count, so a resumed
+            // run must scan the same ring as the uninterrupted one even
+            // though every queue is empty at a checkpoint. It only ever
+            // grows, one slot per client that has submitted.
+            let slots = queue_slots[i];
+            if slots > Client::SLOTS {
+                return Err(JsonError::msg(format!(
+                    "queue_slots: [{i}]: {slots} slots, a machine has at most {} clients",
+                    Client::SLOTS
+                )));
+            }
+            if ch.queues.len() < slots {
+                ch.queues.resize_with(slots, VecDeque::new);
+            }
+        }
+        self.system_bus_free_at = field_with(v, "system_bus_free_at", u64::from_hex)?;
+        self.bytes_read = field_with(v, "bytes_read", u64::from_hex)?;
+        self.bytes_written = field_with(v, "bytes_written", u64::from_hex)?;
+        self.per_client_bytes = field_with(v, "per_client_bytes", |entries| {
+            let entry = |e: &Json| match array(e)? {
+                [code, bytes] => {
+                    let code = u32::from_json(code)?;
+                    let client = Client::from_code(code)
+                        .ok_or_else(|| JsonError::msg(format!("unknown client code {code}")))?;
+                    Ok((client, u64::from_hex(bytes)?))
+                }
+                _ => Err(JsonError::msg("entry is not a [client, bytes] pair")),
+            };
+            array(entries)?.iter().map(entry).collect()
+        })?;
+        Ok(())
+    }
 }
 
 impl std::fmt::Debug for MemoryController {

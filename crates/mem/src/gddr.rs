@@ -15,8 +15,10 @@
 //! bank currently holds open. See [`bank`](crate::bank) for the FSM and
 //! DESIGN.md §19 for the timing derivation.
 
-use crate::bank::{Bank, BankAccess, BankSnapshot, BankTiming, RowOutcome};
-use attila_sim::{Cycle, SimError};
+use attila_json::{impl_json_state, FromJson, Json, JsonError, ToJson};
+use attila_sim::Cycle;
+
+use crate::bank::{Bank, BankAccess, BankTiming, RowOutcome};
 
 /// Timing parameters of one DRAM channel.
 ///
@@ -262,65 +264,39 @@ impl GddrChannel {
     pub fn turnarounds(&self) -> u64 {
         self.turnarounds
     }
+}
 
-    /// Captures the channel's mutable state (bank FSMs, bus occupancy,
-    /// last direction, counters) as plain data for checkpointing. All of
-    /// it shapes the timing of *future* transactions, so a bit-identical
-    /// resume must restore every field.
-    pub fn save_state(&self) -> GddrState {
-        GddrState {
-            banks: self.banks.iter().map(Bank::snapshot).collect(),
-            busy_until: self.busy_until,
-            last_dir: self.last_dir,
-            total_transactions: self.total_transactions,
-            total_busy_cycles: self.total_busy_cycles,
-            turnarounds: self.turnarounds,
-        }
-    }
+// Bank FSMs, bus occupancy, last direction and counters all shape the
+// timing of *future* transactions, so a bit-identical resume restores
+// every one; `banks` loads in place, so a file from another bank count is
+// refused.
+impl_json_state!(GddrChannel {
+    banks: state,
+    busy_until: hex,
+    last_dir,
+    total_transactions: hex,
+    total_busy_cycles: hex,
+    turnarounds: hex,
+});
 
-    /// Restores a snapshot taken by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::CheckpointMismatch`] when the bank counts
-    /// differ (the checkpoint came from a different timing configuration).
-    pub fn load_state(&mut self, state: &GddrState) -> Result<(), SimError> {
-        if state.banks.len() != self.banks.len() {
-            return Err(SimError::CheckpointMismatch {
-                reason: format!(
-                    "DRAM channel has {} banks, checkpoint carries {}",
-                    self.banks.len(),
-                    state.banks.len()
-                ),
-            });
+/// `"R"` or `"W"`.
+impl ToJson for Direction {
+    fn to_json(&self) -> Json {
+        match self {
+            Direction::Read => "R".to_json(),
+            Direction::Write => "W".to_json(),
         }
-        for (bank, snap) in self.banks.iter_mut().zip(&state.banks) {
-            bank.restore(snap);
-        }
-        self.busy_until = state.busy_until;
-        self.last_dir = state.last_dir;
-        self.total_transactions = state.total_transactions;
-        self.total_busy_cycles = state.total_busy_cycles;
-        self.turnarounds = state.turnarounds;
-        Ok(())
     }
 }
 
-/// Plain-data snapshot of a [`GddrChannel`], for checkpointing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GddrState {
-    /// Per-bank FSM snapshots, in bank order.
-    pub banks: Vec<BankSnapshot>,
-    /// First cycle at which a new transaction may start.
-    pub busy_until: Cycle,
-    /// Direction of the last issued transaction.
-    pub last_dir: Option<Direction>,
-    /// Transactions serviced so far.
-    pub total_transactions: u64,
-    /// Cycles spent busy so far.
-    pub total_busy_cycles: u64,
-    /// Direction turnarounds so far.
-    pub turnarounds: u64,
+impl FromJson for Direction {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        match v.as_str() {
+            Some("R") => Ok(Direction::Read),
+            Some("W") => Ok(Direction::Write),
+            _ => Err(JsonError::msg(format!("bad direction: {}", v.render()))),
+        }
+    }
 }
 
 /// Maps a global GPU address to `(channel, channel-local address)` with
@@ -335,6 +311,7 @@ pub fn interleave(addr: u64, channels: usize, granularity: u64) -> (usize, u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use attila_json::JsonState;
 
     fn t() -> GddrTiming {
         GddrTiming::default()

@@ -35,12 +35,11 @@ pub mod gddr;
 pub mod memory;
 pub mod rop_cache;
 
-pub use bank::{Bank, BankAccess, BankFsm, BankSnapshot, BankTiming, RowOutcome};
-pub use cache::{Cache, CacheConfig, CacheLineState, CacheState, Eviction, Lookup};
+pub use bank::{Bank, BankAccess, BankFsm, BankTiming, RowOutcome};
+pub use cache::{Cache, CacheConfig, Eviction, Lookup};
 pub use controller::{
-    Client, MemControllerConfig, MemControllerState, MemOp, MemReply, MemRequest,
-    MemoryController, MAX_TRANSACTION,
+    Client, MemControllerConfig, MemOp, MemReply, MemRequest, MemoryController, MAX_TRANSACTION,
 };
-pub use gddr::{Direction, GddrChannel, GddrState, GddrTiming, IssueReport};
+pub use gddr::{Direction, GddrChannel, GddrTiming, IssueReport};
 pub use memory::{BumpAllocator, MemoryImage};
-pub use rop_cache::{BlockState, RopCache, RopCacheState};
+pub use rop_cache::{BlockState, RopCache};

@@ -22,9 +22,11 @@
 //! `compress_z_block`-compatible
 //! logic supplied by the caller.
 
-use crate::cache::{Cache, CacheConfig, CacheState, Eviction, Lookup};
+use attila_json::{field, field_with, FromJson, HexJson, Json, JsonError, JsonState, ToJson};
+use attila_sim::Cycle;
+
+use crate::cache::{Cache, CacheConfig, Eviction, Lookup};
 use crate::memory::MemoryImage;
-use attila_sim::{Cycle, SimError};
 
 /// Compression state of one frame-buffer block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,70 +221,93 @@ impl RopCache {
         }
     }
 
-    /// Captures the cache tags plus the on-chip block-state memory and
-    /// bandwidth accounting as plain data for checkpointing. The snapshot
-    /// carries the covered `(base, len)` range so the parent box can
-    /// rebuild an identically bound cache before loading.
-    pub fn save_state(&self) -> RopCacheState {
-        RopCacheState {
-            cache: self.cache.save_state(),
-            base: self.buffer_base,
-            len: self.len(),
-            block_states: self.block_states.clone(),
-            clear_word: self.clear_word,
-            bytes_transferred: self.bytes_transferred,
-            bytes_uncompressed_equiv: self.bytes_uncompressed_equiv,
-            fast_clears: self.fast_clears,
-        }
+    /// The cache tags plus the on-chip block-state memory and bandwidth
+    /// accounting, with the covered `(base, len)` range so that
+    /// [`load_state`](Self::load_state) can build an identically bound
+    /// cache.
+    pub fn save_state(&self) -> Json {
+        Json::obj([
+            ("cache", self.cache.save_state()),
+            ("base", self.buffer_base.to_hex()),
+            ("len", self.len().to_hex()),
+            ("blocks", self.block_states.to_json()),
+            ("clear_word", self.clear_word.to_json()),
+            ("bytes_transferred", self.bytes_transferred.to_hex()),
+            ("bytes_uncompressed_equiv", self.bytes_uncompressed_equiv.to_hex()),
+            ("fast_clears", self.fast_clears.to_hex()),
+        ])
     }
 
-    /// Restores a snapshot taken by [`save_state`](Self::save_state) into
-    /// a cache covering the same buffer with the same geometry.
+    /// Builds the cache [`save_state`](Self::save_state) rendered, bound
+    /// to the surface the file names. The block-state memory is the
+    /// `blocks` array the file carries; `len` is then held to it, never
+    /// allocated from.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::CheckpointMismatch`] on any shape mismatch.
-    pub fn load_state(&mut self, state: &RopCacheState) -> Result<(), SimError> {
-        if state.base != self.buffer_base || state.block_states.len() != self.block_states.len() {
-            return Err(SimError::CheckpointMismatch {
-                reason: format!(
-                    "ROP cache covers {:#x}+{} blocks, checkpoint carries {:#x}+{}",
-                    self.buffer_base,
-                    self.block_states.len(),
-                    state.base,
-                    state.block_states.len()
-                ),
-            });
+    /// Returns a [`JsonError`] when `len` is not the carried blocks' bytes,
+    /// the tag cache's geometry differs, or a resident line lies outside
+    /// `[base, base + len)` or off its block grid (the block-state memory
+    /// is indexed by line address).
+    pub fn load_state(
+        config: CacheConfig,
+        name: &'static str,
+        v: &Json,
+    ) -> Result<Self, JsonError> {
+        let line = u64::from(config.line_bytes);
+        let block_states: Vec<BlockState> = field(v, "blocks")?;
+        let buffer_base = field_with(v, "base", u64::from_hex)?;
+        let len = field_with(v, "len", u64::from_hex)?;
+        if (block_states.len() as u64).checked_mul(line) != Some(len) {
+            return Err(JsonError::msg(format!(
+                "len: {len} bytes, but the file carries {} blocks of {line}",
+                block_states.len()
+            )));
         }
-        self.cache.load_state(&state.cache)?;
-        self.block_states.copy_from_slice(&state.block_states);
-        self.clear_word = state.clear_word;
-        self.bytes_transferred = state.bytes_transferred;
-        self.bytes_uncompressed_equiv = state.bytes_uncompressed_equiv;
-        self.fast_clears = state.fast_clears;
-        Ok(())
+        let mut cache = Cache::new(config, name);
+        field_with(v, "cache", |tags| cache.load_state(tags))?;
+        let on_grid = |addr: u64| {
+            addr.checked_sub(buffer_base).is_some_and(|off| off < len && off.is_multiple_of(line))
+        };
+        if !cache.resident_lines().all(|addr| addr.is_some_and(on_grid)) {
+            return Err(JsonError::msg(format!(
+                "cache: a resident line is not a block of base {buffer_base:#x} + {len}"
+            )));
+        }
+        Ok(RopCache {
+            cache,
+            line_bytes: config.line_bytes,
+            buffer_base,
+            block_states,
+            clear_word: field(v, "clear_word")?,
+            bytes_transferred: field_with(v, "bytes_transferred", u64::from_hex)?,
+            bytes_uncompressed_equiv: field_with(v, "bytes_uncompressed_equiv", u64::from_hex)?,
+            fast_clears: field_with(v, "fast_clears", u64::from_hex)?,
+        })
     }
 }
 
-/// Plain-data snapshot of a [`RopCache`], for checkpointing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RopCacheState {
-    /// The inner tag cache's state.
-    pub cache: CacheState,
-    /// Covered buffer base address.
-    pub base: u64,
-    /// Covered buffer length in bytes.
-    pub len: u64,
-    /// Per-block compression state, in block order.
-    pub block_states: Vec<BlockState>,
-    /// The current clear word.
-    pub clear_word: u32,
-    /// Bytes actually transferred so far.
-    pub bytes_transferred: u64,
-    /// Uncompressed-equivalent bytes so far.
-    pub bytes_uncompressed_equiv: u64,
-    /// Fast clears performed so far.
-    pub fast_clears: u64,
+/// `"C"` (cleared), `"U"` (uncompressed) or the compressed transfer size
+/// in bytes.
+impl ToJson for BlockState {
+    fn to_json(&self) -> Json {
+        match self {
+            BlockState::Cleared => "C".to_json(),
+            BlockState::Uncompressed => "U".to_json(),
+            BlockState::Compressed { bytes } => bytes.to_json(),
+        }
+    }
+}
+
+impl FromJson for BlockState {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        match v {
+            Json::Str(s) if s == "C" => Ok(BlockState::Cleared),
+            Json::Str(s) if s == "U" => Ok(BlockState::Uncompressed),
+            Json::Num(_) => u32::from_json(v).map(|bytes| BlockState::Compressed { bytes }),
+            other => Err(JsonError::msg(format!("bad block state: {}", other.render()))),
+        }
+    }
 }
 
 #[cfg(test)]

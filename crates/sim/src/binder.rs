@@ -15,6 +15,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use attila_json::{array, field, field_with, HexJson, Json, JsonError, JsonState, ToJson};
+
 use crate::error::SimError;
 use crate::name::SignalName;
 use std::rc::Rc;
@@ -303,6 +305,39 @@ impl SignalBinder {
             out.push_str(&format!("ring storage: {total} bytes in {} wires\n", self.len()));
         }
         out
+    }
+}
+
+/// Every registered signal's health counters as `[{name, written, read,
+/// lost}, …]` in name order, so a resumed run's failure reports and signal
+/// statistics match a never-stopped run's. Loaded by registered name onto
+/// drained wires; a name this machine never registered is refused.
+impl JsonState for SignalBinder {
+    fn save_state(&self) -> Json {
+        let signal = |s: SignalStatus| {
+            Json::obj([
+                ("name", s.name.as_str().to_json()),
+                ("written", s.written.to_hex()),
+                ("read", s.read.to_hex()),
+                ("lost", s.lost.to_hex()),
+            ])
+        };
+        Json::Arr(self.statuses().into_iter().map(signal).collect())
+    }
+
+    fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
+        for s in array(v)? {
+            let name: String = field(s, "name")?;
+            let probe = self
+                .probe(&name)
+                .map_err(|_| JsonError::msg(format!("unregistered signal `{name}`")))?;
+            probe.restore_counters(
+                field_with(s, "written", u64::from_hex)?,
+                field_with(s, "read", u64::from_hex)?,
+                field_with(s, "lost", u64::from_hex)?,
+            );
+        }
+        Ok(())
     }
 }
 

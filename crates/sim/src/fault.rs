@@ -4,7 +4,7 @@
 //! exceeded, data lost, time travel) as the simulator's correctness
 //! defense — but nothing in a healthy model ever exercises them. This
 //! module injects *controlled* hardware-style faults so the failure paths,
-//! the [`SimError`] propagation and the post-mortem
+//! the [`SimError`](crate::SimError) propagation and the post-mortem
 //! reporting can be tested end to end:
 //!
 //! * **Drop** the Nth object written to a named signal (a latch losing a
@@ -29,7 +29,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::error::SimError;
+use attila_json::{
+    array, field, field_with, impl_json_state, HexJson, Json, JsonError, JsonState, ToJson,
+};
+
 use crate::rng::TinyRng;
 use crate::Cycle;
 
@@ -342,71 +345,6 @@ impl FaultInjector {
         Some(handle)
     }
 
-    /// Captures the injector's mutable state — RNG position, per-hook
-    /// write indices and delivery counters — for checkpointing. The plans
-    /// themselves are carried separately (they are part of the run's
-    /// configuration, not of its progress).
-    pub fn save_state(&self) -> FaultInjectorState {
-        FaultInjectorState {
-            rng_state: self.rng.state(),
-            hooks: self
-                .hooks
-                .iter()
-                .map(|(name, h)| {
-                    let f = h.borrow();
-                    SignalFaultsState {
-                        signal: name.clone(),
-                        write_index: f.write_index,
-                        hits: f.hits,
-                    }
-                })
-                .collect(),
-            mem: self.mem.as_ref().map(|m| {
-                let m = m.borrow();
-                MemFaultsState {
-                    replies_seen: m.replies_seen,
-                    stall_cycles_served: m.stall_cycles_served,
-                    bits_flipped: m.bits_flipped,
-                }
-            }),
-        }
-    }
-
-    /// Restores state captured by [`save_state`](Self::save_state) into an
-    /// injector rebuilt from the same seed and plans, with its hooks
-    /// already compiled (compilation order is deterministic, so random
-    /// targets resolve identically).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::CheckpointMismatch`] when the checkpointed hooks
-    /// do not match the compiled ones.
-    pub fn load_state(&mut self, state: &FaultInjectorState) -> Result<(), SimError> {
-        self.rng.set_state(state.rng_state);
-        for h in &state.hooks {
-            let Some((_, handle)) = self.hooks.iter().find(|(name, _)| *name == h.signal) else {
-                return Err(SimError::CheckpointMismatch {
-                    reason: format!("no compiled fault hook for signal `{}`", h.signal),
-                });
-            };
-            let mut f = handle.borrow_mut();
-            f.write_index = h.write_index;
-            f.hits = h.hits;
-        }
-        if let Some(ms) = &state.mem {
-            let Some(m) = &self.mem else {
-                return Err(SimError::CheckpointMismatch {
-                    reason: "checkpoint carries memory-fault state but none is compiled".into(),
-                });
-            };
-            let mut m = m.borrow_mut();
-            m.replies_seen = ms.replies_seen;
-            m.stall_cycles_served = ms.stall_cycles_served;
-            m.bits_flipped = ms.bits_flipped;
-        }
-        Ok(())
-    }
-
     /// Total faults delivered across every compiled hook (signal hits,
     /// stall cycles and bit flips), for reporting.
     pub fn faults_delivered(&self) -> u64 {
@@ -423,37 +361,53 @@ impl FaultInjector {
     }
 }
 
-/// Checkpointed progress of one compiled signal hook.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SignalFaultsState {
-    /// The hooked signal's name.
-    pub signal: String,
-    /// Writes observed so far.
-    pub write_index: u64,
-    /// Faults delivered so far.
-    pub hits: u64,
-}
+impl_json_state!(MemFaults { replies_seen: hex, stall_cycles_served: hex, bits_flipped: hex });
 
-/// Checkpointed progress of the memory-fault hook.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemFaultsState {
-    /// Read replies observed so far.
-    pub replies_seen: u64,
-    /// Stall cycles actually imposed so far.
-    pub stall_cycles_served: u64,
-    /// Bits actually flipped so far.
-    pub bits_flipped: u64,
-}
+/// The injector's progress — RNG position, per-hook write indices and
+/// delivery counters. The plans are not part of it: they belong to the
+/// run's configuration, so the state loads into an injector rebuilt from
+/// the same seed and plans with its hooks already compiled (compilation
+/// order is deterministic, so random targets resolve identically), and a
+/// hook the file names but this injector never compiled is refused.
+impl JsonState for FaultInjector {
+    fn save_state(&self) -> Json {
+        let hooks = self.hooks.iter().map(|(name, h)| {
+            let f = h.borrow();
+            Json::obj([
+                ("signal", name.to_json()),
+                ("write_index", f.write_index.to_hex()),
+                ("hits", f.hits.to_hex()),
+            ])
+        });
+        Json::obj([
+            ("rng_state", self.rng.state().to_hex()),
+            ("hooks", Json::Arr(hooks.collect())),
+            ("mem", self.mem.as_ref().map_or(Json::Null, |m| m.borrow().save_state())),
+        ])
+    }
 
-/// Checkpointed mutable state of a whole [`FaultInjector`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultInjectorState {
-    /// The RNG's internal state.
-    pub rng_state: u64,
-    /// Per-hook progress, in hook compilation order.
-    pub hooks: Vec<SignalFaultsState>,
-    /// Memory-hook progress, when a memory fault is compiled.
-    pub mem: Option<MemFaultsState>,
+    fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
+        self.rng.set_state(field_with(v, "rng_state", u64::from_hex)?);
+        field_with(v, "hooks", |hooks| {
+            for h in array(hooks)? {
+                let signal: String = field(h, "signal")?;
+                let Some((_, hook)) = self.hooks.iter().find(|(name, _)| *name == signal) else {
+                    return Err(JsonError::msg(format!(
+                        "no compiled fault hook for signal `{signal}`"
+                    )));
+                };
+                let mut f = hook.borrow_mut();
+                f.write_index = field_with(h, "write_index", u64::from_hex)?;
+                f.hits = field_with(h, "hits", u64::from_hex)?;
+            }
+            Ok(())
+        })?;
+        field_with(v, "mem", |mem| match (mem, &self.mem) {
+            (Json::Null, _) => Ok(()),
+            (mem, Some(m)) => m.borrow_mut().load_state(mem),
+            (_, None) => Err(JsonError::msg("memory-fault state, but none is compiled")),
+        })
+    }
 }
 
 #[cfg(test)]

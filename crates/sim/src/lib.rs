@@ -86,16 +86,13 @@ pub use lint::{
     BoxNode, LintFinding, LintReport, PortDecl, Severity, SignalEdge, Topology, TopologySummary,
 };
 pub use error::SimError;
-pub use fault::{
-    FaultInjector, FaultInjectorState, FaultPlan, FaultWrite, MemFaultHandle, MemFaultsState,
-    SignalFaultHandle, SignalFaultsState,
-};
+pub use fault::{FaultInjector, FaultPlan, FaultWrite, MemFaultHandle, SignalFaultHandle};
 pub use horizon::Horizon;
 pub use name::SignalName;
 pub use object::{DynamicObject, ObjectIdGen, Traceable};
 pub use rng::TinyRng;
 pub use signal::{Signal, SignalProbe, SignalReader, SignalStatus, SignalWriter, WakeLine};
-pub use stats::{Counter, Gauge, StatSnapshotEntry, StatsRegistry, StatsSnapshot};
+pub use stats::{Counter, Gauge, StatsRegistry};
 pub use trace::{SignalTrace, TraceEvent, TraceSink};
 pub use viz::{render_html, VizOptions};
 

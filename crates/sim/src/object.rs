@@ -27,6 +27,8 @@
 
 use std::fmt;
 
+use attila_json::impl_json_state;
+
 /// Identity information carried by every object travelling through signals.
 ///
 /// # Examples
@@ -157,13 +159,11 @@ impl ObjectIdGen {
     pub fn issued(&self) -> u64 {
         self.next
     }
-
-    /// Restores the generator to a checkpointed position: the next call to
-    /// [`next_id`](ObjectIdGen::next_id) returns `issued`.
-    pub fn restore_issued(&mut self, issued: u64) {
-        self.next = issued;
-    }
 }
+
+// A generator's whole state is the number of identifiers it has issued:
+// one loaded from it hands out that number next.
+impl_json_state!(ObjectIdGen = next: hex);
 
 #[cfg(test)]
 mod tests {

@@ -12,7 +12,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use crate::error::SimError;
+use attila_json::{array, field, field_with, HexJson, Json, JsonError, JsonState, ToJson};
+
 use crate::Cycle;
 
 /// A shared, monotonically increasing event counter.
@@ -275,73 +276,6 @@ impl StatsRegistry {
         self.entries.is_empty()
     }
 
-    /// Captures every registered statistic (totals, window series, window
-    /// bookkeeping) as plain data for checkpointing. Entries are listed in
-    /// sorted-name order so the snapshot is deterministic.
-    pub fn save_state(&self) -> StatsSnapshot {
-        let entries = self
-            .index
-            .iter()
-            .map(|(name, &slot)| {
-                let e = &self.entries[slot as usize];
-                let (is_counter, total, gauge) = match &e.handle {
-                    StatHandle::Counter(c) => (true, c.value(), 0.0),
-                    StatHandle::Gauge(g) => (false, 0, g.value()),
-                };
-                StatSnapshotEntry {
-                    name: name.clone(),
-                    is_counter,
-                    total,
-                    gauge,
-                    windows: e.windows.clone(),
-                    last_total: e.last_total,
-                }
-            })
-            .collect();
-        StatsSnapshot { entries, windows_closed: self.windows_closed }
-    }
-
-    /// Restores a snapshot taken by [`save_state`](Self::save_state) into a
-    /// registry holding the same set of statistics (i.e. one elaborated
-    /// from the same configuration).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::CheckpointMismatch`] when the snapshot's
-    /// statistics do not line up with the registered ones by name or kind.
-    pub fn load_state(&mut self, snap: &StatsSnapshot) -> Result<(), SimError> {
-        if snap.entries.len() != self.entries.len() {
-            return Err(SimError::CheckpointMismatch {
-                reason: format!(
-                    "checkpoint has {} statistics, simulator registered {}",
-                    snap.entries.len(),
-                    self.entries.len()
-                ),
-            });
-        }
-        for e in &snap.entries {
-            let Some(&slot) = self.index.get(&e.name) else {
-                return Err(SimError::CheckpointMismatch {
-                    reason: format!("checkpoint statistic `{}` is not registered", e.name),
-                });
-            };
-            let entry = &mut self.entries[slot as usize];
-            match (&entry.handle, e.is_counter) {
-                (StatHandle::Counter(c), true) => c.value.set(e.total),
-                (StatHandle::Gauge(g), false) => g.value.set(e.gauge),
-                _ => {
-                    return Err(SimError::CheckpointMismatch {
-                        reason: format!("checkpoint statistic `{}` has the wrong kind", e.name),
-                    })
-                }
-            }
-            entry.windows = e.windows.clone();
-            entry.last_total = e.last_total;
-        }
-        self.windows_closed = snap.windows_closed;
-        Ok(())
-    }
-
     /// Renders the windowed samples as CSV: one column per statistic, one
     /// row per closed window (the simulator's statistics-file format).
     pub fn csv(&self) -> String {
@@ -376,30 +310,74 @@ impl StatsRegistry {
     }
 }
 
-/// Plain-data snapshot of a whole [`StatsRegistry`], for checkpointing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatsSnapshot {
-    /// One entry per statistic, in sorted-name order.
-    pub entries: Vec<StatSnapshotEntry>,
-    /// Closed sampling windows at capture time.
-    pub windows_closed: usize,
-}
+/// Every registered statistic — totals, window series, window
+/// bookkeeping — as `{"entries": [{name, counter, total, gauge, windows,
+/// last_total}, …], "windows_closed": n}`, entries in sorted-name order so
+/// the rendering is deterministic. Loaded into a registry holding the same
+/// set of statistics (one elaborated from the same configuration): entries
+/// are matched by name and kind, and each series must hold exactly
+/// `windows_closed` samples — [`csv`](StatsRegistry::csv) writes that many
+/// rows, so the count is believed only as far as the samples the file
+/// carries.
+impl JsonState for StatsRegistry {
+    fn save_state(&self) -> Json {
+        let entries = self.index.iter().map(|(name, &slot)| {
+            let e = &self.entries[slot as usize];
+            let (total, gauge) = match &e.handle {
+                StatHandle::Counter(c) => (c.value(), 0.0),
+                StatHandle::Gauge(g) => (0, g.value()),
+            };
+            Json::obj([
+                ("name", name.to_json()),
+                ("counter", matches!(e.handle, StatHandle::Counter(_)).to_json()),
+                ("total", total.to_hex()),
+                ("gauge", gauge.to_json()),
+                ("windows", e.windows.to_json()),
+                ("last_total", e.last_total.to_hex()),
+            ])
+        });
+        Json::obj([
+            ("entries", Json::Arr(entries.collect())),
+            ("windows_closed", self.windows_closed.to_json()),
+        ])
+    }
 
-/// One statistic's checkpointed state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatSnapshotEntry {
-    /// Registered name (`Unit.stat` style).
-    pub name: String,
-    /// `true` for a counter, `false` for a gauge.
-    pub is_counter: bool,
-    /// Counter total at capture (0 for gauges).
-    pub total: u64,
-    /// Gauge value at capture (0.0 for counters).
-    pub gauge: f64,
-    /// Per-window samples captured so far.
-    pub windows: Vec<f64>,
-    /// Counter total at the close of the previous window.
-    pub last_total: u64,
+    fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
+        let windows_closed: usize = field(v, "windows_closed")?;
+        let entries = field_with(v, "entries", array)?;
+        if entries.len() != self.entries.len() {
+            return Err(JsonError::msg(format!(
+                "entries: the file carries {} statistics, this machine registered {}",
+                entries.len(),
+                self.entries.len()
+            )));
+        }
+        for e in entries {
+            let name: String = field(e, "name")?;
+            let refuse = |why: &str| JsonError::msg(format!("entries: `{name}` {why}"));
+            let total = field_with(e, "total", u64::from_hex)?;
+            let last_total = field_with(e, "last_total", u64::from_hex)?;
+            let (gauge, windows): (f64, Vec<f64>) = (field(e, "gauge")?, field(e, "windows")?);
+            let slot = self.index.get(&name).ok_or_else(|| refuse("is not registered"))?;
+            let entry = &mut self.entries[*slot as usize];
+            match (&entry.handle, field(e, "counter")?) {
+                _ if windows.len() != windows_closed => {
+                    return Err(refuse("has a windows series that is not windows_closed long"));
+                }
+                // The next window's sample is `total - last_total`.
+                (StatHandle::Counter(_), true) if last_total > total => {
+                    return Err(refuse("has last_total past total"));
+                }
+                (StatHandle::Counter(c), true) => c.value.set(total),
+                (StatHandle::Gauge(g), false) => g.value.set(gauge),
+                _ => return Err(refuse("has the wrong kind")),
+            }
+            entry.windows = windows;
+            entry.last_total = last_total;
+        }
+        self.windows_closed = windows_closed;
+        Ok(())
+    }
 }
 
 impl std::fmt::Debug for StatsRegistry {

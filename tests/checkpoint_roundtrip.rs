@@ -764,6 +764,231 @@ fn mutated_files_never_panic_across_512_seeds() {
 }
 
 #[test]
+fn checkpoint_text_is_pinned() {
+    // Recorded at 1621d28, before the per-box state lists replaced the
+    // hand-written codec: the format is version 3, byte for byte. A
+    // deliberate format change bumps FORMAT_VERSION and these together.
+    let text = valid_text_with_a_frame();
+    assert_eq!(FORMAT_VERSION, 3);
+    assert_eq!((text.len(), crc32(text.as_bytes())), (179_776, 0xa83a_bbd1));
+}
+
+fn hex(v: u64) -> Json {
+    Json::Str(format!("{v:016x}"))
+}
+
+fn expect_refusal(doc: &Json, config: GpuConfig, what: &str, names: &str) {
+    let ckpt = Checkpoint::from_json(doc).unwrap_or_else(|e| panic!("{what}: {e}"));
+    match Gpu::restore(config, scene(), &ckpt, None) {
+        Err(SimError::CheckpointMismatch { reason }) => {
+            assert!(reason.contains(names), "{what}: reason must name `{names}`: {reason}")
+        }
+        other => panic!("{what}: must be refused, got {other:?}"),
+    }
+}
+
+#[test]
+fn loaders_size_by_what_the_file_carries() {
+    // Each of these sat behind a valid CRC and took the process down at
+    // 1621d28: a geometry was built from a size the file *claimed* before
+    // it was compared with what the file *held*.
+    let text = valid_text_with_a_frame();
+    fn z_cache(body: &mut Json) -> &mut Json {
+        field_mut(&mut items_mut(field_mut(body, "zstencil"))[0], "cache")
+    }
+    type Mutation = Box<dyn Fn(&mut Json)>;
+    let cases: Vec<(&str, &str, Mutation)> = vec![
+        // `RopCache::new` asserted "buffer must be whole blocks".
+        ("ROP len off the line grid", "len", Box::new(|b| *field_mut(z_cache(b), "len") = hex(257))),
+        // 2^40 / 256 block states: "memory allocation of 34359738368 bytes failed".
+        ("ROP len of 1 TiB", "len", Box::new(|b| *field_mut(z_cache(b), "len") = hex(1 << 40))),
+        (
+            // In range and on its grid only because nothing is resident:
+            // the first fast clear would write past the image.
+            "ROP surface past GPU memory",
+            "ROP cache",
+            Box::new(|b| {
+                let lines = field_mut(field_mut(z_cache(b), "cache"), "lines");
+                for line in items_mut(lines) {
+                    *field_mut(line, "valid") = Json::Bool(false);
+                }
+                *field_mut(z_cache(b), "base") = hex((64 << 20) - 256);
+            }),
+        ),
+        (
+            // Line 0 with tag 0 is address 0; written back, it indexed the
+            // block-state memory at (0 - base) / 256.
+            "resident ROP line outside its surface",
+            "zstencil: [0]: cache",
+            Box::new(|b| {
+                let lines = field_mut(field_mut(z_cache(b), "cache"), "lines");
+                let line = &mut items_mut(lines)[0];
+                *field_mut(line, "tag") = hex(0);
+                *field_mut(line, "valid") = Json::Bool(true);
+                *field_mut(line, "dirty") = Json::Bool(true);
+            }),
+        ),
+        (
+            // `resize_with` asked for 2^40 queues of 32 bytes.
+            "2^40 queue slots",
+            "queue_slots",
+            Box::new(|b| {
+                let slots = field_mut(field_mut(b, "mem_ctrl"), "queue_slots");
+                items_mut(slots)[0] = Json::Num(2f64.powi(40));
+            }),
+        ),
+        (
+            // `block_count` multiplied two u32 tile counts in a u32.
+            "HZ surface of 2^30 x 2^30",
+            "bound_z",
+            Box::new(|b| {
+                let surface = items_mut(field_mut(field_mut(b, "hz"), "bound_z"));
+                surface[1] = Json::Num(2f64.powi(30));
+                surface[2] = Json::Num(2f64.powi(30));
+            }),
+        ),
+        (
+            // Restored; `stats().csv()` then wrote 65 537 rows for a run
+            // that had closed no window (at 2^40, it never returned).
+            "65536 windows closed, none carried",
+            "windows",
+            Box::new(|b| {
+                *field_mut(field_mut(b, "stats"), "windows_closed") = Json::Num(65536.0);
+            }),
+        ),
+    ];
+    for (what, names, mutate) in &cases {
+        expect_refusal(&with_body(&text, mutate), config(), what, names);
+    }
+}
+
+/// Arrays the directed sweep leaves to the 512-seed loop: bulk data,
+/// thousands of words that are all read by the same line of a decoder.
+const BULK_KEYS: [&str; 6] = ["memory", "rgba", "lines", "blocks", "entry_bits", "windows"];
+
+/// Calls `visit` on every scalar under `j` outside [`BULK_KEYS`], depth
+/// first, with its path; stops at (and returns) the first `Some`.
+fn each_scalar<R>(
+    j: &mut Json,
+    path: &str,
+    visit: &mut impl FnMut(&mut Json, &str) -> Option<R>,
+) -> Option<R> {
+    match j {
+        Json::Arr(items) => items
+            .iter_mut()
+            .enumerate()
+            .find_map(|(i, v)| each_scalar(v, &format!("{path}[{i}]"), visit)),
+        Json::Obj(fields) => fields
+            .iter_mut()
+            .filter(|(key, _)| !BULK_KEYS.contains(&key.as_str()))
+            .find_map(|(key, v)| each_scalar(v, &format!("{path}.{key}"), visit)),
+        leaf => visit(leaf, path),
+    }
+}
+
+/// What a hostile writer would put in place of `leaf`: a neighbouring
+/// value, zero, 2^40, a negative, a fraction — each in the leaf's own
+/// encoding — then another JSON type and `null`.
+fn hostile_values(leaf: &Json) -> Vec<Json> {
+    let str = |s: &str| Json::Str(s.to_string());
+    let mut values = match leaf {
+        Json::Str(s) if s.len() == 16 && u64::from_str_radix(s, 16).is_ok() => {
+            let v = u64::from_str_radix(s, 16).unwrap();
+            vec![hex(v.wrapping_add(1)), hex(0), hex(1 << 40), str("-000000000000001"), str("0.5")]
+        }
+        Json::Str(s) => vec![str(&format!("{s}x")), str(""), hex(0)],
+        Json::Num(v) => [v + 1.0, 0.0, 2f64.powi(40), -v - 1.0, v + 0.5].map(Json::Num).to_vec(),
+        Json::Bool(b) => vec![Json::Bool(!b)],
+        _ => vec![Json::Bool(true), hex(0)],
+    };
+    values.push(if matches!(leaf, Json::Num(_)) { str("1") } else { Json::Num(1.0) });
+    values.push(Json::Null);
+    values.retain(|v| v != leaf);
+    values
+}
+
+#[test]
+fn every_scalar_leaf_survives_a_hostile_value() {
+    // Short sampling windows, so the captured file carries several closed
+    // ones and the resumed tail closes more.
+    let mut config = config();
+    config.stats.window_cycles = 256;
+    let (_, total) = baseline(None);
+    let gpu = quiescent_machine(config.clone(), scene(), total / 2);
+    let mut doc = gpu.capture_checkpoint().to_json();
+    assert!(gpu.stats().windows_closed() >= 8, "the file must carry closed windows");
+
+    let mut paths = Vec::new();
+    each_scalar(field_mut(&mut doc, "body"), "body", &mut |_, path| {
+        paths.push(path.to_string());
+        None::<()>
+    });
+    assert!(paths.len() > 500, "only {} scalar leaves found", paths.len());
+
+    let (mut refused, mut ran) = (0, 0);
+    for (n, path) in paths.iter().enumerate() {
+        // Swaps `value` with the `n`-th scalar and returns what was there.
+        let swap = |doc: &mut Json, mut value: Json| {
+            let mut seen = 0;
+            each_scalar(field_mut(doc, "body"), "body", &mut |leaf, _| {
+                seen += 1;
+                (seen > n).then(|| std::mem::swap(leaf, &mut value))
+            });
+            value
+        };
+        let original = swap(&mut doc, Json::Null);
+        for hostile in hostile_values(&original) {
+            let what = format!("{path} = {}", hostile.render());
+            swap(&mut doc, hostile);
+            let crc = crc32(field_mut(&mut doc, "body").render().as_bytes());
+            *field_mut(&mut doc, "body_crc") = Json::Num(f64::from(crc));
+            let restored = Checkpoint::from_json(&doc)
+                .and_then(|ckpt| Gpu::restore(config.clone(), scene(), &ckpt, None));
+            let mut gpu = match restored {
+                Ok(gpu) => gpu,
+                Err(SimError::CheckpointMismatch { reason }) => {
+                    assert!(!reason.is_empty(), "{what}");
+                    refused += 1;
+                    continue;
+                }
+                Err(other) => panic!("{what}: untyped refusal {other:?}"),
+            };
+            // Whatever loads must also run: a typed error (the watchdog,
+            // mostly) or the end of the trace, and a CSV of the size its
+            // own window count says.
+            gpu.max_cycles = 600;
+            let _ = gpu.run_trace(&[]);
+            let rows = gpu.stats().csv().lines().count();
+            assert_eq!(rows, gpu.stats().windows_closed() + 1, "{what}");
+            ran += 1;
+        }
+        swap(&mut doc, original);
+    }
+    assert!(refused > 1000 && ran > 500, "{refused} refused, {ran} ran");
+}
+
+#[test]
+fn failed_write_leaves_no_temp_file() {
+    // The destination is a directory: the document is written and synced
+    // to the temp file, and the final rename is what fails.
+    let dir = tmp_ckpt("is-a-dir", 0);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut gpu = Gpu::new(config());
+    gpu.checkpoint_every = Some(1 << 40);
+    match gpu.capture_checkpoint().write_file(&dir) {
+        Err(SimError::CheckpointMismatch { reason }) => {
+            assert!(reason.contains("write failed"), "{reason}")
+        }
+        other => panic!("writing onto a directory must fail with the typed error: {other:?}"),
+    }
+    let stray = dir.with_extension("ckpt.tmp");
+    let left_behind = stray.exists();
+    let _ = std::fs::remove_file(&stray);
+    let _ = std::fs::remove_dir(&dir);
+    assert!(!left_behind, "{} was left behind", stray.display());
+}
+
+#[test]
 fn running_trace_hash_is_chunk_independent_and_survives_restore() {
     let whole = trace_hash(scene());
     for chunks in [1usize, 2, 7] {

@@ -14,21 +14,18 @@ fn lint_fixture(path: &str, source: &str) -> Vec<Finding> {
 #[test]
 fn unserialized_box_field_fires_state_coverage() {
     let src = r#"
-pub struct FooState {
-    pub a: u64,
-}
-
 pub struct Foo {
     a: u64,
     b: u64,
 }
 
-impl Foo {
-    pub fn save_state(&self) -> FooState {
-        FooState { a: self.a }
+impl JsonState for Foo {
+    fn save_state(&self) -> Json {
+        Json::obj([("a", self.a.to_hex())])
     }
-    pub fn load_state(&mut self, s: &FooState) {
-        self.a = s.a;
+    fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
+        self.a = field_with(v, "a", u64::from_hex)?;
+        Ok(())
     }
 }
 "#;
@@ -39,28 +36,51 @@ impl Foo {
         .expect("unserialized field must fire state-coverage");
     assert_eq!(hit.severity, Severity::Deny);
     assert!(hit.message.contains("`b` of `Foo`"), "wrong field: {}", hit.message);
-    assert_eq!(hit.line, 8, "must point at the field declaration");
+    assert_eq!(hit.line, 4, "must point at the field declaration");
+}
+
+#[test]
+fn field_missing_from_a_state_list_fires_state_coverage() {
+    let src = r#"
+pub struct Unit {
+    out: PortSender<u32>,
+    cursor: usize,
+    issued: ObjectIdGen,
+    next_id: u64,
+}
+
+impl_json_state!(Unit { cursor, ids_issued = issued: hex });
+"#;
+    let findings = lint_fixture("crates/core/src/fixture.rs", src);
+    // The list is saver and loader at once: what it names is covered on
+    // both paths (`issued` under its `ids_issued` key), wiring is exempt,
+    // and what it omits is not checkpointed at all — never half.
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, "state-coverage");
+    assert!(findings[0].message.contains("`next_id` of `Unit`"), "{}", findings[0].message);
+    assert_eq!(findings[0].line, 6);
+
+    // Without a declaration the struct is no participant, whatever it is
+    // called: there is no name-suffix rule.
+    let mirror = "pub struct UnitState {\n    pub cursor: usize,\n}\n";
+    assert!(lint_fixture("crates/core/src/fixture.rs", mirror).is_empty());
 }
 
 #[test]
 fn save_restore_drift_fires_state_pair() {
     let src = r#"
-pub struct BarState {
-    pub x: u64,
-    pub y: u64,
-}
-
 pub struct Bar {
     x: u64,
     y: u64,
 }
 
 impl Bar {
-    pub fn save_state(&self) -> BarState {
-        BarState { x: self.x, y: self.y }
+    pub fn save_state(&self) -> Json {
+        Json::obj([("x", self.x.to_hex()), ("y", self.y.to_hex())])
     }
-    pub fn load_state(&mut self, s: &BarState) {
-        self.x = s.x;
+    pub fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
+        self.x = field_with(v, "x", u64::from_hex)?;
+        Ok(())
     }
 }
 "#;
@@ -80,10 +100,6 @@ impl Bar {
 #[test]
 fn state_annotations_exempt_fields() {
     let src = r#"
-pub struct QuxState {
-    pub x: u64,
-}
-
 pub struct Qux {
     x: u64,
     scratch: u64, // state: transient — drained at the boundary
@@ -94,14 +110,7 @@ pub struct Qux {
     y: u64,
 }
 
-impl Qux {
-    pub fn save_state(&self) -> QuxState {
-        QuxState { x: self.x }
-    }
-    pub fn load_state(&mut self, s: &QuxState) {
-        self.x = s.x;
-    }
-}
+impl_json_state!(Qux { x: hex });
 "#;
     let findings = lint_fixture("crates/core/src/fixture.rs", src);
     // `scratch`, `table_a` and `table_b` are annotated away; `y` sits
@@ -123,23 +132,12 @@ impl Qux {
 #[test]
 fn unknown_state_annotation_kind_warns() {
     let src = r#"
-pub struct MehState {
-    pub x: u64,
-}
-
 pub struct Meh {
     x: u64,
     y: u64, // state: bogus
 }
 
-impl Meh {
-    pub fn save_state(&self) -> MehState {
-        MehState { x: self.x }
-    }
-    pub fn load_state(&mut self, s: &MehState) {
-        self.x = s.x;
-    }
-}
+impl_json_state!(Meh { x: hex });
 "#;
     let findings = lint_fixture("crates/core/src/fixture.rs", src);
     let hit = findings
