@@ -5,10 +5,11 @@
 //! 2D homogeneous rasterization handles them.
 
 use attila_emu::ClipperEmulator;
-use attila_sim::{Counter, Cycle, SimError};
+use attila_sim::{Counter, Cycle, Horizon, PortDecl, SimError};
 
 use crate::port::{PortReceiver, PortSender};
 use crate::types::TriangleWork;
+use crate::unit::Unit;
 
 /// The Clipper box.
 #[derive(Debug)]
@@ -23,6 +24,9 @@ pub struct Clipper {
 }
 
 impl Clipper {
+    /// The name the box's signals are registered under.
+    pub const NAME: &'static str = "Clipper";
+
     /// Builds the box around its ports.
     pub fn new(
         in_tris: PortReceiver<TriangleWork>,
@@ -59,30 +63,32 @@ impl Clipper {
         self.out_tris.try_send(cycle, tri)
     }
 
-    /// Whether work is in flight.
-    pub fn busy(&self) -> bool {
-        !self.in_tris.idle()
-    }
-
-    /// The box's event horizon: busy while queued triangles await the
-    /// trivial-reject test, the wire's next arrival while triangles are in
-    /// flight, idle otherwise (see [`attila_sim::Horizon`]).
-    pub fn work_horizon(&self) -> attila_sim::Horizon {
-        self.in_tris.work_horizon()
-    }
-
-    /// The box's declared interface for the architecture verifier.
-    pub fn declared_ports(&self) -> Vec<attila_sim::PortDecl> {
-        vec![self.in_tris.decl(), self.out_tris.decl()]
-    }
-
-    /// Objects waiting in the box's input queues.
-    pub fn queued(&self) -> usize {
-        self.in_tris.len()
-    }
-
     /// Triangles trivially rejected so far.
     pub fn rejected(&self) -> u64 {
         self.stat_rejected.value()
+    }
+}
+
+impl Unit for Clipper {
+    fn name(&self) -> &str {
+        Self::NAME
+    }
+
+    fn busy(&self) -> bool {
+        !self.in_tris.idle()
+    }
+
+    /// Busy while queued triangles await the trivial-reject test, the
+    /// wire's next arrival while triangles are in flight, idle otherwise.
+    fn work_horizon(&self) -> Horizon {
+        self.in_tris.work_horizon()
+    }
+
+    fn declared_ports(&self) -> Vec<PortDecl> {
+        vec![self.in_tris.decl(), self.out_tris.decl()]
+    }
+
+    fn queued(&self) -> usize {
+        self.in_tris.len()
     }
 }

@@ -5,39 +5,38 @@
 //! defined in the OpenGL API. The architecture of the Color Write unit is
 //! very similar to that of the Z and Stencil test unit with the Color
 //! Cache supporting fast color clear of the whole color buffer." (§2.2)
+//!
+//! The similar part — the cache with its fills, write-backs, rebinds,
+//! flush and fast clear — is the `RopEngine` of `rop.rs`, which both units
+//! hold. This unit's own are the blend and framebuffer update and its two
+//! input ports; it forwards nothing and feeds nothing back to
+//! Hierarchical Z.
 
-use std::collections::BTreeMap;
-
-use attila_emu::fragops::{blend, compress_z_block, pack_rgba8, unpack_rgba8, ZBLOCK_WORDS};
-use attila_json::{field, field_with, HexJson, Json, JsonError, JsonState, ToJson};
-use attila_mem::controller::split_transactions;
-use attila_mem::{Client, MemOp, MemRequest, MemoryController, RopCache};
-use attila_sim::{Counter, Cycle, SimError};
+use attila_emu::fragops::{blend, pack_rgba8, unpack_rgba8};
+use attila_json::{field, Json, JsonError, JsonState, ToJson};
+use attila_mem::{Client, MemoryController, RopCache};
+use attila_sim::{Counter, Cycle, Horizon, PortDecl, SimError};
 
 use crate::address::{pixel_address, surface_bytes, tile_address};
 use crate::config::RopConfig;
 use crate::port::PortReceiver;
+use crate::rop::{self, RopEngine};
 use crate::types::FragQuad;
+use crate::unit::Unit;
 
 /// One Colour Write unit.
 #[derive(Debug)]
 pub struct ColorWriteUnit {
-    unit: u8, // state: derived — unit index fixed at construction
+    name: String, // state: derived — from the unit index fixed at construction
     config: RopConfig,
     /// Shaded quads from the Fragment FIFO (early-Z) path.
     pub in_early: PortReceiver<FragQuad>,
     /// Shaded, Z-tested quads from the Z/stencil units (late-Z path).
     pub in_late: PortReceiver<FragQuad>,
-    cache: Option<RopCache>,
-    // state: transient — in-flight fill/writeback bookkeeping, drained at
-    // the quiescent checkpoint boundary
-    fills: BTreeMap<u64, usize>,
-    reply_to_line: BTreeMap<u64, u64>,
-    /// Writeback transactions awaiting controller queue space.
-    pending_writebacks: std::collections::VecDeque<(u64, u32)>,
-    // state: checkpointed
+    /// The colour cache and its fill/write-back machinery (the `cache`
+    /// and `next_req_id` keys of the unit's state).
+    rop: RopEngine,
     prefer_late: bool,
-    next_req_id: u64,
     stat_quads: Counter,
     stat_frags_written: Counter,
     stat_blended: Counter,
@@ -45,6 +44,11 @@ pub struct ColorWriteUnit {
 }
 
 impl ColorWriteUnit {
+    /// The name unit `unit`'s signals and statistics are registered under.
+    pub fn name_of(unit: usize) -> String {
+        format!("ColorWrite{unit}")
+    }
+
     /// Builds one colour write unit.
     pub fn new(
         unit: u8,
@@ -53,54 +57,24 @@ impl ColorWriteUnit {
         in_late: PortReceiver<FragQuad>,
         stats: &mut attila_sim::StatsRegistry,
     ) -> Self {
-        let prefix = format!("ColorWrite{unit}");
+        let name = Self::name_of(unit.into());
         ColorWriteUnit {
-            unit,
+            rop: RopEngine::new(Client::ColorWrite(unit), "Color", &config),
             config,
             in_early,
             in_late,
-            cache: None,
-            fills: BTreeMap::new(),
-            reply_to_line: BTreeMap::new(),
-            pending_writebacks: std::collections::VecDeque::new(),
             prefer_late: false,
-            next_req_id: 0,
-            stat_quads: stats.counter(&format!("{prefix}.quads")),
-            stat_frags_written: stats.counter(&format!("{prefix}.fragments_written")),
-            stat_blended: stats.counter(&format!("{prefix}.fragments_blended")),
-            stat_busy_cycles: stats.counter(&format!("{prefix}.busy_cycles")),
+            stat_quads: stats.counter(&format!("{name}.quads")),
+            stat_frags_written: stats.counter(&format!("{name}.fragments_written")),
+            stat_blended: stats.counter(&format!("{name}.fragments_blended")),
+            stat_busy_cycles: stats.counter(&format!("{name}.busy_cycles")),
+            name,
         }
-    }
-
-    /// The memory-controller client id of this unit.
-    pub fn client(&self) -> Client {
-        Client::ColorWrite(self.unit)
     }
 
     /// (Re)binds the cache to a colour buffer and fast-clears it.
     pub fn fast_clear(&mut self, mem: &mut MemoryController, base: u64, len: u64, word: u32) {
-        // The Command Processor only clears with the pipeline drained, so
-        // the rebind never has to wait here.
-        let ready = self.rebind_cache(mem, base, len);
-        assert!(ready, "fast clear issued with fills in flight");
-        self.cache.as_mut().expect("bound").fast_clear(mem.gpu_mem_mut(), word);
-    }
-
-    /// Returns `true` when the cache is bound to `(base, len)` and ready.
-    /// Rebinding (render-target switch) waits for in-flight fills and
-    /// writes the old surface's dirty lines back first.
-    fn rebind_cache(&mut self, mem: &mut MemoryController, base: u64, len: u64) -> bool {
-        if let Some(c) = &self.cache {
-            if c.base() == base && c.len() == len {
-                return true;
-            }
-        }
-        if !self.fills.is_empty() {
-            return false; // drain outstanding fills of the old surface
-        }
-        self.flush(mem);
-        self.cache = Some(RopCache::new(self.config.cache.into(), "Color", base, len));
-        true
+        self.rop.fast_clear(mem, base, len, word, &mut |_, _| {});
     }
 
     /// Advances the unit one cycle.
@@ -112,52 +86,17 @@ impl ColorWriteUnit {
         self.in_early.try_update(cycle)?;
         self.in_late.try_update(cycle)?;
 
-        while let Some(reply) = mem.pop_reply(self.client()) {
-            if let Some(line) = self.reply_to_line.remove(&reply.id) {
-                let left = self.fills.get_mut(&line).expect("fill bookkeeping"); // lint:allow(clock-unwrap) reply ids only map to lines with live fill entries
-                *left -= 1;
-                if *left == 0 {
-                    self.fills.remove(&line);
-                    if let Some(cache) = &mut self.cache {
-                        cache.fill_done(line);
-                    }
-                }
-            }
-        }
-
-        // Drain queued writebacks as controller space frees up.
-        while let Some(&(addr, size)) = self.pending_writebacks.front() {
-            if !mem.can_accept(self.client(), addr) {
-                break;
-            }
-            self.pending_writebacks.pop_front();
-            let id = self.next_req_id;
-            self.next_req_id += 1;
-            mem.submit(MemRequest {
-                id,
-                client: self.client(),
-                addr,
-                op: MemOp::TimingWrite { size },
-            })
-            .expect("can_accept checked"); // lint:allow(clock-unwrap) submit follows the can_accept check above
-        }
+        self.rop.collect_replies(mem);
+        self.rop.drain_writebacks(mem);
 
         let quads_per_cycle = (self.config.frags_per_cycle / 4).max(1);
         let mut did_work = false;
         for _ in 0..quads_per_cycle {
-            let first_late = self.prefer_late;
-            let mut progressed = false;
-            for attempt in 0..2 {
-                let late = first_late ^ (attempt == 1);
-                if self.try_process_head(cycle, mem, late)? {
-                    self.prefer_late = !late;
-                    progressed = true;
-                    break;
-                }
-            }
-            if !progressed {
-                break;
-            }
+            // Alternate between the early and late inputs for fairness.
+            let turn =
+                rop::arbitrate(self.prefer_late, |late| self.try_process_head(cycle, mem, late))?;
+            let Some(late) = turn else { break };
+            self.prefer_late = !late;
             did_work = true;
         }
         if did_work {
@@ -179,19 +118,12 @@ impl ColorWriteUnit {
         };
         let base = state.color_buffer;
         let len = surface_bytes(state.target_width, state.target_height);
-        if !self.rebind_cache(mem, base, len) {
+        if !self.rop.bind(mem, base, len, &mut |_, _| {}) {
             return Ok(false); // old surface still draining
         }
         let line = tile_address(base, state.target_width, qx, qy);
-
-        let cache = self.cache.as_mut().expect("ensured"); // lint:allow(clock-unwrap) rebind_cache returned ready
-        match cache.lookup(cycle, line, false) {
-            attila_mem::Lookup::Hit => {}
-            attila_mem::Lookup::Blocked => return Ok(false),
-            attila_mem::Lookup::Miss => {
-                self.start_fill(mem, line);
-                return Ok(false);
-            }
+        if !self.rop.resident(cycle, mem, line, &mut |_, _| {}) {
+            return Ok(false); // blocked, or the fill is on its way
         }
 
         let input = if late { &mut self.in_late } else { &mut self.in_early };
@@ -219,135 +151,21 @@ impl ColorWriteUnit {
             }
         }
         if wrote {
-            self.cache.as_mut().expect("ensured").mark_dirty(line); // lint:allow(clock-unwrap) rebind_cache returned ready
+            self.rop.mark_dirty(line);
         }
         Ok(true)
-    }
-
-    fn start_fill(&mut self, mem: &mut MemoryController, line: u64) {
-        if self.fills.contains_key(&line) {
-            return;
-        }
-        if mem.free_slots(self.client(), line) < 8 {
-            return;
-        }
-        let client = self.client();
-        let compression = self.config.compression;
-        let mut next_id = self.next_req_id;
-        let mut fill_ids = Vec::new();
-        let Some(cache) = self.cache.as_mut() else { return };
-        let Ok((fill_bytes, eviction)) = cache.allocate(line) else { return };
-        if let Some(ev) = eviction {
-            // Colour compression is future work in the paper; when the
-            // ablation enables it, the same lossless delta scheme as the
-            // Z cache runs over the line's actual RGBA words.
-            let compressed = if compression {
-                let mut words = [0u32; ZBLOCK_WORDS];
-                for (i, w) in words.iter_mut().enumerate() {
-                    *w = mem.gpu_mem().read_u32(ev.line_addr + i as u64 * 4);
-                }
-                Some(compress_z_block(&words).level.bytes() as u32)
-            } else {
-                None
-            };
-            let bytes = cache.evict_dirty(ev.line_addr, compressed);
-            for (addr, size) in split_transactions(ev.line_addr, bytes as u64) {
-                let id = next_id;
-                next_id += 1;
-                mem.submit(MemRequest { id, client, addr, op: MemOp::TimingWrite { size } })
-                    .expect("slots reserved");
-            }
-        }
-        if fill_bytes == 0 {
-            cache.fill_done(line);
-        } else {
-            let mut count = 0;
-            for (addr, size) in split_transactions(line, fill_bytes as u64) {
-                let id = next_id;
-                next_id += 1;
-                mem.submit(MemRequest { id, client, addr, op: MemOp::TimingRead { size } })
-                    .expect("slots reserved");
-                fill_ids.push(id);
-                count += 1;
-            }
-            for id in fill_ids {
-                self.reply_to_line.insert(id, line);
-            }
-            self.fills.insert(line, count);
-        }
-        self.next_req_id = next_id;
     }
 
     /// Flushes the colour cache (end of frame), charging writebacks
     /// (compressed when the ablation enables colour compression, matching
     /// the steady-state eviction path).
     pub fn flush(&mut self, mem: &mut MemoryController) {
-        let client = self.client();
-        let compression = self.config.compression;
-        let mut pending: Vec<(u64, u32)> = Vec::new();
-        if let Some(cache) = self.cache.as_mut() {
-            for ev in cache.flush() {
-                let compressed = if compression {
-                    let mut words = [0u32; ZBLOCK_WORDS];
-                    for (i, w) in words.iter_mut().enumerate() {
-                        *w = mem.gpu_mem().read_u32(ev.line_addr + i as u64 * 4);
-                    }
-                    Some(compress_z_block(&words).level.bytes() as u32)
-                } else {
-                    None
-                };
-                let bytes = cache.evict_dirty(ev.line_addr, compressed);
-                let mut id = self.next_req_id;
-                for (addr, size) in split_transactions(ev.line_addr, bytes as u64) {
-                    if mem.can_accept(client, addr)
-                        && mem
-                            .submit(MemRequest { id, client, addr, op: MemOp::TimingWrite { size } })
-                            .is_ok()
-                    {
-                        id += 1;
-                    } else {
-                        // Controller full: drained from clock() later so
-                        // no writeback traffic is ever dropped.
-                        pending.push((addr, size));
-                    }
-                }
-                self.next_req_id = id;
-            }
-        }
-        self.pending_writebacks.extend(pending);
+        self.rop.flush(mem, &mut |_, _| {});
     }
 
     /// The colour cache, if bound.
     pub fn cache(&self) -> Option<&RopCache> {
-        self.cache.as_ref()
-    }
-
-    /// Whether work is in flight.
-    pub fn busy(&self) -> bool {
-        !self.in_early.idle()
-            || !self.in_late.idle()
-            || !self.fills.is_empty()
-            || !self.pending_writebacks.is_empty()
-    }
-
-    /// The box's event horizon: busy while cache fills or writebacks are
-    /// outstanding, otherwise the earliest arrival across both quad wires
-    /// (see [`attila_sim::Horizon`]).
-    pub fn work_horizon(&self) -> attila_sim::Horizon {
-        if !self.fills.is_empty() || !self.pending_writebacks.is_empty() {
-            return attila_sim::Horizon::Busy;
-        }
-        self.in_early.work_horizon().meet(self.in_late.work_horizon())
-    }
-
-    /// The box's declared interface for the architecture verifier.
-    pub fn declared_ports(&self) -> Vec<attila_sim::PortDecl> {
-        vec![self.in_early.decl(), self.in_late.decl()]
-    }
-
-    /// Objects waiting in the box's input queues.
-    pub fn queued(&self) -> usize {
-        self.in_early.len() + self.in_late.len() + self.pending_writebacks.len()
+        self.rop.cache()
     }
 
     /// Fragments written so far.
@@ -356,25 +174,49 @@ impl ColorWriteUnit {
     }
 }
 
-/// Valid at a quiescent point (no fills or writebacks in flight). A bound
-/// colour cache is rebuilt on the surface the file names before its lines
-/// load (see [`RopCache::load_state`]).
+impl Unit for ColorWriteUnit {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn client(&self) -> Option<Client> {
+        Some(self.rop.client())
+    }
+
+    /// Whether work is in flight.
+    fn busy(&self) -> bool {
+        !self.in_early.idle() || !self.in_late.idle() || self.rop.outstanding()
+    }
+
+    /// Busy while cache fills or writebacks are outstanding, otherwise
+    /// the earliest arrival across both quad wires.
+    fn work_horizon(&self) -> Horizon {
+        if self.rop.outstanding() {
+            return Horizon::Busy;
+        }
+        self.in_early.work_horizon().meet(self.in_late.work_horizon())
+    }
+
+    fn declared_ports(&self) -> Vec<PortDecl> {
+        vec![self.in_early.decl(), self.in_late.decl()]
+    }
+
+    fn queued(&self) -> usize {
+        self.in_early.len() + self.in_late.len() + self.rop.queued()
+    }
+}
+
+/// Valid at a quiescent point (no fills or writebacks in flight); the
+/// engine's two keys keep their places in the object.
 impl JsonState for ColorWriteUnit {
     fn save_state(&self) -> Json {
-        Json::obj([
-            ("cache", self.cache.as_ref().map_or(Json::Null, RopCache::save_state)),
-            ("prefer_late", self.prefer_late.to_json()),
-            ("next_req_id", self.next_req_id.to_hex()),
-        ])
+        let [cache, next_req_id] = self.rop.save_state();
+        Json::obj([cache, ("prefer_late", self.prefer_late.to_json()), next_req_id])
     }
 
     fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
-        self.cache = field_with(v, "cache", |c| match c {
-            Json::Null => Ok(None),
-            c => RopCache::load_state(self.config.cache.into(), "Color", c).map(Some),
-        })?;
+        self.rop.load_state(v)?;
         self.prefer_late = field(v, "prefer_late")?;
-        self.next_req_id = field_with(v, "next_req_id", u64::from_hex)?;
         Ok(())
     }
 }

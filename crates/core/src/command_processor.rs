@@ -18,12 +18,13 @@ use std::sync::Arc;
 
 use attila_json::impl_json_state;
 use attila_mem::MemoryController;
-use attila_sim::{Counter, Cycle, SimError};
+use attila_sim::{Counter, Cycle, Horizon, PortDecl, SimError};
 
 use crate::commands::{DrawCall, GpuCommand};
 use crate::port::PortSender;
 use crate::state::RenderState;
 use crate::types::Batch;
+use crate::unit::Unit;
 
 /// Side effects the Command Processor asks the top-level GPU to apply
 /// (they touch units the CP has no wires to: ROP caches, HZ, DAC).
@@ -76,6 +77,9 @@ pub struct CommandProcessor {
 }
 
 impl CommandProcessor {
+    /// The name the box's signals are registered under.
+    pub const NAME: &'static str = "CommandProcessor";
+
     /// Cycles charged for a register-state update.
     const STATE_CHANGE_COST: Cycle = 8;
     /// Cycles charged for preloading shader instruction memory.
@@ -257,45 +261,9 @@ impl CommandProcessor {
         }
     }
 
-    /// Commands still waiting in the stream.
-    pub fn queued(&self) -> usize {
-        self.commands.len()
-    }
-
     /// Whether every command has been processed and all uploads landed.
     pub fn done(&self) -> bool {
         self.commands.is_empty() && self.outstanding_uploads == 0 && self.stall_cycles == 0
-    }
-
-    /// The box's event horizon (see [`attila_sim::Horizon`]).
-    ///
-    /// The CP is busy while it is stalled on a command cost, has pending
-    /// side effects for the top level, or could make progress on the
-    /// command stream this cycle. Only draws, fast clears and `Swap` wait
-    /// behind outstanding uploads — with one of those at the head of the
-    /// stream the CP is *idle*: the memory controller owns the wake-up
-    /// (its system-bus copy horizon), and while finished uploads wait to
-    /// be acknowledged the controller reports busy, which keeps the CP
-    /// clocked until `outstanding_uploads` drains.
-    pub fn work_horizon(&self) -> attila_sim::Horizon {
-        if self.stall_cycles > 0 || !self.actions.is_empty() {
-            return attila_sim::Horizon::Busy;
-        }
-        match self.commands.front() {
-            None => attila_sim::Horizon::Idle,
-            Some(
-                GpuCommand::Draw(_)
-                | GpuCommand::FastClearColor(_)
-                | GpuCommand::FastClearZStencil(_)
-                | GpuCommand::Swap,
-            ) if self.outstanding_uploads > 0 => attila_sim::Horizon::Idle,
-            Some(_) => attila_sim::Horizon::Busy,
-        }
-    }
-
-    /// The box's declared interface for the architecture verifier.
-    pub fn declared_ports(&self) -> Vec<attila_sim::PortDecl> {
-        vec![self.out_draws.decl()]
     }
 
     /// Whether the CP sits at a command boundary: no command mid-execution,
@@ -330,6 +298,52 @@ impl CommandProcessor {
     /// Draw batches issued so far.
     pub fn draws_issued(&self) -> u64 {
         self.stat_draws.value()
+    }
+}
+
+impl Unit for CommandProcessor {
+    fn name(&self) -> &str {
+        Self::NAME
+    }
+
+    /// The box's event horizon (see [`Horizon`]).
+    ///
+    /// The CP is busy while it is stalled on a command cost, has pending
+    /// side effects for the top level, or could make progress on the
+    /// command stream this cycle. Only draws, fast clears and `Swap` wait
+    /// behind outstanding uploads — with one of those at the head of the
+    /// stream the CP is *idle*: the memory controller owns the wake-up
+    /// (its system-bus copy horizon), and while finished uploads wait to
+    /// be acknowledged the controller reports busy, which keeps the CP
+    /// clocked until `outstanding_uploads` drains.
+    fn work_horizon(&self) -> Horizon {
+        if self.stall_cycles > 0 || !self.actions.is_empty() {
+            return Horizon::Busy;
+        }
+        match self.commands.front() {
+            None => Horizon::Idle,
+            Some(
+                GpuCommand::Draw(_)
+                | GpuCommand::FastClearColor(_)
+                | GpuCommand::FastClearZStencil(_)
+                | GpuCommand::Swap,
+            ) if self.outstanding_uploads > 0 => Horizon::Idle,
+            Some(_) => Horizon::Busy,
+        }
+    }
+
+    /// Busy until every command has been processed ([`done`](Self::done)).
+    fn busy(&self) -> bool {
+        !self.done()
+    }
+
+    fn declared_ports(&self) -> Vec<PortDecl> {
+        vec![self.out_draws.decl()]
+    }
+
+    /// Commands still waiting in the stream.
+    fn queued(&self) -> usize {
+        self.commands.len()
     }
 }
 

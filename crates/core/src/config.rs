@@ -672,17 +672,23 @@ impl GpuConfig {
     /// Returns [`SimError::InvalidConfig`] with a message naming the
     /// offending parameter.
     pub fn validate(&self) -> Result<(), SimError> {
+        /// Most units of one replicated kind: what a `u8` unit index carries.
+        const MAX_UNITS: usize = u8::MAX as usize + 1;
         fn bad(msg: impl Into<String>) -> Result<(), SimError> {
             Err(SimError::InvalidConfig(msg.into()))
         }
         if self.shader.fragment_units == 0 {
             return bad("shader.fragment_units must be at least 1");
         }
-        if self.texture.units == 0 {
-            return bad("texture.units must be at least 1");
-        }
-        if self.zstencil.units == 0 {
-            return bad("zstencil.units must be at least 1");
+        // A 257th unit would take unit 0's name and memory client again.
+        for (name, units) in [
+            ("texture.units", self.texture.units),
+            ("zstencil.units", self.zstencil.units),
+            ("colorwrite.units", self.colorwrite.units),
+        ] {
+            if !(1..=MAX_UNITS).contains(&units) {
+                return bad(format!("{name} must be between 1 and {MAX_UNITS} (got {units})"));
+            }
         }
         if self.zstencil.units != self.colorwrite.units {
             return bad(format!(
@@ -942,6 +948,20 @@ mod tests {
         let mut c = GpuConfig::baseline();
         c.memory.banks = 0;
         assert!(c.validate().unwrap_err().to_string().contains("memory.banks"));
+        // Unit counts: what the 8-bit unit index carries, and not one more.
+        let with_units = |tus, rops| {
+            let mut c = GpuConfig::baseline();
+            c.texture.units = tus;
+            c.zstencil.units = rops;
+            c.colorwrite.units = rops;
+            c.validate().map_err(|e| e.to_string())
+        };
+        assert_eq!(with_units(256, 256), Ok(()));
+        assert!(with_units(257, 2).unwrap_err().contains("texture.units must be between 1 and 256"));
+        assert!(with_units(2, 257).unwrap_err().contains("zstencil.units must be between 1 and 256"));
+        let mut c = GpuConfig::baseline();
+        c.colorwrite.units = 257;
+        assert!(c.validate().unwrap_err().to_string().contains("colorwrite.units must be between"));
     }
 
     #[test]

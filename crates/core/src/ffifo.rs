@@ -29,7 +29,7 @@ use attila_emu::isa::{limits, Bank, Opcode, Program, ShaderTarget};
 use attila_emu::shader::{ShaderEmulator, StepResult, ThreadId};
 use attila_emu::vector::Vec4;
 use attila_json::impl_json_state;
-use attila_sim::{Counter, Cycle, DynamicObject, ObjectIdGen, SimError};
+use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, PortDecl, SimError};
 
 use crate::config::{ShaderConfig, ShaderScheduling};
 use crate::hz::route_rop;
@@ -37,6 +37,7 @@ use crate::port::{PortReceiver, PortSender};
 use crate::types::{
     FragQuad, QuadTexReply, QuadTexRequest, ShadedVertex, VertexOutputs, VertexWork,
 };
+use crate::unit::Unit;
 
 /// Execution state of a thread group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,6 +260,9 @@ pub struct FragmentFifo {
 }
 
 impl FragmentFifo {
+    /// The name the box's signals are registered under.
+    pub const NAME: &'static str = "FragmentFIFO";
+
     /// Builds the scheduler.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
@@ -968,66 +972,6 @@ impl FragmentFifo {
         }
     }
 
-    /// Whether work is in flight.
-    pub fn busy(&self) -> bool {
-        self.live_groups > 0
-            || !self.vertex_staging.is_empty()
-            || !self.in_vertices.idle()
-            || !self.in_quads.idle()
-            || !self.tex_outbox.is_empty()
-            || !self.vertex_outbox.is_empty()
-            || !self.frag_order.is_empty()
-    }
-
-    /// The box's event horizon: busy while shader groups, staging buffers
-    /// or reorder queues hold work, otherwise the earliest arrival across
-    /// the vertex wire, the quad wire, and every texture-reply wire (see
-    /// [`attila_sim::Horizon`]).
-    pub fn work_horizon(&self) -> attila_sim::Horizon {
-        if self.live_groups > 0
-            || !self.vertex_staging.is_empty()
-            || !self.tex_outbox.is_empty()
-            || !self.vertex_outbox.is_empty()
-            || !self.frag_order.is_empty()
-        {
-            return attila_sim::Horizon::Busy;
-        }
-        let mut h = self.in_vertices.work_horizon().meet(self.in_quads.work_horizon());
-        for p in &self.tex_replies {
-            h = h.meet(p.work_horizon());
-        }
-        h
-    }
-
-    /// The box's declared interface for the architecture verifier.
-    pub fn declared_ports(&self) -> Vec<attila_sim::PortDecl> {
-        let mut ports = vec![
-            self.in_vertices.decl(),
-            self.in_quads.decl(),
-            self.out_shaded.decl(),
-        ];
-        ports.extend(self.out_color.iter().map(|p| p.decl()));
-        ports.extend(self.out_zstencil.iter().map(|p| p.decl()));
-        ports.extend(self.tex_requests.iter().map(|p| p.decl()));
-        ports.extend(self.tex_replies.iter().map(|p| p.decl()));
-        ports
-    }
-
-    /// Objects waiting in the box's queues and reorder buffers.
-    pub fn queued(&self) -> usize {
-        self.in_vertices.len()
-            + self.in_quads.len()
-            + self.vertex_staging.len()
-            + self.tex_outbox.len()
-            + self.vertex_outbox.len()
-            + self.frag_order.len()
-    }
-
-    /// Live shader inputs (window occupancy — Figure 9's shader metric).
-    pub fn inputs_in_flight(&self) -> usize {
-        self.inputs_used + self.v_inputs_used
-    }
-
     /// Fragments shaded so far.
     pub fn fragments_shaded(&self) -> u64 {
         self.stat_frags_shaded.value()
@@ -1041,6 +985,65 @@ impl FragmentFifo {
     /// Per-unit busy-cycle counters, fragment/unified units first.
     pub fn unit_busy_cycles(&self) -> Vec<u64> {
         self.units.iter().map(|u| u.stat_busy.value()).collect()
+    }
+}
+
+impl Unit for FragmentFifo {
+    fn name(&self) -> &str {
+        Self::NAME
+    }
+
+    fn busy(&self) -> bool {
+        self.live_groups > 0
+            || !self.vertex_staging.is_empty()
+            || !self.in_vertices.idle()
+            || !self.in_quads.idle()
+            || !self.tex_outbox.is_empty()
+            || !self.vertex_outbox.is_empty()
+            || !self.frag_order.is_empty()
+    }
+
+    /// The box's event horizon: busy while shader groups, staging buffers
+    /// or reorder queues hold work, otherwise the earliest arrival across
+    /// the vertex wire, the quad wire, and every texture-reply wire (see
+    /// [`Horizon`]).
+    fn work_horizon(&self) -> Horizon {
+        if self.live_groups > 0
+            || !self.vertex_staging.is_empty()
+            || !self.tex_outbox.is_empty()
+            || !self.vertex_outbox.is_empty()
+            || !self.frag_order.is_empty()
+        {
+            return Horizon::Busy;
+        }
+        let mut h = self.in_vertices.work_horizon().meet(self.in_quads.work_horizon());
+        for p in &self.tex_replies {
+            h = h.meet(p.work_horizon());
+        }
+        h
+    }
+
+    fn declared_ports(&self) -> Vec<PortDecl> {
+        let mut ports = vec![
+            self.in_vertices.decl(),
+            self.in_quads.decl(),
+            self.out_shaded.decl(),
+        ];
+        ports.extend(self.out_color.iter().map(|p| p.decl()));
+        ports.extend(self.out_zstencil.iter().map(|p| p.decl()));
+        ports.extend(self.tex_requests.iter().map(|p| p.decl()));
+        ports.extend(self.tex_replies.iter().map(|p| p.decl()));
+        ports
+    }
+
+    /// Objects waiting in the box's queues and reorder buffers.
+    fn queued(&self) -> usize {
+        self.in_vertices.len()
+            + self.in_quads.len()
+            + self.vertex_staging.len()
+            + self.tex_outbox.len()
+            + self.vertex_outbox.len()
+            + self.frag_order.len()
     }
 }
 

@@ -10,11 +10,12 @@
 
 use attila_emu::raster::{covered_tiles, gen_fragment, RasterFragment};
 use attila_json::impl_json_state;
-use attila_sim::{Counter, Cycle, DynamicObject, ObjectIdGen, SimError};
+use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, PortDecl, SimError};
 
 use crate::config::FragGenConfig;
 use crate::port::{PortReceiver, PortSender};
 use crate::types::{FragTile, SetupTriWork};
+use crate::unit::Unit;
 
 /// An in-flight traversal: the triangle, its tile worklist, and the index
 /// of the next tile to emit.
@@ -37,6 +38,9 @@ pub struct FragmentGenerator {
 }
 
 impl FragmentGenerator {
+    /// The name the box's signals are registered under.
+    pub const NAME: &'static str = "FragmentGenerator";
+
     /// Builds the box around its ports.
     pub fn new(
         config: FragGenConfig,
@@ -145,34 +149,37 @@ impl FragmentGenerator {
         Ok(())
     }
 
-    /// Whether work is in flight.
-    pub fn busy(&self) -> bool {
+    /// Covered fragments generated so far.
+    pub fn fragments_generated(&self) -> u64 {
+        self.stat_fragments.value()
+    }
+}
+
+impl Unit for FragmentGenerator {
+    fn name(&self) -> &str {
+        Self::NAME
+    }
+
+    fn busy(&self) -> bool {
         self.current.is_some() || !self.in_tris.idle()
     }
 
     /// The box's event horizon: busy while a traversal is active, the
     /// wire's next arrival while triangles are in flight, idle otherwise
-    /// (see [`attila_sim::Horizon`]).
-    pub fn work_horizon(&self) -> attila_sim::Horizon {
+    /// (see [`Horizon`]).
+    fn work_horizon(&self) -> Horizon {
         if self.current.is_some() {
-            return attila_sim::Horizon::Busy;
+            return Horizon::Busy;
         }
         self.in_tris.work_horizon()
     }
 
-    /// The box's declared interface for the architecture verifier.
-    pub fn declared_ports(&self) -> Vec<attila_sim::PortDecl> {
+    fn declared_ports(&self) -> Vec<PortDecl> {
         vec![self.in_tris.decl(), self.out_tiles.decl()]
     }
 
-    /// Objects waiting in the box's input queues.
-    pub fn queued(&self) -> usize {
+    fn queued(&self) -> usize {
         self.in_tris.len() + usize::from(self.current.is_some())
-    }
-
-    /// Covered fragments generated so far.
-    pub fn fragments_generated(&self) -> u64 {
-        self.stat_fragments.value()
     }
 }
 

@@ -13,7 +13,7 @@ use attila_emu::fragops::DEPTH_MAX;
 use attila_json::{impl_json_state, JsonState};
 use attila_mem::{Client, MemOp, MemRequest, MemoryController};
 use attila_sim::{
-    BoxNode, Counter, Cycle, FaultInjector, Horizon, LintReport, SignalBinder, SimError,
+    BoxNode, Counter, Cycle, FaultInjector, Horizon, LintReport, PortDecl, SignalBinder, SimError,
     StatsRegistry, Topology, WakeLine,
 };
 
@@ -34,6 +34,7 @@ use crate::report::{BoxStatus, FailureReport};
 use crate::setup::TriangleSetup;
 use crate::streamer::Streamer;
 use crate::texunit::TextureUnit;
+use crate::unit::Unit;
 use crate::zstencil::ZStencilUnit;
 
 /// A dumped frame (the DAC's output file in the paper — used to verify
@@ -82,7 +83,7 @@ struct Dac {
 }
 
 impl Dac {
-    fn clock(&mut self, _cycle: Cycle, mem: &mut MemoryController) {
+    fn clock(&mut self, mem: &mut MemoryController) {
         while mem.pop_reply(Client::Dac).is_some() {}
         while let Some(&addr) = self.pending_reads.front() {
             if !mem.can_accept(Client::Dac, addr) {
@@ -100,20 +101,35 @@ impl Dac {
             self.stat_bytes.add(64);
         }
     }
+}
+
+/// The DAC talks to the pipeline through the memory controller's
+/// request/reply API, not signals: it declares no ports.
+impl Unit for Dac {
+    fn name(&self) -> &str {
+        "DAC"
+    }
 
     fn busy(&self) -> bool {
         !self.pending_reads.is_empty()
     }
 
-    /// The box's event horizon: busy while refresh reads wait to be
-    /// submitted, idle otherwise — in-flight replies are covered by the
-    /// memory controller's horizon.
+    /// Busy while refresh reads wait to be submitted, idle otherwise —
+    /// in-flight replies are covered by the memory controller's horizon.
     fn work_horizon(&self) -> Horizon {
         if self.pending_reads.is_empty() {
             Horizon::Idle
         } else {
             Horizon::Busy
         }
+    }
+
+    fn queued(&self) -> usize {
+        self.pending_reads.len()
+    }
+
+    fn declared_ports(&self) -> Vec<PortDecl> {
+        Vec::new()
     }
 }
 
@@ -237,15 +253,12 @@ pub struct Gpu {
     /// Steps left before [`poll_horizon`](Self::poll_horizon) evaluates
     /// the horizon again after a `Busy` verdict.
     horizon_backoff: Cycle,
-    /// Flat per-cycle box schedule: one dispatch entry per clocked unit,
-    /// fixed at elaboration from the configured unit counts. The clock
-    /// loop walks this array instead of re-deriving the box sequence (and
-    /// its per-variant loops) every cycle, and [`work_horizon`](Self::work_horizon)
-    /// folds over the same array so the two can never disagree about
-    /// which units exist.
-    schedule: Box<[ScheduleEntry]>, // state: derived — fixed at elaboration
-    /// One sleep gate per [`schedule`](Self::schedule) entry, same order.
-    gates: Box<[BoxGate]>, // state: transient — rebuilt awake at elaboration/restore
+    /// The unit table: one row per clocked unit in clock order, fixed at
+    /// elaboration from the configured unit counts. The clock loop walks
+    /// it, and so does every per-unit question (`work_horizon`,
+    /// `pipeline_busy`, `topology`, `failure_report`) through
+    /// [`unit`](Self::unit) — they cannot disagree about which units exist.
+    table: Box<[UnitRow]>, // state: derived — fixed at elaboration; the gates restart awake
     // state: transient — this process's diagnostics, checkpointing options
     // and accounting; `trace_hash` travels in the file's header
     /// Forensic trace sink, when signal tracing is enabled.
@@ -325,40 +338,18 @@ enum ScheduleEntry {
     Memory,
 }
 
-impl ScheduleEntry {
-    /// The name the box's signals are registered under.
-    fn box_name(self) -> String {
-        match self {
-            ScheduleEntry::Streamer => "Streamer".into(),
-            ScheduleEntry::PrimitiveAssembly => "PrimitiveAssembly".into(),
-            ScheduleEntry::Clipper => "Clipper".into(),
-            ScheduleEntry::Setup => "TriangleSetup".into(),
-            ScheduleEntry::FragGen => "FragmentGenerator".into(),
-            ScheduleEntry::Hz => "HierarchicalZ".into(),
-            ScheduleEntry::ZStencil(u) => format!("ZStencil{u}"),
-            ScheduleEntry::Interpolator => "Interpolator".into(),
-            ScheduleEntry::FragmentFifo => "FragmentFIFO".into(),
-            ScheduleEntry::TexUnit(u) => format!("Texture{u}"),
-            ScheduleEntry::ColorWrite(u) => format!("ColorWrite{u}"),
-            ScheduleEntry::Dac => "DAC".into(),
-            ScheduleEntry::Memory => "MemoryController".into(),
-        }
-    }
-
-    /// The memory client whose replies the box's `clock()` collects, for
-    /// the boxes that can sleep.
-    fn client(self) -> Option<Client> {
-        match self {
-            ScheduleEntry::Streamer => Some(Client::Streamer),
-            ScheduleEntry::ZStencil(u) => Some(Client::ZStencil(u)),
-            ScheduleEntry::TexUnit(u) => Some(Client::Texture(u)),
-            ScheduleEntry::ColorWrite(u) => Some(Client::ColorWrite(u)),
-            _ => None,
-        }
-    }
+/// One row of [`Gpu`]'s unit table.
+#[derive(Debug)]
+struct UnitRow {
+    entry: ScheduleEntry,
+    /// Whether the unit is wired into the pipeline (it declares ports).
+    /// The DAC and the memory controller are not: no wire could wake them,
+    /// and [`Gpu::pipeline_busy`] does not count them.
+    wired: bool,
+    gate: BoxGate,
 }
 
-/// The sleep gate of one [`ScheduleEntry`]: lets the walk of
+/// The sleep gate of one [`UnitRow`]: lets the walk of
 /// [`Gpu::try_step`] leave a box unclocked while that is provably a no-op
 /// (DESIGN.md §14). A box sleeps on cycle `c` iff nothing written to any
 /// wire it reads is still due, the horizon it reported after its last
@@ -446,17 +437,18 @@ impl Gpu {
         let n_tu = config.texture.units;
 
         // --- ports -------------------------------------------------------
+        const FFIFO: &str = FragmentFifo::NAME; // the box on nine of the wires below
         let (cp_draw_tx, cp_draw_rx) =
-            port(b, "CP->Streamer.draws", "CommandProcessor", "Streamer", 1, 1, 2).unwrap();
+            port(b, "CP->Streamer.draws", CommandProcessor::NAME, Streamer::NAME, 1, 1, 2).unwrap();
         let (st_work_tx, st_work_rx) =
-            port(b, "Streamer->FFIFO.vertices", "Streamer", "FragmentFIFO", 1, 1, 16).unwrap();
+            port(b, "Streamer->FFIFO.vertices", Streamer::NAME, FFIFO, 1, 1, 16).unwrap();
         let (ff_shaded_tx, ff_shaded_rx) =
-            port(b, "FFIFO->Streamer.shaded", "FragmentFIFO", "Streamer", 4, 1, 16).unwrap();
+            port(b, "FFIFO->Streamer.shaded", FFIFO, Streamer::NAME, 4, 1, 16).unwrap();
         let (st_out_tx, st_out_rx) = port(
             b,
             "Streamer->PA.vertices",
-            "Streamer",
-            "PrimitiveAssembly",
+            Streamer::NAME,
+            PrimitiveAssembly::NAME,
             1,
             config.streamer.latency.max(1),
             config.primitive_assembly.input_queue,
@@ -465,8 +457,8 @@ impl Gpu {
         let (pa_tx, pa_rx) = port(
             b,
             "PA->Clipper.triangles",
-            "PrimitiveAssembly",
-            "Clipper",
+            PrimitiveAssembly::NAME,
+            Clipper::NAME,
             1,
             config.primitive_assembly.latency.max(1),
             config.clipper.input_queue,
@@ -475,8 +467,8 @@ impl Gpu {
         let (cl_tx, cl_rx) = port(
             b,
             "Clipper->Setup.triangles",
-            "Clipper",
-            "TriangleSetup",
+            Clipper::NAME,
+            TriangleSetup::NAME,
             1,
             config.clipper.latency.max(1),
             config.setup.input_queue,
@@ -485,8 +477,8 @@ impl Gpu {
         let (su_tx, su_rx) = port(
             b,
             "Setup->FragGen.triangles",
-            "TriangleSetup",
-            "FragmentGenerator",
+            TriangleSetup::NAME,
+            FragmentGenerator::NAME,
             1,
             config.setup.latency.max(1),
             config.fraggen.input_queue,
@@ -495,8 +487,8 @@ impl Gpu {
         let (fg_tx, fg_rx) = port(
             b,
             "FragGen->HZ.tiles",
-            "FragmentGenerator",
-            "HierarchicalZ",
+            FragmentGenerator::NAME,
+            HierarchicalZ::NAME,
             config.fraggen.tiles_per_cycle as usize,
             config.fraggen.latency.max(1),
             config.hz.input_queue,
@@ -516,12 +508,12 @@ impl Gpu {
         let mut zst_hz_tx = Vec::new();
         let mut zst_hz_rx = Vec::new();
         for i in 0..n_rop {
-            let zst = format!("ZStencil{i}");
-            let cw = format!("ColorWrite{i}");
+            let zst = ZStencilUnit::name_of(i);
+            let cw = ColorWriteUnit::name_of(i);
             let (tx, rx) = port(
                 b,
                 &format!("HZ->{zst}.quads"),
-                "HierarchicalZ",
+                HierarchicalZ::NAME,
                 &zst,
                 2,
                 config.hz.latency.max(1),
@@ -534,7 +526,7 @@ impl Gpu {
                 b,
                 &format!("{zst}->Interpolator.quads"),
                 &zst,
-                "Interpolator",
+                Interpolator::NAME,
                 1,
                 config.zstencil.latency.max(1),
                 8,
@@ -545,7 +537,7 @@ impl Gpu {
             let (tx, rx) = port(
                 b,
                 &format!("FFIFO->{zst}.quads"),
-                "FragmentFIFO",
+                FFIFO,
                 &zst,
                 1,
                 1,
@@ -569,7 +561,7 @@ impl Gpu {
             let (tx, rx) = port(
                 b,
                 &format!("FFIFO->{cw}.quads"),
-                "FragmentFIFO",
+                FFIFO,
                 &cw,
                 1,
                 1,
@@ -582,7 +574,7 @@ impl Gpu {
                 b,
                 &format!("{zst}->HZ.updates"),
                 &zst,
-                "HierarchicalZ",
+                HierarchicalZ::NAME,
                 4,
                 1,
                 32,
@@ -594,8 +586,8 @@ impl Gpu {
         let (hz_late_tx, hz_late_rx) = port(
             b,
             "HZ->Interpolator.quads",
-            "HierarchicalZ",
-            "Interpolator",
+            HierarchicalZ::NAME,
+            Interpolator::NAME,
             2,
             config.hz.latency.max(1),
             16,
@@ -604,8 +596,8 @@ impl Gpu {
         let (in_tx, in_rx) = port(
             b,
             "Interpolator->FFIFO.quads",
-            "Interpolator",
-            "FragmentFIFO",
+            Interpolator::NAME,
+            FFIFO,
             (config.interpolator.frags_per_cycle / 4).max(1) as usize,
             1,
             16,
@@ -617,11 +609,11 @@ impl Gpu {
         let mut tex_rep_tx = Vec::new();
         let mut tex_rep_rx = Vec::new();
         for i in 0..n_tu {
-            let tu = format!("Texture{i}");
+            let tu = TextureUnit::name_of(i);
             let (tx, rx) = port(
                 b,
                 &format!("FFIFO->{tu}.requests"),
-                "FragmentFIFO",
+                FFIFO,
                 &tu,
                 1,
                 1,
@@ -631,12 +623,13 @@ impl Gpu {
             tex_req_tx.push(tx);
             tex_req_rx.push(rx);
             let (tx, rx) =
-                port(b, &format!("{tu}->FFIFO.replies"), &tu, "FragmentFIFO", 1, 1, 16).unwrap();
+                port(b, &format!("{tu}->FFIFO.replies"), &tu, FFIFO, 1, 1, 16).unwrap();
             tex_rep_tx.push(tx);
             tex_rep_rx.push(rx);
         }
 
         // --- boxes -------------------------------------------------------
+        let index = |i: usize| u8::try_from(i).expect("validate() bounds the unit counts");
         let cp = CommandProcessor::new(cp_draw_tx, &mut stats);
         let streamer = Streamer::new(
             config.streamer.clone(),
@@ -670,7 +663,7 @@ impl Gpu {
             .enumerate()
         {
             zstencil.push(ZStencilUnit::new(
-                i as u8,
+                index(i),
                 config.zstencil.clone(),
                 in_early,
                 in_late,
@@ -701,7 +694,7 @@ impl Gpu {
         let mut texunits = Vec::new();
         for (i, (in_req, out_rep)) in tex_req_rx.into_iter().zip(tex_rep_tx).enumerate() {
             texunits.push(TextureUnit::new(
-                i as u8,
+                index(i),
                 config.texture.clone(),
                 in_req,
                 out_rep,
@@ -711,7 +704,7 @@ impl Gpu {
         let mut colorwrite = Vec::new();
         for (i, (in_late, in_early)) in zst_to_cw_rx.into_iter().zip(ff_to_cw_rx).enumerate() {
             colorwrite.push(ColorWriteUnit::new(
-                i as u8,
+                index(i),
                 config.colorwrite.clone(),
                 in_early,
                 in_late,
@@ -725,8 +718,7 @@ impl Gpu {
         };
 
         // The fixed clock order of the pipeline, flattened over the
-        // configured unit counts. `u8` indexes cover the replicated units
-        // (unit counts are small, validated configuration values).
+        // configured unit counts.
         let mut schedule = vec![
             ScheduleEntry::Streamer,
             ScheduleEntry::PrimitiveAssembly,
@@ -735,25 +727,15 @@ impl Gpu {
             ScheduleEntry::FragGen,
             ScheduleEntry::Hz,
         ];
-        schedule.extend((0..zstencil.len()).map(|i| ScheduleEntry::ZStencil(i as u8)));
+        schedule.extend((0..zstencil.len()).map(|i| ScheduleEntry::ZStencil(index(i))));
         schedule.push(ScheduleEntry::Interpolator);
         schedule.push(ScheduleEntry::FragmentFifo);
-        schedule.extend((0..texunits.len()).map(|i| ScheduleEntry::TexUnit(i as u8)));
-        schedule.extend((0..colorwrite.len()).map(|i| ScheduleEntry::ColorWrite(i as u8)));
+        schedule.extend((0..texunits.len()).map(|i| ScheduleEntry::TexUnit(index(i))));
+        schedule.extend((0..colorwrite.len()).map(|i| ScheduleEntry::ColorWrite(index(i))));
         schedule.push(ScheduleEntry::Dac);
         schedule.push(ScheduleEntry::Memory);
 
-        let gates: Box<[BoxGate]> = schedule
-            .iter()
-            .map(|entry| BoxGate {
-                wake: binder.wake_line(&entry.box_name()).unwrap_or_else(WakeLine::always_due),
-                client: entry.client(),
-                idle_until: 0,
-                backoff: 0,
-            })
-            .collect();
-
-        let gpu = Gpu {
+        let mut gpu = Gpu {
             config,
             binder,
             stats,
@@ -779,8 +761,7 @@ impl Gpu {
             skip_idle: true,
             cycles_skipped: 0,
             horizon_backoff: 0,
-            schedule: schedule.into_boxed_slice(),
-            gates,
+            table: Box::default(),
             trace: None,
             fault_log: Vec::new(),
             dump_failure: None,
@@ -792,6 +773,21 @@ impl Gpu {
             checkpoint_bytes_written: 0,
             fault_injector: None,
         };
+        // Each row asks its unit for what the gate needs. A wired unit reads
+        // at least one wire (a credit return, if nothing else), so the
+        // binder holds a line under the very name the wiring above used.
+        let row = |entry| {
+            let unit = gpu.unit(entry);
+            let wired = !unit.declared_ports().is_empty();
+            let wake = if wired {
+                gpu.binder.wake_line(unit.name()).expect("a wired unit reads a registered wire")
+            } else {
+                WakeLine::always_due()
+            };
+            let gate = BoxGate { wake, client: unit.client(), idle_until: 0, backoff: 0 };
+            UnitRow { entry, wired, gate }
+        };
+        gpu.table = schedule.into_iter().map(row).collect();
         if gpu.config.lint_on_start {
             let report = gpu.lint();
             if report.deny_count() > 0 {
@@ -801,78 +797,35 @@ impl Gpu {
         gpu
     }
 
+    /// The unit of one table row — the one place a [`ScheduleEntry`] turns
+    /// into the box, for every read-only question ([`Unit`]). Only
+    /// [`try_step`](Self::try_step)'s `clock` match names the units again:
+    /// their `clock` signatures differ.
+    fn unit(&self, entry: ScheduleEntry) -> &dyn Unit {
+        match entry {
+            ScheduleEntry::Streamer => &self.streamer,
+            ScheduleEntry::PrimitiveAssembly => &self.pa,
+            ScheduleEntry::Clipper => &self.clipper,
+            ScheduleEntry::Setup => &self.setup,
+            ScheduleEntry::FragGen => &self.fraggen,
+            ScheduleEntry::Hz => &self.hz,
+            ScheduleEntry::ZStencil(u) => &self.zstencil[u as usize],
+            ScheduleEntry::Interpolator => &self.interpolator,
+            ScheduleEntry::FragmentFifo => &self.ffifo,
+            ScheduleEntry::TexUnit(u) => &self.texunits[u as usize],
+            ScheduleEntry::ColorWrite(u) => &self.colorwrite[u as usize],
+            ScheduleEntry::Dac => &self.dac,
+            ScheduleEntry::Memory => &self.mem,
+        }
+    }
+
     /// Extracts the wired design as a [`Topology`] graph: every box with
     /// its declared interface and current event horizon, every registered
     /// signal with its live occupancy, and every statistic registration.
     pub fn topology(&self) -> Topology {
-        let mut boxes = vec![
-            BoxNode::new(
-                "CommandProcessor",
-                self.cp.work_horizon(),
-                self.cp.declared_ports(),
-            ),
-            BoxNode::new("Streamer", self.streamer.work_horizon(), self.streamer.declared_ports()),
-            BoxNode::new("PrimitiveAssembly", self.pa.work_horizon(), self.pa.declared_ports()),
-            BoxNode::new(
-                "Clipper",
-                self.clipper.work_horizon(),
-                self.clipper.declared_ports(),
-            ),
-            BoxNode::new(
-                "TriangleSetup",
-                self.setup.work_horizon(),
-                self.setup.declared_ports(),
-            ),
-            BoxNode::new(
-                "FragmentGenerator",
-                self.fraggen.work_horizon(),
-                self.fraggen.declared_ports(),
-            ),
-            BoxNode::new("HierarchicalZ", self.hz.work_horizon(), self.hz.declared_ports()),
-        ];
-        for (i, z) in self.zstencil.iter().enumerate() {
-            boxes.push(BoxNode::new(
-                format!("ZStencil{i}"),
-                z.work_horizon(),
-                z.declared_ports(),
-            ));
-        }
-        boxes.push(BoxNode::new(
-            "Interpolator",
-            self.interpolator.work_horizon(),
-            self.interpolator.declared_ports(),
-        ));
-        boxes.push(BoxNode::new(
-            "FragmentFIFO",
-            self.ffifo.work_horizon(),
-            self.ffifo.declared_ports(),
-        ));
-        for (i, t) in self.texunits.iter().enumerate() {
-            boxes.push(BoxNode::new(
-                format!("Texture{i}"),
-                t.work_horizon(),
-                t.declared_ports(),
-            ));
-        }
-        for (i, c) in self.colorwrite.iter().enumerate() {
-            boxes.push(BoxNode::new(
-                format!("ColorWrite{i}"),
-                c.work_horizon(),
-                c.declared_ports(),
-            ));
-        }
-        // The memory controller and DAC talk to the pipeline through the
-        // request/reply API, not signals: they are passive topology nodes.
-        boxes.push(BoxNode {
-            name: "MemoryController".into(),
-            horizon: Some(self.mem.work_horizon()),
-            ports: Vec::new(),
-        });
-        boxes.push(BoxNode {
-            name: "DAC".into(),
-            horizon: Some(self.dac.work_horizon()),
-            ports: Vec::new(),
-        });
+        let node = |u: &dyn Unit| BoxNode::new(u.name(), u.work_horizon(), u.declared_ports());
+        let mut boxes = vec![node(&self.cp)];
+        boxes.extend(self.table.iter().map(|row| node(self.unit(row.entry))));
         Topology {
             boxes,
             signals: self.binder.edges(),
@@ -904,36 +857,7 @@ impl Gpu {
         let sink: attila_sim::TraceSink = std::rc::Rc::new(std::cell::RefCell::new(
             attila_sim::SignalTrace::with_capacity(capacity),
         ));
-        self.cp.out_draws.attach_trace(sink.clone());
-        self.streamer.out_work.attach_trace(sink.clone());
-        self.streamer.out_assembled.attach_trace(sink.clone());
-        self.pa.out_tris.attach_trace(sink.clone());
-        self.clipper.out_tris.attach_trace(sink.clone());
-        self.setup.out_tris.attach_trace(sink.clone());
-        self.fraggen.out_tiles.attach_trace(sink.clone());
-        for p in &mut self.hz.out_early {
-            p.attach_trace(sink.clone());
-        }
-        self.hz.out_late.attach_trace(sink.clone());
-        for z in &mut self.zstencil {
-            z.out_early.attach_trace(sink.clone());
-            z.out_late.attach_trace(sink.clone());
-            z.out_hz.attach_trace(sink.clone());
-        }
-        self.interpolator.out_quads.attach_trace(sink.clone());
-        self.ffifo.out_shaded.attach_trace(sink.clone());
-        for p in &mut self.ffifo.out_color {
-            p.attach_trace(sink.clone());
-        }
-        for p in &mut self.ffifo.out_zstencil {
-            p.attach_trace(sink.clone());
-        }
-        for p in &mut self.ffifo.tex_requests {
-            p.attach_trace(sink.clone());
-        }
-        for t in &mut self.texunits {
-            t.out_replies.attach_trace(sink.clone());
-        }
+        self.binder.attach_trace(&sink);
         // The memory controller is not signal-wired; it records one
         // `mem.ch{c}.bank{b}` event per DRAM issue directly into the sink
         // (the bank lanes of `attila viz`).
@@ -957,20 +881,10 @@ impl Gpu {
         self.cycle
     }
 
-    /// Whether any pipeline unit (excluding the Command Processor and
-    /// DAC) still holds work.
+    /// Whether any pipeline unit (excluding the Command Processor, the DAC
+    /// and the memory controller) still holds work.
     pub fn pipeline_busy(&self) -> bool {
-        self.streamer.busy()
-            || self.pa.busy()
-            || self.clipper.busy()
-            || self.setup.busy()
-            || self.fraggen.busy()
-            || self.hz.busy()
-            || self.zstencil.iter().any(|z| z.busy())
-            || self.interpolator.busy()
-            || self.ffifo.busy()
-            || self.texunits.iter().any(|t| t.busy())
-            || self.colorwrite.iter().any(|c| c.busy())
+        self.table.iter().any(|row| row.wired && self.unit(row.entry).busy())
     }
 
     /// The machine-wide event horizon: the meet of every box's horizon,
@@ -988,9 +902,9 @@ impl Gpu {
         // controller next because it is the unit most often busy — `meet`
         // commutes, so probing the likely-busy units first is free and
         // usually ends the fold after two calls. The remaining boxes fold
-        // in flat-schedule order — the same array the clock loop
-        // dispatches from, so the horizon can never cover a unit the
-        // clock does not drive (or miss one it does).
+        // in table order — the same rows the clock loop dispatches from,
+        // so the horizon can never cover a unit the clock does not drive
+        // (or miss one it does).
         let mut h = self.cp.work_horizon();
         if h.is_busy() {
             return Horizon::Busy;
@@ -999,12 +913,12 @@ impl Gpu {
         if h.is_busy() {
             return Horizon::Busy;
         }
-        for &entry in &self.schedule {
+        for row in &self.table {
             // Folded above, ahead of the pipeline boxes.
-            if matches!(entry, ScheduleEntry::Memory) {
+            if matches!(row.entry, ScheduleEntry::Memory) {
                 continue;
             }
-            h = h.meet(self.box_horizon(entry));
+            h = h.meet(self.unit(row.entry).work_horizon());
             if h.is_busy() {
                 return Horizon::Busy;
             }
@@ -1012,62 +926,12 @@ impl Gpu {
         h.meet(Horizon::from_event(self.binder.next_event_cycle()))
     }
 
-    /// The event horizon of one schedule entry's box.
-    fn box_horizon(&self, entry: ScheduleEntry) -> Horizon {
-        match entry {
-            ScheduleEntry::Streamer => self.streamer.work_horizon(),
-            ScheduleEntry::PrimitiveAssembly => self.pa.work_horizon(),
-            ScheduleEntry::Clipper => self.clipper.work_horizon(),
-            ScheduleEntry::Setup => self.setup.work_horizon(),
-            ScheduleEntry::FragGen => self.fraggen.work_horizon(),
-            ScheduleEntry::Hz => self.hz.work_horizon(),
-            ScheduleEntry::ZStencil(u) => self.zstencil[u as usize].work_horizon(),
-            ScheduleEntry::Interpolator => self.interpolator.work_horizon(),
-            ScheduleEntry::FragmentFifo => self.ffifo.work_horizon(),
-            ScheduleEntry::TexUnit(u) => self.texunits[u as usize].work_horizon(),
-            ScheduleEntry::ColorWrite(u) => self.colorwrite[u as usize].work_horizon(),
-            ScheduleEntry::Dac => self.dac.work_horizon(),
-            ScheduleEntry::Memory => self.mem.work_horizon(),
-        }
-    }
-
-    /// Whether the box of one schedule entry holds work, and how many
-    /// objects wait in its input queues and staging buffers.
-    fn box_occupancy(&self, entry: ScheduleEntry) -> (bool, usize) {
-        match entry {
-            ScheduleEntry::Streamer => (self.streamer.busy(), self.streamer.queued()),
-            ScheduleEntry::PrimitiveAssembly => (self.pa.busy(), self.pa.queued()),
-            ScheduleEntry::Clipper => (self.clipper.busy(), self.clipper.queued()),
-            ScheduleEntry::Setup => (self.setup.busy(), self.setup.queued()),
-            ScheduleEntry::FragGen => (self.fraggen.busy(), self.fraggen.queued()),
-            ScheduleEntry::Hz => (self.hz.busy(), self.hz.queued()),
-            ScheduleEntry::ZStencil(u) => {
-                let z = &self.zstencil[u as usize];
-                (z.busy(), z.queued())
-            }
-            ScheduleEntry::Interpolator => {
-                (self.interpolator.busy(), self.interpolator.queued())
-            }
-            ScheduleEntry::FragmentFifo => (self.ffifo.busy(), self.ffifo.queued()),
-            ScheduleEntry::TexUnit(u) => {
-                let t = &self.texunits[u as usize];
-                (t.busy(), t.queued())
-            }
-            ScheduleEntry::ColorWrite(u) => {
-                let c = &self.colorwrite[u as usize];
-                (c.busy(), c.queued())
-            }
-            ScheduleEntry::Dac => (self.dac.busy(), self.dac.pending_reads.len()),
-            ScheduleEntry::Memory => (self.mem.busy(), 0),
-        }
-    }
-
     /// Wakes every sleeping box: whatever mutates boxes other than through
     /// their wires and memory replies must call this, because the gates
     /// cache horizons the mutation may have invalidated.
     fn wake_all_boxes(&mut self) {
-        for gate in &mut self.gates {
-            gate.wake_up();
+        for row in &mut self.table {
+            row.gate.wake_up();
         }
     }
 
@@ -1134,18 +998,6 @@ impl Gpu {
         Ok(())
     }
 
-    /// Clocks the whole GPU one cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a signal verification failure; use
-    /// [`try_step`](Self::try_step) to handle faults.
-    pub fn step(&mut self) {
-        if let Err(e) = self.try_step() {
-            panic!("simulation fault: {e}");
-        }
-    }
-
     /// Clocks the whole GPU one cycle, surfacing signal verification
     /// failures instead of panicking.
     ///
@@ -1161,30 +1013,32 @@ impl Gpu {
         let cycle = self.cycle;
         self.cycle += 1;
         // `pipeline_busy` walks every box; only compute it on the cycles
-        // where the CP's head command actually waits on a drained pipe.
+        // where the CP's head command actually waits on a drained pipe,
+        // and after the controller's O(1) answer (an upload-bound machine
+        // is the common case of a waiting head command).
         let idle =
-            self.cp.needs_idle_probe() && !self.pipeline_busy() && !self.mem.busy();
+            self.cp.needs_idle_probe() && !self.mem.busy() && !self.pipeline_busy();
         self.cp.clock(cycle, &mut self.mem, idle)?;
         // Drain the CP's side-effect queue in place: popping one action at
         // a time keeps the borrow local, so no per-cycle `Vec` is built.
         while let Some(action) = self.cp.actions.pop_front() {
             self.apply_action(action);
         }
-        // Take the schedule out of `self` so the walk borrows it directly
-        // instead of re-indexing (and re-bounds-checking) `self.schedule`
-        // on every entry of the hot loop; the gates come along so they can
-        // be updated while `self` lends out the boxes.
-        let schedule = std::mem::take(&mut self.schedule);
-        let mut gates = std::mem::take(&mut self.gates);
+        // Take the table out of `self` so the walk borrows it directly
+        // instead of re-indexing (and re-bounds-checking) `self.table` on
+        // every row of the hot loop, and so the gates can be updated while
+        // `self` lends out the boxes.
+        let mut table = std::mem::take(&mut self.table);
         let gated = self.skip_idle;
         let mut result = Ok(());
-        for (&entry, gate) in schedule.iter().zip(gates.iter_mut()) {
+        for UnitRow { entry, gate, .. } in table.iter_mut() {
+            let entry = *entry;
             if gated && gate.asleep(cycle, &self.mem) {
                 debug_assert!(
-                    !self.box_horizon(entry).is_busy() && self.box_occupancy(entry).1 == 0,
+                    !self.unit(entry).work_horizon().is_busy() && self.unit(entry).queued() == 0,
                     "{entry:?} left asleep on cycle {cycle} with work: {:?}, {} queued",
-                    self.box_horizon(entry),
-                    self.box_occupancy(entry).1,
+                    self.unit(entry).work_horizon(),
+                    self.unit(entry).queued(),
                 );
                 continue;
             }
@@ -1207,7 +1061,7 @@ impl Gpu {
                     self.colorwrite[u as usize].clock(cycle, &mut self.mem)
                 }
                 ScheduleEntry::Dac => {
-                    self.dac.clock(cycle, &mut self.mem);
+                    self.dac.clock(&mut self.mem);
                     Ok(())
                 }
                 ScheduleEntry::Memory => {
@@ -1221,15 +1075,14 @@ impl Gpu {
                 break;
             }
             if gated {
-                gate.settle(cycle, || self.box_horizon(entry));
+                gate.settle(cycle, || self.unit(entry).work_horizon());
             } else {
                 // Clocked without consulting the gate: whatever it cached
                 // is stale should `skip_idle` be switched back on.
                 gate.wake_up();
             }
         }
-        self.gates = gates;
-        self.schedule = schedule;
+        self.table = table;
         result?;
         self.stats.tick(cycle);
         Ok(())
@@ -1514,26 +1367,20 @@ impl Gpu {
 
     /// Snapshots the machine for a post-mortem.
     pub fn failure_report(&self, error: Option<SimError>) -> FailureReport {
-        // The Command Processor is clocked ahead of the schedule and never
-        // gated; every other row is one schedule entry with its gate.
-        let mut boxes = vec![BoxStatus {
-            name: "CommandProcessor".into(),
-            busy: !self.cp.done(),
-            queued: self.cp.queued(),
-            asleep: false,
-            wake_cycle: None,
-        }];
-        for (&entry, gate) in self.schedule.iter().zip(self.gates.iter()) {
-            let (busy, queued) = self.box_occupancy(entry);
-            let asleep = self.skip_idle && gate.asleep(self.cycle, &self.mem);
-            boxes.push(BoxStatus {
-                name: entry.box_name(),
-                busy,
-                queued,
-                asleep,
-                wake_cycle: (asleep && gate.idle_until != Cycle::MAX).then_some(gate.idle_until),
-            });
-        }
+        let status = |unit: &dyn Unit, asleep: Option<&BoxGate>| BoxStatus {
+            name: unit.name().into(),
+            busy: unit.busy(),
+            queued: unit.queued(),
+            asleep: asleep.is_some(),
+            wake_cycle: asleep.map(|gate| gate.idle_until).filter(|&at| at != Cycle::MAX),
+        };
+        // The Command Processor is clocked ahead of the table and never
+        // gated; every other unit is one table row with its gate.
+        let mut boxes = vec![status(&self.cp, None)];
+        boxes.extend(self.table.iter().map(|row| {
+            let asleep = self.skip_idle && row.gate.asleep(self.cycle, &self.mem);
+            status(self.unit(row.entry), asleep.then_some(&row.gate))
+        }));
         let recent_events = self
             .trace
             .as_ref()

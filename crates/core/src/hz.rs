@@ -18,12 +18,13 @@ use std::sync::Arc;
 
 use attila_emu::fragops::CompareFunc;
 use attila_json::{array, field, field_with, FromJson, HexJson, Json, JsonError, JsonState, ToJson};
-use attila_sim::{Counter, Cycle, DynamicObject, ObjectIdGen, SimError};
+use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, PortDecl, SimError};
 
 use crate::address::{block_count, block_index, FB_TILE};
 use crate::config::HzConfig;
 use crate::port::{PortReceiver, PortSender};
 use crate::types::{FragQuad, FragTile, QuadFrag};
+use crate::unit::Unit;
 
 /// An HZ reference update computed when a line is evicted from a Z cache.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,6 +134,9 @@ pub struct HierarchicalZ {
 }
 
 impl HierarchicalZ {
+    /// The name the box's signals are registered under.
+    pub const NAME: &'static str = "HierarchicalZ";
+
     /// Builds the box around its ports for a given render-target size.
     ///
     /// The parameter list mirrors the box's physical port list (Figure 5);
@@ -313,8 +317,18 @@ impl HierarchicalZ {
         Ok(())
     }
 
-    /// Whether work is in flight.
-    pub fn busy(&self) -> bool {
+    /// Tiles rejected by the HZ test so far.
+    pub fn tiles_rejected(&self) -> u64 {
+        self.stat_tiles_rejected.value()
+    }
+}
+
+impl Unit for HierarchicalZ {
+    fn name(&self) -> &str {
+        Self::NAME
+    }
+
+    fn busy(&self) -> bool {
         !self.pending.is_empty() || !self.in_tiles.idle()
     }
 
@@ -322,10 +336,10 @@ impl HierarchicalZ {
     /// earliest arrival across the tile wire *and* every Z-cache update
     /// wire — updates mutate the HZ references even when `busy()` is
     /// false, so their arrivals must not be skipped over (see
-    /// [`attila_sim::Horizon`]).
-    pub fn work_horizon(&self) -> attila_sim::Horizon {
+    /// [`Horizon`]).
+    fn work_horizon(&self) -> Horizon {
         if !self.pending.is_empty() {
-            return attila_sim::Horizon::Busy;
+            return Horizon::Busy;
         }
         let mut h = self.in_tiles.work_horizon();
         for p in &self.in_updates {
@@ -334,8 +348,7 @@ impl HierarchicalZ {
         h
     }
 
-    /// The box's declared interface for the architecture verifier.
-    pub fn declared_ports(&self) -> Vec<attila_sim::PortDecl> {
+    fn declared_ports(&self) -> Vec<PortDecl> {
         let mut ports = vec![self.in_tiles.decl(), self.out_late.decl()];
         ports.extend(self.in_updates.iter().map(|p| p.decl()));
         ports.extend(self.out_early.iter().map(|p| p.decl()));
@@ -343,15 +356,10 @@ impl HierarchicalZ {
     }
 
     /// Objects waiting in the box's input queues and staging buffer.
-    pub fn queued(&self) -> usize {
+    fn queued(&self) -> usize {
         self.pending.len()
             + self.in_tiles.len()
             + self.in_updates.iter().map(crate::port::PortReceiver::len).sum::<usize>()
-    }
-
-    /// Tiles rejected by the HZ test so far.
-    pub fn tiles_rejected(&self) -> u64 {
-        self.stat_tiles_rejected.value()
     }
 }
 

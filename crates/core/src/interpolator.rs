@@ -15,11 +15,12 @@
 use std::collections::VecDeque;
 
 use attila_json::impl_json_state;
-use attila_sim::{Counter, Cycle, SimError};
+use attila_sim::{Counter, Cycle, Horizon, PortDecl, SimError};
 
 use crate::config::InterpolatorConfig;
 use crate::port::{PortReceiver, PortSender};
 use crate::types::FragQuad;
+use crate::unit::Unit;
 
 /// The Interpolator box.
 #[derive(Debug)]
@@ -40,6 +41,9 @@ pub struct Interpolator {
 }
 
 impl Interpolator {
+    /// The name the box's signals are registered under.
+    pub const NAME: &'static str = "Interpolator";
+
     /// Builds the box around its ports.
     pub fn new(
         config: InterpolatorConfig,
@@ -134,9 +138,14 @@ impl Interpolator {
         }
         Ok(())
     }
+}
 
-    /// Whether work is in flight.
-    pub fn busy(&self) -> bool {
+impl Unit for Interpolator {
+    fn name(&self) -> &str {
+        Self::NAME
+    }
+
+    fn busy(&self) -> bool {
         !self.pipe.is_empty()
             || !self.in_late.idle()
             || self.in_early.iter().any(|p| !p.idle())
@@ -144,10 +153,10 @@ impl Interpolator {
 
     /// The box's event horizon: busy while quads sit in the delay pipe,
     /// otherwise the earliest arrival across the late wire and every
-    /// early-Z wire (see [`attila_sim::Horizon`]).
-    pub fn work_horizon(&self) -> attila_sim::Horizon {
+    /// early-Z wire (see [`Horizon`]).
+    fn work_horizon(&self) -> Horizon {
         if !self.pipe.is_empty() {
-            return attila_sim::Horizon::Busy;
+            return Horizon::Busy;
         }
         let mut h = self.in_late.work_horizon();
         for p in &self.in_early {
@@ -156,23 +165,17 @@ impl Interpolator {
         h
     }
 
-    /// The box's declared interface for the architecture verifier.
-    pub fn declared_ports(&self) -> Vec<attila_sim::PortDecl> {
+    fn declared_ports(&self) -> Vec<PortDecl> {
         let mut ports = vec![self.in_late.decl(), self.out_quads.decl()];
         ports.extend(self.in_early.iter().map(|p| p.decl()));
         ports
     }
 
     /// Objects waiting in the box's input queues and delay pipe.
-    pub fn queued(&self) -> usize {
+    fn queued(&self) -> usize {
         self.pipe.len()
             + self.in_late.len()
             + self.in_early.iter().map(PortReceiver::len).sum::<usize>()
-    }
-
-    /// Quads interpolated so far.
-    pub fn quads_interpolated(&self) -> u64 {
-        self.stat_quads.value()
     }
 }
 

@@ -26,6 +26,14 @@
 //! | DAC | inside [`gpu`] |
 //! | Memory Controller | `attila-mem` |
 //!
+//! Every box has its own `clock()` and an `impl` of [`unit::Unit`] (name,
+//! memory client, event horizon, `busy`, `queued`, declared ports), through
+//! which [`Gpu`] asks every per-unit question over one table of its units.
+//! "The architecture of the Color Write unit is very similar to that of
+//! the Z and Stencil test unit" (§2.2): the two hold one cache engine
+//! (`rop.rs`) and keep what the paper says differs — the per-fragment
+//! operation, their ports and the HZ feedback.
+//!
 //! The top-level [`Gpu`] wires them per [`GpuConfig`] — over 100
 //! parameters with presets for the paper's baseline (Tables 1–2), the
 //! Section 5 case study, a non-unified variant, an embedded part and a
@@ -61,6 +69,7 @@ pub mod interpolator;
 pub mod port;
 pub mod primitive_assembly;
 pub mod report;
+mod rop;
 pub mod serve;
 pub mod setup;
 pub mod state;
@@ -68,6 +77,7 @@ pub mod streamer;
 pub mod sweep;
 pub mod texunit;
 pub mod types;
+pub mod unit;
 pub mod zstencil;
 
 pub use checkpoint::{config_hash, trace_hash, Checkpoint, CheckpointBody};

@@ -82,21 +82,9 @@ impl<T: std::fmt::Debug> PortSender<T> {
         self.data.write(cycle, obj)
     }
 
-    /// Attaches a Signal-Trace-Visualizer sink to the data wire; every
-    /// object sent is recorded with its arrival cycle.
-    pub fn attach_trace(&mut self, sink: attila_sim::TraceSink) {
-        self.data.attach_trace(sink);
-    }
-
     /// Outstanding credits (free slots the producer knows about).
     pub fn credits(&self) -> usize {
         self.credits
-    }
-
-    /// The earliest arrival cycle of a credit still travelling back on the
-    /// return wire, if any — when this sender next gains a free slot.
-    pub fn next_credit_arrival(&self) -> Option<attila_sim::Cycle> {
-        self.credits_back.next_arrival()
     }
 
     /// The latest delivery cycle among objects still on the forward wire,

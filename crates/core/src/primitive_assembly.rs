@@ -8,11 +8,12 @@
 use std::sync::Arc;
 
 use attila_json::impl_json_state;
-use attila_sim::{Counter, Cycle, DynamicObject, ObjectIdGen, SimError};
+use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, PortDecl, SimError};
 
 use crate::commands::Primitive;
 use crate::port::{PortReceiver, PortSender};
 use crate::types::{Batch, ShadedVertex, TriangleWork, VertexOutputs};
+use crate::unit::Unit;
 
 /// The Primitive Assembly box.
 #[derive(Debug)]
@@ -38,6 +39,9 @@ pub struct PrimitiveAssembly {
 }
 
 impl PrimitiveAssembly {
+    /// The name the box's signals are registered under.
+    pub const NAME: &'static str = "PrimitiveAssembly";
+
     /// Builds the box around its ports.
     pub fn new(
         in_verts: PortReceiver<ShadedVertex>,
@@ -181,35 +185,40 @@ impl PrimitiveAssembly {
         Ok(())
     }
 
+    /// Triangles assembled so far.
+    pub fn triangles_assembled(&self) -> u64 {
+        self.stat_triangles.value()
+    }
+}
+
+impl Unit for PrimitiveAssembly {
+    fn name(&self) -> &str {
+        Self::NAME
+    }
+
     /// Whether work is still in flight.
-    pub fn busy(&self) -> bool {
+    fn busy(&self) -> bool {
         !self.pending_out.is_empty() || !self.in_verts.idle()
     }
 
     /// The box's event horizon: busy while assembled triangles wait in the
     /// staging buffer or shaded vertices wait in the input queue, the
     /// wire's next arrival while vertices are in flight, idle otherwise
-    /// (see [`attila_sim::Horizon`]).
-    pub fn work_horizon(&self) -> attila_sim::Horizon {
+    /// (see [`Horizon`]).
+    fn work_horizon(&self) -> Horizon {
         if !self.pending_out.is_empty() {
-            return attila_sim::Horizon::Busy;
+            return Horizon::Busy;
         }
         self.in_verts.work_horizon()
     }
 
-    /// The box's declared interface for the architecture verifier.
-    pub fn declared_ports(&self) -> Vec<attila_sim::PortDecl> {
+    fn declared_ports(&self) -> Vec<PortDecl> {
         vec![self.in_verts.decl(), self.out_tris.decl()]
     }
 
     /// Objects waiting in the box's input queue and staging buffer.
-    pub fn queued(&self) -> usize {
+    fn queued(&self) -> usize {
         self.in_verts.len() + self.pending_out.len()
-    }
-
-    /// Triangles assembled so far.
-    pub fn triangles_assembled(&self) -> u64 {
-        self.stat_triangles.value()
     }
 }
 

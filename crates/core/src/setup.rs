@@ -9,11 +9,12 @@ use std::sync::Arc;
 
 use attila_emu::raster::setup_triangle;
 use attila_json::impl_json_state;
-use attila_sim::{Counter, Cycle, DynamicObject, ObjectIdGen, SimError};
+use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, PortDecl, SimError};
 
 use crate::port::{PortReceiver, PortSender};
 use crate::state::CullMode;
 use crate::types::{SetupTriWork, TriangleData, TriangleWork};
+use crate::unit::Unit;
 
 /// The Triangle Setup box.
 #[derive(Debug)]
@@ -29,6 +30,9 @@ pub struct TriangleSetup {
 }
 
 impl TriangleSetup {
+    /// The name the box's signals are registered under.
+    pub const NAME: &'static str = "TriangleSetup";
+
     /// Builds the box around its ports.
     pub fn new(
         in_tris: PortReceiver<TriangleWork>,
@@ -88,31 +92,34 @@ impl TriangleSetup {
         )
     }
 
-    /// Whether work is in flight.
-    pub fn busy(&self) -> bool {
+    /// Back/front-face culled triangles so far.
+    pub fn face_culled(&self) -> u64 {
+        self.stat_culled.value()
+    }
+}
+
+impl Unit for TriangleSetup {
+    fn name(&self) -> &str {
+        Self::NAME
+    }
+
+    fn busy(&self) -> bool {
         !self.in_tris.idle()
     }
 
     /// The box's event horizon: busy while queued triangles await setup,
     /// the wire's next arrival while triangles are in flight, idle
-    /// otherwise (see [`attila_sim::Horizon`]).
-    pub fn work_horizon(&self) -> attila_sim::Horizon {
+    /// otherwise (see [`Horizon`]).
+    fn work_horizon(&self) -> Horizon {
         self.in_tris.work_horizon()
     }
 
-    /// The box's declared interface for the architecture verifier.
-    pub fn declared_ports(&self) -> Vec<attila_sim::PortDecl> {
+    fn declared_ports(&self) -> Vec<PortDecl> {
         vec![self.in_tris.decl(), self.out_tris.decl()]
     }
 
-    /// Objects waiting in the box's input queues.
-    pub fn queued(&self) -> usize {
+    fn queued(&self) -> usize {
         self.in_tris.len()
-    }
-
-    /// Back/front-face culled triangles so far.
-    pub fn face_culled(&self) -> u64 {
-        self.stat_culled.value()
     }
 }
 

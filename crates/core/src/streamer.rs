@@ -18,11 +18,12 @@ use std::sync::Arc;
 use attila_emu::vector::Vec4;
 use attila_json::impl_json_state;
 use attila_mem::{Client, MemOp, MemRequest, MemoryController};
-use attila_sim::{Counter, Cycle, DynamicObject, ObjectIdGen, SimError};
+use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, PortDecl, SimError};
 
 use crate::config::StreamerConfig;
 use crate::port::{PortReceiver, PortSender};
 use crate::types::{Batch, ShadedVertex, VertexOutputs, VertexWork};
+use crate::unit::Unit;
 
 /// In-flight vertex whose attribute fetches are outstanding.
 #[derive(Debug)]
@@ -94,6 +95,9 @@ pub struct Streamer {
 }
 
 impl Streamer {
+    /// The name the box's signals are registered under.
+    pub const NAME: &'static str = "Streamer";
+
     /// Builds the Streamer around its four ports.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
@@ -389,8 +393,28 @@ impl Streamer {
         id
     }
 
+    /// Vertices issued so far.
+    pub fn vertices_issued(&self) -> u64 {
+        self.stat_vertices.value()
+    }
+
+    /// Post-shading vertex cache hits.
+    pub fn vertex_cache_hits(&self) -> u64 {
+        self.stat_vcache_hits.value()
+    }
+}
+
+impl Unit for Streamer {
+    fn name(&self) -> &str {
+        Self::NAME
+    }
+
+    fn client(&self) -> Option<Client> {
+        Some(Client::Streamer)
+    }
+
     /// Whether the Streamer still has work in flight.
-    pub fn busy(&self) -> bool {
+    fn busy(&self) -> bool {
         self.active.is_some()
             || !self.commits.is_empty()
             || !self.ready_to_shade.is_empty()
@@ -402,20 +426,19 @@ impl Streamer {
     /// The box's event horizon: busy while a draw is being streamed or
     /// vertices sit in the fetch/shade/commit buffers, otherwise the
     /// earliest arrival across the draw wire and the shaded-vertex wire
-    /// (see [`attila_sim::Horizon`]).
-    pub fn work_horizon(&self) -> attila_sim::Horizon {
+    /// (see [`Horizon`]).
+    fn work_horizon(&self) -> Horizon {
         if self.active.is_some()
             || !self.commits.is_empty()
             || !self.ready_to_shade.is_empty()
             || !self.pending.is_empty()
         {
-            return attila_sim::Horizon::Busy;
+            return Horizon::Busy;
         }
         self.in_draws.work_horizon().meet(self.in_shaded.work_horizon())
     }
 
-    /// The box's declared interface for the architecture verifier.
-    pub fn declared_ports(&self) -> Vec<attila_sim::PortDecl> {
+    fn declared_ports(&self) -> Vec<PortDecl> {
         vec![
             self.in_draws.decl(),
             self.out_work.decl(),
@@ -424,22 +447,11 @@ impl Streamer {
         ]
     }
 
-    /// Objects waiting in the box's input queues and staging buffers.
-    pub fn queued(&self) -> usize {
+    fn queued(&self) -> usize {
         self.in_draws.len()
             + self.in_shaded.len()
             + self.ready_to_shade.len()
             + self.pending.len()
-    }
-
-    /// Vertices issued so far.
-    pub fn vertices_issued(&self) -> u64 {
-        self.stat_vertices.value()
-    }
-
-    /// Post-shading vertex cache hits.
-    pub fn vertex_cache_hits(&self) -> u64 {
-        self.stat_vcache_hits.value()
     }
 }
 

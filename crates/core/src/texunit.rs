@@ -18,11 +18,12 @@ use attila_emu::vector::Vec4;
 use attila_json::impl_json_state;
 use attila_mem::controller::split_transactions;
 use attila_mem::{Cache, Client, Lookup, MemOp, MemRequest, MemoryController, MemoryImage};
-use attila_sim::{Counter, Cycle, SimError};
+use attila_sim::{Counter, Cycle, Horizon, PortDecl, SimError};
 
 use crate::config::TextureConfig;
 use crate::port::{PortReceiver, PortSender};
 use crate::types::{QuadTexRequest, QuadTexReply};
+use crate::unit::Unit;
 
 /// Adapter exposing the GPU memory image as a texel source.
 struct ImageSource<'a>(&'a MemoryImage);
@@ -53,6 +54,7 @@ fn take_where<T>(list: &mut Vec<T>, pred: impl Fn(&T) -> bool) -> Option<T> {
 #[derive(Debug)]
 pub struct TextureUnit {
     unit: u8, // state: derived — unit index fixed at construction
+    name: String, // state: derived — from the unit index
     config: TextureConfig,
     /// Quad requests from the Fragment FIFO.
     pub in_requests: PortReceiver<QuadTexRequest>,
@@ -82,6 +84,11 @@ pub struct TextureUnit {
 }
 
 impl TextureUnit {
+    /// The name unit `unit`'s signals and statistics are registered under.
+    pub fn name_of(unit: usize) -> String {
+        format!("Texture{unit}")
+    }
+
     /// Builds one texture unit.
     pub fn new(
         unit: u8,
@@ -90,7 +97,7 @@ impl TextureUnit {
         out_replies: PortSender<QuadTexReply>,
         stats: &mut attila_sim::StatsRegistry,
     ) -> Self {
-        let prefix = format!("Texture{unit}");
+        let name = Self::name_of(unit.into());
         TextureUnit {
             unit,
             cache: Cache::new(config.cache.into(), "Texture"),
@@ -104,27 +111,17 @@ impl TextureUnit {
             fills: Vec::new(),
             fills_per_line: Vec::new(),
             next_req_id: 0,
-            stat_requests: stats.counter(&format!("{prefix}.requests")),
-            stat_bilinear_ops: stats.counter(&format!("{prefix}.bilinear_samples")),
-            stat_busy_cycles: stats.counter(&format!("{prefix}.busy_cycles")),
-            stat_bytes_read: stats.counter(&format!("{prefix}.bytes_read")),
+            stat_requests: stats.counter(&format!("{name}.requests")),
+            stat_bilinear_ops: stats.counter(&format!("{name}.bilinear_samples")),
+            stat_busy_cycles: stats.counter(&format!("{name}.busy_cycles")),
+            stat_bytes_read: stats.counter(&format!("{name}.bytes_read")),
+            name,
         }
-    }
-
-    /// The memory-controller client id of this unit.
-    pub fn client(&self) -> Client {
-        Client::Texture(self.unit)
     }
 
     /// The texture cache (hit-rate statistics for Figure 8).
     pub fn cache(&self) -> &Cache {
         &self.cache
-    }
-
-    /// Invalidates the texture cache (between frames / texture uploads).
-    pub fn flush_cache(&mut self) {
-        // Texture data is read-only: no dirty lines to write back.
-        let _ = self.cache.flush();
     }
 
     /// Advances the unit one cycle.
@@ -137,7 +134,7 @@ impl TextureUnit {
         self.out_replies.try_update(cycle)?;
 
         // Fill completions.
-        while let Some(reply) = mem.pop_reply(self.client()) {
+        while let Some(reply) = mem.pop_reply(Client::Texture(self.unit)) {
             if let Some((_, line)) = take_where(&mut self.fills, |(id, _)| *id == reply.id) {
                 let at = self
                     .fills_per_line
@@ -292,31 +289,6 @@ impl TextureUnit {
         }
     }
 
-    /// Whether work is in flight.
-    pub fn busy(&self) -> bool {
-        self.current.is_some() || !self.in_requests.idle() || !self.fills.is_empty()
-    }
-
-    /// The box's event horizon: busy while a request is being served or
-    /// cache fills are outstanding, the wire's next arrival while requests
-    /// are in flight, idle otherwise (see [`attila_sim::Horizon`]).
-    pub fn work_horizon(&self) -> attila_sim::Horizon {
-        if self.current.is_some() || !self.fills.is_empty() {
-            return attila_sim::Horizon::Busy;
-        }
-        self.in_requests.work_horizon()
-    }
-
-    /// The box's declared interface for the architecture verifier.
-    pub fn declared_ports(&self) -> Vec<attila_sim::PortDecl> {
-        vec![self.in_requests.decl(), self.out_replies.decl()]
-    }
-
-    /// Objects waiting in the box's input queues.
-    pub fn queued(&self) -> usize {
-        self.in_requests.len() + usize::from(self.current.is_some())
-    }
-
     /// Quad requests serviced so far.
     pub fn requests_serviced(&self) -> u64 {
         self.stat_requests.value()
@@ -331,6 +303,38 @@ impl TextureUnit {
     /// bandwidth).
     pub fn bytes_read(&self) -> u64 {
         self.stat_bytes_read.value()
+    }
+}
+
+impl Unit for TextureUnit {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn client(&self) -> Option<Client> {
+        Some(Client::Texture(self.unit))
+    }
+
+    fn busy(&self) -> bool {
+        self.current.is_some() || !self.in_requests.idle() || !self.fills.is_empty()
+    }
+
+    /// The box's event horizon: busy while a request is being served or
+    /// cache fills are outstanding, the wire's next arrival while requests
+    /// are in flight, idle otherwise (see [`Horizon`]).
+    fn work_horizon(&self) -> Horizon {
+        if self.current.is_some() || !self.fills.is_empty() {
+            return Horizon::Busy;
+        }
+        self.in_requests.work_horizon()
+    }
+
+    fn declared_ports(&self) -> Vec<PortDecl> {
+        vec![self.in_requests.decl(), self.out_replies.decl()]
+    }
+
+    fn queued(&self) -> usize {
+        self.in_requests.len() + usize::from(self.current.is_some())
     }
 }
 

@@ -14,28 +14,33 @@
 //! receives shaded quads from the Fragment FIFO when the batch state
 //! forbids early Z. HZ reference updates are produced here, "calculated
 //! when lines are evicted from the Z cache and compressed".
+//!
+//! "The architecture of the Color Write unit is very similar to that of
+//! the Z and Stencil test unit" (§2.2): the cache machine is the
+//! `RopEngine` of `rop.rs`, which both hold. This unit's own are the test,
+//! the pass-through and culling of quads, its ports and the HZ feedback.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use attila_emu::fragops::{
-    compress_z_block, quantize_depth, unpack_depth_stencil, z_stencil_test, DEPTH_MAX,
-    ZBLOCK_WORDS,
+    quantize_depth, unpack_depth_stencil, z_stencil_test, DEPTH_MAX, ZBLOCK_WORDS,
 };
-use attila_json::{field, field_with, HexJson, Json, JsonError, JsonState, ToJson};
-use attila_mem::controller::split_transactions;
-use attila_mem::{Client, MemOp, MemRequest, MemoryController, RopCache};
-use attila_sim::{Counter, Cycle, SimError};
+use attila_json::{field, Json, JsonError, JsonState, ToJson};
+use attila_mem::{Client, MemoryController, RopCache};
+use attila_sim::{Counter, Cycle, Horizon, PortDecl, SimError};
 
 use crate::address::{pixel_address, surface_bytes, tile_address, FB_TILE_BYTES};
 use crate::config::RopConfig;
 use crate::hz::HzUpdate;
 use crate::port::{PortReceiver, PortSender};
+use crate::rop::{self, RopEngine};
 use crate::types::FragQuad;
+use crate::unit::Unit;
 
 /// The Z & stencil test box (one instance per configured unit).
 #[derive(Debug)]
 pub struct ZStencilUnit {
-    unit: u8, // state: derived — unit index fixed at construction
+    name: String, // state: derived — from the unit index fixed at construction
     config: RopConfig,
     /// Quads from Hierarchical Z (early-Z datapath).
     pub in_early: PortReceiver<FragQuad>,
@@ -48,19 +53,15 @@ pub struct ZStencilUnit {
     /// HZ reference updates.
     pub out_hz: PortSender<HzUpdate>,
 
-    cache: Option<RopCache>,
+    /// The Z cache and its fill/write-back machinery (the `cache` and
+    /// `next_req_id` keys of the unit's state).
+    rop: RopEngine,
     target_width: u32,
-    // state: transient — in-flight fill/writeback/HZ-update bookkeeping,
-    // drained at the quiescent checkpoint boundary
-    /// Outstanding fill transactions per line.
-    fills: BTreeMap<u64, usize>,
-    reply_to_line: BTreeMap<u64, u64>,
-    /// Writeback transactions awaiting controller queue space.
-    pending_writebacks: std::collections::VecDeque<(u64, u32)>,
+    // state: transient — HZ updates awaiting the wire, drained at the
+    // quiescent checkpoint boundary
     hz_queue: VecDeque<HzUpdate>,
     // state: checkpointed
     prefer_late: bool,
-    next_req_id: u64,
 
     stat_quads: Counter,
     stat_frags_tested: Counter,
@@ -68,7 +69,19 @@ pub struct ZStencilUnit {
     stat_busy_cycles: Counter,
 }
 
+/// The HZ reference of an evicted block: the largest depth among its
+/// words, "calculated when lines are evicted from the Z cache".
+fn hz_reference(block: usize, words: &[u32; ZBLOCK_WORDS]) -> HzUpdate {
+    let max_depth_q = words.iter().map(|&w| unpack_depth_stencil(w).0).max().unwrap_or(0);
+    HzUpdate { block, max_depth: max_depth_q as f32 / DEPTH_MAX as f32 }
+}
+
 impl ZStencilUnit {
+    /// The name unit `unit`'s signals and statistics are registered under.
+    pub fn name_of(unit: usize) -> String {
+        format!("ZStencil{unit}")
+    }
+
     /// Builds one Z/stencil unit.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
@@ -81,59 +94,30 @@ impl ZStencilUnit {
         out_hz: PortSender<HzUpdate>,
         stats: &mut attila_sim::StatsRegistry,
     ) -> Self {
-        let prefix = format!("ZStencil{unit}");
+        let name = Self::name_of(unit.into());
         ZStencilUnit {
-            unit,
+            rop: RopEngine::new(Client::ZStencil(unit), "Z", &config),
             config,
             in_early,
             in_late,
             out_early,
             out_late,
             out_hz,
-            cache: None,
             target_width: 0,
-            fills: BTreeMap::new(),
-            reply_to_line: BTreeMap::new(),
-            pending_writebacks: std::collections::VecDeque::new(),
             hz_queue: VecDeque::new(),
             prefer_late: false,
-            next_req_id: 0,
-            stat_quads: stats.counter(&format!("{prefix}.quads")),
-            stat_frags_tested: stats.counter(&format!("{prefix}.fragments_tested")),
-            stat_frags_passed: stats.counter(&format!("{prefix}.fragments_passed")),
-            stat_busy_cycles: stats.counter(&format!("{prefix}.busy_cycles")),
+            stat_quads: stats.counter(&format!("{name}.quads")),
+            stat_frags_tested: stats.counter(&format!("{name}.fragments_tested")),
+            stat_frags_passed: stats.counter(&format!("{name}.fragments_passed")),
+            stat_busy_cycles: stats.counter(&format!("{name}.busy_cycles")),
+            name,
         }
-    }
-
-    /// The memory-controller client id of this unit.
-    pub fn client(&self) -> Client {
-        Client::ZStencil(self.unit)
     }
 
     /// (Re)binds the cache to a depth buffer and fast-clears it.
     pub fn fast_clear(&mut self, mem: &mut MemoryController, base: u64, len: u64, word: u32) {
-        // The Command Processor only clears with the pipeline drained, so
-        // the rebind never has to wait here.
-        let ready = self.rebind_cache(mem, base, len);
-        assert!(ready, "fast clear issued with fills in flight");
-        self.cache.as_mut().expect("bound").fast_clear(mem.gpu_mem_mut(), word);
-    }
-
-    /// Returns `true` when the cache is bound to `(base, len)` and ready.
-    /// Rebinding (render-target switch) waits for in-flight fills and
-    /// flushes the old surface (writebacks + HZ references) first.
-    fn rebind_cache(&mut self, mem: &mut MemoryController, base: u64, len: u64) -> bool {
-        if let Some(c) = &self.cache {
-            if c.base() == base && c.len() == len {
-                return true;
-            }
-        }
-        if !self.fills.is_empty() {
-            return false; // drain outstanding fills of the old surface
-        }
-        self.flush(mem);
-        self.cache = Some(RopCache::new(self.config.cache.into(), "Z", base, len));
-        true
+        let hz = &mut self.hz_queue;
+        self.rop.fast_clear(mem, base, len, word, &mut |b, w| hz.push_back(hz_reference(b, w)));
     }
 
     /// Advances the unit one cycle.
@@ -148,19 +132,7 @@ impl ZStencilUnit {
         self.out_late.try_update(cycle)?;
         self.out_hz.try_update(cycle)?;
 
-        // Complete fills.
-        while let Some(reply) = mem.pop_reply(self.client()) {
-            if let Some(line) = self.reply_to_line.remove(&reply.id) {
-                let left = self.fills.get_mut(&line).expect("fill bookkeeping"); // lint:allow(clock-unwrap) reply ids only map to lines with live fill entries
-                *left -= 1;
-                if *left == 0 {
-                    self.fills.remove(&line);
-                    if let Some(cache) = &mut self.cache {
-                        cache.fill_done(line);
-                    }
-                }
-            }
-        }
+        self.rop.collect_replies(mem);
 
         // Drain queued HZ updates.
         while let Some(u) = self.hz_queue.front() {
@@ -173,40 +145,16 @@ impl ZStencilUnit {
             }
         }
 
-        // Drain queued writebacks as controller space frees up.
-        while let Some(&(addr, size)) = self.pending_writebacks.front() {
-            if !mem.can_accept(self.client(), addr) {
-                break;
-            }
-            self.pending_writebacks.pop_front();
-            let id = self.next_req_id;
-            self.next_req_id += 1;
-            mem.submit(MemRequest {
-                id,
-                client: self.client(),
-                addr,
-                op: MemOp::TimingWrite { size },
-            })
-            .expect("can_accept checked"); // lint:allow(clock-unwrap) submit follows the can_accept check above
-        }
+        self.rop.drain_writebacks(mem);
 
         let quads_per_cycle = (self.config.frags_per_cycle / 4).max(1);
         let mut did_work = false;
         for _ in 0..quads_per_cycle {
             // Alternate between the early and late inputs for fairness.
-            let first_late = self.prefer_late;
-            let mut progressed = false;
-            for attempt in 0..2 {
-                let late = first_late ^ (attempt == 1);
-                if self.try_process_head(cycle, mem, late)? {
-                    self.prefer_late = !late;
-                    progressed = true;
-                    break;
-                }
-            }
-            if !progressed {
-                break;
-            }
+            let turn =
+                rop::arbitrate(self.prefer_late, |late| self.try_process_head(cycle, mem, late))?;
+            let Some(late) = turn else { break };
+            self.prefer_late = !late;
             did_work = true;
         }
         if did_work {
@@ -251,21 +199,16 @@ impl ZStencilUnit {
 
         let z_base = state.z_buffer;
         let len = surface_bytes(state.target_width, state.target_height);
-        if !self.rebind_cache(mem, z_base, len) {
+        // Every line the engine writes back yields the block's HZ reference.
+        let hz = &mut self.hz_queue;
+        let mut on_evict = |b, w: &[u32; ZBLOCK_WORDS]| hz.push_back(hz_reference(b, w));
+        if !self.rop.bind(mem, z_base, len, &mut on_evict) {
             return Ok(false); // old surface still draining
         }
         self.target_width = state.target_width;
         let line = tile_address(z_base, state.target_width, qx, qy);
-
-        // Line must be resident.
-        let cache = self.cache.as_mut().expect("ensured"); // lint:allow(clock-unwrap) rebind_cache returned ready
-        match cache.lookup(cycle, line, false) {
-            attila_mem::Lookup::Hit => {}
-            attila_mem::Lookup::Blocked => return Ok(false),
-            attila_mem::Lookup::Miss => {
-                self.start_fill(cycle, mem, line);
-                return Ok(false);
-            }
+        if !self.rop.resident(cycle, mem, line, &mut on_evict) {
+            return Ok(false); // blocked, or the fill is on its way
         }
 
         // Resident: test the quad's live fragments. Back-facing
@@ -305,7 +248,7 @@ impl ZStencilUnit {
             }
         }
         if wrote {
-            self.cache.as_mut().expect("ensured").mark_dirty(line); // lint:allow(clock-unwrap) rebind_cache returned ready
+            self.rop.mark_dirty(line);
         }
         if raised {
             // A depth write moved a value *up* (Greater-style compare):
@@ -332,175 +275,16 @@ impl ZStencilUnit {
         }
     }
 
-    /// Starts filling `line`, performing any needed dirty eviction with
-    /// compression and HZ reference extraction.
-    fn start_fill(&mut self, _cycle: Cycle, mem: &mut MemoryController, line: u64) {
-        if self.fills.contains_key(&line) {
-            return; // already in flight
-        }
-        // Reserve controller slots for the worst case: 4 evict + 4 fill.
-        if mem.free_slots(self.client(), line) < 8 {
-            return;
-        }
-        let client = self.client();
-        let mut next_id = self.next_req_id;
-        let compression = self.config.compression;
-        let mut hz_update: Option<HzUpdate> = None;
-        let mut fill_ids = Vec::new();
-        let Some(cache) = self.cache.as_mut() else { return };
-        let Ok((fill_bytes, eviction)) = cache.allocate(line) else { return };
-
-        if let Some(ev) = eviction {
-            // Read the actual line words (execution-driven) to compress
-            // and to compute the HZ reference.
-            let mut words = [0u32; ZBLOCK_WORDS];
-            let mut max_depth_q = 0u32;
-            for (i, w) in words.iter_mut().enumerate() {
-                *w = mem.gpu_mem().read_u32(ev.line_addr + i as u64 * 4);
-                let (d, _) = unpack_depth_stencil(*w);
-                max_depth_q = max_depth_q.max(d);
-            }
-            let compressed = if compression {
-                Some(compress_z_block(&words).level.bytes() as u32)
-            } else {
-                None
-            };
-            let bytes = cache.evict_dirty(ev.line_addr, compressed);
-            for (addr, size) in split_transactions(ev.line_addr, bytes as u64) {
-                let id = next_id;
-                next_id += 1;
-                mem.submit(MemRequest { id, client, addr, op: MemOp::TimingWrite { size } })
-                    .expect("slots reserved");
-            }
-            // HZ reference from the evicted block (block index == line
-            // index in a tiled surface).
-            let block = ((ev.line_addr - cache.base()) / FB_TILE_BYTES as u64) as usize;
-            hz_update = Some(HzUpdate {
-                block,
-                max_depth: max_depth_q as f32 / DEPTH_MAX as f32,
-            });
-        }
-
-        if fill_bytes == 0 {
-            // Cleared block: no memory traffic; the functional image
-            // already holds the clear value.
-            cache.fill_done(line);
-        } else {
-            let mut count = 0;
-            for (addr, size) in split_transactions(line, fill_bytes as u64) {
-                let id = next_id;
-                next_id += 1;
-                mem.submit(MemRequest { id, client, addr, op: MemOp::TimingRead { size } })
-                    .expect("slots reserved");
-                fill_ids.push(id);
-                count += 1;
-            }
-            for id in fill_ids {
-                self.reply_to_line.insert(id, line);
-            }
-            self.fills.insert(line, count);
-        }
-        self.next_req_id = next_id;
-        if let Some(u) = hz_update {
-            self.hz_queue.push_back(u);
-        }
-    }
-
-    /// Flushes the Z cache at end of frame, charging writeback traffic.
+    /// Flushes the Z cache at end of frame, charging writeback traffic
+    /// and queueing the HZ reference of every line written back.
     pub fn flush(&mut self, mem: &mut MemoryController) {
-        let client = self.client();
-        let compression = self.config.compression;
-        let mut hz_updates = Vec::new();
-        let mut pending: Vec<(u64, u32)> = Vec::new();
-        if let Some(cache) = self.cache.as_mut() {
-            let base = cache.base();
-            for ev in cache.flush() {
-                let mut words = [0u32; ZBLOCK_WORDS];
-                let mut max_q = 0u32;
-                for (i, w) in words.iter_mut().enumerate() {
-                    *w = mem.gpu_mem().read_u32(ev.line_addr + i as u64 * 4);
-                    max_q = max_q.max(unpack_depth_stencil(*w).0);
-                }
-                let compressed = if compression {
-                    Some(compress_z_block(&words).level.bytes() as u32)
-                } else {
-                    None
-                };
-                let bytes = cache.evict_dirty(ev.line_addr, compressed);
-                let mut id_src = self.next_req_id;
-                for (addr, size) in split_transactions(ev.line_addr, bytes as u64) {
-                    if mem.can_accept(client, addr)
-                        && mem
-                            .submit(MemRequest {
-                                id: id_src,
-                                client,
-                                addr,
-                                op: MemOp::TimingWrite { size },
-                            })
-                            .is_ok()
-                    {
-                        id_src += 1;
-                    } else {
-                        // Controller full: drained from clock() later so
-                        // no writeback traffic is ever dropped.
-                        pending.push((addr, size));
-                    }
-                }
-                self.next_req_id = id_src;
-                hz_updates.push(HzUpdate {
-                    block: ((ev.line_addr - base) / FB_TILE_BYTES as u64) as usize,
-                    max_depth: max_q as f32 / DEPTH_MAX as f32,
-                });
-            }
-        }
-        self.hz_queue.extend(hz_updates);
-        self.pending_writebacks.extend(pending);
+        let hz = &mut self.hz_queue;
+        self.rop.flush(mem, &mut |b, w| hz.push_back(hz_reference(b, w)));
     }
 
     /// The Z cache, if bound.
     pub fn cache(&self) -> Option<&RopCache> {
-        self.cache.as_ref()
-    }
-
-    /// Whether work is in flight.
-    pub fn busy(&self) -> bool {
-        !self.in_early.idle()
-            || !self.in_late.idle()
-            || !self.fills.is_empty()
-            || !self.pending_writebacks.is_empty()
-            || !self.hz_queue.is_empty()
-    }
-
-    /// The box's event horizon: busy while fills, writebacks or HZ
-    /// updates are outstanding, otherwise the earliest arrival across
-    /// both quad wires (see [`attila_sim::Horizon`]).
-    pub fn work_horizon(&self) -> attila_sim::Horizon {
-        if !self.fills.is_empty()
-            || !self.pending_writebacks.is_empty()
-            || !self.hz_queue.is_empty()
-        {
-            return attila_sim::Horizon::Busy;
-        }
-        self.in_early.work_horizon().meet(self.in_late.work_horizon())
-    }
-
-    /// The box's declared interface for the architecture verifier.
-    pub fn declared_ports(&self) -> Vec<attila_sim::PortDecl> {
-        vec![
-            self.in_early.decl(),
-            self.in_late.decl(),
-            self.out_early.decl(),
-            self.out_late.decl(),
-            self.out_hz.decl(),
-        ]
-    }
-
-    /// Objects waiting in the box's input queues.
-    pub fn queued(&self) -> usize {
-        self.in_early.len()
-            + self.in_late.len()
-            + self.hz_queue.len()
-            + self.pending_writebacks.len()
+        self.rop.cache()
     }
 
     /// Fragments that passed Z/stencil so far.
@@ -514,27 +298,64 @@ impl ZStencilUnit {
     }
 }
 
+impl Unit for ZStencilUnit {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn client(&self) -> Option<Client> {
+        Some(self.rop.client())
+    }
+
+    /// Whether work is in flight.
+    fn busy(&self) -> bool {
+        !self.in_early.idle()
+            || !self.in_late.idle()
+            || self.rop.outstanding()
+            || !self.hz_queue.is_empty()
+    }
+
+    /// Busy while fills, writebacks or HZ updates are outstanding,
+    /// otherwise the earliest arrival across both quad wires.
+    fn work_horizon(&self) -> Horizon {
+        if self.rop.outstanding() || !self.hz_queue.is_empty() {
+            return Horizon::Busy;
+        }
+        self.in_early.work_horizon().meet(self.in_late.work_horizon())
+    }
+
+    fn declared_ports(&self) -> Vec<PortDecl> {
+        vec![
+            self.in_early.decl(),
+            self.in_late.decl(),
+            self.out_early.decl(),
+            self.out_late.decl(),
+            self.out_hz.decl(),
+        ]
+    }
+
+    fn queued(&self) -> usize {
+        self.in_early.len() + self.in_late.len() + self.hz_queue.len() + self.rop.queued()
+    }
+}
+
 /// Valid at a quiescent point (no fills, writebacks or HZ updates in
-/// flight). A bound Z cache is rebuilt on the surface the file names
-/// before its lines load (see [`RopCache::load_state`]).
+/// flight); the engine's two keys keep their places in the object.
 impl JsonState for ZStencilUnit {
     fn save_state(&self) -> Json {
+        let [cache, next_req_id] = self.rop.save_state();
         Json::obj([
-            ("cache", self.cache.as_ref().map_or(Json::Null, RopCache::save_state)),
+            cache,
             ("target_width", self.target_width.to_json()),
             ("prefer_late", self.prefer_late.to_json()),
-            ("next_req_id", self.next_req_id.to_hex()),
+            next_req_id,
         ])
     }
 
     fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
-        self.cache = field_with(v, "cache", |c| match c {
-            Json::Null => Ok(None),
-            c => RopCache::load_state(self.config.cache.into(), "Z", c).map(Some),
-        })?;
+        self.rop.load_state(v)?;
         self.target_width = field(v, "target_width")?;
         self.prefer_late = field(v, "prefer_late")?;
-        self.next_req_id = field_with(v, "next_req_id", u64::from_hex)?;
         Ok(())
     }
 }

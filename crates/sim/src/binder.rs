@@ -25,6 +25,7 @@ use crate::signal::{
     ring_capacity, Due, Signal, SignalProbe, SignalReader, SignalStatus, SignalWriter, WakeLine,
     WireSlot, WireWords,
 };
+use crate::trace::TraceSink;
 use crate::Cycle;
 
 /// Wires per chunk of the wire table. One chunk (64 wires × two words =
@@ -199,6 +200,16 @@ impl SignalBinder {
         hook: crate::fault::SignalFaultHandle,
     ) -> Result<(), SimError> {
         self.probe(name).map(|p| p.attach_faults(hook))
+    }
+
+    /// Attaches a Signal Trace Visualizer sink to every registered *data*
+    /// wire and returns how many it reached. A name ending in `.credits`
+    /// is the return wire a flow-controlled port pairs with its data wire
+    /// (the convention the [architecture verifier](crate::lint) shares):
+    /// credit returns are not traced.
+    pub fn attach_trace(&self, sink: &TraceSink) -> usize {
+        let data = self.ids.iter().filter(|(name, _)| !name.ends_with(".credits"));
+        data.map(|(_, &id)| self.probes[id].attach_trace(sink.clone())).count()
     }
 
     /// Snapshots the health counters of every registered signal, in name

@@ -633,9 +633,7 @@ impl<T: fmt::Debug> SignalWriter<T> {
     /// Attaches a trace sink; every written object is recorded (with its
     /// arrival cycle) for the Signal Trace Visualizer.
     pub fn attach_trace(&mut self, sink: TraceSink) {
-        let mut core = self.core.borrow_mut();
-        core.trace = Some(sink);
-        core.repin();
+        ProbeOps::attach_trace(&*self.core, sink);
     }
 
     /// Attaches a compiled fault schedule (see
@@ -709,6 +707,7 @@ trait ProbeOps {
     fn status(&self) -> SignalStatus;
     fn set_lossy(&self, lossy: bool);
     fn attach_faults(&self, hook: SignalFaultHandle);
+    fn attach_trace(&self, sink: TraceSink);
     fn next_arrival(&self) -> Option<Cycle>;
     fn drain_cycle(&self) -> Option<Cycle>;
     fn restore_counters(&self, written: u64, read: u64, lost: u64);
@@ -740,6 +739,12 @@ impl<T: fmt::Debug> ProbeOps for RefCell<SignalCore<T>> {
     fn attach_faults(&self, hook: SignalFaultHandle) {
         let mut core = self.borrow_mut();
         core.faults = Some(hook);
+        core.repin();
+    }
+
+    fn attach_trace(&self, sink: TraceSink) {
+        let mut core = self.borrow_mut();
+        core.trace = Some(sink);
         core.repin();
     }
 
@@ -788,6 +793,12 @@ impl SignalProbe {
     /// every subsequent write consults it.
     pub fn attach_faults(&self, hook: SignalFaultHandle) {
         self.ops.attach_faults(hook);
+    }
+
+    /// Attaches a trace sink to the underlying signal; every object
+    /// written from now on is recorded with its arrival cycle.
+    pub fn attach_trace(&self, sink: TraceSink) {
+        self.ops.attach_trace(sink);
     }
 
     /// The earliest delivery cycle among objects still travelling through

@@ -281,6 +281,24 @@ fn cli_rejects_the_removed_threads_flag() {
 }
 
 #[test]
+fn cli_refuses_a_257th_texture_unit_before_simulating() {
+    // Unit indices are 8-bit: unit 256 would alias unit 0 and the run would
+    // hang into the watchdog (exit 3, after 500 M cycles by default).
+    let out = attila_bin()
+        .args(["--preset", "case-study", "--tus", "257", "--workload", "quickstart"])
+        .output()
+        .expect("attila runs");
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("invalid configuration: texture.units must be between 1 and 256"),
+        "stderr: {stderr}"
+    );
+    assert!(!stdout.contains("cycles:"), "no cycle may be simulated: {stdout}");
+}
+
+#[test]
 fn cli_source_lint_exits_zero_on_a_clean_tree() {
     let out = attila_bin()
         .args(["lint", "--source", "--deny-warnings", "--root", env!("CARGO_MANIFEST_DIR")])
