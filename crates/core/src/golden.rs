@@ -27,6 +27,7 @@ use attila_emu::isa::limits;
 
 use crate::address::pixel_address;
 use crate::commands::{GpuCommand, Primitive};
+use crate::config::GpuConfig;
 use crate::gpu::FrameDump;
 use crate::state::{CullMode, RenderState};
 
@@ -37,11 +38,15 @@ pub struct GoldenRenderer {
     frames: Vec<FrameDump>,
     clipper: ClipperEmulator,
     texture: TextureEmulator,
+    /// The anisotropy limit of the texture units being modelled.
+    max_aniso: u32,
     triangles_drawn: u64,
 }
 
 impl GoldenRenderer {
-    /// Creates a renderer with `memory_bytes` of GPU memory.
+    /// Creates a renderer with `memory_bytes` of GPU memory, sampling as
+    /// the baseline configuration's texture units do (up to 8:1
+    /// anisotropy).
     pub fn new(memory_bytes: usize) -> Self {
         GoldenRenderer {
             memory: vec![0; memory_bytes],
@@ -49,8 +54,16 @@ impl GoldenRenderer {
             frames: Vec::new(),
             clipper: ClipperEmulator::new(),
             texture: TextureEmulator::new(),
+            max_aniso: GpuConfig::baseline().texture.max_aniso,
             triangles_drawn: 0,
         }
+    }
+
+    /// Samples as texture units limited to `max_aniso`:1 anisotropy do —
+    /// pass the simulated configuration's `texture.max_aniso`.
+    pub fn with_max_aniso(mut self, max_aniso: u32) -> Self {
+        self.max_aniso = max_aniso;
+        self
     }
 
     /// Runs a whole command trace, returning one frame per `Swap`.
@@ -378,7 +391,7 @@ impl GoldenRenderer {
         lod_bias: f32,
         projective: bool,
     ) -> [Vec4; 4] {
-        let Some(desc) = state.textures.get(sampler as usize).and_then(|d| d.clone()) else {
+        let Some(desc) = state.sampler_desc(sampler, self.max_aniso) else {
             return [Vec4::new(0.0, 0.0, 0.0, 1.0); 4];
         };
         let mut src: &[u8] = &self.memory;

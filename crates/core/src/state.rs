@@ -139,6 +139,16 @@ impl RenderState {
     pub fn fragment_inputs(&self) -> u32 {
         self.varying_count
     }
+
+    /// The texture bound to `sampler` as a unit supporting at most
+    /// `max_aniso`:1 anisotropy samples it (`TextureConfig::max_aniso`), or
+    /// `None` when nothing is bound. The Texture Unit and the golden
+    /// renderer both sample through this, so they clamp alike.
+    pub fn sampler_desc(&self, sampler: u8, max_aniso: u32) -> Option<TextureDesc> {
+        let mut desc = self.textures.get(usize::from(sampler))?.clone()?;
+        desc.max_aniso = desc.max_aniso.min(max_aniso);
+        Some(desc)
+    }
 }
 
 /// A do-nothing vertex program (`MOV o0, i0`).

@@ -13,11 +13,11 @@
 //! optimized" distribution) makes neighbouring quads land on different
 //! units and replicates texture lines across their caches.
 
-use attila_emu::texture::{TexelSource, TextureDesc, TextureEmulator};
+use attila_emu::texture::{TexelSource, TextureEmulator};
 use attila_emu::vector::Vec4;
 use attila_json::impl_json_state;
 use attila_mem::controller::split_transactions;
-use attila_mem::{Cache, Client, Lookup, MemOp, MemRequest, MemoryController, MemoryImage};
+use attila_mem::{Cache, Client, Lookup, MemOp, MemRequest, MemoryController};
 use attila_sim::{Counter, Cycle, Horizon, PortDecl, SimError};
 
 use crate::config::TextureConfig;
@@ -25,12 +25,35 @@ use crate::port::{PortReceiver, PortSender};
 use crate::types::{QuadTexRequest, QuadTexReply};
 use crate::unit::Unit;
 
-/// Adapter exposing the GPU memory image as a texel source.
-struct ImageSource<'a>(&'a MemoryImage);
+/// The GPU memory image as a texel source that records the request's
+/// footprint: the cache lines holding the first and last byte of every
+/// read go into `lines`, which stays in ascending order without
+/// duplicates so fills are issued deterministically — cache allocation
+/// (and therefore cycle counts) must not vary run to run.
+struct FootprintSource<'a> {
+    image: &'a [u8],
+    cache: &'a Cache,
+    lines: &'a mut Vec<u64>,
+}
 
-impl TexelSource for ImageSource<'_> {
+impl FootprintSource<'_> {
+    fn note(&mut self, line: u64) {
+        if let Err(at) = self.lines.binary_search(&line) {
+            self.lines.insert(at, line);
+        }
+    }
+}
+
+impl TexelSource for FootprintSource<'_> {
+    #[inline]
     fn read_bytes(&mut self, addr: u64, buf: &mut [u8]) {
-        self.0.read(addr, buf);
+        self.image.read_bytes(addr, buf);
+        let first = self.cache.line_addr(addr);
+        let last = self.cache.line_addr(addr + buf.len() as u64 - 1);
+        self.note(first);
+        if last != first {
+            self.note(last);
+        }
     }
 }
 
@@ -238,14 +261,8 @@ impl TextureUnit {
         mem: &MemoryController,
         req: QuadTexRequest,
     ) -> CurrentRequest {
-        let desc: Option<TextureDesc> = req
-            .batch
-            .state
-            .textures
-            .get(req.sampler as usize)
-            .and_then(|d| d.clone());
         debug_assert!(self.lines_todo.is_empty() && self.lines_pending.is_empty());
-        let Some(mut desc) = desc else {
+        let Some(desc) = req.batch.state.sampler_desc(req.sampler, self.config.max_aniso) else {
             // Unbound sampler: sample as opaque black, zero cost.
             return CurrentRequest {
                 reply: QuadTexReply {
@@ -257,25 +274,15 @@ impl TextureUnit {
                 ready_at: cycle + 1,
             };
         };
-        desc.max_aniso = desc.max_aniso.min(self.config.max_aniso);
-        let mut source = ImageSource(mem.gpu_mem());
+        let mut source = FootprintSource {
+            image: mem.gpu_mem().as_slice(),
+            cache: &self.cache,
+            lines: &mut self.lines_todo,
+        };
         let results =
             self.emulator.sample_quad(&desc, &mut source, &req.coords, req.lod_bias, req.projective);
-        let mut texels = [Vec4::ZERO; 4];
-        let mut ops = 0u32;
-        for (i, r) in results.iter().enumerate() {
-            texels[i] = r.value;
-            ops += r.bilinear_ops;
-            for (addr, len) in r.accesses.iter() {
-                self.lines_todo.push(self.cache.line_addr(*addr));
-                self.lines_todo.push(self.cache.line_addr(addr + *len as u64 - 1));
-            }
-        }
-        // Each line once, in ascending address order, so fills are issued
-        // deterministically — cache allocation (and therefore cycle
-        // counts) must not vary run to run.
-        self.lines_todo.sort_unstable();
-        self.lines_todo.dedup();
+        let texels = results.map(|r| r.value);
+        let ops: u32 = results.iter().map(|r| r.bilinear_ops).sum();
         self.stat_bilinear_ops.add(ops as u64);
         let cost = (ops / self.config.bilinears_per_cycle.max(1)).max(1) as u64;
         CurrentRequest {

@@ -7,28 +7,44 @@
 //! compressed textures."
 //!
 //! Texture data lives in GPU memory; the emulator reads raw bytes through
-//! the [`TexelSource`] trait so the *timing* model (Texture Unit box) can
-//! interpose its cache while the *golden* model reads memory directly —
-//! both see identical texel bytes, which is what makes the simulator
-//! execution-driven.
+//! the [`TexelSource`] trait, and that trait is also the sample's
+//! **footprint channel**: every byte a sample reads arrives through one
+//! `read_bytes(addr, buf)` call, so a source that records `addr` and
+//! `buf.len()` has recorded what the sample touched. The *timing* model's
+//! source (Texture Unit box) turns each read into texture-cache lines; the
+//! *golden* model reads a byte slice and records nothing — both see
+//! identical texel bytes, which is what makes the simulator
+//! execution-driven. A read may be served once for several taps (the taps
+//! of a bilinear footprint that share a DXT block share its read), so the
+//! *set* of ranges is the footprint, not their count.
 //!
 //! Supported (paper §2.2): 1D/2D/3D/cube targets, mipmapping with LOD from
 //! quad derivatives, point/bilinear/trilinear filtering (one bilinear
 //! sample per cycle, a trilinear sample every two cycles in the timing
 //! model), anisotropic filtering up to a configurable sample count, wrap
 //! modes, and DXT1/DXT3-style block compression.
+//!
+//! Each [`TextureEmulator::sample_quad`] resolves, once, what every tap
+//! shares — the mip levels its LOD selects with their sizes and plane base
+//! addresses, the wrap of each axis (a mask for power-of-two `Repeat` and
+//! `Mirror`), the texel decoder — and then spends a few loads per texel.
+//! The results are bit-identical to resolving all of it per texel (DESIGN.md
+//! §16.4).
 
 use crate::isa::TexTarget;
 use crate::vector::Vec4;
 
-/// Source of raw texture bytes (GPU memory, optionally behind a cache).
+/// Source of raw texture bytes (GPU memory, optionally behind a cache),
+/// and the record of what a sample read.
 pub trait TexelSource {
-    /// Copies `buf.len()` bytes starting at byte address `addr`.
+    /// Copies `buf.len()` bytes starting at byte address `addr`. The
+    /// sampler calls this for every distinct texel or DXT block it reads.
     fn read_bytes(&mut self, addr: u64, buf: &mut [u8]);
 }
 
 /// A flat byte slice as a texel source (addresses index the slice).
 impl TexelSource for &[u8] {
+    #[inline]
     fn read_bytes(&mut self, addr: u64, buf: &mut [u8]) {
         let start = addr as usize;
         buf.copy_from_slice(&self[start..start + buf.len()]);
@@ -272,88 +288,12 @@ pub fn full_mip_levels(w: u32, h: u32, d: u32) -> u32 {
     32 - m.leading_zeros()
 }
 
-/// Byte ranges `(start, length)` one sample read from memory.
-///
-/// A bilinear sample reads four texels and a trilinear one eight, once per
-/// fragment per texture instruction, so the list keeps that many entries
-/// inline; only anisotropic sampling (up to `max_aniso` probes) moves it to
-/// the heap. Reads as a slice.
-#[derive(Clone, Default)]
-pub struct AccessList {
-    /// Entries held in `inline`; meaningless once `spill` is in use.
-    len: usize,
-    inline: [(u64, u32); AccessList::INLINE],
-    /// Every entry, once there are more than `INLINE` of them.
-    spill: Vec<(u64, u32)>,
-}
-
-impl AccessList {
-    /// Entries stored without touching the heap: a trilinear sample's
-    /// eight taps.
-    const INLINE: usize = 8;
-
-    /// An empty list.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Makes room for `total` entries in one step, for callers that know
-    /// they will exceed the inline capacity.
-    pub fn reserve(&mut self, total: usize) {
-        if total > Self::INLINE {
-            self.spill.reserve(total);
-        }
-    }
-
-    /// Appends one access.
-    pub fn push(&mut self, access: (u64, u32)) {
-        if !self.spill.is_empty() {
-            self.spill.push(access);
-        } else if self.len < Self::INLINE {
-            self.inline[self.len] = access;
-            self.len += 1;
-        } else {
-            self.spill.reserve(2 * Self::INLINE);
-            self.spill.extend_from_slice(&self.inline);
-            self.spill.push(access);
-        }
-    }
-}
-
-impl std::ops::Deref for AccessList {
-    type Target = [(u64, u32)];
-
-    fn deref(&self) -> &[(u64, u32)] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len]
-        } else {
-            &self.spill
-        }
-    }
-}
-
-impl std::fmt::Debug for AccessList {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-impl PartialEq for AccessList {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-/// The result of sampling: the filtered texel plus the memory footprint of
-/// the access (the byte ranges read), which the timing model converts into
-/// texture-cache lookups. Execution-driven simulation in a nutshell: real
-/// addresses, real bytes.
-#[derive(Debug, Clone, PartialEq)]
+/// The result of sampling: the filtered texel and what filtering it cost.
+/// What the sample *read* went through the [`TexelSource`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleResult {
     /// Filtered texel, RGBA in `[0,1]`.
     pub value: Vec4,
-    /// Byte addresses (start, length) read from memory for this sample.
-    pub accesses: AccessList,
     /// Number of bilinear sample operations the access cost (1 for
     /// bilinear, 2 for trilinear, up to `max_aniso`×2 for anisotropic) —
     /// drives the Texture Unit's throughput model.
@@ -397,11 +337,13 @@ impl TextureEmulator {
     }
 
     /// Samples a whole 2×2 fragment quad (the basic work unit of the
-    /// fragment pipeline), computing LOD from the quad derivatives.
-    pub fn sample_quad(
+    /// fragment pipeline), computing LOD from the quad derivatives. The
+    /// four fragments share that LOD, so the sampler is resolved once for
+    /// all of them.
+    pub fn sample_quad<S: TexelSource + ?Sized>(
         &self,
         desc: &TextureDesc,
-        mem: &mut dyn TexelSource,
+        mem: &mut S,
         coords: &[Vec4; 4],
         lod_bias: f32,
         projective: bool,
@@ -415,250 +357,340 @@ impl TextureEmulator {
             }
         }
         let (lod, aniso, major) = self.quad_lod(desc, &pc);
-        let lod = lod + lod_bias;
-        [
-            self.sample_lod(desc, mem, pc[0], lod, aniso, major),
-            self.sample_lod(desc, mem, pc[1], lod, aniso, major),
-            self.sample_lod(desc, mem, pc[2], lod, aniso, major),
-            self.sample_lod(desc, mem, pc[3], lod, aniso, major),
-        ]
+        let sampler = Sampler::new(desc, lod + lod_bias, aniso, major);
+        pc.map(|c| sampler.sample(mem, c))
     }
 
     /// Samples at an explicit LOD (already biased). `aniso` ≥ 1 enables
     /// anisotropic sampling along `major`, the major-axis step in texture
     /// space.
-    pub fn sample_lod(
+    pub fn sample_lod<S: TexelSource + ?Sized>(
         &self,
         desc: &TextureDesc,
-        mem: &mut dyn TexelSource,
+        mem: &mut S,
         coord: Vec4,
         lod: f32,
         aniso: f32,
         major: (f32, f32),
     ) -> SampleResult {
-        let samples = aniso.round().max(1.0) as u32;
-        if samples <= 1 {
-            return self.sample_isotropic(desc, mem, coord, lod);
-        }
-        // Anisotropic: average several isotropic probes along the major
-        // axis, as the paper's TextureEmulator "calculates the number of
-        // samples for anisotropic filtering".
-        let mut value = Vec4::ZERO;
-        let mut accesses = AccessList::new();
-        accesses.reserve(samples as usize * AccessList::INLINE);
-        let mut ops = 0;
-        for i in 0..samples {
-            let t = (i as f32 + 0.5) / samples as f32 - 0.5;
-            let probe = Vec4::new(coord.x + major.0 * t, coord.y + major.1 * t, coord.z, coord.w);
-            let r = self.sample_isotropic(desc, mem, probe, lod);
-            value = value + r.value;
-            for access in r.accesses.iter() {
-                accesses.push(*access);
-            }
-            ops += r.bilinear_ops;
-        }
-        SampleResult { value: value / samples as f32, accesses, bilinear_ops: ops }
+        Sampler::new(desc, lod, aniso, major).sample(mem, coord)
     }
+}
 
-    fn sample_isotropic(
-        &self,
-        desc: &TextureDesc,
-        mem: &mut dyn TexelSource,
-        coord: Vec4,
-        lod: f32,
-    ) -> SampleResult {
-        // Cube maps: pick a face, then sample it as 2D. 3D textures:
-        // pick the nearest slice (the paper supports 3D targets; full
-        // inter-slice filtering is not modelled).
-        let (face, coord) = if desc.target == TexTarget::Cube {
-            cube_face(coord)
-        } else {
-            (0, coord)
-        };
+/// How one LOD filters.
+#[derive(Debug, Clone, Copy)]
+enum Filter {
+    /// The nearest texel of level 0.
+    Point,
+    /// One bilinear footprint in the first resolved level.
+    Bilinear,
+    /// A bilinear footprint in each resolved level, blended by the LOD's
+    /// fraction.
+    Trilinear(f32),
+}
 
+/// Everything the taps of one LOD share, resolved once per
+/// [`TextureEmulator::sample_quad`] instead of once per texel: the filter
+/// and the one or two mip levels it reads, the texel format, and the
+/// anisotropic probe count.
+#[derive(Debug)]
+struct Sampler {
+    target: TexTarget,
+    format: TexFormat,
+    /// Bytes per texel, or per 4×4 block of a compressed format.
+    bytes: u64,
+    /// log2 of the tile (or DXT block) edge: 4×4 or 8×8 texels.
+    tile_shift: u32,
+    filter: Filter,
+    /// The level a point or bilinear filter reads; a trilinear filter
+    /// reads both.
+    levels: [Level; 2],
+    /// Isotropic probes per sample (1: isotropic) and the major-axis step
+    /// between them.
+    probes: u32,
+    major: (f32, f32),
+}
+
+/// One mip level's geometry: what locating a texel in it needs.
+#[derive(Debug, Clone, Copy)]
+struct Level {
+    /// Wrap of `s`, `t` and `r` at this level's size.
+    s: Axis,
+    t: Axis,
+    r: Axis,
+    /// Width, height and depth as the coordinate scale.
+    size: [f32; 3],
+    /// Byte address of face 0, slice 0.
+    base: u64,
+    /// Bytes of one face (the level's `level_bytes`) and of one 3D slice.
+    face_bytes: u64,
+    slice_bytes: u64,
+    /// Tiles (or DXT blocks) per row.
+    row: u64,
+}
+
+/// One texture axis at one mip level: [`WrapMode::wrap`] with the size
+/// and its power-of-two test resolved.
+#[derive(Debug, Clone, Copy)]
+struct Axis {
+    mode: WrapMode,
+    n: i64,
+    pow2: bool,
+}
+
+impl Sampler {
+    fn new(desc: &TextureDesc, lod: f32, aniso: f32, major: (f32, f32)) -> Self {
         let max_level = desc.mip_levels.saturating_sub(1) as f32;
-        let filter =
+        let min_filter =
             if lod <= 0.0 { magnify_filter(desc.min_filter) } else { desc.min_filter };
-        match filter {
-            TexFilter::Nearest => {
-                let mut acc = AccessList::new();
-                let v = self.point_sample(desc, mem, coord, 0, face, &mut acc);
-                SampleResult { value: v, accesses: acc, bilinear_ops: 1 }
-            }
-            TexFilter::Bilinear => {
-                let mut acc = AccessList::new();
-                let v = self.bilinear_sample(desc, mem, coord, 0, face, &mut acc);
-                SampleResult { value: v, accesses: acc, bilinear_ops: 1 }
-            }
+        let (filter, lo, hi) = match min_filter {
+            TexFilter::Nearest => (Filter::Point, 0, 0),
+            TexFilter::Bilinear => (Filter::Bilinear, 0, 0),
             TexFilter::BilinearMipNearest => {
                 let level = lod.round().clamp(0.0, max_level) as u32;
-                let mut acc = AccessList::new();
-                let v = self.bilinear_sample(desc, mem, coord, level, face, &mut acc);
-                SampleResult { value: v, accesses: acc, bilinear_ops: 1 }
+                (Filter::Bilinear, level, level)
             }
             TexFilter::Trilinear => {
                 let clamped = lod.clamp(0.0, max_level);
                 let lo = clamped.floor() as u32;
                 let hi = (lo + 1).min(desc.mip_levels - 1);
                 let frac = clamped - lo as f32;
-                let mut acc = AccessList::new();
-                let a = self.bilinear_sample(desc, mem, coord, lo, face, &mut acc);
                 if hi == lo || frac == 0.0 {
-                    return SampleResult { value: a, accesses: acc, bilinear_ops: 1 };
+                    (Filter::Bilinear, lo, lo)
+                } else {
+                    (Filter::Trilinear(frac), lo, hi)
                 }
-                let b = self.bilinear_sample(desc, mem, coord, hi, face, &mut acc);
-                SampleResult { value: a.lerp(b, frac), accesses: acc, bilinear_ops: 2 }
+            }
+        };
+        debug_assert!(hi == lo || hi == lo + 1);
+        let compressed = desc.format.is_compressed();
+        // DXT blocks and `Tiled4` tiles are 4×4 texels.
+        let tile_shift = if !compressed && desc.layout == TexLayout::FbTiled8 { 3 } else { 2 };
+        // One walk down the mip chain to the first level read.
+        let base = desc.base_address + desc.level_offset(lo);
+        let first = Level::new(desc, lo, base, tile_shift);
+        let second = if hi == lo {
+            first
+        } else {
+            Level::new(desc, hi, base + first.face_bytes * u64::from(desc.faces()), tile_shift)
+        };
+        Sampler {
+            target: desc.target,
+            format: desc.format,
+            bytes: u64::from(if compressed {
+                desc.format.block_bytes()
+            } else {
+                desc.format.bytes_per_texel()
+            }),
+            tile_shift,
+            filter,
+            levels: [first, second],
+            probes: aniso.round().max(1.0) as u32,
+            major,
+        }
+    }
+
+    fn sample<S: TexelSource + ?Sized>(&self, mem: &mut S, coord: Vec4) -> SampleResult {
+        let ops = if matches!(self.filter, Filter::Trilinear(_)) { 2 } else { 1 };
+        if self.probes <= 1 {
+            return SampleResult { value: self.isotropic(mem, coord), bilinear_ops: ops };
+        }
+        // Anisotropic: average several isotropic probes along the major
+        // axis, as the paper's TextureEmulator "calculates the number of
+        // samples for anisotropic filtering".
+        let samples = self.probes as f32;
+        let mut value = Vec4::ZERO;
+        for i in 0..self.probes {
+            let t = (i as f32 + 0.5) / samples - 0.5;
+            let probe =
+                Vec4::new(coord.x + self.major.0 * t, coord.y + self.major.1 * t, coord.z, coord.w);
+            value = value + self.isotropic(mem, probe);
+        }
+        SampleResult { value: value / samples, bilinear_ops: ops * self.probes }
+    }
+
+    fn isotropic<S: TexelSource + ?Sized>(&self, mem: &mut S, coord: Vec4) -> Vec4 {
+        // Cube maps: pick a face, then sample it as 2D. 3D textures:
+        // pick the nearest slice (the paper supports 3D targets; full
+        // inter-slice filtering is not modelled).
+        let (face, coord) =
+            if self.target == TexTarget::Cube { cube_face(coord) } else { (0, coord) };
+        let [lo, hi] = &self.levels;
+        match self.filter {
+            Filter::Point => {
+                let i = lo.s.wrap((coord.x * lo.size[0]).floor() as i64);
+                let j = lo.t.wrap((coord.y * lo.size[1]).floor() as i64);
+                let plane = lo.plane(face, self.slice(lo, coord));
+                if self.format.is_compressed() {
+                    self.block(mem, lo, plane, i, j).texel(i, j)
+                } else {
+                    self.texel(mem, lo, plane, i, j)
+                }
+            }
+            Filter::Bilinear => self.bilinear(mem, lo, coord, face),
+            Filter::Trilinear(frac) => {
+                let a = self.bilinear(mem, lo, coord, face);
+                let b = self.bilinear(mem, hi, coord, face);
+                a.lerp(b, frac)
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn point_sample(
+    fn bilinear<S: TexelSource + ?Sized>(
         &self,
-        desc: &TextureDesc,
-        mem: &mut dyn TexelSource,
+        mem: &mut S,
+        level: &Level,
         coord: Vec4,
-        level: u32,
         face: u32,
-        accesses: &mut AccessList,
     ) -> Vec4 {
-        let (w, h, d) = desc.level_dims(level);
-        let i = desc.wrap_s.wrap((coord.x * w as f32).floor() as i64, w);
-        let j = desc.wrap_t.wrap((coord.y * h as f32).floor() as i64, h);
-        let slice = slice_for(desc, coord, d);
-        self.fetch_texel_3d(desc, mem, i, j, slice, level, face, accesses)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn bilinear_sample(
-        &self,
-        desc: &TextureDesc,
-        mem: &mut dyn TexelSource,
-        coord: Vec4,
-        level: u32,
-        face: u32,
-        accesses: &mut AccessList,
-    ) -> Vec4 {
-        let (w, h, d) = desc.level_dims(level);
-        let slice = slice_for(desc, coord, d);
-        let u = coord.x * w as f32 - 0.5;
-        let v = coord.y * h as f32 - 0.5;
+        let u = coord.x * level.size[0] - 0.5;
+        let v = coord.y * level.size[1] - 0.5;
         let i0 = u.floor() as i64;
         let j0 = v.floor() as i64;
         let fu = u - i0 as f32;
         let fv = v - j0 as f32;
-        let i0w = desc.wrap_s.wrap(i0, w);
-        let i1w = desc.wrap_s.wrap(i0 + 1, w);
-        let j0w = desc.wrap_t.wrap(j0, h);
-        let j1w = desc.wrap_t.wrap(j0 + 1, h);
-        // All four taps hit the same (level, face, slice) plane: resolve
-        // the mip-chain walk behind its base address once, not per tap.
-        let plane = plane_base(desc, level, face, slice);
-        let t00 = self.fetch_texel_plane(desc, mem, plane, i0w, j0w, w, accesses);
-        let t10 = self.fetch_texel_plane(desc, mem, plane, i1w, j0w, w, accesses);
-        let t01 = self.fetch_texel_plane(desc, mem, plane, i0w, j1w, w, accesses);
-        let t11 = self.fetch_texel_plane(desc, mem, plane, i1w, j1w, w, accesses);
+        // A coordinate at or past 2^63 texels saturates `i0`: the
+        // neighbour wraps around, as the release build always did.
+        let i = [level.s.wrap(i0), level.s.wrap(i0.wrapping_add(1))];
+        let j = [level.t.wrap(j0), level.t.wrap(j0.wrapping_add(1))];
+        let plane = level.plane(face, self.slice(level, coord));
+        let [t00, t10, t01, t11] = if self.format.is_compressed() {
+            self.dxt_footprint(mem, level, plane, i, j)
+        } else {
+            [
+                self.texel(mem, level, plane, i[0], j[0]),
+                self.texel(mem, level, plane, i[1], j[0]),
+                self.texel(mem, level, plane, i[0], j[1]),
+                self.texel(mem, level, plane, i[1], j[1]),
+            ]
+        };
         t00.lerp(t10, fu).lerp(t01.lerp(t11, fu), fv)
     }
 
-    /// Fetches and converts a single texel of a 2D face, recording the
-    /// memory access. This is also where texture *addresses* are computed
-    /// — the function the timing model leans on for its cache lookups.
-    ///
-    /// The parameters are exactly the texel coordinates plus bookkeeping;
-    /// there is no meaningful struct to bundle them into.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fetch_texel(
+    /// The four taps of a DXT bilinear footprint. Each distinct block —
+    /// one, two or four of them — is read and decoded once.
+    fn dxt_footprint<S: TexelSource + ?Sized>(
         &self,
-        desc: &TextureDesc,
-        mem: &mut dyn TexelSource,
-        i: u32,
-        j: u32,
-        level: u32,
-        face: u32,
-        accesses: &mut AccessList,
-    ) -> Vec4 {
-        self.fetch_texel_3d(desc, mem, i, j, 0, level, face, accesses)
-    }
-
-    /// [`fetch_texel`](Self::fetch_texel) with a 3D slice index.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fetch_texel_3d(
-        &self,
-        desc: &TextureDesc,
-        mem: &mut dyn TexelSource,
-        i: u32,
-        j: u32,
-        slice: u32,
-        level: u32,
-        face: u32,
-        accesses: &mut AccessList,
-    ) -> Vec4 {
-        let (w, h, d) = desc.level_dims(level);
-        debug_assert!(i < w && j < h && slice < d);
-        let face_base = plane_base(desc, level, face, slice);
-        self.fetch_texel_plane(desc, mem, face_base, i, j, w, accesses)
-    }
-
-    /// Fetches one texel given the precomputed plane base address (see
-    /// [`plane_base`]) — the per-tap remainder of
-    /// [`fetch_texel_3d`](Self::fetch_texel_3d), shared with the bilinear
-    /// path which resolves the plane once for its four taps.
-    #[allow(clippy::too_many_arguments)]
-    fn fetch_texel_plane(
-        &self,
-        desc: &TextureDesc,
-        mem: &mut dyn TexelSource,
-        face_base: u64,
-        i: u32,
-        j: u32,
-        w: u32,
-        accesses: &mut AccessList,
-    ) -> Vec4 {
-        if desc.format.is_compressed() {
-            let bw = w.div_ceil(4);
-            let block = (j / 4) as u64 * bw as u64 + (i / 4) as u64;
-            let bb = desc.format.block_bytes() as u64;
-            let addr = face_base + block * bb;
-            let mut buf = [0u8; 16];
-            let blk = &mut buf[..bb as usize];
-            mem.read_bytes(addr, blk);
-            accesses.push((addr, bb as u32));
-            match desc.format {
-                TexFormat::Dxt1 => decode_dxt1_texel(blk, i % 4, j % 4),
-                TexFormat::Dxt3 => decode_dxt3_texel(blk, i % 4, j % 4),
-                _ => unreachable!(),
-            }
+        mem: &mut S,
+        level: &Level,
+        plane: u64,
+        i: [u32; 2],
+        j: [u32; 2],
+    ) -> [Vec4; 4] {
+        let same_col = i[0] / 4 == i[1] / 4;
+        let same_row = j[0] / 4 == j[1] / 4;
+        let b00 = self.block(mem, level, plane, i[0], j[0]);
+        let b10 = if same_col { b00 } else { self.block(mem, level, plane, i[1], j[0]) };
+        let (b01, b11) = if same_row {
+            (b00, b10)
         } else {
-            let bpt = desc.format.bytes_per_texel();
-            // Tiled layout for access locality (the paper's rasterizer
-            // tiling exists for the same reason); render targets keep the
-            // framebuffer's 8×8 tiles.
-            let addr = face_base
-                + match desc.layout {
-                    TexLayout::Tiled4 => tiled_offset(i, j, w, bpt),
-                    TexLayout::FbTiled8 => fb_tiled_offset(i, j, w, bpt),
-                };
-            let mut buf = [0u8; 4];
-            let texel = &mut buf[..bpt as usize];
-            mem.read_bytes(addr, texel);
-            accesses.push((addr, bpt));
-            convert_texel(desc.format, texel)
+            let b01 = self.block(mem, level, plane, i[0], j[1]);
+            (b01, if same_col { b01 } else { self.block(mem, level, plane, i[1], j[1]) })
+        };
+        [b00.texel(i[0], j[0]), b10.texel(i[1], j[0]), b01.texel(i[0], j[1]), b11.texel(i[1], j[1])]
+    }
+
+    /// The 3D slice `coord.z` selects in `level` (0 for other targets).
+    #[inline]
+    fn slice(&self, level: &Level, coord: Vec4) -> u32 {
+        if self.target == TexTarget::Tex3D {
+            level.r.wrap((coord.z * level.size[2]).floor() as i64)
+        } else {
+            0
         }
+    }
+
+    /// Reads and converts the uncompressed texel `(i, j)` of a plane. The
+    /// tiled layouts (the paper's rasterizer tiling exists for the same
+    /// locality reason; render targets keep the framebuffer's 8×8 tiles)
+    /// are `tiled_offset_with` with the tile edge and row length resolved.
+    fn texel<S: TexelSource + ?Sized>(
+        &self,
+        mem: &mut S,
+        level: &Level,
+        plane: u64,
+        i: u32,
+        j: u32,
+    ) -> Vec4 {
+        let shift = self.tile_shift;
+        let edge = (1 << shift) - 1;
+        let tile = u64::from(j >> shift) * level.row + u64::from(i >> shift);
+        let intra = u64::from(((j & edge) << shift) | (i & edge));
+        let at = plane + ((tile << (2 * shift)) + intra) * self.bytes;
+        // One fixed-size read per format: a load, not a `memcpy` call.
+        let mut buf = [0u8; 4];
+        match self.format {
+            TexFormat::Rgba8 => mem.read_bytes(at, &mut buf),
+            TexFormat::Rgb8 => mem.read_bytes(at, &mut buf[..3]),
+            _ => mem.read_bytes(at, &mut buf[..1]),
+        }
+        convert_texel(self.format, &buf)
+    }
+
+    /// Reads and decodes the DXT block holding texel `(i, j)` of a plane.
+    fn block<S: TexelSource + ?Sized>(
+        &self,
+        mem: &mut S,
+        level: &Level,
+        plane: u64,
+        i: u32,
+        j: u32,
+    ) -> DxtBlock {
+        let at = plane + (u64::from(j / 4) * level.row + u64::from(i / 4)) * self.bytes;
+        let mut buf = [0u8; 16];
+        let bytes = if self.format == TexFormat::Dxt1 { &mut buf[..8] } else { &mut buf[..] };
+        mem.read_bytes(at, bytes);
+        DxtBlock::decode(self.format, &buf)
     }
 }
 
-/// Base address of one `(level, face, slice)` plane of a texture. The
-/// `level_offset` walk is O(level) over the mip chain, so callers taking
-/// several texels from the same plane (bilinear taps) should resolve this
-/// once and go through `fetch_texel_plane`.
-fn plane_base(desc: &TextureDesc, level: u32, face: u32, slice: u32) -> u64 {
-    let (_, _, d) = desc.level_dims(level);
-    let level_bytes = desc.level_bytes(level);
-    desc.base_address
-        + desc.level_offset(level)
-        + face as u64 * level_bytes
-        + slice as u64 * (level_bytes / d as u64)
+impl Level {
+    /// Level `level` of `desc`, whose face 0 starts at byte `base`, in
+    /// tiles (or DXT blocks) `1 << tile_shift` texels wide.
+    fn new(desc: &TextureDesc, level: u32, base: u64, tile_shift: u32) -> Self {
+        let (w, h, d) = desc.level_dims(level);
+        let face_bytes = desc.level_bytes(level);
+        Level {
+            s: Axis::new(desc.wrap_s, w),
+            t: Axis::new(desc.wrap_t, h),
+            r: Axis::new(desc.wrap_r, d),
+            size: [w as f32, h as f32, d as f32],
+            base,
+            face_bytes,
+            slice_bytes: face_bytes / u64::from(d),
+            row: u64::from(w.div_ceil(1 << tile_shift)),
+        }
+    }
+
+    /// Base address of one `(face, slice)` plane.
+    #[inline]
+    fn plane(&self, face: u32, slice: u32) -> u64 {
+        self.base + u64::from(face) * self.face_bytes + u64::from(slice) * self.slice_bytes
+    }
+}
+
+impl Axis {
+    fn new(mode: WrapMode, size: u32) -> Self {
+        Axis { mode, n: i64::from(size), pow2: size.is_power_of_two() }
+    }
+
+    /// [`WrapMode::wrap`] at this axis' size. On a power-of-two size `n`,
+    /// `i & (n - 1)` equals `i.rem_euclid(n)` for every `i64` (two's
+    /// complement), and so does the mask for the mirror's period `2n`.
+    #[inline(always)]
+    fn wrap(self, i: i64) -> u32 {
+        let n = self.n;
+        match self.mode {
+            WrapMode::Clamp => i.clamp(0, n - 1) as u32,
+            WrapMode::Repeat if self.pow2 => (i & (n - 1)) as u32,
+            WrapMode::Repeat => i.rem_euclid(n) as u32,
+            WrapMode::Mirror => {
+                let period = 2 * n;
+                let m = if self.pow2 { i & (period - 1) } else { i.rem_euclid(period) };
+                (if m < n { m } else { period - 1 - m }) as u32
+            }
+        }
+    }
 }
 
 /// Byte offset of texel `(i, j)` in a `tile`×`tile`, row-major-by-tile
@@ -681,16 +713,6 @@ pub fn tiled_offset(i: u32, j: u32, width: u32, bytes_per_texel: u32) -> u64 {
     tiled_offset_with(i, j, width, bytes_per_texel, 4)
 }
 
-/// The 3D slice selected by `coord.z` at a level with `depth` slices.
-fn slice_for(desc: &TextureDesc, coord: Vec4, depth: u32) -> u32 {
-    if desc.target == TexTarget::Tex3D {
-        let d = depth.max(1);
-        desc.wrap_r.wrap((coord.z * d as f32).floor() as i64, d)
-    } else {
-        0
-    }
-}
-
 fn magnify_filter(f: TexFilter) -> TexFilter {
     match f {
         TexFilter::Nearest => TexFilter::Nearest,
@@ -698,9 +720,23 @@ fn magnify_filter(f: TexFilter) -> TexFilter {
     }
 }
 
+/// `b as f32 / 255.0` for every byte `b`, evaluated at compile time: the
+/// same correctly rounded division, so the same bits, and a load instead
+/// of a divide per channel.
+const UNORM8: [f32; 256] = {
+    let mut table = [0.0; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = b as f32 / 255.0;
+        b += 1;
+    }
+    table
+};
+
 /// Converts raw texel bytes to normalized RGBA.
+#[inline]
 pub fn convert_texel(format: TexFormat, bytes: &[u8]) -> Vec4 {
-    let n = |b: u8| b as f32 / 255.0;
+    let n = |b: u8| UNORM8[usize::from(b)];
     match format {
         TexFormat::Rgba8 => Vec4::new(n(bytes[0]), n(bytes[1]), n(bytes[2]), n(bytes[3])),
         TexFormat::Rgb8 => Vec4::new(n(bytes[0]), n(bytes[1]), n(bytes[2]), 1.0),
@@ -748,51 +784,70 @@ fn rgb565_to_vec(c: u16) -> Vec4 {
     )
 }
 
-/// Decodes one texel from a DXT1 block (`bx`, `by` in 0..4).
-pub fn decode_dxt1_texel(block: &[u8], bx: u32, by: u32) -> Vec4 {
-    let c0 = u16::from_le_bytes([block[0], block[1]]);
-    let c1 = u16::from_le_bytes([block[2], block[3]]);
-    let p0 = rgb565_to_vec(c0);
-    let p1 = rgb565_to_vec(c1);
-    let bits = u32::from_le_bytes([block[4], block[5], block[6], block[7]]);
-    let code = (bits >> (2 * (by * 4 + bx))) & 0x3;
-    if c0 > c1 {
-        match code {
-            0 => p0,
-            1 => p1,
-            2 => p0.lerp(p1, 1.0 / 3.0),
-            _ => p0.lerp(p1, 2.0 / 3.0),
-        }
-    } else {
-        match code {
-            0 => p0,
-            1 => p1,
-            2 => p0.lerp(p1, 0.5),
-            _ => Vec4::new(0.0, 0.0, 0.0, 0.0), // 1-bit transparent black
+/// A DXT1/DXT3 block with its palette decoded: what every texel of the
+/// block needs, so a bilinear footprint decodes each block once however
+/// many of its taps land in it.
+#[derive(Debug, Clone, Copy)]
+struct DxtBlock {
+    palette: [Vec4; 4],
+    /// 2-bit palette index of texel `(x, y)` at bit `2 (4y + x)`.
+    codes: u32,
+    /// DXT3's 4-bit alpha of texel `(x, y)` at bit `4 (4y + x)`.
+    alpha: Option<u64>,
+}
+
+impl DxtBlock {
+    /// Decodes the block's palette; `block` holds at least the format's
+    /// `block_bytes`.
+    fn decode(format: TexFormat, block: &[u8]) -> Self {
+        let le16 = |at: usize| u16::from_le_bytes([block[at], block[at + 1]]);
+        let le32 = |at: usize| u32::from_le_bytes([block[at], block[at + 1], block[at + 2], block[at + 3]]);
+        match format {
+            TexFormat::Dxt1 => {
+                DxtBlock { palette: dxt_palette(le16(0), le16(2), true), codes: le32(4), alpha: None }
+            }
+            TexFormat::Dxt3 => DxtBlock {
+                // Colour half decodes like DXT1 in always-4-colour mode.
+                palette: dxt_palette(le16(8), le16(10), false),
+                codes: le32(12),
+                alpha: Some(u64::from(le32(0)) | u64::from(le32(4)) << 32),
+            },
+            _ => panic!("{format:?} is not block compressed"),
         }
     }
+
+    /// Texel `(i, j)` of the plane, which lies in this block.
+    #[inline]
+    fn texel(&self, i: u32, j: u32) -> Vec4 {
+        let at = (j % 4) * 4 + i % 4;
+        let mut v = self.palette[((self.codes >> (2 * at)) & 0x3) as usize];
+        if let Some(alpha) = self.alpha {
+            v.w = ((alpha >> (4 * at)) & 0xf) as f32 / 15.0;
+        }
+        v
+    }
+}
+
+/// The four colours a DXT colour half indexes. A DXT1 block with `c0 <=
+/// c1` (`punch_through`) has three and 1-bit transparent black.
+fn dxt_palette(c0: u16, c1: u16, punch_through: bool) -> [Vec4; 4] {
+    let p0 = rgb565_to_vec(c0);
+    let p1 = rgb565_to_vec(c1);
+    if punch_through && c0 <= c1 {
+        [p0, p1, p0.lerp(p1, 0.5), Vec4::ZERO]
+    } else {
+        [p0, p1, p0.lerp(p1, 1.0 / 3.0), p0.lerp(p1, 2.0 / 3.0)]
+    }
+}
+
+/// Decodes one texel from a DXT1 block (`bx`, `by` in 0..4).
+pub fn decode_dxt1_texel(block: &[u8], bx: u32, by: u32) -> Vec4 {
+    DxtBlock::decode(TexFormat::Dxt1, block).texel(bx, by)
 }
 
 /// Decodes one texel from a DXT3 block (explicit 4-bit alpha + DXT1 colour).
 pub fn decode_dxt3_texel(block: &[u8], bx: u32, by: u32) -> Vec4 {
-    let texel = by * 4 + bx;
-    let alpha_nibble = (block[(texel / 2) as usize] >> ((texel % 2) * 4)) & 0xf;
-    let alpha = alpha_nibble as f32 / 15.0;
-    // Colour half decodes like DXT1 in always-4-colour mode.
-    let c0 = u16::from_le_bytes([block[8], block[9]]);
-    let c1 = u16::from_le_bytes([block[10], block[11]]);
-    let p0 = rgb565_to_vec(c0);
-    let p1 = rgb565_to_vec(c1);
-    let bits = u32::from_le_bytes([block[12], block[13], block[14], block[15]]);
-    let code = (bits >> (2 * texel)) & 0x3;
-    let mut rgb = match code {
-        0 => p0,
-        1 => p1,
-        2 => p0.lerp(p1, 1.0 / 3.0),
-        _ => p0.lerp(p1, 2.0 / 3.0),
-    };
-    rgb.w = alpha;
-    rgb
+    DxtBlock::decode(TexFormat::Dxt3, block).texel(bx, by)
 }
 
 fn vec_to_rgb565(v: Vec4) -> u16 {
@@ -946,6 +1001,26 @@ mod tests {
         vec![c; (w * h) as usize]
     }
 
+    /// A byte slice that records every read as `(addr, len)`: the
+    /// footprint channel the Texture Unit's source listens on.
+    struct Recording<'a> {
+        bytes: &'a [u8],
+        reads: Vec<(u64, usize)>,
+    }
+
+    impl<'a> Recording<'a> {
+        fn new(bytes: &'a [u8]) -> Self {
+            Recording { bytes, reads: Vec::new() }
+        }
+    }
+
+    impl TexelSource for Recording<'_> {
+        fn read_bytes(&mut self, addr: u64, buf: &mut [u8]) {
+            self.bytes.read_bytes(addr, buf);
+            self.reads.push((addr, buf.len()));
+        }
+    }
+
     #[test]
     fn wrap_modes() {
         assert_eq!(WrapMode::Repeat.wrap(-1, 4), 3);
@@ -955,6 +1030,28 @@ mod tests {
         assert_eq!(WrapMode::Mirror.wrap(4, 4), 3);
         assert_eq!(WrapMode::Mirror.wrap(-1, 4), 0);
         assert_eq!(WrapMode::Mirror.wrap(7, 4), 0);
+    }
+
+    #[test]
+    fn resolved_axis_wraps_like_wrap_mode() {
+        let sizes = [1, 2, 3, 4, 5, 7, 8, 12, 16, 64, 100, 128, 1 << 20];
+        let edges = [i64::MIN, i64::MIN + 1, -(1 << 40), i64::MAX - 1, i64::MAX];
+        for mode in [WrapMode::Repeat, WrapMode::Clamp, WrapMode::Mirror] {
+            for size in sizes {
+                let axis = Axis::new(mode, size);
+                for i in (-300..300).chain(edges) {
+                    assert_eq!(axis.wrap(i), mode.wrap(i, size), "{mode:?} size {size} at {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unorm8_table_is_the_division() {
+        for b in 0..=255u8 {
+            let divided = std::hint::black_box(b) as f32 / 255.0;
+            assert_eq!(UNORM8[usize::from(b)].to_bits(), divided.to_bits(), "byte {b}");
+        }
     }
 
     #[test]
@@ -981,13 +1078,13 @@ mod tests {
         let mut desc = TextureDesc::new_2d(w, h, TexFormat::Rgba8, 0);
         desc.min_filter = TexFilter::Nearest;
         let emu = TextureEmulator::new();
-        let mut src: &[u8] = &bytes;
+        let mut src = Recording::new(&bytes);
         // Sample the center of texel (3, 5).
         let coord = Vec4::new((3.0 + 0.5) / 8.0, (5.0 + 0.5) / 8.0, 0.0, 1.0);
         let r = emu.sample_lod(&desc, &mut src, coord, 0.0, 1.0, (0.0, 0.0));
         assert!((r.value.x * 255.0 - 3.0).abs() < 0.5, "{:?}", r.value);
         assert!((r.value.y * 255.0 - 5.0).abs() < 0.5, "{:?}", r.value);
-        assert_eq!(r.accesses.len(), 1);
+        assert_eq!(src.reads, [(tiled_offset(3, 5, w, 4), 4)]);
     }
 
     #[test]
@@ -1001,10 +1098,11 @@ mod tests {
         let bytes = encode_tiled(TexFormat::Rgba8, 2, 2, &pixels);
         let desc = TextureDesc::new_2d(2, 2, TexFormat::Rgba8, 0);
         let emu = TextureEmulator::new();
-        let mut src: &[u8] = &bytes;
+        let mut src = Recording::new(&bytes);
         let r = emu.sample_lod(&desc, &mut src, Vec4::new(0.5, 0.5, 0.0, 1.0), 0.0, 1.0, (0.0, 0.0));
         assert!((r.value.x - 0.5).abs() < 0.01, "{:?}", r.value);
-        assert_eq!(r.accesses.len(), 4, "bilinear reads 4 texels");
+        let taps = [(0, 0), (1, 0), (0, 1), (1, 1)].map(|(i, j)| (tiled_offset(i, j, 2, 4), 4));
+        assert_eq!(src.reads, taps, "bilinear reads 4 texels");
         assert_eq!(r.bilinear_ops, 1);
     }
 
@@ -1083,7 +1181,7 @@ mod tests {
         desc.max_aniso = 4;
         let bytes = encode_tiled(TexFormat::Rgba8, 64, 64, &checkerboard(64, 64));
         let emu = TextureEmulator::new();
-        let mut src: &[u8] = &bytes;
+        let mut src = Recording::new(&bytes);
         let r = emu.sample_lod(
             &desc,
             &mut src,
@@ -1093,7 +1191,7 @@ mod tests {
             (4.0 / 64.0, 0.0),
         );
         assert_eq!(r.bilinear_ops, 4);
-        assert_eq!(r.accesses.len(), 16);
+        assert_eq!(src.reads.len(), 16, "four probes of four texels");
     }
 
     #[test]
@@ -1141,11 +1239,16 @@ mod tests {
         assert_eq!(bytes.len(), 4 * 8, "8x8 dxt1 = 4 blocks");
         let desc = TextureDesc::new_2d(8, 8, TexFormat::Dxt1, 0);
         let emu = TextureEmulator::new();
-        let mut src: &[u8] = &bytes;
+        let mut src = Recording::new(&bytes);
         let r = emu.sample_lod(&desc, &mut src, Vec4::new(0.5, 0.5, 0.0, 1.0), 0.0, 1.0, (0.0, 0.0));
         assert!(r.value.y > 0.9, "{:?}", r.value);
-        // All four bilinear texels are in compressed blocks.
-        assert!(r.accesses.iter().all(|(_, len)| *len == 8));
+        // The centre footprint straddles all four blocks: each is read
+        // once, whole.
+        assert_eq!(src.reads, [(0, 8), (8, 8), (16, 8), (24, 8)]);
+        // Inside one block, its four taps share one read.
+        let mut src = Recording::new(&bytes);
+        emu.sample_lod(&desc, &mut src, Vec4::new(0.25, 0.25, 0.0, 1.0), 0.0, 1.0, (0.0, 0.0));
+        assert_eq!(src.reads, [(0, 8)]);
     }
 
     #[test]

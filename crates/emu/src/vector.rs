@@ -126,6 +126,7 @@ impl Vec4 {
     }
 
     /// Linear interpolation `self + t * (rhs - self)` per component.
+    #[inline]
     pub fn lerp(self, rhs: Vec4, t: f32) -> Vec4 {
         self + (rhs - self) * t
     }
@@ -190,6 +191,7 @@ impl IndexMut<usize> for Vec4 {
 
 impl Add for Vec4 {
     type Output = Vec4;
+    #[inline]
     fn add(self, rhs: Vec4) -> Vec4 {
         self.zip(rhs, |a, b| a + b)
     }
@@ -197,6 +199,7 @@ impl Add for Vec4 {
 
 impl Sub for Vec4 {
     type Output = Vec4;
+    #[inline]
     fn sub(self, rhs: Vec4) -> Vec4 {
         self.zip(rhs, |a, b| a - b)
     }
@@ -211,6 +214,7 @@ impl Mul for Vec4 {
 
 impl Mul<f32> for Vec4 {
     type Output = Vec4;
+    #[inline]
     fn mul(self, rhs: f32) -> Vec4 {
         self.map(|a| a * rhs)
     }
@@ -218,6 +222,7 @@ impl Mul<f32> for Vec4 {
 
 impl Div<f32> for Vec4 {
     type Output = Vec4;
+    #[inline]
     fn div(self, rhs: f32) -> Vec4 {
         self.map(|a| a / rhs)
     }
