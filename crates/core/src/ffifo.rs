@@ -25,8 +25,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use attila_emu::isa::{limits, Bank, Opcode, Program, ShaderTarget};
-use attila_emu::shader::{ShaderEmulator, StepResult, ThreadId};
+use attila_emu::isa::{limits, Opcode, Program, ShaderTarget};
+use attila_emu::shader::{ShaderEmulator, ThreadId};
 use attila_emu::vector::Vec4;
 use attila_json::impl_json_state;
 use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, PortDecl, SimError};
@@ -87,6 +87,10 @@ struct Group {
     pc: usize,
     /// Cycle at which each temp register's last producer completes.
     reg_ready: [Cycle; limits::TEMPS],
+    /// First cycle the instruction at `pc` may issue: the latest
+    /// `reg_ready` over the temporaries it reads or writes. Refreshed
+    /// whenever `pc` advances.
+    ready_at: Cycle,
     inputs_reserved: usize,
     regs_reserved: usize,
     /// Pending texture request id (while `TexBlocked`).
@@ -121,6 +125,7 @@ impl Group {
             state: GroupState::Ready,
             pc: 0,
             reg_ready: [0; limits::TEMPS],
+            ready_at: 0,
             inputs_reserved: lanes,
             regs_reserved: lanes * temps,
             tex_id: None,
@@ -133,6 +138,13 @@ impl Group {
             Some(threads) => &threads[..self.lanes],
             None => &[],
         }
+    }
+
+    /// Moves to the next instruction and recomputes when it may issue.
+    fn advance(&mut self) {
+        self.pc += 1;
+        let temps = self.program.temp_operands(self.pc);
+        self.ready_at = temps.iter().map(|&r| self.reg_ready[r as usize]).max().unwrap_or(0);
     }
 
     /// Spawns one emulator thread per lane in use, on `emu`.
@@ -163,6 +175,11 @@ struct UnitState {
     resident: Vec<u64>,
     /// The single running group (in-order queue mode).
     current: Option<u64>,
+    /// Thread-window mode: no resident group can issue before this cycle
+    /// (a lower bound on their `ready_at`s), so earlier cycles skip the
+    /// walk. Set by a walk that finds nothing, lowered when a group
+    /// attaches or a texture reply makes one ready.
+    wake: Cycle,
     /// One functional emulator per (batch, target) with constants loaded.
     /// A unit rarely hosts more than a couple of pairs, so a linear scan
     /// over a `Vec` beats a map on the per-issue lookup path.
@@ -288,6 +305,7 @@ impl FragmentFifo {
                 vertex_unit: false,
                 resident: Vec::new(),
                 current: None,
+                wake: 0,
                 emulators: Vec::new(),
                 stat_busy: stats.counter(&format!("Shader{u}.busy_cycles")),
                 stat_instructions: stats.counter(&format!("Shader{u}.instructions")),
@@ -299,6 +317,7 @@ impl FragmentFifo {
                     vertex_unit: true,
                     resident: Vec::new(),
                     current: None,
+                    wake: 0,
                     emulators: Vec::new(),
                     stat_busy: stats.counter(&format!("VertexShader{u}.busy_cycles")),
                     stat_instructions: stats.counter(&format!("VertexShader{u}.instructions")),
@@ -551,7 +570,10 @@ impl FragmentFifo {
                 self.queue.push_back(gid);
             }
         } else {
-            self.units[unit].resident.push(gid);
+            let unit = &mut self.units[unit];
+            unit.resident.push(gid);
+            // A fresh group may issue at once.
+            unit.wake = 0;
         }
     }
 
@@ -614,6 +636,9 @@ impl FragmentFifo {
 
     fn issue(&mut self, cycle: Cycle) {
         for unit_idx in 0..self.units.len() {
+            if self.units[unit_idx].wake > cycle {
+                continue;
+            }
             let mut issued_any = false;
             for _ in 0..self.config.issue_per_cycle.max(1) {
                 let Some(gid) = self.select_group(unit_idx, cycle) else { break };
@@ -637,12 +662,19 @@ impl FragmentFifo {
                 // available. Groups attach in allocation order and `order`
                 // is assigned monotonically, so `resident` is sorted by
                 // age and the first ready group is the oldest.
-                self.units[unit]
-                    .resident
-                    .iter()
-                    .filter_map(|gid| self.groups[*gid as usize].as_ref())
-                    .find(|g| g.state == GroupState::Ready && self.deps_ready(g, cycle))
-                    .map(|g| g.id)
+                let mut wake = Cycle::MAX;
+                for gid in &self.units[unit].resident {
+                    let Some(g) = self.groups[*gid as usize].as_ref() else { continue };
+                    if g.state != GroupState::Ready {
+                        continue;
+                    }
+                    if g.ready_at <= cycle {
+                        return Some(g.id);
+                    }
+                    wake = wake.min(g.ready_at);
+                }
+                self.units[unit].wake = wake;
+                None
             }
             ShaderScheduling::InOrderQueue => {
                 // Each unit runs one thread group to completion; groups
@@ -663,7 +695,7 @@ impl FragmentFifo {
                 }
                 let gid = self.units[unit].current?;
                 let g = self.groups[gid as usize].as_ref()?;
-                if g.state == GroupState::Ready && self.deps_ready(g, cycle) {
+                if g.state == GroupState::Ready && g.ready_at <= cycle {
                     Some(gid)
                 } else {
                     None
@@ -672,75 +704,26 @@ impl FragmentFifo {
         }
     }
 
-    fn deps_ready(&self, g: &Group, cycle: Cycle) -> bool {
-        let inst = g.program.instructions()[g.pc];
-        for src in inst.srcs.iter().flatten() {
-            if src.reg.bank == Bank::Temp && g.reg_ready[src.reg.index as usize] > cycle {
-                return false;
-            }
-        }
-        if let Some(dst) = inst.dst {
-            if dst.reg.bank == Bank::Temp && g.reg_ready[dst.reg.index as usize] > cycle {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Issues one instruction for every live thread of `gid` in lockstep.
     /// Returns `false` if nothing was issued.
     fn issue_group(&mut self, cycle: Cycle, gid: u64) -> bool {
         let g = self.groups[gid as usize].as_mut().expect("group exists");
         let unit = &mut self.units[g.unit];
         let emu = unit.emu_mut(g.batch_id, g.target).expect("emulator created at spawn");
-        let inst = g.program.instructions()[g.pc];
-
-        let mut tex_coords: [Option<Vec4>; 4] = [None; 4];
-        let mut tex_meta: Option<(u8, f32, bool)> = None;
-        let mut advanced = false;
         let threads = g.threads.expect("resident groups have spawned threads");
-        for (i, &tid) in threads[..g.lanes].iter().enumerate() {
-            if g.finished[i] {
-                continue;
-            }
-            match emu.step(tid) {
-                StepResult::Executed { latency } => {
-                    advanced = true;
-                    // The configurable per-opcode latency table (paper:
-                    // execution stages range from 1 to 9 cycles).
-                    let latency = self.latency_table[inst.op as usize].unwrap_or(latency);
-                    if let Some(dst) = inst.dst {
-                        if dst.reg.bank == Bank::Temp {
-                            let r = &mut g.reg_ready[dst.reg.index as usize];
-                            *r = (*r).max(cycle + latency);
-                        }
-                    }
-                }
-                StepResult::Texture(req) => {
-                    tex_coords[i] = Some(req.coords);
-                    tex_meta = Some((req.sampler, req.lod_bias, req.projective));
-                }
-                StepResult::Finished { killed } => {
-                    g.finished[i] = true;
-                    g.killed[i] = killed;
-                    if killed {
-                        self.stat_killed.inc();
-                    }
+        let step = emu.step_group(&threads[..g.lanes], &g.finished);
+        unit.stat_instructions.inc();
+        for lane in 0..GROUP_LANES {
+            if step.finished[lane] {
+                g.finished[lane] = true;
+                g.killed[lane] = step.killed[lane];
+                if step.killed[lane] {
+                    self.stat_killed.inc();
                 }
             }
         }
-        unit.stat_instructions.inc();
 
-        if let Some((sampler, lod_bias, projective)) = tex_meta {
-            // Build the quad texture request; killed/finished helper slots
-            // reuse a live thread's coordinates for derivatives.
-            let fallback = tex_coords.iter().flatten().next().copied().unwrap_or(Vec4::ZERO);
-            let coords = [
-                tex_coords[0].unwrap_or(fallback),
-                tex_coords[1].unwrap_or(fallback),
-                tex_coords[2].unwrap_or(fallback),
-                tex_coords[3].unwrap_or(fallback),
-            ];
+        if let Some(tex) = step.texture {
             let batch = match &g.payload {
                 GroupPayload::Quad(q) => Arc::clone(&q.tri.batch),
                 GroupPayload::Vertices(v) => Arc::clone(&v[0].batch),
@@ -750,22 +733,28 @@ impl FragmentFifo {
             g.tex_id = Some(id);
             g.state = GroupState::TexBlocked;
             self.stat_tex_requests.inc();
-            let unit_idx = g.unit;
             self.tex_outbox.push_back(QuadTexRequest {
                 id,
-                shader_unit: unit_idx,
-                sampler,
-                coords,
-                lod_bias,
-                projective,
+                shader_unit: g.unit,
+                sampler: tex.sampler,
+                coords: tex.coords,
+                lod_bias: tex.lod_bias,
+                projective: tex.projective,
                 batch,
                 group: g.id as u32,
             });
             return true;
         }
 
-        if advanced {
-            g.pc += 1;
+        if step.executed {
+            // The configurable per-opcode latency table (paper: execution
+            // stages range from 1 to 9 cycles).
+            let latency = self.latency_table[step.op as usize].unwrap_or(step.latency);
+            if let Some(r) = g.program.temp_dst(g.pc) {
+                let r = &mut g.reg_ready[r as usize];
+                *r = (*r).max(cycle + latency);
+            }
+            g.advance();
         }
         if g.finished.iter().all(|f| *f) {
             g.state = GroupState::Finished;
@@ -826,15 +815,13 @@ impl FragmentFifo {
                     }
                 }
                 // The TEX destination register becomes ready now.
-                let inst = g.program.instructions()[g.pc];
-                if let Some(dst) = inst.dst {
-                    if dst.reg.bank == Bank::Temp {
-                        g.reg_ready[dst.reg.index as usize] = cycle + 1;
-                    }
+                if let Some(r) = g.program.temp_dst(g.pc) {
+                    g.reg_ready[r as usize] = cycle + 1;
                 }
-                g.pc += 1;
+                g.advance();
                 g.tex_id = None;
                 g.state = GroupState::Ready;
+                unit.wake = unit.wake.min(g.ready_at);
             }
         }
         Ok(())

@@ -164,14 +164,19 @@ impl Unit for FragmentGenerator {
         self.current.is_some() || !self.in_tris.idle()
     }
 
-    /// The box's event horizon: busy while a traversal is active, the
-    /// wire's next arrival while triangles are in flight, idle otherwise
-    /// (see [`Horizon`]).
+    /// The box's event horizon: busy while a clock could make progress —
+    /// a queued triangle with no traversal to block it, or a traversal
+    /// with a credit to send its next tile — otherwise the triangle wire's
+    /// next arrival. A traversal without credits is stalled, not busy:
+    /// `clock()` pops nothing (a triangle waits for `current` to empty)
+    /// and sends nothing (`can_send` is false), and the returning credit
+    /// wakes the box (see [`Horizon`]).
     fn work_horizon(&self) -> Horizon {
-        if self.current.is_some() {
-            return Horizon::Busy;
+        match self.current {
+            None => self.in_tris.work_horizon(),
+            Some(_) if self.out_tiles.credits() > 0 => Horizon::Busy,
+            Some(_) => Horizon::from_event(self.in_tris.next_arrival()),
         }
-        self.in_tris.work_horizon()
     }
 
     fn declared_ports(&self) -> Vec<PortDecl> {

@@ -19,7 +19,7 @@ use attila_emu::fragops::{
     blend, pack_rgba8, quantize_depth, unpack_rgba8, z_stencil_test,
 };
 use attila_emu::raster::{gen_fragment, setup_triangle, SetupTriangle};
-use attila_emu::shader::{ShaderEmulator, TextureRequest};
+use attila_emu::shader::ShaderEmulator;
 use attila_emu::texture::TextureEmulator;
 use attila_emu::vector::Vec4;
 use attila_emu::ClipperEmulator;
@@ -333,49 +333,30 @@ impl GoldenRenderer {
         fs: &mut ShaderEmulator,
         inputs: &[Vec<Vec4>; 4],
     ) -> ([Vec4; 4], [bool; 4]) {
-        let threads: Vec<_> = inputs.iter().map(|i| fs.spawn(i)).collect();
-        let mut colors = [Vec4::ZERO; 4];
-        let mut killed = [false; 4];
+        let threads = [0, 1, 2, 3].map(|i| fs.spawn(&inputs[i]));
         let mut finished = [false; 4];
+        let mut killed = [false; 4];
         // Lockstep until all threads finish; texture requests are bundled
         // per quad to compute derivatives exactly like the Texture Unit.
         while !finished.iter().all(|f| *f) {
-            let mut tex: [Option<TextureRequest>; 4] = [None, None, None, None];
-            let mut any_tex = false;
+            let step = fs.step_group(&threads, &finished);
             for i in 0..4 {
-                if finished[i] {
-                    continue;
-                }
-                match fs.step(threads[i]) {
-                    attila_emu::shader::StepResult::Executed { .. } => {}
-                    attila_emu::shader::StepResult::Texture(req) => {
-                        tex[i] = Some(req);
-                        any_tex = true;
-                    }
-                    attila_emu::shader::StepResult::Finished { killed: k } => {
-                        finished[i] = true;
-                        killed[i] = k;
-                    }
+                if step.finished[i] {
+                    finished[i] = true;
+                    killed[i] = step.killed[i];
                 }
             }
-            if any_tex {
-                let fallback =
-                    tex.iter().flatten().next().map(|r| r.coords).unwrap_or(Vec4::ZERO);
-                let meta = tex.iter().flatten().next().cloned().expect("any_tex");
-                let coords = [
-                    tex[0].as_ref().map(|r| r.coords).unwrap_or(fallback),
-                    tex[1].as_ref().map(|r| r.coords).unwrap_or(fallback),
-                    tex[2].as_ref().map(|r| r.coords).unwrap_or(fallback),
-                    tex[3].as_ref().map(|r| r.coords).unwrap_or(fallback),
-                ];
-                let texels = self.sample_quad(state, meta.sampler, coords, meta.lod_bias, meta.projective);
+            if let Some(tex) = step.texture {
+                let texels =
+                    self.sample_quad(state, tex.sampler, tex.coords, tex.lod_bias, tex.projective);
                 for i in 0..4 {
-                    if tex[i].is_some() {
+                    if tex.lanes[i] {
                         fs.complete_texture(threads[i], texels[i]);
                     }
                 }
             }
         }
+        let mut colors = [Vec4::ZERO; 4];
         for i in 0..4 {
             colors[i] = fs.output(threads[i], 0);
             fs.retire(threads[i]);

@@ -1034,10 +1034,11 @@ impl Gpu {
         for UnitRow { entry, gate, .. } in table.iter_mut() {
             let entry = *entry;
             if gated && gate.asleep(cycle, &self.mem) {
+                // Queued work is no reason to clock a unit: one stalled on
+                // output credits holds it asleep until a credit returns.
                 debug_assert!(
-                    !self.unit(entry).work_horizon().is_busy() && self.unit(entry).queued() == 0,
-                    "{entry:?} left asleep on cycle {cycle} with work: {:?}, {} queued",
-                    self.unit(entry).work_horizon(),
+                    !self.unit(entry).work_horizon().is_busy(),
+                    "{entry:?} left asleep on cycle {cycle} with a Busy horizon, {} queued",
                     self.unit(entry).queued(),
                 );
                 continue;

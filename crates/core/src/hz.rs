@@ -37,6 +37,10 @@ pub struct HzUpdate {
 
 const _: () = assert!(std::mem::size_of::<HzUpdate>() <= 112);
 
+/// Quads the box stages between splitting tiles and routing them; a full
+/// buffer stops it taking tiles (back-pressure towards the generator).
+const PENDING_QUADS: usize = 64;
+
 /// The on-chip Hierarchical Z buffer: one max-depth entry per 8×8 block,
 /// quantized to the configured precision (8 bits in the paper, 256 KB for
 /// 4096×4096).
@@ -217,7 +221,7 @@ impl HierarchicalZ {
         // Test up to `tiles_per_cycle` tiles and split survivors into
         // quads (bounded staging keeps back-pressure intact).
         for _ in 0..self.config.tiles_per_cycle {
-            if self.pending.len() >= 64 {
+            if self.pending.len() >= PENDING_QUADS {
                 break;
             }
             let Some(tile) = self.in_tiles.try_pop(cycle)? else { break };
@@ -292,29 +296,24 @@ impl HierarchicalZ {
 
         // Route staged quads downstream.
         while let Some(quad) = self.pending.front() {
-            let early = quad.tri.batch.state.early_z();
-            let sent = if early {
-                let unit = route_rop(quad.x, quad.y, self.out_early.len());
-                if self.out_early[unit].can_send(cycle) {
-                    let quad = self.pending.pop_front().expect("front exists"); // lint:allow(clock-unwrap) emptiness checked above
-                    self.out_early[unit].try_send(cycle, quad)?;
-                    true
-                } else {
-                    false
-                }
-            } else if self.out_late.can_send(cycle) {
-                let quad = self.pending.pop_front().expect("front exists"); // lint:allow(clock-unwrap) emptiness checked above
-                self.out_late.try_send(cycle, quad)?;
-                true
-            } else {
-                false
+            let port = match self.early_unit(quad) {
+                Some(unit) => &mut self.out_early[unit],
+                None => &mut self.out_late,
             };
-            if !sent {
+            if !port.can_send(cycle) {
                 break;
             }
+            let quad = self.pending.pop_front().expect("front exists"); // lint:allow(clock-unwrap) emptiness checked above
+            port.try_send(cycle, quad)?;
             self.stat_quads_out.inc();
         }
         Ok(())
+    }
+
+    /// The early-Z unit a staged quad leaves for, or `None` when Z runs
+    /// after shading and it goes to the Interpolator.
+    fn early_unit(&self, quad: &FragQuad) -> Option<usize> {
+        quad.tri.batch.state.early_z().then(|| route_rop(quad.x, quad.y, self.out_early.len()))
     }
 
     /// Tiles rejected by the HZ test so far.
@@ -332,16 +331,28 @@ impl Unit for HierarchicalZ {
         !self.pending.is_empty() || !self.in_tiles.idle()
     }
 
-    /// The box's event horizon: busy while quads are staged, otherwise the
-    /// earliest arrival across the tile wire *and* every Z-cache update
-    /// wire — updates mutate the HZ references even when `busy()` is
-    /// false, so their arrivals must not be skipped over (see
+    /// The box's event horizon: busy while a clock could make progress —
+    /// a queued tile with room in the staging buffer, or a staged head
+    /// quad whose output has a credit — otherwise the earliest arrival
+    /// across the tile wire *and* every Z-cache update wire (updates
+    /// mutate the HZ references even when `busy()` is false, so their
+    /// arrivals must not be skipped over). A full staging buffer behind a
+    /// head without credits is stalled, not busy: `clock()` pops no tile
+    /// and routes nothing, and the returning credit wakes the box (see
     /// [`Horizon`]).
     fn work_horizon(&self) -> Horizon {
-        if !self.pending.is_empty() {
+        let can_stage = self.pending.len() < PENDING_QUADS && !self.in_tiles.is_empty();
+        let can_route = self.pending.front().is_some_and(|quad| {
+            let port = match self.early_unit(quad) {
+                Some(unit) => &self.out_early[unit],
+                None => &self.out_late,
+            };
+            port.credits() > 0
+        });
+        if can_stage || can_route {
             return Horizon::Busy;
         }
-        let mut h = self.in_tiles.work_horizon();
+        let mut h = Horizon::from_event(self.in_tiles.next_arrival());
         for p in &self.in_updates {
             h = h.meet(p.work_horizon());
         }

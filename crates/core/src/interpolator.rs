@@ -22,6 +22,9 @@ use crate::port::{PortReceiver, PortSender};
 use crate::types::FragQuad;
 use crate::unit::Unit;
 
+/// Quads the delay pipe holds; a full pipe stops the box taking input.
+const PIPE_QUADS: usize = 64;
+
 /// The Interpolator box.
 #[derive(Debug)]
 pub struct Interpolator {
@@ -81,7 +84,7 @@ impl Interpolator {
         let inputs = self.in_early.len() + 1;
         let mut taken = 0;
         let mut scanned = 0;
-        while taken < quads_per_cycle && scanned < inputs && self.pipe.len() < 64 {
+        while taken < quads_per_cycle && scanned < inputs && self.pipe.len() < PIPE_QUADS {
             let idx = self.next_input % inputs;
             let quad = if idx < self.in_early.len() {
                 self.in_early[idx].try_pop(cycle)?
@@ -151,16 +154,25 @@ impl Unit for Interpolator {
             || self.in_early.iter().any(|p| !p.idle())
     }
 
-    /// The box's event horizon: busy while quads sit in the delay pipe,
-    /// otherwise the earliest arrival across the late wire and every
-    /// early-Z wire (see [`Horizon`]).
+    /// The box's event horizon: busy while a queued quad has room in the
+    /// delay pipe; else the cycle the pipe's front is released when the
+    /// output holds a credit, met with the earliest arrival across the
+    /// late wire and every early-Z wire. A front without a credit is
+    /// stalled, not busy: `clock()` takes no quad (the pipe is full or the
+    /// inputs are empty, and a scan of empty inputs turns `next_input`
+    /// full circle) and releases none, and the returning credit wakes the
+    /// box (see [`Horizon`]).
     fn work_horizon(&self) -> Horizon {
-        if !self.pipe.is_empty() {
+        let inputs = || std::iter::once(&self.in_late).chain(&self.in_early);
+        if self.pipe.len() < PIPE_QUADS && inputs().any(|p| !p.is_empty()) {
             return Horizon::Busy;
         }
-        let mut h = self.in_late.work_horizon();
-        for p in &self.in_early {
-            h = h.meet(p.work_horizon());
+        let mut h = match self.pipe.front() {
+            Some(&(ready, _)) if self.out_quads.credits() > 0 => Horizon::IdleUntil(ready),
+            _ => Horizon::Idle,
+        };
+        for p in inputs() {
+            h = h.meet(Horizon::from_event(p.next_arrival()));
         }
         h
     }

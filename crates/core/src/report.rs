@@ -21,12 +21,15 @@ pub struct BoxStatus {
     /// Objects waiting in the box's input queues and staging buffers.
     pub queued: usize,
     /// Whether the scheduler's per-box gate would leave the box unclocked
-    /// on the report's cycle. A box that is asleep *and* busy or queued
-    /// was wrongly left asleep — the hang is the scheduler's.
+    /// on the report's cycle. Asleep with queued work is a box stalled on
+    /// its output credits, waiting for one to return; whether the gate
+    /// ever sleeps a box it should clock is `tests/box_gating_lockstep.rs`'s
+    /// question, not this flag's.
     pub asleep: bool,
     /// The cycle a sleeping box clocks again by its own horizon; `None`
     /// when awake, or asleep until something external wakes it (a wire
-    /// arrival, a memory reply, a Command Processor action).
+    /// arrival, a returning credit, a memory reply, a Command Processor
+    /// action).
     pub wake_cycle: Option<Cycle>,
 }
 

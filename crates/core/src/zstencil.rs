@@ -315,13 +315,23 @@ impl Unit for ZStencilUnit {
             || !self.hz_queue.is_empty()
     }
 
-    /// Busy while fills, writebacks or HZ updates are outstanding,
-    /// otherwise the earliest arrival across both quad wires.
+    /// Busy while fills, writebacks or HZ updates are outstanding or an
+    /// input's head quad has a credit on its output, otherwise the
+    /// earliest arrival across both quad wires. A head quad without a
+    /// credit is stalled, not busy: `try_process_head` returns on
+    /// `out_ok` before `bind` or `resident` can touch the cache, and the
+    /// returning credit wakes the unit.
     fn work_horizon(&self) -> Horizon {
         if self.rop.outstanding() || !self.hz_queue.is_empty() {
             return Horizon::Busy;
         }
-        self.in_early.work_horizon().meet(self.in_late.work_horizon())
+        if (!self.in_early.is_empty() && self.out_early.credits() > 0)
+            || (!self.in_late.is_empty() && self.out_late.credits() > 0)
+        {
+            return Horizon::Busy;
+        }
+        Horizon::from_event(self.in_early.next_arrival())
+            .meet(Horizon::from_event(self.in_late.next_arrival()))
     }
 
     fn declared_ports(&self) -> Vec<PortDecl> {

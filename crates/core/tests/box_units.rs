@@ -8,23 +8,26 @@ use std::sync::Arc;
 
 use attila_core::address::{pixel_address, surface_bytes, tile_address};
 use attila_core::colorwrite::ColorWriteUnit;
+use attila_core::fraggen::FragmentGenerator;
+use attila_core::hz::HierarchicalZ;
+use attila_core::interpolator::Interpolator;
 use attila_core::commands::{DrawCall, GpuCommand, Primitive};
 use attila_core::command_processor::{CommandProcessor, CpAction};
 use attila_core::config::GpuConfig;
 use attila_core::hz::HzUpdate;
 use attila_core::port::{unbound_port, PortSender};
 use attila_core::state::RenderState;
-use attila_core::types::{Batch, FragQuad, QuadFrag, TriangleData};
+use attila_core::types::{Batch, FragQuad, FragTile, QuadFrag, SetupTriWork, TriangleData};
 use attila_core::unit::Unit;
 use attila_core::zstencil::ZStencilUnit;
 use attila_emu::fragops::{
     compress_z_block, pack_depth_stencil, BlendFactor, BlendState, CompareFunc, DepthState,
 };
 use attila_emu::isa::limits;
-use attila_emu::raster::{setup_triangle, Viewport};
+use attila_emu::raster::{setup_triangle, RasterFragment, Viewport};
 use attila_emu::vector::Vec4;
 use attila_mem::{MemControllerConfig, MemoryController};
-use attila_sim::StatsRegistry;
+use attila_sim::{DynamicObject, StatsRegistry};
 
 fn make_state() -> RenderState {
     let mut st = RenderState::default();
@@ -37,7 +40,8 @@ fn make_state() -> RenderState {
     st
 }
 
-fn make_quad(state: RenderState, x: u32, y: u32, depth: f32) -> FragQuad {
+/// A triangle covering the whole 64×64 viewport.
+fn make_tri(state: RenderState) -> Arc<TriangleData> {
     let batch = Arc::new(Batch {
         id: 0,
         state: Arc::new(state),
@@ -52,7 +56,7 @@ fn make_quad(state: RenderState, x: u32, y: u32, depth: f32) -> FragQuad {
         Viewport::new(64, 64),
     )
     .unwrap();
-    let tri = Arc::new(TriangleData {
+    Arc::new(TriangleData {
         batch,
         setup,
         outputs: [
@@ -60,7 +64,11 @@ fn make_quad(state: RenderState, x: u32, y: u32, depth: f32) -> FragQuad {
             Arc::new([Vec4::ZERO; limits::OUTPUTS]),
             Arc::new([Vec4::ZERO; limits::OUTPUTS]),
         ],
-    });
+    })
+}
+
+fn make_quad(state: RenderState, x: u32, y: u32, depth: f32) -> FragQuad {
+    let tri = make_tri(state);
     let frag = |alive| QuadFrag {
         alive,
         edges: [1.0, 1.0, 1.0],
@@ -519,4 +527,230 @@ fn consecutive_batches_overlap() {
         four < 3 * one,
         "4 batches must overlap substantially: {four} vs 4x{one}"
     );
+}
+
+// A unit whose output is out of credits is stalled, not busy: its horizon
+// must not say `Busy` (or the per-box gate keeps clocking it), and the
+// clock the gate then skips must be a no-op. Each test below keeps one
+// unit's input queue full, never drains its output, and checks the unit
+// once nothing can move.
+
+/// Asserts that `unit`, last clocked on `cycle - 1`, is stalled: its
+/// horizon is not `Busy`, and clocking it on `cycle` changes no statistic
+/// and nothing `observe` sees — the unit's queues and credits and, read
+/// from the test's ends, each wire's objects and returned credits.
+fn assert_stalled<U: Unit>(
+    unit: &mut U,
+    stats: &StatsRegistry,
+    cycle: u64,
+    clock: impl FnOnce(&mut U, u64),
+    mut observe: impl FnMut(&U, u64) -> Vec<usize>,
+) {
+    let horizon = unit.work_horizon();
+    assert!(!horizon.is_busy(), "{} is stalled, not busy: {horizon:?}", unit.name());
+    let before = (observe(unit, cycle), stats.totals_csv());
+    clock(unit, cycle);
+    let after = (observe(unit, cycle + 1), stats.totals_csv());
+    assert_eq!(before, after, "{}'s clock while stalled changed state", unit.name());
+}
+
+/// A state whose quads pass Z/stencil untested and take the early-Z path.
+fn untested_state() -> RenderState {
+    let mut st = make_state();
+    st.depth.enabled = false;
+    st
+}
+
+#[test]
+fn fraggen_without_output_credits_sleeps_and_clocks_as_a_no_op() {
+    let mut stats = StatsRegistry::new(0);
+    let (mut tri_tx, tri_rx) = unbound_port::<SetupTriWork>("setup->fg", 4, 1, 2);
+    let (tile_tx, mut tile_rx) = unbound_port::<FragTile>("fg->hz", 2, 1, 1);
+    let mut fg =
+        FragmentGenerator::new(GpuConfig::baseline().fraggen, tri_rx, tile_tx, &mut stats);
+    let tri = make_tri(untested_state());
+    let work = || SetupTriWork {
+        obj: DynamicObject::new(0),
+        data: Arc::clone(&tri),
+        end_of_batch: true,
+    };
+    for cycle in 0..8 {
+        tri_tx.update(cycle);
+        while tri_tx.can_send(cycle) {
+            tri_tx.send(cycle, work());
+        }
+        fg.clock(cycle).expect("no faults");
+        tile_rx.update(cycle);
+    }
+    assert_eq!(fg.in_tris.len(), 2, "the input queue is full");
+    assert_eq!(fg.out_tiles.credits(), 0);
+    assert_stalled(&mut fg, &stats, 8, |fg, c| fg.clock(c).expect("no faults"), |fg, c| {
+        tri_tx.update(c);
+        tile_rx.update(c);
+        vec![
+            fg.queued(),
+            fg.out_tiles.credits(),
+            fg.out_tiles.total_sent() as usize,
+            tri_tx.credits(),
+            tile_rx.len() + tile_rx.in_flight(),
+        ]
+    });
+}
+
+#[test]
+fn hz_without_output_credits_sleeps_and_clocks_as_a_no_op() {
+    let mut stats = StatsRegistry::new(0);
+    let (mut tile_tx, tile_rx) = unbound_port::<FragTile>("fg->hz", 2, 1, 4);
+    let (_update_tx, update_rx) = unbound_port::<HzUpdate>("zst->hz", 4, 1, 8);
+    let (early_tx, mut early_rx) = unbound_port::<FragQuad>("hz->zst", 2, 1, 1);
+    let (late_tx, mut late_rx) = unbound_port::<FragQuad>("hz->interp", 2, 1, 1);
+    let mut hz = HierarchicalZ::new(
+        GpuConfig::baseline().hz,
+        64,
+        64,
+        tile_rx,
+        vec![update_rx],
+        vec![early_tx],
+        late_tx,
+        &mut stats,
+    );
+    let tri = make_tri(untested_state());
+    // A fully covered 8×8 tile: sixteen quads, all for the one early unit.
+    let tile = || FragTile {
+        obj: DynamicObject::new(0),
+        tri: Arc::clone(&tri),
+        x: 0,
+        y: 0,
+        frags: (0..64)
+            .map(|i| RasterFragment {
+                x: i % 8,
+                y: i / 8,
+                edges: [1.0; 3],
+                depth: 0.5,
+                culled: false,
+            })
+            .collect(),
+        min_depth: 0.5,
+    };
+    for cycle in 0..16 {
+        tile_tx.update(cycle);
+        while tile_tx.can_send(cycle) {
+            tile_tx.send(cycle, tile());
+        }
+        hz.clock(cycle).expect("no faults");
+        early_rx.update(cycle);
+        late_rx.update(cycle);
+    }
+    assert_eq!(hz.in_tiles.len(), 4, "the input queue is full");
+    assert_eq!(hz.out_early[0].credits(), 0);
+    assert_stalled(&mut hz, &stats, 16, |hz, c| hz.clock(c).expect("no faults"), |hz, c| {
+        tile_tx.update(c);
+        early_rx.update(c);
+        late_rx.update(c);
+        vec![
+            hz.queued(),
+            hz.out_early[0].credits(),
+            hz.out_early[0].total_sent() as usize,
+            hz.out_late.total_sent() as usize,
+            tile_tx.credits(),
+            early_rx.len() + early_rx.in_flight(),
+            late_rx.len() + late_rx.in_flight(),
+        ]
+    });
+}
+
+#[test]
+fn zstencil_without_output_credits_sleeps_and_clocks_as_a_no_op() {
+    let mut stats = StatsRegistry::new(0);
+    let (mut early_tx, early_rx) = unbound_port::<FragQuad>("hz->zst", 2, 1, 4);
+    let (mut late_tx, late_rx) = unbound_port::<FragQuad>("ff->zst", 1, 1, 4);
+    let (out_early_tx, mut out_early_rx) = unbound_port::<FragQuad>("zst->interp", 1, 1, 1);
+    let (out_late_tx, mut out_late_rx) = unbound_port::<FragQuad>("zst->cw", 1, 1, 1);
+    let (hz_tx, mut hz_rx) = unbound_port::<HzUpdate>("zst->hz", 4, 1, 32);
+    let mut zst = ZStencilUnit::new(
+        0,
+        GpuConfig::baseline().zstencil,
+        early_rx,
+        late_rx,
+        out_early_tx,
+        out_late_tx,
+        hz_tx,
+        &mut stats,
+    );
+    let mut mem = MemoryController::new(MemControllerConfig::default(), 1 << 22);
+    // Both inputs full, both outputs out of credits.
+    for cycle in 0..8 {
+        for tx in [&mut early_tx, &mut late_tx] {
+            tx.update(cycle);
+            while tx.can_send(cycle) {
+                tx.send(cycle, make_quad(untested_state(), 8, 8, 0.5));
+            }
+        }
+        zst.clock(cycle, &mut mem).expect("no faults");
+        out_early_rx.update(cycle);
+        out_late_rx.update(cycle);
+        hz_rx.update(cycle);
+    }
+    assert_eq!((zst.in_early.len(), zst.in_late.len()), (4, 4), "the input queues are full");
+    assert_eq!((zst.out_early.credits(), zst.out_late.credits()), (0, 0));
+    let clock = |zst: &mut ZStencilUnit, c| zst.clock(c, &mut mem).expect("no faults");
+    assert_stalled(&mut zst, &stats, 8, clock, |zst, c| {
+        early_tx.update(c);
+        late_tx.update(c);
+        out_early_rx.update(c);
+        out_late_rx.update(c);
+        hz_rx.update(c);
+        vec![
+            zst.queued(),
+            zst.out_early.credits(),
+            zst.out_late.credits(),
+            zst.out_hz.total_sent() as usize,
+            early_tx.credits(),
+            late_tx.credits(),
+            out_early_rx.len() + out_early_rx.in_flight(),
+            out_late_rx.len() + out_late_rx.in_flight(),
+        ]
+    });
+}
+
+#[test]
+fn interpolator_without_output_credits_sleeps_and_clocks_as_a_no_op() {
+    let mut stats = StatsRegistry::new(0);
+    let (mut early_tx, early_rx) = unbound_port::<FragQuad>("zst->interp", 2, 1, 8);
+    let (mut late_tx, late_rx) = unbound_port::<FragQuad>("hz->interp", 2, 1, 8);
+    let (out_tx, mut out_rx) = unbound_port::<FragQuad>("interp->ff", 2, 1, 1);
+    let mut interp = Interpolator::new(
+        GpuConfig::baseline().interpolator,
+        vec![early_rx],
+        late_rx,
+        out_tx,
+        &mut stats,
+    );
+    // Long enough to fill the delay pipe behind the one spent credit.
+    for cycle in 0..64 {
+        for tx in [&mut early_tx, &mut late_tx] {
+            tx.update(cycle);
+            while tx.can_send(cycle) {
+                tx.send(cycle, make_quad(untested_state(), 8, 8, 0.5));
+            }
+        }
+        interp.clock(cycle).expect("no faults");
+        out_rx.update(cycle);
+    }
+    let queued = (interp.in_early[0].len(), interp.in_late.len());
+    assert_eq!(queued, (8, 8), "the input queues are full");
+    assert_eq!(interp.out_quads.credits(), 0);
+    assert_stalled(&mut interp, &stats, 64, |i, c| i.clock(c).expect("no faults"), |interp, c| {
+        early_tx.update(c);
+        late_tx.update(c);
+        out_rx.update(c);
+        vec![
+            interp.queued(),
+            interp.out_quads.credits(),
+            interp.out_quads.total_sent() as usize,
+            early_tx.credits(),
+            late_tx.credits(),
+            out_rx.len() + out_rx.in_flight(),
+        ]
+    });
 }

@@ -759,9 +759,153 @@ impl fmt::Display for Instruction {
 pub struct Program {
     target: ShaderTarget,
     instructions: Vec<Instruction>,
+    /// `instructions` lowered once for the interpreter, index for index.
+    decoded: Vec<Decoded>,
     temps_used: usize,
     samplers_used: Vec<u8>,
     has_kill: bool,
+}
+
+/// The register file a decoded source operand reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SrcBank {
+    Input,
+    Temp,
+    Param,
+}
+
+/// A source operand with its swizzle and negation resolved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DecodedSrc {
+    pub(crate) bank: SrcBank,
+    pub(crate) index: u8,
+    /// Component indices (0–3) read for `x y z w`.
+    pub(crate) swizzle: [u8; 4],
+    /// `swizzle` is `[0, 1, 2, 3]`: the register is read as is.
+    pub(crate) identity: bool,
+    pub(crate) negate: bool,
+}
+
+impl DecodedSrc {
+    /// What an operand slot the opcode does not read holds: never read.
+    const UNUSED: DecodedSrc = DecodedSrc {
+        bank: SrcBank::Param,
+        index: 0,
+        swizzle: [0, 1, 2, 3],
+        identity: true,
+        negate: false,
+    };
+
+    fn new(src: &Src) -> Self {
+        DecodedSrc {
+            bank: match src.reg.bank {
+                Bank::Input => SrcBank::Input,
+                Bank::Temp => SrcBank::Temp,
+                Bank::Param => SrcBank::Param,
+                Bank::Output => unreachable!("validated programs never read outputs"),
+            },
+            index: src.reg.index,
+            swizzle: src.swizzle.0.map(|c| c.index() as u8),
+            identity: src.swizzle.is_identity(),
+            negate: src.negate,
+        }
+    }
+}
+
+/// The register file a decoded destination writes, if any.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DstBank {
+    None,
+    Output,
+    Temp,
+}
+
+/// A destination with its write mask resolved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DecodedDst {
+    pub(crate) bank: DstBank,
+    pub(crate) index: u8,
+    pub(crate) mask: [bool; 4],
+    /// `mask` writes all four components.
+    pub(crate) full: bool,
+}
+
+/// How the interpreter treats an instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    Alu,
+    Tex,
+    Kil,
+    End,
+}
+
+/// One instruction lowered for the interpreter: operands, mask, latency
+/// and the temporaries a scheduler must see ready before issuing it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Decoded {
+    pub(crate) kind: Kind,
+    pub(crate) op: Opcode,
+    /// The first `op.num_srcs()` are the operands; the rest are unused.
+    pub(crate) srcs: [DecodedSrc; 3],
+    pub(crate) dst: DecodedDst,
+    pub(crate) saturate: bool,
+    pub(crate) latency: u64,
+    pub(crate) sampler: u8,
+    pub(crate) tex_target: TexTarget,
+    /// Temporaries read or written, `temps[..n_temps]`.
+    temps: [u8; 4],
+    n_temps: u8,
+}
+
+impl Decoded {
+    fn new(inst: &Instruction) -> Self {
+        let mut srcs = [DecodedSrc::UNUSED; 3];
+        let mut temps = [0; 4];
+        let mut n_temps = 0;
+        for (slot, src) in srcs.iter_mut().zip(&inst.srcs).take(inst.op.num_srcs()) {
+            let src = src.as_ref().expect("validated programs have every operand");
+            *slot = DecodedSrc::new(src);
+            if src.reg.bank == Bank::Temp {
+                temps[n_temps] = src.reg.index;
+                n_temps += 1;
+            }
+        }
+        let dst = match inst.dst {
+            None => DecodedDst { bank: DstBank::None, index: 0, mask: [false; 4], full: false },
+            Some(dst) => {
+                let bank = match dst.reg.bank {
+                    Bank::Output => DstBank::Output,
+                    Bank::Temp => {
+                        temps[n_temps] = dst.reg.index;
+                        n_temps += 1;
+                        DstBank::Temp
+                    }
+                    Bank::Input | Bank::Param => {
+                        unreachable!("validated programs never write these banks")
+                    }
+                };
+                DecodedDst { bank, index: dst.reg.index, mask: dst.mask.0, full: dst.mask.is_all() }
+            }
+        };
+        let kind = match inst.op {
+            Opcode::End => Kind::End,
+            Opcode::Kil => Kind::Kil,
+            op if op.is_texture() => Kind::Tex,
+            _ => Kind::Alu,
+        };
+        Decoded {
+            kind,
+            op: inst.op,
+            srcs,
+            dst,
+            saturate: inst.saturate,
+            latency: inst.op.default_latency(),
+            sampler: inst.sampler,
+            tex_target: inst.tex_target,
+            temps,
+            n_temps: n_temps as u8,
+        }
+    }
 }
 
 /// Errors produced when validating a [`Program`].
@@ -776,6 +920,8 @@ pub enum ProgramError {
     /// An instruction reads an `Output` register or writes a non-writable
     /// bank.
     BadBankUsage(&'static str),
+    /// An instruction lacks one of the source operands its opcode reads.
+    MissingOperand(Opcode),
 }
 
 impl fmt::Display for ProgramError {
@@ -789,6 +935,7 @@ impl fmt::Display for ProgramError {
                 write!(f, "opcode {op} is not allowed in a vertex program")
             }
             ProgramError::BadBankUsage(what) => write!(f, "invalid register bank usage: {what}"),
+            ProgramError::MissingOperand(op) => write!(f, "{op} is missing a source operand"),
         }
     }
 }
@@ -825,6 +972,9 @@ impl Program {
             if inst.op == Opcode::Kil {
                 has_kill = true;
             }
+            if inst.srcs.iter().take(inst.op.num_srcs()).any(Option::is_none) {
+                return Err(ProgramError::MissingOperand(inst.op));
+            }
             if let Some(dst) = &inst.dst {
                 match dst.reg.bank {
                     Bank::Temp => temps_used = temps_used.max(dst.reg.index as usize + 1),
@@ -848,7 +998,34 @@ impl Program {
             }
         }
         samplers_used.sort_unstable();
-        Ok(Program { target, instructions, temps_used, samplers_used, has_kill })
+        let decoded = instructions.iter().map(Decoded::new).collect();
+        Ok(Program { target, instructions, decoded, temps_used, samplers_used, has_kill })
+    }
+
+    /// The decoded form of every instruction, index for index.
+    pub(crate) fn decoded(&self) -> &[Decoded] {
+        &self.decoded
+    }
+
+    /// The temporaries instruction `pc` reads or writes: what must be
+    /// ready before it issues.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc` is past the end of the program.
+    pub fn temp_operands(&self, pc: usize) -> &[u8] {
+        let d = &self.decoded[pc];
+        &d.temps[..d.n_temps as usize]
+    }
+
+    /// The temporary instruction `pc` writes, if it writes one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc` is past the end of the program.
+    pub fn temp_dst(&self, pc: usize) -> Option<u8> {
+        let dst = &self.decoded[pc].dst;
+        (dst.bank == DstBank::Temp).then_some(dst.index)
     }
 
     /// The shader target.
@@ -1015,6 +1192,43 @@ mod tests {
             Program::new(ShaderTarget::Vertex, read_output).unwrap_err(),
             ProgramError::BadBankUsage(_)
         ));
+    }
+
+    #[test]
+    fn missing_operand_is_refused() {
+        let mut mad =
+            Instruction::alu(Opcode::Mad, Dst::reg(Reg::temp(0)), &[Src::reg(Reg::input(0)); 3]);
+        mad.srcs[2] = None;
+        assert_eq!(
+            Program::new(ShaderTarget::Vertex, vec![mad, Instruction::nullary(Opcode::End)])
+                .unwrap_err(),
+            ProgramError::MissingOperand(Opcode::Mad)
+        );
+    }
+
+    #[test]
+    fn decoded_table_names_the_temporaries_an_instruction_waits_on() {
+        let insts = vec![
+            Instruction::alu(
+                Opcode::Mad,
+                Dst::reg(Reg::temp(2)).masked(WriteMask::parse("xy").unwrap()),
+                &[
+                    Src::reg(Reg::temp(0)),
+                    Src::reg(Reg::input(1)),
+                    Src::reg(Reg::temp(1)).negated(),
+                ],
+            ),
+            Instruction::alu(Opcode::Mov, Dst::reg(Reg::output(0)), &[Src::reg(Reg::param(3))]),
+            Instruction::kil(Src::reg(Reg::temp(2))),
+            Instruction::nullary(Opcode::End),
+        ];
+        let p = Program::new(ShaderTarget::Fragment, insts).unwrap();
+        assert_eq!(p.temp_operands(0), &[0, 1, 2]);
+        assert_eq!(p.temp_dst(0), Some(2));
+        assert_eq!(p.temp_operands(1), &[] as &[u8]);
+        assert_eq!(p.temp_dst(1), None, "outputs are not temporaries");
+        assert_eq!((p.temp_operands(2), p.temp_dst(2)), (&[2u8][..], None));
+        assert_eq!((p.temp_operands(3), p.temp_dst(3)), (&[] as &[u8], None));
     }
 
     #[test]

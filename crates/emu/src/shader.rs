@@ -16,7 +16,9 @@
 
 use std::sync::Arc;
 
-use crate::isa::{limits, Bank, Comp, Instruction, Opcode, Program, Src, TexTarget};
+use crate::isa::{
+    limits, Comp, Decoded, DecodedSrc, DstBank, Kind, Opcode, Program, SrcBank, TexTarget,
+};
 use crate::vector::Vec4;
 
 /// Identifier of a live thread inside a [`ShaderEmulator`].
@@ -60,6 +62,47 @@ pub enum StepResult {
     },
 }
 
+/// The texture access of a lockstep group: one request for the lanes that
+/// reached a texture instruction together (a fragment quad, whose
+/// level-of-detail derivatives need all four coordinates).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QuadTexture {
+    /// Sampler index (`texture[n]`).
+    pub sampler: u8,
+    /// Texture target named by the instruction.
+    pub target: TexTarget,
+    /// Each lane's coordinates; a lane that did not issue (finished, or
+    /// past the group's lanes) carries the first issuing lane's, so
+    /// helper slots never disturb the derivatives.
+    pub coords: [Vec4; 4],
+    /// The lanes now blocked on the access.
+    pub lanes: [bool; 4],
+    /// The LOD bias of the whole quad: for `TXB`, the first issuing lane's
+    /// `w`; 0 otherwise. One quad samples with one bias.
+    pub lod_bias: f32,
+    /// Whether coordinates must be divided by `w` (`TXP`).
+    pub projective: bool,
+}
+
+/// What one [`ShaderEmulator::step_group`] did to a lockstep group.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GroupStep {
+    /// The instruction's opcode.
+    pub op: Opcode,
+    /// The opcode's default execution latency.
+    pub latency: u64,
+    /// Whether some lane executed the instruction and moved past it (an
+    /// ALU instruction, or a `KIL` that spared a lane).
+    pub executed: bool,
+    /// The lanes this step finished: `END`, or culled by `KIL`.
+    pub finished: [bool; 4],
+    /// Of `finished`, the lanes `KIL` culled.
+    pub killed: [bool; 4],
+    /// The access of a texture instruction; its lanes are blocked until
+    /// [`ShaderEmulator::complete_texture`].
+    pub texture: Option<QuadTexture>,
+}
+
 /// Per-thread architectural state.
 #[derive(Debug, Clone, Default)]
 struct ThreadState {
@@ -69,11 +112,77 @@ struct ThreadState {
     temps: Vec<Vec4>,
     killed: bool,
     finished: bool,
-    blocked_on_tex: Option<Instruction>,
+    /// Blocked on the texture instruction at `pc`.
+    blocked_on_tex: bool,
+}
+
+impl ThreadState {
+    /// Source operand `s`, swizzled and negated.
+    #[inline(always)]
+    fn read(&self, constants: &[Vec4], s: &DecodedSrc) -> Vec4 {
+        let raw = match s.bank {
+            SrcBank::Input => self.inputs[s.index as usize],
+            SrcBank::Temp => self.temps[s.index as usize],
+            SrcBank::Param => constants[s.index as usize],
+        };
+        let v = if s.identity {
+            raw
+        } else {
+            let [a, b, c, d] = s.swizzle;
+            Vec4::new(raw[a as usize], raw[b as usize], raw[c as usize], raw[d as usize])
+        };
+        if s.negate {
+            -v
+        } else {
+            v
+        }
+    }
+
+    /// Writes the result of `d` through its saturation and write mask.
+    #[inline(always)]
+    fn write(&mut self, d: &Decoded, mut value: Vec4) {
+        if d.saturate {
+            value = value.saturate();
+        }
+        let target = match d.dst.bank {
+            DstBank::Temp => &mut self.temps[d.dst.index as usize],
+            DstBank::Output => &mut self.outputs[d.dst.index as usize],
+            DstBank::None => return,
+        };
+        if d.dst.full {
+            *target = value;
+        } else {
+            for i in 0..4 {
+                if d.dst.mask[i] {
+                    target[i] = value[i];
+                }
+            }
+        }
+    }
+}
+
+/// A lane's view of the instruction being executed: its operands read on
+/// demand, so an opcode reads only the sources it has.
+struct Operands<'a> {
+    st: &'a ThreadState,
+    constants: &'a [Vec4],
+    d: &'a Decoded,
+}
+
+impl Operands<'_> {
+    #[inline(always)]
+    fn src(&self, i: usize) -> Vec4 {
+        self.st.read(self.constants, &self.d.srcs[i])
+    }
 }
 
 /// A threaded interpreter executing one [`Program`] for many independent
 /// inputs (vertices or fragments).
+///
+/// The interpreter runs the program's decoded table (lowered once by
+/// [`Program::new`]): [`step`](Self::step), [`run_to_end`](Self::run_to_end)
+/// and [`step_group`](Self::step_group) are one loop over lanes behind one
+/// decode and one dispatch per instruction.
 ///
 /// # Examples
 ///
@@ -157,10 +266,9 @@ impl ShaderEmulator {
         let temps_used = self.program.temps_used();
         let st = &mut self.threads[slot];
         st.pc = 0;
-        st.inputs = [Vec4::ZERO; limits::INPUTS];
-        for (i, v) in inputs.iter().take(limits::INPUTS).enumerate() {
-            st.inputs[i] = *v;
-        }
+        let given = inputs.len().min(limits::INPUTS);
+        st.inputs[..given].copy_from_slice(&inputs[..given]);
+        st.inputs[given..].fill(Vec4::ZERO);
         st.outputs = [Vec4::ZERO; limits::OUTPUTS];
         st.temps.clear();
         // Exact, not amortized: a fresh slot allocates what `vec![..]` did.
@@ -168,7 +276,7 @@ impl ShaderEmulator {
         st.temps.resize(temps_used, Vec4::ZERO);
         st.killed = false;
         st.finished = false;
-        st.blocked_on_tex = None;
+        st.blocked_on_tex = false;
         ThreadId(slot)
     }
 
@@ -185,42 +293,104 @@ impl ShaderEmulator {
     /// Panics if the thread is finished, retired or blocked on an
     /// unanswered texture request.
     pub fn step(&mut self, thread: ThreadId) -> StepResult {
-        let st = &mut self.threads[thread.0];
-        assert!(!st.finished, "stepping a finished thread");
-        assert!(st.blocked_on_tex.is_none(), "thread is blocked on a texture access");
-        let inst = self.program.instructions()[st.pc];
-
-        if inst.op == Opcode::End {
-            st.finished = true;
-            return StepResult::Finished { killed: st.killed };
-        }
-        if inst.op.is_texture() {
-            let coords = read_src(st, &self.constants, &inst.srcs[0].expect("tex coord src"));
-            st.blocked_on_tex = Some(inst);
-            return StepResult::Texture(TextureRequest {
+        let step = self.execute(&[thread], &[false, true, true, true]);
+        if let Some(tex) = step.texture {
+            StepResult::Texture(TextureRequest {
                 thread,
-                sampler: inst.sampler,
-                target: inst.tex_target,
-                coords,
-                lod_bias: if inst.op == Opcode::Txb { coords.w } else { 0.0 },
-                projective: inst.op == Opcode::Txp,
-            });
+                sampler: tex.sampler,
+                target: tex.target,
+                coords: tex.coords[0],
+                lod_bias: tex.lod_bias,
+                projective: tex.projective,
+            })
+        } else if step.finished[0] {
+            StepResult::Finished { killed: step.killed[0] }
+        } else {
+            StepResult::Executed { latency: step.latency }
         }
-        if inst.op == Opcode::Kil {
-            let v = read_src(st, &self.constants, &inst.srcs[0].expect("kil src"));
-            if v.x < 0.0 || v.y < 0.0 || v.z < 0.0 || v.w < 0.0 {
-                st.killed = true;
-                st.finished = true;
-                return StepResult::Finished { killed: true };
-            }
-            st.pc += 1;
-            return StepResult::Executed { latency: inst.op.default_latency() };
-        }
+    }
 
-        let result = exec_alu(st, &self.constants, &inst);
-        write_dst(st, &inst, result);
-        st.pc += 1;
-        StepResult::Executed { latency: inst.op.default_latency() }
+    /// Executes the next instruction for every lane of a lockstep group
+    /// that `done` does not mark finished, with one decode and one
+    /// dispatch for the whole group. `lanes[i]` is lane `i`'s thread; lanes
+    /// past `lanes.len()` must be marked done. The live lanes share a
+    /// program counter — they were spawned together and only ever stepped
+    /// through this call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every lane is done, or a live lane's thread is finished,
+    /// retired or blocked on an unanswered texture request.
+    pub fn step_group(&mut self, lanes: &[ThreadId], done: &[bool; 4]) -> GroupStep {
+        self.execute(lanes, done)
+    }
+
+    /// The interpreter behind [`step`](Self::step) and
+    /// [`step_group`](Self::step_group), inlined into each so the
+    /// single-thread step is compiled for its one lane.
+    #[inline(always)]
+    fn execute(&mut self, lanes: &[ThreadId], done: &[bool; 4]) -> GroupStep {
+        let first = (0..lanes.len()).find(|&i| !done[i]).expect("a group with a live lane");
+        let pc = self.threads[lanes[first].0].pc;
+        // A copy: the lanes below borrow the threads mutably.
+        let d = self.program.decoded()[pc];
+        let mut step = GroupStep {
+            op: d.op,
+            latency: d.latency,
+            executed: false,
+            finished: [false; 4],
+            killed: [false; 4],
+            texture: None,
+        };
+        let constants = &self.constants;
+        let threads = &mut self.threads;
+        match d.kind {
+            Kind::End => each_lane(threads, lanes, done, pc, #[inline(always)] |lane, st| {
+                st.finished = true;
+                step.finished[lane] = true;
+                step.killed[lane] = st.killed;
+            }),
+            Kind::Kil => each_lane(threads, lanes, done, pc, #[inline(always)] |lane, st| {
+                let v = st.read(constants, &d.srcs[0]);
+                if v.x < 0.0 || v.y < 0.0 || v.z < 0.0 || v.w < 0.0 {
+                    st.killed = true;
+                    st.finished = true;
+                    step.finished[lane] = true;
+                    step.killed[lane] = true;
+                } else {
+                    st.pc += 1;
+                    step.executed = true;
+                }
+            }),
+            Kind::Tex => {
+                let mut coords = [Vec4::ZERO; 4];
+                let mut issued = [false; 4];
+                each_lane(threads, lanes, done, pc, #[inline(always)] |lane, st| {
+                    coords[lane] = st.read(constants, &d.srcs[0]);
+                    issued[lane] = true;
+                    st.blocked_on_tex = true;
+                });
+                let lead = coords[first];
+                for lane in 0..4 {
+                    if !issued[lane] {
+                        coords[lane] = lead;
+                    }
+                }
+                step.texture = Some(QuadTexture {
+                    sampler: d.sampler,
+                    target: d.tex_target,
+                    coords,
+                    lanes: issued,
+                    lod_bias: if d.op == Opcode::Txb { lead.w } else { 0.0 },
+                    projective: d.op == Opcode::Txp,
+                });
+            }
+            Kind::Alu => {
+                step.executed = true;
+                alu(Lanes { threads, constants, lanes, done, pc }, &d);
+            }
+        }
+        step
     }
 
     /// Delivers the filtered texel for a pending [`TextureRequest`],
@@ -231,8 +401,9 @@ impl ShaderEmulator {
     /// Panics if the thread has no pending texture access.
     pub fn complete_texture(&mut self, thread: ThreadId, texel: Vec4) {
         let st = &mut self.threads[thread.0];
-        let inst = st.blocked_on_tex.take().expect("no pending texture access");
-        write_dst(st, &inst, texel);
+        assert!(st.blocked_on_tex, "no pending texture access");
+        st.blocked_on_tex = false;
+        st.write(&self.program.decoded()[st.pc], texel);
         st.pc += 1;
     }
 
@@ -285,85 +456,95 @@ impl ShaderEmulator {
     }
 }
 
-fn read_src(st: &ThreadState, constants: &[Vec4], src: &Src) -> Vec4 {
-    let raw = match src.reg.bank {
-        Bank::Input => st.inputs[src.reg.index as usize],
-        Bank::Temp => st.temps[src.reg.index as usize],
-        Bank::Param => constants[src.reg.index as usize],
-        Bank::Output => unreachable!("validated programs never read outputs"),
-    };
-    let sw = src.swizzle.0;
-    let v = Vec4::new(
-        raw[sw[0].index()],
-        raw[sw[1].index()],
-        raw[sw[2].index()],
-        raw[sw[3].index()],
-    );
-    if src.negate {
-        -v
-    } else {
-        v
-    }
-}
-
-fn write_dst(st: &mut ThreadState, inst: &Instruction, mut value: Vec4) {
-    let Some(dst) = inst.dst else { return };
-    if inst.saturate {
-        value = value.saturate();
-    }
-    let target = match dst.reg.bank {
-        Bank::Output => &mut st.outputs[dst.reg.index as usize],
-        Bank::Temp => &mut st.temps[dst.reg.index as usize],
-        Bank::Input | Bank::Param => unreachable!("validated programs never write these banks"),
-    };
-    for i in 0..4 {
-        if dst.mask.writes(i) {
-            target[i] = value[i];
+/// Runs `f` on the state of every live lane of a group whose lanes all
+/// stand at `pc`.
+#[inline(always)]
+fn each_lane(
+    threads: &mut [ThreadState],
+    lanes: &[ThreadId],
+    done: &[bool; 4],
+    pc: usize,
+    mut f: impl FnMut(usize, &mut ThreadState),
+) {
+    for (lane, &t) in lanes.iter().enumerate() {
+        if done[lane] {
+            continue;
         }
+        let st = &mut threads[t.0];
+        assert!(
+            !st.finished && !st.blocked_on_tex,
+            "stepping a finished thread or one blocked on a texture access"
+        );
+        debug_assert_eq!(st.pc, pc, "the lanes of a group execute in lockstep");
+        f(lane, st);
     }
 }
 
-fn exec_alu(st: &ThreadState, constants: &[Vec4], inst: &Instruction) -> Vec4 {
-    let src = |i: usize| read_src(st, constants, &inst.srcs[i].expect("operand"));
-    match inst.op {
-        Opcode::Mov => src(0),
-        Opcode::Add => src(0) + src(1),
-        Opcode::Sub => src(0) - src(1),
-        Opcode::Mul => src(0) * src(1),
-        Opcode::Mad => src(0) * src(1) + src(2),
-        Opcode::Dp3 => Vec4::splat(src(0).dot3(src(1))),
-        Opcode::Dp4 => Vec4::splat(src(0).dot4(src(1))),
-        Opcode::Dph => Vec4::splat(src(0).dph(src(1))),
-        Opcode::Min => src(0).min(src(1)),
-        Opcode::Max => src(0).max(src(1)),
-        Opcode::Slt => src(0).zip(src(1), |a, b| if a < b { 1.0 } else { 0.0 }),
-        Opcode::Sge => src(0).zip(src(1), |a, b| if a >= b { 1.0 } else { 0.0 }),
-        Opcode::Rcp => Vec4::splat(1.0 / src(0).x),
-        Opcode::Rsq => Vec4::splat(1.0 / src(0).x.abs().sqrt()),
-        Opcode::Ex2 => Vec4::splat(src(0).x.exp2()),
-        Opcode::Lg2 => Vec4::splat(src(0).x.abs().log2()),
-        Opcode::Pow => Vec4::splat(src(0).x.abs().powf(src(1).x)),
-        Opcode::Frc => src(0).fract(),
-        Opcode::Flr => src(0).floor(),
-        Opcode::Abs => src(0).abs(),
-        Opcode::Cmp => {
-            let (c, a, b) = (src(0), src(1), src(2));
+/// The live lanes of a group and the constants they read.
+struct Lanes<'a> {
+    threads: &'a mut [ThreadState],
+    constants: &'a [Vec4],
+    lanes: &'a [ThreadId],
+    done: &'a [bool; 4],
+    pc: usize,
+}
+
+impl Lanes<'_> {
+    /// Computes `f` for every live lane and writes it back.
+    #[inline(always)]
+    fn map(self, d: &Decoded, f: impl Fn(&Operands<'_>) -> Vec4) {
+        let constants = self.constants;
+        each_lane(self.threads, self.lanes, self.done, self.pc, #[inline(always)] |_, st| {
+            let value = f(&Operands { st, constants, d });
+            st.write(d, value);
+            st.pc += 1;
+        });
+    }
+}
+
+/// The one dispatch of an ALU instruction: the opcode picks the operation,
+/// which then runs over the group's live lanes.
+#[inline(always)]
+fn alu(l: Lanes<'_>, d: &Decoded) {
+    match d.op {
+        Opcode::Mov => l.map(d, |o| o.src(0)),
+        Opcode::Add => l.map(d, |o| o.src(0) + o.src(1)),
+        Opcode::Sub => l.map(d, |o| o.src(0) - o.src(1)),
+        Opcode::Mul => l.map(d, |o| o.src(0) * o.src(1)),
+        Opcode::Mad => l.map(d, |o| o.src(0) * o.src(1) + o.src(2)),
+        Opcode::Dp3 => l.map(d, |o| Vec4::splat(o.src(0).dot3(o.src(1)))),
+        Opcode::Dp4 => l.map(d, |o| Vec4::splat(o.src(0).dot4(o.src(1)))),
+        Opcode::Dph => l.map(d, |o| Vec4::splat(o.src(0).dph(o.src(1)))),
+        Opcode::Min => l.map(d, |o| o.src(0).min(o.src(1))),
+        Opcode::Max => l.map(d, |o| o.src(0).max(o.src(1))),
+        Opcode::Slt => l.map(d, |o| o.src(0).zip(o.src(1), |a, b| if a < b { 1.0 } else { 0.0 })),
+        Opcode::Sge => l.map(d, |o| o.src(0).zip(o.src(1), |a, b| if a >= b { 1.0 } else { 0.0 })),
+        Opcode::Rcp => l.map(d, |o| Vec4::splat(1.0 / o.src(0).x)),
+        Opcode::Rsq => l.map(d, |o| Vec4::splat(1.0 / o.src(0).x.abs().sqrt())),
+        Opcode::Ex2 => l.map(d, |o| Vec4::splat(o.src(0).x.exp2())),
+        Opcode::Lg2 => l.map(d, |o| Vec4::splat(o.src(0).x.abs().log2())),
+        Opcode::Pow => l.map(d, |o| Vec4::splat(o.src(0).x.abs().powf(o.src(1).x))),
+        Opcode::Frc => l.map(d, |o| o.src(0).fract()),
+        Opcode::Flr => l.map(d, |o| o.src(0).floor()),
+        Opcode::Abs => l.map(d, |o| o.src(0).abs()),
+        Opcode::Cmp => l.map(d, |o| {
+            let (c, a, b) = (o.src(0), o.src(1), o.src(2));
             Vec4::new(
                 if c.x < 0.0 { a.x } else { b.x },
                 if c.y < 0.0 { a.y } else { b.y },
                 if c.z < 0.0 { a.z } else { b.z },
                 if c.w < 0.0 { a.w } else { b.w },
             )
-        }
-        Opcode::Lrp => {
-            let (t, a, b) = (src(0), src(1), src(2));
+        }),
+        Opcode::Lrp => l.map(d, |o| {
+            let (t, a, b) = (o.src(0), o.src(1), o.src(2));
             t * a + (Vec4::ONE - t) * b
-        }
-        Opcode::Xpd => src(0).cross3(src(1)),
-        Opcode::Sin => Vec4::splat(src(0).x.sin()),
-        Opcode::Cos => Vec4::splat(src(0).x.cos()),
+        }),
+        Opcode::Xpd => l.map(d, |o| o.src(0).cross3(o.src(1))),
+        Opcode::Sin => l.map(d, |o| Vec4::splat(o.src(0).x.sin())),
+        Opcode::Cos => l.map(d, |o| Vec4::splat(o.src(0).x.cos())),
         Opcode::Tex | Opcode::Txb | Opcode::Txp | Opcode::Kil | Opcode::End => {
-            unreachable!("handled before exec_alu")
+            unreachable!("decoded as Tex, Kil or End")
         }
     }
 }
@@ -505,6 +686,45 @@ mod tests {
         emu.complete_texture(t, Vec4::ZERO);
         let StepResult::Texture(req) = emu.step(t) else { panic!() };
         assert_eq!(req.lod_bias, -1.5);
+    }
+
+    #[test]
+    fn step_group_runs_live_lanes_in_lockstep() {
+        let src = "!!ATTILAfp1.0\nKIL i0;\nTXB r0, i1, texture[1], 2D;\nMOV o0, r0;\nEND;";
+        let program = Arc::new(assemble(src).unwrap());
+        let mut emu = ShaderEmulator::new(program);
+        let kill = Vec4::splat(-1.0);
+        let keep = Vec4::splat(1.0);
+        let lanes = [
+            emu.spawn(&[kill, Vec4::new(0.0, 0.0, 0.0, 5.0)]),
+            emu.spawn(&[keep, Vec4::new(0.1, 0.0, 0.0, 1.0)]),
+            emu.spawn(&[keep, Vec4::new(0.2, 0.0, 0.0, 2.0)]),
+        ];
+        let mut done = [false, false, false, true];
+        let step = emu.step_group(&lanes, &done);
+        assert_eq!(step.op, Opcode::Kil);
+        assert!(step.executed, "two lanes survive the KIL");
+        assert_eq!(step.finished, [true, false, false, false]);
+        assert_eq!(step.killed, [true, false, false, false]);
+        done[0] = true;
+
+        let step = emu.step_group(&lanes, &done);
+        let tex = step.texture.expect("TXB issues for the live lanes");
+        assert_eq!(tex.sampler, 1);
+        assert_eq!(tex.lanes, [false, true, true, false]);
+        assert_eq!(tex.lod_bias, 1.0, "the first issuing lane's w");
+        assert_eq!(tex.coords[0], tex.coords[1], "helpers carry the first lane's coordinates");
+        assert_eq!(tex.coords[3], tex.coords[1]);
+        emu.complete_texture(lanes[1], Vec4::splat(0.25));
+        emu.complete_texture(lanes[2], Vec4::splat(0.5));
+
+        let step = emu.step_group(&lanes, &done);
+        assert!(step.executed && step.texture.is_none());
+        let step = emu.step_group(&lanes, &done);
+        assert_eq!(step.finished, [false, true, true, false]);
+        assert_eq!(step.killed, [false; 4]);
+        assert_eq!(emu.output(lanes[1], 0), Vec4::splat(0.25));
+        assert_eq!(emu.output(lanes[2], 0), Vec4::splat(0.5));
     }
 
     #[test]

@@ -31,7 +31,8 @@ pub enum Horizon {
     /// cycle (e.g. it only waits for an in-flight object arriving then).
     IdleUntil(Cycle),
     /// The unit has nothing in flight at all; it will only wake when some
-    /// *other* unit (whose own horizon covers that event) feeds it.
+    /// *other* unit (whose own horizon covers that event) feeds it or
+    /// returns it a credit.
     Idle,
 }
 

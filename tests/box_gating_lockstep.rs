@@ -35,15 +35,16 @@ fn occupancy(boxes: &[BoxStatus]) -> Vec<(&str, bool, usize)> {
 }
 
 /// Steps both machines to the end of the trace, returning the cycle count
-/// and how many box-cycles the gated machine slept through.
-fn assert_lockstep(config: GpuConfig, trace: &GlTrace) -> (u64, u64) {
+/// and, per box in table order, how many cycles the gated machine slept
+/// that box through.
+fn assert_lockstep(config: GpuConfig, trace: &GlTrace) -> (u64, Vec<(String, u64)>) {
     let commands = compile(trace.width, trace.height, &trace.calls).expect("trace compiles");
     let mut gated = machine(&config, trace, true);
     let mut plain = machine(&config, trace, false);
     gated.enqueue(&commands);
     plain.enqueue(&commands);
     let mut windows = 0;
-    let mut slept = 0u64;
+    let mut slept: Vec<(String, u64)> = Vec::new();
     loop {
         let cycle = plain.cycle();
         assert!(cycle < 20_000_000, "trace failed to drain");
@@ -75,7 +76,12 @@ fn assert_lockstep(config: GpuConfig, trace: &GlTrace) -> (u64, u64) {
             assert_eq!(gated.stats().csv(), plain.stats().csv(), "window {windows} diverges");
         }
         assert!(p.boxes.iter().all(|b| !b.asleep), "skip_idle off must clock everything");
-        slept += g.boxes.iter().filter(|b| b.asleep).count() as u64;
+        if slept.is_empty() {
+            slept = g.boxes.iter().map(|b| (b.name.clone(), 0)).collect();
+        }
+        for ((_, n), b) in slept.iter_mut().zip(&g.boxes) {
+            *n += u64::from(b.asleep);
+        }
         if p.boxes.iter().all(|b| !b.busy) {
             break;
         }
@@ -139,10 +145,41 @@ fn ut2004_like_geometry_bound_sleeps_the_back_end() {
     params.height = 48;
     params.detail = 8;
     let trace = workloads::ut2004_like(params);
-    let (cycles, slept) = assert_lockstep(GpuConfig::baseline(), &trace);
+    let (cycles, per_box) = assert_lockstep(GpuConfig::baseline(), &trace);
+    let slept: u64 = per_box.iter().map(|(_, n)| n).sum();
     assert!(
         slept > 4 * cycles,
         "a geometry-bound frame should sleep several boxes on the average \
          cycle: {slept} box-cycles asleep over {cycles} cycles"
+    );
+}
+
+/// Asleep box-cycles of FragGen, HZ, the Z/stencil units and the
+/// Interpolator below which stalled units are being clocked again.
+const FRONT_END_FLOOR: u64 = 250_000;
+
+/// The texture-bound shape: one texture unit behind a `doom3_like` light
+/// pass backs the fragment front end up behind the shaders. A unit whose
+/// output is out of credits must sleep until one returns instead of being
+/// clocked to find that out. The floor sits between the 51 986 box-cycles
+/// these units slept over the frame's 116 716 cycles when they reported
+/// `Busy` on any queued input and the 482 948 they sleep now.
+#[test]
+fn doom3_like_texture_bound_sleeps_the_stalled_front_end() {
+    let mut config = GpuConfig::baseline();
+    config.texture.units = 1;
+    let (cycles, per_box) = assert_lockstep(config, &workloads::doom3_like(tiny_params()));
+    let front_end: u64 = per_box
+        .iter()
+        .filter(|(name, _)| {
+            ["FragmentGenerator", "HierarchicalZ", "Interpolator"].contains(&name.as_str())
+                || name.starts_with("ZStencil")
+        })
+        .map(|(_, n)| n)
+        .sum();
+    assert!(
+        front_end >= FRONT_END_FLOOR,
+        "the stalled fragment front end slept {front_end} box-cycles over {cycles} cycles \
+         (floor {FRONT_END_FLOOR}); per box: {per_box:?}"
     );
 }

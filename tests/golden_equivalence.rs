@@ -168,3 +168,65 @@ fn color_compression_matches_golden() {
     config.colorwrite.compression = true;
     run_and_compare(config, &trace);
 }
+
+/// `TXB` takes its LOD bias from `w`, which may differ across the four
+/// fragments of a quad; a quad samples with one bias, the first unfinished
+/// fragment's, in the timing model and the golden renderer alike. Here `w`
+/// ramps 0 → 6 across the frame over a trilinear mip chain of noise, so
+/// every quad's four fragments carry four different biases. Before both
+/// paths read the bias from the same place, the Fragment FIFO took the
+/// last fragment's and this frame differed on 1 704 of 4 096 pixels.
+#[test]
+fn txb_bias_per_quad_matches_golden() {
+    use attila::gl::api::{GlCall, GlPrimitive, GlTexFilter, GlTexFormat, GlWrap};
+
+    const SIZE: u32 = 64;
+    let mut rng = attila::sim::TinyRng::new(0x7B);
+    let pixels: Vec<u8> = (0..SIZE * SIZE * 4).map(|_| rng.range_u32(0, 256) as u8).collect();
+    // A screen-filling quad: position (x, y, z), then (u, v, 0, bias) with
+    // the texture repeated 4× across the frame (LOD ≈ 2 before the bias).
+    let corners = [
+        ([-1.0f32, -1.0], [0.0f32, 0.0, 0.0, 0.0]),
+        ([1.0, -1.0], [4.0, 0.0, 0.0, 6.0]),
+        ([1.0, 1.0], [4.0, 4.0, 0.0, 6.0]),
+        ([-1.0, 1.0], [0.0, 4.0, 0.0, 0.0]),
+    ];
+    let mut vertices = Vec::new();
+    for i in [0, 1, 2, 0, 2, 3] {
+        let ([x, y], attr) = corners[i];
+        for v in [x, y, 0.5].iter().chain(&attr) {
+            vertices.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    let calls = vec![
+        GlCall::TexImage2D {
+            id: 1,
+            width: SIZE,
+            height: SIZE,
+            format: GlTexFormat::Rgba8,
+            mipmapped: true,
+            pixels,
+        },
+        GlCall::TexFilter { id: 1, min: GlTexFilter::Trilinear },
+        GlCall::TexWrap { id: 1, s: GlWrap::Repeat, t: GlWrap::Repeat },
+        GlCall::BindTexture { unit: 0, id: 1 },
+        GlCall::ProgramString {
+            id: 2,
+            source: "!!ATTILAvp1.0\nMOV o0, i0;\nMOV o1, i1;\nEND;".into(),
+        },
+        GlCall::ProgramString {
+            id: 3,
+            source: "!!ATTILAfp1.0\nTXB r0, i0, texture[0], 2D;\nMOV o0, r0;\nEND;".into(),
+        },
+        GlCall::BindProgram { target_vertex: true, id: 2 },
+        GlCall::BindProgram { target_vertex: false, id: 3 },
+        GlCall::BufferData { id: 4, data: vertices },
+        GlCall::VertexAttribPointer { attr: 0, buffer: 4, components: 3, stride: 28, offset: 0 },
+        GlCall::VertexAttribPointer { attr: 1, buffer: 4, components: 4, stride: 28, offset: 12 },
+        GlCall::Clear { mask: attila::gl::api::clear_mask::COLOR },
+        GlCall::DrawArrays { primitive: GlPrimitive::Triangles, count: 6 },
+        GlCall::SwapBuffers,
+    ];
+    let trace = attila::gl::GlTrace { width: 64, height: 64, calls };
+    run_and_compare(GpuConfig::baseline(), &trace);
+}
