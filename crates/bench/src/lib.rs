@@ -12,13 +12,6 @@
 //! | Figure 9 (unit-utilization time series) | `fig9` |
 //! | Figure 10 (rendered-frame validation) | `fig10` |
 //!
-//! Benches in `benches/` (plain `harness = false` programs timed with
-//! [`std::time::Instant`]) cover the same ground as repeatable
-//! micro-measurements plus the design-choice ablations (HZ, compression,
-//! traversal, unified vs non-unified) and the event-horizon scheduler
-//! (`idle_skip`: cycles per wall-second with idle skipping on vs off,
-//! gated on bit-identical results between the two modes).
-//!
 //! Absolute cycle counts differ from the paper's (their substrate was a
 //! 2006 testbed, their traces real games at 1024×768); the harnesses
 //! report the *shape* — who wins, by what factor, where behaviour
@@ -95,31 +88,6 @@ pub fn run_workload(mut config: GpuConfig, trace: &GlTrace) -> RunMetrics {
     }
 }
 
-/// One simulation pass for the idle-skip benchmark: runs `trace` with the
-/// event-horizon scheduler on or off and returns
-/// `(final cycles, cycles skipped, FNV-1a hash over every dumped frame)`.
-///
-/// # Panics
-///
-/// Panics if the trace fails to compile or the watchdog expires.
-pub fn run_skip_pass(mut config: GpuConfig, trace: &GlTrace, skip: bool) -> (u64, u64, u64) {
-    config.display.width = trace.width;
-    config.display.height = trace.height;
-    let commands = compile(trace.width, trace.height, &trace.calls).expect("trace compiles");
-    let mut gpu = Gpu::new(config);
-    gpu.max_cycles = 2_000_000_000;
-    gpu.skip_idle = skip;
-    let result = gpu.run_trace(&commands).expect("simulation drains");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for frame in &result.framebuffers {
-        for &b in &frame.rgba {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    (result.cycles, gpu.cycles_skipped(), hash)
-}
-
 /// The Section 5 case-study configuration with `tus` texture units, the
 /// given scheduler and a statistics window.
 pub fn case_study_config(tus: usize, sched: ShaderScheduling, window: u64) -> GpuConfig {
@@ -161,30 +129,6 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// A dependency-free measurement loop for the `harness = false` benches:
-/// runs `f` for one warm-up pass plus `samples` timed passes and prints
-/// the best and mean wall-clock time per pass.
-///
-/// The best-of-N is the headline number (least scheduler noise); the mean
-/// is printed alongside so outliers are visible. `iters_per_sample`
-/// repeats `f` inside one timed sample for sub-microsecond work.
-pub fn bench_case<F: FnMut()>(name: &str, samples: u32, iters_per_sample: u32, mut f: F) {
-    f(); // warm-up: first pass pays cold caches and lazy init
-    let mut best = f64::INFINITY;
-    let mut total = 0.0f64;
-    for _ in 0..samples.max(1) {
-        let start = std::time::Instant::now();
-        for _ in 0..iters_per_sample.max(1) {
-            f();
-        }
-        let per_iter = start.elapsed().as_secs_f64() / f64::from(iters_per_sample.max(1));
-        best = best.min(per_iter);
-        total += per_iter;
-    }
-    let mean = total / f64::from(samples.max(1));
-    println!("{name:<40} best {:>12}  mean {:>12}", fmt_secs(best), fmt_secs(mean));
-}
-
 /// The standard 8-config sweep grid: texture-unit counts 1–4 crossed with
 /// both shader schedulers, over a small doom3-like trace.
 pub fn standard_grid() -> Vec<attila_core::sweep::SweepJob> {
@@ -202,19 +146,6 @@ pub fn standard_grid() -> Vec<attila_core::sweep::SweepJob> {
         }
     }
     jobs
-}
-
-/// Renders a duration in the most readable unit (s/ms/µs/ns).
-fn fmt_secs(s: f64) -> String {
-    if s >= 1.0 {
-        format!("{s:.3} s")
-    } else if s >= 1e-3 {
-        format!("{:.3} ms", s * 1e3)
-    } else if s >= 1e-6 {
-        format!("{:.3} µs", s * 1e6)
-    } else {
-        format!("{:.1} ns", s * 1e9)
-    }
 }
 
 #[cfg(test)]

@@ -345,13 +345,9 @@ pub enum OnFault {
     /// default: errors in a verified pipeline are modelling bugs).
     #[default]
     Abort,
-    /// Mark the offending signal lossy — it silently drops traffic that
-    /// would have violated its contract — and keep simulating. Models a
-    /// degraded wire; the run may still hang if the loss starves a unit.
-    Isolate,
     /// Record the failure report but keep simulating with the error
-    /// otherwise ignored, re-checking every cycle. Like `Isolate` without
-    /// containment; useful to count how often a fault fires.
+    /// otherwise ignored, re-checking every cycle; useful to count how
+    /// often a fault fires.
     Report,
 }
 
@@ -455,7 +451,7 @@ impl_json_struct!(MemoryConfig {
     gpu_memory_mb,
 });
 impl_json_struct!(StatsConfig { window_cycles });
-impl_json_enum_unit!(OnFault { Abort, Isolate, Report });
+impl_json_enum_unit!(OnFault { Abort, Report });
 impl_json_struct!(GpuConfig {
     display,
     streamer,
@@ -871,6 +867,11 @@ mod tests {
         let json = c.to_json();
         let back = GpuConfig::from_json(&json).unwrap();
         assert_eq!(c, back);
+        // A retired fault policy is refused by name, not read as `Abort`.
+        let retired = json.replace("\"Abort\"", "\"Isolate\"");
+        assert_ne!(retired, json, "the policy must appear in the JSON");
+        let err = GpuConfig::from_json(&retired).unwrap_err();
+        assert!(err.to_string().contains("unknown OnFault variant `Isolate`"), "{err}");
     }
 
     #[test]

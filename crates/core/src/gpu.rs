@@ -263,7 +263,7 @@ pub struct Gpu {
     // and accounting; `trace_hash` travels in the file's header
     /// Forensic trace sink, when signal tracing is enabled.
     trace: Option<attila_sim::TraceSink>,
-    /// Faults tolerated (not aborted on) under `OnFault::{Isolate,Report}`.
+    /// Faults tolerated (not aborted on) under `OnFault::Report`.
     fault_log: Vec<SimError>,
     /// A framebuffer dump that failed its bounds check mid-step.
     dump_failure: Option<GpuError>,
@@ -1360,8 +1360,8 @@ impl Gpu {
         self.checkpoint_bytes_written
     }
 
-    /// Faults tolerated so far under [`OnFault::Isolate`] or
-    /// [`OnFault::Report`] (empty under [`OnFault::Abort`]).
+    /// Faults tolerated so far under [`OnFault::Report`] (empty under
+    /// [`OnFault::Abort`]).
     pub fn fault_log(&self) -> &[SimError] {
         &self.fault_log
     }
@@ -1411,10 +1411,8 @@ impl Gpu {
     ///
     /// Signal verification failures are dispatched through the
     /// configuration's [`OnFault`] policy: `Abort` stops with
-    /// [`GpuError::Sim`] and a full [`FailureReport`]; `Isolate` degrades
-    /// the offending signal to lossy delivery and keeps running;
-    /// `Report` records the fault (see [`fault_log`](Self::fault_log))
-    /// and keeps running.
+    /// [`GpuError::Sim`] and a full [`FailureReport`]; `Report` records
+    /// the fault (see [`fault_log`](Self::fault_log)) and keeps running.
     ///
     /// # Errors
     ///
@@ -1445,14 +1443,6 @@ impl Gpu {
                             report: Box::new(self.failure_report(Some(e.clone()))),
                             error: e,
                         });
-                    }
-                    OnFault::Isolate => {
-                        // Degrade exactly the wire that failed; it keeps
-                        // flowing, dropping what it cannot carry.
-                        if let Some(signal) = e.signal() {
-                            let _ = self.binder.set_lossy(signal, true);
-                        }
-                        self.fault_log.push(e);
                     }
                     OnFault::Report => self.fault_log.push(e),
                 }

@@ -70,7 +70,6 @@ pub mod port;
 pub mod primitive_assembly;
 pub mod report;
 mod rop;
-pub mod serve;
 pub mod setup;
 pub mod state;
 pub mod streamer;
@@ -86,6 +85,5 @@ pub use config::{GpuConfig, ShaderScheduling};
 pub use golden::GoldenRenderer;
 pub use gpu::{FrameDump, Gpu, GpuError, RunResult};
 pub use report::{BoxStatus, FailureReport};
-pub use serve::{JobResult, JobSpec, JobStatus, ServeConfig, ServeReport};
 pub use state::{AttributeBinding, CullMode, RenderState, ScissorState};
 pub use sweep::{run_sweep, sweep_csv, sweep_json, SweepJob, SweepOutcome};

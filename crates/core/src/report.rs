@@ -60,11 +60,6 @@ impl FailureReport {
     pub fn busy_boxes(&self) -> impl Iterator<Item = &BoxStatus> {
         self.boxes.iter().filter(|b| b.busy)
     }
-
-    /// The signals that dropped objects.
-    pub fn lossy_signals(&self) -> impl Iterator<Item = &SignalStatus> {
-        self.signals.iter().filter(|s| s.lost > 0)
-    }
 }
 
 impl std::fmt::Display for FailureReport {
@@ -92,18 +87,13 @@ impl std::fmt::Display for FailureReport {
         writeln!(f, "signals (in-flight / written / read / lost):")?;
         for s in &self.signals {
             // Quiet wires are noise in a post-mortem; show the active ones.
-            if s.in_flight == 0 && s.lost == 0 && !s.lossy {
+            if s.in_flight == 0 && s.lost == 0 {
                 continue;
             }
             writeln!(
                 f,
-                "  {:<36} {:>3} / {} / {} / {}{}",
-                s.name,
-                s.in_flight,
-                s.written,
-                s.read,
-                s.lost,
-                if s.lossy { "  [lossy]" } else { "" }
+                "  {:<36} {:>3} / {} / {} / {}",
+                s.name, s.in_flight, s.written, s.read, s.lost
             )?;
         }
         if !self.recent_events.is_empty() {
@@ -153,7 +143,6 @@ mod tests {
                 written: 10,
                 read: 7,
                 lost: 2,
-                lossy: false,
             }],
             recent_events: vec![TraceEvent {
                 cycle: 1229,
@@ -191,7 +180,6 @@ mod tests {
     fn helpers_filter() {
         let r = sample();
         assert_eq!(r.busy_boxes().count(), 1);
-        assert_eq!(r.lossy_signals().count(), 1);
     }
 
     #[test]
@@ -203,7 +191,6 @@ mod tests {
             written: 5,
             read: 5,
             lost: 0,
-            lossy: false,
         });
         assert!(!r.to_string().contains("quiet->wire"));
     }

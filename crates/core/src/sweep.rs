@@ -132,7 +132,7 @@ fn collect_outcome_caught(
 }
 
 /// Extracts a printable message from a caught panic payload.
-pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -91,8 +91,8 @@ pub struct SignalInfo {
 pub struct SignalBinder {
     signals: BTreeMap<String, SignalInfo>,
     /// Type-erased handles onto the live wires, in id (registration)
-    /// order: post-mortem reporting, fault isolation, and the wires whose
-    /// table word says to ask the core.
+    /// order: post-mortem reporting, faults and traces attached by name,
+    /// and the wires whose table word says to ask the core.
     probes: Vec<SignalProbe>,
     /// Signal name → id (index into `probes` and the wire table).
     ids: BTreeMap<String, usize>,
@@ -174,18 +174,6 @@ impl SignalBinder {
     /// returns alike. `None` for a box that reads no registered wire.
     pub fn wake_line(&self, box_name: &str) -> Option<WakeLine> {
         self.wake_lines.get(box_name).cloned()
-    }
-
-    /// Degrades (or restores) a registered signal to best-effort delivery
-    /// by name — the mechanism behind fault *isolation*: a wire that
-    /// failed a verification check keeps flowing, dropping what it cannot
-    /// carry, instead of taking the simulation down.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownSignal`] if no signal has that name.
-    pub fn set_lossy(&self, name: &str, lossy: bool) -> Result<(), SimError> {
-        self.probe(name).map(|p| p.set_lossy(lossy))
     }
 
     /// Attaches a compiled fault schedule to a registered signal by name
@@ -434,22 +422,17 @@ mod tests {
     fn next_event_cycle_asks_the_core_of_a_pinned_wire() {
         let mut b = SignalBinder::new();
         let (mut plain, _rx1) = b.register::<u32>("plain", "A", "B", 1, 9).unwrap();
-        let (mut lossy, mut rx2) = b.register::<u32>("lossy", "B", "C", 1, 4).unwrap();
-        // A lossy wire pins its table word: nothing may be concluded from
+        let (mut traced, mut rx2) = b.register::<u32>("traced", "B", "C", 1, 4).unwrap();
+        // A traced wire pins its table word: nothing may be concluded from
         // it, in flight or empty.
-        lossy.set_lossy(true);
+        traced.attach_trace(crate::SignalTrace::new_sink());
         assert_eq!(b.next_event_cycle(), None);
         plain.write(0, 1).unwrap(); // arrives at 9
-        lossy.write(0, 2).unwrap(); // arrives at 4
+        traced.write(0, 2).unwrap(); // arrives at 4
         assert_eq!(b.next_event_cycle(), Some(4));
         assert_eq!(rx2.read(4), Some(2));
         assert_eq!(b.next_event_cycle(), Some(9));
-        // Unpinning re-derives the word from the ring.
-        lossy.write(5, 3).unwrap(); // arrives at 9
-        b.set_lossy("lossy", false).unwrap();
-        plain.write(1, 4).unwrap(); // arrives at 10
-        assert_eq!(b.next_event_cycle(), Some(9));
-        assert_eq!(rx2.next_arrival(), Some(9));
+        assert_eq!(rx2.next_arrival(), None);
     }
 
     #[test]

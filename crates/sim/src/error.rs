@@ -80,9 +80,7 @@ pub enum SimError {
 }
 
 impl SimError {
-    /// The name of the offending signal, when the error is tied to one —
-    /// the key used by fault *isolation* to degrade exactly the wire that
-    /// failed.
+    /// The name of the offending signal, when the error is tied to one.
     pub fn signal(&self) -> Option<&str> {
         match self {
             SimError::BandwidthExceeded { signal, .. }

@@ -20,8 +20,7 @@
 //!
 //! * writing more than `bandwidth` objects in one cycle;
 //! * an object reaching the reader's end and never being read before the
-//!   clock moves past its arrival cycle (data loss) — unless the signal is
-//!   explicitly marked [lossy](SignalWriter::set_lossy);
+//!   clock moves past its arrival cycle (data loss);
 //! * writing for a cycle earlier than one already observed.
 //!
 //! # The wire table
@@ -35,7 +34,7 @@
 //! arrival cycle of the front in-flight object (`due`) and the latest
 //! cycle either endpoint has observed (`latest`). The core maintains `due`
 //! after every change to its ring; readers answer "nothing due" from the
-//! word alone. A wire with a fault hook, a trace sink or the lossy flag
+//! word alone. A wire with a fault hook or a trace sink
 //! *pins* `due` to `DUE_PINNED` (zero), so every operation on it falls through
 //! to the core — those features live there and keep their exact
 //! behaviour.
@@ -151,7 +150,7 @@ pub(crate) fn ring_capacity(bandwidth: usize, latency: Cycle) -> usize {
 }
 
 /// `due` value of a wire whose every operation must go through the core
-/// (fault hook, trace sink or lossy flag armed). Zero is never later than
+/// (fault hook or trace sink armed). Zero is never later than
 /// the polled cycle, so the fast paths never take it for "nothing due".
 const DUE_PINNED: Cycle = 0;
 
@@ -289,13 +288,9 @@ struct SignalCore<T> {
     /// the core — resets the budget without touching this field.
     writes_this_cycle: usize,
     writes_at: Cycle,
-    /// Whether the wire is lossy, faulted or traced; see
+    /// Whether the wire is faulted or traced; see
     /// [`repin`](Self::repin).
     pinned: bool,
-    /// When `true`, the signal degrades instead of failing verification:
-    /// unread, late or over-bandwidth objects are dropped (and counted)
-    /// rather than aborting the simulation.
-    lossy: bool,
     total_written: u64,
     total_read: u64,
     total_lost: u64,
@@ -318,10 +313,10 @@ impl<T: fmt::Debug> SignalCore<T> {
     }
 
     /// Re-derives `pinned` and the `due` word after a change to the
-    /// conditions that pin a wire: every operation on a lossy, faulted or
-    /// traced wire must reach the core.
+    /// conditions that pin a wire: every operation on a faulted or traced
+    /// wire must reach the core.
     fn repin(&mut self) {
-        self.pinned = self.lossy || self.faults.is_some() || self.trace.is_some();
+        self.pinned = self.faults.is_some() || self.trace.is_some();
         self.sync_due();
     }
 
@@ -364,10 +359,7 @@ impl<T: fmt::Debug> SignalCore<T> {
         }
         self.sync_due();
         self.total_lost += lost as u64;
-        if !self.lossy {
-            return Err(SimError::DataLost { signal: self.name.clone(), cycle, lost });
-        }
-        Ok(())
+        Err(SimError::DataLost { signal: self.name.clone(), cycle, lost })
     }
 
     fn write(&mut self, cycle: Cycle, obj: T) -> Result<(), SimError> {
@@ -390,12 +382,6 @@ impl<T: fmt::Debug> SignalCore<T> {
         }
         let latest = self.wire.latest();
         if cycle < latest {
-            if self.lossy {
-                // Degraded wire: a write in the past cannot be latched;
-                // drop it instead of failing verification.
-                self.total_lost += 1;
-                return Ok(());
-            }
             return Err(SimError::TimeTravel { signal: self.name.clone(), cycle, latest });
         }
         self.observe_cycle(cycle)?;
@@ -405,12 +391,6 @@ impl<T: fmt::Debug> SignalCore<T> {
         self.writes_at = cycle;
         self.writes_this_cycle = used;
         if used + slots > self.bandwidth {
-            if self.lossy {
-                // Degraded wire: excess objects fall on the floor.
-                self.writes_this_cycle = self.bandwidth;
-                self.total_lost += 1;
-                return Ok(());
-            }
             return Err(SimError::BandwidthExceeded {
                 signal: self.name.clone(),
                 cycle,
@@ -539,7 +519,6 @@ impl<T: fmt::Debug> Signal<T> {
             writes_this_cycle: 0,
             writes_at: 0,
             pinned: false,
-            lossy: false,
             total_written: 0,
             total_read: 0,
             total_lost: 0,
@@ -581,7 +560,7 @@ impl<T: fmt::Debug> SignalWriter<T> {
     /// Returns [`SimError::BandwidthExceeded`] if more than `bandwidth`
     /// objects were already written this cycle, [`SimError::TimeTravel`] if
     /// `cycle` is in the past, or [`SimError::DataLost`] if advancing the
-    /// clock exposes unread data on a non-lossy signal.
+    /// clock exposes unread data.
     #[inline]
     pub fn write(&mut self, cycle: Cycle, obj: T) -> Result<(), SimError> {
         self.core.borrow_mut().write(cycle, obj)
@@ -621,13 +600,6 @@ impl<T: fmt::Debug> SignalWriter<T> {
         }
         let core = self.core.borrow();
         core.bandwidth - core.writes_used().min(core.bandwidth)
-    }
-
-    /// Marks the signal as lossy: unread objects are dropped and counted
-    /// instead of aborting the simulation. Used for purely informational
-    /// wires (e.g. performance-counter broadcasts).
-    pub fn set_lossy(&mut self, lossy: bool) {
-        ProbeOps::set_lossy(&*self.core, lossy);
     }
 
     /// Attaches a trace sink; every written object is recorded (with its
@@ -673,7 +645,7 @@ impl<T: fmt::Debug> SignalWriter<T> {
 
     /// A type-erased handle onto this signal's shared state, used by the
     /// [`SignalBinder`](crate::SignalBinder) for post-mortem reporting and
-    /// for degrading a signal to lossy by name.
+    /// for attaching faults and trace sinks by name.
     pub fn probe(&self) -> SignalProbe
     where
         T: 'static,
@@ -694,18 +666,14 @@ pub struct SignalStatus {
     pub written: u64,
     /// Total objects ever read.
     pub read: u64,
-    /// Total objects dropped (late, over-bandwidth on a lossy wire, or
-    /// destroyed by an injected fault).
+    /// Total objects dropped (late, or destroyed by an injected fault).
     pub lost: u64,
-    /// Whether the signal is degraded to best-effort delivery.
-    pub lossy: bool,
 }
 
 /// Type-erased operations every signal exposes for introspection.
 trait ProbeOps {
     fn name(&self) -> SignalName;
     fn status(&self) -> SignalStatus;
-    fn set_lossy(&self, lossy: bool);
     fn attach_faults(&self, hook: SignalFaultHandle);
     fn attach_trace(&self, sink: TraceSink);
     fn next_arrival(&self) -> Option<Cycle>;
@@ -726,14 +694,7 @@ impl<T: fmt::Debug> ProbeOps for RefCell<SignalCore<T>> {
             written: core.total_written,
             read: core.total_read,
             lost: core.total_lost,
-            lossy: core.lossy,
         }
-    }
-
-    fn set_lossy(&self, lossy: bool) {
-        let mut core = self.borrow_mut();
-        core.lossy = lossy;
-        core.repin();
     }
 
     fn attach_faults(&self, hook: SignalFaultHandle) {
@@ -766,8 +727,8 @@ impl<T: fmt::Debug> ProbeOps for RefCell<SignalCore<T>> {
 
 /// A type-erased handle onto a signal's shared state (see
 /// [`SignalWriter::probe`]). The binder keeps one per registered signal so
-/// failure reports can snapshot every wire and fault isolation can degrade
-/// a wire by name without knowing its payload type.
+/// failure reports can snapshot every wire and faults or trace sinks can
+/// be attached to a wire by name without knowing its payload type.
 #[derive(Clone)]
 pub struct SignalProbe {
     ops: Rc<dyn ProbeOps>,
@@ -782,11 +743,6 @@ impl SignalProbe {
     /// Snapshots the signal's health counters.
     pub fn status(&self) -> SignalStatus {
         self.ops.status()
-    }
-
-    /// Degrades (or restores) the signal to best-effort delivery.
-    pub fn set_lossy(&self, lossy: bool) {
-        self.ops.set_lossy(lossy);
     }
 
     /// Attaches a compiled fault schedule to the underlying signal;
@@ -856,9 +812,8 @@ impl<T: fmt::Debug> SignalReader<T> {
     ///
     /// # Panics
     ///
-    /// Panics if advancing the clock exposes unread data on a non-lossy
-    /// signal (a data-loss verification failure — a bug in the consuming
-    /// box).
+    /// Panics if advancing the clock exposes unread data (a data-loss
+    /// verification failure — a bug in the consuming box).
     pub fn read(&mut self, cycle: Cycle) -> Option<T> {
         match self.try_read(cycle) {
             Ok(v) => v,
@@ -871,7 +826,7 @@ impl<T: fmt::Debug> SignalReader<T> {
     /// # Errors
     ///
     /// Returns [`SimError::DataLost`] instead of panicking when unread data
-    /// fell off a non-lossy wire.
+    /// fell off the wire.
     #[inline]
     pub fn try_read(&mut self, cycle: Cycle) -> Result<Option<T>, SimError> {
         // Nothing due or overdue: the table word answers. An overdue front
@@ -900,7 +855,7 @@ impl<T: fmt::Debug> SignalReader<T> {
     /// # Errors
     ///
     /// Returns [`SimError::DataLost`] instead of panicking when unread data
-    /// fell off a non-lossy wire.
+    /// fell off the wire.
     pub fn try_read_all(&mut self, cycle: Cycle) -> Result<Vec<T>, SimError> {
         let mut out = Vec::new();
         while let Some(v) = self.try_read(cycle)? {
@@ -950,8 +905,8 @@ impl<T: fmt::Debug> SignalReader<T> {
         self.core.borrow().total_read
     }
 
-    /// Total number of objects dropped (only non-zero on lossy signals,
-    /// since a loss on a strict signal aborts the simulation).
+    /// Total number of objects dropped (by an injected fault, or by the
+    /// data loss that failed verification).
     pub fn total_lost(&self) -> u64 {
         self.core.borrow().total_lost
     }
@@ -1024,15 +979,6 @@ mod tests {
         // Data arrives at cycle 1, but the reader first looks at cycle 2.
         let err = rx.try_read(2).unwrap_err();
         assert!(matches!(err, SimError::DataLost { lost: 1, .. }));
-    }
-
-    #[test]
-    fn lossy_signal_counts_instead_of_failing() {
-        let (mut tx, mut rx) = Signal::<u32>::with_name("s", 1, 1);
-        tx.set_lossy(true);
-        tx.write(0, 1).unwrap();
-        assert_eq!(rx.try_read(5).unwrap(), None);
-        assert_eq!(rx.total_lost(), 1);
     }
 
     #[test]

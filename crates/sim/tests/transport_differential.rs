@@ -4,10 +4,10 @@
 //! *semantically invisible*: every observable behaviour — delivered
 //! values, delivery cycles, verification errors, loss counters, horizon
 //! events — must match the plain growable-`VecDeque` transport it
-//! replaced, under arbitrary latencies, bandwidths, lossy degradation and
-//! injected fault schedules. This file retains that legacy transport as
-//! an executable reference model and drives both implementations with
-//! identical seeded traffic, comparing after every operation.
+//! replaced, under arbitrary latencies, bandwidths and injected fault
+//! schedules. This file retains that legacy transport as an executable
+//! reference model and drives both implementations with identical seeded
+//! traffic, comparing after every operation.
 
 use std::collections::VecDeque;
 
@@ -26,7 +26,6 @@ struct RefWire {
     in_flight: VecDeque<(u64, u32)>,
     latest_cycle: u64,
     writes_this_cycle: usize,
-    lossy: bool,
     total_written: u64,
     total_read: u64,
     total_lost: u64,
@@ -42,7 +41,6 @@ impl RefWire {
             in_flight: VecDeque::new(),
             latest_cycle: 0,
             writes_this_cycle: 0,
-            lossy: false,
             total_written: 0,
             total_read: 0,
             total_lost: 0,
@@ -66,9 +64,7 @@ impl RefWire {
         }
         if lost > 0 {
             self.total_lost += lost as u64;
-            if !self.lossy {
-                return Err(SimError::DataLost { signal: self.name.clone(), cycle, lost });
-            }
+            return Err(SimError::DataLost { signal: self.name.clone(), cycle, lost });
         }
         Ok(())
     }
@@ -94,10 +90,6 @@ impl RefWire {
             None => {}
         }
         if cycle < self.latest_cycle {
-            if self.lossy {
-                self.total_lost += 1;
-                return Ok(());
-            }
             return Err(SimError::TimeTravel {
                 signal: self.name.clone(),
                 cycle,
@@ -106,11 +98,6 @@ impl RefWire {
         }
         self.observe_cycle(cycle)?;
         if self.writes_this_cycle + slots > self.bandwidth {
-            if self.lossy {
-                self.writes_this_cycle = self.bandwidth;
-                self.total_lost += 1;
-                return Ok(());
-            }
             return Err(SimError::BandwidthExceeded {
                 signal: self.name.clone(),
                 cycle,
@@ -191,24 +178,20 @@ fn random_plans(rng: &mut TinyRng) -> Vec<FaultPlan> {
 
 /// Drives the ring transport and the reference transport with identical
 /// seeded traffic — random write bursts (sometimes over bandwidth),
-/// random reader stalls (sometimes losing data), random lossy degradation
-/// and random fault schedules — and asserts every observable matches:
-/// write results, read results, loss/traffic counters, and the horizon
-/// events (`next_arrival` / `drain_cycle`) the idle-skip scheduler
-/// depends on.
+/// random reader stalls (sometimes losing data) and random fault
+/// schedules — and asserts every observable matches: write results, read
+/// results, loss/traffic counters, and the horizon events
+/// (`next_arrival` / `drain_cycle`) the idle-skip scheduler depends on.
 #[test]
 fn ring_transport_matches_vecdeque_reference() {
     for seed in 0..256u64 {
         let mut rng = TinyRng::new(seed);
         let latency = rng.range_u64(0, 10);
         let bandwidth = rng.range_u32(1, 5) as usize;
-        let lossy = rng.chance(1, 2);
         let plans = random_plans(&mut rng);
 
         let (mut tx, mut rx) = Signal::<u32>::with_name("p", bandwidth, latency);
         let mut reference = RefWire::new("p", bandwidth, latency);
-        tx.set_lossy(lossy);
-        reference.lossy = lossy;
         if !plans.is_empty() {
             // Two injectors from one seed compile identical schedules.
             let mut inj_real = FaultInjector::new(seed);
@@ -233,7 +216,7 @@ fn ring_transport_matches_vecdeque_reference() {
                 assert_eq!(got, want, "seed {seed} cycle {cycle}: write result diverged");
             }
             // The reader sometimes sleeps through a cycle, stranding
-            // arrivals (loss on strict wires, counters on lossy ones).
+            // arrivals.
             if rng.chance(3, 4) {
                 loop {
                     let got = rx.try_read(cycle);

@@ -34,9 +34,6 @@ struct Args {
     viz_out: Option<PathBuf>,
     viz_title: Option<String>,
     viz_buckets: usize,
-    serve: bool,
-    serve_smoke: bool,
-    retry_limit: u32,
     workers: Option<usize>,
     checkpoint_every: Option<u64>,
     checkpoint_path: Option<PathBuf>,
@@ -142,18 +139,6 @@ Subcommands:
                              tRP + tRCD)
       --banks-list <a,b,..>  DRAM banks-per-channel counts to sweep
       --workers <n>          worker threads (default: available cores)
-    serve                    resumable job daemon: run the sweep grid as a
-                             job queue with per-job (simulated-cycle)
-                             timeouts, checkpointed retries with capped
-                             exponential backoff, poison-job quarantine
-                             and panic containment; writes serve.json to
-                             --out-dir and exits nonzero if any job was
-                             quarantined
-      --smoke                run the built-in self-test job set (healthy,
-                             panicking, poison and checkpointing jobs)
-                             and exit nonzero unless every job lands in
-                             its expected bucket
-      --retry-limit <n>      attempts per job before quarantine (default 3)
 "
 }
 
@@ -189,9 +174,6 @@ fn parse_args() -> Result<Args, String> {
         viz_out: None,
         viz_title: None,
         viz_buckets: 240,
-        serve: false,
-        serve_smoke: false,
-        retry_limit: 3,
         workers: None,
         checkpoint_every: None,
         checkpoint_path: None,
@@ -240,12 +222,6 @@ fn parse_args() -> Result<Args, String> {
                 if args.viz_buckets == 0 {
                     return Err("--buckets needs at least 1".into());
                 }
-            }
-            "serve" => args.serve = true,
-            "--smoke" => args.serve_smoke = true,
-            "--retry-limit" => {
-                args.retry_limit =
-                    val("--retry-limit")?.parse().map_err(|e| format!("--retry-limit: {e}"))?
             }
             "--checkpoint-every" => {
                 args.checkpoint_every = Some(
@@ -467,7 +443,7 @@ fn run_source_lint(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The sweep/serve configuration grid: case-study texture-unit counts ×
+/// The sweep configuration grid: case-study texture-unit counts ×
 /// shader schedulers, optionally crossed with DRAM timing axes
 /// (`--trcd-list`, `--trp-list`, `--banks-list`). Memory axes only show
 /// up in the label when explicitly swept, so the default grid's labels
@@ -572,77 +548,6 @@ fn run_sweep_cli(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `attila serve`: the resumable job daemon. `--smoke` runs the built-in
-/// self-test job set; otherwise the sweep grid becomes the job queue,
-/// each job under a per-job simulated-cycle timeout, retried from its
-/// last checkpoint with capped exponential backoff, quarantined when it
-/// fails deterministically, and fenced against worker panics.
-fn run_serve_cli(args: &Args) -> Result<(), CliError> {
-    use attila::core::serve::{self, JobSpec, ServeConfig};
-
-    std::fs::create_dir_all(&args.out_dir).map_err(|e| CliError::Usage(e.to_string()))?;
-    let work_dir = args.out_dir.join("serve");
-
-    // Worker panics are caught, signatured and reported by the daemon;
-    // the default hook's backtrace spew on stderr is just noise here.
-    std::panic::set_hook(Box::new(|_| {}));
-
-    if args.serve_smoke {
-        let (report, passed) = serve::smoke(&work_dir);
-        for r in &report.results {
-            println!("  {:<14} attempts={} resumed={} {}", r.id, r.attempts, r.resumed,
-                if r.completed() { "completed" } else { "quarantined" });
-        }
-        println!("serve --smoke: {}", report.summary());
-        return if passed {
-            println!("serve --smoke: PASS");
-            Ok(())
-        } else {
-            Err(CliError::Usage("serve --smoke: job set landed in the wrong buckets".into()))
-        };
-    }
-
-    let trace = build_trace(args)?;
-    let player = GlPlayer { skip_frames: args.hot_start, max_frames: args.max_frames };
-    let commands = player.replay(&trace).map_err(|e| CliError::Usage(e.to_string()))?;
-    let mut jobs = Vec::new();
-    for (label, config) in sweep_grid(args, trace.width, trace.height)? {
-        let mut job = JobSpec::new(label, config, commands.clone());
-        if let Some(limit) = args.max_cycles {
-            job.max_cycles = limit;
-        }
-        job.checkpoint_every = args.checkpoint_every;
-        jobs.push(job);
-    }
-    let workers = args.workers.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    });
-    eprintln!("serve: {} job(s) on {workers} worker(s), retry limit {}",
-        jobs.len(), args.retry_limit);
-    let serve_config = ServeConfig {
-        workers,
-        retry_limit: args.retry_limit,
-        work_dir,
-        ..ServeConfig::default()
-    };
-    let report = serve::serve(&serve_config, jobs);
-    let json_path = args.out_dir.join("serve.json");
-    std::fs::write(&json_path, report.to_json().pretty())
-        .map_err(|e| CliError::Usage(e.to_string()))?;
-    for r in &report.results {
-        println!("  {:<20} attempts={} resumed={} {}", r.id, r.attempts, r.resumed,
-            if r.completed() { "completed" } else { "quarantined" });
-    }
-    println!("serve: {} -> {}", report.summary(), json_path.display());
-    if report.quarantined() > 0 {
-        return Err(CliError::Usage(format!(
-            "serve: {} job(s) quarantined (results for the others are intact)",
-            report.quarantined()
-        )));
-    }
-    Ok(())
-}
-
 /// What went wrong, and therefore which exit code to die with.
 enum CliError {
     /// Bad arguments, unreadable files, invalid configs: exit 1.
@@ -702,9 +607,6 @@ fn run() -> Result<(), CliError> {
     }
     if args.sweep {
         return run_sweep_cli(&args);
-    }
-    if args.serve {
-        return run_serve_cli(&args);
     }
     let mut config = build_config(&args)?;
     if args.dump_config {

@@ -269,15 +269,24 @@ fn attila_bin() -> Command {
 }
 
 #[test]
-fn cli_rejects_the_removed_threads_flag() {
-    // A removed flag must fail loudly, not be silently ignored.
-    let out = attila_bin()
-        .args(["--workload", "quickstart", "--threads", "2"])
-        .output()
-        .expect("attila runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
-    assert!(stderr.contains("unknown argument `--threads`"), "stderr: {stderr}");
+fn cli_rejects_removed_arguments() {
+    // A removed flag or subcommand must fail loudly as a usage error (exit
+    // 1), not be silently ignored (0) or panic (101).
+    let cases: [(&[&str], &str); 4] = [
+        (&["--workload", "quickstart", "--threads", "2"], "--threads"),
+        (&["serve"], "serve"),
+        (&["serve", "--smoke"], "serve"),
+        (&["--workload", "quickstart", "--retry-limit", "3"], "--retry-limit"),
+    ];
+    for (args, removed) in cases {
+        let out = attila_bin().args(args).output().expect("attila runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown argument `{removed}`")),
+            "{args:?}: stderr: {stderr}"
+        );
+    }
 }
 
 #[test]
