@@ -78,10 +78,14 @@ impl Unit for Clipper {
         !self.in_tris.idle()
     }
 
-    /// Busy while queued triangles await the trivial-reject test, the
-    /// wire's next arrival while triangles are in flight, idle otherwise.
+    /// Busy while a queued triangle awaits the trivial-reject test and the
+    /// output holds a credit; otherwise the input wire's next arrival
+    /// (`clock` returns before popping when it cannot send).
     fn work_horizon(&self) -> Horizon {
-        self.in_tris.work_horizon()
+        if !self.in_tris.is_empty() && self.out_tris.credits() > 0 {
+            return Horizon::Busy;
+        }
+        Horizon::from_event(self.in_tris.next_arrival())
     }
 
     fn declared_ports(&self) -> Vec<PortDecl> {

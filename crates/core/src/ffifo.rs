@@ -54,6 +54,10 @@ enum GroupState {
 /// (`shader.group_size`, which config validation pins to this value).
 const GROUP_LANES: usize = 4;
 
+/// Cycles a partial vertex group waits for the rest of its vertices
+/// before it is launched underfilled.
+const STAGING_PATIENCE: Cycle = 8;
+
 /// What a group computes.
 #[derive(Debug)]
 enum GroupPayload {
@@ -252,6 +256,9 @@ pub struct FragmentFifo {
     spare_vertex_bufs: Vec<Vec<VertexWork>>,
     /// Cycle the oldest staged vertex arrived (partial-group timeout).
     staging_since: Cycle,
+    /// The cycle of the last clock, which the horizon compares the shader
+    /// units' `wake` with.
+    last_clock: Cycle,
     /// Fragment-pool occupancy.
     inputs_used: usize,
     regs_used: usize,
@@ -345,6 +352,7 @@ impl FragmentFifo {
             vertex_staging: Vec::new(),
             spare_vertex_bufs: Vec::new(),
             staging_since: 0,
+            last_clock: 0,
             inputs_used: 0,
             regs_used: 0,
             v_inputs_used: 0,
@@ -368,6 +376,7 @@ impl FragmentFifo {
     ///
     /// Propagates any [`SimError`] raised by the box's signals.
     pub fn clock(&mut self, cycle: Cycle) -> Result<(), SimError> {
+        self.last_clock = cycle;
         self.in_vertices.try_update(cycle)?;
         self.in_quads.try_update(cycle)?;
         self.out_shaded.try_update(cycle)?;
@@ -391,35 +400,13 @@ impl FragmentFifo {
 
     fn admit_work(&mut self, cycle: Cycle) -> Result<(), SimError> {
         // Vertices first: geometry starvation stalls the whole pipeline.
-        let group_size = self.config.group_size.max(1) as usize;
         let mut new_vertex = false;
         loop {
-            // Flush the staging group when full or the batch changes.
-            let flush = !self.vertex_staging.is_empty()
-                && (self.vertex_staging.len() >= group_size
-                    || self
-                        .in_vertices
-                        .peek()
-                        .map(|v| v.batch.id != self.vertex_staging[0].batch.id)
-                        .unwrap_or(false));
-            if flush && self.try_spawn_vertex_group(cycle) {
+            if self.staging_full() && self.try_spawn_vertex_group(cycle) {
                 continue;
             }
             let Some(v) = self.in_vertices.peek() else { break };
-            // Admission control: will the staged group (this vertex
-            // included) fit? Vertices reserve per-input resources.
-            let temps = v.batch.state.vertex_program.temps_used().max(1);
-            let fits = if self.config.unified {
-                self.inputs_used < self.config.max_inputs
-                    && self.regs_used + temps <= self.config.temp_registers
-            } else {
-                self.v_inputs_used < self.config.vertex_units * self.config.vertex_threads
-                    && self.v_regs_used + temps
-                        <= self.config.vertex_units * self.config.vertex_registers
-            };
-            if !fits {
-                break;
-            }
+            let Some(temps) = self.vertex_fits(v) else { break };
             let v = self.in_vertices.try_pop(cycle)?.expect("peeked"); // lint:allow(clock-unwrap) head existence checked via peek above
             if self.config.unified {
                 self.inputs_used += 1;
@@ -438,7 +425,6 @@ impl FragmentFifo {
         // instant the vertex stream hiccups — wait a few cycles for the
         // rest of the quad-group, then flush (bounds the tail latency of
         // a batch without wasting thread slots on 1-vertex groups).
-        const STAGING_PATIENCE: Cycle = 8;
         if !new_vertex
             && !self.vertex_staging.is_empty()
             && cycle.saturating_sub(self.staging_since) >= STAGING_PATIENCE
@@ -448,19 +434,50 @@ impl FragmentFifo {
 
         // Fragments.
         while let Some(q) = self.in_quads.peek() {
-            let temps = q.tri.batch.state.fragment_program.temps_used().max(1);
-            let need_regs = 4 * temps;
-            if self.inputs_used + 4 > self.config.max_inputs
-                || self.regs_used + need_regs > self.config.temp_registers
-            {
-                break;
-            }
+            let Some(need_regs) = self.quad_fits(q) else { break };
             let quad = self.in_quads.try_pop(cycle)?.expect("peeked"); // lint:allow(clock-unwrap) head existence checked via peek above
             self.inputs_used += 4;
             self.regs_used += need_regs;
             self.spawn_fragment_group(quad);
         }
         Ok(())
+    }
+
+    /// Whether the staging group must be launched: it is full, or the
+    /// next vertex belongs to another batch.
+    fn staging_full(&self) -> bool {
+        let Some(first) = self.vertex_staging.first() else { return false };
+        self.vertex_staging.len() >= self.config.group_size.max(1) as usize
+            || self.in_vertices.peek().is_some_and(|v| v.batch.id != first.batch.id)
+    }
+
+    /// Admission control for a vertex: will the staged group, this vertex
+    /// included, fit? Vertices reserve per-input resources. The
+    /// temporaries it reserves when it does.
+    fn vertex_fits(&self, v: &VertexWork) -> Option<usize> {
+        let c = &self.config;
+        // Inputs first: they need no look at the vertex's program.
+        let (inputs_free, regs_used, regs) = if c.unified {
+            (self.inputs_used < c.max_inputs, self.regs_used, c.temp_registers)
+        } else {
+            let threads = c.vertex_units * c.vertex_threads;
+            (self.v_inputs_used < threads, self.v_regs_used, c.vertex_units * c.vertex_registers)
+        };
+        if !inputs_free {
+            return None;
+        }
+        let temps = v.batch.state.vertex_program.temps_used().max(1);
+        (regs_used + temps <= regs).then_some(temps)
+    }
+
+    /// Admission control for a quad: the registers its four fragments
+    /// reserve, when the pool has them and four inputs free.
+    fn quad_fits(&self, q: &FragQuad) -> Option<usize> {
+        if self.inputs_used + 4 > self.config.max_inputs {
+            return None;
+        }
+        let need_regs = 4 * q.tri.batch.state.fragment_program.temps_used().max(1);
+        (self.regs_used + need_regs <= self.config.temp_registers).then_some(need_regs)
     }
 
     fn try_spawn_vertex_group(&mut self, _cycle: Cycle) -> bool {
@@ -877,15 +894,7 @@ impl FragmentFifo {
                 Ok(true)
             }
             GroupPayload::Quad(q) => {
-                let early = q.tri.batch.state.early_z();
-                let (ports, unit_idx) = if early {
-                    let u = route_rop(q.x, q.y, self.out_color.len());
-                    (&self.out_color, u)
-                } else {
-                    let u = route_rop(q.x, q.y, self.out_zstencil.len());
-                    (&self.out_zstencil, u)
-                };
-                if !ports[unit_idx].can_send(cycle) {
+                if !self.rop_port(q).can_send(cycle) {
                     return Ok(false);
                 }
                 // Move the quad out without cloning its per-fragment
@@ -925,6 +934,38 @@ impl FragmentFifo {
                 Ok(true)
             }
         }
+    }
+
+    /// Thread-window mode: whether a clock could do anything besides issue
+    /// instructions (which each shader unit's `wake` bounds) — admit an
+    /// input, send a texture request or deliver a result.
+    fn can_progress(&self) -> bool {
+        if self.staging_full()
+            || self.in_vertices.peek().is_some_and(|v| self.vertex_fits(v).is_some())
+            || self.in_quads.peek().is_some_and(|q| self.quad_fits(q).is_some())
+        {
+            return true;
+        }
+        if !self.tex_outbox.is_empty() && self.tex_requests.iter().any(|p| p.credits() > 0) {
+            return true;
+        }
+        let group = |gid: &u64| self.groups[*gid as usize].as_ref();
+        let vertices = self.vertex_outbox.front().and_then(group);
+        if vertices.is_some_and(|g| g.lanes <= self.out_shaded.credits()) {
+            return true;
+        }
+        // The reorder buffer releases only its head, once finished.
+        self.frag_order.front().and_then(group).is_some_and(|g| {
+            g.state == GroupState::Finished
+                && matches!(&g.payload, GroupPayload::Quad(q) if self.rop_port(q).credits() > 0)
+        })
+    }
+
+    /// The port a shaded quad leaves by: its Colour Write unit's on the
+    /// early-Z path, its Z/stencil unit's on the late one.
+    fn rop_port(&self, q: &FragQuad) -> &PortSender<FragQuad> {
+        let ports = if q.tri.batch.state.early_z() { &self.out_color } else { &self.out_zstencil };
+        &ports[route_rop(q.x, q.y, ports.len())]
     }
 
     fn release_group(&mut self, gid: u64) {
@@ -990,24 +1031,43 @@ impl Unit for FragmentFifo {
             || !self.frag_order.is_empty()
     }
 
-    /// The box's event horizon: busy while shader groups, staging buffers
-    /// or reorder queues hold work, otherwise the earliest arrival across
-    /// the vertex wire, the quad wire, and every texture-reply wire (see
-    /// [`Horizon`]).
+    /// The box's event horizon (see [`Horizon`]). In thread-window mode it
+    /// is `Busy` while a shader unit may issue on the next clock (its
+    /// `wake` has come; O(units) — no group walk) or a clock can progress
+    /// otherwise (see `can_progress`); else the earliest `wake` or the
+    /// staging group's timeout. In-order-queue mode is `Busy` while the box
+    /// holds any work. Either way met with the arrivals on the vertex, quad
+    /// and texture-reply wires.
     fn work_horizon(&self) -> Horizon {
-        if self.live_groups > 0
-            || !self.vertex_staging.is_empty()
-            || !self.tex_outbox.is_empty()
-            || !self.vertex_outbox.is_empty()
-            || !self.frag_order.is_empty()
-        {
+        let in_order = self.config.scheduling == ShaderScheduling::InOrderQueue;
+        let issue = self.units.iter().map(|u| u.wake).min().unwrap_or(Cycle::MAX);
+        let busy = if in_order {
+            !self.in_vertices.is_empty()
+                || !self.in_quads.is_empty()
+                || self.live_groups > 0
+                || !self.vertex_staging.is_empty()
+                || !self.tex_outbox.is_empty()
+                || !self.vertex_outbox.is_empty()
+                || !self.frag_order.is_empty()
+        } else {
+            // The unit check first: it is the cheap one, and the usual
+            // answer while the shaders are the bottleneck.
+            issue <= self.last_clock + 1 || self.can_progress()
+        };
+        if busy {
             return Horizon::Busy;
         }
-        let mut h = self.in_vertices.work_horizon().meet(self.in_quads.work_horizon());
+        let mut h = Horizon::from_event(self.in_vertices.next_arrival())
+            .meet(Horizon::from_event(self.in_quads.next_arrival()));
         for p in &self.tex_replies {
             h = h.meet(p.work_horizon());
         }
-        h
+        if in_order {
+            return h;
+        }
+        let staging = self.vertex_staging.first().map(|_| self.staging_since + STAGING_PATIENCE);
+        h.meet(Horizon::from_event((issue != Cycle::MAX).then_some(issue)))
+            .meet(Horizon::from_event(staging))
     }
 
     fn declared_ports(&self) -> Vec<PortDecl> {

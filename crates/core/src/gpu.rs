@@ -11,19 +11,20 @@ use std::fmt::Write as _;
 
 use attila_emu::fragops::DEPTH_MAX;
 use attila_json::{impl_json_state, JsonState};
-use attila_mem::{Client, MemOp, MemRequest, MemoryController};
+use attila_mem::{Client, MemoryController};
 use attila_sim::{
-    BoxNode, Counter, Cycle, FaultInjector, Horizon, LintReport, PortDecl, SignalBinder, SimError,
-    StatsRegistry, Topology, WakeLine,
+    BoxNode, Cycle, FaultInjector, Horizon, LintReport, SignalBinder, SimError, StatsRegistry,
+    Topology, WakeLine,
 };
 
-use crate::address::{pixel_address, FB_TILE_BYTES};
+use crate::address::pixel_address;
 use crate::checkpoint::{mismatch, refused, Checkpoint, CheckpointBody, SparseBytes};
 use crate::clipper::Clipper;
 use crate::colorwrite::ColorWriteUnit;
 use crate::command_processor::{CommandProcessor, CpAction};
 use crate::commands::GpuCommand;
 use crate::config::{GpuConfig, OnFault};
+use crate::dac::Dac;
 use crate::ffifo::FragmentFifo;
 use crate::fraggen::FragmentGenerator;
 use crate::hz::HierarchicalZ;
@@ -70,66 +71,6 @@ impl FrameDump {
         }
         let o = ((y * self.width + x) * 4) as usize;
         self.rgba.get(o..o + 4).map(|px| px.try_into().expect("4 bytes"))
-    }
-}
-
-/// The DAC box: dumps the colour buffer at swap and models the (small)
-/// refresh bandwidth with timing reads.
-#[derive(Debug)]
-struct Dac {
-    pending_reads: std::collections::VecDeque<u64>, // state: transient — `Gpu::quiescent` requires it empty
-    next_id: u64,
-    stat_bytes: Counter,
-}
-
-impl Dac {
-    fn clock(&mut self, mem: &mut MemoryController) {
-        while mem.pop_reply(Client::Dac).is_some() {}
-        while let Some(&addr) = self.pending_reads.front() {
-            if !mem.can_accept(Client::Dac, addr) {
-                break;
-            }
-            self.pending_reads.pop_front();
-            let id = self.next_id;
-            self.next_id += 1;
-            let _ = mem.submit(MemRequest {
-                id,
-                client: Client::Dac,
-                addr,
-                op: MemOp::TimingRead { size: 64 },
-            });
-            self.stat_bytes.add(64);
-        }
-    }
-}
-
-/// The DAC talks to the pipeline through the memory controller's
-/// request/reply API, not signals: it declares no ports.
-impl Unit for Dac {
-    fn name(&self) -> &str {
-        "DAC"
-    }
-
-    fn busy(&self) -> bool {
-        !self.pending_reads.is_empty()
-    }
-
-    /// Busy while refresh reads wait to be submitted, idle otherwise —
-    /// in-flight replies are covered by the memory controller's horizon.
-    fn work_horizon(&self) -> Horizon {
-        if self.pending_reads.is_empty() {
-            Horizon::Idle
-        } else {
-            Horizon::Busy
-        }
-    }
-
-    fn queued(&self) -> usize {
-        self.pending_reads.len()
-    }
-
-    fn declared_ports(&self) -> Vec<PortDecl> {
-        Vec::new()
     }
 }
 
@@ -208,8 +149,6 @@ impl std::error::Error for GpuError {
         }
     }
 }
-
-impl_json_state!(Dac = next_id: hex);
 
 /// The assembled ATTILA GPU.
 pub struct Gpu {
@@ -312,8 +251,8 @@ impl_json_state!(Gpu {
     fault = fault_injector: state,
 });
 
-/// Steps a `Busy` horizon verdict stays cached before re-evaluating
-/// (see `Gpu::poll_horizon` and [`BoxGate::settle`]).
+/// Steps a `Busy` machine-wide horizon verdict stays cached before
+/// `Gpu::poll_horizon` evaluates it again.
 const HORIZON_BACKOFF: Cycle = 32;
 
 /// One entry of the flat clock schedule (see [`Gpu::try_step`]): which box
@@ -343,8 +282,8 @@ enum ScheduleEntry {
 struct UnitRow {
     entry: ScheduleEntry,
     /// Whether the unit is wired into the pipeline (it declares ports).
-    /// The DAC and the memory controller are not: no wire could wake them,
-    /// and [`Gpu::pipeline_busy`] does not count them.
+    /// The DAC and the memory controller are not: no wire wakes them, and
+    /// [`Gpu::pipeline_busy`] does not count them.
     wired: bool,
     gate: BoxGate,
 }
@@ -359,8 +298,9 @@ struct UnitRow {
 #[derive(Debug)]
 struct BoxGate {
     /// Latest arrival over the wires the box reads, data and credit alike.
-    /// [`WakeLine::always_due`] for the wire-less DAC and memory
-    /// controller, which nothing could wake: they are clocked every cycle.
+    /// The wire-less DAC holds a line no wire raises (its replies wake
+    /// it); the memory controller, which nothing wakes, holds
+    /// [`WakeLine::always_due`] and is clocked every cycle.
     wake: WakeLine,
     /// Whose memory replies wake the box. Box horizons do not cover
     /// replies the box does not wait on (ROP write-back acknowledgements),
@@ -371,10 +311,6 @@ struct BoxGate {
     /// while awake, the `IdleUntil` cycle or `Cycle::MAX` (`Idle`) while
     /// asleep. Only trusted on cycles past `wake`.
     idle_until: Cycle,
-    /// Clocks left before the horizon is read again after a `Busy` (the
-    /// per-box use of [`HORIZON_BACKOFF`]; measured asleep shares move by
-    /// under a point between 0 and 32).
-    backoff: Cycle,
 }
 
 impl BoxGate {
@@ -386,7 +322,6 @@ impl BoxGate {
 
     fn wake_up(&mut self) {
         self.idle_until = 0;
-        self.backoff = 0;
     }
 
     /// Re-arms the gate after its box clocked on `cycle`. The horizon is
@@ -397,12 +332,8 @@ impl BoxGate {
         if self.wake.latest_arrival() > cycle {
             return;
         }
-        if self.backoff > 0 {
-            self.backoff -= 1;
-            return;
-        }
         match horizon() {
-            Horizon::Busy => self.backoff = HORIZON_BACKOFF,
+            Horizon::Busy => {}
             Horizon::IdleUntil(t) => self.idle_until = t,
             Horizon::Idle => self.idle_until = Cycle::MAX,
         }
@@ -711,11 +642,7 @@ impl Gpu {
                 &mut stats,
             ));
         }
-        let dac = Dac {
-            pending_reads: std::collections::VecDeque::new(),
-            next_id: 0,
-            stat_bytes: stats.counter("DAC.bytes_read"),
-        };
+        let dac = Dac::new(&mut stats);
 
         // The fixed clock order of the pipeline, flattened over the
         // configured unit counts.
@@ -775,16 +702,22 @@ impl Gpu {
         };
         // Each row asks its unit for what the gate needs. A wired unit reads
         // at least one wire (a credit return, if nothing else), so the
-        // binder holds a line under the very name the wiring above used.
+        // binder holds a line under the very name the wiring above used. A
+        // wire-less memory client is woken by its replies alone; a unit
+        // with neither is never left asleep.
         let row = |entry| {
             let unit = gpu.unit(entry);
             let wired = !unit.declared_ports().is_empty();
-            let wake = if wired {
-                gpu.binder.wake_line(unit.name()).expect("a wired unit reads a registered wire")
-            } else {
-                WakeLine::always_due()
+            let client = unit.client();
+            let wake = match (wired, client) {
+                (true, _) => gpu
+                    .binder
+                    .wake_line(unit.name())
+                    .expect("a wired unit reads a registered wire"),
+                (false, Some(_)) => WakeLine::default(),
+                (false, None) => WakeLine::always_due(),
             };
-            let gate = BoxGate { wake, client: unit.client(), idle_until: 0, backoff: 0 };
+            let gate = BoxGate { wake, client, idle_until: 0 };
             UnitRow { entry, wired, gate }
         };
         gpu.table = schedule.into_iter().map(row).collect();
@@ -1129,15 +1062,7 @@ impl Gpu {
                     }
                 };
                 // DAC refresh traffic for the frame.
-                let lines = crate::address::surface_bytes(state.target_width, state.target_height)
-                    / FB_TILE_BYTES as u64;
-                for l in 0..lines {
-                    for piece in 0..(FB_TILE_BYTES as u64 / 64) {
-                        self.dac
-                            .pending_reads
-                            .push_back(state.color_buffer + l * FB_TILE_BYTES as u64 + piece * 64);
-                    }
-                }
+                self.dac.refresh(state.color_buffer, state.target_width, state.target_height);
                 if self.keep_frames {
                     self.framebuffers.extend(dump);
                 }
@@ -1337,6 +1262,7 @@ impl Gpu {
             )));
         }
         gpu.cp.resume(commands, consumed);
+        gpu.stats.resume_at(body.cycle);
         gpu.cycle = body.cycle;
         gpu.frames = body.frames;
         gpu.cycles_skipped = body.cycles_skipped;

@@ -23,7 +23,7 @@
 //! | Fragment FIFO + shader units | [`ffifo`] |
 //! | Texture Unit | [`texunit`] |
 //! | Color Write (ROPc) | [`colorwrite`] |
-//! | DAC | inside [`gpu`] |
+//! | DAC | [`dac`] |
 //! | Memory Controller | `attila-mem` |
 //!
 //! Every box has its own `clock()` and an `impl` of [`unit::Unit`] (name,
@@ -60,6 +60,7 @@ pub mod colorwrite;
 pub mod command_processor;
 pub mod commands;
 pub mod config;
+pub mod dac;
 pub mod ffifo;
 pub mod fraggen;
 pub mod golden;

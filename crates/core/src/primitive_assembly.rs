@@ -15,6 +15,9 @@ use crate::port::{PortReceiver, PortSender};
 use crate::types::{Batch, ShadedVertex, TriangleWork, VertexOutputs};
 use crate::unit::Unit;
 
+/// Assembled triangles the box stages before it stops taking vertices.
+const PENDING_TRIANGLES: usize = 4;
+
 /// The Primitive Assembly box.
 #[derive(Debug)]
 pub struct PrimitiveAssembly {
@@ -71,7 +74,7 @@ impl PrimitiveAssembly {
         self.out_tris.try_update(cycle)?;
 
         // Accept vertices while there is room to stage triangles.
-        while self.pending_out.len() < 4 {
+        while self.pending_out.len() < PENDING_TRIANGLES {
             let Some(sv) = self.in_verts.try_pop(cycle)? else { break };
             if self.batch.as_ref().map(|b| b.id) != Some(sv.batch.id) {
                 self.batch = Some(Arc::clone(&sv.batch));
@@ -81,64 +84,46 @@ impl PrimitiveAssembly {
             }
             self.received += 1;
             let batch = Arc::clone(self.batch.as_ref().expect("batch set")); // lint:allow(clock-unwrap) batch set when vertices arrive
-            let prim = batch.draw.primitive;
             let is_last_vertex = self.received == batch.draw.vertex_count;
             self.window.push(Arc::clone(&sv.outputs));
-            let mut new_tris: Vec<[Arc<VertexOutputs>; 3]> = Vec::new();
-            match prim {
+            let staged = self.pending_out.len();
+            // Stages the triangle made of window slots `a`, `b`, `c`.
+            let emit = |pa: &mut Self, [a, b, c]: [usize; 3]| {
+                let w = &pa.window;
+                let verts = [Arc::clone(&w[a]), Arc::clone(&w[b]), Arc::clone(&w[c])];
+                pa.stat_triangles.inc();
+                pa.pending_out.push_back(TriangleWork {
+                    obj: DynamicObject::new(pa.ids.next_id()),
+                    batch: Arc::clone(&batch),
+                    verts,
+                    end_of_batch: false,
+                });
+            };
+            match batch.draw.primitive {
                 Primitive::Triangles => {
                     if self.window.len() == 3 {
-                        new_tris.push([
-                            Arc::clone(&self.window[0]),
-                            Arc::clone(&self.window[1]),
-                            Arc::clone(&self.window[2]),
-                        ]);
+                        emit(self, [0, 1, 2]);
                         self.window.clear();
                     }
                 }
                 Primitive::TriangleStrip => {
                     if self.window.len() == 3 {
                         // Alternate winding to keep consistent facing.
-                        let t = if !self.parity {
-                            [
-                                Arc::clone(&self.window[0]),
-                                Arc::clone(&self.window[1]),
-                                Arc::clone(&self.window[2]),
-                            ]
-                        } else {
-                            [
-                                Arc::clone(&self.window[1]),
-                                Arc::clone(&self.window[0]),
-                                Arc::clone(&self.window[2]),
-                            ]
-                        };
-                        new_tris.push(t);
+                        emit(self, if self.parity { [1, 0, 2] } else { [0, 1, 2] });
                         self.parity = !self.parity;
                         self.window.remove(0);
                     }
                 }
                 Primitive::TriangleFan => {
                     if self.window.len() == 3 {
-                        new_tris.push([
-                            Arc::clone(&self.window[0]),
-                            Arc::clone(&self.window[1]),
-                            Arc::clone(&self.window[2]),
-                        ]);
+                        emit(self, [0, 1, 2]);
                         self.window.remove(1);
                     }
                 }
                 Primitive::Quads => {
                     if self.window.len() == 4 {
-                        new_tris.push([
-                            Arc::clone(&self.window[0]),
-                            Arc::clone(&self.window[1]),
-                            Arc::clone(&self.window[2]),
-                        ]);
-                        new_tris.push([
-                            Arc::clone(&self.window[0]),
-                            Arc::clone(&self.window[2]),
-                            Arc::clone(&self.window[3]),
-                        ]);
+                        emit(self, [0, 1, 2]);
+                        emit(self, [0, 2, 3]);
                         self.window.clear();
                     }
                 }
@@ -146,31 +131,19 @@ impl PrimitiveAssembly {
                     if self.window.len() == 4 {
                         // Quad strip vertex order: v0 v1 v2 v3 form the
                         // quad (v0, v1, v3, v2).
-                        new_tris.push([
-                            Arc::clone(&self.window[0]),
-                            Arc::clone(&self.window[1]),
-                            Arc::clone(&self.window[3]),
-                        ]);
-                        new_tris.push([
-                            Arc::clone(&self.window[0]),
-                            Arc::clone(&self.window[3]),
-                            Arc::clone(&self.window[2]),
-                        ]);
+                        emit(self, [0, 1, 3]);
+                        emit(self, [0, 3, 2]);
                         self.window.drain(..2);
                     }
                 }
             }
-            let count = new_tris.len();
-            for (i, verts) in new_tris.into_iter().enumerate() {
-                self.stat_triangles.inc();
-                self.pending_out.push_back(TriangleWork {
-                    obj: DynamicObject::new(self.ids.next_id()),
-                    batch: Arc::clone(&batch),
-                    verts,
-                    end_of_batch: is_last_vertex && i + 1 == count,
-                });
-            }
             if is_last_vertex {
+                // The batch's last triangle, if this vertex made one.
+                if self.pending_out.len() > staged {
+                    if let Some(last) = self.pending_out.back_mut() {
+                        last.end_of_batch = true;
+                    }
+                }
                 self.window.clear();
                 self.parity = false;
             }
@@ -201,15 +174,17 @@ impl Unit for PrimitiveAssembly {
         !self.pending_out.is_empty() || !self.in_verts.idle()
     }
 
-    /// The box's event horizon: busy while assembled triangles wait in the
-    /// staging buffer or shaded vertices wait in the input queue, the
-    /// wire's next arrival while vertices are in flight, idle otherwise
-    /// (see [`Horizon`]).
+    /// The box's event horizon (see [`Horizon`]): busy while a staged
+    /// triangle can leave (the output holds a credit) or a queued vertex
+    /// can be taken (fewer than `PENDING_TRIANGLES` staged); otherwise
+    /// the input wire's next arrival.
     fn work_horizon(&self) -> Horizon {
-        if !self.pending_out.is_empty() {
+        let can_send = !self.pending_out.is_empty() && self.out_tris.credits() > 0;
+        let can_take = !self.in_verts.is_empty() && self.pending_out.len() < PENDING_TRIANGLES;
+        if can_send || can_take {
             return Horizon::Busy;
         }
-        self.in_verts.work_horizon()
+        Horizon::from_event(self.in_verts.next_arrival())
     }
 
     fn declared_ports(&self) -> Vec<PortDecl> {

@@ -107,11 +107,15 @@ impl Unit for TriangleSetup {
         !self.in_tris.idle()
     }
 
-    /// The box's event horizon: busy while queued triangles await setup,
-    /// the wire's next arrival while triangles are in flight, idle
-    /// otherwise (see [`Horizon`]).
+    /// The box's event horizon (see [`Horizon`]): busy while a queued
+    /// triangle awaits setup and the output holds a credit; otherwise the
+    /// input wire's next arrival (`clock` returns before popping when it
+    /// cannot send).
     fn work_horizon(&self) -> Horizon {
-        self.in_tris.work_horizon()
+        if !self.in_tris.is_empty() && self.out_tris.credits() > 0 {
+            return Horizon::Busy;
+        }
+        Horizon::from_event(self.in_tris.next_arrival())
     }
 
     fn declared_ports(&self) -> Vec<PortDecl> {

@@ -85,6 +85,11 @@ pub struct Streamer {
     /// Scratch for one vertex's attribute-fetch transactions, `(address,
     /// size)`; empty between vertices.
     fetch_pieces: Vec<(u64, u32)>, // state: transient — per-vertex scratch
+    /// The last fetch pass stopped where only a memory reply can let it
+    /// go on: `max_memory_requests` outstanding, or an index chunk in
+    /// flight. Cleared by a received shaded vertex, which may turn the
+    /// stalled vertex into a post-shading cache hit.
+    fetch_blocked: bool, // state: transient — recomputed by every clock, unread with no batch active
     next_req_id: u64,
     ids: ObjectIdGen,
 
@@ -125,6 +130,7 @@ impl Streamer {
             index_chunks: VecDeque::new(),
             index_chunk_pending: None,
             fetch_pieces: Vec::new(),
+            fetch_blocked: false,
             next_req_id: 0,
             ids: ObjectIdGen::new(),
             stat_vertices: stats.counter("Streamer.vertices"),
@@ -208,6 +214,7 @@ impl Streamer {
         }
 
         // 3. Start new vertices.
+        self.fetch_blocked = false;
         for _ in 0..self.config.indices_per_cycle {
             if self.active.is_none() {
                 if let Some(batch) = self.in_draws.try_pop(cycle)? {
@@ -251,7 +258,11 @@ impl Streamer {
                             .expect("can_accept checked"); // lint:allow(clock-unwrap) submit follows the can_accept check above
                             self.outstanding_mem += 1;
                         }
-                        break; // stall until the chunk arrives
+                        // Stall until the chunk arrives. Only a reply can
+                        // end it, unless the controller refused the fetch.
+                        self.fetch_blocked = self.index_chunk_pending.is_some()
+                            || self.outstanding_mem >= self.config.max_memory_requests;
+                        break;
                     }
                     mem.gpu_mem().read_u32(addr)
                 }
@@ -284,10 +295,14 @@ impl Streamer {
                     b.element_bytes() as u64,
                 ));
             }
-            if self.outstanding_mem + self.fetch_pieces.len() > self.config.max_memory_requests
-                || self.fetch_pieces.iter().any(|(a, _)| !mem.can_accept(Client::Streamer, *a))
+            let over =
+                self.outstanding_mem + self.fetch_pieces.len() > self.config.max_memory_requests;
+            if over || self.fetch_pieces.iter().any(|(a, _)| !mem.can_accept(Client::Streamer, *a))
             {
-                break; // stall: too many outstanding fetches
+                // Stall: too many outstanding fetches, which only a reply
+                // ends, or a controller queue that is full.
+                self.fetch_blocked = over;
+                break;
             }
             // Then the values, read from the memory image right here
             // (execution-driven: the bytes are exact, the requests only
@@ -356,6 +371,7 @@ impl Streamer {
 
         // 4. Receive shaded vertices (Streamer Commit).
         while let Some(sv) = self.in_shaded.try_pop(cycle)? {
+            self.fetch_blocked = false;
             self.stat_shaded.inc();
             self.vcache_insert(sv.batch.id, sv.index, Arc::clone(&sv.outputs));
             self.insert_committed(sv);
@@ -423,19 +439,33 @@ impl Unit for Streamer {
             || !self.in_shaded.idle()
     }
 
-    /// The box's event horizon: busy while a draw is being streamed or
-    /// vertices sit in the fetch/shade/commit buffers, otherwise the
-    /// earliest arrival across the draw wire and the shaded-vertex wire
-    /// (see [`Horizon`]).
+    /// The box's event horizon (see [`Horizon`]): busy while a clock can
+    /// progress — a shaded vertex to commit, a fetched vertex and an
+    /// `out_work` credit, a commit head that is finished or has its next
+    /// vertex, with an `out_assembled` credit, or a fetch that is not
+    /// blocked on a memory reply (a queued draw, with none active).
+    /// Otherwise the earliest arrival on the draw and shaded-vertex wires:
+    /// credits return on wires and replies wake the box.
     fn work_horizon(&self) -> Horizon {
-        if self.active.is_some()
-            || !self.commits.is_empty()
-            || !self.ready_to_shade.is_empty()
-            || !self.pending.is_empty()
+        let fetch = match self.active {
+            Some(_) => !self.fetch_blocked,
+            None => !self.in_draws.is_empty(),
+        };
+        let commit = || {
+            self.out_assembled.credits() > 0
+                && self.commits.front().is_some_and(|head| {
+                    head.next_seq >= head.total || head.reorder.contains_key(&head.next_seq)
+                })
+        };
+        if fetch
+            || !self.in_shaded.is_empty()
+            || (!self.ready_to_shade.is_empty() && self.out_work.credits() > 0)
+            || commit()
         {
             return Horizon::Busy;
         }
-        self.in_draws.work_horizon().meet(self.in_shaded.work_horizon())
+        Horizon::from_event(self.in_draws.next_arrival())
+            .meet(Horizon::from_event(self.in_shaded.next_arrival()))
     }
 
     fn declared_ports(&self) -> Vec<PortDecl> {

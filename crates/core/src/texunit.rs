@@ -18,7 +18,7 @@ use attila_emu::vector::Vec4;
 use attila_json::impl_json_state;
 use attila_mem::controller::split_transactions;
 use attila_mem::{Cache, Client, Lookup, MemOp, MemRequest, MemoryController};
-use attila_sim::{Counter, Cycle, Horizon, PortDecl, SimError};
+use attila_sim::{Counter, Cycle, Horizon, PortDecl, RunningCounter, SimError};
 
 use crate::config::TextureConfig;
 use crate::port::{PortReceiver, PortSender};
@@ -102,7 +102,9 @@ pub struct TextureUnit {
     next_req_id: u64,
     stat_requests: Counter,
     stat_bilinear_ops: Counter,
-    stat_busy_cycles: Counter,
+    /// Cycles with a request in service, from the cycle it is accepted to
+    /// the cycle its reply leaves — counted while the unit sleeps.
+    stat_busy_cycles: RunningCounter,
     stat_bytes_read: Counter,
 }
 
@@ -136,7 +138,7 @@ impl TextureUnit {
             next_req_id: 0,
             stat_requests: stats.counter(&format!("{name}.requests")),
             stat_bilinear_ops: stats.counter(&format!("{name}.bilinear_samples")),
-            stat_busy_cycles: stats.counter(&format!("{name}.busy_cycles")),
+            stat_busy_cycles: stats.running_counter(&format!("{name}.busy_cycles")),
             stat_bytes_read: stats.counter(&format!("{name}.bytes_read")),
             name,
         }
@@ -177,6 +179,7 @@ impl TextureUnit {
         if self.current.is_none() {
             if let Some(req) = self.in_requests.try_pop(cycle)? {
                 self.stat_requests.inc();
+                self.stat_busy_cycles.start(cycle);
                 self.current = Some(self.start_request(cycle, mem, req));
             }
         }
@@ -184,7 +187,6 @@ impl TextureUnit {
         // Progress the current request: resolve outstanding cache lines.
         let mut done = false;
         if let Some(cur) = &mut self.current {
-            self.stat_busy_cycles.inc();
             // Resolve outstanding lines in place: `retain` keeps the
             // still-blocked ones without building a fresh vector every
             // cycle the request waits.
@@ -249,6 +251,7 @@ impl TextureUnit {
         }
         if done {
             let cur = self.current.take().expect("checked"); // lint:allow(clock-unwrap) done is only set while a request is current
+            self.stat_busy_cycles.stop(cycle);
             self.out_replies.try_send(cycle, cur.reply)?;
         }
         Ok(())
@@ -326,14 +329,23 @@ impl Unit for TextureUnit {
         self.current.is_some() || !self.in_requests.idle() || !self.fills.is_empty()
     }
 
-    /// The box's event horizon: busy while a request is being served or
-    /// cache fills are outstanding, the wire's next arrival while requests
-    /// are in flight, idle otherwise (see [`Horizon`]).
+    /// The box's event horizon (see [`Horizon`]). Without a request in
+    /// service: the input's horizon. With one, a clock can only progress
+    /// while lines wait to be looked up (`Busy`), or once every line has
+    /// resolved and a reply credit is held (`IdleUntil` the filter's
+    /// `ready_at`); otherwise it waits for a fill — a memory reply wakes
+    /// it — or for the credit, whose wire wakes it, and answers the next
+    /// request's arrival.
     fn work_horizon(&self) -> Horizon {
-        if self.current.is_some() || !self.fills.is_empty() {
-            return Horizon::Busy;
+        let arrival = Horizon::from_event(self.in_requests.next_arrival());
+        match &self.current {
+            None => self.in_requests.work_horizon(),
+            Some(_) if !self.lines_todo.is_empty() => Horizon::Busy,
+            Some(cur) if self.lines_pending.is_empty() && self.out_replies.credits() > 0 => {
+                Horizon::IdleUntil(cur.ready_at).meet(arrival)
+            }
+            Some(_) => arrival,
         }
-        self.in_requests.work_horizon()
     }
 
     fn declared_ports(&self) -> Vec<PortDecl> {

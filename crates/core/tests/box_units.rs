@@ -7,17 +7,27 @@
 use std::sync::Arc;
 
 use attila_core::address::{pixel_address, surface_bytes, tile_address};
+use attila_core::clipper::Clipper;
 use attila_core::colorwrite::ColorWriteUnit;
+use attila_core::dac::Dac;
+use attila_core::ffifo::FragmentFifo;
 use attila_core::fraggen::FragmentGenerator;
 use attila_core::hz::HierarchicalZ;
 use attila_core::interpolator::Interpolator;
 use attila_core::commands::{DrawCall, GpuCommand, Primitive};
 use attila_core::command_processor::{CommandProcessor, CpAction};
-use attila_core::config::GpuConfig;
+use attila_core::config::{GpuConfig, ShaderScheduling};
 use attila_core::hz::HzUpdate;
-use attila_core::port::{unbound_port, PortSender};
-use attila_core::state::RenderState;
-use attila_core::types::{Batch, FragQuad, FragTile, QuadFrag, SetupTriWork, TriangleData};
+use attila_core::port::{unbound_port, PortReceiver, PortSender};
+use attila_core::primitive_assembly::PrimitiveAssembly;
+use attila_core::setup::TriangleSetup;
+use attila_core::state::{AttributeBinding, RenderState};
+use attila_core::streamer::Streamer;
+use attila_core::texunit::TextureUnit;
+use attila_core::types::{
+    Batch, FragQuad, FragTile, QuadFrag, QuadTexReply, QuadTexRequest, SetupTriWork, ShadedVertex,
+    TriangleData, TriangleWork, VertexOutputs, VertexWork,
+};
 use attila_core::unit::Unit;
 use attila_core::zstencil::ZStencilUnit;
 use attila_emu::fragops::{
@@ -25,9 +35,10 @@ use attila_emu::fragops::{
 };
 use attila_emu::isa::limits;
 use attila_emu::raster::{setup_triangle, RasterFragment, Viewport};
+use attila_emu::texture::{encode_tiled, TexFormat, TextureDesc};
 use attila_emu::vector::Vec4;
 use attila_mem::{MemControllerConfig, MemoryController};
-use attila_sim::{DynamicObject, StatsRegistry};
+use attila_sim::{DynamicObject, Horizon, StatsRegistry};
 
 fn make_state() -> RenderState {
     let mut st = RenderState::default();
@@ -753,4 +764,360 @@ fn interpolator_without_output_credits_sleeps_and_clocks_as_a_no_op() {
             out_rx.len() + out_rx.in_flight(),
         ]
     });
+}
+
+// The same proof for the units that mostly wait: the geometry front end
+// behind a full output or its own memory fetches, a texture unit behind
+// its fills, its filter or a reply credit, the Fragment FIFO behind full
+// texture ports and a full shader pool, and the DAC between frames.
+
+/// A batch of `vertex_count` vertices drawn with `state`.
+fn make_batch(state: RenderState, vertex_count: u32) -> Arc<Batch> {
+    Arc::new(Batch {
+        id: 0,
+        state: Arc::new(state),
+        draw: DrawCall { primitive: Primitive::Triangles, vertex_count, index_buffer: None },
+    })
+}
+
+/// What a test sees of a flow-controlled output it never drains: the
+/// sender's credits and sends, and what sits on the receiver's side.
+fn output_view<T: std::fmt::Debug>(
+    tx: &PortSender<T>,
+    rx: &mut PortReceiver<T>,
+    c: u64,
+) -> [usize; 3] {
+    rx.update(c);
+    [tx.credits(), tx.total_sent() as usize, rx.len() + rx.in_flight()]
+}
+
+/// The full-screen triangle of [`make_tri`], assembled.
+fn triangle_work() -> TriangleWork {
+    let tri = make_tri(untested_state());
+    let vertex = |x: f32, y: f32| {
+        let mut outputs: VertexOutputs = [Vec4::ZERO; limits::OUTPUTS];
+        outputs[0] = Vec4::new(x, y, 0.0, 1.0);
+        Arc::new(outputs)
+    };
+    TriangleWork {
+        obj: DynamicObject::new(0),
+        batch: Arc::clone(&tri.batch),
+        verts: [vertex(-1.0, -1.0), vertex(3.0, -1.0), vertex(-1.0, 3.0)],
+        end_of_batch: false,
+    }
+}
+
+#[test]
+fn clipper_without_output_credits_sleeps_and_clocks_as_a_no_op() {
+    let mut stats = StatsRegistry::new(0);
+    let (mut in_tx, in_rx) = unbound_port::<TriangleWork>("pa->clip", 1, 1, 2);
+    let (out_tx, mut out_rx) = unbound_port::<TriangleWork>("clip->setup", 1, 1, 1);
+    let mut clipper = Clipper::new(in_rx, out_tx, &mut stats);
+    for cycle in 0..8 {
+        in_tx.update(cycle);
+        while in_tx.can_send(cycle) {
+            in_tx.send(cycle, triangle_work());
+        }
+        clipper.clock(cycle).expect("no faults");
+        out_rx.update(cycle);
+    }
+    assert_eq!(clipper.in_tris.len(), 2, "the input queue is full");
+    assert_eq!(clipper.out_tris.credits(), 0);
+    assert_stalled(&mut clipper, &stats, 8, |c, cy| c.clock(cy).expect("no faults"), |c, cy| {
+        in_tx.update(cy);
+        let mut view = vec![c.queued(), in_tx.credits()];
+        view.extend(output_view(&c.out_tris, &mut out_rx, cy));
+        view
+    });
+}
+
+#[test]
+fn setup_without_output_credits_sleeps_and_clocks_as_a_no_op() {
+    let mut stats = StatsRegistry::new(0);
+    let (mut in_tx, in_rx) = unbound_port::<TriangleWork>("clip->setup", 1, 1, 2);
+    let (out_tx, mut out_rx) = unbound_port::<SetupTriWork>("setup->fg", 1, 1, 1);
+    let mut setup = TriangleSetup::new(in_rx, out_tx, &mut stats);
+    for cycle in 0..8 {
+        in_tx.update(cycle);
+        while in_tx.can_send(cycle) {
+            in_tx.send(cycle, triangle_work());
+        }
+        setup.clock(cycle).expect("no faults");
+        out_rx.update(cycle);
+    }
+    assert_eq!(setup.in_tris.len(), 2, "the input queue is full");
+    assert_eq!(setup.out_tris.credits(), 0);
+    assert_stalled(&mut setup, &stats, 8, |s, c| s.clock(c).expect("no faults"), |s, c| {
+        in_tx.update(c);
+        let mut view = vec![s.queued(), in_tx.credits()];
+        view.extend(output_view(&s.out_tris, &mut out_rx, c));
+        view
+    });
+}
+
+#[test]
+fn primitive_assembly_with_triangles_staged_and_no_credit_sleeps_and_clocks_as_a_no_op() {
+    let mut stats = StatsRegistry::new(0);
+    let (mut in_tx, in_rx) = unbound_port::<ShadedVertex>("st->pa", 1, 1, 4);
+    let (out_tx, mut out_rx) = unbound_port::<TriangleWork>("pa->clip", 1, 1, 1);
+    let mut pa = PrimitiveAssembly::new(in_rx, out_tx, &mut stats);
+    let batch = make_batch(untested_state(), 300);
+    let mut seq = 0;
+    for cycle in 0..32 {
+        in_tx.update(cycle);
+        while in_tx.can_send(cycle) {
+            let (obj, batch) = (DynamicObject::new(0), Arc::clone(&batch));
+            let outputs = Arc::new([Vec4::ZERO; limits::OUTPUTS]);
+            in_tx.send(cycle, ShadedVertex { obj, batch, seq, index: seq, outputs });
+            seq += 1;
+        }
+        pa.clock(cycle).expect("no faults");
+        out_rx.update(cycle);
+    }
+    assert_eq!(pa.in_verts.len(), 4, "the input queue is full");
+    assert_eq!(pa.queued(), 4 + 4, "four triangles staged behind the one sent");
+    assert_eq!(pa.out_tris.credits(), 0);
+    assert_stalled(&mut pa, &stats, 32, |pa, c| pa.clock(c).expect("no faults"), |pa, c| {
+        in_tx.update(c);
+        let mut view = vec![pa.queued(), in_tx.credits()];
+        view.extend(output_view(&pa.out_tris, &mut out_rx, c));
+        view
+    });
+}
+
+/// The Streamer with `max_memory_requests` fetches outstanding (the
+/// controller is never clocked, so none returns) is stalled until a reply
+/// — or a shaded vertex that turns the stalled vertex into a post-shading
+/// cache hit — arrives.
+#[test]
+fn streamer_with_fetches_at_the_limit_sleeps_and_clocks_as_a_no_op() {
+    let mut stats = StatsRegistry::new(0);
+    let mut config = GpuConfig::baseline().streamer;
+    config.max_memory_requests = 2;
+    let (mut draw_tx, draw_rx) = unbound_port::<Arc<Batch>>("cp->st", 1, 1, 2);
+    let (work_tx, mut work_rx) = unbound_port::<VertexWork>("st->ff", 1, 1, 16);
+    let (mut shaded_tx, shaded_rx) = unbound_port::<ShadedVertex>("ff->st", 4, 1, 16);
+    let (assembled_tx, mut assembled_rx) = unbound_port::<ShadedVertex>("st->pa", 1, 1, 8);
+    let mut streamer =
+        Streamer::new(config, draw_rx, work_tx, shaded_rx, assembled_tx, &mut stats);
+    let mut mem = MemoryController::new(MemControllerConfig::default(), 1 << 22);
+    let mut state = untested_state();
+    let mut attributes = vec![None; limits::INPUTS];
+    attributes[0] =
+        Some(AttributeBinding { address: 0x40000, stride: 16, components: 4, default_w: 1.0 });
+    state.attributes = Arc::new(attributes);
+    let batch = make_batch(state, 64);
+    draw_tx.update(0);
+    draw_tx.send(0, Arc::clone(&batch));
+    for cycle in 0..8 {
+        draw_tx.update(cycle);
+        streamer.clock(cycle, &mut mem).expect("no faults");
+        work_rx.update(cycle);
+        assembled_rx.update(cycle);
+    }
+    assert_eq!(stats.total("Streamer.vertices"), Some(2.0), "two fetches outstanding");
+    let mut view = |s: &Streamer, c| {
+        draw_tx.update(c);
+        let mut view = vec![s.queued(), draw_tx.credits()];
+        view.extend(output_view(&s.out_work, &mut work_rx, c));
+        view.extend(output_view(&s.out_assembled, &mut assembled_rx, c));
+        view
+    };
+    let clock = |s: &mut Streamer, c| s.clock(c, &mut mem).expect("no faults");
+    assert_stalled(&mut streamer, &stats, 8, clock, &mut view);
+
+    // Vertex 2's outputs come back from a shader: the clock that takes
+    // them must not sleep, the one after starts vertex 2 from the
+    // post-shading cache, and the next stalls on vertex 3's fetch again.
+    let (obj, outputs) = (DynamicObject::new(0), Arc::new([Vec4::ZERO; limits::OUTPUTS]));
+    shaded_tx.update(9);
+    shaded_tx.send(9, ShadedVertex { obj, batch, seq: 2, index: 2, outputs });
+    streamer.clock(9, &mut mem).expect("no faults");
+    streamer.clock(10, &mut mem).expect("no faults");
+    assert!(streamer.work_horizon().is_busy(), "the shaded vertex may end the stall");
+    streamer.clock(11, &mut mem).expect("no faults");
+    assert_eq!(stats.total("Streamer.vertex_cache_hits"), Some(1.0));
+    assert_eq!(stats.total("Streamer.vertices"), Some(3.0));
+    streamer.clock(12, &mut mem).expect("no faults");
+    let clock = |s: &mut Streamer, c| s.clock(c, &mut mem).expect("no faults");
+    assert_stalled(&mut streamer, &stats, 13, clock, view);
+}
+
+/// One texture unit through its three waits: fills in flight (the
+/// controller is not clocked), a resolved request before its filter's
+/// `ready_at`, and a finished request with no reply credit.
+#[test]
+fn texture_unit_waiting_on_fills_filter_or_credit_sleeps_and_clocks_as_a_no_op() {
+    let mut stats = StatsRegistry::new(0);
+    let (mut req_tx, req_rx) = unbound_port::<QuadTexRequest>("ff->tu", 1, 1, 8);
+    let (rep_tx, mut rep_rx) = unbound_port::<QuadTexReply>("tu->ff", 1, 1, 2);
+    let mut tu = TextureUnit::new(0, GpuConfig::baseline().texture, req_rx, rep_tx, &mut stats);
+    let mut mem = MemoryController::new(MemControllerConfig::default(), 1 << 22);
+    let texels = encode_tiled(TexFormat::Rgba8, 16, 16, &[Vec4::ONE; 256]);
+    mem.gpu_mem_mut().write(0x1000, &texels);
+    let mut state = untested_state();
+    let mut textures = vec![None; limits::SAMPLERS];
+    textures[0] = Some(TextureDesc::new_2d(16, 16, TexFormat::Rgba8, 0x1000));
+    state.textures = Arc::new(textures);
+    let batch = make_batch(state, 3);
+    let request = |id| QuadTexRequest {
+        id,
+        shader_unit: 0,
+        sampler: 0,
+        coords: [Vec4::new(0.5, 0.5, 0.0, 1.0); 4],
+        lod_bias: 0.0,
+        projective: false,
+        batch: Arc::clone(&batch),
+        group: 0,
+    };
+    fn view(
+        tu: &TextureUnit,
+        req_tx: &mut PortSender<QuadTexRequest>,
+        rep_rx: &mut PortReceiver<QuadTexReply>,
+        c: u64,
+    ) -> Vec<usize> {
+        req_tx.update(c);
+        let mut view = vec![tu.queued(), req_tx.credits()];
+        view.extend(output_view(&tu.out_replies, rep_rx, c));
+        view
+    }
+    // One cycle of the unit and the controller, with the test's ends of
+    // both ports serviced (replies are never taken).
+    fn step(
+        tu: &mut TextureUnit,
+        mem: &mut MemoryController,
+        (req_tx, rep_rx): (&mut PortSender<QuadTexRequest>, &mut PortReceiver<QuadTexReply>),
+        c: u64,
+        send: Option<QuadTexRequest>,
+    ) {
+        req_tx.update(c);
+        if let Some(request) = send {
+            req_tx.send(c, request);
+        }
+        tu.clock(c, mem).expect("no faults");
+        mem.clock(c);
+        rep_rx.update(c);
+    }
+
+    // Fills in flight: the controller is not clocked.
+    step(&mut tu, &mut mem, (&mut req_tx, &mut rep_rx), 0, Some(request(0)));
+    tu.clock(1, &mut mem).expect("no faults");
+    assert!(mem.busy(), "the request's line is being filled");
+    let clock = |tu: &mut TextureUnit, c| tu.clock(c, &mut mem).expect("no faults");
+    assert_stalled(&mut tu, &stats, 2, clock, |tu, c| view(tu, &mut req_tx, &mut rep_rx, c));
+    let mut cycle = 3;
+    while tu.out_replies.total_sent() < 1 {
+        step(&mut tu, &mut mem, (&mut req_tx, &mut rep_rx), cycle, None);
+        cycle += 1;
+        assert!(cycle < 1_000, "the fill never landed");
+    }
+
+    // A cache hit: resolved at once, then the filter's four bilinears.
+    step(&mut tu, &mut mem, (&mut req_tx, &mut rep_rx), cycle, Some(request(1)));
+    step(&mut tu, &mut mem, (&mut req_tx, &mut rep_rx), cycle + 1, None);
+    let horizon = tu.work_horizon();
+    assert!(
+        matches!(horizon, Horizon::IdleUntil(at) if at > cycle + 2),
+        "filtering until ready_at: {horizon:?}"
+    );
+    let clock = |tu: &mut TextureUnit, c| tu.clock(c, &mut mem).expect("no faults");
+    assert_stalled(&mut tu, &stats, cycle + 2, clock, |tu, c| {
+        view(tu, &mut req_tx, &mut rep_rx, c)
+    });
+    cycle += 4;
+    while tu.out_replies.total_sent() < 2 {
+        step(&mut tu, &mut mem, (&mut req_tx, &mut rep_rx), cycle, None);
+        cycle += 1;
+        assert!(cycle < 1_000, "the filter never finished");
+    }
+
+    // Both credits spent: the next hit filters, then waits for a credit.
+    step(&mut tu, &mut mem, (&mut req_tx, &mut rep_rx), cycle, Some(request(2)));
+    for c in cycle + 1..cycle + 16 {
+        step(&mut tu, &mut mem, (&mut req_tx, &mut rep_rx), c, None);
+    }
+    assert_eq!(tu.out_replies.credits(), 0);
+    assert_eq!(tu.requests_serviced(), 3);
+    let clock = |tu: &mut TextureUnit, c| tu.clock(c, &mut mem).expect("no faults");
+    assert_stalled(&mut tu, &stats, cycle + 16, clock, |tu, c| {
+        view(tu, &mut req_tx, &mut rep_rx, c)
+    });
+}
+
+/// The Fragment FIFO in thread-window mode with every group blocked on a
+/// texture request that cannot leave (the one texture port is out of
+/// credits) and the shader pool full, so no queued quad is admitted.
+#[test]
+fn ffifo_with_full_texture_ports_and_pool_sleeps_and_clocks_as_a_no_op() {
+    let mut stats = StatsRegistry::new(0);
+    let config = GpuConfig::baseline().shader;
+    assert_eq!(config.scheduling, ShaderScheduling::ThreadWindow);
+    let (_vertex_tx, vertex_rx) = unbound_port::<VertexWork>("st->ff", 1, 1, 16);
+    let (mut quad_tx, quad_rx) = unbound_port::<FragQuad>("interp->ff", 1, 1, 4);
+    let (shaded_tx, _shaded_rx) = unbound_port::<ShadedVertex>("ff->st", 4, 1, 16);
+    let (color_tx, mut color_rx) = unbound_port::<FragQuad>("ff->cw", 1, 1, 4);
+    let (zst_tx, mut zst_rx) = unbound_port::<FragQuad>("ff->zst", 1, 1, 4);
+    let (tex_tx, mut tex_rx) = unbound_port::<QuadTexRequest>("ff->tu", 1, 1, 1);
+    let (_reply_tx, reply_rx) = unbound_port::<QuadTexReply>("tu->ff", 1, 1, 16);
+    let mut ffifo = FragmentFifo::new(
+        config.clone(),
+        vertex_rx,
+        quad_rx,
+        shaded_tx,
+        vec![color_tx],
+        vec![zst_tx],
+        vec![tex_tx],
+        vec![reply_rx],
+        &mut stats,
+    );
+    let mut state = untested_state();
+    state.fragment_program = Arc::new(
+        attila_emu::asm::assemble("!!ATTILAfp1.0\nTEX r0, i0, texture[0], 2D;\nMOV o0, r0;\nEND;")
+            .expect("assembles"),
+    );
+    let tri = make_tri(state);
+    let quad = || {
+        let frag = QuadFrag { alive: true, edges: [1.0; 3], depth: 0.5, color: Vec4::ONE };
+        FragQuad::new(DynamicObject::new(0), Arc::clone(&tri), 8, 8, [frag; 4])
+    };
+    let end = 4 * config.max_inputs as u64;
+    for cycle in 0..end {
+        quad_tx.update(cycle);
+        while quad_tx.can_send(cycle) {
+            quad_tx.send(cycle, quad());
+        }
+        ffifo.clock(cycle).expect("no faults");
+        tex_rx.update(cycle);
+    }
+    assert_eq!(ffifo.in_quads.len(), 4, "the quad queue is full: the pool is");
+    assert_eq!(ffifo.tex_requests[0].credits(), 0);
+    assert_eq!(stats.total("FFIFO.texture_requests"), Some((config.max_inputs / 4) as f64));
+    let clock = |f: &mut FragmentFifo, c| f.clock(c).expect("no faults");
+    assert_stalled(&mut ffifo, &stats, end, clock, |f, c| {
+        quad_tx.update(c);
+        let mut view = vec![f.queued(), quad_tx.credits()];
+        view.extend(output_view(&f.tex_requests[0], &mut tex_rx, c));
+        view.extend(output_view(&f.out_color[0], &mut color_rx, c));
+        view.extend(output_view(&f.out_zstencil[0], &mut zst_rx, c));
+        view
+    });
+}
+
+/// The DAC between frames, and once a frame's refresh reads are all
+/// submitted while their replies are in flight: a memory reply is what
+/// wakes it, not its own horizon.
+#[test]
+fn dac_without_pending_reads_sleeps_and_clocks_as_a_no_op() {
+    let mut stats = StatsRegistry::new(0);
+    let mut dac = Dac::new(&mut stats);
+    let mut mem = MemoryController::new(MemControllerConfig::default(), 1 << 22);
+    let view = |dac: &Dac, _| vec![dac.queued(), usize::from(dac.busy())];
+    assert_stalled(&mut dac, &stats, 0, |d, _| d.clock(&mut mem), view);
+    // One 8×8 frame: four 64-byte reads, all taken at once.
+    dac.refresh(0x10000, 8, 8);
+    assert!(dac.work_horizon().is_busy(), "queued reads must be submitted");
+    dac.clock(&mut mem);
+    assert_eq!(stats.total("DAC.bytes_read"), Some(256.0));
+    assert_stalled(&mut dac, &stats, 1, |d, _| d.clock(&mut mem), view);
+    assert!(mem.busy(), "the reads are still in flight");
 }

@@ -47,6 +47,7 @@ const WIRING_TYPES: &[&str] = &[
     "SignalWriter",
     "SignalReader",
     "Counter",
+    "RunningCounter",
     "Gauge",
     "StatsRegistry",
     "TraceSink",

@@ -16,7 +16,7 @@
 //! starves: a stream of hits from one client moves the pointer past it,
 //! handing the next free slot to its neighbours.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use attila_json::{array, field, field_with, FromJson, HexJson, Json, JsonError, JsonState, ToJson};
 use attila_sim::fault::MemFaultHandle;
@@ -60,6 +60,18 @@ impl Client {
     /// One past the largest [`index`](Self::index): the most queue slots a
     /// channel can ever grow.
     const SLOTS: usize = Client::Texture(u8::MAX).index() + 1;
+
+    /// Every client, in the order of `Ord` (checkpoint files list
+    /// per-client byte counts in this order).
+    fn all() -> impl Iterator<Item = Client> {
+        let units = |unit: fn(u8) -> Client| (0..=u8::MAX).map(unit);
+        [Client::CommandProcessor, Client::Streamer]
+            .into_iter()
+            .chain(units(Client::ZStencil))
+            .chain(units(Client::ColorWrite))
+            .chain(units(Client::Texture))
+            .chain([Client::Dac])
+    }
 
     /// Stable numeric code identifying this client across processes —
     /// the serialized form used by checkpoints (unlike the private
@@ -268,7 +280,8 @@ pub struct MemoryController {
     queued_requests: usize, // state: transient — zero once request queues drain
     bytes_read: u64,
     bytes_written: u64,
-    per_client_bytes: BTreeMap<Client, u64>,
+    /// Bytes moved for each client, indexed by [`Client::index`].
+    per_client_bytes: Box<[u64]>,
     /// Injected fault schedule (stalls, reply bit flips), when armed.
     faults: Option<MemFaultHandle>, // state: transient — fault schedules are re-armed per run, never checkpointed
     /// Signal-trace sink for per-bank DRAM issue events, when attached.
@@ -301,7 +314,7 @@ impl MemoryController {
             queued_requests: 0,
             bytes_read: 0,
             bytes_written: 0,
-            per_client_bytes: BTreeMap::new(),
+            per_client_bytes: vec![0; Client::SLOTS].into_boxed_slice(),
             faults: None,
             trace: None,
         }
@@ -544,7 +557,7 @@ impl MemoryController {
                         }
                     }
                 }
-                *self.per_client_bytes.entry(req.client).or_default() += size as u64;
+                self.per_client_bytes[req.client.index()] += u64::from(size);
                 let latency_extra = if dir == Direction::Read {
                     self.channels[ch_idx].dram.read_latency()
                 } else {
@@ -658,7 +671,7 @@ impl MemoryController {
 
     /// Bytes transferred on behalf of one client.
     pub fn client_bytes(&self, client: Client) -> u64 {
-        self.per_client_bytes.get(&client).copied().unwrap_or(0)
+        self.per_client_bytes[client.index()]
     }
 
     /// Aggregate DRAM busy cycles across channels (for bandwidth
@@ -716,7 +729,11 @@ impl JsonState for MemoryController {
         let per_channel = |state: &dyn Fn(&ChannelState) -> Json| {
             Json::Arr(self.channels.iter().map(state).collect())
         };
-        let bytes = |(c, b): (&Client, &u64)| Json::Arr(vec![c.code().to_json(), b.to_hex()]);
+        // Only the clients that moved bytes.
+        let bytes = Client::all().filter_map(|c| {
+            let b = self.per_client_bytes[c.index()];
+            (b > 0).then(|| Json::Arr(vec![c.code().to_json(), b.to_hex()]))
+        });
         Json::obj([
             ("channels", per_channel(&|c| c.dram.save_state())),
             ("next_clients", per_channel(&|c| c.next_client.to_json())),
@@ -724,7 +741,7 @@ impl JsonState for MemoryController {
             ("system_bus_free_at", self.system_bus_free_at.to_hex()),
             ("bytes_read", self.bytes_read.to_hex()),
             ("bytes_written", self.bytes_written.to_hex()),
-            ("per_client_bytes", Json::Arr(self.per_client_bytes.iter().map(bytes).collect())),
+            ("per_client_bytes", Json::Arr(bytes.collect())),
         ])
     }
 
@@ -764,7 +781,7 @@ impl JsonState for MemoryController {
         self.system_bus_free_at = field_with(v, "system_bus_free_at", u64::from_hex)?;
         self.bytes_read = field_with(v, "bytes_read", u64::from_hex)?;
         self.bytes_written = field_with(v, "bytes_written", u64::from_hex)?;
-        self.per_client_bytes = field_with(v, "per_client_bytes", |entries| {
+        let per_client: Vec<(Client, u64)> = field_with(v, "per_client_bytes", |entries| {
             let entry = |e: &Json| match array(e)? {
                 [code, bytes] => {
                     let code = u32::from_json(code)?;
@@ -776,6 +793,10 @@ impl JsonState for MemoryController {
             };
             array(entries)?.iter().map(entry).collect()
         })?;
+        self.per_client_bytes.fill(0);
+        for (client, bytes) in per_client {
+            self.per_client_bytes[client.index()] = bytes;
+        }
         Ok(())
     }
 }
@@ -1154,6 +1175,44 @@ mod tests {
         }
         c.pop_reply(Client::Dac).expect("reply ready");
         assert!(!c.busy());
+    }
+
+    #[test]
+    fn every_client_is_listed_once_in_ord_order() {
+        let all: Vec<Client> = Client::all().collect();
+        assert!(all.windows(2).all(|w| w[0] < w[1]), "sorted by Ord, no repeats");
+        let mut slots: Vec<usize> = all.iter().map(|c| c.index()).collect();
+        slots.sort_unstable();
+        slots.dedup();
+        assert_eq!(slots.len(), all.len(), "one slot per client");
+        assert_eq!(slots.last().map(|s| s + 1), Some(Client::SLOTS));
+    }
+
+    #[test]
+    fn per_client_bytes_save_in_client_order() {
+        let mut c = ctl();
+        for (id, client) in [(1, Client::Dac), (2, Client::Texture(1)), (3, Client::Streamer)] {
+            c.submit(MemRequest { id, client, addr: 0, op: MemOp::TimingRead { size: 64 } })
+                .unwrap();
+        }
+        for cycle in 0..200 {
+            c.clock(cycle);
+        }
+        let saved = c.save_state();
+        let pairs: Vec<(u32, u64)> = array(saved.get("per_client_bytes").unwrap())
+            .unwrap()
+            .iter()
+            .map(|e| {
+                let e = array(e).unwrap();
+                (u32::from_json(&e[0]).unwrap(), u64::from_hex(&e[1]).unwrap())
+            })
+            .collect();
+        assert_eq!(pairs, [(1, 64), (0x301, 64), (2, 64)], "Streamer, Texture(1), DAC");
+        let mut loaded = ctl();
+        loaded.load_state(&saved).unwrap();
+        assert_eq!(loaded.client_bytes(Client::Texture(1)), 64);
+        assert_eq!(loaded.client_bytes(Client::ZStencil(0)), 0);
+        assert_eq!(loaded.save_state(), saved);
     }
 
     #[test]

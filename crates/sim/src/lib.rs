@@ -92,7 +92,7 @@ pub use name::SignalName;
 pub use object::{DynamicObject, ObjectIdGen, Traceable};
 pub use rng::TinyRng;
 pub use signal::{Signal, SignalProbe, SignalReader, SignalStatus, SignalWriter, WakeLine};
-pub use stats::{Counter, Gauge, StatsRegistry};
+pub use stats::{Counter, Gauge, RunningCounter, StatsRegistry};
 pub use trace::{SignalTrace, TraceEvent, TraceSink};
 pub use viz::{render_html, VizOptions};
 

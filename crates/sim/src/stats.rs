@@ -59,6 +59,80 @@ impl Counter {
     }
 }
 
+/// A shared count of the cycles a unit spends in some state, which keeps
+/// counting while its owner is not clocked.
+///
+/// A [`Counter`] bumped on every cycle the state holds needs its owner
+/// clocked on every such cycle. A running counter is told when the state
+/// begins and ends instead: [`start`](Self::start) opens a span on its
+/// first cycle and [`stop`](Self::stop) closes it on its last, and
+/// [`value`](Self::value) counts every cycle the registry that handed it
+/// out has ticked through inside a span — the open one included. It reads
+/// exactly as a counter `inc()`ed on every cycle from `start` to `stop`
+/// would, window by window, and is saved as one.
+///
+/// # Examples
+///
+/// ```
+/// use attila_sim::StatsRegistry;
+/// let mut stats = StatsRegistry::new(0);
+/// let busy = stats.running_counter("Unit.busy_cycles");
+/// busy.start(2);
+/// for cycle in 0..5 {
+///     stats.tick(cycle);
+/// }
+/// assert_eq!(busy.value(), 3, "cycles 2, 3 and 4");
+/// busy.stop(6);
+/// assert_eq!(busy.value(), 5, "cycles 2 to 6");
+/// ```
+#[derive(Debug, Clone)]
+pub struct RunningCounter {
+    span: Rc<RunningSpan>,
+}
+
+#[derive(Debug)]
+struct RunningSpan {
+    /// Cycles counted by closed spans.
+    closed: Cell<u64>,
+    /// First cycle of the open span, if one is open.
+    since: Cell<Option<Cycle>>,
+    /// The registry's clock: how many cycles it has ticked through.
+    now: Rc<Cell<Cycle>>,
+}
+
+impl RunningCounter {
+    /// Opens a span whose first counted cycle is `cycle`. A span already
+    /// open stays open from its own first cycle.
+    pub fn start(&self, cycle: Cycle) {
+        if self.span.since.get().is_none() {
+            self.span.since.set(Some(cycle));
+        }
+    }
+
+    /// Closes the open span, `cycle` being the last cycle it counts. Does
+    /// nothing while no span is open.
+    pub fn stop(&self, cycle: Cycle) {
+        if let Some(since) = self.span.since.take() {
+            let span = (cycle + 1).saturating_sub(since);
+            self.span.closed.set(self.span.closed.get() + span);
+        }
+    }
+
+    /// Cycles counted so far: every closed span, plus the cycles of the
+    /// open span the registry has ticked through.
+    pub fn value(&self) -> u64 {
+        let open = self.span.since.get().map_or(0, |s| self.span.now.get().saturating_sub(s));
+        self.span.closed.get() + open
+    }
+
+    /// Restores a saved value: closed spans totalling `value` cycles and
+    /// none open.
+    fn load(&self, value: u64) {
+        self.span.closed.set(value);
+        self.span.since.set(None);
+    }
+}
+
 /// A shared instantaneous value (occupancy, ratio, level).
 #[derive(Debug, Clone, Default)]
 pub struct Gauge {
@@ -84,7 +158,40 @@ impl Gauge {
 
 enum StatHandle {
     Counter(Counter),
+    Running(RunningCounter),
     Gauge(Gauge),
+}
+
+/// Panics on a second registration of `name` as another kind of statistic.
+fn wrong_kind(name: &str, registered: &StatHandle, wanted: &str) -> ! {
+    panic!("statistic `{name}` is registered as a {}, not a {wanted}", registered.kind())
+}
+
+impl StatHandle {
+    fn kind(&self) -> &'static str {
+        match self {
+            StatHandle::Counter(_) => "counter",
+            StatHandle::Running(_) => "running counter",
+            StatHandle::Gauge(_) => "gauge",
+        }
+    }
+
+    /// A counter's running total, `None` for a gauge.
+    fn count(&self) -> Option<u64> {
+        match self {
+            StatHandle::Counter(c) => Some(c.value()),
+            StatHandle::Running(r) => Some(r.value()),
+            StatHandle::Gauge(_) => None,
+        }
+    }
+
+    /// The value the totals report: a count, or a gauge's level.
+    fn total(&self) -> f64 {
+        match self {
+            StatHandle::Gauge(g) => g.value(),
+            counter => counter.count().unwrap_or_default() as f64,
+        }
+    }
 }
 
 struct StatEntry {
@@ -119,10 +226,15 @@ pub struct StatsRegistry {
     index: BTreeMap<String, u32>,
     window_size: Cycle,
     windows_closed: usize,
-    /// How many times each name was handed out by [`counter`](Self::counter)
-    /// or [`gauge`](Self::gauge). A count above 1 means two call sites
-    /// registered the same name — usually a copy-paste bug that silently
-    /// merges two units' statistics (the `duplicate-stat` lint rule).
+    /// How many cycles [`tick`](Self::tick) and [`skip_to`](Self::skip_to)
+    /// have advanced through — what a [`RunningCounter`]'s open span
+    /// counts up to. Shared with every running counter handed out.
+    clock: Rc<Cell<Cycle>>,
+    /// How many times each name was handed out by [`counter`](Self::counter),
+    /// [`running_counter`](Self::running_counter) or [`gauge`](Self::gauge).
+    /// A count above 1 means two call sites registered the same name —
+    /// usually a copy-paste bug that silently merges two units' statistics
+    /// (the `duplicate-stat` lint rule).
     registrations: BTreeMap<String, usize>,
 }
 
@@ -135,6 +247,7 @@ impl StatsRegistry {
             index: BTreeMap::new(),
             window_size,
             windows_closed: 0,
+            clock: Rc::default(),
             registrations: BTreeMap::new(),
         }
     }
@@ -144,49 +257,68 @@ impl StatsRegistry {
         self.index.get(name).map(|&i| &self.entries[i as usize])
     }
 
-    /// Returns (creating on first use) the counter registered under `name`.
-    pub fn counter(&mut self, name: &str) -> Counter {
+    /// The handle registered under `name`, registering `make(self)` on
+    /// first use.
+    fn register(&mut self, name: &str, make: impl FnOnce(&Self) -> StatHandle) -> &StatHandle {
         *self.registrations.entry(name.to_string()).or_insert(0) += 1;
-        match self.slot(name) {
-            Some(StatEntry { handle: StatHandle::Counter(c), .. }) => c.clone(),
-            Some(_) => panic!("statistic `{name}` is registered as a gauge, not a counter"),
+        let slot = match self.index.get(name) {
+            Some(&slot) => slot,
             None => {
-                let c = Counter::new();
-                self.index.insert(name.to_string(), self.entries.len() as u32);
+                let slot = self.entries.len() as u32;
+                let handle = make(self);
+                self.index.insert(name.to_string(), slot);
                 self.entries.push(StatEntry {
-                    handle: StatHandle::Counter(c.clone()),
+                    handle,
                     // Backfill windows closed before registration so
                     // every statistic's series stays aligned.
                     windows: vec![0.0; self.windows_closed],
                     last_total: 0,
                 });
-                c
+                slot
             }
+        };
+        &self.entries[slot as usize].handle
+    }
+
+    /// Returns (creating on first use) the counter registered under `name`.
+    pub fn counter(&mut self, name: &str) -> Counter {
+        match self.register(name, |_| StatHandle::Counter(Counter::new())) {
+            StatHandle::Counter(c) => c.clone(),
+            other => wrong_kind(name, other, "counter"),
+        }
+    }
+
+    /// Returns (creating on first use) the running counter registered under
+    /// `name`: its open span counts the cycles this registry ticks through.
+    pub fn running_counter(&mut self, name: &str) -> RunningCounter {
+        let make = |reg: &Self| {
+            StatHandle::Running(RunningCounter {
+                span: Rc::new(RunningSpan {
+                    closed: Cell::new(0),
+                    since: Cell::new(None),
+                    now: Rc::clone(&reg.clock),
+                }),
+            })
+        };
+        match self.register(name, make) {
+            StatHandle::Running(r) => r.clone(),
+            other => wrong_kind(name, other, "running counter"),
         }
     }
 
     /// Returns (creating on first use) the gauge registered under `name`.
     pub fn gauge(&mut self, name: &str) -> Gauge {
-        *self.registrations.entry(name.to_string()).or_insert(0) += 1;
-        match self.slot(name) {
-            Some(StatEntry { handle: StatHandle::Gauge(g), .. }) => g.clone(),
-            Some(_) => panic!("statistic `{name}` is registered as a counter, not a gauge"),
-            None => {
-                let g = Gauge::new();
-                self.index.insert(name.to_string(), self.entries.len() as u32);
-                self.entries.push(StatEntry {
-                    handle: StatHandle::Gauge(g.clone()),
-                    windows: vec![0.0; self.windows_closed],
-                    last_total: 0,
-                });
-                g
-            }
+        match self.register(name, |_| StatHandle::Gauge(Gauge::new())) {
+            StatHandle::Gauge(g) => g.clone(),
+            other => wrong_kind(name, other, "gauge"),
         }
     }
 
     /// Advances the sampling clock; must be called once per simulated
-    /// cycle. Closes a window whenever `window_size` cycles have elapsed.
+    /// cycle, after everything the cycle counts. Closes a window whenever
+    /// `window_size` cycles have elapsed.
     pub fn tick(&mut self, cycle: Cycle) {
+        self.clock.set(cycle + 1);
         if self.window_size == 0 {
             return;
         }
@@ -200,32 +332,43 @@ impl StatsRegistry {
     /// `from..to`, but in O(windows crossed) instead of O(cycles).
     ///
     /// Used by the event-horizon scheduler when it jumps the clock over
-    /// provably idle cycles: no statistic changes during such a jump, so
-    /// each window boundary crossed records the same all-zero counter
-    /// deltas (and unchanged gauge values) a per-cycle loop would have.
+    /// provably idle cycles: no unit is clocked during such a jump, so each
+    /// window boundary crossed records the all-zero counter deltas (and
+    /// unchanged gauge values) a per-cycle loop would have — except for
+    /// the open spans of running counters, which count on through it.
     pub fn skip_to(&mut self, from: Cycle, to: Cycle) {
-        if self.window_size == 0 || to <= from {
+        if to <= from {
             return;
         }
-        // tick(j) closes a window when (j + 1) % window_size == 0, so the
-        // boundaries crossed by j in from..to number to/W - from/W.
-        let crossed = to / self.window_size - from / self.window_size;
-        for _ in 0..crossed {
-            self.close_window();
+        if self.window_size > 0 {
+            // tick(j) closes a window when (j + 1) % window_size == 0: the
+            // boundaries crossed are the multiples of W in (from, to].
+            let w = self.window_size;
+            for boundary in (from / w + 1..=to / w).map(|k| k * w) {
+                self.clock.set(boundary);
+                self.close_window();
+            }
         }
+        self.clock.set(to);
+    }
+
+    /// Declares every cycle before `cycle` ticked through without closing
+    /// a window: for a machine restored at `cycle`, whose windows were
+    /// loaded with the rest of its statistics.
+    pub fn resume_at(&mut self, cycle: Cycle) {
+        self.clock.set(cycle);
     }
 
     /// Closes the current sampling window explicitly (also called from
     /// [`tick`](Self::tick)); useful at end of frame / end of run.
     pub fn close_window(&mut self) {
         for entry in &mut self.entries {
-            match &entry.handle {
-                StatHandle::Counter(c) => {
-                    let total = c.value();
+            match entry.handle.count() {
+                Some(total) => {
                     entry.windows.push((total - entry.last_total) as f64);
                     entry.last_total = total;
                 }
-                StatHandle::Gauge(g) => entry.windows.push(g.value()),
+                None => entry.windows.push(entry.handle.total()),
             }
         }
         self.windows_closed += 1;
@@ -243,10 +386,7 @@ impl StatsRegistry {
 
     /// End-of-run total of a counter (or current value of a gauge).
     pub fn total(&self, name: &str) -> Option<f64> {
-        self.slot(name).map(|e| match &e.handle {
-            StatHandle::Counter(c) => c.value() as f64,
-            StatHandle::Gauge(g) => g.value(),
-        })
+        self.slot(name).map(|e| e.handle.total())
     }
 
     /// Names of all registered statistics, sorted.
@@ -300,11 +440,7 @@ impl StatsRegistry {
     pub fn totals_csv(&self) -> String {
         let mut out = String::from("stat,total\n");
         for (name, &slot) in &self.index {
-            let v = match &self.entries[slot as usize].handle {
-                StatHandle::Counter(c) => c.value() as f64,
-                StatHandle::Gauge(g) => g.value(),
-            };
-            let _ = writeln!(out, "{name},{v}");
+            let _ = writeln!(out, "{name},{}", self.entries[slot as usize].handle.total());
         }
         out
     }
@@ -318,18 +454,19 @@ impl StatsRegistry {
 /// are matched by name and kind, and each series must hold exactly
 /// `windows_closed` samples — [`csv`](StatsRegistry::csv) writes that many
 /// rows, so the count is believed only as far as the samples the file
-/// carries.
+/// carries. A running counter is saved as a plain counter holding its
+/// value, and loads with no span open: a checkpoint is taken where none is.
 impl JsonState for StatsRegistry {
     fn save_state(&self) -> Json {
         let entries = self.index.iter().map(|(name, &slot)| {
             let e = &self.entries[slot as usize];
-            let (total, gauge) = match &e.handle {
-                StatHandle::Counter(c) => (c.value(), 0.0),
-                StatHandle::Gauge(g) => (0, g.value()),
+            let (total, gauge) = match e.handle.count() {
+                Some(count) => (count, 0.0),
+                None => (0, e.handle.total()),
             };
             Json::obj([
                 ("name", name.to_json()),
-                ("counter", matches!(e.handle, StatHandle::Counter(_)).to_json()),
+                ("counter", e.handle.count().is_some().to_json()),
                 ("total", total.to_hex()),
                 ("gauge", gauge.to_json()),
                 ("windows", e.windows.to_json()),
@@ -365,10 +502,11 @@ impl JsonState for StatsRegistry {
                     return Err(refuse("has a windows series that is not windows_closed long"));
                 }
                 // The next window's sample is `total - last_total`.
-                (StatHandle::Counter(_), true) if last_total > total => {
+                (StatHandle::Counter(_) | StatHandle::Running(_), true) if last_total > total => {
                     return Err(refuse("has last_total past total"));
                 }
                 (StatHandle::Counter(c), true) => c.value.set(total),
+                (StatHandle::Running(r), true) => r.load(total),
                 (StatHandle::Gauge(g), false) => g.value.set(gauge),
                 _ => return Err(refuse("has the wrong kind")),
             }
@@ -524,6 +662,146 @@ mod tests {
         }
         assert_eq!(reg.window_series("late").unwrap(), &[0.0, 3.0]);
         assert_eq!(reg.window_series("early").unwrap(), &[5.0, 0.0]);
+    }
+
+    #[test]
+    fn running_counter_windows_close_mid_span() {
+        let mut reg = StatsRegistry::new(10);
+        let busy = reg.running_counter("busy");
+        busy.start(5);
+        for cycle in 0..30 {
+            reg.tick(cycle);
+        }
+        assert_eq!(busy.value(), 25);
+        assert_eq!(reg.window_series("busy").unwrap(), &[5.0, 10.0, 10.0]);
+        busy.stop(32);
+        for cycle in 30..40 {
+            reg.tick(cycle);
+        }
+        assert_eq!(reg.window_series("busy").unwrap(), &[5.0, 10.0, 10.0, 3.0]);
+        assert_eq!(reg.total("busy"), Some(28.0));
+        assert_eq!(reg.totals_csv(), "stat,total\nbusy,28\n");
+    }
+
+    #[test]
+    fn running_counter_counts_through_skip_to() {
+        let mut reg = StatsRegistry::new(10);
+        let busy = reg.running_counter("busy");
+        for cycle in 0..6 {
+            if cycle == 4 {
+                busy.start(cycle);
+            }
+            reg.tick(cycle);
+        }
+        reg.skip_to(6, 37);
+        assert_eq!(reg.windows_closed(), 3);
+        assert_eq!(reg.window_series("busy").unwrap(), &[6.0, 10.0, 10.0]);
+        assert_eq!(busy.value(), 33, "cycles 4 to 36");
+        // Without windows the jump still moves the clock.
+        let mut flat = StatsRegistry::new(0);
+        let busy = flat.running_counter("busy");
+        busy.start(0);
+        flat.skip_to(0, 1_000);
+        assert_eq!(busy.value(), 1_000);
+    }
+
+    #[test]
+    fn running_counter_start_and_stop_on_one_cycle_count_it_once() {
+        let mut reg = StatsRegistry::new(0);
+        let busy = reg.running_counter("busy");
+        busy.stop(3);
+        assert_eq!(busy.value(), 0, "a stop with no span open does nothing");
+        busy.start(7);
+        busy.start(9);
+        busy.stop(7);
+        assert_eq!(busy.value(), 1, "the span's one cycle, before any tick");
+        busy.stop(8);
+        for cycle in 0..20 {
+            reg.tick(cycle);
+        }
+        assert_eq!(busy.value(), 1, "closed spans do not grow");
+    }
+
+    #[test]
+    fn running_counter_saves_as_a_counter_and_loads_stopped() {
+        let mut reg = StatsRegistry::new(4);
+        let busy = reg.running_counter("busy");
+        busy.start(3);
+        for cycle in 0..10 {
+            reg.tick(cycle);
+        }
+        busy.stop(9);
+        let saved = reg.save_state();
+        let entry = &field_with(&saved, "entries", array).unwrap()[0];
+        assert!(field::<bool>(entry, "counter").unwrap());
+        assert_eq!(field_with(entry, "total", u64::from_hex).unwrap(), 7);
+
+        for kind in ["running counter", "counter"] {
+            let mut loaded = StatsRegistry::new(4);
+            let total = match kind {
+                "counter" => {
+                    let c = loaded.counter("busy");
+                    loaded.load_state(&saved).unwrap();
+                    c.value()
+                }
+                _ => {
+                    let r = loaded.running_counter("busy");
+                    loaded.load_state(&saved).unwrap();
+                    loaded.resume_at(10);
+                    r.start(12);
+                    loaded.tick(10);
+                    loaded.tick(11);
+                    assert_eq!(r.value(), 7, "a loaded span is closed");
+                    for cycle in 12..16 {
+                        loaded.tick(cycle);
+                    }
+                    assert_eq!(loaded.window_series("busy").unwrap(), &[1.0, 4.0, 2.0, 4.0]);
+                    r.value() - 4
+                }
+            };
+            assert_eq!(total, 7, "loaded into a {kind}");
+        }
+    }
+
+    #[test]
+    fn running_counter_matches_per_cycle_increments() {
+        // A seeded schedule of on/off stretches, each advanced either cycle
+        // by cycle or by one `skip_to`: the running counter must read as a
+        // counter bumped on every cycle the state held.
+        for seed in 0..64 {
+            let mut rng = crate::TinyRng::new(seed);
+            let mut per_cycle = StatsRegistry::new(7);
+            let mut running = StatsRegistry::new(7);
+            let inc = per_cycle.counter("state");
+            let span = running.running_counter("state");
+            let (mut cycle, mut on) = (0u64, false);
+            while cycle < 400 {
+                let len = rng.range_u64(1, 20);
+                let now_on = rng.coin();
+                match (on, now_on) {
+                    (false, true) => span.start(cycle),
+                    (true, false) => span.stop(cycle - 1),
+                    _ => {}
+                }
+                on = now_on;
+                for c in cycle..cycle + len {
+                    if on {
+                        inc.inc();
+                    }
+                    per_cycle.tick(c);
+                }
+                if rng.coin() {
+                    running.skip_to(cycle, cycle + len);
+                } else {
+                    for c in cycle..cycle + len {
+                        running.tick(c);
+                    }
+                }
+                cycle += len;
+                assert_eq!(span.value(), inc.value(), "seed {seed}, cycle {cycle}");
+                assert_eq!(running.csv(), per_cycle.csv(), "seed {seed}, cycle {cycle}");
+            }
+        }
     }
 
     #[test]

@@ -96,9 +96,34 @@ fn quickstart_baseline() {
     assert_lockstep(GpuConfig::baseline(), &workloads::quickstart_trace(64, 64));
 }
 
+/// Asleep box-cycles of the Streamer, Primitive Assembly, the Clipper,
+/// Triangle Setup and the texture units below which units waiting on a
+/// credit, a memory reply or their own filter are being clocked again.
+const WAITING_FLOOR: u64 = 220_000;
+
+/// Also holds the units that wait more than they work to their sleep: the
+/// geometry front end stalls behind the shaders and on vertex fetches, and
+/// a texture unit spends most of a request waiting for its fills or its
+/// filter. The floor sits between the 117 159 box-cycles these units slept
+/// over the frame's 62 627 cycles when a batch in flight or a request in
+/// service meant `Busy` and the 329 709 they sleep now.
 #[test]
 fn doom3_like_baseline() {
-    assert_lockstep(GpuConfig::baseline(), &workloads::doom3_like(tiny_params()));
+    let trace = workloads::doom3_like(tiny_params());
+    let (cycles, per_box) = assert_lockstep(GpuConfig::baseline(), &trace);
+    let waiting: u64 = per_box
+        .iter()
+        .filter(|(name, _)| {
+            ["Streamer", "PrimitiveAssembly", "Clipper", "TriangleSetup"].contains(&name.as_str())
+                || name.starts_with("Texture")
+        })
+        .map(|(_, n)| n)
+        .sum();
+    assert!(
+        waiting >= WAITING_FLOOR,
+        "the waiting units slept {waiting} box-cycles over {cycles} cycles \
+         (floor {WAITING_FLOOR}); per box: {per_box:?}"
+    );
 }
 
 /// The Section 5 case study: in-order shader queues stall whole units on
@@ -163,7 +188,8 @@ const FRONT_END_FLOOR: u64 = 250_000;
 /// output is out of credits must sleep until one returns instead of being
 /// clocked to find that out. The floor sits between the 51 986 box-cycles
 /// these units slept over the frame's 116 716 cycles when they reported
-/// `Busy` on any queued input and the 482 948 they sleep now.
+/// `Busy` on any queued input and the 546 263 they sleep now (482 948
+/// while each gate still cached a `Busy` answer for 32 clocks).
 #[test]
 fn doom3_like_texture_bound_sleeps_the_stalled_front_end() {
     let mut config = GpuConfig::baseline();
