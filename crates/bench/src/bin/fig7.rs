@@ -23,7 +23,7 @@ fn main() {
         params.width,
         params.height,
         params.frames,
-        if full { " [--full]" } else { " (pass --full for paper-scale)" }
+        if full { " [--full]" } else { " (pass --full for a larger run)" }
     );
     println!();
 

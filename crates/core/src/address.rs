@@ -65,7 +65,7 @@ mod tests {
     #[test]
     fn addresses_are_dense_and_unique() {
         let (w, h) = (24, 16);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for y in 0..h {
             for x in 0..w {
                 let a = pixel_address(0, w, x, y);

@@ -54,13 +54,15 @@
 //!
 //! **Adding a persistent field** is one line: its name in the owner's
 //! [`impl_json_state!`](attila_json::impl_json_state) list (`field`,
-//! `field: hex` for a `u64`, `field: state` for a nested box, `key =
-//! field` where the names differ), which expands to both directions. An
+//! `field: hex` for a `u64`, `field: state` for a nested box, `field as
+//! key` where the names differ), which expands to both directions. An
 //! encoding that is *derived* rather than 1:1 — a ROP cache rebuilt on the
 //! surface the file names, statistics matched by name — is a hand-written
 //! `save_state`/`load_state` pair, adjacent, in the owner's file; two
-//! functions is the ceiling. A field left out needs a `// state:`
-//! annotation saying why (`attila lint --source`, rule `state-coverage`).
+//! functions is the ceiling, and each opens with an exhaustive `let Self {
+//! … } = self;`. A field left out goes in the list's `skip { "why": … }`
+//! tail (or binds as `field: _` in a pair); one named nowhere is a compile
+//! error.
 //!
 //! **Loaders size by what the file carries.** An allocation is sized by
 //! an array that is in the file, then checked against the machine — never

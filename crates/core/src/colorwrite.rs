@@ -27,7 +27,7 @@ use crate::unit::Unit;
 /// One Colour Write unit.
 #[derive(Debug)]
 pub struct ColorWriteUnit {
-    name: String, // state: derived — from the unit index fixed at construction
+    name: String,
     config: RopConfig,
     /// Shaded quads from the Fragment FIFO (early-Z) path.
     pub in_early: PortReceiver<FragQuad>,
@@ -127,7 +127,7 @@ impl ColorWriteUnit {
         }
 
         let input = if late { &mut self.in_late } else { &mut self.in_early };
-        let quad = input.try_pop(cycle)?.expect("peeked"); // lint:allow(clock-unwrap) head existence checked via peek above
+        let quad = input.try_pop(cycle)?.expect("peeked");
         self.stat_quads.inc();
         let mut wrote = false;
         for i in 0..4 {
@@ -210,13 +210,38 @@ impl Unit for ColorWriteUnit {
 /// engine's two keys keep their places in the object.
 impl JsonState for ColorWriteUnit {
     fn save_state(&self) -> Json {
-        let [cache, next_req_id] = self.rop.save_state();
-        Json::obj([cache, ("prefer_late", self.prefer_late.to_json()), next_req_id])
+        // The name is built from the unit index; the rest is wiring.
+        let Self {
+            rop,
+            prefer_late,
+            name: _,
+            config: _,
+            in_early: _,
+            in_late: _,
+            stat_quads: _,
+            stat_frags_written: _,
+            stat_blended: _,
+            stat_busy_cycles: _,
+        } = self;
+        let [cache, next_req_id] = rop.save_state();
+        Json::obj([cache, ("prefer_late", prefer_late.to_json()), next_req_id])
     }
 
     fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
-        self.rop.load_state(v)?;
-        self.prefer_late = field(v, "prefer_late")?;
+        let Self {
+            rop,
+            prefer_late,
+            name: _,
+            config: _,
+            in_early: _,
+            in_late: _,
+            stat_quads: _,
+            stat_frags_written: _,
+            stat_blended: _,
+            stat_busy_cycles: _,
+        } = self;
+        rop.load_state(v)?;
+        *prefer_late = field(v, "prefer_late")?;
         Ok(())
     }
 }

@@ -55,17 +55,17 @@ pub enum CpAction {
 /// The Command Processor box.
 #[derive(Debug)]
 pub struct CommandProcessor {
-    commands: VecDeque<GpuCommand>, // state: external — the frame driver requeues unconsumed commands on restore
+    commands: VecDeque<GpuCommand>,
     /// Draw batches to the Streamer.
     pub out_draws: PortSender<Arc<Batch>>,
-    state: Arc<RenderState>, // state: derived — rebuilt by replaying the last SetState (see resume)
+    state: Arc<RenderState>,
     /// Cycles the current command still needs before completing.
-    stall_cycles: Cycle, // state: transient — zero at the command-boundary checkpoint
-    outstanding_uploads: usize, // state: transient — zero at the command-boundary checkpoint
+    stall_cycles: Cycle,
+    outstanding_uploads: usize,
     next_upload_id: u64,
     next_batch_id: u64,
     /// Side effects for the top level to apply this cycle.
-    pub actions: VecDeque<CpAction>, // state: transient — empty at the command-boundary checkpoint
+    pub actions: VecDeque<CpAction>,
     /// Whether the last issued draw used the early-Z datapath; flipping
     /// datapaths inserts a pipeline barrier (two batches on different
     /// datapaths could otherwise test/write the same pixel out of order).
@@ -140,7 +140,7 @@ impl CommandProcessor {
         match cmd {
             GpuCommand::SetState(_) => {
                 let Some(GpuCommand::SetState(s)) = self.commands.pop_front() else {
-                    unreachable!() // lint:allow(clock-unwrap) variant excluded by the surrounding match
+                    unreachable!() // variant excluded by the surrounding match
                 };
                 self.state = Arc::new(*s);
                 self.stall_cycles = Self::STATE_CHANGE_COST;
@@ -155,7 +155,7 @@ impl CommandProcessor {
             GpuCommand::WriteBuffer { .. } => {
                 let Some(GpuCommand::WriteBuffer { address, data }) = self.commands.pop_front()
                 else {
-                    unreachable!() // lint:allow(clock-unwrap) variant excluded by the surrounding match
+                    unreachable!() // variant excluded by the surrounding match
                 };
                 let id = self.next_upload_id;
                 self.next_upload_id += 1;
@@ -180,7 +180,7 @@ impl CommandProcessor {
                 }
                 self.last_draw_early = Some(early);
                 let Some(GpuCommand::Draw(draw)) = self.commands.pop_front() else {
-                    unreachable!() // lint:allow(clock-unwrap) variant excluded by the surrounding match
+                    unreachable!() // variant excluded by the surrounding match
                 };
                 let batch = Arc::new(Batch {
                     id: self.next_batch_id,
@@ -350,4 +350,15 @@ impl Unit for CommandProcessor {
 // Valid at a command boundary (`at_command_boundary`), where the queue of
 // unprocessed commands plus these three fields fully determine the box's
 // future behaviour; the transient queues are empty by construction.
-impl_json_state!(CommandProcessor { next_upload_id: hex, next_batch_id: hex, last_draw_early });
+impl_json_state!(CommandProcessor {
+    next_upload_id: hex,
+    next_batch_id: hex,
+    last_draw_early,
+} skip {
+    "wiring: rebuilt at elaboration": out_draws, stat_commands, stat_draws, stat_state_changes,
+        stat_upload_bytes;
+    "external: the frame driver requeues unconsumed commands on restore": commands;
+    "derived: rebuilt by replaying the last SetState (see resume)": state;
+    "transient: zero or empty at the command-boundary checkpoint": stall_cycles,
+        outstanding_uploads, actions;
+});

@@ -127,7 +127,7 @@ mod tests {
             GpuCommand::FastClearColor(0).mnemonic(),
             GpuCommand::FastClearZStencil(0).mnemonic(),
         ];
-        let set: std::collections::HashSet<_> = cmds.iter().collect();
+        let set: std::collections::BTreeSet<_> = cmds.iter().collect();
         assert_eq!(set.len(), cmds.len());
     }
 }

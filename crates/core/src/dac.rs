@@ -19,7 +19,7 @@ const READ_BYTES: u32 = 64;
 /// The DAC box.
 #[derive(Debug)]
 pub struct Dac {
-    pending_reads: VecDeque<u64>, // state: transient — `Gpu::quiescent` requires it empty
+    pending_reads: VecDeque<u64>,
     next_id: u64,
     stat_bytes: Counter,
 }
@@ -105,4 +105,7 @@ impl Unit for Dac {
     }
 }
 
-impl_json_state!(Dac = next_id: hex);
+impl_json_state!(Dac = next_id: hex skip {
+    "wiring: rebuilt at elaboration": stat_bytes;
+    "transient: `Gpu::quiescent` requires it empty": pending_reads;
+});

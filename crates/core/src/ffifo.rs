@@ -219,10 +219,6 @@ pub struct FragmentFifo {
     pub tex_requests: Vec<PortSender<QuadTexRequest>>,
     /// Texture replies from each texture unit.
     pub tex_replies: Vec<PortReceiver<QuadTexReply>>,
-
-    // state: transient — scheduler occupancy below is drained at the
-    // quiescent checkpoint boundary (no live groups, empty queues,
-    // zeroed pool usage)
     units: Vec<UnitState>,
     /// Thread groups, stored in a slab: a group's id IS its slot index,
     /// so every scheduler lookup on the per-cycle issue path is an array
@@ -265,7 +261,6 @@ pub struct FragmentFifo {
     /// Vertex-pool occupancy (non-unified mode).
     v_inputs_used: usize,
     v_regs_used: usize,
-    // state: checkpointed
     next_order: u64,
     next_tex_id: u64,
     next_tu: usize,
@@ -280,7 +275,7 @@ pub struct FragmentFifo {
     /// the configured `instruction_latencies` map flattened once at
     /// construction so the per-thread issue path is an array load instead
     /// of a `BTreeMap<String, _>` search on the mnemonic.
-    latency_table: [Option<Cycle>; Opcode::COUNT], // state: derived — flattened from config at construction
+    latency_table: [Option<Cycle>; Opcode::COUNT],
 }
 
 impl FragmentFifo {
@@ -407,7 +402,7 @@ impl FragmentFifo {
             }
             let Some(v) = self.in_vertices.peek() else { break };
             let Some(temps) = self.vertex_fits(v) else { break };
-            let v = self.in_vertices.try_pop(cycle)?.expect("peeked"); // lint:allow(clock-unwrap) head existence checked via peek above
+            let v = self.in_vertices.try_pop(cycle)?.expect("peeked");
             if self.config.unified {
                 self.inputs_used += 1;
                 self.regs_used += temps;
@@ -435,7 +430,7 @@ impl FragmentFifo {
         // Fragments.
         while let Some(q) = self.in_quads.peek() {
             let Some(need_regs) = self.quad_fits(q) else { break };
-            let quad = self.in_quads.try_pop(cycle)?.expect("peeked"); // lint:allow(clock-unwrap) head existence checked via peek above
+            let quad = self.in_quads.try_pop(cycle)?.expect("peeked");
             self.inputs_used += 4;
             self.regs_used += need_regs;
             self.spawn_fragment_group(quad);
@@ -795,7 +790,7 @@ impl FragmentFifo {
             for off in 0..n {
                 let tu = (self.next_tu + off) % n;
                 if self.tex_requests[tu].can_send(cycle) {
-                    let req = self.tex_outbox.pop_front().expect("front exists"); // lint:allow(clock-unwrap) emptiness checked above
+                    let req = self.tex_outbox.pop_front().expect("front exists");
                     self.tex_requests[tu].try_send(cycle, req)?;
                     self.next_tu = (tu + 1) % n;
                     sent = true;
@@ -825,7 +820,7 @@ impl FragmentFifo {
                 let unit = &mut self.units[g.unit];
                 let emu = unit
                     .emu_mut(g.batch_id, g.target)
-                    .expect("emulator alive while group blocked"); // lint:allow(clock-unwrap) emulators outlive their blocked groups
+                    .expect("emulator alive while group blocked");
                 for (i, &tid) in g.live_threads().iter().enumerate() {
                     if !g.finished[i] {
                         emu.complete_texture(tid, reply.texels[i]);
@@ -871,9 +866,9 @@ impl FragmentFifo {
     }
 
     fn try_deliver(&mut self, cycle: Cycle, gid: u64) -> Result<bool, SimError> {
-        let g = self.groups[gid as usize].as_ref().expect("group in outbox"); // lint:allow(clock-unwrap) outbox ids always reference live groups
+        let g = self.groups[gid as usize].as_ref().expect("group in outbox");
         let unit = &self.units[g.unit];
-        let emu = unit.emu(g.batch_id, g.target).expect("emulator alive"); // lint:allow(clock-unwrap) emulators outlive their groups
+        let emu = unit.emu(g.batch_id, g.target).expect("emulator alive");
         match &g.payload {
             GroupPayload::Vertices(vs) => {
                 if self.out_shaded.sendable(cycle) < vs.len() {
@@ -899,16 +894,16 @@ impl FragmentFifo {
                 }
                 // Move the quad out without cloning its per-fragment
                 // input vectors (the group is released right after this).
-                let g = self.groups[gid as usize].as_mut().expect("group in outbox"); // lint:allow(clock-unwrap) outbox ids always reference live groups
+                let g = self.groups[gid as usize].as_mut().expect("group in outbox");
                 let payload =
                     std::mem::replace(&mut g.payload, GroupPayload::Vertices(Vec::new()));
                 let mut quad = match payload {
                     GroupPayload::Quad(q) => q,
-                    _ => unreachable!(), // lint:allow(clock-unwrap) variant excluded by the surrounding match
+                    _ => unreachable!(), // variant excluded by the surrounding match
                 };
-                let g = self.groups[gid as usize].as_ref().expect("group in outbox"); // lint:allow(clock-unwrap) outbox ids always reference live groups
+                let g = self.groups[gid as usize].as_ref().expect("group in outbox");
                 let unit = &self.units[g.unit];
-                let emu = unit.emu(g.batch_id, g.target).expect("alive"); // lint:allow(clock-unwrap) emulators outlive their groups
+                let emu = unit.emu(g.batch_id, g.target).expect("emulator alive");
                 let mut any_alive = false;
                 for i in 0..4 {
                     quad.frags[i].color = emu.output(g.live_threads()[i], 0);
@@ -1102,7 +1097,16 @@ impl_json_state!(FragmentFifo {
     next_order: hex,
     next_tex_id: hex,
     next_tu,
-    ids_issued = ids: state,
+    ids as ids_issued: state,
+} skip {
+    "wiring: rebuilt at elaboration": config, in_vertices, in_quads, out_shaded, out_color,
+        out_zstencil, tex_requests, tex_replies, stat_vertex_groups, stat_fragment_groups,
+        stat_tex_requests, stat_frags_shaded, stat_killed;
+    "derived: flattened from the configuration at construction": latency_table;
+    "transient: scheduler occupancy, drained at the quiescent boundary (no live groups, empty \
+     queues, zeroed pool usage)": units, groups, free_slots, live_groups, queue, vqueue,
+        vertex_outbox, frag_order, tex_outbox, vertex_staging, spare_vertex_bufs, staging_since,
+        last_clock, inputs_used, regs_used, v_inputs_used, v_regs_used;
 });
 
 impl std::fmt::Debug for FragmentFifo {

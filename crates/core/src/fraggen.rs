@@ -30,7 +30,7 @@ pub struct FragmentGenerator {
     /// Generated 8×8 fragment tiles to Hierarchical Z.
     pub out_tiles: PortSender<FragTile>,
     /// The triangle being traversed and its remaining tiles.
-    current: Option<ActiveTraversal>, // state: transient — `None` at any quiescent point
+    current: Option<ActiveTraversal>,
     ids: ObjectIdGen,
     stat_tiles: Counter,
     stat_fragments: Counter,
@@ -188,7 +188,11 @@ impl Unit for FragmentGenerator {
     }
 }
 
-impl_json_state!(FragmentGenerator = ids: state);
+impl_json_state!(FragmentGenerator = ids: state skip {
+    "wiring: rebuilt at elaboration": config, in_tris, out_tiles, stat_tiles, stat_fragments,
+        stat_empty_tiles;
+    "transient: `None` at any quiescent point": current;
+});
 
 #[cfg(test)]
 mod tests {

@@ -159,7 +159,7 @@ pub struct Gpu {
     cp: CommandProcessor,
     streamer: Streamer,
     pa: PrimitiveAssembly,
-    clipper: Clipper, // state: transient — ports and statistics only
+    clipper: Clipper,
     setup: TriangleSetup,
     fraggen: FragmentGenerator,
     hz: HierarchicalZ,
@@ -169,8 +169,6 @@ pub struct Gpu {
     texunits: Vec<TextureUnit>,
     colorwrite: Vec<ColorWriteUnit>,
     dac: Dac,
-    // state: external — `CheckpointBody`'s typed header (`capture_checkpoint`
-    // writes it, `restore` reads it back), or an option the caller sets
     cycle: Cycle,
     frames: u64,
     framebuffers: Vec<FrameDump>,
@@ -197,9 +195,7 @@ pub struct Gpu {
     /// it, and so does every per-unit question (`work_horizon`,
     /// `pipeline_busy`, `topology`, `failure_report`) through
     /// [`unit`](Self::unit) — they cannot disagree about which units exist.
-    table: Box<[UnitRow]>, // state: derived — fixed at elaboration; the gates restart awake
-    // state: transient — this process's diagnostics, checkpointing options
-    // and accounting; `trace_hash` travels in the file's header
+    table: Box<[UnitRow]>,
     /// Forensic trace sink, when signal tracing is enabled.
     trace: Option<attila_sim::TraceSink>,
     /// Faults tolerated (not aborted on) under `OnFault::Report`.
@@ -223,32 +219,42 @@ pub struct Gpu {
     checkpoints_written: u64,
     /// Their total file bytes.
     checkpoint_bytes_written: u64,
-    // state: checkpointed
     /// A fault injector adopted via [`adopt_faults`](Self::adopt_faults),
     /// owned so checkpoints carry its progress.
     fault_injector: Option<FaultInjector>,
 }
 
 // `CheckpointBody::boxes`: the boxes' keys in file order, each with the
-// field that owns the state. A box added to the machine and not to this
-// list fails `state-coverage`; only the injector (`fault`) may be absent.
+// field that owns the state. A field added to the machine and to neither
+// list is a compile error; only the injector (`fault`) may be absent.
 impl_json_state!(Gpu {
-    mem_ctrl = mem: state,
+    mem as mem_ctrl: state,
     cp: state,
     streamer: state,
-    pa_ids = pa: state,
-    setup_ids = setup: state,
-    fraggen_ids = fraggen: state,
+    pa as pa_ids: state,
+    setup as setup_ids: state,
+    fraggen as fraggen_ids: state,
     hz: state,
-    interpolator_next_input = interpolator: state,
+    interpolator as interpolator_next_input: state,
     ffifo: state,
     texunits: state,
     zstencil: state,
     colorwrite: state,
-    dac_next_id = dac: state,
+    dac as dac_next_id: state,
     stats: state,
-    signals = binder: state,
-    fault = fault_injector: state,
+    binder as signals: state,
+    fault_injector as fault: state,
+} skip {
+    "configuration": config;
+    "wiring: ports and statistics only": clipper;
+    "external: `CheckpointBody`'s typed header (`capture_checkpoint` writes it, `restore` reads \
+     it back), or an option the caller sets": cycle, frames, framebuffers, max_cycles, keep_frames,
+        skip_idle, cycles_skipped, horizon_backoff;
+    "derived: fixed at elaboration; the gates restart awake": table;
+    "transient: this process's diagnostics, checkpointing options and accounting; `trace_hash` \
+     travels in the file's header": trace, fault_log, dump_failure, checkpoint_every,
+        checkpoint_path, next_checkpoint_at, trace_hash, checkpoints_written,
+        checkpoint_bytes_written;
 });
 
 /// Steps a `Busy` machine-wide horizon verdict stays cached before
@@ -1086,11 +1092,9 @@ impl Gpu {
     ) -> Result<FrameDump, GpuError> {
         let bytes = crate::address::surface_bytes(width, height);
         let end = base.checked_add(bytes).ok_or_else(|| {
-            // lint:allow(hot-alloc) cold failure path: runs once, then the simulation aborts
             GpuError::BadConfig(format!("framebuffer at {base:#x} wraps the address space"))
         })?;
         if end > self.mem.gpu_mem().size() as u64 {
-            // lint:allow(hot-alloc) cold failure path: runs once, then the simulation aborts
             return Err(GpuError::BadConfig(format!(
                 "framebuffer {base:#x}..{end:#x} exceeds GPU memory ({} bytes)",
                 self.mem.gpu_mem().size()

@@ -129,7 +129,7 @@ pub struct HierarchicalZ {
     /// The depth buffer the HZ references describe (base, width, height);
     /// switching render targets invalidates them.
     bound_z: Option<(u64, u32, u32)>,
-    pending: VecDeque<FragQuad>, // state: transient — in-flight quads, drained at the quiescent boundary
+    pending: VecDeque<FragQuad>,
     ids: ObjectIdGen,
     stat_tiles: Counter,
     stat_tiles_rejected: Counter,
@@ -303,7 +303,7 @@ impl HierarchicalZ {
             if !port.can_send(cycle) {
                 break;
             }
-            let quad = self.pending.pop_front().expect("front exists"); // lint:allow(clock-unwrap) emptiness checked above
+            let quad = self.pending.pop_front().expect("front exists");
             port.try_send(cycle, quad)?;
             self.stat_quads_out.inc();
         }
@@ -382,21 +382,55 @@ impl Unit for HierarchicalZ {
 /// built) is held to their count, never allocated from.
 impl JsonState for HierarchicalZ {
     fn save_state(&self) -> Json {
-        let bound_z = self.bound_z.map_or(Json::Null, |(base, width, height)| {
+        let Self {
+            buffer,
+            target_width,
+            bound_z,
+            ids,
+            // In-flight quads, drained at the quiescent boundary.
+            pending: _,
+            // Wiring.
+            config: _,
+            in_tiles: _,
+            in_updates: _,
+            out_early: _,
+            out_late: _,
+            stat_tiles: _,
+            stat_tiles_rejected: _,
+            stat_quads_out: _,
+            stat_frags_culled: _,
+        } = self;
+        let bound_z = bound_z.map_or(Json::Null, |(base, width, height)| {
             Json::Arr(vec![base.to_hex(), width.to_json(), height.to_json()])
         });
-        let entry_bits = self.buffer.entries.iter().map(|e| e.to_bits().to_json());
+        let entry_bits = buffer.entries.iter().map(|e| e.to_bits().to_json());
         Json::obj([
             ("entry_bits", Json::Arr(entry_bits.collect())),
-            ("target_width", self.target_width.to_json()),
+            ("target_width", target_width.to_json()),
             ("bound_z", bound_z),
-            ("ids_issued", self.ids.save_state()),
+            ("ids_issued", ids.save_state()),
         ])
     }
 
     fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
+        let Self {
+            buffer,
+            target_width,
+            bound_z,
+            ids,
+            pending: _,
+            config: _,
+            in_tiles: _,
+            in_updates: _,
+            out_early: _,
+            out_late: _,
+            stat_tiles: _,
+            stat_tiles_rejected: _,
+            stat_quads_out: _,
+            stat_frags_culled: _,
+        } = self;
         let entry_bits: Vec<u32> = field(v, "entry_bits")?;
-        let bound_z = field_with(v, "bound_z", |b| match b {
+        let surface = field_with(v, "bound_z", |b| match b {
             Json::Null => Ok(None),
             b => match array(b)? {
                 [base, width, height] => Ok(Some((
@@ -407,9 +441,9 @@ impl JsonState for HierarchicalZ {
                 _ => Err(JsonError::msg(format!("bad surface: {}", b.render()))),
             },
         })?;
-        let (width, blocks) = match bound_z {
+        let (width, blocks) = match surface {
             Some((_, width, height)) => (width, block_count(width, height)),
-            None => (self.target_width, self.buffer.entries.len()),
+            None => (*target_width, buffer.entries.len()),
         };
         if entry_bits.len() != blocks {
             return Err(JsonError::msg(format!(
@@ -421,10 +455,10 @@ impl JsonState for HierarchicalZ {
         if field::<u32>(v, "target_width")? != width {
             return Err(JsonError::msg(format!("target_width: bound_z is {width} pixels wide")));
         }
-        self.buffer.entries = entry_bits.into_iter().map(f32::from_bits).collect();
-        self.target_width = width;
-        self.bound_z = bound_z;
-        field_with(v, "ids_issued", |ids| self.ids.load_state(ids))
+        buffer.entries = entry_bits.into_iter().map(f32::from_bits).collect();
+        *target_width = width;
+        *bound_z = surface;
+        field_with(v, "ids_issued", |saved| ids.load_state(saved))
     }
 }
 

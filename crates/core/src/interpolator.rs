@@ -37,7 +37,7 @@ pub struct Interpolator {
     pub out_quads: PortSender<FragQuad>,
     /// Internal delay pipe modelling the attribute-count-dependent
     /// latency.
-    pipe: VecDeque<(Cycle, FragQuad)>, // state: transient — empty at any quiescent point
+    pipe: VecDeque<(Cycle, FragQuad)>,
     next_input: usize,
     stat_quads: Counter,
     stat_attributes: Counter,
@@ -133,7 +133,7 @@ impl Interpolator {
         // Release quads whose latency elapsed, in order.
         while let Some((ready, _)) = self.pipe.front() {
             if *ready <= cycle && self.out_quads.can_send(cycle) {
-                let (_, quad) = self.pipe.pop_front().expect("front exists"); // lint:allow(clock-unwrap) emptiness checked above
+                let (_, quad) = self.pipe.pop_front().expect("front exists");
                 self.out_quads.try_send(cycle, quad)?;
             } else {
                 break;
@@ -191,4 +191,8 @@ impl Unit for Interpolator {
     }
 }
 
-impl_json_state!(Interpolator = next_input);
+impl_json_state!(Interpolator = next_input skip {
+    "wiring: rebuilt at elaboration": config, in_early, in_late, out_quads, stat_quads,
+        stat_attributes;
+    "transient: empty at any quiescent point": pipe;
+});

@@ -25,9 +25,6 @@ pub struct PrimitiveAssembly {
     pub in_verts: PortReceiver<ShadedVertex>,
     /// Assembled triangles to the Clipper.
     pub out_tris: PortSender<TriangleWork>,
-
-    // state: transient — per-batch assembly, reset by the next batch id
-    // and empty at the quiescent checkpoint boundary
     batch: Option<Arc<Batch>>,
     received: u32,
     /// Vertex window: at most the last 4 vertices are needed.
@@ -36,7 +33,6 @@ pub struct PrimitiveAssembly {
     parity: bool,
     /// Triangles assembled, awaiting the 1/cycle output slot.
     pending_out: std::collections::VecDeque<TriangleWork>,
-    // state: checkpointed
     ids: ObjectIdGen,
     stat_triangles: Counter,
 }
@@ -83,7 +79,7 @@ impl PrimitiveAssembly {
                 self.parity = false;
             }
             self.received += 1;
-            let batch = Arc::clone(self.batch.as_ref().expect("batch set")); // lint:allow(clock-unwrap) batch set when vertices arrive
+            let batch = Arc::clone(self.batch.as_ref().expect("batch set"));
             let is_last_vertex = self.received == batch.draw.vertex_count;
             self.window.push(Arc::clone(&sv.outputs));
             let staged = self.pending_out.len();
@@ -200,7 +196,11 @@ impl Unit for PrimitiveAssembly {
 // The id cursor is the box's whole persistent state: the vertex window and
 // batch pointer reset when a new batch id arrives, and are empty at any
 // quiescent point.
-impl_json_state!(PrimitiveAssembly = ids: state);
+impl_json_state!(PrimitiveAssembly = ids: state skip {
+    "wiring: rebuilt at elaboration": in_verts, out_tris, stat_triangles;
+    "transient: per-batch assembly, reset by the next batch id and empty at the quiescent \
+     checkpoint boundary": batch, received, window, parity, pending_out;
+});
 
 #[cfg(test)]
 mod tests {

@@ -31,19 +31,17 @@ pub(crate) type OnEvict<'a> = &'a mut dyn FnMut(usize, &[u32; ZBLOCK_WORDS]);
 /// One ROP unit's cache with its fill, write-back and rebind machinery.
 #[derive(Debug)]
 pub(crate) struct RopEngine {
-    client: Client, // state: derived — unit index fixed at construction
-    label: &'static str, // state: derived — the cache's statistic name, `"Z"` or `"Color"`
+    client: Client,
+    /// The cache's statistic name, `"Z"` or `"Color"`.
+    label: &'static str,
     geometry: CacheConfig,
-    compression: bool, // state: derived — configuration
+    compression: bool,
     cache: Option<RopCache>,
-    // state: transient — in-flight fill/writeback bookkeeping, drained at
-    // the quiescent checkpoint boundary
     /// Outstanding fill transactions per line.
     fills: BTreeMap<u64, usize>,
     reply_to_line: BTreeMap<u64, u64>,
     /// Writeback transactions awaiting controller queue space.
     pending_writebacks: VecDeque<(u64, u32)>,
-    // state: checkpointed
     next_req_id: u64,
 }
 
@@ -246,9 +244,23 @@ impl RopEngine {
     /// The engine's entries of the owning unit's state object, which the
     /// unit places among its own keys. Valid at a quiescent point.
     pub(crate) fn save_state(&self) -> [(&'static str, Json); 2] {
+        let Self {
+            cache,
+            next_req_id,
+            // Fixed at construction from the unit index and configuration.
+            client: _,
+            label: _,
+            geometry: _,
+            compression: _,
+            // In-flight fill/writeback bookkeeping, drained at the
+            // quiescent checkpoint boundary.
+            fills: _,
+            reply_to_line: _,
+            pending_writebacks: _,
+        } = self;
         [
-            ("cache", self.cache.as_ref().map_or(Json::Null, RopCache::save_state)),
-            ("next_req_id", self.next_req_id.to_hex()),
+            ("cache", cache.as_ref().map_or(Json::Null, RopCache::save_state)),
+            ("next_req_id", next_req_id.to_hex()),
         ]
     }
 
@@ -256,11 +268,22 @@ impl RopEngine {
     /// object. A bound cache is rebuilt on the surface the file names
     /// before its lines load (see [`RopCache::load_state`]).
     pub(crate) fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
-        self.cache = field_with(v, "cache", |c| match c {
+        let Self {
+            cache,
+            next_req_id,
+            label,
+            geometry,
+            client: _,
+            compression: _,
+            fills: _,
+            reply_to_line: _,
+            pending_writebacks: _,
+        } = self;
+        *cache = field_with(v, "cache", |c| match c {
             Json::Null => Ok(None),
-            c => RopCache::load_state(self.geometry, self.label, c).map(Some),
+            c => RopCache::load_state(*geometry, label, c).map(Some),
         })?;
-        self.next_req_id = field_with(v, "next_req_id", u64::from_hex)?;
+        *next_req_id = field_with(v, "next_req_id", u64::from_hex)?;
         Ok(())
     }
 }

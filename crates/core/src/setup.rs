@@ -129,4 +129,6 @@ impl Unit for TriangleSetup {
 
 // The id cursor is the box's whole persistent state; Setup holds no
 // buffers beyond its ports.
-impl_json_state!(TriangleSetup = ids: state);
+impl_json_state!(TriangleSetup = ids: state skip {
+    "wiring: rebuilt at elaboration": in_tris, out_tris, stat_in, stat_culled, stat_degenerate;
+});

@@ -64,10 +64,6 @@ pub struct Streamer {
     pub in_shaded: PortReceiver<ShadedVertex>,
     /// In-order shaded vertices to Primitive Assembly.
     pub out_assembled: PortSender<ShadedVertex>,
-
-    // state: transient — per-batch fetch/shade bookkeeping below is
-    // drained at the quiescent checkpoint boundary (no active batch,
-    // no outstanding memory or shader work)
     active: Option<ActiveBatch>,
     commits: VecDeque<BatchCommit>,
     ready_to_shade: VecDeque<VertexWork>,
@@ -78,18 +74,17 @@ pub struct Streamer {
     /// (index → outputs), LRU-evicted.
     vcache: VecDeque<(u32, Arc<VertexOutputs>)>,
     vcache_batch: u64,
-    // state: checkpointed
     /// Recently fetched 64-byte index-buffer chunks.
     index_chunks: VecDeque<u64>,
-    index_chunk_pending: Option<(u64, u64)>, // state: transient — in-flight chunk fetch, drained at the boundary
+    index_chunk_pending: Option<(u64, u64)>,
     /// Scratch for one vertex's attribute-fetch transactions, `(address,
     /// size)`; empty between vertices.
-    fetch_pieces: Vec<(u64, u32)>, // state: transient — per-vertex scratch
+    fetch_pieces: Vec<(u64, u32)>,
     /// The last fetch pass stopped where only a memory reply can let it
     /// go on: `max_memory_requests` outstanding, or an index chunk in
     /// flight. Cleared by a received shaded vertex, which may turn the
     /// stalled vertex into a post-shading cache hit.
-    fetch_blocked: bool, // state: transient — recomputed by every clock, unread with no batch active
+    fetch_blocked: bool,
     next_req_id: u64,
     ids: ObjectIdGen,
 
@@ -190,12 +185,12 @@ impl Streamer {
             }
             if let Some(slot) = self.pending.remove(&reply.id) {
                 let done = {
-                    let pv = self.pending_slots[slot].as_mut().expect("slot occupied"); // lint:allow(clock-unwrap) pending maps only to occupied slots
+                    let pv = self.pending_slots[slot].as_mut().expect("slot occupied");
                     pv.replies_left -= 1;
                     pv.replies_left == 0
                 };
                 if done {
-                    let pv = self.pending_slots[slot].take().expect("slot occupied"); // lint:allow(clock-unwrap) pending maps only to occupied slots
+                    let pv = self.pending_slots[slot].take().expect("slot occupied");
                     self.ready_to_shade.push_back(VertexWork {
                         obj: DynamicObject::new(self.ids.next_id()),
                         batch: pv.batch,
@@ -209,7 +204,7 @@ impl Streamer {
 
         // 2. Issue fetched vertices to the shader pool.
         while !self.ready_to_shade.is_empty() && self.out_work.can_send(cycle) {
-            let v = self.ready_to_shade.pop_front().expect("non-empty"); // lint:allow(clock-unwrap) emptiness checked above
+            let v = self.ready_to_shade.pop_front().expect("non-empty");
             self.out_work.try_send(cycle, v)?;
         }
 
@@ -255,7 +250,7 @@ impl Streamer {
                                 addr: chunk,
                                 op: MemOp::TimingRead { size: 64 },
                             })
-                            .expect("can_accept checked"); // lint:allow(clock-unwrap) submit follows the can_accept check above
+                            .expect("can_accept checked");
                             self.outstanding_mem += 1;
                         }
                         // Stall until the chunk arrives. Only a reply can
@@ -352,7 +347,7 @@ impl Streamer {
                         addr,
                         op: MemOp::TimingRead { size },
                     })
-                    .expect("can_accept checked"); // lint:allow(clock-unwrap) submit follows the can_accept check above
+                    .expect("can_accept checked");
                     self.outstanding_mem += 1;
                 }
                 self.pending_slots[slot] = Some(PendingVertex {
@@ -491,4 +486,11 @@ impl Unit for Streamer {
 // its tag, batch ids never repeat within a run, and at a quiescent point no
 // batch is active — so a cold cache after restore is behaviourally
 // identical.
-impl_json_state!(Streamer { index_chunks: hex, next_req_id: hex, ids_issued = ids: state });
+impl_json_state!(Streamer { index_chunks: hex, next_req_id: hex, ids as ids_issued: state } skip {
+    "wiring: rebuilt at elaboration": config, in_draws, out_work, in_shaded, out_assembled,
+        stat_vertices, stat_vcache_hits, stat_shaded;
+    "transient: per-batch fetch/shade bookkeeping, drained at the quiescent boundary (no active \
+     batch, no outstanding memory or shader work)": active, commits, ready_to_shade, pending,
+        pending_slots, outstanding_mem, vcache, vcache_batch, index_chunk_pending, fetch_pieces;
+    "transient: recomputed by every clock, unread with no batch active": fetch_blocked;
+});

@@ -65,7 +65,10 @@ pub struct SweepOutcome {
 /// total. A run that aborts yields a row carrying the error instead.
 fn collect_outcome(label: String, config: GpuConfig, commands: &[GpuCommand]) -> SweepOutcome {
     let clock = config.display.clock_mhz;
-    // lint:allow(wall-clock) host-side harness timing; excluded from the deterministic report fields
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host-side harness timing; excluded from the deterministic report fields"
+    )]
     let start = std::time::Instant::now();
     let mut gpu = Gpu::new(config);
     gpu.keep_frames = false;

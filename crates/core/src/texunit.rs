@@ -76,17 +76,15 @@ fn take_where<T>(list: &mut Vec<T>, pred: impl Fn(&T) -> bool) -> Option<T> {
 /// One texture unit of the pool.
 #[derive(Debug)]
 pub struct TextureUnit {
-    unit: u8, // state: derived — unit index fixed at construction
-    name: String, // state: derived — from the unit index
+    unit: u8,
+    name: String,
     config: TextureConfig,
     /// Quad requests from the Fragment FIFO.
     pub in_requests: PortReceiver<QuadTexRequest>,
     /// Filtered quad replies back to the Fragment FIFO.
     pub out_replies: PortSender<QuadTexReply>,
     cache: Cache,
-    emulator: TextureEmulator, // state: derived — rebuilt from the trace at elaboration
-    // state: transient — in-flight request/fill bookkeeping, drained at
-    // the quiescent checkpoint boundary
+    emulator: TextureEmulator,
     current: Option<CurrentRequest>,
     /// Cache lines of the current request still to be looked up, in
     /// ascending address order.
@@ -98,7 +96,6 @@ pub struct TextureUnit {
     /// Transactions still outstanding per line being filled, as
     /// `(line, count)`.
     fills_per_line: Vec<(u64, usize)>,
-    // state: checkpointed
     next_req_id: u64,
     stat_requests: Counter,
     stat_bilinear_ops: Counter,
@@ -165,7 +162,7 @@ impl TextureUnit {
                     .fills_per_line
                     .iter()
                     .position(|(l, _)| *l == line)
-                    .expect("bookkeeping"); // lint:allow(clock-unwrap) reply ids only map to lines with live fill entries
+                    .expect("bookkeeping"); // reply ids only map to lines with live fill entries
                 self.fills_per_line[at].1 -= 1;
                 if self.fills_per_line[at].1 == 0 {
                     self.fills_per_line.swap_remove(at);
@@ -228,7 +225,7 @@ impl TextureUnit {
                                         addr,
                                         op: MemOp::TimingRead { size },
                                     })
-                                    .expect("slots reserved"); // lint:allow(clock-unwrap) free_slots reserved queue space above
+                                    .expect("slots reserved");
                                     count += 1;
                                 }
                                 fills_per_line.push((line, count));
@@ -250,7 +247,8 @@ impl TextureUnit {
             }
         }
         if done {
-            let cur = self.current.take().expect("checked"); // lint:allow(clock-unwrap) done is only set while a request is current
+            // `done` is only set while a request is current.
+            let cur = self.current.take().expect("checked");
             self.stat_busy_cycles.stop(cycle);
             self.out_replies.try_send(cycle, cur.reply)?;
         }
@@ -359,4 +357,11 @@ impl Unit for TextureUnit {
 
 // Valid at a quiescent point (no request in service, no outstanding
 // fills); a file whose cache geometry differs is refused.
-impl_json_state!(TextureUnit { cache: state, next_req_id: hex });
+impl_json_state!(TextureUnit { cache: state, next_req_id: hex } skip {
+    "wiring: rebuilt at elaboration": config, in_requests, out_replies, stat_requests,
+        stat_bilinear_ops, stat_busy_cycles, stat_bytes_read;
+    "derived: the unit index fixed at construction, and the name built from it": unit, name;
+    "derived: rebuilt from the trace at elaboration": emulator;
+    "transient: in-flight request and fill bookkeeping, drained at the quiescent boundary":
+        current, lines_todo, lines_pending, fills, fills_per_line;
+});

@@ -40,7 +40,7 @@ use crate::unit::Unit;
 /// The Z & stencil test box (one instance per configured unit).
 #[derive(Debug)]
 pub struct ZStencilUnit {
-    name: String, // state: derived — from the unit index fixed at construction
+    name: String,
     config: RopConfig,
     /// Quads from Hierarchical Z (early-Z datapath).
     pub in_early: PortReceiver<FragQuad>,
@@ -57,10 +57,8 @@ pub struct ZStencilUnit {
     /// `next_req_id` keys of the unit's state).
     rop: RopEngine,
     target_width: u32,
-    // state: transient — HZ updates awaiting the wire, drained at the
-    // quiescent checkpoint boundary
+    /// HZ updates awaiting the wire.
     hz_queue: VecDeque<HzUpdate>,
-    // state: checkpointed
     prefer_late: bool,
 
     stat_quads: Counter,
@@ -189,7 +187,7 @@ impl ZStencilUnit {
         // Pass-through when neither test is enabled: no buffer access.
         if !state.depth.enabled && !state.stencil.enabled {
             let input = if late { &mut self.in_late } else { &mut self.in_early };
-            let quad = input.try_pop(cycle)?.expect("peeked"); // lint:allow(clock-unwrap) head existence checked via peek above
+            let quad = input.try_pop(cycle)?.expect("peeked");
             self.stat_quads.inc();
             self.stat_frags_tested.add(quad.live_count() as u64);
             self.stat_frags_passed.add(quad.live_count() as u64);
@@ -215,7 +213,7 @@ impl ZStencilUnit {
         // triangles may use the separate stencil state (double-sided
         // stencil for one-pass shadow volumes).
         let input = if late { &mut self.in_late } else { &mut self.in_early };
-        let mut quad = input.try_pop(cycle)?.expect("peeked"); // lint:allow(clock-unwrap) head existence checked via peek above
+        let mut quad = input.try_pop(cycle)?.expect("peeked");
         let stencil = if quad.tri.setup.front_facing {
             state.stencil
         } else {
@@ -353,19 +351,55 @@ impl Unit for ZStencilUnit {
 /// flight); the engine's two keys keep their places in the object.
 impl JsonState for ZStencilUnit {
     fn save_state(&self) -> Json {
-        let [cache, next_req_id] = self.rop.save_state();
+        let Self {
+            rop,
+            target_width,
+            prefer_late,
+            // Drained at the quiescent checkpoint boundary.
+            hz_queue: _,
+            // The name is built from the unit index; the rest is wiring.
+            name: _,
+            config: _,
+            in_early: _,
+            in_late: _,
+            out_early: _,
+            out_late: _,
+            out_hz: _,
+            stat_quads: _,
+            stat_frags_tested: _,
+            stat_frags_passed: _,
+            stat_busy_cycles: _,
+        } = self;
+        let [cache, next_req_id] = rop.save_state();
         Json::obj([
             cache,
-            ("target_width", self.target_width.to_json()),
-            ("prefer_late", self.prefer_late.to_json()),
+            ("target_width", target_width.to_json()),
+            ("prefer_late", prefer_late.to_json()),
             next_req_id,
         ])
     }
 
     fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
-        self.rop.load_state(v)?;
-        self.target_width = field(v, "target_width")?;
-        self.prefer_late = field(v, "prefer_late")?;
+        let Self {
+            rop,
+            target_width,
+            prefer_late,
+            hz_queue: _,
+            name: _,
+            config: _,
+            in_early: _,
+            in_late: _,
+            out_early: _,
+            out_late: _,
+            out_hz: _,
+            stat_quads: _,
+            stat_frags_tested: _,
+            stat_frags_passed: _,
+            stat_busy_cycles: _,
+        } = self;
+        rop.load_state(v)?;
+        *target_width = field(v, "target_width")?;
+        *prefer_late = field(v, "prefer_late")?;
         Ok(())
     }
 }

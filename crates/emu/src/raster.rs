@@ -444,7 +444,7 @@ mod tests {
         let tr = Vec4::new(1.0, 1.0, 0.0, 1.0);
         let t1 = setup_triangle(&[bl, br, tl], vp).unwrap();
         let t2 = setup_triangle(&[br, tr, tl], vp).unwrap();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for f in rasterize_reference(&t1, vp).iter().chain(rasterize_reference(&t2, vp).iter()) {
             assert!(seen.insert((f.x, f.y)), "pixel ({}, {}) shaded twice", f.x, f.y);
         }
@@ -569,7 +569,7 @@ mod tests {
             vp,
         )
         .unwrap();
-        let tiles: std::collections::HashSet<_> =
+        let tiles: std::collections::BTreeSet<_> =
             covered_tiles(&tri, 8, TraversalAlgorithm::Recursive).into_iter().collect();
         for f in rasterize_reference(&tri, vp) {
             assert!(

@@ -1268,7 +1268,7 @@ mod tests {
     fn tiled_offset_is_dense_and_unique() {
         let w = 8;
         let h = 8;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for y in 0..h {
             for x in 0..w {
                 let off = tiled_offset(x, y, w, 4);

@@ -93,7 +93,7 @@ fn traversals_agree_and_cover() {
         scan.sort_unstable();
         rec.sort_unstable();
         assert_eq!(&scan, &rec, "seed {seed}");
-        let tiles: std::collections::HashSet<_> = scan.into_iter().collect();
+        let tiles: std::collections::BTreeSet<_> = scan.into_iter().collect();
         for f in rasterize_reference(&tri, vp) {
             assert!(tiles.contains(&(f.x / 8 * 8, f.y / 8 * 8)), "seed {seed}");
         }

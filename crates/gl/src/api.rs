@@ -628,7 +628,8 @@ impl GlContext {
                     .alloc
                     .alloc(data.len().max(4) as u64, 256)
                     .ok_or(GlError::OutOfMemory)?;
-                self.buffers.insert(*id, (addr, data.len() as u32)); // lint:allow(as-cast) buffer uploads are far below 4 GiB; runs at trace build, not in the clock path
+                // Buffer uploads are far below 4 GiB.
+                self.buffers.insert(*id, (addr, data.len() as u32));
                 self.commands.push(GpuCommand::WriteBuffer {
                     address: addr,
                     data: Arc::new(data.clone()),
@@ -1012,8 +1013,8 @@ impl GlContext {
         let (vp, fp, extra_vp_consts, extra_fp_consts) = if let (Some(v), Some(f)) =
             (self.bound_vp, self.bound_fp)
         {
-            let vp = Arc::clone(self.programs.get(&v).expect("validated at bind")); // lint:allow(clock-unwrap) bind validated the program id; trace build, not the clock path
-            let mut fp = Arc::clone(self.programs.get(&f).expect("validated at bind")); // lint:allow(clock-unwrap) bind validated the program id; trace build, not the clock path
+            let vp = Arc::clone(self.programs.get(&v).expect("validated at bind"));
+            let mut fp = Arc::clone(self.programs.get(&f).expect("validated at bind"));
             if self.fixed.alpha_test {
                 fp = fixed::inject_alpha_test(&fp, self.fixed.alpha_func);
             }

@@ -120,20 +120,28 @@ impl<T: HexJson> HexJson for VecDeque<T> {
 /// Implements [`JsonState`] for a struct from **one list** of its
 /// persistent fields: `save_state` renders them as an object in list
 /// order, `load_state` overwrites them by key. Every other field — wiring,
-/// configuration, scratch — is left as elaboration made it.
+/// configuration, scratch — is left as elaboration made it, and is named
+/// in the required `skip { … }` tail under a string saying why.
 ///
 /// An entry is `field` (through [`ToJson`](crate::ToJson) /
 /// [`FromJson`](crate::FromJson)), `field: hex` (through [`HexJson`]) or
-/// `field: state` (a nested [`JsonState`], loaded in place); prefix it
-/// `key =` when the JSON key is not the field's name. A type whose whole
-/// state is one field and whose rendering is that field's, with no object
-/// around it, is written `Type = field`.
+/// `field: state` (a nested [`JsonState`], loaded in place); write
+/// `field as key` when the JSON key is not the field's name. A type whose
+/// whole state is one field and whose rendering is that field's, with no
+/// object around it, is written `Type = field`.
+///
+/// The two lists together must name every field of the struct exactly
+/// once: the expansion builds `Self` from them (in a closure that never
+/// runs), so a field added to the struct and to neither list is a compile
+/// error that names it.
 ///
 /// ```
 /// use attila_json::{impl_json_state, JsonState};
 /// #[derive(Default)]
 /// struct Unit { wiring: &'static str, cursor: usize, issued: u64 }
-/// impl_json_state!(Unit { cursor, ids_issued = issued: hex });
+/// impl_json_state!(Unit { cursor, issued as ids_issued: hex } skip {
+///     "wiring: rebuilt at elaboration": wiring,
+/// });
 /// let unit = Unit { wiring: "kept", cursor: 3, issued: 1 << 60 };
 /// let saved = unit.save_state();
 /// assert_eq!(saved.render(), r#"{"cursor":3,"ids_issued":"1000000000000000"}"#);
@@ -142,21 +150,38 @@ impl<T: HexJson> HexJson for VecDeque<T> {
 /// assert_eq!((fresh.wiring, fresh.cursor, fresh.issued), ("elaborated", 3, 1 << 60));
 ///
 /// struct Cursor { at: u64 }
-/// impl_json_state!(Cursor = at: hex);
+/// impl_json_state!(Cursor = at: hex skip {});
 /// let mut cursor = Cursor { at: 0xabc };
 /// assert_eq!(cursor.save_state().render(), r#""0000000000000abc""#);
 /// assert!(cursor.load_state(&saved).is_err());
 /// ```
+///
+/// A field that is neither listed nor skipped does not compile
+/// (`E0063 missing field`):
+///
+/// ```compile_fail,E0063
+/// use attila_json::impl_json_state;
+/// struct Unit { wiring: &'static str, cursor: usize, pending: Vec<u8> }
+/// impl_json_state!(Unit { cursor } skip { "wiring: rebuilt at elaboration": wiring });
+/// ```
+///
+/// Nor does a skipped name that is not a field (`E0560`):
+///
+/// ```compile_fail,E0560
+/// use attila_json::impl_json_state;
+/// struct Unit { wiring: &'static str, cursor: usize }
+/// impl_json_state!(Unit { cursor } skip { "wiring": wiring, renamed_away });
+/// ```
 #[macro_export]
 macro_rules! impl_json_state {
-    ($name:ident { $($key:ident $(= $f:ident)? $(: $codec:ident)?),* $(,)? }) => {
+    ($name:ident { $($f:ident $(as $key:ident)? $(: $codec:ident)?),* $(,)? }
+     skip { $($why:literal: $($skip:ident),+ $(,)?);* $(;)? }) => {
         impl $crate::JsonState for $name {
             fn save_state(&self) -> $crate::Json {
+                $crate::impl_json_state!(@exhaustive $($f)* $($($skip)+)*);
                 $crate::Json::obj([$((
-                    stringify!($key),
-                    $crate::impl_json_state!(
-                        @save $($codec)?, $crate::impl_json_state!(@field self, $key $(, $f)?)
-                    ),
+                    $crate::impl_json_state!(@key $f $($key)?),
+                    $crate::impl_json_state!(@save $($codec)?, self.$f),
                 )),*])
             }
 
@@ -164,18 +189,18 @@ macro_rules! impl_json_state {
                 &mut self,
                 v: &$crate::Json,
             ) -> ::std::result::Result<(), $crate::JsonError> {
-                $($crate::field_with(v, stringify!($key), |j| {
-                    $crate::impl_json_state!(
-                        @load $($codec)?, $crate::impl_json_state!(@field self, $key $(, $f)?), j
-                    )
+                $($crate::field_with(v, $crate::impl_json_state!(@key $f $($key)?), |j| {
+                    $crate::impl_json_state!(@load $($codec)?, self.$f, j)
                 })?;)*
                 Ok(())
             }
         }
     };
-    ($name:ident = $f:ident $(: $codec:ident)?) => {
+    ($name:ident = $f:ident $(: $codec:ident)?
+     skip { $($why:literal: $($skip:ident),+ $(,)?);* $(;)? }) => {
         impl $crate::JsonState for $name {
             fn save_state(&self) -> $crate::Json {
+                $crate::impl_json_state!(@exhaustive $f $($($skip)+)*);
                 $crate::impl_json_state!(@save $($codec)?, self.$f)
             }
 
@@ -187,8 +212,12 @@ macro_rules! impl_json_state {
             }
         }
     };
-    (@field $s:ident, $key:ident) => { $s.$key };
-    (@field $s:ident, $key:ident, $f:ident) => { $s.$f };
+    (@exhaustive $($f:ident)*) => {
+        #[allow(unreachable_code)]
+        let _ = || Self { $($f: loop {}),* };
+    };
+    (@key $f:ident) => { stringify!($f) };
+    (@key $f:ident $key:ident) => { stringify!($key) };
     (@save, $e:expr) => { $crate::ToJson::to_json(&$e) };
     (@save hex, $e:expr) => { $crate::HexJson::to_hex(&$e) };
     (@save state, $e:expr) => { $crate::JsonState::save_state(&$e) };

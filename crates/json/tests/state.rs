@@ -11,7 +11,7 @@ struct Bank {
     row: Option<u64>,
     hits: u64,
 }
-impl_json_state!(Bank { row: hex, hits: hex });
+impl_json_state!(Bank { row: hex, hits: hex } skip {});
 
 #[derive(Debug, Default, PartialEq)]
 struct Channel {
@@ -21,7 +21,9 @@ struct Channel {
     cursor: usize,
     spare: Option<Bank>,
 }
-impl_json_state!(Channel { banks: state, recent: hex, next = cursor, spare: state });
+impl_json_state!(Channel { banks: state, recent: hex, cursor as next, spare: state } skip {
+    "wiring: the label is the channel's, not its state": label,
+});
 
 fn channel(label: &'static str) -> Channel {
     Channel { label, banks: vec![Bank::default(), Bank::default()], ..Default::default() }

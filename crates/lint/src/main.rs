@@ -1,52 +1,38 @@
-//! `attila-lint` — run the source determinism linter over the workspace.
+//! `attila-lint` — run the source linter over a workspace tree.
 //!
 //! ```sh
-//! cargo run -p attila-lint                    # lint the current tree
-//! cargo run -p attila-lint -- --deny-warnings # CI mode
-//! cargo run -p attila-lint -- --report out.txt path/to/repo
+//! cargo run -p attila-lint                 # lint the current tree
+//! cargo run -p attila-lint -- path/to/repo # lint another checkout
 //! ```
 //!
-//! Exits 1 when any deny-severity finding survives suppression (or any
-//! finding at all under `--deny-warnings`). The same passes are also
-//! reachable as `attila lint --source` from the main binary.
+//! Prints every finding and a summary line; exits 1 when any finding
+//! survives suppression, or when the tree cannot be read.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use attila_lint::{lint, render_report, scan_workspace, Severity};
+use attila_lint::{lint, scan_workspace};
 
 fn run() -> Result<usize, String> {
-    let mut deny_warnings = false;
-    let mut report: Option<PathBuf> = None;
     let mut root = PathBuf::from(".");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--deny-warnings" => deny_warnings = true,
-            "--report" => {
-                let path = args.next().ok_or("--report needs a file path")?;
-                report = Some(PathBuf::from(path));
-            }
             "--help" | "-h" => {
-                println!("usage: attila-lint [--deny-warnings] [--report <path>] [root]");
-                std::process::exit(0);
+                println!("usage: attila-lint [root]");
+                return Ok(0);
             }
-            other if !other.starts_with("--") => root = PathBuf::from(other),
+            other if !other.starts_with('-') => root = PathBuf::from(other),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-
     let files =
         scan_workspace(&root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
     let findings = lint(&files);
-    let text = render_report(&findings, files.len(), deny_warnings);
-    print!("{text}");
-    if let Some(path) = &report {
-        std::fs::write(path, &text).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    for f in &findings {
+        println!("{f}");
     }
-    let denies = findings.iter().filter(|f| f.severity == Severity::Deny).count();
-    let warns = findings.len() - denies;
-    Ok(denies + if deny_warnings { warns } else { 0 })
+    println!("attila-lint: {} file(s), {} finding(s)", files.len(), findings.len());
+    Ok(findings.len())
 }
 
 fn main() -> ExitCode {

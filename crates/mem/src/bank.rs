@@ -287,7 +287,7 @@ impl_json_state!(Bank {
     row_misses: hex,
     row_conflicts: hex,
     busy_cycles: hex,
-});
+} skip {});
 
 /// A compact tagged value: `"I"` (idle), `["A", row]` (active),
 /// `["G", row, ready_at]` (activating — "going active"),

@@ -95,10 +95,10 @@ pub struct Eviction {
 #[derive(Debug)]
 pub struct Cache {
     config: CacheConfig,
-    name: &'static str, // state: derived — diagnostic label fixed at construction
+    name: &'static str,
     lines: Vec<Line>,
     access_counter: u64,
-    ports_used_at: (Cycle, u32), // state: transient — per-cycle port occupancy; zeroed on restore
+    ports_used_at: (Cycle, u32),
     hits: u64,
     misses: u64,
     blocked: u64,
@@ -363,19 +363,21 @@ impl Cache {
 /// none exist).
 impl JsonState for Line {
     fn save_state(&self) -> Json {
+        let Self { tag, state, last_use } = self;
         Json::obj([
-            ("tag", self.tag.to_hex()),
-            ("valid", matches!(self.state, LineState::Valid { .. }).to_json()),
-            ("dirty", matches!(self.state, LineState::Valid { dirty: true }).to_json()),
-            ("last_use", self.last_use.to_hex()),
+            ("tag", tag.to_hex()),
+            ("valid", matches!(state, LineState::Valid { .. }).to_json()),
+            ("dirty", matches!(state, LineState::Valid { dirty: true }).to_json()),
+            ("last_use", last_use.to_hex()),
         ])
     }
 
     fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
-        self.tag = field_with(v, "tag", u64::from_hex)?;
+        let Self { tag, state, last_use } = self;
+        *tag = field_with(v, "tag", u64::from_hex)?;
         let (valid, dirty) = (field(v, "valid")?, field(v, "dirty")?);
-        self.state = if valid { LineState::Valid { dirty } } else { LineState::Invalid };
-        self.last_use = field_with(v, "last_use", u64::from_hex)?;
+        *state = if valid { LineState::Valid { dirty } } else { LineState::Invalid };
+        *last_use = field_with(v, "last_use", u64::from_hex)?;
         Ok(())
     }
 }
@@ -384,22 +386,30 @@ impl JsonState for Line {
 /// identical geometry: a file from another line count is refused.
 impl JsonState for Cache {
     fn save_state(&self) -> Json {
+        // Geometry and label are fixed at construction; the per-cycle
+        // port occupancy is zeroed on restore.
+        let Self {
+            lines, access_counter, hits, misses, blocked, config: _, name: _, ports_used_at: _,
+        } = self;
         Json::obj([
-            ("lines", self.lines.save_state()),
-            ("access_counter", self.access_counter.to_hex()),
-            ("hits", self.hits.to_hex()),
-            ("misses", self.misses.to_hex()),
-            ("blocked", self.blocked.to_hex()),
+            ("lines", lines.save_state()),
+            ("access_counter", access_counter.to_hex()),
+            ("hits", hits.to_hex()),
+            ("misses", misses.to_hex()),
+            ("blocked", blocked.to_hex()),
         ])
     }
 
     fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
-        field_with(v, "lines", |lines| self.lines.load_state(lines))?;
-        self.access_counter = field_with(v, "access_counter", u64::from_hex)?;
-        self.ports_used_at = (0, 0);
-        self.hits = field_with(v, "hits", u64::from_hex)?;
-        self.misses = field_with(v, "misses", u64::from_hex)?;
-        self.blocked = field_with(v, "blocked", u64::from_hex)?;
+        let Self {
+            lines, access_counter, hits, misses, blocked, config: _, name: _, ports_used_at,
+        } = self;
+        field_with(v, "lines", |saved| lines.load_state(saved))?;
+        *access_counter = field_with(v, "access_counter", u64::from_hex)?;
+        *ports_used_at = (0, 0);
+        *hits = field_with(v, "hits", u64::from_hex)?;
+        *misses = field_with(v, "misses", u64::from_hex)?;
+        *blocked = field_with(v, "blocked", u64::from_hex)?;
         Ok(())
     }
 }

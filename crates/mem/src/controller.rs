@@ -254,10 +254,8 @@ struct SystemCopy {
 /// The memory controller: GPU memory image + timing model + crossbar.
 pub struct MemoryController {
     config: MemControllerConfig,
-    gpu_mem: MemoryImage, // state: external — snapshotted by CheckpointBody::memory, not by save_state
+    gpu_mem: MemoryImage,
     channels: Vec<ChannelState>,
-    // state: transient — reply/upload pipelines below are empty by the
-    // fully_drained checkpoint precondition
     /// Replies scheduled for delivery as `(due cycle, reply)`, ordered by
     /// due cycle and, within one cycle, by issue order. A deque kept
     /// sorted on insert: a few dozen entries at most, nearly always
@@ -272,18 +270,17 @@ pub struct MemoryController {
     ready_count: usize,
     /// In-flight system-bus uploads, in completion order.
     system_copies: VecDeque<SystemCopy>,
-    // state: checkpointed
     /// Cycle at which the system write bus frees.
     system_bus_free_at: Cycle,
     /// Completed upload ids awaiting pickup.
-    finished_uploads: VecDeque<u64>, // state: transient — empty once uploads drain
-    queued_requests: usize, // state: transient — zero once request queues drain
+    finished_uploads: VecDeque<u64>,
+    queued_requests: usize,
     bytes_read: u64,
     bytes_written: u64,
     /// Bytes moved for each client, indexed by [`Client::index`].
     per_client_bytes: Box<[u64]>,
     /// Injected fault schedule (stalls, reply bit flips), when armed.
-    faults: Option<MemFaultHandle>, // state: transient — fault schedules are re-armed per run, never checkpointed
+    faults: Option<MemFaultHandle>,
     /// Signal-trace sink for per-bank DRAM issue events, when attached.
     trace: Option<TraceSink>,
 }
@@ -594,7 +591,6 @@ impl MemoryController {
             Direction::Read => 'R',
             Direction::Write => 'W',
         };
-        // lint:allow(hot-alloc) tracing only; disabled in measured runs
         let info = format!(
             "{} {} row={} {}..{}",
             report.outcome.label(),
@@ -726,38 +722,75 @@ impl MemoryController {
 /// configuration; a file from another channel count is refused.
 impl JsonState for MemoryController {
     fn save_state(&self) -> Json {
+        let Self {
+            channels,
+            system_bus_free_at,
+            bytes_read,
+            bytes_written,
+            per_client_bytes,
+            // Configuration, and the image `CheckpointBody::memory` carries.
+            config: _,
+            gpu_mem: _,
+            // Empty, or zero, by the `fully_drained` precondition.
+            pending_replies: _,
+            ready_replies: _,
+            ready_count: _,
+            system_copies: _,
+            finished_uploads: _,
+            queued_requests: _,
+            // Re-armed or re-attached per run.
+            faults: _,
+            trace: _,
+        } = self;
         let per_channel = |state: &dyn Fn(&ChannelState) -> Json| {
-            Json::Arr(self.channels.iter().map(state).collect())
+            Json::Arr(channels.iter().map(state).collect())
         };
         // Only the clients that moved bytes.
         let bytes = Client::all().filter_map(|c| {
-            let b = self.per_client_bytes[c.index()];
+            let b = per_client_bytes[c.index()];
             (b > 0).then(|| Json::Arr(vec![c.code().to_json(), b.to_hex()]))
         });
         Json::obj([
             ("channels", per_channel(&|c| c.dram.save_state())),
             ("next_clients", per_channel(&|c| c.next_client.to_json())),
             ("queue_slots", per_channel(&|c| c.queues.len().to_json())),
-            ("system_bus_free_at", self.system_bus_free_at.to_hex()),
-            ("bytes_read", self.bytes_read.to_hex()),
-            ("bytes_written", self.bytes_written.to_hex()),
+            ("system_bus_free_at", system_bus_free_at.to_hex()),
+            ("bytes_read", bytes_read.to_hex()),
+            ("bytes_written", bytes_written.to_hex()),
             ("per_client_bytes", Json::Arr(bytes.collect())),
         ])
     }
 
     fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
+        let Self {
+            channels,
+            system_bus_free_at,
+            bytes_read,
+            bytes_written,
+            per_client_bytes,
+            config: _,
+            gpu_mem: _,
+            pending_replies: _,
+            ready_replies: _,
+            ready_count: _,
+            system_copies: _,
+            finished_uploads: _,
+            queued_requests: _,
+            faults: _,
+            trace: _,
+        } = self;
         let drams = field_with(v, "channels", array)?;
         let next_clients: Vec<usize> = field(v, "next_clients")?;
         let queue_slots: Vec<usize> = field(v, "queue_slots")?;
         let carried = [drams.len(), next_clients.len(), queue_slots.len()];
-        if carried != [self.channels.len(); 3] {
+        if carried != [channels.len(); 3] {
             return Err(JsonError::msg(format!(
                 "controller has {} channels, the file's channels, next_clients and queue_slots \
                  carry {carried:?}",
-                self.channels.len()
+                channels.len()
             )));
         }
-        for (i, ch) in self.channels.iter_mut().enumerate() {
+        for (i, ch) in channels.iter_mut().enumerate() {
             ch.dram
                 .load_state(&drams[i])
                 .map_err(|e| e.in_context(&format!("channels: [{i}]")))?;
@@ -778,9 +811,9 @@ impl JsonState for MemoryController {
                 ch.queues.resize_with(slots, VecDeque::new);
             }
         }
-        self.system_bus_free_at = field_with(v, "system_bus_free_at", u64::from_hex)?;
-        self.bytes_read = field_with(v, "bytes_read", u64::from_hex)?;
-        self.bytes_written = field_with(v, "bytes_written", u64::from_hex)?;
+        *system_bus_free_at = field_with(v, "system_bus_free_at", u64::from_hex)?;
+        *bytes_read = field_with(v, "bytes_read", u64::from_hex)?;
+        *bytes_written = field_with(v, "bytes_written", u64::from_hex)?;
         let per_client: Vec<(Client, u64)> = field_with(v, "per_client_bytes", |entries| {
             let entry = |e: &Json| match array(e)? {
                 [code, bytes] => {
@@ -793,9 +826,9 @@ impl JsonState for MemoryController {
             };
             array(entries)?.iter().map(entry).collect()
         })?;
-        self.per_client_bytes.fill(0);
+        per_client_bytes.fill(0);
         for (client, bytes) in per_client {
-            self.per_client_bytes[client.index()] = bytes;
+            per_client_bytes[client.index()] = bytes;
         }
         Ok(())
     }

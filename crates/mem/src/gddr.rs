@@ -128,7 +128,7 @@ pub struct IssueReport {
 /// ```
 #[derive(Debug)]
 pub struct GddrChannel {
-    timing: GddrTiming, // state: derived — timing parameters fixed at construction
+    timing: GddrTiming,
     banks: Vec<Bank>,
     busy_until: Cycle,
     last_dir: Option<Direction>,
@@ -277,6 +277,8 @@ impl_json_state!(GddrChannel {
     total_transactions: hex,
     total_busy_cycles: hex,
     turnarounds: hex,
+} skip {
+    "configuration: timing parameters fixed at construction": timing,
 });
 
 /// `"R"` or `"W"`.
@@ -443,7 +445,7 @@ mod tests {
 
     #[test]
     fn interleave_is_a_bijection() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for addr in (0..4096).step_by(64) {
             let key = interleave(addr, 4, 256);
             assert!(seen.insert(key), "collision at {addr}");

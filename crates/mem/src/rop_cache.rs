@@ -47,7 +47,7 @@ pub enum BlockState {
 #[derive(Debug)]
 pub struct RopCache {
     cache: Cache,
-    line_bytes: u32, // state: derived — geometry constant from construction
+    line_bytes: u32,
     buffer_base: u64,
     block_states: Vec<BlockState>,
     clear_word: u32,
@@ -226,15 +226,25 @@ impl RopCache {
     /// [`load_state`](Self::load_state) can build an identically bound
     /// cache.
     pub fn save_state(&self) -> Json {
+        let Self {
+            cache,
+            buffer_base,
+            block_states,
+            clear_word,
+            bytes_transferred,
+            bytes_uncompressed_equiv,
+            fast_clears,
+            line_bytes: _, // geometry: the loader's configuration carries it
+        } = self;
         Json::obj([
-            ("cache", self.cache.save_state()),
-            ("base", self.buffer_base.to_hex()),
+            ("cache", cache.save_state()),
+            ("base", buffer_base.to_hex()),
             ("len", self.len().to_hex()),
-            ("blocks", self.block_states.to_json()),
-            ("clear_word", self.clear_word.to_json()),
-            ("bytes_transferred", self.bytes_transferred.to_hex()),
-            ("bytes_uncompressed_equiv", self.bytes_uncompressed_equiv.to_hex()),
-            ("fast_clears", self.fast_clears.to_hex()),
+            ("blocks", block_states.to_json()),
+            ("clear_word", clear_word.to_json()),
+            ("bytes_transferred", bytes_transferred.to_hex()),
+            ("bytes_uncompressed_equiv", bytes_uncompressed_equiv.to_hex()),
+            ("fast_clears", fast_clears.to_hex()),
         ])
     }
 

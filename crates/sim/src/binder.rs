@@ -321,10 +321,14 @@ impl JsonState for SignalBinder {
                 ("lost", s.lost.to_hex()),
             ])
         };
+        // The counters live on the wires; metadata, wake lines and the
+        // wire table are elaboration's.
+        let Self { ids: _, probes: _, signals: _, wake_lines: _, table: _ } = self;
         Json::Arr(self.statuses().into_iter().map(signal).collect())
     }
 
     fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
+        let Self { ids: _, probes: _, signals: _, wake_lines: _, table: _ } = self;
         for s in array(v)? {
             let name: String = field(s, "name")?;
             let probe = self

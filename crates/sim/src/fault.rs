@@ -361,7 +361,9 @@ impl FaultInjector {
     }
 }
 
-impl_json_state!(MemFaults { replies_seen: hex, stall_cycles_served: hex, bits_flipped: hex });
+impl_json_state!(MemFaults { replies_seen: hex, stall_cycles_served: hex, bits_flipped: hex } skip {
+    "configuration: compiled from the run's plans": stalls, flips,
+});
 
 /// The injector's progress — RNG position, per-hook write indices and
 /// delivery counters. The plans are not part of it: they belong to the
@@ -371,7 +373,8 @@ impl_json_state!(MemFaults { replies_seen: hex, stall_cycles_served: hex, bits_f
 /// hook the file names but this injector never compiled is refused.
 impl JsonState for FaultInjector {
     fn save_state(&self) -> Json {
-        let hooks = self.hooks.iter().map(|(name, h)| {
+        let Self { rng, hooks, mem, seed: _, plans: _ } = self;
+        let hooks = hooks.iter().map(|(name, h)| {
             let f = h.borrow();
             Json::obj([
                 ("signal", name.to_json()),
@@ -380,18 +383,19 @@ impl JsonState for FaultInjector {
             ])
         });
         Json::obj([
-            ("rng_state", self.rng.state().to_hex()),
+            ("rng_state", rng.state().to_hex()),
             ("hooks", Json::Arr(hooks.collect())),
-            ("mem", self.mem.as_ref().map_or(Json::Null, |m| m.borrow().save_state())),
+            ("mem", mem.as_ref().map_or(Json::Null, |m| m.borrow().save_state())),
         ])
     }
 
     fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
-        self.rng.set_state(field_with(v, "rng_state", u64::from_hex)?);
-        field_with(v, "hooks", |hooks| {
-            for h in array(hooks)? {
+        let Self { rng, hooks, mem, seed: _, plans: _ } = self;
+        rng.set_state(field_with(v, "rng_state", u64::from_hex)?);
+        field_with(v, "hooks", |saved| {
+            for h in array(saved)? {
                 let signal: String = field(h, "signal")?;
-                let Some((_, hook)) = self.hooks.iter().find(|(name, _)| *name == signal) else {
+                let Some((_, hook)) = hooks.iter().find(|(name, _)| *name == signal) else {
                     return Err(JsonError::msg(format!(
                         "no compiled fault hook for signal `{signal}`"
                     )));
@@ -402,9 +406,9 @@ impl JsonState for FaultInjector {
             }
             Ok(())
         })?;
-        field_with(v, "mem", |mem| match (mem, &self.mem) {
+        field_with(v, "mem", |saved| match (saved, &*mem) {
             (Json::Null, _) => Ok(()),
-            (mem, Some(m)) => m.borrow_mut().load_state(mem),
+            (saved, Some(m)) => m.borrow_mut().load_state(saved),
             (_, None) => Err(JsonError::msg("memory-fault state, but none is compiled")),
         })
     }

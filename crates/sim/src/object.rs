@@ -163,7 +163,7 @@ impl ObjectIdGen {
 
 // A generator's whole state is the number of identifiers it has issued:
 // one loaded from it hands out that number next.
-impl_json_state!(ObjectIdGen = next: hex);
+impl_json_state!(ObjectIdGen = next: hex skip {});
 
 #[cfg(test)]
 mod tests {

@@ -159,11 +159,14 @@ const DUE_PINNED: Cycle = 0;
 pub(crate) struct WireWords {
     /// Earliest arrival among the in-flight objects, `Cycle::MAX` when the
     /// wire is empty, [`DUE_PINNED`] when pinned.
-    due: Cell<Cycle>, // state: derived — front arrival of the ring
+    /// Derived from the ring, so never checkpointed.
+    due: Cell<Cycle>,
     /// Latest cycle observed by either endpoint. This is the wire's only
     /// copy of that cycle: the time-travel and bandwidth checks read it
-    /// here, so an empty poll that advances it keeps them exact.
-    latest: Cell<Cycle>, // state: derived — wires are drained at a checkpoint; the first access re-observes the cycle
+    /// here, so an empty poll that advances it keeps them exact. Never
+    /// checkpointed: wires are drained at a checkpoint, and the first
+    /// access after a restore re-observes the cycle.
+    latest: Cell<Cycle>,
 }
 
 impl WireWords {

@@ -458,8 +458,12 @@ impl StatsRegistry {
 /// value, and loads with no span open: a checkpoint is taken where none is.
 impl JsonState for StatsRegistry {
     fn save_state(&self) -> Json {
-        let entries = self.index.iter().map(|(name, &slot)| {
-            let e = &self.entries[slot as usize];
+        // The window size is configuration; the clock is re-observed on
+        // restore (`resume_at`); registration counts are elaboration's.
+        let Self { entries, index, windows_closed, window_size: _, clock: _, registrations: _ } =
+            self;
+        let entries = index.iter().map(|(name, &slot)| {
+            let e = &entries[slot as usize];
             let (total, gauge) = match e.handle.count() {
                 Some(count) => (count, 0.0),
                 None => (0, e.handle.total()),
@@ -475,30 +479,32 @@ impl JsonState for StatsRegistry {
         });
         Json::obj([
             ("entries", Json::Arr(entries.collect())),
-            ("windows_closed", self.windows_closed.to_json()),
+            ("windows_closed", windows_closed.to_json()),
         ])
     }
 
     fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
-        let windows_closed: usize = field(v, "windows_closed")?;
-        let entries = field_with(v, "entries", array)?;
-        if entries.len() != self.entries.len() {
+        let Self { entries, index, windows_closed, window_size: _, clock: _, registrations: _ } =
+            self;
+        let closed: usize = field(v, "windows_closed")?;
+        let saved = field_with(v, "entries", array)?;
+        if saved.len() != entries.len() {
             return Err(JsonError::msg(format!(
                 "entries: the file carries {} statistics, this machine registered {}",
-                entries.len(),
-                self.entries.len()
+                saved.len(),
+                entries.len()
             )));
         }
-        for e in entries {
+        for e in saved {
             let name: String = field(e, "name")?;
             let refuse = |why: &str| JsonError::msg(format!("entries: `{name}` {why}"));
             let total = field_with(e, "total", u64::from_hex)?;
             let last_total = field_with(e, "last_total", u64::from_hex)?;
             let (gauge, windows): (f64, Vec<f64>) = (field(e, "gauge")?, field(e, "windows")?);
-            let slot = self.index.get(&name).ok_or_else(|| refuse("is not registered"))?;
-            let entry = &mut self.entries[*slot as usize];
+            let slot = index.get(&name).ok_or_else(|| refuse("is not registered"))?;
+            let entry = &mut entries[*slot as usize];
             match (&entry.handle, field(e, "counter")?) {
-                _ if windows.len() != windows_closed => {
+                _ if windows.len() != closed => {
                     return Err(refuse("has a windows series that is not windows_closed long"));
                 }
                 // The next window's sample is `total - last_total`.
@@ -513,7 +519,7 @@ impl JsonState for StatsRegistry {
             entry.windows = windows;
             entry.last_total = last_total;
         }
-        self.windows_closed = windows_closed;
+        *windows_closed = closed;
         Ok(())
     }
 }

@@ -21,9 +21,6 @@ struct Args {
     lint: bool,
     lint_all_presets: bool,
     lint_deny_warnings: bool,
-    lint_source: bool,
-    lint_report: Option<PathBuf>,
-    lint_root: Option<PathBuf>,
     sweep: bool,
     sweep_tus: Vec<usize>,
     sweep_schedulers: Vec<ShaderScheduling>,
@@ -118,14 +115,6 @@ Subcommands:
                              instead of simulating; exits 1 on findings
       --all-presets          lint every shipped preset configuration
       --deny-warnings        treat warn-level findings as errors
-      --source               run the source analyses (state-coverage,
-                             shared-mut, horizon-purity, determinism
-                             rules) over the workspace tree instead of
-                             an elaborated GPU; exits 1 on findings
-      --report <file>        with --source: also write the findings to
-                             a report file (identical to stdout)
-      --root <dir>           with --source: workspace root to scan
-                             (default: current directory)
     sweep                    run the selected workload across a grid of
                              case-study configurations on worker threads;
                              writes sweep.csv / sweep.json to --out-dir.
@@ -161,9 +150,6 @@ fn parse_args() -> Result<Args, String> {
         lint: false,
         lint_all_presets: false,
         lint_deny_warnings: false,
-        lint_source: false,
-        lint_report: None,
-        lint_root: None,
         sweep: false,
         sweep_tus: vec![1, 2, 3, 4],
         sweep_schedulers: vec![ShaderScheduling::ThreadWindow, ShaderScheduling::InOrderQueue],
@@ -207,9 +193,6 @@ fn parse_args() -> Result<Args, String> {
             "lint" => args.lint = true,
             "--all-presets" => args.lint_all_presets = true,
             "--deny-warnings" => args.lint_deny_warnings = true,
-            "--source" => args.lint_source = true,
-            "--report" => args.lint_report = Some(PathBuf::from(val("--report")?)),
-            "--root" => args.lint_root = Some(PathBuf::from(val("--root")?)),
             "sweep" => args.sweep = true,
             "viz" => {
                 args.viz = Some(PathBuf::from(val("viz <trace-file>")?));
@@ -374,9 +357,6 @@ fn build_trace(args: &Args) -> Result<GlTrace, String> {
 /// check is disabled here — the whole point is to *print* the findings
 /// rather than die in `Gpu::new`.
 fn run_lint(args: &Args) -> Result<(), CliError> {
-    if args.lint_source {
-        return run_source_lint(args);
-    }
     let configs: Vec<(String, GpuConfig)> = if args.lint_all_presets {
         vec![
             ("baseline".into(), GpuConfig::baseline()),
@@ -411,33 +391,6 @@ fn run_lint(args: &Args) -> Result<(), CliError> {
     if denies > 0 || (args.lint_deny_warnings && warns > 0) {
         return Err(CliError::Usage(format!(
             "lint failed: {denies} deny, {warns} warn finding(s)"
-        )));
-    }
-    Ok(())
-}
-
-/// `attila lint --source`: run the whole-workspace source analyses
-/// (state-coverage, shared-mut, horizon-purity plus the determinism
-/// rules) over the tree at `--root` and exit 1 on findings. This is the
-/// single CI gate; `cargo run -p attila-lint` is the same engine behind
-/// a standalone binary.
-fn run_source_lint(args: &Args) -> Result<(), CliError> {
-    let root = args.lint_root.clone().unwrap_or_else(|| PathBuf::from("."));
-    let files = attila_lint::scan_workspace(&root)
-        .map_err(|e| CliError::Usage(format!("scanning {}: {e}", root.display())))?;
-    let findings = attila_lint::lint(&files);
-    let text = attila_lint::render_report(&findings, files.len(), args.lint_deny_warnings);
-    print!("{text}");
-    if let Some(path) = &args.lint_report {
-        std::fs::write(path, &text)
-            .map_err(|e| CliError::Usage(format!("writing {}: {e}", path.display())))?;
-    }
-    let denies =
-        findings.iter().filter(|f| f.severity == attila_lint::Severity::Deny).count();
-    let warns = findings.len() - denies;
-    if denies > 0 || (args.lint_deny_warnings && warns > 0) {
-        return Err(CliError::Usage(format!(
-            "source lint failed: {denies} deny, {warns} warn finding(s)"
         )));
     }
     Ok(())
@@ -513,7 +466,10 @@ fn run_sweep_cli(args: &Args) -> Result<(), CliError> {
         args.sweep_tus.len(),
         args.sweep_schedulers.len(),
     );
-    // lint:allow(wall-clock) host-side harness timing; not part of the deterministic report
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host-side harness timing; not part of the deterministic report"
+    )]
     let start = std::time::Instant::now();
     let outcomes = run_sweep(jobs, std::sync::Arc::new(commands), workers);
     let wall = start.elapsed().as_secs_f64();
@@ -648,7 +604,10 @@ fn run() -> Result<(), CliError> {
     let mut gpu = if args.resume {
         // Restore refuses (typed, no panic) on a corrupt file, a future
         // format version or a config/trace that doesn't hash-match.
-        // lint:allow(wall-clock) host cost of the resume, printed once; the simulator never sees it
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "host cost of the resume, printed once; the simulator never sees it"
+        )]
         let started = std::time::Instant::now();
         let ckpt = Checkpoint::read_file(&ckpt_path)
             .map_err(|e| CliError::Usage(format!("{}: {e}", ckpt_path.display())))?;

@@ -14,12 +14,10 @@
 //! * [`gl`] — the OpenGL-subset framework: library, driver, trace
 //!   capture/replay and synthetic workloads (paper §4).
 //!
-//! * [`lint`] — the source determinism and state-coverage linter behind
-//!   `attila lint --source` (DESIGN.md §21).
-//!
-//! Two further workspace crates are not re-exported: `attila-json` (the
-//! dependency-free JSON library behind config files and captured traces)
-//! and `attila-bench` (the harnesses regenerating the paper's tables and
+//! Three further workspace crates are not re-exported: `attila-json` (the
+//! dependency-free JSON library behind config files and captured traces),
+//! `attila-lint` (the source linter, `cargo run -p attila-lint`) and
+//! `attila-bench` (the harnesses regenerating the paper's tables and
 //! figures).
 //!
 //! ## Quickstart
@@ -44,6 +42,5 @@
 pub use attila_core as core;
 pub use attila_emu as emu;
 pub use attila_gl as gl;
-pub use attila_lint as lint;
 pub use attila_mem as mem;
 pub use attila_sim as sim;

@@ -1,0 +1,48 @@
+//! The `attila` command line refuses what it no longer accepts, and what
+//! it cannot simulate, with the usage-error exit code (1) — never by
+//! ignoring it (0), panicking (101) or hanging.
+
+use std::process::Command;
+
+fn attila_bin() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_attila"))
+}
+
+#[test]
+fn cli_rejects_removed_arguments() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["--workload", "quickstart", "--threads", "2"], "--threads"),
+        (&["serve"], "serve"),
+        (&["serve", "--smoke"], "serve"),
+        (&["--workload", "quickstart", "--retry-limit", "3"], "--retry-limit"),
+        // The source linter is `cargo run -p attila-lint`.
+        (&["lint", "--source"], "--source"),
+    ];
+    for (args, removed) in cases {
+        let out = attila_bin().args(args).output().expect("attila runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown argument `{removed}`")),
+            "{args:?}: stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn cli_refuses_a_257th_texture_unit_before_simulating() {
+    // Unit indices are 8-bit: unit 256 would alias unit 0 and the run would
+    // hang into the watchdog (exit 3, after 500 M cycles by default).
+    let out = attila_bin()
+        .args(["--preset", "case-study", "--tus", "257", "--workload", "quickstart"])
+        .output()
+        .expect("attila runs");
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("invalid configuration: texture.units must be between 1 and 256"),
+        "stderr: {stderr}"
+    );
+    assert!(!stdout.contains("cycles:"), "no cycle may be simulated: {stdout}");
+}
