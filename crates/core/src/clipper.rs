@@ -5,7 +5,7 @@
 //! 2D homogeneous rasterization handles them.
 
 use attila_emu::ClipperEmulator;
-use attila_sim::{Counter, Cycle, Horizon, PortDecl, SimError};
+use attila_sim::{Counter, Cycle, Horizon, SimError};
 
 use crate::port::{PortReceiver, PortSender};
 use crate::types::TriangleWork;
@@ -86,10 +86,6 @@ impl Unit for Clipper {
             return Horizon::Busy;
         }
         Horizon::from_event(self.in_tris.next_arrival())
-    }
-
-    fn declared_ports(&self) -> Vec<PortDecl> {
-        vec![self.in_tris.decl(), self.out_tris.decl()]
     }
 
     fn queued(&self) -> usize {

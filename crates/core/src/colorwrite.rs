@@ -15,7 +15,7 @@
 use attila_emu::fragops::{blend, pack_rgba8, unpack_rgba8};
 use attila_json::{field, Json, JsonError, JsonState, ToJson};
 use attila_mem::{Client, MemoryController, RopCache};
-use attila_sim::{Counter, Cycle, Horizon, PortDecl, SimError};
+use attila_sim::{Counter, Cycle, Horizon, SimError};
 
 use crate::address::{pixel_address, surface_bytes, tile_address};
 use crate::config::RopConfig;
@@ -195,10 +195,6 @@ impl Unit for ColorWriteUnit {
             return Horizon::Busy;
         }
         self.in_early.work_horizon().meet(self.in_late.work_horizon())
-    }
-
-    fn declared_ports(&self) -> Vec<PortDecl> {
-        vec![self.in_early.decl(), self.in_late.decl()]
     }
 
     fn queued(&self) -> usize {

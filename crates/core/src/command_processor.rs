@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use attila_json::impl_json_state;
 use attila_mem::MemoryController;
-use attila_sim::{Counter, Cycle, Horizon, PortDecl, SimError};
+use attila_sim::{Counter, Cycle, Horizon, SimError};
 
 use crate::commands::{DrawCall, GpuCommand};
 use crate::port::PortSender;
@@ -335,10 +335,6 @@ impl Unit for CommandProcessor {
     /// Busy until every command has been processed ([`done`](Self::done)).
     fn busy(&self) -> bool {
         !self.done()
-    }
-
-    fn declared_ports(&self) -> Vec<PortDecl> {
-        vec![self.out_draws.decl()]
     }
 
     /// Commands still waiting in the stream.

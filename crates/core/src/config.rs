@@ -384,12 +384,6 @@ pub struct GpuConfig {
     pub stats: StatsConfig,
     /// Fault-handling policy when a box or signal errors.
     pub on_fault: OnFault,
-    /// Run the elaboration-time architecture verifier
-    /// ([`attila_sim::lint`]) after wiring, before cycle 0. On by
-    /// default; deny findings abort construction. Front ends that want
-    /// the findings as data (the `attila lint` subcommand) turn this off
-    /// and call [`Gpu::lint`](crate::Gpu::lint) themselves.
-    pub lint_on_start: bool,
 }
 
 impl_json_struct!(DisplayConfig { width, height, clock_mhz });
@@ -468,7 +462,6 @@ impl_json_struct!(GpuConfig {
     memory,
     stats,
     on_fault,
-    lint_on_start,
 });
 
 impl GpuConfig {
@@ -567,7 +560,6 @@ impl GpuConfig {
             },
             stats: StatsConfig { window_cycles: 10_000 },
             on_fault: OnFault::Abort,
-            lint_on_start: true,
         }
     }
 
@@ -966,13 +958,11 @@ mod tests {
     }
 
     #[test]
-    fn lint_on_start_defaults_on_and_round_trips() {
-        let c = GpuConfig::baseline();
-        assert!(c.lint_on_start);
-        let mut c2 = c.clone();
-        c2.lint_on_start = false;
-        let back = GpuConfig::from_json(&c2.to_json()).unwrap();
-        assert!(!back.lint_on_start);
+    fn a_config_file_with_a_retired_key_still_loads() {
+        // A key no field reads is ignored: files written before an option
+        // was removed keep loading.
+        let text = GpuConfig::baseline().to_json().replacen('{', "{\"a_removed_option\": false,", 1);
+        assert_eq!(GpuConfig::from_json(&text).unwrap(), GpuConfig::baseline());
     }
 
     #[test]

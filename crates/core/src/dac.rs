@@ -8,7 +8,7 @@ use std::collections::VecDeque;
 
 use attila_json::impl_json_state;
 use attila_mem::{Client, MemOp, MemRequest, MemoryController};
-use attila_sim::{Counter, Horizon, PortDecl, StatsRegistry};
+use attila_sim::{Counter, Horizon, StatsRegistry};
 
 use crate::address::{surface_bytes, FB_TILE_BYTES};
 use crate::unit::Unit;
@@ -98,10 +98,6 @@ impl Unit for Dac {
 
     fn queued(&self) -> usize {
         self.pending_reads.len()
-    }
-
-    fn declared_ports(&self) -> Vec<PortDecl> {
-        Vec::new()
     }
 }
 

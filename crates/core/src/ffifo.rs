@@ -29,7 +29,7 @@ use attila_emu::isa::{limits, Opcode, Program, ShaderTarget};
 use attila_emu::shader::{ShaderEmulator, ThreadId};
 use attila_emu::vector::Vec4;
 use attila_json::impl_json_state;
-use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, PortDecl, SimError};
+use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, SimError};
 
 use crate::config::{ShaderConfig, ShaderScheduling};
 use crate::hz::route_rop;
@@ -1063,19 +1063,6 @@ impl Unit for FragmentFifo {
         let staging = self.vertex_staging.first().map(|_| self.staging_since + STAGING_PATIENCE);
         h.meet(Horizon::from_event((issue != Cycle::MAX).then_some(issue)))
             .meet(Horizon::from_event(staging))
-    }
-
-    fn declared_ports(&self) -> Vec<PortDecl> {
-        let mut ports = vec![
-            self.in_vertices.decl(),
-            self.in_quads.decl(),
-            self.out_shaded.decl(),
-        ];
-        ports.extend(self.out_color.iter().map(|p| p.decl()));
-        ports.extend(self.out_zstencil.iter().map(|p| p.decl()));
-        ports.extend(self.tex_requests.iter().map(|p| p.decl()));
-        ports.extend(self.tex_replies.iter().map(|p| p.decl()));
-        ports
     }
 
     /// Objects waiting in the box's queues and reorder buffers.

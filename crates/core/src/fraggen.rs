@@ -10,7 +10,7 @@
 
 use attila_emu::raster::{covered_tiles, gen_fragment, RasterFragment};
 use attila_json::impl_json_state;
-use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, PortDecl, SimError};
+use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, SimError};
 
 use crate::config::FragGenConfig;
 use crate::port::{PortReceiver, PortSender};
@@ -177,10 +177,6 @@ impl Unit for FragmentGenerator {
             Some(_) if self.out_tiles.credits() > 0 => Horizon::Busy,
             Some(_) => Horizon::from_event(self.in_tris.next_arrival()),
         }
-    }
-
-    fn declared_ports(&self) -> Vec<PortDecl> {
-        vec![self.in_tris.decl(), self.out_tiles.decl()]
     }
 
     fn queued(&self) -> usize {

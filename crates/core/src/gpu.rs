@@ -12,10 +12,7 @@ use std::fmt::Write as _;
 use attila_emu::fragops::DEPTH_MAX;
 use attila_json::{impl_json_state, JsonState};
 use attila_mem::{Client, MemoryController};
-use attila_sim::{
-    BoxNode, Cycle, FaultInjector, Horizon, LintReport, SignalBinder, SimError, StatsRegistry,
-    Topology, WakeLine,
-};
+use attila_sim::{Cycle, FaultInjector, Horizon, SignalBinder, SimError, StatsRegistry, WakeLine};
 
 use crate::address::pixel_address;
 use crate::checkpoint::{mismatch, refused, Checkpoint, CheckpointBody, SparseBytes};
@@ -193,7 +190,7 @@ pub struct Gpu {
     /// The unit table: one row per clocked unit in clock order, fixed at
     /// elaboration from the configured unit counts. The clock loop walks
     /// it, and so does every per-unit question (`work_horizon`,
-    /// `pipeline_busy`, `topology`, `failure_report`) through
+    /// `pipeline_busy`, `failure_report`) through
     /// [`unit`](Self::unit) — they cannot disagree about which units exist.
     table: Box<[UnitRow]>,
     /// Forensic trace sink, when signal tracing is enabled.
@@ -287,7 +284,8 @@ enum ScheduleEntry {
 #[derive(Debug)]
 struct UnitRow {
     entry: ScheduleEntry,
-    /// Whether the unit is wired into the pipeline (it declares ports).
+    /// Whether the unit is wired into the pipeline: it reads a registered
+    /// wire, as every holder of a port reads at least its credit returns.
     /// The DAC and the memory controller are not: no wire wakes them, and
     /// [`Gpu::pipeline_busy`] does not count them.
     wired: bool,
@@ -706,33 +704,25 @@ impl Gpu {
             checkpoint_bytes_written: 0,
             fault_injector: None,
         };
-        // Each row asks its unit for what the gate needs. A wired unit reads
-        // at least one wire (a credit return, if nothing else), so the
-        // binder holds a line under the very name the wiring above used. A
-        // wire-less memory client is woken by its replies alone; a unit
-        // with neither is never left asleep.
+        // Each row asks the binder and its unit for what the gate needs. A
+        // unit reads a wire exactly when it holds a port (a credit return,
+        // if nothing else), and its wake line is the binder's line under
+        // the name it answers with. A wire-less memory client is woken by
+        // its replies alone; a unit with neither is never left asleep.
         let row = |entry| {
             let unit = gpu.unit(entry);
-            let wired = !unit.declared_ports().is_empty();
+            let line = gpu.binder.wake_line(unit.name());
+            let wired = line.is_some();
             let client = unit.client();
-            let wake = match (wired, client) {
-                (true, _) => gpu
-                    .binder
-                    .wake_line(unit.name())
-                    .expect("a wired unit reads a registered wire"),
-                (false, Some(_)) => WakeLine::default(),
-                (false, None) => WakeLine::always_due(),
+            let wake = match (line, client) {
+                (Some(line), _) => line,
+                (None, Some(_)) => WakeLine::default(),
+                (None, None) => WakeLine::always_due(),
             };
             let gate = BoxGate { wake, client, idle_until: 0 };
             UnitRow { entry, wired, gate }
         };
         gpu.table = schedule.into_iter().map(row).collect();
-        if gpu.config.lint_on_start {
-            let report = gpu.lint();
-            if report.deny_count() > 0 {
-                panic!("architecture lint failed at elaboration:\n{report}");
-            }
-        }
         gpu
     }
 
@@ -756,26 +746,6 @@ impl Gpu {
             ScheduleEntry::Dac => &self.dac,
             ScheduleEntry::Memory => &self.mem,
         }
-    }
-
-    /// Extracts the wired design as a [`Topology`] graph: every box with
-    /// its declared interface and current event horizon, every registered
-    /// signal with its live occupancy, and every statistic registration.
-    pub fn topology(&self) -> Topology {
-        let node = |u: &dyn Unit| BoxNode::new(u.name(), u.work_horizon(), u.declared_ports());
-        let mut boxes = vec![node(&self.cp)];
-        boxes.extend(self.table.iter().map(|row| node(self.unit(row.entry))));
-        Topology {
-            boxes,
-            signals: self.binder.edges(),
-            stat_registrations: self.stats.duplicate_registrations(),
-        }
-    }
-
-    /// Runs the elaboration-time architecture verifier (see
-    /// [`attila_sim::lint`]) over the wired design.
-    pub fn lint(&self) -> LintReport {
-        self.topology().verify()
     }
 
     /// The configuration the GPU was built with.
@@ -1323,7 +1293,6 @@ impl Gpu {
             boxes,
             signals: self.binder.statuses(),
             recent_events,
-            topology: Some(self.topology().summary()),
         }
     }
 

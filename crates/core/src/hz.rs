@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use attila_emu::fragops::CompareFunc;
 use attila_json::{array, field, field_with, FromJson, HexJson, Json, JsonError, JsonState, ToJson};
-use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, PortDecl, SimError};
+use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, SimError};
 
 use crate::address::{block_count, block_index, FB_TILE};
 use crate::config::HzConfig;
@@ -357,13 +357,6 @@ impl Unit for HierarchicalZ {
             h = h.meet(p.work_horizon());
         }
         h
-    }
-
-    fn declared_ports(&self) -> Vec<PortDecl> {
-        let mut ports = vec![self.in_tiles.decl(), self.out_late.decl()];
-        ports.extend(self.in_updates.iter().map(|p| p.decl()));
-        ports.extend(self.out_early.iter().map(|p| p.decl()));
-        ports
     }
 
     /// Objects waiting in the box's input queues and staging buffer.

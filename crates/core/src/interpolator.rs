@@ -15,7 +15,7 @@
 use std::collections::VecDeque;
 
 use attila_json::impl_json_state;
-use attila_sim::{Counter, Cycle, Horizon, PortDecl, SimError};
+use attila_sim::{Counter, Cycle, Horizon, SimError};
 
 use crate::config::InterpolatorConfig;
 use crate::port::{PortReceiver, PortSender};
@@ -175,12 +175,6 @@ impl Unit for Interpolator {
             h = h.meet(Horizon::from_event(p.next_arrival()));
         }
         h
-    }
-
-    fn declared_ports(&self) -> Vec<PortDecl> {
-        let mut ports = vec![self.in_late.decl(), self.out_quads.decl()];
-        ports.extend(self.in_early.iter().map(|p| p.decl()));
-        ports
     }
 
     /// Objects waiting in the box's input queues and delay pipe.

@@ -27,7 +27,7 @@
 //! | Memory Controller | `attila-mem` |
 //!
 //! Every box has its own `clock()` and an `impl` of [`unit::Unit`] (name,
-//! memory client, event horizon, `busy`, `queued`, declared ports), through
+//! memory client, event horizon, `busy`, `queued`), through
 //! which [`Gpu`] asks every per-unit question over one table of its units.
 //! "The architecture of the Color Write unit is very similar to that of
 //! the Z and Stencil test unit" (§2.2): the two hold one cache engine

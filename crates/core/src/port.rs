@@ -102,19 +102,6 @@ impl<T: std::fmt::Debug> PortSender<T> {
     pub fn name(&self) -> attila_sim::SignalName {
         self.data.name()
     }
-
-    /// The data wire's bandwidth in objects/cycle.
-    pub fn bandwidth(&self) -> usize {
-        self.data.bandwidth()
-    }
-
-    /// This endpoint's port declaration for the architecture verifier: a
-    /// flow-controlled output with the wire's actual name and bandwidth.
-    pub fn decl(&self) -> attila_sim::PortDecl {
-        attila_sim::PortDecl::output(self.name())
-            .with_bandwidth(self.bandwidth())
-            .with_flow_control()
-    }
 }
 
 /// The receiving endpoint: wire + input queue.
@@ -225,19 +212,6 @@ impl<T: std::fmt::Debug> PortReceiver<T> {
     pub fn name(&self) -> attila_sim::SignalName {
         self.data.name()
     }
-
-    /// The data wire's bandwidth in objects/cycle.
-    pub fn bandwidth(&self) -> usize {
-        self.data.bandwidth()
-    }
-
-    /// This endpoint's port declaration for the architecture verifier: a
-    /// flow-controlled input with the wire's actual name and bandwidth.
-    pub fn decl(&self) -> attila_sim::PortDecl {
-        attila_sim::PortDecl::input(self.name())
-            .with_bandwidth(self.bandwidth())
-            .with_flow_control()
-    }
 }
 
 /// Creates a flow-controlled port and registers both of its signals.
@@ -246,10 +220,19 @@ impl<T: std::fmt::Debug> PortReceiver<T> {
 /// `bandwidth`/`latency` describe the forward wire. The credit wire has
 /// latency 1.
 ///
+/// This is the one place the pipeline registers a wire, so every unit that
+/// holds a port reads at least its credit wire, and no loop of wires can
+/// deliver within the cycle it was written in: a result never depends on
+/// the order boxes are clocked in.
+///
 /// # Errors
 ///
 /// Returns [`SimError::NameCollision`] if `name` (or `name.credits`) is
 /// already registered.
+///
+/// # Panics
+///
+/// Panics on an empty queue or a latency-0 wire.
 ///
 /// # Examples
 ///
@@ -279,6 +262,7 @@ pub fn port<T: std::fmt::Debug + 'static>(
     queue_capacity: usize,
 ) -> Result<(PortSender<T>, PortReceiver<T>), SimError> {
     assert!(queue_capacity > 0, "port `{name}` needs a non-empty queue");
+    assert!(latency >= 1, "port `{name}` needs a latency of at least one cycle");
     let (data_tx, data_rx) = binder.register::<T>(name, from_box, to_box, bandwidth, latency)?;
     let credit_name = format!("{name}.credits");
     let (credit_tx, credit_rx) =
@@ -391,6 +375,13 @@ mod tests {
         assert!(binder.info("a->b").is_ok());
         assert!(binder.info("a->b.credits").is_ok());
         assert_eq!(binder.info("a->b").unwrap().latency, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "port `a->b` needs a latency of at least one cycle")]
+    fn latency_zero_port_panics() {
+        let mut binder = SignalBinder::new();
+        let _p = port::<u8>(&mut binder, "a->b", "A", "B", 1, 0, 4);
     }
 
     #[test]

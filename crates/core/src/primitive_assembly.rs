@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use attila_json::impl_json_state;
-use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, PortDecl, SimError};
+use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, SimError};
 
 use crate::commands::Primitive;
 use crate::port::{PortReceiver, PortSender};
@@ -181,10 +181,6 @@ impl Unit for PrimitiveAssembly {
             return Horizon::Busy;
         }
         Horizon::from_event(self.in_verts.next_arrival())
-    }
-
-    fn declared_ports(&self) -> Vec<PortDecl> {
-        vec![self.in_verts.decl(), self.out_tris.decl()]
     }
 
     /// Objects waiting in the box's input queue and staging buffer.

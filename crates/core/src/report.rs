@@ -9,7 +9,7 @@
 //! [`Display`](std::fmt::Display) rendering is what the CLI prints to
 //! stderr on failure.
 
-use attila_sim::{Cycle, SignalStatus, SimError, TopologySummary, TraceEvent};
+use attila_sim::{Cycle, SignalStatus, SimError, TraceEvent};
 
 /// One pipeline box's health at the moment of failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,10 +48,6 @@ pub struct FailureReport {
     /// The most recent signal-trace events (empty unless tracing was
     /// enabled, e.g. by arming a fault injector).
     pub recent_events: Vec<TraceEvent>,
-    /// What was *wired*, not just what was busy: box/signal counts and
-    /// the sorted signal names, so a hang dump can be checked against the
-    /// intended design.
-    pub topology: Option<TopologySummary>,
 }
 
 impl FailureReport {
@@ -84,7 +80,7 @@ impl std::fmt::Display for FailureReport {
                 (true, None) => writeln!(f, "  [asleep]")?,
             }
         }
-        writeln!(f, "signals (in-flight / written / read / lost):")?;
+        writeln!(f, "signals: {} wired (in-flight / written / read / lost):", self.signals.len())?;
         for s in &self.signals {
             // Quiet wires are noise in a post-mortem; show the active ones.
             if s.in_flight == 0 && s.lost == 0 {
@@ -101,9 +97,6 @@ impl std::fmt::Display for FailureReport {
             for ev in &self.recent_events {
                 writeln!(f, "  {:>8}  {:<36} {}", ev.cycle, ev.signal, ev.info)?;
             }
-        }
-        if let Some(topology) = &self.topology {
-            write!(f, "{topology}")?;
         }
         Ok(())
     }
@@ -149,11 +142,6 @@ mod tests {
                 signal: "PA->Clipper.triangles".into(),
                 info: "Triangle#41".into(),
             }],
-            topology: Some(TopologySummary {
-                box_count: 2,
-                signal_count: 1,
-                signal_names: vec!["PA->Clipper.triangles".into()],
-            }),
         }
     }
 
@@ -165,7 +153,7 @@ mod tests {
         assert!(text.contains("BUSY queued=3\n"), "{text}");
         assert!(text.contains("idle queued=0  [asleep until 1300]"), "{text}");
         assert!(text.contains("Triangle#41"), "{text}");
-        assert!(text.contains("topology: 2 boxes, 1 signals"), "{text}");
+        assert!(text.contains("signals: 1 wired"), "{text}");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use attila_emu::raster::setup_triangle;
 use attila_json::impl_json_state;
-use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, PortDecl, SimError};
+use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, SimError};
 
 use crate::port::{PortReceiver, PortSender};
 use crate::state::CullMode;
@@ -116,10 +116,6 @@ impl Unit for TriangleSetup {
             return Horizon::Busy;
         }
         Horizon::from_event(self.in_tris.next_arrival())
-    }
-
-    fn declared_ports(&self) -> Vec<PortDecl> {
-        vec![self.in_tris.decl(), self.out_tris.decl()]
     }
 
     fn queued(&self) -> usize {

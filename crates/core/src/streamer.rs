@@ -18,7 +18,7 @@ use std::sync::Arc;
 use attila_emu::vector::Vec4;
 use attila_json::impl_json_state;
 use attila_mem::{Client, MemOp, MemRequest, MemoryController};
-use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, PortDecl, SimError};
+use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, SimError};
 
 use crate::config::StreamerConfig;
 use crate::port::{PortReceiver, PortSender};
@@ -461,15 +461,6 @@ impl Unit for Streamer {
         }
         Horizon::from_event(self.in_draws.next_arrival())
             .meet(Horizon::from_event(self.in_shaded.next_arrival()))
-    }
-
-    fn declared_ports(&self) -> Vec<PortDecl> {
-        vec![
-            self.in_draws.decl(),
-            self.out_work.decl(),
-            self.in_shaded.decl(),
-            self.out_assembled.decl(),
-        ]
     }
 
     fn queued(&self) -> usize {

@@ -18,7 +18,7 @@ use attila_emu::vector::Vec4;
 use attila_json::impl_json_state;
 use attila_mem::controller::split_transactions;
 use attila_mem::{Cache, Client, Lookup, MemOp, MemRequest, MemoryController};
-use attila_sim::{Counter, Cycle, Horizon, PortDecl, RunningCounter, SimError};
+use attila_sim::{Counter, Cycle, Horizon, RunningCounter, SimError};
 
 use crate::config::TextureConfig;
 use crate::port::{PortReceiver, PortSender};
@@ -344,10 +344,6 @@ impl Unit for TextureUnit {
             }
             Some(_) => arrival,
         }
-    }
-
-    fn declared_ports(&self) -> Vec<PortDecl> {
-        vec![self.in_requests.decl(), self.out_replies.decl()]
     }
 
     fn queued(&self) -> usize {

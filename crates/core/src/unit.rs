@@ -8,7 +8,7 @@
 //! *is* the controller), and stays a static match in `Gpu::try_step`.
 
 use attila_mem::{Client, MemoryController};
-use attila_sim::{Horizon, PortDecl};
+use attila_sim::Horizon;
 
 /// What every clocked unit answers besides `clock()`.
 pub trait Unit {
@@ -30,13 +30,10 @@ pub trait Unit {
 
     /// Objects waiting in the unit's input queues and staging buffers.
     fn queued(&self) -> usize;
-
-    /// The unit's declared interface for the architecture verifier.
-    fn declared_ports(&self) -> Vec<PortDecl>;
 }
 
 /// The memory controller serves the pipeline through its request/reply
-/// API, not signals: it declares no ports.
+/// API, not signals: no wire is registered towards it.
 impl Unit for MemoryController {
     fn name(&self) -> &str {
         "MemoryController"
@@ -52,9 +49,5 @@ impl Unit for MemoryController {
 
     fn queued(&self) -> usize {
         0
-    }
-
-    fn declared_ports(&self) -> Vec<PortDecl> {
-        Vec::new()
     }
 }

@@ -27,7 +27,7 @@ use attila_emu::fragops::{
 };
 use attila_json::{field, Json, JsonError, JsonState, ToJson};
 use attila_mem::{Client, MemoryController, RopCache};
-use attila_sim::{Counter, Cycle, Horizon, PortDecl, SimError};
+use attila_sim::{Counter, Cycle, Horizon, SimError};
 
 use crate::address::{pixel_address, surface_bytes, tile_address, FB_TILE_BYTES};
 use crate::config::RopConfig;
@@ -330,16 +330,6 @@ impl Unit for ZStencilUnit {
         }
         Horizon::from_event(self.in_early.next_arrival())
             .meet(Horizon::from_event(self.in_late.next_arrival()))
-    }
-
-    fn declared_ports(&self) -> Vec<PortDecl> {
-        vec![
-            self.in_early.decl(),
-            self.in_late.decl(),
-            self.out_early.decl(),
-            self.out_late.decl(),
-            self.out_hz.decl(),
-        ]
     }
 
     fn queued(&self) -> usize {

@@ -482,7 +482,7 @@ pub fn has_token(hay: &str, needle: &str) -> bool {
 
 /// Lints a set of scanned files as one unit (the call graph crosses file
 /// and crate boundaries). Findings come back sorted by (file, line).
-pub fn lint(files: &[ScannedFile]) -> Vec<Finding> {
+pub fn check(files: &[ScannedFile]) -> Vec<Finding> {
     passes::run(&model::SourceModel::build(files))
 }
 
@@ -532,7 +532,7 @@ mod tests {
     }
 
     fn core(src: &str) -> Vec<Finding> {
-        lint(&[ScannedFile::new("crates/core/src/gpu.rs", src)])
+        check(&[ScannedFile::new("crates/core/src/gpu.rs", src)])
     }
 
     #[test]
@@ -593,7 +593,7 @@ mod tests {
              fn clock() { peek(); }\n\
              fn peek(&self) { self.c.borrow_mut(); }\n",
         );
-        let hits = lint(&[mem, core]);
+        let hits = check(&[mem, core]);
         let got: Vec<_> = hits.iter().map(|h| (h.file.as_str(), h.line, h.rule)).collect();
         assert_eq!(
             got,
@@ -655,7 +655,7 @@ mod tests {
         assert!(core("fn bind() { let q = shared.borrow_mut(); }\n").is_empty());
 
         // The transport crate owns the wires, the sanctioned shared state.
-        let sim = lint(&[ScannedFile::new(
+        let sim = check(&[ScannedFile::new(
             "crates/sim/src/signal.rs",
             "fn clock(&mut self) { let q = lane.borrow_mut(); }\n",
         )]);
@@ -669,7 +669,7 @@ mod tests {
             "crates/mem/src/b.rs",
             "fn remote_helper() { let v = state.borrow(); }\n",
         );
-        let hits = lint(&[a, b]);
+        let hits = check(&[a, b]);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!((hits[0].file.as_str(), hits[0].rule), ("crates/mem/src/b.rs", "shared-mut"));
     }

@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use attila_lint::{lint, scan_workspace};
+use attila_lint::{check, scan_workspace};
 
 fn run() -> Result<usize, String> {
     let mut root = PathBuf::from(".");
@@ -27,7 +27,7 @@ fn run() -> Result<usize, String> {
     }
     let files =
         scan_workspace(&root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
-    let findings = lint(&files);
+    let findings = check(&files);
     for f in &findings {
         println!("{f}");
     }

@@ -5,10 +5,10 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use attila_lint::{lint, scan_workspace, Finding, ScannedFile};
+use attila_lint::{check, scan_workspace, Finding, ScannedFile};
 
 fn lint_fixture(source: &str) -> Vec<Finding> {
-    lint(&[ScannedFile::new("crates/core/src/fixture.rs", source)])
+    check(&[ScannedFile::new("crates/core/src/fixture.rs", source)])
 }
 
 fn workspace_root() -> PathBuf {
@@ -137,7 +137,7 @@ fn clock(&mut self) {
 fn real_workspace_is_clean() {
     let files = scan_workspace(&workspace_root()).expect("workspace scans");
     assert!(files.len() > 20, "scan found only {} files", files.len());
-    let findings = lint(&files);
+    let findings = check(&files);
     assert!(
         findings.is_empty(),
         "the workspace must lint clean; found:\n{}",

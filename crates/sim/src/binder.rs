@@ -8,9 +8,10 @@
 //!
 //! The Rust port keeps the binder as an explicit value (no global state).
 //! Because signals are statically typed here, the binder stores the
-//! *metadata* (name, direction, endpoints, bandwidth, latency) used for
-//! introspection, interface checking and signal-trace tooling, while the
-//! typed endpoints are handed to the boxes.
+//! *metadata* (name, writer and reader box, bandwidth, latency) used for
+//! wake lines, introspection and signal-trace tooling, while the typed
+//! endpoints are handed to the boxes. It is the machine's one wiring
+//! table: boxes do not declare their interface a second time.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -32,24 +33,6 @@ use crate::Cycle;
 /// 16 cache lines) holds every wire of the baseline machine; a larger
 /// machine adds chunks, so handles into earlier ones stay valid.
 const TABLE_CHUNK: usize = 64;
-
-/// Direction of a signal relative to the box that registered it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SignalDirection {
-    /// The box reads from this signal.
-    Input,
-    /// The box writes to this signal.
-    Output,
-}
-
-impl fmt::Display for SignalDirection {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SignalDirection::Input => write!(f, "in"),
-            SignalDirection::Output => write!(f, "out"),
-        }
-    }
-}
 
 /// Metadata describing one registered signal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,8 +175,7 @@ impl SignalBinder {
 
     /// Attaches a Signal Trace Visualizer sink to every registered *data*
     /// wire and returns how many it reached. A name ending in `.credits`
-    /// is the return wire a flow-controlled port pairs with its data wire
-    /// (the convention the [architecture verifier](crate::lint) shares):
+    /// is the return wire a flow-controlled port pairs with its data wire:
     /// credit returns are not traced.
     pub fn attach_trace(&self, sink: &TraceSink) -> usize {
         let data = self.ids.iter().filter(|(name, _)| !name.ends_with(".credits"));
@@ -235,26 +217,6 @@ impl SignalBinder {
         self.probes.iter().filter_map(SignalProbe::drain_cycle).max()
     }
 
-    /// Snapshots every registered signal as a topology edge — metadata
-    /// plus current in-flight occupancy — in name order. This is the raw
-    /// material of the architecture verifier
-    /// ([`Topology`](crate::lint::Topology)).
-    pub fn edges(&self) -> Vec<crate::lint::SignalEdge> {
-        self.signals
-            .values()
-            .map(|info| {
-                // `signals` and `ids` are keyed alike: both are filled by
-                // `register`.
-                let probe = &self.probes[self.ids[&info.name]];
-                crate::lint::SignalEdge {
-                    info: info.clone(),
-                    in_flight: probe.status().in_flight,
-                    next_arrival: probe.next_arrival(),
-                }
-            })
-            .collect()
-    }
-
     /// Looks up the metadata of a registered signal.
     ///
     /// # Errors
@@ -267,12 +229,6 @@ impl SignalBinder {
     /// Iterates over all registered signals in name order.
     pub fn iter(&self) -> impl Iterator<Item = &SignalInfo> {
         self.signals.values()
-    }
-
-    /// All signals attached (as producer or consumer) to `box_name` — the
-    /// box's *interface* in the paper's sense.
-    pub fn interface_of<'a>(&'a self, box_name: &'a str) -> impl Iterator<Item = &'a SignalInfo> {
-        self.signals.values().filter(move |s| s.from_box == box_name || s.to_box == box_name)
     }
 
     /// Number of registered signals.
@@ -371,16 +327,6 @@ mod tests {
     fn unknown_lookup_errors() {
         let b = SignalBinder::new();
         assert_eq!(b.info("nope").unwrap_err(), SimError::UnknownSignal("nope".into()));
-    }
-
-    #[test]
-    fn interface_of_collects_both_directions() {
-        let mut b = SignalBinder::new();
-        b.register::<u8>("a->b", "A", "B", 1, 1).unwrap();
-        b.register::<u8>("b->c", "B", "C", 1, 1).unwrap();
-        b.register::<u8>("c->a", "C", "A", 1, 1).unwrap();
-        let names: Vec<_> = b.interface_of("B").map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["a->b", "b->c"]);
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //! Supporting infrastructure mirrors the paper's simulator:
 //!
 //! * [`SignalBinder`] — a name server registering every signal with a unique
-//!   name, direction, bandwidth and latency, used for introspection and for
-//!   dumping **signal traces** consumed by the Signal Trace Visualizer
-//!   ([`trace`] module).
+//!   name, its writer and reader box, bandwidth and latency: the machine's
+//!   one wiring table, from which wake lines, pipeline dumps and **signal
+//!   traces** consumed by the Signal Trace Visualizer ([`trace`] module)
+//!   are built.
 //! * [`DynamicObject`] — identity attached to the objects that travel
 //!   through signals (an id, a parent id forming a multilevel hierarchy —
 //!   fragment → triangle → batch — and a colour; three plain words).
@@ -72,7 +73,6 @@ pub mod binder;
 pub mod error;
 pub mod fault;
 pub mod horizon;
-pub mod lint;
 pub mod name;
 pub mod object;
 pub mod rng;
@@ -81,10 +81,7 @@ pub mod stats;
 pub mod trace;
 pub mod viz;
 
-pub use binder::{SignalBinder, SignalDirection, SignalInfo};
-pub use lint::{
-    BoxNode, LintFinding, LintReport, PortDecl, Severity, SignalEdge, Topology, TopologySummary,
-};
+pub use binder::{SignalBinder, SignalInfo};
 pub use error::SimError;
 pub use fault::{FaultInjector, FaultPlan, FaultWrite, MemFaultHandle, SignalFaultHandle};
 pub use horizon::Horizon;

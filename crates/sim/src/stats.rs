@@ -162,20 +162,7 @@ enum StatHandle {
     Gauge(Gauge),
 }
 
-/// Panics on a second registration of `name` as another kind of statistic.
-fn wrong_kind(name: &str, registered: &StatHandle, wanted: &str) -> ! {
-    panic!("statistic `{name}` is registered as a {}, not a {wanted}", registered.kind())
-}
-
 impl StatHandle {
-    fn kind(&self) -> &'static str {
-        match self {
-            StatHandle::Counter(_) => "counter",
-            StatHandle::Running(_) => "running counter",
-            StatHandle::Gauge(_) => "gauge",
-        }
-    }
-
     /// A counter's running total, `None` for a gauge.
     fn count(&self) -> Option<u64> {
         match self {
@@ -212,7 +199,7 @@ struct StatEntry {
 /// [`totals_csv`](Self::totals_csv) renders the end-of-run totals.
 ///
 /// Entries live in a dense `Vec` indexed by registration order — the slot
-/// a statistic gets on first use — so the per-window sweep in
+/// a statistic gets when it is registered — so the per-window sweep in
 /// [`close_window`](Self::close_window) is a linear scan over contiguous
 /// slots instead of a tree walk. A sorted name → slot index sits alongside
 /// purely for lookups and for rendering CSV in the historical (sorted)
@@ -230,12 +217,6 @@ pub struct StatsRegistry {
     /// have advanced through — what a [`RunningCounter`]'s open span
     /// counts up to. Shared with every running counter handed out.
     clock: Rc<Cell<Cycle>>,
-    /// How many times each name was handed out by [`counter`](Self::counter),
-    /// [`running_counter`](Self::running_counter) or [`gauge`](Self::gauge).
-    /// A count above 1 means two call sites registered the same name —
-    /// usually a copy-paste bug that silently merges two units' statistics
-    /// (the `duplicate-stat` lint rule).
-    registrations: BTreeMap<String, usize>,
 }
 
 impl StatsRegistry {
@@ -248,7 +229,6 @@ impl StatsRegistry {
             window_size,
             windows_closed: 0,
             clock: Rc::default(),
-            registrations: BTreeMap::new(),
         }
     }
 
@@ -257,61 +237,63 @@ impl StatsRegistry {
         self.index.get(name).map(|&i| &self.entries[i as usize])
     }
 
-    /// The handle registered under `name`, registering `make(self)` on
-    /// first use.
-    fn register(&mut self, name: &str, make: impl FnOnce(&Self) -> StatHandle) -> &StatHandle {
-        *self.registrations.entry(name.to_string()).or_insert(0) += 1;
-        let slot = match self.index.get(name) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.entries.len() as u32;
-                let handle = make(self);
-                self.index.insert(name.to_string(), slot);
-                self.entries.push(StatEntry {
-                    handle,
-                    // Backfill windows closed before registration so
-                    // every statistic's series stays aligned.
-                    windows: vec![0.0; self.windows_closed],
-                    last_total: 0,
-                });
-                slot
-            }
-        };
-        &self.entries[slot as usize].handle
+    /// Registers `handle` under `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered: two call sites registering
+    /// one name would silently merge two units' statistics. A second
+    /// holder of one statistic shares it by cloning the handle.
+    fn register(&mut self, name: &str, handle: StatHandle) {
+        assert!(!self.index.contains_key(name), "statistic `{name}` is registered twice");
+        self.index.insert(name.to_string(), self.entries.len() as u32);
+        self.entries.push(StatEntry {
+            handle,
+            // Backfill windows closed before registration so every
+            // statistic's series stays aligned.
+            windows: vec![0.0; self.windows_closed],
+            last_total: 0,
+        });
     }
 
-    /// Returns (creating on first use) the counter registered under `name`.
+    /// Registers a counter under `name` and returns its handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered.
     pub fn counter(&mut self, name: &str) -> Counter {
-        match self.register(name, |_| StatHandle::Counter(Counter::new())) {
-            StatHandle::Counter(c) => c.clone(),
-            other => wrong_kind(name, other, "counter"),
-        }
+        let counter = Counter::new();
+        self.register(name, StatHandle::Counter(counter.clone()));
+        counter
     }
 
-    /// Returns (creating on first use) the running counter registered under
-    /// `name`: its open span counts the cycles this registry ticks through.
+    /// Registers a running counter under `name` and returns its handle:
+    /// its open span counts the cycles this registry ticks through.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered.
     pub fn running_counter(&mut self, name: &str) -> RunningCounter {
-        let make = |reg: &Self| {
-            StatHandle::Running(RunningCounter {
-                span: Rc::new(RunningSpan {
-                    closed: Cell::new(0),
-                    since: Cell::new(None),
-                    now: Rc::clone(&reg.clock),
-                }),
-            })
+        let running = RunningCounter {
+            span: Rc::new(RunningSpan {
+                closed: Cell::new(0),
+                since: Cell::new(None),
+                now: Rc::clone(&self.clock),
+            }),
         };
-        match self.register(name, make) {
-            StatHandle::Running(r) => r.clone(),
-            other => wrong_kind(name, other, "running counter"),
-        }
+        self.register(name, StatHandle::Running(running.clone()));
+        running
     }
 
-    /// Returns (creating on first use) the gauge registered under `name`.
+    /// Registers a gauge under `name` and returns its handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered.
     pub fn gauge(&mut self, name: &str) -> Gauge {
-        match self.register(name, |_| StatHandle::Gauge(Gauge::new())) {
-            StatHandle::Gauge(g) => g.clone(),
-            other => wrong_kind(name, other, "gauge"),
-        }
+        let gauge = Gauge::new();
+        self.register(name, StatHandle::Gauge(gauge.clone()));
+        gauge
     }
 
     /// Advances the sampling clock; must be called once per simulated
@@ -394,18 +376,6 @@ impl StatsRegistry {
         self.index.keys().map(|s| s.as_str()).collect()
     }
 
-    /// Names handed out more than once, with their registration counts —
-    /// the input of the `duplicate-stat` architecture-lint rule. Shared
-    /// handles obtained by *cloning* a [`Counter`]/[`Gauge`] do not count;
-    /// only repeated lookups by name do.
-    pub fn duplicate_registrations(&self) -> Vec<(String, usize)> {
-        self.registrations
-            .iter()
-            .filter(|(_, &n)| n > 1)
-            .map(|(name, &n)| (name.clone(), n))
-            .collect()
-    }
-
     /// Number of registered statistics.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -459,9 +429,8 @@ impl StatsRegistry {
 impl JsonState for StatsRegistry {
     fn save_state(&self) -> Json {
         // The window size is configuration; the clock is re-observed on
-        // restore (`resume_at`); registration counts are elaboration's.
-        let Self { entries, index, windows_closed, window_size: _, clock: _, registrations: _ } =
-            self;
+        // restore (`resume_at`).
+        let Self { entries, index, windows_closed, window_size: _, clock: _ } = self;
         let entries = index.iter().map(|(name, &slot)| {
             let e = &entries[slot as usize];
             let (total, gauge) = match e.handle.count() {
@@ -484,8 +453,7 @@ impl JsonState for StatsRegistry {
     }
 
     fn load_state(&mut self, v: &Json) -> Result<(), JsonError> {
-        let Self { entries, index, windows_closed, window_size: _, clock: _, registrations: _ } =
-            self;
+        let Self { entries, index, windows_closed, window_size: _, clock: _ } = self;
         let closed: usize = field(v, "windows_closed")?;
         let saved = field_with(v, "entries", array)?;
         if saved.len() != entries.len() {
@@ -542,7 +510,7 @@ mod tests {
     fn counter_handles_share_state() {
         let mut reg = StatsRegistry::new(0);
         let a = reg.counter("x");
-        let b = reg.counter("x");
+        let b = a.clone();
         a.inc();
         b.add(2);
         assert_eq!(reg.total("x"), Some(3.0));
@@ -644,11 +612,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "registered as a gauge")]
-    fn kind_mismatch_panics() {
-        let mut reg = StatsRegistry::new(0);
-        reg.gauge("x");
-        reg.counter("x");
+    fn a_second_registration_panics() {
+        fn counter(reg: &mut StatsRegistry) {
+            reg.counter("x");
+        }
+        fn gauge(reg: &mut StatsRegistry) {
+            reg.gauge("x");
+        }
+        type Register = fn(&mut StatsRegistry);
+        let cases: [(&str, Register, Register); 2] =
+            [("gauge then counter", gauge, counter), ("counter then counter", counter, counter)];
+        for (case, first, second) in cases {
+            let mut reg = StatsRegistry::new(0);
+            first(&mut reg);
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| second(&mut reg)))
+                .expect_err(case);
+            let message = panic.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(message, Some("statistic `x` is registered twice"), "{case}");
+        }
     }
 
     #[test]

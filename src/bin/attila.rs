@@ -18,9 +18,6 @@ use attila::gl::workloads::{self, WorkloadParams};
 use attila::gl::{GlPlayer, GlTrace};
 
 struct Args {
-    lint: bool,
-    lint_all_presets: bool,
-    lint_deny_warnings: bool,
     sweep: bool,
     sweep_tus: Vec<usize>,
     sweep_schedulers: Vec<ShaderScheduling>,
@@ -110,11 +107,6 @@ Tools:
       --buckets <n>          maximum timeline columns (default 240)
 
 Subcommands:
-    lint                     elaborate the selected GPU (see `--config` /
-                             `--preset`) and run the architecture verifier
-                             instead of simulating; exits 1 on findings
-      --all-presets          lint every shipped preset configuration
-      --deny-warnings        treat warn-level findings as errors
     sweep                    run the selected workload across a grid of
                              case-study configurations on worker threads;
                              writes sweep.csv / sweep.json to --out-dir.
@@ -147,9 +139,6 @@ where
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        lint: false,
-        lint_all_presets: false,
-        lint_deny_warnings: false,
         sweep: false,
         sweep_tus: vec![1, 2, 3, 4],
         sweep_schedulers: vec![ShaderScheduling::ThreadWindow, ShaderScheduling::InOrderQueue],
@@ -190,9 +179,6 @@ fn parse_args() -> Result<Args, String> {
             it.next().ok_or_else(|| format!("{name} needs a value"))
         };
         match a.as_str() {
-            "lint" => args.lint = true,
-            "--all-presets" => args.lint_all_presets = true,
-            "--deny-warnings" => args.lint_deny_warnings = true,
             "sweep" => args.sweep = true,
             "viz" => {
                 args.viz = Some(PathBuf::from(val("viz <trace-file>")?));
@@ -350,50 +336,6 @@ fn build_trace(args: &Args) -> Result<GlTrace, String> {
         "fillrate" => workloads::fillrate(args.width, args.height, 8, true),
         other => return Err(format!("unknown workload `{other}`")),
     })
-}
-
-/// `attila lint`: elaborate the selected GPU(s), run the architecture
-/// verifier and report, without ever starting the clock. The startup
-/// check is disabled here — the whole point is to *print* the findings
-/// rather than die in `Gpu::new`.
-fn run_lint(args: &Args) -> Result<(), CliError> {
-    let configs: Vec<(String, GpuConfig)> = if args.lint_all_presets {
-        vec![
-            ("baseline".into(), GpuConfig::baseline()),
-            ("non-unified".into(), GpuConfig::non_unified_baseline()),
-            (
-                "case-study".into(),
-                GpuConfig::case_study(3, ShaderScheduling::ThreadWindow),
-            ),
-            ("embedded".into(), GpuConfig::embedded()),
-            ("high-end".into(), GpuConfig::high_end()),
-        ]
-    } else {
-        let name = args
-            .config_file
-            .as_ref()
-            .map(|p| p.display().to_string())
-            .unwrap_or_else(|| args.preset.clone());
-        vec![(name, build_config(args)?)]
-    };
-
-    let mut denies = 0;
-    let mut warns = 0;
-    for (name, mut config) in configs {
-        config.lint_on_start = false;
-        config.validate().map_err(|e| format!("{name}: {e}"))?;
-        let gpu = Gpu::new(config);
-        let report = gpu.lint();
-        print!("== {name}: {report}");
-        denies += report.deny_count();
-        warns += report.warn_count();
-    }
-    if denies > 0 || (args.lint_deny_warnings && warns > 0) {
-        return Err(CliError::Usage(format!(
-            "lint failed: {denies} deny, {warns} warn finding(s)"
-        )));
-    }
-    Ok(())
 }
 
 /// The sweep configuration grid: case-study texture-unit counts ×
@@ -557,9 +499,6 @@ fn run() -> Result<(), CliError> {
             html.len(),
         );
         return Ok(());
-    }
-    if args.lint {
-        return run_lint(&args);
     }
     if args.sweep {
         return run_sweep_cli(&args);

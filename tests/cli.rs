@@ -10,13 +10,17 @@ fn attila_bin() -> Command {
 
 #[test]
 fn cli_rejects_removed_arguments() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["--workload", "quickstart", "--threads", "2"], "--threads"),
         (&["serve"], "serve"),
         (&["serve", "--smoke"], "serve"),
         (&["--workload", "quickstart", "--retry-limit", "3"], "--retry-limit"),
-        // The source linter is `cargo run -p attila-lint`.
-        (&["lint", "--source"], "--source"),
+        // The source linter is `cargo run -p attila-lint`; the wiring is
+        // checked where it is registered, so there is no `lint` at all.
+        (&["lint"], "lint"),
+        (&["lint", "--source"], "lint"),
+        (&["lint", "--all-presets"], "lint"),
+        (&["lint", "--deny-warnings"], "lint"),
     ];
     for (args, removed) in cases {
         let out = attila_bin().args(args).output().expect("attila runs");
