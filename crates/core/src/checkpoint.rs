@@ -9,7 +9,7 @@
 //! carries. Transient state (objects on wires, partially processed
 //! batches) is provably empty and never serialized.
 //!
-//! # File format (version 3)
+//! # File format (version 4)
 //!
 //! One pretty-printed JSON object, written through the in-repo
 //! `attila-json`:
@@ -17,7 +17,7 @@
 //! ```text
 //! {
 //!   "magic":       "ATTILA-CKPT",
-//!   "version":     3,
+//!   "version":     4,
 //!   "config_hash": "<fnv1a64 of the config's JSON, hex>",
 //!   "trace_hash":  "<fnv1a64 of the canonical trace encoding, hex>",
 //!   "body_crc":    <crc32 of the body's compact rendering>,
@@ -42,8 +42,8 @@
 //! # Who owns what
 //!
 //! This module owns the container and the body's header: `cycle`,
-//! `frames`, `cycles_skipped`, `horizon_backoff`, `commands_consumed`,
-//! the memory image and the kept frames. Every other key of the body
+//! `frames`, `cycles_skipped`, `commands_consumed`, the memory image and
+//! the kept frames. Every other key of the body
 //! (`mem_ctrl` … `fault`) is the state of one box, and the box's own file
 //! both renders and reads it through [`attila_json::JsonState`];
 //! [`CheckpointBody::boxes`] carries those keys as the parsed tree and
@@ -111,8 +111,9 @@ pub const MAGIC: &str = "ATTILA-CKPT";
 /// Version history: 1 = flat open-page DRAM state; 2 = per-bank FSM
 /// snapshots (`banks` replaces `open_pages` in each channel); 3 = bulk
 /// bytes as sparse hex extents (replacing `[count, value, …]` run
-/// lengths).
-pub const FORMAT_VERSION: u64 = 3;
+/// lengths); 4 = the horizon back-off counter left the body's header (the
+/// clock loop keeps no state between its jumps).
+pub const FORMAT_VERSION: u64 = 4;
 
 /// Most bytes [`Checkpoint::write_file`] hands to one `write` call.
 const WRITE_CHUNK: usize = 64 << 10;
@@ -452,10 +453,6 @@ pub struct CheckpointBody {
     pub frames: u64,
     /// Cycles the idle-skip scheduler jumped so far.
     pub cycles_skipped: u64,
-    /// Steps left on the horizon poll's `Busy`-verdict cache. Restoring
-    /// it keeps a resumed run's skip decisions — and so its
-    /// `cycles_skipped` counter — bit-identical to an uninterrupted run.
-    pub horizon_backoff: u64,
     /// Commands the Command Processor has fully consumed; restore
     /// re-enqueues the rest of the trace from this index.
     pub commands_consumed: u64,
@@ -474,11 +471,10 @@ pub struct CheckpointBody {
 
 impl CheckpointBody {
     /// Keys this module decodes itself; every other one is a box's.
-    const TYPED_KEYS: [&str; 8] = [
+    const TYPED_KEYS: [&str; 7] = [
         "cycle",
         "frames",
         "cycles_skipped",
-        "horizon_backoff",
         "commands_consumed",
         "memory_len",
         "memory",
@@ -490,7 +486,6 @@ impl CheckpointBody {
             ("cycle", self.cycle.to_hex()),
             ("frames", self.frames.to_hex()),
             ("cycles_skipped", self.cycles_skipped.to_hex()),
-            ("horizon_backoff", self.horizon_backoff.to_hex()),
             ("commands_consumed", self.commands_consumed.to_hex()),
             ("memory_len", self.memory.len.to_json()),
             ("memory", self.memory.to_json()),
@@ -510,7 +505,6 @@ impl CheckpointBody {
             cycle: field_with(j, "cycle", u64::from_hex)?,
             frames: field_with(j, "frames", u64::from_hex)?,
             cycles_skipped: field_with(j, "cycles_skipped", u64::from_hex)?,
-            horizon_backoff: field_with(j, "horizon_backoff", u64::from_hex)?,
             commands_consumed: field_with(j, "commands_consumed", u64::from_hex)?,
             memory: field_with(j, "memory", |m| SparseBytes::read_extents(m, memory_len))?,
             framebuffers: field_with(j, "framebuffers", |frames| {

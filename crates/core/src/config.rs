@@ -337,20 +337,6 @@ pub struct StatsConfig {
     pub window_cycles: u64,
 }
 
-/// What the simulator does when a box or signal reports a
-/// [`SimError`] mid-run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OnFault {
-    /// Stop simulating and return the error with a failure report (the
-    /// default: errors in a verified pipeline are modelling bugs).
-    #[default]
-    Abort,
-    /// Record the failure report but keep simulating with the error
-    /// otherwise ignored, re-checking every cycle; useful to count how
-    /// often a fault fires.
-    Report,
-}
-
 /// The complete GPU configuration (over 100 parameters, as in the paper).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
@@ -382,8 +368,6 @@ pub struct GpuConfig {
     pub memory: MemoryConfig,
     /// Statistics sampling parameters.
     pub stats: StatsConfig,
-    /// Fault-handling policy when a box or signal errors.
-    pub on_fault: OnFault,
 }
 
 impl_json_struct!(DisplayConfig { width, height, clock_mhz });
@@ -445,7 +429,6 @@ impl_json_struct!(MemoryConfig {
     gpu_memory_mb,
 });
 impl_json_struct!(StatsConfig { window_cycles });
-impl_json_enum_unit!(OnFault { Abort, Report });
 impl_json_struct!(GpuConfig {
     display,
     streamer,
@@ -461,7 +444,6 @@ impl_json_struct!(GpuConfig {
     texture,
     memory,
     stats,
-    on_fault,
 });
 
 impl GpuConfig {
@@ -559,7 +541,6 @@ impl GpuConfig {
                 gpu_memory_mb: 64,
             },
             stats: StatsConfig { window_cycles: 10_000 },
-            on_fault: OnFault::Abort,
         }
     }
 
@@ -859,11 +840,6 @@ mod tests {
         let json = c.to_json();
         let back = GpuConfig::from_json(&json).unwrap();
         assert_eq!(c, back);
-        // A retired fault policy is refused by name, not read as `Abort`.
-        let retired = json.replace("\"Abort\"", "\"Isolate\"");
-        assert_ne!(retired, json, "the policy must appear in the JSON");
-        let err = GpuConfig::from_json(&retired).unwrap_err();
-        assert!(err.to_string().contains("unknown OnFault variant `Isolate`"), "{err}");
     }
 
     #[test]
@@ -960,9 +936,11 @@ mod tests {
     #[test]
     fn a_config_file_with_a_retired_key_still_loads() {
         // A key no field reads is ignored: files written before an option
-        // was removed keep loading.
-        let text = GpuConfig::baseline().to_json().replacen('{', "{\"a_removed_option\": false,", 1);
-        assert_eq!(GpuConfig::from_json(&text).unwrap(), GpuConfig::baseline());
+        // was removed keep loading, whatever value they gave it.
+        for retired in ["\"a_removed_option\": false", "\"on_fault\": \"Report\""] {
+            let text = GpuConfig::baseline().to_json().replacen('{', &format!("{{{retired},"), 1);
+            assert_eq!(GpuConfig::from_json(&text).unwrap(), GpuConfig::baseline(), "{retired}");
+        }
     }
 
     #[test]

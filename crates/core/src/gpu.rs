@@ -20,7 +20,7 @@ use crate::clipper::Clipper;
 use crate::colorwrite::ColorWriteUnit;
 use crate::command_processor::{CommandProcessor, CpAction};
 use crate::commands::GpuCommand;
-use crate::config::{GpuConfig, OnFault};
+use crate::config::GpuConfig;
 use crate::dac::Dac;
 use crate::ffifo::FragmentFifo;
 use crate::fraggen::FragmentGenerator;
@@ -105,7 +105,7 @@ pub enum GpuError {
         report: Box<FailureReport>,
     },
     /// A signal verification check failed (possibly via an injected
-    /// fault) and the [`OnFault::Abort`] policy was in force.
+    /// fault).
     Sim {
         /// The underlying verification error.
         error: SimError,
@@ -184,9 +184,6 @@ pub struct Gpu {
     /// Cycles the scheduler jumped over (a plain field, *not* a stats
     /// counter: the stats CSV must be identical with skipping on or off).
     cycles_skipped: Cycle,
-    /// Steps left before [`poll_horizon`](Self::poll_horizon) evaluates
-    /// the horizon again after a `Busy` verdict.
-    horizon_backoff: Cycle,
     /// The unit table: one row per clocked unit in clock order, fixed at
     /// elaboration from the configured unit counts. The clock loop walks
     /// it, and so does every per-unit question (`work_horizon`,
@@ -195,8 +192,6 @@ pub struct Gpu {
     table: Box<[UnitRow]>,
     /// Forensic trace sink, when signal tracing is enabled.
     trace: Option<attila_sim::TraceSink>,
-    /// Faults tolerated (not aborted on) under `OnFault::Report`.
-    fault_log: Vec<SimError>,
     /// A framebuffer dump that failed its bounds check mid-step.
     dump_failure: Option<GpuError>,
     /// Take a crash-safe checkpoint at the first quiescent point at or
@@ -246,17 +241,13 @@ impl_json_state!(Gpu {
     "wiring: ports and statistics only": clipper;
     "external: `CheckpointBody`'s typed header (`capture_checkpoint` writes it, `restore` reads \
      it back), or an option the caller sets": cycle, frames, framebuffers, max_cycles, keep_frames,
-        skip_idle, cycles_skipped, horizon_backoff;
+        skip_idle, cycles_skipped;
     "derived: fixed at elaboration; the gates restart awake": table;
     "transient: this process's diagnostics, checkpointing options and accounting; `trace_hash` \
-     travels in the file's header": trace, fault_log, dump_failure, checkpoint_every,
+     travels in the file's header": trace, dump_failure, checkpoint_every,
         checkpoint_path, next_checkpoint_at, trace_hash, checkpoints_written,
         checkpoint_bytes_written;
 });
-
-/// Steps a `Busy` machine-wide horizon verdict stays cached before
-/// `Gpu::poll_horizon` evaluates it again.
-const HORIZON_BACKOFF: Cycle = 32;
 
 /// One entry of the flat clock schedule (see [`Gpu::try_step`]): which box
 /// to clock, with the unit index for replicated units. The Command
@@ -284,32 +275,27 @@ enum ScheduleEntry {
 #[derive(Debug)]
 struct UnitRow {
     entry: ScheduleEntry,
-    /// Whether the unit is wired into the pipeline: it reads a registered
-    /// wire, as every holder of a port reads at least its credit returns.
-    /// The DAC and the memory controller are not: no wire wakes them, and
-    /// [`Gpu::pipeline_busy`] does not count them.
-    wired: bool,
     gate: BoxGate,
 }
 
 /// The sleep gate of one [`UnitRow`]: lets the walk of
 /// [`Gpu::try_step`] leave a box unclocked while that is provably a no-op
-/// (DESIGN.md §14). A box sleeps on cycle `c` iff nothing written to any
-/// wire it reads is still due, the horizon it reported after its last
-/// clock promises idleness past `c`, and the memory controller holds no
-/// reply for it. Everything that mutates a box behind its wires
-/// (`CpAction`s, checkpoint restore) must call [`Gpu::wake_all_boxes`].
+/// (DESIGN.md §14), and tells the machine-level jump what it holds
+/// ([`Gpu::gate_horizon`]). A box sleeps on cycle `c` iff nothing written
+/// to any wire it reads is still due, the horizon it reported promises
+/// idleness past `c`, and the memory controller holds no reply for it.
+/// Everything that mutates a box behind its wires (`CpAction`s,
+/// checkpoint restore) must call [`Gpu::wake_all_boxes`].
 #[derive(Debug)]
 struct BoxGate {
-    /// Latest arrival over the wires the box reads, data and credit alike.
-    /// The wire-less DAC holds a line no wire raises (its replies wake
-    /// it); the memory controller, which nothing wakes, holds
-    /// [`WakeLine::always_due`] and is clocked every cycle.
-    wake: WakeLine,
+    /// Latest arrival over the wires the box reads, data and credit alike;
+    /// `None` for a box no wire reads (the DAC and the memory controller),
+    /// whose horizon the walk reads afresh at its turn instead: what
+    /// changes it is a submit or a reply, made by the rows before it.
+    wake: Option<WakeLine>,
     /// Whose memory replies wake the box. Box horizons do not cover
     /// replies the box does not wait on (ROP write-back acknowledgements),
-    /// yet an unpopped reply pins the controller — and with it the
-    /// machine-wide horizon — `Busy`.
+    /// yet an unpopped reply pins the controller `Busy`.
     client: Option<Client>,
     /// First cycle the box must be clocked again by its own account: `0`
     /// while awake, the `IdleUntil` cycle or `Cycle::MAX` (`Idle`) while
@@ -318,29 +304,47 @@ struct BoxGate {
 }
 
 impl BoxGate {
+    /// Whether wire input is still due on `cycle` or later.
+    fn input_due(&self, cycle: Cycle) -> bool {
+        self.wake.as_ref().is_some_and(|line| cycle <= line.latest_arrival())
+    }
+
+    /// Whether a delivered memory reply waits for the box.
+    fn reply_waits(&self, mem: &MemoryController) -> bool {
+        self.client.is_some_and(|c| mem.has_reply(c))
+    }
+
+    /// The one asleep predicate: the walk's, the failure report's and the
+    /// machine-level jump's.
     fn asleep(&self, cycle: Cycle, mem: &MemoryController) -> bool {
-        cycle > self.wake.latest_arrival()
-            && cycle < self.idle_until
-            && !self.client.is_some_and(|c| mem.has_reply(c))
+        !self.input_due(cycle) && cycle < self.idle_until && !self.reply_waits(mem)
     }
 
     fn wake_up(&mut self) {
         self.idle_until = 0;
     }
 
-    /// Re-arms the gate after its box clocked on `cycle`. The horizon is
-    /// only worth reading once every input written so far has been
-    /// absorbed: until then the box is clocked whatever it says.
-    fn settle(&mut self, cycle: Cycle, horizon: impl FnOnce() -> Horizon) {
+    /// Caches `horizon` as the first cycle the box must be clocked again.
+    fn hold(&mut self, horizon: Horizon) {
+        self.idle_until = match horizon {
+            Horizon::Busy => 0,
+            Horizon::IdleUntil(t) => t,
+            Horizon::Idle => Cycle::MAX,
+        };
+    }
+
+    /// Re-arms the gate after its box clocked on `cycle`, returning
+    /// whether the box answered `Busy`. The horizon is only worth reading
+    /// once every input written so far has been absorbed: until then the
+    /// box is clocked whatever it says.
+    fn settle(&mut self, cycle: Cycle, horizon: impl FnOnce() -> Horizon) -> bool {
         self.idle_until = 0;
-        if self.wake.latest_arrival() > cycle {
-            return;
+        if self.input_due(cycle + 1) {
+            return false;
         }
-        match horizon() {
-            Horizon::Busy => {}
-            Horizon::IdleUntil(t) => self.idle_until = t,
-            Horizon::Idle => self.idle_until = Cycle::MAX,
-        }
+        let horizon = horizon();
+        self.hold(horizon);
+        horizon.is_busy()
     }
 }
 
@@ -691,10 +695,8 @@ impl Gpu {
             keep_frames: true,
             skip_idle: true,
             cycles_skipped: 0,
-            horizon_backoff: 0,
             table: Box::default(),
             trace: None,
-            fault_log: Vec::new(),
             dump_failure: None,
             checkpoint_every: None,
             checkpoint_path: None,
@@ -707,20 +709,11 @@ impl Gpu {
         // Each row asks the binder and its unit for what the gate needs. A
         // unit reads a wire exactly when it holds a port (a credit return,
         // if nothing else), and its wake line is the binder's line under
-        // the name it answers with. A wire-less memory client is woken by
-        // its replies alone; a unit with neither is never left asleep.
+        // the name it answers with.
         let row = |entry| {
             let unit = gpu.unit(entry);
-            let line = gpu.binder.wake_line(unit.name());
-            let wired = line.is_some();
-            let client = unit.client();
-            let wake = match (line, client) {
-                (Some(line), _) => line,
-                (None, Some(_)) => WakeLine::default(),
-                (None, None) => WakeLine::always_due(),
-            };
-            let gate = BoxGate { wake, client, idle_until: 0 };
-            UnitRow { entry, wired, gate }
+            let wake = gpu.binder.wake_line(unit.name());
+            UnitRow { entry, gate: BoxGate { wake, client: unit.client(), idle_until: 0 } }
         };
         gpu.table = schedule.into_iter().map(row).collect();
         gpu
@@ -791,48 +784,76 @@ impl Gpu {
     }
 
     /// Whether any pipeline unit (excluding the Command Processor, the DAC
-    /// and the memory controller) still holds work.
+    /// and the memory controller) still holds work. A unit is wired into
+    /// the pipeline when it reads a registered wire, as every holder of a
+    /// port reads at least its credit returns.
     pub fn pipeline_busy(&self) -> bool {
-        self.table.iter().any(|row| row.wired && self.unit(row.entry).busy())
+        self.table.iter().any(|row| row.gate.wake.is_some() && self.unit(row.entry).busy())
     }
 
-    /// The machine-wide event horizon: the meet of every box's horizon,
-    /// the memory controller's, and — the safety net — the earliest
-    /// in-flight arrival on *any* registered signal, data or credit wire
-    /// alike ([`SignalBinder::next_event_cycle`]). Readers verify that
-    /// events are drained at their exact arrival cycle, so jumping past
-    /// any arrival would surface as a spurious verification failure;
-    /// folding the binder's minimum in makes the horizon conservative by
-    /// construction.
+    /// The machine-wide event horizon, asked afresh of every unit: the
+    /// meet of the Command Processor's horizon, every table row's and —
+    /// the safety net — the earliest in-flight arrival on *any* registered
+    /// signal, data or credit wire alike
+    /// ([`SignalBinder::next_event_cycle`]). Readers verify that events
+    /// are drained at their exact arrival cycle, so jumping past any
+    /// arrival would surface as a spurious verification failure.
+    ///
+    /// The clock loop of [`run_trace`](Self::run_trace) jumps by what the
+    /// per-unit sleep gates hold instead; this gate-free fold is the
+    /// reference debug builds check that against.
     pub fn work_horizon(&self) -> Horizon {
-        // `Busy` absorbs the meet, so bail out at the first busy box; the
+        // `Busy` absorbs the meet, so bail out at the first busy unit; the
         // CP goes first because it stays busy for as long as any command
-        // that is not waiting on an upload remains queued, and the memory
-        // controller next because it is the unit most often busy — `meet`
-        // commutes, so probing the likely-busy units first is free and
-        // usually ends the fold after two calls. The remaining boxes fold
-        // in table order — the same rows the clock loop dispatches from,
-        // so the horizon can never cover a unit the clock does not drive
-        // (or miss one it does).
+        // that is not waiting on an upload remains queued.
         let mut h = self.cp.work_horizon();
-        if h.is_busy() {
-            return Horizon::Busy;
-        }
-        h = h.meet(self.mem.work_horizon());
-        if h.is_busy() {
-            return Horizon::Busy;
-        }
         for row in &self.table {
-            // Folded above, ahead of the pipeline boxes.
-            if matches!(row.entry, ScheduleEntry::Memory) {
-                continue;
+            if h.is_busy() {
+                break;
             }
             h = h.meet(self.unit(row.entry).work_horizon());
-            if h.is_busy() {
-                return Horizon::Busy;
-            }
+        }
+        if h.is_busy() {
+            return Horizon::Busy;
         }
         h.meet(Horizon::from_event(self.binder.next_event_cycle()))
+    }
+
+    /// The machine-wide horizon for the cycle after a stepped one, read
+    /// off the gates: a row asleep on that cycle answers the horizon its
+    /// gate holds, one with wire input still in flight towards it answers
+    /// its unit's own (and brings the binder's earliest arrival in), and
+    /// any other row — a reply waiting, its own wake-up due — is `Busy`.
+    fn gate_horizon(&self) -> Horizon {
+        let next = self.cycle;
+        let mut h = self.cp.work_horizon();
+        let mut in_flight = false;
+        for row in &self.table {
+            if h.is_busy() {
+                break;
+            }
+            let gate = &row.gate;
+            h = h.meet(if gate.asleep(next, &self.mem) {
+                match gate.idle_until {
+                    Cycle::MAX => Horizon::Idle,
+                    at => Horizon::IdleUntil(at),
+                }
+            } else if gate.input_due(next) && !gate.reply_waits(&self.mem) {
+                in_flight = true;
+                self.unit(row.entry).work_horizon()
+            } else {
+                Horizon::Busy
+            });
+        }
+        if h.is_busy() {
+            return Horizon::Busy;
+        }
+        if in_flight {
+            h = h.meet(Horizon::from_event(self.binder.next_event_cycle()));
+        }
+        // What the gates promise is no later than what the units say.
+        debug_assert_eq!(h.meet(self.work_horizon()), h, "gates and units after cycle {next}");
+        h
     }
 
     /// Wakes every sleeping box: whatever mutates boxes other than through
@@ -842,24 +863,6 @@ impl Gpu {
         for row in &mut self.table {
             row.gate.wake_up();
         }
-    }
-
-    /// Polls the event horizon with adaptive back-off: a `Busy` verdict
-    /// suppresses re-evaluation for the next `HORIZON_BACKOFF` steps.
-    /// Reporting `Busy` without looking is always sound (it merely skips
-    /// nothing), and idle windows worth jumping are thousands of cycles
-    /// long, so the at-most-`HORIZON_BACKOFF`-cycle delay in noticing one
-    /// is negligible next to the per-cycle evaluation cost it removes.
-    fn poll_horizon(&mut self) -> Horizon {
-        if self.horizon_backoff > 0 {
-            self.horizon_backoff -= 1;
-            return Horizon::Busy;
-        }
-        let h = self.work_horizon();
-        if h.is_busy() {
-            self.horizon_backoff = HORIZON_BACKOFF;
-        }
-        h
     }
 
     /// Jumps the clock to `to` without clocking anything, advancing the
@@ -879,34 +882,6 @@ impl Gpu {
         self.cycles_skipped
     }
 
-    /// Advances simulated time by `cycles`, letting the event-horizon
-    /// scheduler skip provably idle stretches when
-    /// [`skip_idle`](Self::skip_idle) is set. The final cycle count and
-    /// all observable state are identical to calling
-    /// [`try_step`](Self::try_step) `cycles` times.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimError`] raised by any box's signals.
-    pub fn step_many(&mut self, cycles: Cycle) -> Result<(), SimError> {
-        let target = self.cycle.saturating_add(cycles);
-        while self.cycle < target {
-            self.try_step()?;
-            if !self.skip_idle {
-                continue;
-            }
-            match self.poll_horizon() {
-                Horizon::Busy => {}
-                Horizon::IdleUntil(wake) => {
-                    let to = wake.min(target).max(self.cycle);
-                    self.skip_to(to);
-                }
-                Horizon::Idle => self.skip_to(target),
-            }
-        }
-        Ok(())
-    }
-
     /// Clocks the whole GPU one cycle, surfacing signal verification
     /// failures instead of panicking.
     ///
@@ -919,6 +894,13 @@ impl Gpu {
     ///
     /// Returns the first [`SimError`] raised by any box's signals.
     pub fn try_step(&mut self) -> Result<(), SimError> {
+        self.step().map(drop)
+    }
+
+    /// [`try_step`](Self::try_step), answering whether a gate settled
+    /// `Busy`: the machine cannot then be idle on the next cycle, and the
+    /// clock loop need not fold the gates to learn that.
+    fn step(&mut self) -> Result<bool, SimError> {
         let cycle = self.cycle;
         self.cycle += 1;
         // `pipeline_busy` walks every box; only compute it on the cycles
@@ -939,18 +921,29 @@ impl Gpu {
         // `self` lends out the boxes.
         let mut table = std::mem::take(&mut self.table);
         let gated = self.skip_idle;
+        let mut busy = false;
         let mut result = Ok(());
-        for UnitRow { entry, gate, .. } in table.iter_mut() {
+        for UnitRow { entry, gate } in table.iter_mut() {
             let entry = *entry;
-            if gated && gate.asleep(cycle, &self.mem) {
-                // Queued work is no reason to clock a unit: one stalled on
-                // output credits holds it asleep until a credit returns.
-                debug_assert!(
-                    !self.unit(entry).work_horizon().is_busy(),
-                    "{entry:?} left asleep on cycle {cycle} with a Busy horizon, {} queued",
-                    self.unit(entry).queued(),
-                );
-                continue;
+            if gated {
+                // What a wire-less unit's cached horizon misses is work the
+                // rows before it handed over, which only brings its next
+                // event closer: re-read a verdict that would leave it
+                // asleep.
+                if gate.wake.is_none() && gate.idle_until > cycle {
+                    gate.hold(self.unit(entry).work_horizon());
+                }
+                if gate.asleep(cycle, &self.mem) {
+                    // Queued work is no reason to clock a unit: one stalled
+                    // on output credits holds it asleep until a credit
+                    // returns.
+                    debug_assert!(
+                        !self.unit(entry).work_horizon().is_busy(),
+                        "{entry:?} left asleep on cycle {cycle} with a Busy horizon, {} queued",
+                        self.unit(entry).queued(),
+                    );
+                    continue;
+                }
             }
             let step = match entry {
                 ScheduleEntry::Streamer => self.streamer.clock(cycle, &mut self.mem),
@@ -985,7 +978,7 @@ impl Gpu {
                 break;
             }
             if gated {
-                gate.settle(cycle, || self.unit(entry).work_horizon());
+                busy |= gate.settle(cycle, || self.unit(entry).work_horizon());
             } else {
                 // Clocked without consulting the gate: whatever it cached
                 // is stale should `skip_idle` be switched back on.
@@ -995,7 +988,7 @@ impl Gpu {
         self.table = table;
         result?;
         self.stats.tick(cycle);
-        Ok(())
+        Ok(busy)
     }
 
     fn apply_action(&mut self, action: CpAction) {
@@ -1171,7 +1164,6 @@ impl Gpu {
                 cycle: self.cycle,
                 frames: self.frames,
                 cycles_skipped: self.cycles_skipped,
-                horizon_backoff: self.horizon_backoff,
                 commands_consumed: self.cp.commands_processed(),
                 memory: SparseBytes::scan(self.mem.gpu_mem().as_slice()),
                 framebuffers: self.framebuffers.clone(),
@@ -1240,7 +1232,6 @@ impl Gpu {
         gpu.cycle = body.cycle;
         gpu.frames = body.frames;
         gpu.cycles_skipped = body.cycles_skipped;
-        gpu.horizon_backoff = body.horizon_backoff;
         gpu.framebuffers = body.framebuffers.clone();
         // `validate_against` just hashed `commands` to this.
         gpu.trace_hash = ckpt.trace_hash;
@@ -1258,12 +1249,6 @@ impl Gpu {
     /// Total file bytes of the automatic checkpoints written so far.
     pub fn checkpoint_bytes_written(&self) -> u64 {
         self.checkpoint_bytes_written
-    }
-
-    /// Faults tolerated so far under [`OnFault::Report`] (empty under
-    /// [`OnFault::Abort`]).
-    pub fn fault_log(&self) -> &[SimError] {
-        &self.fault_log
     }
 
     /// Snapshots the machine for a post-mortem.
@@ -1306,12 +1291,8 @@ impl Gpu {
         }
     }
 
-    /// Runs a command trace to completion.
-    ///
-    /// Signal verification failures are dispatched through the
-    /// configuration's [`OnFault`] policy: `Abort` stops with
-    /// [`GpuError::Sim`] and a full [`FailureReport`]; `Report` records
-    /// the fault (see [`fault_log`](Self::fault_log)) and keeps running.
+    /// Runs a command trace to completion. A signal verification failure
+    /// stops it with [`GpuError::Sim`] and a full [`FailureReport`].
     ///
     /// # Errors
     ///
@@ -1335,24 +1316,23 @@ impl Gpu {
                     report: Box::new(self.failure_report(None)),
                 });
             }
-            if let Err(e) = self.try_step() {
-                match self.config.on_fault {
-                    OnFault::Abort => {
-                        return Err(GpuError::Sim {
-                            report: Box::new(self.failure_report(Some(e.clone()))),
-                            error: e,
-                        });
-                    }
-                    OnFault::Report => self.fault_log.push(e),
+            let busy = match self.step() {
+                Ok(busy) => busy,
+                Err(error) => {
+                    return Err(GpuError::Sim {
+                        report: Box::new(self.failure_report(Some(error.clone()))),
+                        error,
+                    });
                 }
-            } else if self.skip_idle {
-                // Event-horizon skip: with everything idle until a known
-                // wake-up cycle, jump there. Clamped to the watchdog limit
-                // so expiry fires at exactly the same cycle as per-cycle
-                // clocking would; a fully `Idle` horizon is left to the
-                // loop condition (drained → exit) or the watchdog
-                // (deadlock) rather than jumped.
-                if let Horizon::IdleUntil(wake) = self.poll_horizon() {
+            };
+            // Event-horizon skip: with everything idle until a known
+            // wake-up cycle, jump there. Clamped to the watchdog limit so
+            // expiry fires at exactly the same cycle as per-cycle clocking
+            // would; a fully `Idle` horizon is left to the loop condition
+            // (drained → exit) or the watchdog (deadlock) rather than
+            // jumped.
+            if self.skip_idle && !busy {
+                if let Horizon::IdleUntil(wake) = self.gate_horizon() {
                     let to = wake.min(limit).max(self.cycle);
                     self.skip_to(to);
                 }

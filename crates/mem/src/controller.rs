@@ -620,39 +620,29 @@ impl MemoryController {
         !self.busy() && self.ready_count == 0 && self.finished_uploads.is_empty()
     }
 
-    /// The controller's next completion cycle: the earliest cycle at which
-    /// an in-flight reply becomes deliverable or a system-bus upload
-    /// lands, if anything is in flight at all.
-    pub fn next_completion_cycle(&self) -> Option<Cycle> {
+    /// The controller's event horizon (see
+    /// [`Horizon`](attila_sim::Horizon) for the contract): the earliest
+    /// cycle at which an in-flight reply becomes deliverable, a system-bus
+    /// upload lands or, on a channel holding a queued request, the data
+    /// bus frees.
+    ///
+    /// Exact, not merely safe: the issue loop of [`clock`](Self::clock)
+    /// starts only on a channel whose `busy_until` has passed and that
+    /// holds a request, and bank state changes only at an issue, so a
+    /// clock before every such cycle and every completion is a no-op.
+    /// `Busy` while a delivered reply or a finished upload awaits pickup
+    /// (what keeps a row that collects it from sleeping past it), and
+    /// while a fault schedule is armed: a stall window may open on any
+    /// cycle.
+    pub fn work_horizon(&self) -> attila_sim::Horizon {
+        if self.faults.is_some() || self.ready_count > 0 || !self.finished_uploads.is_empty() {
+            return attila_sim::Horizon::Busy;
+        }
         let reply = self.pending_replies.front().map(|(due, _)| *due);
         // Uploads serialize on the system bus, so the front is earliest.
         let upload = self.system_copies.front().map(|c| c.done_at);
-        match (reply, upload) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// The controller's event horizon (see
-    /// [`Horizon`](attila_sim::Horizon) for the contract).
-    ///
-    /// Conservative on purpose: queued-but-unissued requests depend on
-    /// per-channel DRAM state, delivered replies and finished uploads are
-    /// popped by clients on their next clock, and an armed fault schedule
-    /// may open a stall window at any cycle — all of those force `Busy`.
-    /// Only a controller whose remaining work is purely waiting (scheduled
-    /// reply deliveries, a system-bus transfer in flight) reports
-    /// [`Horizon::IdleUntil`](attila_sim::Horizon::IdleUntil) its
-    /// [`next_completion_cycle`](Self::next_completion_cycle).
-    pub fn work_horizon(&self) -> attila_sim::Horizon {
-        if self.queued_requests > 0
-            || self.faults.is_some()
-            || self.ready_count > 0
-            || !self.finished_uploads.is_empty()
-        {
-            return attila_sim::Horizon::Busy;
-        }
-        attila_sim::Horizon::from_event(self.next_completion_cycle())
+        let issue = self.channels.iter().filter(|c| c.queued > 0).map(|c| c.dram.busy_until());
+        attila_sim::Horizon::from_event(issue.chain(reply).chain(upload).min())
     }
 
     /// Total bytes read from GPU memory.
@@ -924,6 +914,53 @@ mod tests {
         assert!(c.work_horizon().is_busy(), "an unpopped reply pins the controller Busy");
         assert_eq!(c.pop_reply(Client::ZStencil(1)).map(|r| r.id), Some(7));
         assert!(!c.has_reply(Client::ZStencil(1)));
+    }
+
+    #[test]
+    fn a_request_behind_a_busy_channel_sleeps_until_the_bus_frees() {
+        // Two reads on channel 0: the first issues on cycle 0, the second
+        // queues behind it.
+        let read = |id, client| MemRequest { id, client, addr: 1024 * id, op: MemOp::Read { size: 64 } };
+        let mut c = ctl();
+        c.submit(read(1, Client::Streamer)).unwrap();
+        c.clock(0);
+        c.submit(read(2, Client::Texture(0))).unwrap();
+        let free_at = c.channel(0).busy_until();
+        assert!(free_at > 1, "the first read holds the bus past cycle 1");
+        assert_eq!(c.work_horizon(), attila_sim::Horizon::IdleUntil(free_at));
+        // Every clock before then is a no-op.
+        let observe = |c: &MemoryController| {
+            let slots = c.free_slots(Client::Texture(0), 2048);
+            let rows = (c.row_hits(), c.row_misses(), c.row_conflicts(), c.turnarounds());
+            let replies = (c.has_reply(Client::Streamer), c.has_reply(Client::Texture(0)));
+            (slots, c.bytes_read(), rows, replies, c.work_horizon())
+        };
+        let before = observe(&c);
+        for cycle in 1..free_at {
+            c.clock(cycle);
+            assert_eq!(observe(&c), before, "cycle {cycle} of a horizon to {free_at}");
+        }
+        c.clock(free_at);
+        assert_eq!(c.bytes_read(), 128, "the queued read issues as the bus frees");
+    }
+
+    #[test]
+    fn a_submit_to_a_free_channel_is_due_at_once() {
+        let mut c = ctl();
+        for cycle in 0..50 {
+            c.clock(cycle);
+        }
+        c.submit(MemRequest {
+            id: 1,
+            client: Client::Streamer,
+            addr: 0,
+            op: MemOp::Read { size: 64 },
+        })
+        .unwrap();
+        let h = c.work_horizon();
+        assert!(matches!(h, attila_sim::Horizon::IdleUntil(t) if t <= 50), "{h:?}");
+        c.clock(50);
+        assert_eq!(c.bytes_read(), 64, "issued on the cycle it was submitted for");
     }
 
     #[test]

@@ -254,12 +254,6 @@ impl WireSlot {
 pub struct WakeLine(Rc<Cell<Cycle>>);
 
 impl WakeLine {
-    /// A line that always reports input due: its box is never left
-    /// unclocked. For units nothing could wake (no input wires at all).
-    pub fn always_due() -> Self {
-        WakeLine(Rc::new(Cell::new(Cycle::MAX)))
-    }
-
     /// The latest cycle at which a written object reaches the box; the box
     /// has no wire input due on any later cycle (until the next write).
     #[inline]

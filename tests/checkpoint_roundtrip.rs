@@ -375,11 +375,11 @@ fn corrupted_body_fails_the_crc() {
 fn wrong_format_version_is_refused() {
     let (path, text) = write_valid_checkpoint("version");
     let current = format!("\"version\": {FORMAT_VERSION}");
-    // 999 is a future format; 2 is the run-length format this one
-    // replaced, whose files the gate must turn away before it looks at
-    // their body.
-    assert_eq!(FORMAT_VERSION, 3);
-    for other in [999u64, 2] {
+    // 999 is a future format; 3 carried the retired horizon back-off
+    // counter and 2 is the run-length format, whose files the gate must
+    // turn away before it looks at their body.
+    assert_eq!(FORMAT_VERSION, 4);
+    for other in [999u64, 3, 2] {
         let changed = text.replace(&current, &format!("\"version\": {other}"));
         assert_ne!(changed, text, "version field must be present to change");
         std::fs::write(&path, changed).unwrap();
@@ -766,14 +766,15 @@ fn mutated_files_never_panic_across_512_seeds() {
 #[test]
 fn checkpoint_text_is_pinned() {
     // Recorded at 1621d28, before the per-box state lists replaced the
-    // hand-written codec: the format is version 3, byte for byte. A
-    // deliberate format change bumps FORMAT_VERSION and these together.
-    // The CRC alone moved (0xa83a_bbd1 before) when a retired option left
-    // `GpuConfig`: `config_hash` hashes the config's JSON, and the hash is
-    // a fixed-width field, so the length and the format stay.
+    // hand-written codec, as version 3 (179 776 bytes). A deliberate format
+    // change bumps FORMAT_VERSION and these together. Version 4 drops the
+    // body's 44-byte line holding the horizon back-off counter; the rest
+    // of the text differs from version 3 only in the version digit,
+    // `config_hash` (the `on_fault` option left `GpuConfig`, whose JSON it
+    // hashes) and the `body_crc` over the shorter body.
     let text = valid_text_with_a_frame();
-    assert_eq!(FORMAT_VERSION, 3);
-    assert_eq!((text.len(), crc32(text.as_bytes())), (179_776, 0xd910_0622));
+    assert_eq!(FORMAT_VERSION, 4);
+    assert_eq!((text.len(), crc32(text.as_bytes())), (179_732, 0x3cda_b1e3));
 }
 
 fn hex(v: u64) -> Json {

@@ -1,9 +1,8 @@
 //! Chaos tests: injected faults must surface as the matching
-//! [`SimError`] variant, name the offending signal and cycle in the
-//! failure report, and — under `OnFault::Report` — be logged instead of
-//! killing the run.
+//! [`SimError`] variant and name the offending signal and cycle in the
+//! failure report.
 
-use attila::core::config::{GpuConfig, OnFault};
+use attila::core::config::GpuConfig;
 use attila::core::gpu::{Gpu, GpuError};
 use attila::gl::{compile, workloads};
 use attila::sim::{FaultInjector, FaultPlan, FaultWrite, SimError};
@@ -18,11 +17,10 @@ fn commands() -> Vec<attila::core::commands::GpuCommand> {
     compile(trace.width, trace.height, &trace.calls).expect("compiles")
 }
 
-fn gpu(on_fault: OnFault, injector: &mut FaultInjector) -> Gpu {
+fn gpu(injector: &mut FaultInjector) -> Gpu {
     let mut config = GpuConfig::baseline();
     config.display.width = W;
     config.display.height = H;
-    config.on_fault = on_fault;
     let mut gpu = Gpu::new(config);
     gpu.max_cycles = 2_000_000;
     gpu.arm_faults(injector).expect("plans name real signals");
@@ -39,7 +37,7 @@ fn duplicate_write_surfaces_as_bandwidth_exceeded() {
         signal: VERTEX_WIRE.into(),
         write: FaultWrite::Nth(1),
     });
-    let mut gpu = gpu(OnFault::Abort, &mut inj);
+    let mut gpu = gpu(&mut inj);
     let err = gpu.run_trace(&commands()).expect_err("fault must abort the run");
     let GpuError::Sim { error, report } = err else {
         panic!("expected a Sim error, got {err:?}");
@@ -65,7 +63,7 @@ fn positive_delay_surfaces_as_data_lost() {
         write: FaultWrite::Nth(0),
         delay: 500,
     });
-    let mut gpu = gpu(OnFault::Abort, &mut inj);
+    let mut gpu = gpu(&mut inj);
     let err = gpu.run_trace(&commands()).expect_err("fault must abort the run");
     let GpuError::Sim { error, .. } = err else {
         panic!("expected a Sim error, got {err:?}");
@@ -84,7 +82,7 @@ fn negative_delay_surfaces_as_time_travel() {
         write: FaultWrite::Nth(2),
         delay: -1_000_000,
     });
-    let mut gpu = gpu(OnFault::Abort, &mut inj);
+    let mut gpu = gpu(&mut inj);
     let err = gpu.run_trace(&commands()).expect_err("fault must abort the run");
     let GpuError::Sim { error, report } = err else {
         panic!("expected a Sim error, got {err:?}");
@@ -104,7 +102,7 @@ fn memory_stall_hangs_the_pipeline_into_the_watchdog() {
     // and the watchdog report must say who is stuck.
     let mut inj = FaultInjector::new(4)
         .with(FaultPlan::StallMemory { at: 1_000, cycles: 100_000_000 });
-    let mut gpu = gpu(OnFault::Abort, &mut inj);
+    let mut gpu = gpu(&mut inj);
     gpu.max_cycles = 100_000;
     let err = gpu.run_trace(&commands()).expect_err("a frozen controller must hang");
     let GpuError::Watchdog { limit, report } = err else {
@@ -131,29 +129,12 @@ fn bit_flip_corrupts_the_frame_but_completes() {
     // fetches, consumed functionally before the reply returns): the flip
     // lands in texture memory the sampler reads for later quads.
     let mut inj = FaultInjector::new(5).with(FaultPlan::FlipBits { reply: 12, bit: 7 });
-    let mut gpu = gpu(OnFault::Abort, &mut inj);
+    let mut gpu = gpu(&mut inj);
     let result = gpu.run_trace(&commands()).expect("a silent DRAM error is not a SimError");
     assert_eq!(inj.faults_delivered(), 1, "the flip must have hit a reply");
     assert_eq!(result.framebuffers.len(), clean.framebuffers.len());
     assert_ne!(
         result.framebuffers[0].rgba, clean.framebuffers[0].rgba,
         "a flipped texture bit must show up in the rendered frame"
-    );
-}
-
-#[test]
-fn report_policy_logs_and_continues() {
-    let mut inj = FaultInjector::new(7).with(FaultPlan::Delay {
-        signal: VERTEX_WIRE.into(),
-        write: FaultWrite::Nth(2),
-        delay: -1_000_000,
-    });
-    let mut gpu = gpu(OnFault::Report, &mut inj);
-    let result = gpu.run_trace(&commands()).expect("report policy must not abort");
-    assert_eq!(result.framebuffers.len(), 1);
-    assert!(
-        gpu.fault_log().iter().any(|e| matches!(e, SimError::TimeTravel { .. })),
-        "the time-travel fault must be in the log: {:?}",
-        gpu.fault_log()
     );
 }

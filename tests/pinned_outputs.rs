@@ -44,8 +44,9 @@ fn cli_trace(name: &str) -> GlTrace {
     }
 }
 
-/// One line per scene: `name cycles csv-digest frame-digest…`.
-fn outcome(name: &str) -> String {
+/// One line per scene, `name cycles csv-digest frame-digest…`, and the
+/// cycles the clock loop jumped over.
+fn outcome(name: &str) -> (String, u64) {
     let trace = cli_trace(name);
     let commands = GlPlayer::new().replay(&trace).expect("trace replays");
     let mut config = GpuConfig::baseline();
@@ -61,7 +62,7 @@ fn outcome(name: &str) -> String {
     for frame in &result.framebuffers {
         line += &format!(" {:016x}", fnv1a(&frame.rgba));
     }
-    line
+    (line, gpu.cycles_skipped())
 }
 
 /// `cycles`, then the FNV-64 of `stats().csv()` (equal to that of the
@@ -73,12 +74,21 @@ const PINNED: [&str; 4] = [
     "texture_stream 23931 f3484820b783842b c2dc5c68095ecb6e 86905c155d90a609",
 ];
 
+/// `cycles_skipped` of each scene at ad85ddb, where the clock loop still
+/// jumped by a fresh fold of every unit's horizon behind a 32-step back-off
+/// and the memory controller clocked on every stepped cycle. Reading the
+/// gates instead may only find more idle cycles, never fewer.
+const SKIPPED_FLOOR: [u64; 4] = [15_300, 2_332, 13_425, 15_309];
+
 #[test]
 fn cli_scenes_are_pinned() {
     let names = ["doom3", "fillrate", "ut2004", "texture_stream"];
-    let actual: Vec<String> = names.iter().map(|n| outcome(n)).collect();
+    let (actual, skipped): (Vec<String>, Vec<u64>) = names.iter().map(|n| outcome(n)).unzip();
     assert_eq!(
         actual, PINNED,
         "a pinned scene moved; the measured table is on the left"
     );
+    for ((name, skipped), floor) in names.iter().zip(skipped).zip(SKIPPED_FLOOR) {
+        assert!(skipped >= floor, "{name} skipped {skipped} cycles, fewer than {floor}");
+    }
 }
