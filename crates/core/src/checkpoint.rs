@@ -9,7 +9,7 @@
 //! carries. Transient state (objects on wires, partially processed
 //! batches) is provably empty and never serialized.
 //!
-//! # File format (version 4)
+//! # File format (version 5)
 //!
 //! One pretty-printed JSON object, written through the in-repo
 //! `attila-json`:
@@ -17,7 +17,7 @@
 //! ```text
 //! {
 //!   "magic":       "ATTILA-CKPT",
-//!   "version":     4,
+//!   "version":     5,
 //!   "config_hash": "<fnv1a64 of the config's JSON, hex>",
 //!   "trace_hash":  "<fnv1a64 of the canonical trace encoding, hex>",
 //!   "body_crc":    <crc32 of the body's compact rendering>,
@@ -31,8 +31,8 @@
 //! the config/trace hashes differ from the run being resumed; any other
 //! format version gets [`SimError::CheckpointVersion`] carrying the
 //! version found. A resumed run is bit-identical to one that never
-//! stopped; `tests/checkpoint_roundtrip.rs` proves it across seeds,
-//! checkpoint cycles and active fault injection.
+//! stopped; `tests/checkpoint_roundtrip.rs` proves it across seeds and
+//! checkpoint cycles.
 //!
 //! `u64` values are 16-digit hex strings because the JSON number line
 //! (`f64`) is only exact up to ±2^53; Hierarchical-Z entries travel as
@@ -44,7 +44,7 @@
 //! This module owns the container and the body's header: `cycle`,
 //! `frames`, `cycles_skipped`, `commands_consumed`, the memory image and
 //! the kept frames. Every other key of the body
-//! (`mem_ctrl` … `fault`) is the state of one box, and the box's own file
+//! (`mem_ctrl` … `signals`) is the state of one box, and the box's own file
 //! both renders and reads it through [`attila_json::JsonState`];
 //! [`CheckpointBody::boxes`] carries those keys as the parsed tree and
 //! `Gpu`'s own state list pairs each with the field that owns it. Key
@@ -112,8 +112,9 @@ pub const MAGIC: &str = "ATTILA-CKPT";
 /// snapshots (`banks` replaces `open_pages` in each channel); 3 = bulk
 /// bytes as sparse hex extents (replacing `[count, value, …]` run
 /// lengths); 4 = the horizon back-off counter left the body's header (the
-/// clock loop keeps no state between its jumps).
-pub const FORMAT_VERSION: u64 = 4;
+/// clock loop keeps no state between its jumps); 5 = the fault injector's
+/// `fault` key left the body (fault injection is gone).
+pub const FORMAT_VERSION: u64 = 5;
 
 /// Most bytes [`Checkpoint::write_file`] hands to one `write` call.
 const WRITE_CHUNK: usize = 64 << 10;
@@ -461,7 +462,7 @@ pub struct CheckpointBody {
     /// Framebuffer dumps accumulated so far (when
     /// [`keep_frames`](crate::gpu::Gpu::keep_frames) is on).
     pub framebuffers: Vec<FrameDump>,
-    /// Every other key of the body in file order, `mem_ctrl` … `fault`,
+    /// Every other key of the body in file order, `mem_ctrl` … `signals`,
     /// as one object: one key per stateful box, holding the tree that box
     /// rendered ([`Gpu::capture_checkpoint`](crate::gpu::Gpu::capture_checkpoint))
     /// and will decode ([`Gpu::restore`](crate::gpu::Gpu::restore)).

@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use attila_emu::fragops::DEPTH_MAX;
 use attila_json::{impl_json_state, JsonState};
 use attila_mem::{Client, MemoryController};
-use attila_sim::{Cycle, FaultInjector, Horizon, SignalBinder, SimError, StatsRegistry, WakeLine};
+use attila_sim::{Cycle, Horizon, SignalBinder, SimError, StatsRegistry, WakeLine};
 
 use crate::address::pixel_address;
 use crate::checkpoint::{mismatch, refused, Checkpoint, CheckpointBody, SparseBytes};
@@ -104,8 +104,7 @@ pub enum GpuError {
         /// Machine snapshot at expiry.
         report: Box<FailureReport>,
     },
-    /// A signal verification check failed (possibly via an injected
-    /// fault).
+    /// A signal verification check failed.
     Sim {
         /// The underlying verification error.
         error: SimError,
@@ -176,10 +175,8 @@ pub struct Gpu {
     /// Do not clock what is provably idle: the schedule walk leaves
     /// individual sleeping boxes unclocked (DESIGN.md §14) and the clock
     /// loop jumps over cycles in which the whole machine is idle (the
-    /// event-horizon scheduler). On by default;
-    /// [`arm_faults`](Self::arm_faults) turns it off because injected
-    /// faults consult per-clock state the horizon cannot see. Results are
-    /// bit-identical either way — only wall-clock time changes.
+    /// event-horizon scheduler). On by default. Results are bit-identical
+    /// either way — only wall-clock time changes.
     pub skip_idle: bool,
     /// Cycles the scheduler jumped over (a plain field, *not* a stats
     /// counter: the stats CSV must be identical with skipping on or off).
@@ -211,14 +208,11 @@ pub struct Gpu {
     checkpoints_written: u64,
     /// Their total file bytes.
     checkpoint_bytes_written: u64,
-    /// A fault injector adopted via [`adopt_faults`](Self::adopt_faults),
-    /// owned so checkpoints carry its progress.
-    fault_injector: Option<FaultInjector>,
 }
 
 // `CheckpointBody::boxes`: the boxes' keys in file order, each with the
 // field that owns the state. A field added to the machine and to neither
-// list is a compile error; only the injector (`fault`) may be absent.
+// list is a compile error.
 impl_json_state!(Gpu {
     mem as mem_ctrl: state,
     cp: state,
@@ -235,7 +229,6 @@ impl_json_state!(Gpu {
     dac as dac_next_id: state,
     stats: state,
     binder as signals: state,
-    fault_injector as fault: state,
 } skip {
     "configuration": config;
     "wiring: ports and statistics only": clipper;
@@ -349,9 +342,6 @@ impl BoxGate {
 }
 
 impl Gpu {
-    /// Events retained by the forensic trace a fault injector arms.
-    const FORENSIC_TRACE_EVENTS: usize = 32;
-
     /// Builds the GPU described by `config`.
     ///
     /// # Panics
@@ -704,7 +694,6 @@ impl Gpu {
             trace_hash: crate::checkpoint::trace_hash(&[]),
             checkpoints_written: 0,
             checkpoint_bytes_written: 0,
-            fault_injector: None,
         };
         // Each row asks the binder and its unit for what the gate needs. A
         // unit reads a wire exactly when it holds a port (a credit return,
@@ -756,9 +745,7 @@ impl Gpu {
     /// `capacity` events (0 = unbounded — long runs will use a lot of
     /// memory, exactly why the real tool streams to disk).
     pub fn enable_signal_trace(&mut self, capacity: usize) -> attila_sim::TraceSink {
-        let sink: attila_sim::TraceSink = std::rc::Rc::new(std::cell::RefCell::new(
-            attila_sim::SignalTrace::with_capacity(capacity),
-        ));
+        let sink = attila_sim::SignalTrace::new_sink(capacity);
         self.binder.attach_trace(&sink);
         // The memory controller is not signal-wired; it records one
         // `mem.ch{c}.bank{b}` event per DRAM issue directly into the sink
@@ -1077,60 +1064,6 @@ impl Gpu {
         Ok(FrameDump { width, height, rgba })
     }
 
-    /// Arms a fault injector against this GPU: every signal-level plan is
-    /// compiled into a hook attached (by name) to the target wire, and
-    /// memory-level plans are handed to the memory controller. Also
-    /// enables a small forensic signal trace so failure reports carry the
-    /// last events before death.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GpuError::BadConfig`] when a plan names a signal that is
-    /// not registered in this pipeline.
-    pub fn arm_faults(&mut self, injector: &mut FaultInjector) -> Result<(), GpuError> {
-        // Injected faults (stall windows, per-cycle hooks) consult state
-        // the horizon cannot see; never skip cycles on a faulty machine.
-        self.skip_idle = false;
-        let targets: Vec<String> = injector
-            .plans()
-            .iter()
-            .filter_map(|p| p.signal().map(str::to_string))
-            .collect();
-        for name in targets {
-            let hook = injector.signal_hook(&name).expect("plan names this signal");
-            self.binder.attach_faults(&name, hook).map_err(|e| {
-                GpuError::BadConfig(format!("fault plan targets an unknown signal: {e}"))
-            })?;
-        }
-        if let Some(hook) = injector.mem_hook() {
-            self.mem.inject_faults(hook);
-        }
-        if self.trace.is_none() {
-            self.enable_signal_trace(Self::FORENSIC_TRACE_EVENTS);
-        }
-        Ok(())
-    }
-
-    /// Like [`arm_faults`](Self::arm_faults), but takes ownership of the
-    /// injector so automatic checkpoints carry its progress (RNG
-    /// position, per-hook write indices, delivery counters) and a resumed
-    /// run replays the exact same fault schedule.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GpuError::BadConfig`] when a plan names a signal that is
-    /// not registered in this pipeline.
-    pub fn adopt_faults(&mut self, mut injector: FaultInjector) -> Result<(), GpuError> {
-        self.arm_faults(&mut injector)?;
-        self.fault_injector = Some(injector);
-        Ok(())
-    }
-
-    /// The fault injector adopted via [`adopt_faults`](Self::adopt_faults).
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.fault_injector.as_ref()
-    }
-
     /// Whether the machine sits at a quiescent point: the Command
     /// Processor is at a command boundary, no box holds work, the memory
     /// controller is fully drained, the DAC has no pending refresh reads
@@ -1179,10 +1112,9 @@ impl Gpu {
     /// trace bit-identically to a run that never stopped.
     ///
     /// `commands` must be the *full* trace of the original run.
-    /// `injector`, when the original run was chaos-tested via
-    /// [`adopt_faults`](Self::adopt_faults), must carry the same seed and
-    /// plans so its hooks recompile identically before their progress is
-    /// restored.
+    /// `_unused` is always `None`: the parameter is kept only so the
+    /// repo benchmark's `Gpu::restore(.., &read, None)` call still
+    /// compiles.
     ///
     /// # Errors
     ///
@@ -1196,7 +1128,7 @@ impl Gpu {
         config: GpuConfig,
         commands: &[GpuCommand],
         ckpt: &Checkpoint,
-        injector: Option<FaultInjector>,
+        _unused: Option<std::convert::Infallible>,
     ) -> Result<Gpu, SimError> {
         ckpt.validate_against(&config, commands)?;
         let body = &ckpt.body;
@@ -1208,10 +1140,6 @@ impl Gpu {
             )));
         }
         let mut gpu = Gpu::new(config);
-        if let Some(injector) = injector {
-            gpu.adopt_faults(injector)
-                .map_err(|e| mismatch(format!("cannot re-arm the fault injector: {e}")))?;
-        }
         // Fresh from `Gpu::new`, so the image is all zeros, which is what lets
         // the extents be written and nothing else ("omitted page = zero").
         body.memory.write_into(gpu.mem.gpu_mem_mut())?;
@@ -1267,6 +1195,10 @@ impl Gpu {
             let asleep = self.skip_idle && row.gate.asleep(self.cycle, &self.mem);
             status(self.unit(row.entry), asleep.then_some(&row.gate))
         }));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a post-mortem copy out of the trace sink, a write-only observer of the wires"
+        )]
         let recent_events = self
             .trace
             .as_ref()
@@ -1472,6 +1404,50 @@ mod tests {
         // 10 ms is 6000 frames per second.
         let r = RunResult { cycles: 4_000_000, frames: 60, framebuffers: Vec::new() };
         assert!((r.fps(400) - 6000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn run_trace_reports_an_oversubscribed_wire() {
+        // Primitive Assembly returns a credit for every vertex it pops
+        // without asking the wire for room: fill the credit wire's
+        // bandwidth on the cycle of the first pop, and that pop is one
+        // write too many.
+        const WIRE: &str = "Streamer->PA.vertices.credits";
+        let commands = [
+            GpuCommand::SetState(Box::default()),
+            GpuCommand::Draw(crate::commands::DrawCall {
+                primitive: crate::commands::Primitive::Triangles,
+                vertex_count: 3,
+                index_buffer: None,
+            }),
+        ];
+        let started = |cycle| {
+            let mut gpu = Gpu::new(GpuConfig::baseline());
+            gpu.enqueue(&commands);
+            while gpu.cycle < cycle && gpu.binder.probe(WIRE).unwrap().status().written == 0 {
+                gpu.try_step().expect("a healthy run");
+            }
+            gpu
+        };
+        // Boxes clock at `cycle` and then the counter advances.
+        let pop = started(Cycle::MAX).cycle - 1;
+        let mut gpu = started(pop);
+        let credits = gpu.pa.in_verts.credit_wire();
+        for _ in 0..credits.bandwidth() {
+            credits.write(pop, 1).expect("within the bandwidth");
+        }
+        let Err(GpuError::Sim { error, report }) = gpu.run_trace(&[]) else {
+            panic!("an over-subscribed wire must stop the run");
+        };
+        assert!(
+            matches!(&error, SimError::BandwidthExceeded { signal, cycle, .. }
+                if signal == WIRE && *cycle == pop),
+            "{error:?}"
+        );
+        assert_eq!(report.error.as_ref(), Some(&error));
+        let text = report.to_string();
+        assert!(text.contains(&format!("`{WIRE}` exceeded its bandwidth")), "{text}");
+        assert!(text.contains(&format!("at cycle {pop}")), "{text}");
     }
 
     #[test]

@@ -34,8 +34,8 @@ impl<T: std::fmt::Debug> PortSender<T> {
     ///
     /// # Errors
     ///
-    /// Propagates any [`SimError`] raised by the credit signal (e.g. a
-    /// fault injected on it).
+    /// Propagates any [`SimError`] raised by the credit signal (e.g. data
+    /// loss when a return was left unread).
     pub fn try_update(&mut self, cycle: Cycle) -> Result<(), SimError> {
         while let Some(n) = self.credits_back.try_read(cycle)? {
             self.credits += n as usize;
@@ -69,8 +69,8 @@ impl<T: std::fmt::Debug> PortSender<T> {
     /// # Errors
     ///
     /// Propagates any [`SimError`] from the data signal — in particular
-    /// [`SimError::BandwidthExceeded`] when an injected fault duplicates
-    /// the write on a saturated wire.
+    /// [`SimError::BandwidthExceeded`] when the wire already carried its
+    /// bandwidth this cycle.
     ///
     /// # Panics
     ///
@@ -127,8 +127,8 @@ impl<T: std::fmt::Debug> PortReceiver<T> {
     /// # Errors
     ///
     /// Propagates any [`SimError`] raised by the data signal — e.g.
-    /// [`SimError::DataLost`] when an injected delay made an object
-    /// arrive out of order and fall off the wire unread.
+    /// [`SimError::DataLost`] when an object arrived on a cycle the port
+    /// was not updated and fell off the wire unread.
     pub fn try_update(&mut self, cycle: Cycle) -> Result<(), SimError> {
         while let Some(obj) = self.data.try_read(cycle)? {
             debug_assert!(
@@ -139,6 +139,13 @@ impl<T: std::fmt::Debug> PortReceiver<T> {
             self.queue.push_back(obj);
         }
         Ok(())
+    }
+
+    /// The credit-return wire, for tests that drive it past its bandwidth
+    /// (a box returns credits without asking the wire for room).
+    #[cfg(test)]
+    pub(crate) fn credit_wire(&mut self) -> &mut SignalWriter<u32> {
+        &mut self.credits_out
     }
 
     /// Takes the next object from the input queue, returning a credit to

@@ -45,8 +45,9 @@ pub struct FailureReport {
     pub boxes: Vec<BoxStatus>,
     /// Health counters of every registered signal, in name order.
     pub signals: Vec<SignalStatus>,
-    /// The most recent signal-trace events (empty unless tracing was
-    /// enabled, e.g. by arming a fault injector).
+    /// The most recent signal-trace events (empty unless signal tracing
+    /// was enabled with
+    /// [`Gpu::enable_signal_trace`](crate::gpu::Gpu::enable_signal_trace)).
     pub recent_events: Vec<TraceEvent>,
 }
 

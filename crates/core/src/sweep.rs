@@ -14,6 +14,11 @@
 //! deterministic clock loop, so per-config results are also identical to a
 //! serial run of the same config.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the job queue is a Mutex shared by host threads, each running its own Gpu; no box reaches it"
+)]
+
 use std::sync::{Arc, Mutex};
 
 use crate::commands::GpuCommand;

@@ -19,7 +19,6 @@
 use std::collections::VecDeque;
 
 use attila_json::{array, field, field_with, FromJson, HexJson, Json, JsonError, JsonState, ToJson};
-use attila_sim::fault::MemFaultHandle;
 use attila_sim::{Cycle, SignalName, TraceEvent, TraceSink};
 
 use crate::gddr::{interleave, Direction, GddrChannel, GddrTiming, IssueReport};
@@ -279,8 +278,6 @@ pub struct MemoryController {
     bytes_written: u64,
     /// Bytes moved for each client, indexed by [`Client::index`].
     per_client_bytes: Box<[u64]>,
-    /// Injected fault schedule (stalls, reply bit flips), when armed.
-    faults: Option<MemFaultHandle>,
     /// Signal-trace sink for per-bank DRAM issue events, when attached.
     trace: Option<TraceSink>,
 }
@@ -312,7 +309,6 @@ impl MemoryController {
             bytes_read: 0,
             bytes_written: 0,
             per_client_bytes: vec![0; Client::SLOTS].into_boxed_slice(),
-            faults: None,
             trace: None,
         }
     }
@@ -335,14 +331,6 @@ impl MemoryController {
                 .collect();
         }
         self.trace = Some(sink);
-    }
-
-    /// Arms an injected fault schedule (see
-    /// [`FaultInjector`](attila_sim::FaultInjector)): the controller
-    /// freezes during scheduled stall windows and flips scheduled bits in
-    /// read replies.
-    pub fn inject_faults(&mut self, hook: MemFaultHandle) {
-        self.faults = Some(hook);
     }
 
     /// The controller configuration.
@@ -455,14 +443,6 @@ impl MemoryController {
     /// Advances the controller one cycle: issues queued requests to idle
     /// channels, applies functional effects, and delivers due replies.
     pub fn clock(&mut self, cycle: Cycle) {
-        // An injected stall freezes the whole controller: nothing is
-        // issued, completed or delivered while the window is open.
-        if let Some(f) = &self.faults {
-            // lint:allow(shared-mut) shared with the fault injector that owns the schedule, not with another box
-            if f.borrow_mut().stalled(cycle) {
-                return;
-            }
-        }
         // Complete system-bus uploads.
         while let Some(copy) = self.system_copies.front() {
             if copy.done_at <= cycle {
@@ -517,7 +497,7 @@ impl MemoryController {
                     self.trace_issue(ch_idx, report, dir);
                 }
                 // Functional effect, in channel issue order.
-                let mut reply = match req.op {
+                let reply = match req.op {
                     MemOp::Read { size } => {
                         let data = self.gpu_mem.read_vec(req.addr, size as usize);
                         self.bytes_read += size as u64;
@@ -537,23 +517,6 @@ impl MemoryController {
                         MemReply { id: req.id, client: req.client, addr: req.addr, data: Vec::new() }
                     }
                 };
-                if dir == Direction::Read {
-                    if let Some(f) = &self.faults {
-                        // A scheduled single-bit error: the DRAM cell itself
-                        // is flipped, so the corruption reaches both this
-                        // reply and every later functional read.
-                        // lint:allow(shared-mut) shared with the fault injector that owns the schedule, not with another box
-                        if let Some(bit) = f.borrow_mut().next_read_flip() {
-                            let mask = 1u8 << bit;
-                            let mut byte = [0u8; 1];
-                            self.gpu_mem.read(reply.addr, &mut byte);
-                            self.gpu_mem.write(reply.addr, &[byte[0] ^ mask]);
-                            if let Some(first) = reply.data.first_mut() {
-                                *first ^= mask;
-                            }
-                        }
-                    }
-                }
                 self.per_client_bytes[req.client.index()] += u64::from(size);
                 let latency_extra = if dir == Direction::Read {
                     self.channels[ch_idx].dram.read_latency()
@@ -581,8 +544,7 @@ impl MemoryController {
     /// Records one DRAM issue on the channel/bank's interned signal.
     ///
     /// Out of line and cold: tracing is a debug mode that accepts
-    /// formatting costs, exactly like the fault hooks above. The hot path
-    /// pays only the `is_some` check.
+    /// formatting costs. The hot path pays only the `is_some` check.
     #[cold]
     fn trace_issue(&self, ch_idx: usize, report: IssueReport, dir: Direction) {
         let Some(sink) = &self.trace else { return };
@@ -599,7 +561,10 @@ impl MemoryController {
             report.start,
             report.done
         );
-        // lint:allow(shared-mut) the trace sink is a write-only observer, not a channel to another box
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the trace sink is a write-only observer, not a channel to another box"
+        )]
         sink.borrow_mut().push(TraceEvent { cycle: report.done, signal: signal.clone(), info });
     }
 
@@ -631,11 +596,9 @@ impl MemoryController {
     /// holds a request, and bank state changes only at an issue, so a
     /// clock before every such cycle and every completion is a no-op.
     /// `Busy` while a delivered reply or a finished upload awaits pickup
-    /// (what keeps a row that collects it from sleeping past it), and
-    /// while a fault schedule is armed: a stall window may open on any
-    /// cycle.
+    /// (what keeps a row that collects it from sleeping past it).
     pub fn work_horizon(&self) -> attila_sim::Horizon {
-        if self.faults.is_some() || self.ready_count > 0 || !self.finished_uploads.is_empty() {
+        if self.ready_count > 0 || !self.finished_uploads.is_empty() {
             return attila_sim::Horizon::Busy;
         }
         let reply = self.pending_replies.front().map(|(due, _)| *due);
@@ -728,8 +691,7 @@ impl JsonState for MemoryController {
             system_copies: _,
             finished_uploads: _,
             queued_requests: _,
-            // Re-armed or re-attached per run.
-            faults: _,
+            // Re-attached per run.
             trace: _,
         } = self;
         let per_channel = |state: &dyn Fn(&ChannelState) -> Json| {
@@ -766,7 +728,6 @@ impl JsonState for MemoryController {
             system_copies: _,
             finished_uploads: _,
             queued_requests: _,
-            faults: _,
             trace: _,
         } = self;
         let drams = field_with(v, "channels", array)?;
@@ -1158,7 +1119,7 @@ mod tests {
     fn attached_trace_records_bank_events() {
         use attila_sim::SignalTrace;
         let mut c = ctl();
-        c.attach_trace(SignalTrace::new_sink());
+        c.attach_trace(SignalTrace::new_sink(0));
         c.submit(MemRequest {
             id: 1,
             client: Client::Streamer,
@@ -1168,6 +1129,7 @@ mod tests {
         .unwrap();
         run_until_reply(&mut c, Client::Streamer, 0, 200);
         let sink = c.trace.clone().expect("sink attached");
+        #[expect(clippy::disallowed_methods, reason = "the test reads what the sink recorded")]
         let trace = sink.borrow();
         assert_eq!(trace.len(), 1);
         let ev = &trace.events()[0];

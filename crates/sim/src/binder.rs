@@ -74,7 +74,7 @@ pub struct SignalInfo {
 pub struct SignalBinder {
     signals: BTreeMap<String, SignalInfo>,
     /// Type-erased handles onto the live wires, in id (registration)
-    /// order: post-mortem reporting, faults and traces attached by name,
+    /// order: post-mortem reporting, traces attached by name,
     /// and the wires whose table word says to ask the core.
     probes: Vec<SignalProbe>,
     /// Signal name → id (index into `probes` and the wire table).
@@ -157,20 +157,6 @@ impl SignalBinder {
     /// returns alike. `None` for a box that reads no registered wire.
     pub fn wake_line(&self, box_name: &str) -> Option<WakeLine> {
         self.wake_lines.get(box_name).cloned()
-    }
-
-    /// Attaches a compiled fault schedule to a registered signal by name
-    /// (see [`FaultInjector`](crate::FaultInjector)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownSignal`] if no signal has that name.
-    pub fn attach_faults(
-        &self,
-        name: &str,
-        hook: crate::fault::SignalFaultHandle,
-    ) -> Result<(), SimError> {
-        self.probe(name).map(|p| p.attach_faults(hook))
     }
 
     /// Attaches a Signal Trace Visualizer sink to every registered *data*
@@ -375,7 +361,7 @@ mod tests {
         let (mut traced, mut rx2) = b.register::<u32>("traced", "B", "C", 1, 4).unwrap();
         // A traced wire pins its table word: nothing may be concluded from
         // it, in flight or empty.
-        traced.attach_trace(crate::SignalTrace::new_sink());
+        traced.attach_trace(crate::SignalTrace::new_sink(0));
         assert_eq!(b.next_event_cycle(), None);
         plain.write(0, 1).unwrap(); // arrives at 9
         traced.write(0, 2).unwrap(); // arrives at 4

@@ -71,7 +71,6 @@
 
 pub mod binder;
 pub mod error;
-pub mod fault;
 pub mod horizon;
 pub mod name;
 pub mod object;
@@ -83,7 +82,6 @@ pub mod viz;
 
 pub use binder::{SignalBinder, SignalInfo};
 pub use error::SimError;
-pub use fault::{FaultInjector, FaultPlan, FaultWrite, MemFaultHandle, SignalFaultHandle};
 pub use horizon::Horizon;
 pub use name::SignalName;
 pub use object::{DynamicObject, ObjectIdGen, Traceable};

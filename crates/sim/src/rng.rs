@@ -1,15 +1,13 @@
 //! A tiny deterministic pseudo-random number generator.
 //!
-//! The simulator needs reproducible randomness in two places: synthetic
-//! workload generation (vertex jitter, texture noise) and fault-injection
-//! schedules. Both must replay bit-identically from a seed across runs
+//! The simulator needs reproducible randomness for synthetic workload
+//! generation (vertex jitter, texture noise) and seeded tests. Both must
+//! replay bit-identically from a seed across runs
 //! and platforms, so the generator is a fixed algorithm owned by this
 //! crate rather than an external dependency: SplitMix64 (Steele et al.,
 //! *Fast Splittable Pseudorandom Number Generators*, OOPSLA 2014) — a
 //! 64-bit state mixed through two xor-shift-multiply rounds, passing
 //! BigCrush while being a handful of instructions per draw.
-
-use crate::Cycle;
 
 /// A seeded SplitMix64 generator.
 ///
@@ -37,19 +35,6 @@ impl TinyRng {
         TinyRng { state: seed }
     }
 
-    /// The current 64-bit internal state, for checkpointing. Restoring it
-    /// with [`set_state`](TinyRng::set_state) resumes the stream exactly
-    /// where it left off.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Overwrites the internal state with one captured by
-    /// [`state`](TinyRng::state).
-    pub fn set_state(&mut self, state: u64) {
-        self.state = state;
-    }
-
     /// The next raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -74,13 +59,6 @@ impl TinyRng {
             return lo;
         }
         lo + self.next_u64() % (hi - lo)
-    }
-
-    /// A uniform cycle number in `[lo, hi)` (alias of [`range_u64`]).
-    ///
-    /// [`range_u64`]: TinyRng::range_u64
-    pub fn range_cycle(&mut self, lo: Cycle, hi: Cycle) -> Cycle {
-        self.range_u64(lo, hi)
     }
 
     /// A uniform float in `[lo, hi)`. Empty ranges return `lo`.

@@ -34,10 +34,9 @@
 //! arrival cycle of the front in-flight object (`due`) and the latest
 //! cycle either endpoint has observed (`latest`). The core maintains `due`
 //! after every change to its ring; readers answer "nothing due" from the
-//! word alone. A wire with a fault hook or a trace sink
-//! *pins* `due` to `DUE_PINNED` (zero), so every operation on it falls through
-//! to the core — those features live there and keep their exact
-//! behaviour.
+//! word alone. A wire with a trace sink *pins* `due` to `DUE_PINNED`
+//! (zero), so every operation on it falls through to the core, where the
+//! sink lives.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -45,46 +44,36 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::error::SimError;
-use crate::fault::{SignalFaultHandle, SignalFaultKind};
 use crate::name::SignalName;
 use crate::trace::{TraceEvent, TraceSink};
 use crate::Cycle;
 
 /// Upper bound on the preallocated ring, so a pathological
-/// `latency × bandwidth` product cannot balloon memory; traffic beyond it
-/// overflows into the growable spill queue.
+/// `latency × bandwidth` product cannot balloon memory up front; a wire
+/// that large grows its ring on demand instead.
 const RING_SLOTS_MAX: usize = 4096;
 
-/// Fixed-capacity FIFO holding a signal's in-flight objects, sized once at
-/// bind time to `(latency + 1) × bandwidth` slots — the most a healthy wire
-/// can ever hold (`bandwidth` writes per cycle, each resident for `latency`
-/// cycles plus the arrival cycle itself).
+/// FIFO holding a signal's in-flight objects, sized once at bind time to
+/// `(latency + 1) × bandwidth` slots — the most a wire can ever hold
+/// (`bandwidth` writes per cycle, each resident for `latency` cycles plus
+/// the arrival cycle itself), so steady-state pushes and pops never
+/// allocate.
 ///
-/// Steady-state pushes and pops touch only the preallocated slot array: no
-/// allocation, no pointer chasing. Only an injected delay fault can extend
-/// an object's residence past that bound; such writes overflow into a
-/// growable spill queue, logically ordered *after* every ring slot. FIFO
-/// (write) order is preserved by routing every push to the spill while it
-/// is non-empty.
+/// Every write arrives `latency` cycles after its cycle and a wire refuses
+/// writes into the past, so arrivals are monotone: the front is the
+/// earliest, the back the latest.
 struct Ring<T> {
-    /// The circular buffer itself. `VecDeque` is a power-of-two ring
-    /// buffer; preallocating [`ring_capacity`] slots at bind time means a
-    /// healthy wire can never outgrow it, so steady-state pushes and pops
-    /// never allocate. Only an injected delay fault can extend an object's
-    /// residence past `latency` and push occupancy over the preallocated
-    /// capacity; that one growth step is the "spill" path.
+    /// The circular buffer itself (`VecDeque` is a power-of-two ring
+    /// buffer, preallocated to [`ring_capacity`] slots).
     q: VecDeque<(Cycle, T)>,
     /// Arrival of the most recent push, valid while non-empty: the back of
     /// the queue without re-reading its slot.
     back_arrival: Cycle,
-    /// `false` once an arrival was pushed behind a later one (delay
-    /// faults); while `true`, min/max arrival are the front/back in O(1).
-    sorted: bool,
 }
 
 impl<T> Ring<T> {
     fn with_capacity(slots: usize) -> Self {
-        Ring { q: VecDeque::with_capacity(slots.max(1)), back_arrival: 0, sorted: true }
+        Ring { q: VecDeque::with_capacity(slots.max(1)), back_arrival: 0 }
     }
 
     fn len(&self) -> usize {
@@ -96,44 +85,27 @@ impl<T> Ring<T> {
     }
 
     fn push_back(&mut self, arrival: Cycle, obj: T) {
-        if !self.q.is_empty() && arrival < self.back_arrival {
-            self.sorted = false;
-        }
+        debug_assert!(
+            self.q.is_empty() || arrival >= self.back_arrival,
+            "arrival {arrival} pushed behind {}",
+            self.back_arrival
+        );
         self.back_arrival = arrival;
         self.q.push_back((arrival, obj));
     }
 
     fn pop_front(&mut self) -> Option<(Cycle, T)> {
-        let popped = self.q.pop_front();
-        if self.q.is_empty() {
-            self.sorted = true;
-        }
-        popped
+        self.q.pop_front()
     }
 
-    fn iter(&self) -> impl Iterator<Item = &(Cycle, T)> {
-        self.q.iter()
-    }
-
-    /// The earliest arrival among in-flight objects: O(1) while arrivals
-    /// are monotone (every un-faulted wire), a scan otherwise.
+    /// The earliest arrival among in-flight objects.
     fn min_arrival(&self) -> Option<Cycle> {
-        if self.sorted {
-            self.front().map(|(arrival, _)| *arrival)
-        } else {
-            self.iter().map(|(arrival, _)| *arrival).min()
-        }
+        self.front().map(|(arrival, _)| *arrival)
     }
 
-    /// The latest arrival among in-flight objects (see [`min_arrival`](Self::min_arrival)).
+    /// The latest arrival among in-flight objects.
     fn max_arrival(&self) -> Option<Cycle> {
-        if self.q.is_empty() {
-            None
-        } else if self.sorted {
-            Some(self.back_arrival)
-        } else {
-            self.iter().map(|(arrival, _)| *arrival).max()
-        }
+        (!self.q.is_empty()).then_some(self.back_arrival)
     }
 }
 
@@ -150,7 +122,7 @@ pub(crate) fn ring_capacity(bandwidth: usize, latency: Cycle) -> usize {
 }
 
 /// `due` value of a wire whose every operation must go through the core
-/// (fault hook or trace sink armed). Zero is never later than
+/// (trace sink attached). Zero is never later than
 /// the polled cycle, so the fast paths never take it for "nothing due".
 const DUE_PINNED: Cycle = 0;
 
@@ -274,7 +246,7 @@ struct SignalCore<T> {
     name: SignalName,
     bandwidth: usize,
     latency: Cycle,
-    /// Objects in flight, in write order (arrival order unless faulted).
+    /// Objects in flight, in write (and so arrival) order.
     in_flight: Ring<T>,
     /// The wire's table words: `due`, kept in step with `in_flight` by
     /// [`sync_due`](Self::sync_due), and the latest observed cycle.
@@ -285,15 +257,12 @@ struct SignalCore<T> {
     /// the core — resets the budget without touching this field.
     writes_this_cycle: usize,
     writes_at: Cycle,
-    /// Whether the wire is faulted or traced; see
-    /// [`repin`](Self::repin).
-    pinned: bool,
     total_written: u64,
     total_read: u64,
     total_lost: u64,
+    /// The trace sink, when attached; a traced wire is *pinned*: its
+    /// `due` word stays [`DUE_PINNED`].
     trace: Option<TraceSink>,
-    /// Injected fault schedule, consulted on every write when armed.
-    faults: Option<SignalFaultHandle>,
     /// The reader box's wake line, raised by every write.
     wake: WakeLine,
 }
@@ -309,25 +278,14 @@ impl<T: fmt::Debug> SignalCore<T> {
         }
     }
 
-    /// Re-derives `pinned` and the `due` word after a change to the
-    /// conditions that pin a wire: every operation on a faulted or traced
-    /// wire must reach the core.
-    fn repin(&mut self) {
-        self.pinned = self.faults.is_some() || self.trace.is_some();
-        self.sync_due();
-    }
-
     /// Re-derives the `due` word from the ring. Called after a pop; a push
     /// only ever lowers the word (see [`write`](Self::write)).
     #[inline]
     fn sync_due(&self) {
-        let due = if self.pinned {
+        let due = if self.trace.is_some() {
             DUE_PINNED
         } else {
-            // Only a delay fault writes arrivals out of order, and a
-            // faulted wire is pinned: here the front is the earliest.
-            debug_assert!(self.in_flight.sorted);
-            self.in_flight.front().map_or(Cycle::MAX, |(arrival, _)| *arrival)
+            self.in_flight.min_arrival().unwrap_or(Cycle::MAX)
         };
         self.wire.words().due.set(due);
     }
@@ -360,23 +318,6 @@ impl<T: fmt::Debug> SignalCore<T> {
     }
 
     fn write(&mut self, cycle: Cycle, obj: T) -> Result<(), SimError> {
-        // Consult the fault schedule first: a fault may shift this write in
-        // time, drop it, or double-latch it.
-        let fault = match &self.faults {
-            Some(hook) => hook.borrow_mut().next_write(),
-            None => None,
-        };
-        let mut cycle = cycle;
-        let mut extra_latency: Cycle = 0;
-        let mut dropped = false;
-        let mut slots = 1;
-        match fault {
-            Some(SignalFaultKind::Drop) => dropped = true,
-            Some(SignalFaultKind::Delay(d)) if d >= 0 => extra_latency = d as Cycle,
-            Some(SignalFaultKind::Delay(d)) => cycle = cycle.saturating_sub(d.unsigned_abs()),
-            Some(SignalFaultKind::Duplicate) => slots = 2,
-            None => {}
-        }
         let latest = self.wire.latest();
         if cycle < latest {
             return Err(SimError::TimeTravel { signal: self.name.clone(), cycle, latest });
@@ -387,22 +328,16 @@ impl<T: fmt::Debug> SignalCore<T> {
         let used = if self.writes_at == cycle { self.writes_this_cycle } else { 0 };
         self.writes_at = cycle;
         self.writes_this_cycle = used;
-        if used + slots > self.bandwidth {
+        if used >= self.bandwidth {
             return Err(SimError::BandwidthExceeded {
                 signal: self.name.clone(),
                 cycle,
                 bandwidth: self.bandwidth,
             });
         }
-        self.writes_this_cycle += slots;
-        if dropped {
-            // The latch clocked (its bandwidth slot is spent) but the value
-            // never entered the wire.
-            self.total_lost += 1;
-            return Ok(());
-        }
+        self.writes_this_cycle += 1;
         self.total_written += 1;
-        let arrival = cycle + self.latency + extra_latency;
+        let arrival = cycle + self.latency;
         if let Some(trace) = &self.trace {
             trace.borrow_mut().push(TraceEvent {
                 cycle: arrival,
@@ -426,10 +361,6 @@ impl<T: fmt::Debug> SignalCore<T> {
     }
 
     /// The earliest delivery cycle among in-flight objects, if any.
-    ///
-    /// Objects are appended in write order and the latency is fixed, so the
-    /// ring is normally sorted by arrival (O(1) minimum); an injected delay
-    /// fault can perturb that, falling back to a scan.
     fn next_arrival(&self) -> Option<Cycle> {
         self.in_flight.min_arrival()
     }
@@ -515,12 +446,10 @@ impl<T: fmt::Debug> Signal<T> {
             wire: wire.clone(),
             writes_this_cycle: 0,
             writes_at: 0,
-            pinned: false,
             total_written: 0,
             total_read: 0,
             total_lost: 0,
             trace: None,
-            faults: None,
             wake,
         }));
         let writer = SignalWriter {
@@ -605,13 +534,6 @@ impl<T: fmt::Debug> SignalWriter<T> {
         ProbeOps::attach_trace(&*self.core, sink);
     }
 
-    /// Attaches a compiled fault schedule (see
-    /// [`FaultInjector`](crate::FaultInjector)); every subsequent write
-    /// consults it.
-    pub fn attach_faults(&mut self, hook: SignalFaultHandle) {
-        ProbeOps::attach_faults(&*self.core, hook);
-    }
-
     /// The signal's configured bandwidth in objects per cycle.
     pub fn bandwidth(&self) -> usize {
         self.decl_bandwidth
@@ -642,7 +564,7 @@ impl<T: fmt::Debug> SignalWriter<T> {
 
     /// A type-erased handle onto this signal's shared state, used by the
     /// [`SignalBinder`](crate::SignalBinder) for post-mortem reporting and
-    /// for attaching faults and trace sinks by name.
+    /// for attaching trace sinks by name.
     pub fn probe(&self) -> SignalProbe
     where
         T: 'static,
@@ -663,7 +585,7 @@ pub struct SignalStatus {
     pub written: u64,
     /// Total objects ever read.
     pub read: u64,
-    /// Total objects dropped (late, or destroyed by an injected fault).
+    /// Total objects that fell off the wire unread (data loss).
     pub lost: u64,
 }
 
@@ -671,7 +593,6 @@ pub struct SignalStatus {
 trait ProbeOps {
     fn name(&self) -> SignalName;
     fn status(&self) -> SignalStatus;
-    fn attach_faults(&self, hook: SignalFaultHandle);
     fn attach_trace(&self, sink: TraceSink);
     fn next_arrival(&self) -> Option<Cycle>;
     fn drain_cycle(&self) -> Option<Cycle>;
@@ -694,16 +615,10 @@ impl<T: fmt::Debug> ProbeOps for RefCell<SignalCore<T>> {
         }
     }
 
-    fn attach_faults(&self, hook: SignalFaultHandle) {
-        let mut core = self.borrow_mut();
-        core.faults = Some(hook);
-        core.repin();
-    }
-
     fn attach_trace(&self, sink: TraceSink) {
         let mut core = self.borrow_mut();
         core.trace = Some(sink);
-        core.repin();
+        core.sync_due();
     }
 
     fn next_arrival(&self) -> Option<Cycle> {
@@ -724,8 +639,8 @@ impl<T: fmt::Debug> ProbeOps for RefCell<SignalCore<T>> {
 
 /// A type-erased handle onto a signal's shared state (see
 /// [`SignalWriter::probe`]). The binder keeps one per registered signal so
-/// failure reports can snapshot every wire and faults or trace sinks can
-/// be attached to a wire by name without knowing its payload type.
+/// failure reports can snapshot every wire and trace sinks can be
+/// attached to a wire by name without knowing its payload type.
 #[derive(Clone)]
 pub struct SignalProbe {
     ops: Rc<dyn ProbeOps>,
@@ -740,12 +655,6 @@ impl SignalProbe {
     /// Snapshots the signal's health counters.
     pub fn status(&self) -> SignalStatus {
         self.ops.status()
-    }
-
-    /// Attaches a compiled fault schedule to the underlying signal;
-    /// every subsequent write consults it.
-    pub fn attach_faults(&self, hook: SignalFaultHandle) {
-        self.ops.attach_faults(hook);
     }
 
     /// Attaches a trace sink to the underlying signal; every object
@@ -902,8 +811,8 @@ impl<T: fmt::Debug> SignalReader<T> {
         self.core.borrow().total_read
     }
 
-    /// Total number of objects dropped (by an injected fault, or by the
-    /// data loss that failed verification).
+    /// Total number of objects dropped by the data loss that failed
+    /// verification.
     pub fn total_lost(&self) -> u64 {
         self.core.borrow().total_lost
     }

@@ -43,7 +43,7 @@ pub type TraceSink = Rc<RefCell<SignalTrace>>;
 /// ```
 /// use attila_sim::{Signal, SignalTrace};
 ///
-/// let sink = SignalTrace::new_sink();
+/// let sink = SignalTrace::new_sink(0);
 /// let (mut tx, mut rx) = Signal::<u32>::with_name("a->b", 1, 2);
 /// tx.attach_trace(sink.clone());
 /// tx.write(0, 42).unwrap();
@@ -72,9 +72,10 @@ impl SignalTrace {
         SignalTrace { events: Vec::new(), capacity, dropped: 0 }
     }
 
-    /// Convenience: a shareable, unbounded sink.
-    pub fn new_sink() -> TraceSink {
-        Rc::new(RefCell::new(SignalTrace::new()))
+    /// A shareable sink retaining at most `capacity` most-recent events
+    /// (0 = unbounded).
+    pub fn new_sink(capacity: usize) -> TraceSink {
+        Rc::new(RefCell::new(SignalTrace::with_capacity(capacity)))
     }
 
     /// Appends an event (called by traced signals).

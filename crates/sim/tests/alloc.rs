@@ -2,7 +2,7 @@
 //! in steady state.
 //!
 //! The ring transport preallocates `(latency + 1) × bandwidth` slots at
-//! bind time, so a healthy (un-faulted) wire never grows its backing
+//! bind time, so a wire never grows its backing
 //! storage: every write and read after construction must touch only the
 //! preallocated ring. This test swaps in a counting global allocator and
 //! asserts that a saturated write/read workload performs **zero**

@@ -10,7 +10,7 @@ use attila::sim::{Signal, SignalTrace};
 
 fn main() {
     // A three-stage pipeline: A -> B -> C with different latencies.
-    let sink = SignalTrace::new_sink();
+    let sink = SignalTrace::new_sink(0);
     let (mut ab_tx, mut ab_rx) = Signal::<u32>::with_name("A->B", 2, 3);
     let (mut bc_tx, mut bc_rx) = Signal::<u32>::with_name("B->C", 1, 5);
     ab_tx.attach_trace(sink.clone());

@@ -14,10 +14,9 @@
 //! * [`gl`] — the OpenGL-subset framework: library, driver, trace
 //!   capture/replay and synthetic workloads (paper §4).
 //!
-//! Three further workspace crates are not re-exported: `attila-json` (the
-//! dependency-free JSON library behind config files and captured traces),
-//! `attila-lint` (the source linter, `cargo run -p attila-lint`) and
-//! `attila-bench` (the harnesses regenerating the paper's tables and
+//! Two further workspace crates are not re-exported: `attila-json` (the
+//! dependency-free JSON library behind config files and captured traces)
+//! and `attila-bench` (the harnesses regenerating the paper's tables and
 //! figures).
 //!
 //! ## Quickstart

@@ -6,8 +6,7 @@
 //! checkpoint must be **bit-identical** — final cycle count, every
 //! statistic, every frame — to the same run never interrupted. It is
 //! exercised across 64 seeds with varying checkpoint cadence and kill
-//! cycles, with a fault-injection campaign active for a quarter of them
-//! (the injector's RNG and delivery progress are part of the snapshot).
+//! cycles.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -18,7 +17,7 @@ use attila::core::config::GpuConfig;
 use attila::core::gpu::Gpu;
 use attila::core::{trace_hash, Checkpoint, ShaderScheduling};
 use attila::gl::{compile, workloads, GlCall};
-use attila::sim::{FaultInjector, FaultPlan, SimError, TinyRng};
+use attila::sim::{SimError, TinyRng};
 use attila_json::Json;
 
 const W: u32 = 48;
@@ -45,16 +44,6 @@ fn config() -> GpuConfig {
     config.display.width = W;
     config.display.height = H;
     config
-}
-
-fn fault_for(seed: u64) -> FaultInjector {
-    // A silent DRAM bit-flip mid-run: the injector's reply counter and
-    // RNG are part of the snapshot, so the flip lands exactly once no
-    // matter where the run was interrupted.
-    FaultInjector::new(seed).with(FaultPlan::FlipBits {
-        reply: 10 + seed % 30,
-        bit: (seed as u32) % 8,
-    })
 }
 
 /// Everything that must match bit-for-bit between the two runs.
@@ -129,12 +118,9 @@ fn tmp_ckpt(tag: &str, seed: u64) -> PathBuf {
 }
 
 /// The uninterrupted reference run.
-fn baseline(faults: Option<u64>) -> (FinalState, u64) {
+fn baseline() -> (FinalState, u64) {
     let mut gpu = Gpu::new(config());
     gpu.max_cycles = 50_000_000;
-    if let Some(seed) = faults {
-        gpu.adopt_faults(fault_for(seed)).expect("plan names real hooks");
-    }
     let result = gpu.run_trace(scene()).expect("baseline drains");
     let cycles = gpu.cycle();
     (final_state(&gpu, &result.framebuffers), cycles)
@@ -144,9 +130,8 @@ fn baseline(faults: Option<u64>) -> (FinalState, u64) {
 /// then restore from whatever checkpoint survived and run to the end.
 /// Returns `None` if the kill landed before the first quiescent point
 /// (no checkpoint on disk yet — nothing to resume).
-fn killed_and_resumed(seed: u64, kill_at: u64, every: u64, faults: bool) -> Option<FinalState> {
-    let tag = if faults { "fault" } else { "plain" };
-    let path = tmp_ckpt(tag, seed);
+fn killed_and_resumed(seed: u64, kill_at: u64, every: u64) -> Option<FinalState> {
+    let path = tmp_ckpt("plain", seed);
     let _ = std::fs::remove_file(&path);
 
     // Leg 1: run with checkpoints enabled and a deliberately tiny
@@ -157,9 +142,6 @@ fn killed_and_resumed(seed: u64, kill_at: u64, every: u64, faults: bool) -> Opti
     gpu.max_cycles = kill_at;
     gpu.checkpoint_every = Some(every);
     gpu.checkpoint_path = Some(path.clone());
-    if faults {
-        gpu.adopt_faults(fault_for(seed)).expect("plan names real hooks");
-    }
     let first = gpu.run_trace(scene());
     if first.is_ok() {
         // Kill point past the end of the trace: nothing was interrupted.
@@ -181,9 +163,8 @@ fn killed_and_resumed(seed: u64, kill_at: u64, every: u64, faults: bool) -> Opti
         ckpt.body.cycle,
         kill_at
     );
-    let injector = faults.then(|| fault_for(seed));
     let mut gpu =
-        Gpu::restore(config(), scene(), &ckpt, injector).expect("restore from valid checkpoint");
+        Gpu::restore(config(), scene(), &ckpt, None).expect("restore from valid checkpoint");
     gpu.max_cycles = 50_000_000;
     let result = gpu.run_trace(&[]).expect("resumed run drains");
     let _ = std::fs::remove_file(&path);
@@ -192,29 +173,21 @@ fn killed_and_resumed(seed: u64, kill_at: u64, every: u64, faults: bool) -> Opti
 
 #[test]
 fn restore_equals_never_stopped_across_64_seeds() {
-    let (reference, total_cycles) = baseline(None);
-    let (reference_faulty, total_cycles_faulty) = baseline(Some(7));
+    let (reference, total) = baseline();
     assert_eq!(reference.frames.len(), 3);
 
     let mut resumed_runs = 0;
     for seed in 0..64u64 {
-        let faults = seed % 4 == 3; // every 4th seed runs under injection
-        let (reference, total) = if faults {
-            (&reference_faulty, total_cycles_faulty)
-        } else {
-            (&reference, total_cycles)
-        };
         // Kill cycles sweep 30%..95% of the run; cadence sweeps 50..~2000
         // cycles so the surviving checkpoint lands on different quiescent
         // points across seeds.
         let kill_at = total * (30 + seed) / 100;
         let every = 50 + (seed * 577) % 2000;
-        let Some(resumed) = killed_and_resumed(if faults { 7 } else { seed }, kill_at, every, faults)
-        else {
+        let Some(resumed) = killed_and_resumed(seed, kill_at, every) else {
             continue;
         };
         resumed_runs += 1;
-        resumed.assert_matches(reference, &format!("seed {seed} (faults={faults})"));
+        resumed.assert_matches(&reference, &format!("seed {seed}"));
     }
     // The sweep must actually exercise restore, not trivially skip.
     assert!(
@@ -273,7 +246,7 @@ fn resume_from_a_capture_taken_with_boxes_asleep() {
     // scheduler has boxes asleep must restore into a machine whose gates
     // are all awake (they re-derive sleep from the restored boxes) and
     // still finish bit-identically.
-    let (reference, total) = baseline(None);
+    let (reference, total) = baseline();
     let mut gpu = Gpu::new(config());
     // Enables trace logging for the hash; never fires on its own.
     gpu.checkpoint_every = Some(1 << 40);
@@ -307,7 +280,7 @@ fn checkpoint_survives_process_exit_semantics() {
     // finish the run. Everything flows through the serialized JSON.
     let path = tmp_ckpt("exit", 0);
     let _ = std::fs::remove_file(&path);
-    let (reference, total) = baseline(None);
+    let (reference, total) = baseline();
     let mut gpu = Gpu::new(config());
     gpu.max_cycles = total * 2 / 3;
     gpu.checkpoint_every = Some(400);
@@ -375,11 +348,12 @@ fn corrupted_body_fails_the_crc() {
 fn wrong_format_version_is_refused() {
     let (path, text) = write_valid_checkpoint("version");
     let current = format!("\"version\": {FORMAT_VERSION}");
-    // 999 is a future format; 3 carried the retired horizon back-off
-    // counter and 2 is the run-length format, whose files the gate must
-    // turn away before it looks at their body.
-    assert_eq!(FORMAT_VERSION, 4);
-    for other in [999u64, 3, 2] {
+    // 999 is a future format; 4 carried the retired fault injector's
+    // `fault` key, 3 the retired horizon back-off counter and 2 is the
+    // run-length format, whose files the gate must turn away before it
+    // looks at their body.
+    assert_eq!(FORMAT_VERSION, 5);
+    for other in [999u64, 4, 3, 2] {
         let changed = text.replace(&current, &format!("\"version\": {other}"));
         assert_ne!(changed, text, "version field must be present to change");
         std::fs::write(&path, changed).unwrap();
@@ -489,7 +463,7 @@ fn assert_file_is_byte_proportional(gpu: &Gpu, commands: &[GpuCommand], tag: &st
 
 #[test]
 fn file_size_is_proportional_to_the_live_pages() {
-    let (_, total) = baseline(None);
+    let (_, total) = baseline();
     let gpu = quiescent_machine(config(), scene(), total / 3);
     assert_file_is_byte_proportional(&gpu, scene(), "size-scene");
 
@@ -603,7 +577,7 @@ fn with_body(text: &str, mutate: impl FnOnce(&mut Json)) -> Json {
 /// A checkpoint of [`scene`] past its first frame, as file text: three
 /// memory extents and one kept frame.
 fn valid_text_with_a_frame() -> String {
-    let (_, total) = baseline(None);
+    let (_, total) = baseline();
     let gpu = quiescent_machine(config(), scene(), total / 2);
     let text = gpu.capture_checkpoint().to_json().pretty();
     let ckpt = Checkpoint::from_json(&attila_json::parse(&text).unwrap()).expect("valid");
@@ -771,10 +745,13 @@ fn checkpoint_text_is_pinned() {
     // body's 44-byte line holding the horizon back-off counter; the rest
     // of the text differs from version 3 only in the version digit,
     // `config_hash` (the `on_fault` option left `GpuConfig`, whose JSON it
-    // hashes) and the `body_crc` over the shorter body.
+    // hashes) and the `body_crc` over the shorter body. Version 5 drops the
+    // body's last key, the 19 bytes of `,\n    "fault": null` (fault
+    // injection is gone); the rest differs from version 4 only in the
+    // version digit and `body_crc`.
     let text = valid_text_with_a_frame();
-    assert_eq!(FORMAT_VERSION, 4);
-    assert_eq!((text.len(), crc32(text.as_bytes())), (179_732, 0x3cda_b1e3));
+    assert_eq!(FORMAT_VERSION, 5);
+    assert_eq!((text.len(), crc32(text.as_bytes())), (179_713, 0x5dd2_0a66));
 }
 
 fn hex(v: u64) -> Json {
@@ -917,7 +894,7 @@ fn every_scalar_leaf_survives_a_hostile_value() {
     // ones and the resumed tail closes more.
     let mut config = config();
     config.stats.window_cycles = 256;
-    let (_, total) = baseline(None);
+    let (_, total) = baseline();
     let gpu = quiescent_machine(config.clone(), scene(), total / 2);
     let mut doc = gpu.capture_checkpoint().to_json();
     assert!(gpu.stats().windows_closed() >= 8, "the file must carry closed windows");
@@ -1006,7 +983,7 @@ fn running_trace_hash_is_chunk_independent_and_survives_restore() {
 
     // A restored machine picks the hash up where the file left it: more
     // commands enqueued on it hash as the longer trace.
-    let (_, total) = baseline(None);
+    let (_, total) = baseline();
     let gpu = quiescent_machine(config(), scene(), total / 2);
     let ckpt = gpu.capture_checkpoint();
     assert_eq!(ckpt.trace_hash, whole);

@@ -15,8 +15,8 @@ fn cli_rejects_removed_arguments() {
         (&["serve"], "serve"),
         (&["serve", "--smoke"], "serve"),
         (&["--workload", "quickstart", "--retry-limit", "3"], "--retry-limit"),
-        // The source linter is `cargo run -p attila-lint`; the wiring is
-        // checked where it is registered, so there is no `lint` at all.
+        // Source rules are clippy's; the wiring is checked where it is
+        // registered, so there is no `lint` at all.
         (&["lint"], "lint"),
         (&["lint", "--source"], "lint"),
         (&["lint", "--all-presets"], "lint"),

@@ -65,7 +65,7 @@ fn tracing_reaches_every_data_wire_and_no_credit_wire() {
         let data = binder.iter().filter(|s| !s.name.ends_with(".credits")).count();
         // Every `port()` registers one data and one credit wire.
         assert_eq!(data * 2, binder.len(), "{preset}");
-        assert_eq!(binder.attach_trace(&SignalTrace::new_sink()), data, "{preset}");
+        assert_eq!(binder.attach_trace(&SignalTrace::new_sink(0)), data, "{preset}");
     }
 }
 
