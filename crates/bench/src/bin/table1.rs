@@ -5,6 +5,7 @@
 
 use attila_bench::{is_full_run, run_workload};
 use attila_core::config::GpuConfig;
+use attila_core::ffifo::GROUP_LANES;
 use attila_gl::workloads;
 
 fn main() {
@@ -87,8 +88,8 @@ fn main() {
     );
     row(
         "Fragment Shader",
-        &format!("{} frag/cyc", c.shader.group_size),
-        &format!("{} frag/cyc", c.shader.group_size),
+        &format!("{GROUP_LANES} frag/cyc"),
+        &format!("{GROUP_LANES} frag/cyc"),
         c.shader.max_inputs / c.shader.fragment_units,
         "variable".into(),
     );
@@ -96,7 +97,7 @@ fn main() {
     println!(
         "memory: {} channels x {} B/cyc, {} B system bus x2; shader pool: {} units, {} inputs, {} registers",
         c.memory.channels,
-        c.memory.bytes_per_cycle_per_channel,
+        attila_mem::MAX_TRANSACTION as u64 / c.memory.transfer_cycles,
         c.memory.system_bus_bytes_per_cycle,
         c.shader.fragment_units,
         c.shader.max_inputs,

@@ -79,13 +79,13 @@ impl Unit for Clipper {
     }
 
     /// Busy while a queued triangle awaits the trivial-reject test and the
-    /// output holds a credit; otherwise the input wire's next arrival
-    /// (`clock` returns before popping when it cannot send).
+    /// output holds a credit; otherwise idle (`clock` returns before
+    /// popping when it cannot send).
     fn work_horizon(&self) -> Horizon {
         if !self.in_tris.is_empty() && self.out_tris.credits() > 0 {
             return Horizon::Busy;
         }
-        Horizon::from_event(self.in_tris.next_arrival())
+        Horizon::Idle
     }
 
     fn queued(&self) -> usize {

@@ -188,13 +188,13 @@ impl Unit for ColorWriteUnit {
         !self.in_early.idle() || !self.in_late.idle() || self.rop.outstanding()
     }
 
-    /// Busy while cache fills or writebacks are outstanding, otherwise
-    /// the earliest arrival across both quad wires.
+    /// Busy while cache fills or writebacks are outstanding or a quad is
+    /// queued on either input, otherwise idle.
     fn work_horizon(&self) -> Horizon {
-        if self.rop.outstanding() {
+        if self.rop.outstanding() || !self.in_early.is_empty() || !self.in_late.is_empty() {
             return Horizon::Busy;
         }
-        self.in_early.work_horizon().meet(self.in_late.work_horizon())
+        Horizon::Idle
     }
 
     fn queued(&self) -> usize {

@@ -87,9 +87,9 @@ pub struct FragGenConfig {
     /// Stage latency in cycles (Table 1: 1).
     pub latency: u64,
     /// 8×8 fragment tiles emitted per cycle (Table 1: 2×64 fragments).
+    /// The tile edge is the framebuffer tiling level,
+    /// [`FB_TILE`](crate::address::FB_TILE).
     pub tiles_per_cycle: u32,
-    /// Generation tile size in pixels (second/third tiling level: 8).
-    pub tile_size: u32,
     /// Traversal algorithm (recursive is ATTILA's default).
     pub traversal: Traversal,
 }
@@ -122,10 +122,9 @@ pub struct HzConfig {
     pub input_queue: usize,
     /// Tiles tested per cycle (Table 1: up to two 8×8 tiles).
     pub tiles_per_cycle: u32,
-    /// Test latency in cycles.
+    /// Test latency in cycles. One HZ entry covers one
+    /// [`FB_TILE`](crate::address::FB_TILE)-edged block.
     pub latency: u64,
-    /// HZ block edge in pixels (one HZ entry covers `block`×`block`).
-    pub block_size: u32,
     /// Depth precision of on-chip HZ entries in bits (paper: 8 bits,
     /// 256 KB for 4096×4096).
     pub depth_bits: u32,
@@ -227,10 +226,9 @@ pub struct ShaderConfig {
     pub temp_registers: usize,
     /// Scheduling model (thread window vs in-order input queue).
     pub scheduling: ShaderScheduling,
-    /// Instructions issued per group per cycle (fetch width).
+    /// Instructions issued per group per cycle (fetch width). A group is
+    /// [`GROUP_LANES`](crate::ffifo::GROUP_LANES) inputs: one 2×2 quad.
     pub issue_per_cycle: u32,
-    /// Inputs per thread group (fragments are processed as 2×2 quads: 4).
-    pub group_size: u32,
     /// Per-opcode execution latencies in cycles — the paper's
     /// "instruction dependent number of execution stages (configurable,
     /// currently ranging from 1 to 9 cycles)". Keys are mnemonics.
@@ -265,9 +263,8 @@ pub struct MemoryConfig {
     pub channels: usize,
     /// Channel interleave granularity in bytes (256).
     pub interleave_bytes: u64,
-    /// Bytes per cycle per channel — fixed at 16 by the 64-bit DDR model.
-    pub bytes_per_cycle_per_channel: u32,
-    /// Transfer cycles per 64-byte transaction (4).
+    /// Transfer cycles per 64-byte transaction (4: 16 bytes per cycle on
+    /// the 64-bit DDR model).
     pub transfer_cycles: u64,
     /// tRCD — cycles from row ACTIVATE until a column command may issue;
     /// the cost of a row miss (bank idle).
@@ -381,14 +378,13 @@ impl_json_struct!(StreamerConfig {
 impl_json_struct!(PrimitiveAssemblyConfig { input_queue, latency });
 impl_json_struct!(ClipperConfig { input_queue, latency });
 impl_json_struct!(SetupConfig { input_queue, latency });
-impl_json_struct!(FragGenConfig { input_queue, latency, tiles_per_cycle, tile_size, traversal });
+impl_json_struct!(FragGenConfig { input_queue, latency, tiles_per_cycle, traversal });
 impl_json_enum_unit!(Traversal { Recursive, TileScan });
 impl_json_struct!(HzConfig {
     enabled,
     input_queue,
     tiles_per_cycle,
     latency,
-    block_size,
     depth_bits,
 });
 impl_json_struct!(RopConfig { units, frags_per_cycle, input_queue, latency, cache, compression });
@@ -405,14 +401,12 @@ impl_json_struct!(ShaderConfig {
     temp_registers,
     scheduling,
     issue_per_cycle,
-    group_size,
     instruction_latencies,
 });
 impl_json_struct!(TextureConfig { units, bilinears_per_cycle, request_queue, cache, max_aniso });
 impl_json_struct!(MemoryConfig {
     channels,
     interleave_bytes,
-    bytes_per_cycle_per_channel,
     transfer_cycles,
     t_rcd,
     t_rp,
@@ -469,7 +463,6 @@ impl GpuConfig {
                 input_queue: 16,
                 latency: 1,
                 tiles_per_cycle: 2,
-                tile_size: 8,
                 traversal: Traversal::Recursive,
             },
             hz: HzConfig {
@@ -477,7 +470,6 @@ impl GpuConfig {
                 input_queue: 64,
                 tiles_per_cycle: 2,
                 latency: 1,
-                block_size: 8,
                 depth_bits: 8,
             },
             zstencil: RopConfig {
@@ -511,7 +503,6 @@ impl GpuConfig {
                 temp_registers: 448 * 2,
                 scheduling: ShaderScheduling::ThreadWindow,
                 issue_per_cycle: 1,
-                group_size: 4,
                 instruction_latencies: default_instruction_latencies(),
             },
             texture: TextureConfig {
@@ -524,7 +515,6 @@ impl GpuConfig {
             memory: MemoryConfig {
                 channels: 4,
                 interleave_bytes: 256,
-                bytes_per_cycle_per_channel: 16,
                 transfer_cycles: 4,
                 t_rcd: 6,
                 t_rp: 6,
@@ -720,30 +710,28 @@ impl GpuConfig {
                 return bad(format!("{name} must be at least 1 (a zero-width signal)"));
             }
         }
-        if self.fraggen.tile_size != crate::address::FB_TILE {
+        // Stage latencies become port latencies, and a port delivers no
+        // earlier than the cycle after its write.
+        for (name, latency) in [
+            ("streamer.latency", self.streamer.latency),
+            ("primitive_assembly.latency", self.primitive_assembly.latency),
+            ("clipper.latency", self.clipper.latency),
+            ("setup.latency", self.setup.latency),
+            ("fraggen.latency", self.fraggen.latency),
+            ("hz.latency", self.hz.latency),
+            ("zstencil.latency", self.zstencil.latency),
+        ] {
+            if latency == 0 {
+                return bad(format!("{name} must be at least 1 (a port needs a latency)"));
+            }
+        }
+        let transaction = attila_mem::MAX_TRANSACTION as u64;
+        if !transaction.is_multiple_of(self.memory.transfer_cycles) {
             return bad(format!(
-                "fraggen.tile_size must equal the framebuffer tiling level ({})",
-                crate::address::FB_TILE
+                "memory.transfer_cycles must divide the {transaction}-byte transaction"
             ));
         }
-        if self.hz.block_size != crate::address::FB_TILE {
-            return bad(format!(
-                "hz.block_size must equal the framebuffer tiling level ({})",
-                crate::address::FB_TILE
-            ));
-        }
-        if self.memory.bytes_per_cycle_per_channel as u64 * self.memory.transfer_cycles
-            != attila_mem::MAX_TRANSACTION as u64
-        {
-            return bad(format!(
-                "memory.bytes_per_cycle_per_channel * transfer_cycles must equal the {}-byte transaction",
-                attila_mem::MAX_TRANSACTION
-            ));
-        }
-        if self.shader.group_size != 4 {
-            return bad("shader.group_size must be 4 (fragment quads)");
-        }
-        if self.shader.max_inputs < self.shader.group_size as usize {
+        if self.shader.max_inputs < crate::ffifo::GROUP_LANES {
             return bad("shader.max_inputs must hold at least one group");
         }
         for (name, c) in [
@@ -808,7 +796,7 @@ mod tests {
         assert_eq!(c.zstencil.cache.line_bytes, 256);
         assert_eq!(c.texture.cache.size_bytes, 16 * 1024);
         assert_eq!(c.memory.channels, 4);
-        assert_eq!(c.memory.bytes_per_cycle_per_channel, 16);
+        assert_eq!(attila_mem::MAX_TRANSACTION as u64 / c.memory.transfer_cycles, 16);
         assert_eq!(c.memory.system_bus_bytes_per_cycle, 8);
         assert_eq!(c.shader.fragment_units, 2);
         assert!(c.shader.unified);
@@ -881,9 +869,6 @@ mod tests {
         c.zstencil.units = 1; // != colorwrite.units (2)
         assert!(c.validate().unwrap_err().to_string().contains("colorwrite"));
         let mut c = GpuConfig::baseline();
-        c.fraggen.tile_size = 16;
-        assert!(c.validate().unwrap_err().to_string().contains("tile_size"));
-        let mut c = GpuConfig::baseline();
         c.zstencil.cache.ways = 0;
         assert!(c.validate().unwrap_err().to_string().contains("zstencil.cache"));
     }
@@ -931,6 +916,37 @@ mod tests {
         let mut c = GpuConfig::baseline();
         c.colorwrite.units = 257;
         assert!(c.validate().unwrap_err().to_string().contains("colorwrite.units must be between"));
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_stage_latency() {
+        // Each of these is a port latency: zero used to be simulated as one.
+        type Zero = fn(&mut GpuConfig);
+        let zeroes: [(&str, Zero); 7] = [
+            ("streamer.latency", |c| c.streamer.latency = 0),
+            ("primitive_assembly.latency", |c| c.primitive_assembly.latency = 0),
+            ("clipper.latency", |c| c.clipper.latency = 0),
+            ("setup.latency", |c| c.setup.latency = 0),
+            ("fraggen.latency", |c| c.fraggen.latency = 0),
+            ("hz.latency", |c| c.hz.latency = 0),
+            ("zstencil.latency", |c| c.zstencil.latency = 0),
+        ];
+        for (name, zero) in zeroes {
+            let mut c = GpuConfig::baseline();
+            zero(&mut c);
+            let err = c.validate().unwrap_err();
+            assert!(matches!(err, SimError::InvalidConfig(_)), "{name}: {err:?}");
+            assert!(err.to_string().contains(&format!("{name} must be at least 1")), "{err}");
+        }
+    }
+
+    #[test]
+    fn validate_holds_transfer_cycles_to_the_transaction() {
+        for (cycles, ok) in [(0, false), (1, true), (3, false), (4, true), (64, true), (128, false)] {
+            let mut c = GpuConfig::baseline();
+            c.memory.transfer_cycles = cycles;
+            assert_eq!(c.validate().is_ok(), ok, "transfer_cycles = {cycles}");
+        }
     }
 
     #[test]

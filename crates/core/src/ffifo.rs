@@ -50,9 +50,8 @@ enum GroupState {
     Finished,
 }
 
-/// Threads per group: one fragment quad or up to four vertices
-/// (`shader.group_size`, which config validation pins to this value).
-const GROUP_LANES: usize = 4;
+/// Threads per group: one fragment quad or up to four vertices.
+pub const GROUP_LANES: usize = 4;
 
 /// Cycles a partial vertex group waits for the rest of its vertices
 /// before it is launched underfilled.
@@ -442,7 +441,7 @@ impl FragmentFifo {
     /// next vertex belongs to another batch.
     fn staging_full(&self) -> bool {
         let Some(first) = self.vertex_staging.first() else { return false };
-        self.vertex_staging.len() >= self.config.group_size.max(1) as usize
+        self.vertex_staging.len() >= GROUP_LANES
             || self.in_vertices.peek().is_some_and(|v| v.batch.id != first.batch.id)
     }
 
@@ -484,7 +483,7 @@ impl FragmentFifo {
         // In non-unified mode each vertex is its own thread (paper §2.3);
         // grouping only happens on unified hardware.
         let take = if self.config.unified {
-            self.vertex_staging.len().min(self.config.group_size.max(1) as usize)
+            self.vertex_staging.len().min(GROUP_LANES)
         } else {
             1
         };
@@ -1031,8 +1030,8 @@ impl Unit for FragmentFifo {
     /// `wake` has come; O(units) — no group walk) or a clock can progress
     /// otherwise (see `can_progress`); else the earliest `wake` or the
     /// staging group's timeout. In-order-queue mode is `Busy` while the box
-    /// holds any work. Either way met with the arrivals on the vertex, quad
-    /// and texture-reply wires.
+    /// holds any work. The texture-reply queues need no term: every clock
+    /// takes all of them.
     fn work_horizon(&self) -> Horizon {
         let in_order = self.config.scheduling == ShaderScheduling::InOrderQueue;
         let issue = self.units.iter().map(|u| u.wake).min().unwrap_or(Cycle::MAX);
@@ -1052,16 +1051,11 @@ impl Unit for FragmentFifo {
         if busy {
             return Horizon::Busy;
         }
-        let mut h = Horizon::from_event(self.in_vertices.next_arrival())
-            .meet(Horizon::from_event(self.in_quads.next_arrival()));
-        for p in &self.tex_replies {
-            h = h.meet(p.work_horizon());
-        }
         if in_order {
-            return h;
+            return Horizon::Idle;
         }
         let staging = self.vertex_staging.first().map(|_| self.staging_since + STAGING_PATIENCE);
-        h.meet(Horizon::from_event((issue != Cycle::MAX).then_some(issue)))
+        Horizon::from_event((issue != Cycle::MAX).then_some(issue))
             .meet(Horizon::from_event(staging))
     }
 

@@ -12,6 +12,7 @@ use attila_emu::raster::{covered_tiles, gen_fragment, RasterFragment};
 use attila_json::impl_json_state;
 use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, SimError};
 
+use crate::address::FB_TILE;
 use crate::config::FragGenConfig;
 use crate::port::{PortReceiver, PortSender};
 use crate::types::{FragTile, SetupTriWork};
@@ -72,11 +73,7 @@ impl FragmentGenerator {
         for _ in 0..self.config.tiles_per_cycle {
             if self.current.is_none() {
                 let Some(tri) = self.in_tris.try_pop(cycle)? else { break };
-                let tiles = covered_tiles(
-                    &tri.data.setup,
-                    self.config.tile_size,
-                    self.config.traversal.into(),
-                );
+                let tiles = covered_tiles(&tri.data.setup, FB_TILE, self.config.traversal.into());
                 self.current = Some((tri, tiles, 0));
             }
             if !self.out_tiles.can_send(cycle) {
@@ -95,7 +92,7 @@ impl FragmentGenerator {
             // or outside scissor/viewport).
             let state = &tri.data.batch.state;
             let vp = state.viewport;
-            let size = self.config.tile_size;
+            let size = FB_TILE;
             let mut frags: Vec<RasterFragment> = Vec::with_capacity((size * size) as usize);
             let mut min_depth = f32::MAX;
             let mut any_alive = false;
@@ -166,16 +163,16 @@ impl Unit for FragmentGenerator {
 
     /// The box's event horizon: busy while a clock could make progress —
     /// a queued triangle with no traversal to block it, or a traversal
-    /// with a credit to send its next tile — otherwise the triangle wire's
-    /// next arrival. A traversal without credits is stalled, not busy:
-    /// `clock()` pops nothing (a triangle waits for `current` to empty)
-    /// and sends nothing (`can_send` is false), and the returning credit
-    /// wakes the box (see [`Horizon`]).
+    /// with a credit to send its next tile — otherwise idle. A traversal
+    /// without credits is stalled, not busy: `clock()` pops nothing (a
+    /// triangle waits for `current` to empty) and sends nothing
+    /// (`can_send` is false), and the returning credit wakes the box (see
+    /// [`Horizon`]).
     fn work_horizon(&self) -> Horizon {
         match self.current {
-            None => self.in_tris.work_horizon(),
+            None if !self.in_tris.is_empty() => Horizon::Busy,
             Some(_) if self.out_tiles.credits() > 0 => Horizon::Busy,
-            Some(_) => Horizon::from_event(self.in_tris.next_arrival()),
+            _ => Horizon::Idle,
         }
     }
 

@@ -379,7 +379,7 @@ impl Gpu {
             Streamer::NAME,
             PrimitiveAssembly::NAME,
             1,
-            config.streamer.latency.max(1),
+            config.streamer.latency,
             config.primitive_assembly.input_queue,
         )
         .unwrap();
@@ -389,7 +389,7 @@ impl Gpu {
             PrimitiveAssembly::NAME,
             Clipper::NAME,
             1,
-            config.primitive_assembly.latency.max(1),
+            config.primitive_assembly.latency,
             config.clipper.input_queue,
         )
         .unwrap();
@@ -399,7 +399,7 @@ impl Gpu {
             Clipper::NAME,
             TriangleSetup::NAME,
             1,
-            config.clipper.latency.max(1),
+            config.clipper.latency,
             config.setup.input_queue,
         )
         .unwrap();
@@ -409,7 +409,7 @@ impl Gpu {
             TriangleSetup::NAME,
             FragmentGenerator::NAME,
             1,
-            config.setup.latency.max(1),
+            config.setup.latency,
             config.fraggen.input_queue,
         )
         .unwrap();
@@ -419,7 +419,7 @@ impl Gpu {
             FragmentGenerator::NAME,
             HierarchicalZ::NAME,
             config.fraggen.tiles_per_cycle as usize,
-            config.fraggen.latency.max(1),
+            config.fraggen.latency,
             config.hz.input_queue,
         )
         .unwrap();
@@ -445,7 +445,7 @@ impl Gpu {
                 HierarchicalZ::NAME,
                 &zst,
                 2,
-                config.hz.latency.max(1),
+                config.hz.latency,
                 config.zstencil.input_queue,
             )
             .unwrap();
@@ -457,7 +457,7 @@ impl Gpu {
                 &zst,
                 Interpolator::NAME,
                 1,
-                config.zstencil.latency.max(1),
+                config.zstencil.latency,
                 8,
             )
             .unwrap();
@@ -481,7 +481,7 @@ impl Gpu {
                 &zst,
                 &cw,
                 1,
-                config.zstencil.latency.max(1),
+                config.zstencil.latency,
                 config.colorwrite.input_queue,
             )
             .unwrap();
@@ -518,7 +518,7 @@ impl Gpu {
             HierarchicalZ::NAME,
             Interpolator::NAME,
             2,
-            config.hz.latency.max(1),
+            config.hz.latency,
             16,
         )
         .unwrap();
@@ -779,12 +779,13 @@ impl Gpu {
     }
 
     /// The machine-wide event horizon, asked afresh of every unit: the
-    /// meet of the Command Processor's horizon, every table row's and —
-    /// the safety net — the earliest in-flight arrival on *any* registered
-    /// signal, data or credit wire alike
-    /// ([`SignalBinder::next_event_cycle`]). Readers verify that events
-    /// are drained at their exact arrival cycle, so jumping past any
-    /// arrival would surface as a spurious verification failure.
+    /// meet of the Command Processor's horizon, every table row's and the
+    /// earliest in-flight arrival on *any* registered signal, data or
+    /// credit wire alike ([`SignalBinder::next_event_cycle`]). A unit's
+    /// horizon speaks only for its own state; this fold is where wire
+    /// arrivals enter the machine's. Readers verify that events are
+    /// drained at their exact arrival cycle, so jumping past any arrival
+    /// would surface as a spurious verification failure.
     ///
     /// The clock loop of [`run_trace`](Self::run_trace) jumps by what the
     /// per-unit sleep gates hold instead; this gate-free fold is the
@@ -809,8 +810,9 @@ impl Gpu {
     /// The machine-wide horizon for the cycle after a stepped one, read
     /// off the gates: a row asleep on that cycle answers the horizon its
     /// gate holds, one with wire input still in flight towards it answers
-    /// its unit's own (and brings the binder's earliest arrival in), and
-    /// any other row — a reply waiting, its own wake-up due — is `Busy`.
+    /// its unit's own and brings the binder's earliest arrival in (the
+    /// unit's horizon does not cover its inputs), and any other row — a
+    /// reply waiting, its own wake-up due — is `Busy`.
     fn gate_horizon(&self) -> Horizon {
         let next = self.cycle;
         let mut h = self.cp.work_horizon();
@@ -974,6 +976,13 @@ impl Gpu {
         }
         self.table = table;
         result?;
+        // Every wire has latency >= 1, every clocked box polls all of its
+        // ports and an asleep box has nothing due: an arrival left unread
+        // on any wire, data or credit, is a box that forgot a poll.
+        debug_assert!(
+            self.binder.next_event_cycle().is_none_or(|at| at > cycle),
+            "an arrival was left unread on cycle {cycle}",
+        );
         self.stats.tick(cycle);
         Ok(busy)
     }

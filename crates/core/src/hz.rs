@@ -333,13 +333,11 @@ impl Unit for HierarchicalZ {
 
     /// The box's event horizon: busy while a clock could make progress —
     /// a queued tile with room in the staging buffer, or a staged head
-    /// quad whose output has a credit — otherwise the earliest arrival
-    /// across the tile wire *and* every Z-cache update wire (updates
-    /// mutate the HZ references even when `busy()` is false, so their
-    /// arrivals must not be skipped over). A full staging buffer behind a
-    /// head without credits is stalled, not busy: `clock()` pops no tile
-    /// and routes nothing, and the returning credit wakes the box (see
-    /// [`Horizon`]).
+    /// quad whose output has a credit — otherwise idle. The Z-cache update
+    /// queues need no term: every clock applies all of them. A full
+    /// staging buffer behind a head without credits is stalled, not busy:
+    /// `clock()` pops no tile and routes nothing, and the returning credit
+    /// wakes the box (see [`Horizon`]).
     fn work_horizon(&self) -> Horizon {
         let can_stage = self.pending.len() < PENDING_QUADS && !self.in_tiles.is_empty();
         let can_route = self.pending.front().is_some_and(|quad| {
@@ -352,11 +350,7 @@ impl Unit for HierarchicalZ {
         if can_stage || can_route {
             return Horizon::Busy;
         }
-        let mut h = Horizon::from_event(self.in_tiles.next_arrival());
-        for p in &self.in_updates {
-            h = h.meet(p.work_horizon());
-        }
-        h
+        Horizon::Idle
     }
 
     /// Objects waiting in the box's input queues and staging buffer.

@@ -156,25 +156,20 @@ impl Unit for Interpolator {
 
     /// The box's event horizon: busy while a queued quad has room in the
     /// delay pipe; else the cycle the pipe's front is released when the
-    /// output holds a credit, met with the earliest arrival across the
-    /// late wire and every early-Z wire. A front without a credit is
-    /// stalled, not busy: `clock()` takes no quad (the pipe is full or the
+    /// output holds a credit, and idle otherwise. A front without a credit
+    /// is stalled, not busy: `clock()` takes no quad (the pipe is full or the
     /// inputs are empty, and a scan of empty inputs turns `next_input`
     /// full circle) and releases none, and the returning credit wakes the
     /// box (see [`Horizon`]).
     fn work_horizon(&self) -> Horizon {
-        let inputs = || std::iter::once(&self.in_late).chain(&self.in_early);
-        if self.pipe.len() < PIPE_QUADS && inputs().any(|p| !p.is_empty()) {
+        let queued = !self.in_late.is_empty() || self.in_early.iter().any(|p| !p.is_empty());
+        if self.pipe.len() < PIPE_QUADS && queued {
             return Horizon::Busy;
         }
-        let mut h = match self.pipe.front() {
+        match self.pipe.front() {
             Some(&(ready, _)) if self.out_quads.credits() > 0 => Horizon::IdleUntil(ready),
             _ => Horizon::Idle,
-        };
-        for p in inputs() {
-            h = h.meet(Horizon::from_event(p.next_arrival()));
         }
-        h
     }
 
     /// Objects waiting in the box's input queues and delay pipe.

@@ -87,12 +87,6 @@ impl<T: std::fmt::Debug> PortSender<T> {
         self.credits
     }
 
-    /// The latest delivery cycle among objects still on the forward wire,
-    /// if any — when everything this sender has sent will have arrived.
-    pub fn drain_cycle(&self) -> Option<attila_sim::Cycle> {
-        self.data.drain_cycle()
-    }
-
     /// Total objects ever sent.
     pub fn total_sent(&self) -> u64 {
         self.data.total_written()
@@ -188,26 +182,6 @@ impl<T: std::fmt::Debug> PortReceiver<T> {
     /// Whether the receiver holds no data at all (queue and wire empty).
     pub fn idle(&self) -> bool {
         self.queue.is_empty() && self.data.in_flight() == 0
-    }
-
-    /// The earliest arrival cycle of an object still on the wire, if any —
-    /// when this receiver next has input to absorb.
-    pub fn next_arrival(&self) -> Option<attila_sim::Cycle> {
-        self.data.next_arrival()
-    }
-
-    /// The receiver's event horizon: [`Horizon::Busy`] while the input
-    /// queue holds consumable work, the wire's next arrival while objects
-    /// are in flight, [`Horizon::Idle`] when fully empty.
-    ///
-    /// [`Horizon::Busy`]: attila_sim::Horizon::Busy
-    /// [`Horizon::Idle`]: attila_sim::Horizon::Idle
-    pub fn work_horizon(&self) -> attila_sim::Horizon {
-        if !self.queue.is_empty() {
-            attila_sim::Horizon::Busy
-        } else {
-            attila_sim::Horizon::from_event(self.data.next_arrival())
-        }
     }
 
     /// The configured queue capacity.

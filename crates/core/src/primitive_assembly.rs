@@ -173,14 +173,14 @@ impl Unit for PrimitiveAssembly {
     /// The box's event horizon (see [`Horizon`]): busy while a staged
     /// triangle can leave (the output holds a credit) or a queued vertex
     /// can be taken (fewer than `PENDING_TRIANGLES` staged); otherwise
-    /// the input wire's next arrival.
+    /// idle.
     fn work_horizon(&self) -> Horizon {
         let can_send = !self.pending_out.is_empty() && self.out_tris.credits() > 0;
         let can_take = !self.in_verts.is_empty() && self.pending_out.len() < PENDING_TRIANGLES;
         if can_send || can_take {
             return Horizon::Busy;
         }
-        Horizon::from_event(self.in_verts.next_arrival())
+        Horizon::Idle
     }
 
     /// Objects waiting in the box's input queue and staging buffer.

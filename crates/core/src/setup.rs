@@ -108,14 +108,13 @@ impl Unit for TriangleSetup {
     }
 
     /// The box's event horizon (see [`Horizon`]): busy while a queued
-    /// triangle awaits setup and the output holds a credit; otherwise the
-    /// input wire's next arrival (`clock` returns before popping when it
-    /// cannot send).
+    /// triangle awaits setup and the output holds a credit; otherwise idle
+    /// (`clock` returns before popping when it cannot send).
     fn work_horizon(&self) -> Horizon {
         if !self.in_tris.is_empty() && self.out_tris.credits() > 0 {
             return Horizon::Busy;
         }
-        Horizon::from_event(self.in_tris.next_arrival())
+        Horizon::Idle
     }
 
     fn queued(&self) -> usize {

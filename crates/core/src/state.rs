@@ -134,12 +134,6 @@ impl RenderState {
         !self.fragment_program.has_kill()
     }
 
-    /// Number of fragment-shader input attributes to interpolate
-    /// (excludes position, which travels as depth + coordinates).
-    pub fn fragment_inputs(&self) -> u32 {
-        self.varying_count
-    }
-
     /// The texture bound to `sampler` as a unit supporting at most
     /// `max_aniso`:1 anisotropy samples it (`TextureConfig::max_aniso`), or
     /// `None` when nothing is bound. The Texture Unit and the golden

@@ -439,8 +439,8 @@ impl Unit for Streamer {
     /// `out_work` credit, a commit head that is finished or has its next
     /// vertex, with an `out_assembled` credit, or a fetch that is not
     /// blocked on a memory reply (a queued draw, with none active).
-    /// Otherwise the earliest arrival on the draw and shaded-vertex wires:
-    /// credits return on wires and replies wake the box.
+    /// Otherwise idle: inputs and credits return on wires and replies wake
+    /// the box.
     fn work_horizon(&self) -> Horizon {
         let fetch = match self.active {
             Some(_) => !self.fetch_blocked,
@@ -459,8 +459,7 @@ impl Unit for Streamer {
         {
             return Horizon::Busy;
         }
-        Horizon::from_event(self.in_draws.next_arrival())
-            .meet(Horizon::from_event(self.in_shaded.next_arrival()))
+        Horizon::Idle
     }
 
     fn queued(&self) -> usize {

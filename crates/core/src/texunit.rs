@@ -328,21 +328,20 @@ impl Unit for TextureUnit {
     }
 
     /// The box's event horizon (see [`Horizon`]). Without a request in
-    /// service: the input's horizon. With one, a clock can only progress
-    /// while lines wait to be looked up (`Busy`), or once every line has
-    /// resolved and a reply credit is held (`IdleUntil` the filter's
-    /// `ready_at`); otherwise it waits for a fill — a memory reply wakes
-    /// it — or for the credit, whose wire wakes it, and answers the next
-    /// request's arrival.
+    /// service: `Busy` while one is queued. With one, a clock can only
+    /// progress while lines wait to be looked up (`Busy`), or once every
+    /// line has resolved and a reply credit is held (`IdleUntil` the
+    /// filter's `ready_at`); otherwise it waits for a fill — a memory reply
+    /// wakes it — or for the credit, whose wire wakes it.
     fn work_horizon(&self) -> Horizon {
-        let arrival = Horizon::from_event(self.in_requests.next_arrival());
         match &self.current {
-            None => self.in_requests.work_horizon(),
+            None if !self.in_requests.is_empty() => Horizon::Busy,
+            None => Horizon::Idle,
             Some(_) if !self.lines_todo.is_empty() => Horizon::Busy,
             Some(cur) if self.lines_pending.is_empty() && self.out_replies.credits() > 0 => {
-                Horizon::IdleUntil(cur.ready_at).meet(arrival)
+                Horizon::IdleUntil(cur.ready_at)
             }
-            Some(_) => arrival,
+            Some(_) => Horizon::Idle,
         }
     }
 

@@ -21,11 +21,14 @@ pub trait Unit {
         None
     }
 
-    /// The unit's event horizon (see [`Horizon`]).
+    /// The unit's event horizon (see [`Horizon`]): its own state only. The
+    /// wires it reads answer for their arrivals.
     fn work_horizon(&self) -> Horizon;
 
-    /// Whether work is in flight. Not `!work_horizon().is_idle()`: a
-    /// horizon also covers arrivals the unit need not count as its work.
+    /// Whether work is in flight, objects still on the wires the unit
+    /// reads included. Not `work_horizon() != Idle`: a unit stalled on
+    /// output credits is busy but not `Busy`, and input on a wire is work
+    /// its horizon does not see.
     fn busy(&self) -> bool;
 
     /// Objects waiting in the unit's input queues and staging buffers.

@@ -314,9 +314,8 @@ impl Unit for ZStencilUnit {
     }
 
     /// Busy while fills, writebacks or HZ updates are outstanding or an
-    /// input's head quad has a credit on its output, otherwise the
-    /// earliest arrival across both quad wires. A head quad without a
-    /// credit is stalled, not busy: `try_process_head` returns on
+    /// input's head quad has a credit on its output, otherwise idle. A
+    /// head quad without a credit is stalled, not busy: `try_process_head` returns on
     /// `out_ok` before `bind` or `resident` can touch the cache, and the
     /// returning credit wakes the unit.
     fn work_horizon(&self) -> Horizon {
@@ -328,8 +327,7 @@ impl Unit for ZStencilUnit {
         {
             return Horizon::Busy;
         }
-        Horizon::from_event(self.in_early.next_arrival())
-            .meet(Horizon::from_event(self.in_late.next_arrival()))
+        Horizon::Idle
     }
 
     fn queued(&self) -> usize {

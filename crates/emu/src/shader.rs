@@ -223,23 +223,6 @@ impl ShaderEmulator {
         &self.program
     }
 
-    /// Replaces the running program. Existing threads keep executing the
-    /// old shape only if none are live; callers must drain threads first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if threads are still live.
-    pub fn set_program(&mut self, program: Arc<Program>) {
-        assert_eq!(
-            self.live_threads(),
-            0,
-            "cannot switch programs while threads are in flight"
-        );
-        self.threads.clear();
-        self.free_list.clear();
-        self.program = program;
-    }
-
     /// Sets constant register `c<index>` (program parameter).
     ///
     /// # Panics

@@ -81,11 +81,6 @@ impl GlInterceptor {
         Ok(())
     }
 
-    /// The live context (e.g. to drain commands while capturing).
-    pub fn context_mut(&mut self) -> &mut GlContext {
-        &mut self.context
-    }
-
     /// Finishes the capture, returning the trace and the command stream
     /// the application produced while being recorded.
     pub fn finish(mut self) -> (GlTrace, Vec<GpuCommand>) {

@@ -342,11 +342,6 @@ impl Cache {
         self.misses
     }
 
-    /// Lookups rejected for port pressure or pending fills.
-    pub fn blocked_lookups(&self) -> u64 {
-        self.blocked
-    }
-
     /// Hit rate in `[0, 1]` (1.0 when no accesses yet).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;

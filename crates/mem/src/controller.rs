@@ -629,11 +629,6 @@ impl MemoryController {
         self.channels.iter().map(|c| c.dram.total_busy_cycles()).sum()
     }
 
-    /// Total DRAM transactions across channels.
-    pub fn channel_transactions(&self) -> u64 {
-        self.channels.iter().map(|c| c.dram.total_transactions()).sum()
-    }
-
     /// Number of GDDR channels.
     pub fn channel_count(&self) -> usize {
         self.channels.len()

@@ -22,17 +22,23 @@ use crate::Cycle;
 /// observable state — queues, signals, statistics counters and functional
 /// memory alike. When in doubt a unit must report [`Busy`](Horizon::Busy);
 /// `Busy` is always correct, merely slower.
+///
+/// A horizon speaks only for the unit's own state. Input still travelling
+/// on a wire is the wire's to report: the scheduler learns it from the
+/// reader's wake line and the binder's earliest arrival
+/// ([`SignalBinder::next_event_cycle`](crate::SignalBinder::next_event_cycle)),
+/// never from the unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Horizon {
     /// The unit may do work on the very next cycle; the scheduler must
     /// keep clocking it every cycle.
     Busy,
     /// The unit is guaranteed not to do observable work before the given
-    /// cycle (e.g. it only waits for an in-flight object arriving then).
+    /// cycle (e.g. a delay pipe that releases its front then), input
+    /// arriving earlier aside.
     IdleUntil(Cycle),
-    /// The unit has nothing in flight at all; it will only wake when some
-    /// *other* unit (whose own horizon covers that event) feeds it or
-    /// returns it a credit.
+    /// The unit has no event of its own pending; only input — an object
+    /// or a credit arriving on a wire, a memory reply — wakes it.
     Idle,
 }
 

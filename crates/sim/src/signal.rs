@@ -102,11 +102,6 @@ impl<T> Ring<T> {
     fn min_arrival(&self) -> Option<Cycle> {
         self.front().map(|(arrival, _)| *arrival)
     }
-
-    /// The latest arrival among in-flight objects.
-    fn max_arrival(&self) -> Option<Cycle> {
-        (!self.q.is_empty()).then_some(self.back_arrival)
-    }
 }
 
 /// Ring capacity for a wire: `(latency + 1) × bandwidth`, clamped to
@@ -365,12 +360,6 @@ impl<T: fmt::Debug> SignalCore<T> {
         self.in_flight.min_arrival()
     }
 
-    /// The latest delivery cycle among in-flight objects — the cycle by
-    /// which the wire has fully drained, if anything is in flight.
-    fn drain_cycle(&self) -> Option<Cycle> {
-        self.in_flight.max_arrival()
-    }
-
     fn read(&mut self, cycle: Cycle) -> Result<Option<T>, SimError> {
         // Reading never moves the latest cycle backwards, and reading at a
         // cycle older than data already dropped is harmless.
@@ -456,7 +445,6 @@ impl<T: fmt::Debug> Signal<T> {
             core: Rc::clone(&core),
             wire: wire.clone(),
             decl_bandwidth: bandwidth,
-            decl_latency: latency,
             cached_name: name,
         };
         (writer, SignalReader { core, wire })
@@ -471,8 +459,6 @@ pub struct SignalWriter<T> {
     /// Declared bandwidth, cached at bind time (immutable in the core) so
     /// the table-fronted fast paths answer without borrowing the core.
     decl_bandwidth: usize,
-    /// Declared latency, cached like `decl_bandwidth`.
-    decl_latency: Cycle,
     /// Interned name, cached like `decl_bandwidth` (clone = refcount bump).
     cached_name: SignalName,
 }
@@ -539,21 +525,10 @@ impl<T: fmt::Debug> SignalWriter<T> {
         self.decl_bandwidth
     }
 
-    /// The signal's configured latency in cycles.
-    pub fn latency(&self) -> Cycle {
-        self.decl_latency
-    }
-
     /// Total number of objects ever written.
     #[inline]
     pub fn total_written(&self) -> u64 {
         self.core.borrow().total_written
-    }
-
-    /// The latest in-flight write's delivery cycle, if any — the cycle by
-    /// which everything this writer has sent will have arrived.
-    pub fn drain_cycle(&self) -> Option<Cycle> {
-        self.core.borrow().drain_cycle()
     }
 
     /// The signal's registered name (an interned handle: cached on the
@@ -595,7 +570,6 @@ trait ProbeOps {
     fn status(&self) -> SignalStatus;
     fn attach_trace(&self, sink: TraceSink);
     fn next_arrival(&self) -> Option<Cycle>;
-    fn drain_cycle(&self) -> Option<Cycle>;
     fn restore_counters(&self, written: u64, read: u64, lost: u64);
 }
 
@@ -623,10 +597,6 @@ impl<T: fmt::Debug> ProbeOps for RefCell<SignalCore<T>> {
 
     fn next_arrival(&self) -> Option<Cycle> {
         self.borrow().next_arrival()
-    }
-
-    fn drain_cycle(&self) -> Option<Cycle> {
-        self.borrow().drain_cycle()
     }
 
     fn restore_counters(&self, written: u64, read: u64, lost: u64) {
@@ -672,12 +642,6 @@ impl SignalProbe {
         self.ops.next_arrival()
     }
 
-    /// The latest in-flight write's delivery cycle — the cycle by which
-    /// the wire has fully drained, if anything is in flight.
-    pub fn drain_cycle(&self) -> Option<Cycle> {
-        self.ops.drain_cycle()
-    }
-
     /// Overwrites the signal's lifetime health counters with checkpointed
     /// values, so post-restore failure reports account for the whole run
     /// rather than just the resumed tail. Only safe on a drained wire.
@@ -697,7 +661,7 @@ impl<T> fmt::Debug for SignalWriter<T> {
         f.debug_struct("SignalWriter")
             .field("name", &self.cached_name)
             .field("bandwidth", &self.decl_bandwidth)
-            .field("latency", &self.decl_latency)
+            .field("latency", &self.core.borrow().latency)
             .finish()
     }
 }
@@ -743,45 +707,6 @@ impl<T: fmt::Debug> SignalReader<T> {
         self.core.borrow_mut().read(cycle)
     }
 
-    /// Drains every object arriving at `cycle` into a `Vec`.
-    ///
-    /// # Panics
-    ///
-    /// Like [`read`](Self::read), panics on a data-loss verification
-    /// failure; fallible callers use [`try_read_all`](Self::try_read_all).
-    pub fn read_all(&mut self, cycle: Cycle) -> Vec<T> {
-        match self.try_read_all(cycle) {
-            Ok(v) => v,
-            Err(e) => panic!("signal verification failed: {e}"),
-        }
-    }
-
-    /// Fallible form of [`read_all`](Self::read_all).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::DataLost`] instead of panicking when unread data
-    /// fell off the wire.
-    pub fn try_read_all(&mut self, cycle: Cycle) -> Result<Vec<T>, SimError> {
-        let mut out = Vec::new();
-        while let Some(v) = self.try_read(cycle)? {
-            out.push(v);
-        }
-        Ok(out)
-    }
-
-    /// Returns `true` if an object is due to arrive exactly at `cycle`.
-    pub fn has_data(&self, cycle: Cycle) -> bool {
-        match self.wire.due() {
-            Due::Empty => false,
-            Due::At(arrival) => arrival == cycle,
-            Due::AskCore => {
-                let core = self.core.borrow();
-                core.in_flight.front().map(|(a, _)| *a == cycle).unwrap_or(false)
-            }
-        }
-    }
-
     /// Number of objects currently travelling through the wire.
     pub fn in_flight(&self) -> usize {
         match self.wire.due() {
@@ -790,47 +715,10 @@ impl<T: fmt::Debug> SignalReader<T> {
         }
     }
 
-    /// The earliest delivery cycle among in-flight objects, if any — when
-    /// this reader next has something to read.
-    pub fn next_arrival(&self) -> Option<Cycle> {
-        match self.wire.due() {
-            Due::Empty => None,
-            Due::At(arrival) => Some(arrival),
-            Due::AskCore => self.core.borrow().next_arrival(),
-        }
-    }
-
-    /// The latest in-flight write's delivery cycle, if any — the cycle by
-    /// which the wire has fully drained.
-    pub fn drain_cycle(&self) -> Option<Cycle> {
-        self.core.borrow().drain_cycle()
-    }
-
-    /// Total number of objects ever read.
-    pub fn total_read(&self) -> u64 {
-        self.core.borrow().total_read
-    }
-
-    /// Total number of objects dropped by the data loss that failed
-    /// verification.
-    pub fn total_lost(&self) -> u64 {
-        self.core.borrow().total_lost
-    }
-
     /// The signal's registered name (an interned handle: cloning it out of
     /// the shared core bumps a refcount, no allocation).
     pub fn name(&self) -> SignalName {
         self.core.borrow().name.clone()
-    }
-
-    /// The signal's configured bandwidth in objects per cycle.
-    pub fn bandwidth(&self) -> usize {
-        self.core.borrow().bandwidth
-    }
-
-    /// The signal's configured latency in cycles.
-    pub fn latency(&self) -> Cycle {
-        self.core.borrow().latency
     }
 }
 
@@ -901,26 +789,8 @@ mod tests {
         for v in 0..4 {
             tx.write(0, v).unwrap();
         }
-        let got = rx.read_all(2);
+        let got: Vec<u32> = std::iter::from_fn(|| rx.read(2)).collect();
         assert_eq!(got, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn next_arrival_and_drain_cycle_track_in_flight_events() {
-        let (mut tx, mut rx) = Signal::<u32>::with_name("s", 2, 5);
-        assert_eq!(rx.next_arrival(), None);
-        assert_eq!(rx.drain_cycle(), None);
-        tx.write(10, 1).unwrap();
-        tx.write(12, 2).unwrap();
-        // Arrivals land at 15 and 17: the earliest bounds any clock skip,
-        // the latest is when the wire fully drains.
-        assert_eq!(rx.next_arrival(), Some(15));
-        assert_eq!(rx.drain_cycle(), Some(17));
-        assert_eq!(tx.drain_cycle(), Some(17));
-        assert_eq!(rx.read(15), Some(1));
-        assert_eq!(rx.next_arrival(), Some(17));
-        assert_eq!(rx.read(17), Some(2));
-        assert_eq!(rx.next_arrival(), None);
     }
 
     #[test]
@@ -928,19 +798,11 @@ mod tests {
         let (mut tx, mut rx) = Signal::<u32>::with_name("s", 2, 1);
         tx.write(0, 1).unwrap();
         tx.write(0, 2).unwrap();
-        rx.read_all(1);
-        assert_eq!(tx.total_written(), 2);
-        assert_eq!(rx.total_read(), 2);
+        assert_eq!(rx.in_flight(), 2);
+        while rx.read(1).is_some() {}
+        let status = tx.probe().status();
+        assert_eq!((status.written, status.read, status.lost), (2, 2, 0));
         assert_eq!(rx.in_flight(), 0);
-    }
-
-    #[test]
-    fn has_data_peeks_without_consuming() {
-        let (mut tx, mut rx) = Signal::<u32>::with_name("s", 1, 3);
-        tx.write(0, 9).unwrap();
-        assert!(!rx.has_data(2));
-        assert!(rx.has_data(3));
-        assert_eq!(rx.read(3), Some(9));
     }
 
     #[test]

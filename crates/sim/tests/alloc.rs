@@ -63,7 +63,7 @@ fn signal_hot_path_does_not_allocate_in_steady_state() {
 
         // Steady state: saturate the wire for thousands of cycles. Every
         // push lands in the preallocated ring, every pop frees a slot,
-        // and the horizon queries are O(1) reads — zero allocations.
+        // and the queries are O(1) reads — zero allocations.
         let before = ALLOCS.load(Ordering::Relaxed);
         for cycle in latency + 8..latency + 8 + 10_000 {
             for _ in 0..bandwidth {
@@ -71,8 +71,7 @@ fn signal_hot_path_does_not_allocate_in_steady_state() {
                 tx.write(cycle, value).unwrap();
             }
             while rx.try_read(cycle).unwrap().is_some() {}
-            let _ = rx.next_arrival();
-            let _ = rx.drain_cycle();
+            let _ = rx.in_flight();
             let _ = tx.can_write(cycle);
         }
         let after = ALLOCS.load(Ordering::Relaxed);

@@ -2,26 +2,37 @@
 //!
 //! The preallocated ring (`crates/sim/src/signal.rs`) must be
 //! *semantically invisible*: every observable behaviour — delivered
-//! values, delivery cycles, verification errors, loss counters, horizon
-//! events — must match the plain growable-`VecDeque` transport it
-//! replaced, under arbitrary latencies, bandwidths, over-bandwidth bursts
-//! and reader stalls. This file retains that legacy transport as an executable
-//! reference model and drives both implementations with identical seeded
-//! traffic, comparing after every operation.
+//! values, delivery cycles, verification errors, loss counters, and the
+//! two arrival facts a scheduler reads — must match the plain
+//! growable-`VecDeque` transport it replaced, under arbitrary latencies,
+//! bandwidths, over-bandwidth bursts and reader stalls. This file retains
+//! that legacy transport as an executable reference model and drives both
+//! implementations with identical seeded traffic, comparing after every
+//! operation.
+//!
+//! The arrival facts are read where the machine reads them: the binder's
+//! earliest arrival over its wire table
+//! ([`SignalBinder::next_event_cycle`]) and the reader box's wake line
+//! ([`WakeLine::latest_arrival`](attila_sim::WakeLine::latest_arrival)).
 
 use std::collections::VecDeque;
 
-use attila_sim::{Signal, SignalName, SignalTrace, SimError, TinyRng};
+use attila_sim::{Signal, SignalBinder, SignalName, SignalProbe, SignalTrace, SimError, TinyRng};
+
+/// The reader box every test wire is registered towards.
+const READER: &str = "B";
 
 /// The legacy transport: a growable `VecDeque` with no preallocation and
 /// no cached back arrival — a line-for-line retention of the semantics
-/// the ring replaced. Kept deliberately naive: min/max arrival always
-/// scan, pushes always go through `VecDeque` growth rules.
+/// the ring replaced. Kept deliberately naive: the earliest arrival always
+/// scans, pushes always go through `VecDeque` growth rules.
 struct RefWire {
     name: SignalName,
     bandwidth: usize,
     latency: u64,
     in_flight: VecDeque<(u64, u32)>,
+    /// The latest arrival of anything ever written (0 before any write).
+    latest_arrival: u64,
     latest_cycle: u64,
     writes_this_cycle: usize,
     total_written: u64,
@@ -36,6 +47,7 @@ impl RefWire {
             bandwidth,
             latency,
             in_flight: VecDeque::new(),
+            latest_arrival: 0,
             latest_cycle: 0,
             writes_this_cycle: 0,
             total_written: 0,
@@ -84,6 +96,7 @@ impl RefWire {
         self.writes_this_cycle += 1;
         self.total_written += 1;
         self.in_flight.push_back((cycle + self.latency, obj));
+        self.latest_arrival = self.latest_arrival.max(cycle + self.latency);
         Ok(())
     }
 
@@ -115,36 +128,45 @@ impl RefWire {
         }
     }
 
-    fn has_data(&self, cycle: u64) -> bool {
-        self.in_flight.front().map(|(a, _)| *a == cycle).unwrap_or(false)
-    }
-
     fn next_arrival(&self) -> Option<u64> {
         self.in_flight.iter().map(|(a, _)| *a).min()
     }
+}
 
-    fn drain_cycle(&self) -> Option<u64> {
-        self.in_flight.iter().map(|(a, _)| *a).max()
-    }
+/// Asserts the wire's lifetime counters, as failure reports and
+/// checkpoints read them, against the reference.
+fn assert_counters(probe: &SignalProbe, reference: &RefWire, at: &str) {
+    let s = probe.status();
+    let want = (reference.total_written, reference.total_read, reference.total_lost);
+    assert_eq!((s.written, s.read, s.lost), want, "{at}: written, read, lost");
+}
+
+/// Asserts the binder's earliest arrival and the reader's wake line
+/// against the reference.
+fn assert_arrivals(binder: &SignalBinder, reference: &RefWire, at: &str) {
+    assert_eq!(binder.next_event_cycle(), reference.next_arrival(), "{at}: next_event_cycle");
+    let line = binder.wake_line(READER).expect("the wire is registered towards the reader");
+    assert_eq!(line.latest_arrival(), reference.latest_arrival, "{at}: wake line");
 }
 
 /// Drives the ring transport and the reference transport with identical
 /// seeded traffic — random write bursts (sometimes over bandwidth) and
 /// random reader stalls (sometimes losing data) — and asserts every
 /// observable matches: write results, read results, loss/traffic
-/// counters, and the horizon events (`next_arrival` / `drain_cycle`) the
-/// idle-skip scheduler depends on. Every other seed traces the wire, which
-/// pins its table word, so the core's own paths are driven too.
+/// counters, and the arrival facts the idle-skip scheduler depends on.
+/// Every other seed traces the wire, which pins its table word, so the
+/// core's own paths — the binder's included — are driven too.
 #[test]
 fn ring_transport_matches_vecdeque_reference() {
     for seed in 0..256u64 {
         let mut rng = TinyRng::new(seed);
         let latency = rng.range_u64(0, 10);
         let bandwidth = rng.range_u32(1, 5) as usize;
-        let (mut tx, mut rx) = Signal::<u32>::with_name("p", bandwidth, latency);
+        let mut binder = SignalBinder::new();
+        let (mut tx, mut rx) = binder.register::<u32>("p", "A", READER, bandwidth, latency).unwrap();
         let mut reference = RefWire::new("p", bandwidth, latency);
         if seed % 2 == 0 {
-            tx.attach_trace(SignalTrace::new_sink(1));
+            assert_eq!(binder.attach_trace(&SignalTrace::new_sink(1)), 1);
         }
 
         let mut value = 0u32;
@@ -171,20 +193,9 @@ fn ring_transport_matches_vecdeque_reference() {
                     }
                 }
             }
-            assert_eq!(
-                rx.next_arrival(),
-                reference.next_arrival(),
-                "seed {seed} cycle {cycle}: next_arrival diverged"
-            );
-            assert_eq!(
-                rx.drain_cycle(),
-                reference.drain_cycle(),
-                "seed {seed} cycle {cycle}: drain_cycle diverged"
-            );
+            assert_arrivals(&binder, &reference, &format!("seed {seed} cycle {cycle}"));
             assert_eq!(rx.in_flight(), reference.in_flight.len(), "seed {seed} cycle {cycle}");
-            assert_eq!(tx.total_written(), reference.total_written, "seed {seed} cycle {cycle}");
-            assert_eq!(rx.total_read(), reference.total_read, "seed {seed} cycle {cycle}");
-            assert_eq!(rx.total_lost(), reference.total_lost, "seed {seed} cycle {cycle}");
+            assert_counters(&tx.probe(), &reference, &format!("seed {seed} cycle {cycle}"));
         }
     }
 }
@@ -193,7 +204,7 @@ fn ring_transport_matches_vecdeque_reference() {
 /// take them: untraced. Every cycle runs a random
 /// interleaving of empty polls, bandwidth probes (at, before and after
 /// the current cycle), writes (some over bandwidth, some in the past),
-/// reads before and after same-cycle writes, and horizon queries; now and
+/// reads before and after same-cycle writes, and arrival queries; now and
 /// then the reader oversleeps so that a front object is overdue when it
 /// next polls. Each operation's result — `Ok`/`Err` variant and payload —
 /// must equal the reference's, in particular: an empty poll must advance
@@ -209,7 +220,8 @@ fn fast_paths_match_reference_on_unfaulted_wires() {
         let mut rng = TinyRng::new(0xF1A7 ^ seed);
         let latency = rng.range_u64(0, 10);
         let bandwidth = rng.range_u32(1, 5) as usize;
-        let (mut tx, mut rx) = Signal::<u32>::with_name("p", bandwidth, latency);
+        let mut binder = SignalBinder::new();
+        let (mut tx, mut rx) = binder.register::<u32>("p", "A", READER, bandwidth, latency).unwrap();
         let mut reference = RefWire::new("p", bandwidth, latency);
         let mut value = 0u32;
         let mut asleep_until = 0u64;
@@ -266,9 +278,7 @@ fn fast_paths_match_reference_on_unfaulted_wires() {
                         assert_eq!(rx.try_read(past), reference.read(past), "{at}: past read");
                     }
                     _ => {
-                        assert_eq!(rx.has_data(cycle), reference.has_data(cycle), "{at}: has_data");
-                        assert_eq!(rx.next_arrival(), reference.next_arrival(), "{at}: next_arrival");
-                        assert_eq!(rx.drain_cycle(), reference.drain_cycle(), "{at}: drain_cycle");
+                        assert_arrivals(&binder, &reference, &at);
                         assert_eq!(rx.in_flight(), reference.in_flight.len(), "{at}: in_flight");
                     }
                 }
@@ -284,9 +294,7 @@ fn fast_paths_match_reference_on_unfaulted_wires() {
                     }
                 }
             }
-            assert_eq!(tx.total_written(), reference.total_written, "seed {seed} cycle {cycle}");
-            assert_eq!(rx.total_read(), reference.total_read, "seed {seed} cycle {cycle}");
-            assert_eq!(rx.total_lost(), reference.total_lost, "seed {seed} cycle {cycle}");
+            assert_counters(&tx.probe(), &reference, &format!("seed {seed} cycle {cycle}"));
         }
     }
     // The traffic must actually reach the cases the fast path could get
@@ -322,8 +330,7 @@ fn saturated_wire_stays_identical_over_long_runs() {
                 }
             }
         }
-        assert_eq!(tx.total_written(), reference.total_written);
-        assert_eq!(rx.total_read(), reference.total_read);
-        assert_eq!(rx.total_lost(), 0);
+        assert_counters(&tx.probe(), &reference, "saturated");
+        assert_eq!(reference.total_lost, 0);
     }
 }

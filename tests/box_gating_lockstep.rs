@@ -13,6 +13,27 @@ use attila::core::BoxStatus;
 use attila::gl::workloads::{self, WorkloadParams};
 use attila::gl::{compile, GlTrace};
 
+/// The scheduler's own checks are `debug_assert!`s: the gates against the
+/// gate-free reference fold, the walk's check on every box it leaves
+/// asleep, and the end-of-step check that no wire holds an arrival left
+/// unread. Every test here, and every other debug-build test that runs a
+/// trace, leans on them. `[profile.test]` raises `opt-level` for speed; a
+/// further tweak that also dropped `debug-assertions` would switch them
+/// all off without a sound, so this test fails instead.
+#[test]
+#[expect(
+    clippy::assertions_on_constants,
+    reason = "the constant is the build profile under test; a const block would stop the whole \
+              file from compiling in a release build instead of failing this one test"
+)]
+fn scheduler_checks_are_compiled_in() {
+    assert!(
+        cfg!(debug_assertions),
+        "the scheduler's debug assertions are off in this test build: re-enable \
+         `debug-assertions` in the profile the tests are built with"
+    );
+}
+
 fn tiny_params() -> WorkloadParams {
     WorkloadParams { width: 64, height: 64, frames: 1, texture_size: 32, ..Default::default() }
 }

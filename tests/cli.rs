@@ -4,6 +4,8 @@
 
 use std::process::Command;
 
+use attila::core::config::GpuConfig;
+
 fn attila_bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_attila"))
 }
@@ -49,4 +51,44 @@ fn cli_refuses_a_257th_texture_unit_before_simulating() {
         "stderr: {stderr}"
     );
     assert!(!stdout.contains("cycles:"), "no cycle may be simulated: {stdout}");
+}
+
+#[test]
+fn cli_refuses_a_zero_stage_latency() {
+    // A stage latency is a port latency; zero used to be simulated as one.
+    let mut config = GpuConfig::baseline();
+    config.clipper.latency = 0;
+    let path = std::env::temp_dir()
+        .join(format!("attila-cli-zero-latency-{}.json", std::process::id()));
+    std::fs::write(&path, config.to_json()).expect("write the config");
+    let out = attila_bin()
+        .arg("--config")
+        .arg(&path)
+        .args(["--workload", "quickstart"])
+        .output()
+        .expect("attila runs");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("invalid configuration: clipper.latency must be at least 1"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
+fn cli_loads_a_config_that_still_names_retired_constants() {
+    // `attila --dump-config` from before `fraggen.tile_size`,
+    // `hz.block_size`, `shader.group_size` and
+    // `memory.bytes_per_cycle_per_channel` became constants: the keys are
+    // ignored and the file describes the same machine.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/baseline_config_with_retired_keys.json");
+    let text = std::fs::read_to_string(path).expect("read the old dump");
+    assert_eq!(GpuConfig::from_json(&text).unwrap(), GpuConfig::baseline());
+    let dump = |args: &[&str]| {
+        let out = attila_bin().args(args).arg("--dump-config").output().expect("attila runs");
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        out.stdout
+    };
+    assert_eq!(dump(&["--config", path]), dump(&[]));
 }
