@@ -1,14 +1,17 @@
 //! Figure 10: rendered-frame validation. The paper compares the
 //! simulator's DAC dump against a GeForce 5900 frame and found three
 //! rendering bugs that way; our reference is the golden-model renderer.
-//! Dumps both images as PPM files and reports the pixel diff.
+//! Dumps both images as PPM files and reports the pixel diff; exits 1 when
+//! any frame differs.
+
+use std::process::ExitCode;
 
 use attila_bench::{harness_params, is_full_run};
 use attila_core::config::{GpuConfig, ShaderScheduling};
 use attila_core::gpu::Gpu;
 use attila_gl::{compile, diff_frames, golden_frames, verify, workloads};
 
-fn main() {
+fn main() -> ExitCode {
     let full = is_full_run();
     let params = harness_params(full);
     println!("== Figure 10: frame validation against the golden model ==");
@@ -48,7 +51,9 @@ fn main() {
     println!();
     if all_identical {
         println!("every frame is bit-identical to the reference renderer.");
+        ExitCode::SUCCESS
     } else {
         println!("MISMATCH: the timing model corrupted at least one frame (a bug, as in the paper's Figure 10 findings).");
+        ExitCode::FAILURE
     }
 }

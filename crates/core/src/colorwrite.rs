@@ -20,7 +20,7 @@ use attila_sim::{Counter, Cycle, Horizon, SimError};
 use crate::address::{pixel_address, surface_bytes, tile_address};
 use crate::config::RopConfig;
 use crate::port::PortReceiver;
-use crate::rop::{self, RopEngine};
+use crate::rop::{self, Access, RopEngine, Round};
 use crate::types::FragQuad;
 use crate::unit::Unit;
 
@@ -37,6 +37,9 @@ pub struct ColorWriteUnit {
     /// and `next_req_id` keys of the unit's state).
     rop: RopEngine,
     prefer_late: bool,
+    /// The last clock's final round left every queued head quad waiting on
+    /// a memory reply: the unit sleeps until one arrives.
+    waiting: bool,
     stat_quads: Counter,
     stat_frags_written: Counter,
     stat_blended: Counter,
@@ -64,6 +67,7 @@ impl ColorWriteUnit {
             in_early,
             in_late,
             prefer_late: false,
+            waiting: false,
             stat_quads: stats.counter(&format!("{name}.quads")),
             stat_frags_written: stats.counter(&format!("{name}.fragments_written")),
             stat_blended: stats.counter(&format!("{name}.fragments_blended")),
@@ -91,13 +95,21 @@ impl ColorWriteUnit {
 
         let quads_per_cycle = (self.config.frags_per_cycle / 4).max(1);
         let mut did_work = false;
+        self.waiting = false;
         for _ in 0..quads_per_cycle {
             // Alternate between the early and late inputs for fairness.
-            let turn =
+            let round =
                 rop::arbitrate(self.prefer_late, |late| self.try_process_head(cycle, mem, late))?;
-            let Some(late) = turn else { break };
-            self.prefer_late = !late;
-            did_work = true;
+            match round {
+                Round::Took(late) => {
+                    self.prefer_late = !late;
+                    did_work = true;
+                }
+                Round::Stalled { waiting } => {
+                    self.waiting = waiting;
+                    break;
+                }
+            }
         }
         if did_work {
             self.stat_busy_cycles.inc();
@@ -105,29 +117,33 @@ impl ColorWriteUnit {
         Ok(())
     }
 
+    /// Attempts to write the head quad of one input: `Ready` once it was
+    /// consumed, else what it waits for (an empty input waits for an
+    /// arrival).
     fn try_process_head(
         &mut self,
         cycle: Cycle,
         mem: &mut MemoryController,
         late: bool,
-    ) -> Result<bool, SimError> {
-        let (state, qx, qy) = {
-            let input = if late { &self.in_late } else { &self.in_early };
-            let Some(quad) = input.peek() else { return Ok(false) };
-            (std::sync::Arc::clone(&quad.tri.batch.state), quad.x, quad.y)
-        };
+    ) -> Result<Access, SimError> {
+        let input = if late { &self.in_late } else { &self.in_early };
+        let Some(quad) = input.peek() else { return Ok(Access::Waiting) };
+        let state = &quad.tri.batch.state;
         let base = state.color_buffer;
         let len = surface_bytes(state.target_width, state.target_height);
-        if !self.rop.bind(mem, base, len, &mut |_, _| {}) {
-            return Ok(false); // old surface still draining
+        let line = tile_address(base, state.target_width, quad.x, quad.y);
+        let access = self.rop.bind(mem, base, len, &mut |_, _| {});
+        if access != Access::Ready {
+            return Ok(access); // old surface still draining
         }
-        let line = tile_address(base, state.target_width, qx, qy);
-        if !self.rop.resident(cycle, mem, line, &mut |_, _| {}) {
-            return Ok(false); // blocked, or the fill is on its way
+        let access = self.rop.resident(cycle, mem, line, &mut |_, _| {});
+        if access != Access::Ready {
+            return Ok(access); // blocked, or the fill is on its way
         }
 
         let input = if late { &mut self.in_late } else { &mut self.in_early };
         let quad = input.try_pop(cycle)?.expect("peeked");
+        let state = &quad.tri.batch.state;
         self.stat_quads.inc();
         let mut wrote = false;
         for i in 0..4 {
@@ -153,7 +169,7 @@ impl ColorWriteUnit {
         if wrote {
             self.rop.mark_dirty(line);
         }
-        Ok(true)
+        Ok(Access::Ready)
     }
 
     /// Flushes the colour cache (end of frame), charging writebacks
@@ -188,10 +204,13 @@ impl Unit for ColorWriteUnit {
         !self.in_early.idle() || !self.in_late.idle() || self.rop.outstanding()
     }
 
-    /// Busy while cache fills or writebacks are outstanding or a quad is
-    /// queued on either input, otherwise idle.
+    /// Busy while writebacks wait for controller space or a quad is queued
+    /// that the last clock did not leave waiting on a memory reply,
+    /// otherwise idle. Fills in flight alone are no reason to clock the
+    /// unit: their replies wake it.
     fn work_horizon(&self) -> Horizon {
-        if self.rop.outstanding() || !self.in_early.is_empty() || !self.in_late.is_empty() {
+        let queued = !self.in_early.is_empty() || !self.in_late.is_empty();
+        if self.rop.queued() > 0 || (queued && !self.waiting) {
             return Horizon::Busy;
         }
         Horizon::Idle
@@ -210,6 +229,9 @@ impl JsonState for ColorWriteUnit {
         let Self {
             rop,
             prefer_late,
+            // Recomputed by every clock; no quad is queued at the
+            // quiescent checkpoint boundary.
+            waiting: _,
             name: _,
             config: _,
             in_early: _,
@@ -227,6 +249,7 @@ impl JsonState for ColorWriteUnit {
         let Self {
             rop,
             prefer_late,
+            waiting: _,
             name: _,
             config: _,
             in_early: _,

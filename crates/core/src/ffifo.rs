@@ -174,14 +174,20 @@ impl Group {
 struct UnitState {
     /// Dedicated vertex unit (non-unified mode)?
     vertex_unit: bool,
-    /// Groups resident on this unit.
-    resident: Vec<u64>,
+    /// Groups resident on this unit: the load `pick_unit` balances.
+    resident: usize,
+    /// The resident groups in `Ready` state, oldest first, as `(order,
+    /// id, ready_at)`: the thread window issues from this list without
+    /// reading a group. A group enters at the back when it attaches (it
+    /// is the youngest), leaves when it blocks on a texture or finishes,
+    /// and re-enters at its age position when its texture reply lands.
+    ready: Vec<(u64, u64, Cycle)>,
     /// The single running group (in-order queue mode).
     current: Option<u64>,
     /// Thread-window mode: no resident group can issue before this cycle
     /// (a lower bound on their `ready_at`s), so earlier cycles skip the
-    /// walk. Set by a walk that finds nothing, lowered when a group
-    /// attaches or a texture reply makes one ready.
+    /// scan of `ready`. Set by a scan that finds nothing, lowered when a
+    /// group attaches or a texture reply makes one ready.
     wake: Cycle,
     /// One functional emulator per (batch, target) with constants loaded.
     /// A unit rarely hosts more than a couple of pairs, so a linear scan
@@ -198,6 +204,23 @@ impl UnitState {
 
     fn emu_mut(&mut self, batch_id: u64, target: ShaderTarget) -> Option<&mut ShaderEmulator> {
         self.emulators.iter_mut().find(|(k, _)| *k == (batch_id, target)).map(|(_, e)| e)
+    }
+
+    /// Where the group of age `order` is, or belongs, in `ready`.
+    fn ready_slot(&self, order: u64) -> usize {
+        self.ready.partition_point(|&(o, _, _)| o < order)
+    }
+
+    /// Brings `g`'s entry in `ready` up to date after it issued: its new
+    /// `ready_at`, or its removal once it blocked on a texture or finished.
+    fn sync_ready(&mut self, g: &Group) {
+        let at = self.ready_slot(g.order);
+        debug_assert_eq!(self.ready.get(at).map(|e| e.1), Some(g.id), "an issued group is ready");
+        if g.state == GroupState::Ready {
+            self.ready[at].2 = g.ready_at;
+        } else {
+            self.ready.remove(at);
+        }
     }
 }
 
@@ -304,7 +327,8 @@ impl FragmentFifo {
         for u in 0..config.fragment_units {
             units.push(UnitState {
                 vertex_unit: false,
-                resident: Vec::new(),
+                resident: 0,
+                ready: Vec::new(),
                 current: None,
                 wake: 0,
                 emulators: Vec::new(),
@@ -316,7 +340,8 @@ impl FragmentFifo {
             for u in 0..config.vertex_units {
                 units.push(UnitState {
                     vertex_unit: true,
-                    resident: Vec::new(),
+                    resident: 0,
+                    ready: Vec::new(),
                     current: None,
                     wake: 0,
                     emulators: Vec::new(),
@@ -581,9 +606,12 @@ impl FragmentFifo {
                 self.queue.push_back(gid);
             }
         } else {
+            // `order` is monotone: the fresh group is the unit's youngest,
+            // and it may issue at once.
+            let order = self.groups[gid as usize].as_ref().expect("group exists").order;
             let unit = &mut self.units[unit];
-            unit.resident.push(gid);
-            // A fresh group may issue at once.
+            unit.resident += 1;
+            unit.ready.push((order, gid, 0));
             unit.wake = 0;
         }
     }
@@ -607,8 +635,11 @@ impl FragmentFifo {
         let emu =
             Self::emulator_for(&mut self.units[unit_idx], g.batch_id, g.target, &program, &constants);
         g.threads = Some(Group::spawn_threads(&g.payload, emu));
-        self.units[unit_idx].resident.push(gid);
-        self.units[unit_idx].current = Some(gid);
+        let unit = &mut self.units[unit_idx];
+        unit.resident += 1;
+        // The unit's other resident groups have finished.
+        unit.ready.push((g.order, gid, g.ready_at));
+        unit.current = Some(gid);
     }
 
     /// Chooses the least-loaded eligible unit, or `None` if dedicated
@@ -620,7 +651,7 @@ impl FragmentFifo {
             .iter()
             .enumerate()
             .filter(|(_, u)| u.vertex_unit == want_vertex_unit);
-        candidates.min_by_key(|(_, u)| u.resident.len()).map(|(i, _)| i)
+        candidates.min_by_key(|(_, u)| u.resident).map(|(i, _)| i)
     }
 
     fn emulator_for<'a>(
@@ -670,21 +701,21 @@ impl FragmentFifo {
         match self.config.scheduling {
             ShaderScheduling::ThreadWindow => {
                 // Oldest ready group whose next instruction's operands are
-                // available. Groups attach in allocation order and `order`
-                // is assigned monotonically, so `resident` is sorted by
-                // age and the first ready group is the oldest.
+                // available: `ready` is sorted by age.
+                debug_assert!(
+                    self.ready_list_is_exact(unit),
+                    "unit {unit}'s ready list against its live groups on cycle {cycle}: {:?}",
+                    self.units[unit].ready
+                );
+                let unit = &mut self.units[unit];
                 let mut wake = Cycle::MAX;
-                for gid in &self.units[unit].resident {
-                    let Some(g) = self.groups[*gid as usize].as_ref() else { continue };
-                    if g.state != GroupState::Ready {
-                        continue;
+                for &(_, gid, ready_at) in &unit.ready {
+                    if ready_at <= cycle {
+                        return Some(gid);
                     }
-                    if g.ready_at <= cycle {
-                        return Some(g.id);
-                    }
-                    wake = wake.min(g.ready_at);
+                    wake = wake.min(ready_at);
                 }
-                self.units[unit].wake = wake;
+                unit.wake = wake;
                 None
             }
             ShaderScheduling::InOrderQueue => {
@@ -715,6 +746,23 @@ impl FragmentFifo {
         }
     }
 
+    /// Whether `unit`'s ready list holds exactly its live groups in
+    /// `Ready` state, oldest first, with their `ready_at`s: the slab's
+    /// `Ready` groups of the unit are as many as the entries, and the
+    /// entries, in strictly rising age, each name one of them. Allocates
+    /// nothing, so debug builds can check it on every select.
+    fn ready_list_is_exact(&self, unit: usize) -> bool {
+        let ready = &self.units[unit].ready;
+        let is_ready = |g: &Group| g.unit == unit && g.state == GroupState::Ready;
+        ready.windows(2).all(|w| w[0].0 < w[1].0)
+            && ready.iter().all(|&(order, gid, ready_at)| {
+                self.groups[gid as usize]
+                    .as_ref()
+                    .is_some_and(|g| is_ready(g) && g.order == order && g.ready_at == ready_at)
+            })
+            && self.groups.iter().flatten().filter(|g| is_ready(g)).count() == ready.len()
+    }
+
     /// Issues one instruction for every live thread of `gid` in lockstep.
     /// Returns `false` if nothing was issued.
     fn issue_group(&mut self, cycle: Cycle, gid: u64) -> bool {
@@ -743,6 +791,7 @@ impl FragmentFifo {
             self.next_tex_id += 1;
             g.tex_id = Some(id);
             g.state = GroupState::TexBlocked;
+            unit.sync_ready(g);
             self.stat_tex_requests.inc();
             self.tex_outbox.push_back(QuadTexRequest {
                 id,
@@ -773,9 +822,10 @@ impl FragmentFifo {
                 self.vertex_outbox.push_back(gid);
             }
             if self.config.scheduling == ShaderScheduling::InOrderQueue {
-                self.units[g.unit].current = None;
+                unit.current = None;
             }
         }
+        unit.sync_ready(g);
         true
     }
 
@@ -832,6 +882,8 @@ impl FragmentFifo {
                 g.advance();
                 g.tex_id = None;
                 g.state = GroupState::Ready;
+                let at = unit.ready_slot(g.order);
+                unit.ready.insert(at, (g.order, g.id, g.ready_at));
                 unit.wake = unit.wake.min(g.ready_at);
             }
         }
@@ -967,7 +1019,7 @@ impl FragmentFifo {
         self.free_slots.push(gid as u32);
         self.live_groups -= 1;
         let unit = &mut self.units[g.unit];
-        unit.resident.retain(|x| *x != gid);
+        unit.resident -= 1;
         let emu = unit.emu_mut(g.batch_id, g.target).expect("alive");
         for &tid in g.live_threads() {
             emu.retire(tid);

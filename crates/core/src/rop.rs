@@ -28,6 +28,25 @@ use crate::config::RopConfig;
 /// within the surface and its words as memory holds them.
 pub(crate) type OnEvict<'a> = &'a mut dyn FnMut(usize, &[u32; ZBLOCK_WORDS]);
 
+/// Whether a head quad's surface is bound and its line resident, and if
+/// not, whether the next cycle can change that by itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Access {
+    /// The quad may proceed.
+    Ready,
+    /// Only an event that wakes the unit can change the answer
+    /// (DESIGN.md §14). The engine's is a memory reply: the line's own
+    /// fill is in flight, every way of its set is pending, or a rebind
+    /// waits for the old surface's fills. A unit's head quad also waits on
+    /// an output credit, and an empty input on an arrival.
+    Waiting,
+    /// Asking again next cycle may succeed: the lookup found the cache's
+    /// ports taken and no fill of the line in flight, the miss found the
+    /// controller without room for the fill, or it hit a cleared block,
+    /// which is resident from the next lookup on.
+    Retry,
+}
+
 /// One ROP unit's cache with its fill, write-back and rebind machinery.
 #[derive(Debug)]
 pub(crate) struct RopEngine {
@@ -82,30 +101,30 @@ impl RopEngine {
     ) {
         // The Command Processor only clears with the pipeline drained, so
         // the rebind never has to wait here.
-        let ready = self.bind(mem, base, len, on_evict);
-        assert!(ready, "fast clear issued with fills in flight");
+        let access = self.bind(mem, base, len, on_evict);
+        assert_eq!(access, Access::Ready, "fast clear issued with fills in flight");
         self.cache.as_mut().expect("bound").fast_clear(mem.gpu_mem_mut(), word);
     }
 
-    /// Returns `true` when the cache is bound to `(base, len)` and ready.
-    /// Rebinding (render-target switch) waits for in-flight fills and
-    /// writes the old surface's dirty lines back first.
+    /// Whether the cache is bound to `(base, len)`. Rebinding
+    /// (render-target switch) waits for in-flight fills and writes the old
+    /// surface's dirty lines back first.
     pub(crate) fn bind(
         &mut self,
         mem: &mut MemoryController,
         base: u64,
         len: u64,
         on_evict: OnEvict<'_>,
-    ) -> bool {
+    ) -> Access {
         if self.cache.as_ref().is_some_and(|c| c.base() == base && c.len() == len) {
-            return true;
+            return Access::Ready;
         }
         if !self.fills.is_empty() {
-            return false; // drain outstanding fills of the old surface
+            return Access::Waiting; // drain outstanding fills of the old surface
         }
         self.flush(mem, on_evict);
         self.cache = Some(RopCache::new(self.geometry, self.label, base, len));
-        true
+        Access::Ready
     }
 
     /// Completes the fills whose replies the controller holds.
@@ -136,22 +155,21 @@ impl RopEngine {
     }
 
     /// Whether `line` of the bound surface is resident; a miss starts its
-    /// fill and reports `false` until the data lands.
+    /// fill, and the line is not ready until the data lands.
     pub(crate) fn resident(
         &mut self,
         cycle: Cycle,
         mem: &mut MemoryController,
         line: u64,
         on_evict: OnEvict<'_>,
-    ) -> bool {
+    ) -> Access {
         let cache = self.cache.as_mut().expect("bind() returned ready");
         match cache.lookup(cycle, line, false) {
-            Lookup::Hit => true,
-            Lookup::Blocked => false,
-            Lookup::Miss => {
-                self.start_fill(mem, line, on_evict);
-                false
-            }
+            Lookup::Hit => Access::Ready,
+            // A line is pending exactly while its fill is in flight.
+            Lookup::Blocked if self.fills.contains_key(&line) => Access::Waiting,
+            Lookup::Blocked => Access::Retry,
+            Lookup::Miss => self.start_fill(mem, line, on_evict),
         }
     }
 
@@ -160,17 +178,25 @@ impl RopEngine {
         self.cache.as_mut().expect("bind() returned ready").mark_dirty(line);
     }
 
-    /// Starts filling `line`, writing back the dirty line it displaces.
-    fn start_fill(&mut self, mem: &mut MemoryController, line: u64, on_evict: OnEvict<'_>) {
+    /// Starts filling `line`, writing back the dirty line it displaces,
+    /// and answers what the line waits for.
+    fn start_fill(
+        &mut self,
+        mem: &mut MemoryController,
+        line: u64,
+        on_evict: OnEvict<'_>,
+    ) -> Access {
         if self.fills.contains_key(&line) {
-            return; // already in flight
+            return Access::Waiting; // already in flight
         }
         // Reserve controller slots for the worst case: 4 evict + 4 fill.
         if mem.free_slots(self.client, line) < 8 {
-            return;
+            return Access::Retry;
         }
-        let Some(cache) = self.cache.as_mut() else { return };
-        let Ok((fill_bytes, eviction)) = cache.allocate(line) else { return };
+        let cache = self.cache.as_mut().expect("bind() returned ready");
+        let Ok((fill_bytes, eviction)) = cache.allocate(line) else {
+            return Access::Waiting; // every way of the set is pending
+        };
         if let Some(ev) = eviction {
             self.write_back(mem, ev.line_addr, on_evict);
         }
@@ -178,7 +204,7 @@ impl RopEngine {
             // Cleared block: no memory traffic; the functional image
             // already holds the clear value.
             self.cache.as_mut().expect("allocated above").fill_done(line);
-            return;
+            return Access::Retry;
         }
         let mut count = 0;
         for (addr, size) in split_transactions(line, fill_bytes as u64) {
@@ -187,6 +213,7 @@ impl RopEngine {
             count += 1;
         }
         self.fills.insert(line, count);
+        Access::Waiting
     }
 
     /// Writes every dirty line back (end of frame, render-target switch).
@@ -236,7 +263,8 @@ impl RopEngine {
         !self.fills.is_empty() || !self.pending_writebacks.is_empty()
     }
 
-    /// Writeback transactions waiting for controller space.
+    /// Writeback transactions waiting for controller space: work no
+    /// wake-up event announces, so the unit stays `Busy` while any wait.
     pub(crate) fn queued(&self) -> usize {
         self.pending_writebacks.len()
     }
@@ -288,17 +316,35 @@ impl RopEngine {
     }
 }
 
+/// What one arbitration round between a unit's inputs came to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Round {
+    /// The head quad of this input (`late`?) was consumed.
+    Took(bool),
+    /// Neither head moved; `waiting` when each input answered
+    /// [`Access::Waiting`]: only an event that wakes the unit can change
+    /// that.
+    Stalled {
+        /// Whether both inputs wait on a wake-up event.
+        waiting: bool,
+    },
+}
+
 /// One arbitration round between a unit's early and late inputs: the
-/// preferred input gets the first try, the other the second. Returns which
-/// input (`late`?) made progress, for the caller to prefer the other next.
+/// preferred input gets the first try, the other the second. `try_head`
+/// answers `Ready` once it consumed the input's head quad. On progress the
+/// round names the input, for the caller to prefer the other next.
 pub(crate) fn arbitrate(
     prefer_late: bool,
-    mut try_head: impl FnMut(bool) -> Result<bool, SimError>,
-) -> Result<Option<bool>, SimError> {
+    mut try_head: impl FnMut(bool) -> Result<Access, SimError>,
+) -> Result<Round, SimError> {
+    let mut waiting = true;
     for late in [prefer_late, !prefer_late] {
-        if try_head(late)? {
-            return Ok(Some(late));
+        match try_head(late)? {
+            Access::Ready => return Ok(Round::Took(late)),
+            Access::Waiting => {}
+            Access::Retry => waiting = false,
         }
     }
-    Ok(None)
+    Ok(Round::Stalled { waiting })
 }

@@ -33,7 +33,7 @@ use crate::address::{pixel_address, surface_bytes, tile_address, FB_TILE_BYTES};
 use crate::config::RopConfig;
 use crate::hz::HzUpdate;
 use crate::port::{PortReceiver, PortSender};
-use crate::rop::{self, RopEngine};
+use crate::rop::{self, Access, RopEngine, Round};
 use crate::types::FragQuad;
 use crate::unit::Unit;
 
@@ -60,6 +60,10 @@ pub struct ZStencilUnit {
     /// HZ updates awaiting the wire.
     hz_queue: VecDeque<HzUpdate>,
     prefer_late: bool,
+    /// The last clock's final round left every queued head quad waiting on
+    /// a memory reply or an output credit: the unit sleeps until one
+    /// arrives.
+    waiting: bool,
 
     stat_quads: Counter,
     stat_frags_tested: Counter,
@@ -104,6 +108,7 @@ impl ZStencilUnit {
             target_width: 0,
             hz_queue: VecDeque::new(),
             prefer_late: false,
+            waiting: false,
             stat_quads: stats.counter(&format!("{name}.quads")),
             stat_frags_tested: stats.counter(&format!("{name}.fragments_tested")),
             stat_frags_passed: stats.counter(&format!("{name}.fragments_passed")),
@@ -147,13 +152,21 @@ impl ZStencilUnit {
 
         let quads_per_cycle = (self.config.frags_per_cycle / 4).max(1);
         let mut did_work = false;
+        self.waiting = false;
         for _ in 0..quads_per_cycle {
             // Alternate between the early and late inputs for fairness.
-            let turn =
+            let round =
                 rop::arbitrate(self.prefer_late, |late| self.try_process_head(cycle, mem, late))?;
-            let Some(late) = turn else { break };
-            self.prefer_late = !late;
-            did_work = true;
+            match round {
+                Round::Took(late) => {
+                    self.prefer_late = !late;
+                    did_work = true;
+                }
+                Round::Stalled { waiting } => {
+                    self.waiting = waiting;
+                    break;
+                }
+            }
         }
         if did_work {
             self.stat_busy_cycles.inc();
@@ -161,27 +174,24 @@ impl ZStencilUnit {
         Ok(())
     }
 
-    /// Attempts to process the head quad of one input; returns `Ok(true)`
-    /// on progress.
+    /// Attempts to process the head quad of one input: `Ready` once it
+    /// was consumed, else what it waits for (an empty input waits for an
+    /// arrival).
     fn try_process_head(
         &mut self,
         cycle: Cycle,
         mem: &mut MemoryController,
         late: bool,
-    ) -> Result<bool, SimError> {
-        let (state, qx, qy) = {
-            let input = if late { &self.in_late } else { &self.in_early };
-            let Some(quad) = input.peek() else { return Ok(false) };
-            (std::sync::Arc::clone(&quad.tri.batch.state), quad.x, quad.y)
-        };
+    ) -> Result<Access, SimError> {
+        let input = if late { &self.in_late } else { &self.in_early };
+        let Some(quad) = input.peek() else { return Ok(Access::Waiting) };
+        let state = &quad.tri.batch.state;
         // Output availability first: never pop a quad we cannot forward.
-        let out_ok = if late {
-            self.out_late.can_send(cycle)
-        } else {
-            self.out_early.can_send(cycle)
-        };
-        if !out_ok {
-            return Ok(false);
+        // Out of credits, only a returning one helps; a credit held back
+        // by the wire's bandwidth is there next cycle.
+        let out = if late { &self.out_late } else { &self.out_early };
+        if !out.can_send(cycle) {
+            return Ok(if out.credits() == 0 { Access::Waiting } else { Access::Retry });
         }
 
         // Pass-through when neither test is enabled: no buffer access.
@@ -192,21 +202,24 @@ impl ZStencilUnit {
             self.stat_frags_tested.add(quad.live_count() as u64);
             self.stat_frags_passed.add(quad.live_count() as u64);
             self.forward(cycle, quad, late)?;
-            return Ok(true);
+            return Ok(Access::Ready);
         }
 
         let z_base = state.z_buffer;
-        let len = surface_bytes(state.target_width, state.target_height);
+        let target_width = state.target_width;
+        let len = surface_bytes(target_width, state.target_height);
+        let line = tile_address(z_base, target_width, quad.x, quad.y);
         // Every line the engine writes back yields the block's HZ reference.
         let hz = &mut self.hz_queue;
         let mut on_evict = |b, w: &[u32; ZBLOCK_WORDS]| hz.push_back(hz_reference(b, w));
-        if !self.rop.bind(mem, z_base, len, &mut on_evict) {
-            return Ok(false); // old surface still draining
+        let access = self.rop.bind(mem, z_base, len, &mut on_evict);
+        if access != Access::Ready {
+            return Ok(access); // old surface still draining
         }
-        self.target_width = state.target_width;
-        let line = tile_address(z_base, state.target_width, qx, qy);
-        if !self.rop.resident(cycle, mem, line, &mut on_evict) {
-            return Ok(false); // blocked, or the fill is on its way
+        self.target_width = target_width;
+        let access = self.rop.resident(cycle, mem, line, &mut on_evict);
+        if access != Access::Ready {
+            return Ok(access); // blocked, or the fill is on its way
         }
 
         // Resident: test the quad's live fragments. Back-facing
@@ -214,6 +227,8 @@ impl ZStencilUnit {
         // stencil for one-pass shadow volumes).
         let input = if late { &mut self.in_late } else { &mut self.in_early };
         let mut quad = input.try_pop(cycle)?.expect("peeked");
+        let state = &quad.tri.batch.state;
+        let depth = state.depth;
         let stencil = if quad.tri.setup.front_facing {
             state.stencil
         } else {
@@ -228,10 +243,10 @@ impl ZStencilUnit {
             }
             self.stat_frags_tested.inc();
             let (x, y) = quad.frag_coords(i);
-            let addr = pixel_address(z_base, state.target_width, x, y);
+            let addr = pixel_address(z_base, target_width, x, y);
             let stored = mem.gpu_mem().read_u32(addr);
             let frag_depth = quantize_depth(quad.frags[i].depth);
-            let r = z_stencil_test(state.depth, stencil, frag_depth, stored);
+            let r = z_stencil_test(depth, stencil, frag_depth, stored);
             if r.written {
                 if unpack_depth_stencil(r.new_word).0 > unpack_depth_stencil(stored).0 {
                     raised = true;
@@ -257,7 +272,7 @@ impl ZStencilUnit {
             self.hz_queue.push_back(HzUpdate { block, max_depth: 1.0 });
         }
         self.forward(cycle, quad, late)?;
-        Ok(true)
+        Ok(Access::Ready)
     }
 
     fn forward(&mut self, cycle: Cycle, quad: FragQuad, late: bool) -> Result<(), SimError> {
@@ -313,18 +328,20 @@ impl Unit for ZStencilUnit {
             || !self.hz_queue.is_empty()
     }
 
-    /// Busy while fills, writebacks or HZ updates are outstanding or an
-    /// input's head quad has a credit on its output, otherwise idle. A
-    /// head quad without a credit is stalled, not busy: `try_process_head` returns on
-    /// `out_ok` before `bind` or `resident` can touch the cache, and the
-    /// returning credit wakes the unit.
+    /// Busy while writebacks wait for controller space, HZ updates wait
+    /// for the wire, or an input's head quad has a credit on its output
+    /// and the last clock did not leave it waiting on a memory reply,
+    /// otherwise idle. A head quad without a credit is stalled, not busy:
+    /// `try_process_head` returns on the credit before `bind` or
+    /// `resident` can touch the cache, and the returning credit wakes the
+    /// unit; one behind a fill in flight is woken by the reply.
     fn work_horizon(&self) -> Horizon {
-        if self.rop.outstanding() || !self.hz_queue.is_empty() {
+        if self.rop.queued() > 0 || !self.hz_queue.is_empty() {
             return Horizon::Busy;
         }
-        if (!self.in_early.is_empty() && self.out_early.credits() > 0)
-            || (!self.in_late.is_empty() && self.out_late.credits() > 0)
-        {
+        let sendable = (!self.in_early.is_empty() && self.out_early.credits() > 0)
+            || (!self.in_late.is_empty() && self.out_late.credits() > 0);
+        if sendable && !self.waiting {
             return Horizon::Busy;
         }
         Horizon::Idle
@@ -343,8 +360,10 @@ impl JsonState for ZStencilUnit {
             rop,
             target_width,
             prefer_late,
-            // Drained at the quiescent checkpoint boundary.
+            // Drained at the quiescent checkpoint boundary, or recomputed
+            // by every clock.
             hz_queue: _,
+            waiting: _,
             // The name is built from the unit index; the rest is wiring.
             name: _,
             config: _,
@@ -373,6 +392,7 @@ impl JsonState for ZStencilUnit {
             target_width,
             prefer_late,
             hz_queue: _,
+            waiting: _,
             name: _,
             config: _,
             in_early: _,

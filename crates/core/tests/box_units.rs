@@ -37,7 +37,7 @@ use attila_emu::isa::limits;
 use attila_emu::raster::{setup_triangle, RasterFragment, Viewport};
 use attila_emu::texture::{encode_tiled, TexFormat, TextureDesc};
 use attila_emu::vector::Vec4;
-use attila_mem::{MemControllerConfig, MemoryController};
+use attila_mem::{Client, MemControllerConfig, MemoryController};
 use attila_sim::{DynamicObject, Horizon, StatsRegistry};
 
 fn make_state() -> RenderState {
@@ -184,6 +184,7 @@ struct ColorWriteRig {
     late_tx: PortSender<FragQuad>,
     cw: ColorWriteUnit,
     mem: MemoryController,
+    stats: StatsRegistry,
     cycle: u64,
 }
 
@@ -198,8 +199,29 @@ impl ColorWriteRig {
             late_tx,
             cw: ColorWriteUnit::new(0, config, early_rx, late_rx, &mut stats),
             mem: MemoryController::new(mem_config, 1 << 22),
+            stats,
             cycle: 0,
         }
+    }
+
+    /// A rig on a one-channel controller with room for two lines'
+    /// transactions, flushed with twelve dirty lines in its cache: what
+    /// the full queue refused, 40 transactions, waits in the unit.
+    fn flushed_into_a_full_controller() -> Self {
+        let tight = MemControllerConfig { channels: 1, queue_capacity: 8, ..Default::default() };
+        let mut rig = ColorWriteRig::new(tight);
+        let st = make_state();
+        rig.cw.fast_clear(&mut rig.mem, st.color_buffer, surface_bytes(64, 64), 0);
+        for i in 0..DIRTY_LINES {
+            // One quad in each of twelve different tiles.
+            let quad = make_color_quad(make_state(), (i % 8) * 8, (i / 8) * 8, Vec4::ONE);
+            rig.step(Some(quad), None);
+        }
+        rig.drain();
+        assert_eq!(rig.cw.fragments_written(), u64::from(4 * DIRTY_LINES));
+        assert_eq!(rig.mem.bytes_written(), 0);
+        rig.cw.flush(&mut rig.mem);
+        rig
     }
 
     /// One cycle: an optional quad into each input, then the unit and the
@@ -265,6 +287,9 @@ fn colorwrite_unit_blends_and_writes() {
     assert_eq!(rig.mem.bytes_written(), 0, "dirty lines stay in the cache until flushed");
 }
 
+/// The dirty lines `ColorWriteRig::flushed_into_a_full_controller` writes.
+const DIRTY_LINES: u32 = 12;
+
 /// The shared engine, through the Colour Write unit: a flush the
 /// controller has no room for queues what it cannot submit and later
 /// `clock()`s drain it — every dirty line's bytes reach memory.
@@ -272,21 +297,7 @@ fn colorwrite_unit_blends_and_writes() {
 fn rop_flush_against_a_full_controller_loses_nothing() {
     // One channel with room for two lines' transactions: a twelve-line
     // flush overflows it.
-    let tight = MemControllerConfig { channels: 1, queue_capacity: 8, ..Default::default() };
-    let mut rig = ColorWriteRig::new(tight);
-    let st = make_state();
-    rig.cw.fast_clear(&mut rig.mem, st.color_buffer, surface_bytes(64, 64), 0);
-    const DIRTY_LINES: u32 = 12;
-    for i in 0..DIRTY_LINES {
-        // One quad in each of twelve different tiles.
-        let quad = make_color_quad(make_state(), (i % 8) * 8, (i / 8) * 8, Vec4::ONE);
-        rig.step(Some(quad), None);
-    }
-    rig.drain();
-    assert_eq!(rig.cw.fragments_written(), u64::from(4 * DIRTY_LINES));
-    assert_eq!(rig.mem.bytes_written(), 0);
-
-    rig.cw.flush(&mut rig.mem);
+    let mut rig = ColorWriteRig::flushed_into_a_full_controller();
     let refused = (DIRTY_LINES as usize - 2) * 4;
     assert_eq!(rig.cw.queued(), refused, "what the full queue refused waits in the unit");
     assert!(rig.cw.busy(), "queued writebacks are work in flight");
@@ -1120,4 +1131,181 @@ fn dac_without_pending_reads_sleeps_and_clocks_as_a_no_op() {
     assert_eq!(stats.total("DAC.bytes_read"), Some(256.0));
     assert_stalled(&mut dac, &stats, 1, |d, _| d.clock(&mut mem), view);
     assert!(mem.busy(), "the reads are still in flight");
+}
+
+// A ROP unit whose head quad waits for its line's fill is stalled, not
+// busy: the fill's memory reply wakes it (the gate's reply rule), so its
+// horizon must not say `Busy`, and the clocks it sleeps through must be
+// no-ops. Write-backs the controller has no room for are another matter:
+// no event announces the free space, so they keep the unit `Busy`.
+
+/// What a fill looks like from the controller: `client`'s free slots on
+/// `line`'s channel, whether a reply waits for it, and the bytes read.
+fn fill_view(mem: &MemoryController, client: Client, line: u64) -> (usize, bool, u64) {
+    (mem.free_slots(client, line), mem.has_reply(client), mem.bytes_read())
+}
+
+/// Clocks the controller alone from `cycle` until it has delivered every
+/// reply; returns the next cycle.
+fn deliver_replies(mem: &mut MemoryController, mut cycle: u64) -> u64 {
+    while mem.busy() {
+        mem.clock(cycle);
+        cycle += 1;
+        assert!(cycle < 1_000, "the controller never drained");
+    }
+    cycle
+}
+
+#[test]
+fn colorwrite_waiting_on_a_fill_sleeps_and_clocks_as_a_no_op() {
+    // The surface is not cleared: the line's fill is a real read.
+    let mut rig = ColorWriteRig::new(MemControllerConfig::default());
+    let client = Client::ColorWrite(0);
+    let line = tile_address(make_state().color_buffer, 64, 8, 8);
+    rig.step(Some(make_color_quad(make_state(), 8, 8, Vec4::ONE)), None);
+    rig.step(None, None);
+    assert_eq!(rig.cw.in_early.len(), 1, "the quad waits at the head");
+    assert!(rig.mem.busy() && !rig.mem.has_reply(client), "its fill is in flight");
+
+    let fill = fill_view(&rig.mem, client, line);
+    let ColorWriteRig { early_tx, late_tx, cw, mem, stats, cycle } = &mut rig;
+    let clock = |cw: &mut ColorWriteUnit, c| cw.clock(c, mem).expect("no faults");
+    assert_stalled(cw, stats, *cycle, clock, |cw, c| {
+        early_tx.update(c);
+        late_tx.update(c);
+        vec![cw.queued(), early_tx.credits(), late_tx.credits()]
+    });
+    assert_eq!(fill_view(&rig.mem, client, line), fill, "the stalled clock touched no fill");
+
+    let cycle = deliver_replies(&mut rig.mem, rig.cycle);
+    assert!(rig.mem.has_reply(client), "the reply that wakes the unit");
+    rig.cw.clock(cycle, &mut rig.mem).expect("no faults");
+    assert!(rig.cw.in_early.is_empty(), "the woken unit writes the quad");
+    assert_eq!(rig.cw.fragments_written(), 4);
+
+    let mut rig = ColorWriteRig::flushed_into_a_full_controller();
+    rig.cw.clock(rig.cycle, &mut rig.mem).expect("no faults");
+    assert!(rig.cw.queued() > 0, "write-backs wait for controller space");
+    assert!(rig.cw.work_horizon().is_busy(), "nothing announces the controller's free space");
+}
+
+/// The test's ends of a Z/stencil unit's ports. It drains every output.
+struct ZStencilEnds {
+    early_tx: PortSender<FragQuad>,
+    late_tx: PortSender<FragQuad>,
+    out_early_rx: PortReceiver<FragQuad>,
+    out_late_rx: PortReceiver<FragQuad>,
+    hz_rx: PortReceiver<HzUpdate>,
+}
+
+impl ZStencilEnds {
+    /// Services the ends on cycle `c`, returning the input credits and
+    /// what each output delivered.
+    fn service(&mut self, c: u64) -> Vec<usize> {
+        self.early_tx.update(c);
+        self.late_tx.update(c);
+        self.out_early_rx.update(c);
+        self.out_late_rx.update(c);
+        self.hz_rx.update(c);
+        vec![
+            self.early_tx.credits(),
+            self.late_tx.credits(),
+            std::iter::from_fn(|| self.out_early_rx.pop(c)).count(),
+            std::iter::from_fn(|| self.out_late_rx.pop(c)).count(),
+            std::iter::from_fn(|| self.hz_rx.pop(c)).count(),
+        ]
+    }
+
+    /// One cycle: an optional quad into the early input, then the unit and
+    /// the controller clock.
+    fn step(
+        &mut self,
+        zst: &mut ZStencilUnit,
+        mem: &mut MemoryController,
+        c: u64,
+        quad: Option<FragQuad>,
+    ) {
+        self.early_tx.update(c);
+        if let Some(quad) = quad {
+            self.early_tx.send(c, quad);
+        }
+        zst.clock(c, mem).expect("no faults");
+        mem.clock(c);
+        self.service(c);
+    }
+}
+
+#[test]
+fn zstencil_waiting_on_a_fill_sleeps_and_clocks_as_a_no_op() {
+    let mut stats = StatsRegistry::new(0);
+    let (early_tx, early_rx) = unbound_port::<FragQuad>("hz->zst", 2, 1, 16);
+    let (late_tx, late_rx) = unbound_port::<FragQuad>("ff->zst", 1, 1, 16);
+    let (out_early_tx, out_early_rx) = unbound_port::<FragQuad>("zst->interp", 1, 1, 16);
+    let (out_late_tx, out_late_rx) = unbound_port::<FragQuad>("zst->cw", 1, 1, 16);
+    let (hz_tx, hz_rx) = unbound_port::<HzUpdate>("zst->hz", 4, 1, 32);
+    let mut zst = ZStencilUnit::new(
+        0,
+        GpuConfig::baseline().zstencil,
+        early_rx,
+        late_rx,
+        out_early_tx,
+        out_late_tx,
+        hz_tx,
+        &mut stats,
+    );
+    let mut ends = ZStencilEnds { early_tx, late_tx, out_early_rx, out_late_rx, hz_rx };
+    // One channel with room for two lines' transactions.
+    let tight = MemControllerConfig { channels: 1, queue_capacity: 8, ..Default::default() };
+    let mut mem = MemoryController::new(tight, 1 << 22);
+    let client = Client::ZStencil(0);
+    let st = make_state();
+
+    // The depth buffer is not cleared: the line's fill is a real read.
+    let line = tile_address(st.z_buffer, 64, 8, 8);
+    ends.step(&mut zst, &mut mem, 0, Some(make_quad(make_state(), 8, 8, 0.5)));
+    ends.step(&mut zst, &mut mem, 1, None);
+    assert_eq!(zst.in_early.len(), 1, "the quad waits at the head");
+    assert!(mem.busy() && !mem.has_reply(client), "its fill is in flight");
+    let fill = fill_view(&mem, client, line);
+    let clock = |zst: &mut ZStencilUnit, c| zst.clock(c, &mut mem).expect("no faults");
+    assert_stalled(&mut zst, &stats, 2, clock, |zst, c| {
+        let mut view = ends.service(c);
+        view.extend([zst.queued(), zst.out_early.credits(), zst.out_late.credits()]);
+        view
+    });
+    assert_eq!(fill_view(&mem, client, line), fill, "the stalled clock touched no fill");
+
+    let cycle = deliver_replies(&mut mem, 2);
+    assert!(mem.has_reply(client), "the reply that wakes the unit");
+    zst.clock(cycle, &mut mem).expect("no faults");
+    assert!(zst.in_early.is_empty(), "the woken unit tests the quad");
+    assert_eq!(zst.fragments_tested(), 4);
+
+    // Twelve dirty lines flushed into the tight controller.
+    let far = pack_depth_stencil(0x00ff_ffff, 0);
+    zst.fast_clear(&mut mem, st.z_buffer, surface_bytes(64, 64), far);
+    let mut cycle = cycle + 1;
+    for i in 0..DIRTY_LINES {
+        let quad = make_quad(make_state(), (i % 8) * 8, (i / 8) * 8, 0.25);
+        ends.step(&mut zst, &mut mem, cycle, Some(quad));
+        cycle += 1;
+    }
+    while zst.busy() || mem.busy() {
+        ends.step(&mut zst, &mut mem, cycle, None);
+        cycle += 1;
+        assert!(cycle < 2_000, "the unit never drained");
+    }
+    assert_eq!(zst.fragments_passed(), u64::from(4 * DIRTY_LINES));
+    zst.flush(&mut mem);
+    let hz_sent = zst.out_hz.total_sent();
+    // The controller is not clocked: the HZ references leave, the
+    // write-backs it refused stay.
+    for c in cycle..cycle + 4 {
+        zst.clock(c, &mut mem).expect("no faults");
+        ends.service(c);
+    }
+    let hz_references = zst.out_hz.total_sent() - hz_sent;
+    assert_eq!(hz_references, u64::from(DIRTY_LINES), "one HZ reference a line");
+    assert!(zst.queued() > 0, "write-backs wait for controller space");
+    assert!(zst.work_horizon().is_busy(), "nothing announces the controller's free space");
 }

@@ -186,6 +186,29 @@ fn fillrate_baseline() {
     assert_lockstep(GpuConfig::baseline(), &workloads::fillrate(64, 64, 4, true));
 }
 
+/// Asleep box-cycles of the two Colour Write units below which a unit
+/// whose head quad waits for its line's fill is being clocked again.
+const COLOR_WRITE_FLOOR: u64 = 40_000;
+
+/// The fill-bound back end: four full-screen layers over a 48 KiB colour
+/// buffer, which the two 16 KiB colour caches cannot hold, keep the Colour
+/// Write units' head quads waiting on fills. A memory reply wakes such a unit,
+/// not its horizon. The floor sits between the 28 479 box-cycles the two
+/// slept over the scene's 37 478 cycles at 5ae9def, where fills in flight
+/// meant `Busy`, and the 50 819 they sleep now.
+#[test]
+fn fillrate_fill_bound_sleeps_the_color_write_units() {
+    let (cycles, per_box) =
+        assert_lockstep(GpuConfig::baseline(), &workloads::fillrate(128, 96, 4, true));
+    let color_write: u64 =
+        per_box.iter().filter(|(name, _)| name.starts_with("ColorWrite")).map(|(_, n)| n).sum();
+    assert!(
+        color_write >= COLOR_WRITE_FLOOR,
+        "the Colour Write units slept {color_write} box-cycles over {cycles} cycles \
+         (floor {COLOR_WRITE_FLOOR}); per box: {per_box:?}"
+    );
+}
+
 #[test]
 fn texture_stream_baseline() {
     let mut params = tiny_params();

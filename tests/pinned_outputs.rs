@@ -5,11 +5,15 @@
 //! refactor of a box — is held to it here instead of by a manual `cmp`
 //! against the parent's binary.
 //!
-//! The values were recorded at d371d8a, the parent of the texture fast
-//! path. A PR that moves them on purpose (a timing-model change) re-pins
-//! them from the table the failure message prints and says why.
+//! A fifth row runs `doom3` under the in-order shader queue of the paper's
+//! Section 5 case study, the scheduler no CLI scene uses.
+//!
+//! The first four values were recorded at d371d8a, the parent of the
+//! texture fast path, the fifth at 5ae9def. A PR that moves them on purpose
+//! (a timing-model change) re-pins them from the table the failure message
+//! prints and says why.
 
-use attila::core::config::GpuConfig;
+use attila::core::config::{GpuConfig, ShaderScheduling};
 use attila::core::gpu::Gpu;
 use attila::gl::workloads::{self, WorkloadParams};
 use attila::gl::{GlPlayer, GlTrace};
@@ -44,18 +48,33 @@ fn cli_trace(name: &str) -> GlTrace {
     }
 }
 
-/// One line per scene, `name cycles csv-digest frame-digest…`, and the
-/// cycles the clock loop jumped over.
-fn outcome(name: &str) -> (String, u64) {
+/// The pinned scenes: a CLI workload and the shader scheduler it runs under.
+const SCENES: [(&str, ShaderScheduling); 5] = [
+    ("doom3", ShaderScheduling::ThreadWindow),
+    ("fillrate", ShaderScheduling::ThreadWindow),
+    ("ut2004", ShaderScheduling::ThreadWindow),
+    ("texture_stream", ShaderScheduling::ThreadWindow),
+    ("doom3", ShaderScheduling::InOrderQueue),
+];
+
+/// One line per scene, `name cycles csv-digest frame-digest…` (the name
+/// followed by `/in-order` under the in-order queue), and the cycles the
+/// clock loop jumped over.
+fn outcome(name: &str, scheduling: ShaderScheduling) -> (String, u64) {
     let trace = cli_trace(name);
     let commands = GlPlayer::new().replay(&trace).expect("trace replays");
     let mut config = GpuConfig::baseline();
     config.display.width = trace.width;
     config.display.height = trace.height;
+    config.shader.scheduling = scheduling;
     let mut gpu = Gpu::new(config);
     let result = gpu.run_trace(&commands).expect("scene drains");
+    let label = match scheduling {
+        ShaderScheduling::ThreadWindow => name.to_string(),
+        ShaderScheduling::InOrderQueue => format!("{name}/in-order"),
+    };
     let mut line = format!(
-        "{name} {} {:016x}",
+        "{label} {} {:016x}",
         result.cycles,
         fnv1a(gpu.stats().csv().as_bytes())
     );
@@ -67,28 +86,30 @@ fn outcome(name: &str) -> (String, u64) {
 
 /// `cycles`, then the FNV-64 of `stats().csv()` (equal to that of the
 /// CLI's `stats.csv`), then one FNV-64 per frame's RGBA bytes.
-const PINNED: [&str; 4] = [
+const PINNED: [&str; 5] = [
     "doom3 654791 c7019ddabd5df443 5b24a8d1196cf64a 55888f541ece4fc6",
     "fillrate 105471 db18374d496fb821 237be738ab153ec2",
     "ut2004 95869 21321263936b4612 6aeb9aa98c7a52d5 fbbca730eef6ba36",
     "texture_stream 23931 f3484820b783842b c2dc5c68095ecb6e 86905c155d90a609",
+    "doom3/in-order 1296104 5e11eeb826eb2cd2 5b24a8d1196cf64a 55888f541ece4fc6",
 ];
 
 /// `cycles_skipped` of each scene at ad85ddb, where the clock loop still
 /// jumped by a fresh fold of every unit's horizon behind a 32-step back-off
 /// and the memory controller clocked on every stepped cycle. Reading the
-/// gates instead may only find more idle cycles, never fewer.
-const SKIPPED_FLOOR: [u64; 4] = [15_300, 2_332, 13_425, 15_309];
+/// gates instead may only find more idle cycles, never fewer. The fifth,
+/// the in-order queue's, is its count at 5ae9def.
+const SKIPPED_FLOOR: [u64; 5] = [15_300, 2_332, 13_425, 15_309, 15_563];
 
 #[test]
 fn cli_scenes_are_pinned() {
-    let names = ["doom3", "fillrate", "ut2004", "texture_stream"];
-    let (actual, skipped): (Vec<String>, Vec<u64>) = names.iter().map(|n| outcome(n)).unzip();
+    let (actual, skipped): (Vec<String>, Vec<u64>) =
+        SCENES.iter().map(|&(name, scheduling)| outcome(name, scheduling)).unzip();
     assert_eq!(
         actual, PINNED,
         "a pinned scene moved; the measured table is on the left"
     );
-    for ((name, skipped), floor) in names.iter().zip(skipped).zip(SKIPPED_FLOOR) {
-        assert!(skipped >= floor, "{name} skipped {skipped} cycles, fewer than {floor}");
+    for ((line, skipped), floor) in actual.iter().zip(skipped).zip(SKIPPED_FLOOR) {
+        assert!(skipped >= floor, "{line} skipped {skipped} cycles, fewer than {floor}");
     }
 }
