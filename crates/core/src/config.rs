@@ -123,11 +123,9 @@ pub struct HzConfig {
     /// Tiles tested per cycle (Table 1: up to two 8×8 tiles).
     pub tiles_per_cycle: u32,
     /// Test latency in cycles. One HZ entry covers one
-    /// [`FB_TILE`](crate::address::FB_TILE)-edged block.
+    /// [`FB_TILE`](crate::address::FB_TILE)-edged block, quantized to
+    /// [`DEPTH_BITS`](crate::hz::DEPTH_BITS).
     pub latency: u64,
-    /// Depth precision of on-chip HZ entries in bits (paper: 8 bits,
-    /// 256 KB for 4096×4096).
-    pub depth_bits: u32,
 }
 
 /// Z & stencil / colour-write (ROP) parameters, shared shape.
@@ -380,13 +378,7 @@ impl_json_struct!(ClipperConfig { input_queue, latency });
 impl_json_struct!(SetupConfig { input_queue, latency });
 impl_json_struct!(FragGenConfig { input_queue, latency, tiles_per_cycle, traversal });
 impl_json_enum_unit!(Traversal { Recursive, TileScan });
-impl_json_struct!(HzConfig {
-    enabled,
-    input_queue,
-    tiles_per_cycle,
-    latency,
-    depth_bits,
-});
+impl_json_struct!(HzConfig { enabled, input_queue, tiles_per_cycle, latency });
 impl_json_struct!(RopConfig { units, frags_per_cycle, input_queue, latency, cache, compression });
 impl_json_struct!(RopCacheConfig { size_bytes, ways, line_bytes, ports });
 impl_json_struct!(InterpolatorConfig { frags_per_cycle, base_latency, latency_per_attribute });
@@ -470,7 +462,6 @@ impl GpuConfig {
                 input_queue: 64,
                 tiles_per_cycle: 2,
                 latency: 1,
-                depth_bits: 8,
             },
             zstencil: RopConfig {
                 units: 2,
@@ -952,10 +943,18 @@ mod tests {
     #[test]
     fn a_config_file_with_a_retired_key_still_loads() {
         // A key no field reads is ignored: files written before an option
-        // was removed keep loading, whatever value they gave it.
-        for retired in ["\"a_removed_option\": false", "\"on_fault\": \"Report\""] {
-            let text = GpuConfig::baseline().to_json().replacen('{', &format!("{{{retired},"), 1);
-            assert_eq!(GpuConfig::from_json(&text).unwrap(), GpuConfig::baseline(), "{retired}");
+        // was removed keep loading, whatever value they gave it, and build
+        // the machine. `hz.depth_bits` became `hz::DEPTH_BITS`: 64 used to
+        // overflow the shift that sized the HZ buffer's levels.
+        for (at, retired) in [
+            ("{", "\"a_removed_option\": false"),
+            ("{", "\"on_fault\": \"Report\""),
+            ("\"hz\": {", "\"depth_bits\": 64"),
+        ] {
+            let text = GpuConfig::baseline().to_json().replacen(at, &format!("{at}{retired},"), 1);
+            assert!(text.contains(retired), "{text}");
+            let gpu = crate::gpu::Gpu::new(GpuConfig::from_json(&text).unwrap());
+            assert_eq!(gpu.config(), &GpuConfig::baseline(), "{retired}");
         }
     }
 

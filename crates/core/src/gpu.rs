@@ -181,11 +181,12 @@ pub struct Gpu {
     /// Cycles the scheduler jumped over (a plain field, *not* a stats
     /// counter: the stats CSV must be identical with skipping on or off).
     cycles_skipped: Cycle,
-    /// The unit table: one row per clocked unit in clock order, fixed at
-    /// elaboration from the configured unit counts. The clock loop walks
-    /// it, and so does every per-unit question (`work_horizon`,
-    /// `pipeline_busy`, `failure_report`) through
-    /// [`unit`](Self::unit) — they cannot disagree about which units exist.
+    /// The unit table: one row per gated unit in clock order, fixed at
+    /// elaboration from the configured unit counts (the Command Processor
+    /// clocks ahead of it, the memory controller after it). The clock loop
+    /// walks it, and so does every per-unit question (`work_horizon`,
+    /// `pipeline_busy`, `failure_report`) through [`unit`](Self::unit) —
+    /// they cannot disagree about which units exist.
     table: Box<[UnitRow]>,
     /// Forensic trace sink, when signal tracing is enabled.
     trace: Option<attila_sim::TraceSink>,
@@ -244,9 +245,8 @@ impl_json_state!(Gpu {
 
 /// One entry of the flat clock schedule (see [`Gpu::try_step`]): which box
 /// to clock, with the unit index for replicated units. The Command
-/// Processor is not an entry — it clocks first with extra arguments (the
-/// machine idle flag) and its side-effect queue drains before the rest of
-/// the pipeline sees the cycle.
+/// Processor clocks ahead of the entries with extra arguments (the machine
+/// idle flag), and the memory controller after them: neither is gated.
 #[derive(Debug, Clone, Copy)]
 enum ScheduleEntry {
     Streamer,
@@ -261,7 +261,6 @@ enum ScheduleEntry {
     TexUnit(u8),
     ColorWrite(u8),
     Dac,
-    Memory,
 }
 
 /// One row of [`Gpu`]'s unit table.
@@ -282,9 +281,8 @@ struct UnitRow {
 #[derive(Debug)]
 struct BoxGate {
     /// Latest arrival over the wires the box reads, data and credit alike;
-    /// `None` for a box no wire reads (the DAC and the memory controller),
-    /// whose horizon the walk reads afresh at its turn instead: what
-    /// changes it is a submit or a reply, made by the rows before it.
+    /// `None` for the DAC, which no wire reads: a CP action wakes it, and
+    /// so does a reply to its `client`.
     wake: Option<WakeLine>,
     /// Whose memory replies wake the box. Box horizons do not cover
     /// replies the box does not wait on (ROP write-back acknowledgements),
@@ -317,15 +315,6 @@ impl BoxGate {
         self.idle_until = 0;
     }
 
-    /// Caches `horizon` as the first cycle the box must be clocked again.
-    fn hold(&mut self, horizon: Horizon) {
-        self.idle_until = match horizon {
-            Horizon::Busy => 0,
-            Horizon::IdleUntil(t) => t,
-            Horizon::Idle => Cycle::MAX,
-        };
-    }
-
     /// Re-arms the gate after its box clocked on `cycle`, returning
     /// whether the box answered `Busy`. The horizon is only worth reading
     /// once every input written so far has been absorbed: until then the
@@ -336,7 +325,11 @@ impl BoxGate {
             return false;
         }
         let horizon = horizon();
-        self.hold(horizon);
+        self.idle_until = match horizon {
+            Horizon::Busy => 0,
+            Horizon::IdleUntil(t) => t,
+            Horizon::Idle => Cycle::MAX,
+        };
         horizon.is_busy()
     }
 }
@@ -658,7 +651,6 @@ impl Gpu {
         schedule.extend((0..texunits.len()).map(|i| ScheduleEntry::TexUnit(index(i))));
         schedule.extend((0..colorwrite.len()).map(|i| ScheduleEntry::ColorWrite(index(i))));
         schedule.push(ScheduleEntry::Dac);
-        schedule.push(ScheduleEntry::Memory);
 
         let mut gpu = Gpu {
             config,
@@ -726,7 +718,6 @@ impl Gpu {
             ScheduleEntry::TexUnit(u) => &self.texunits[u as usize],
             ScheduleEntry::ColorWrite(u) => &self.colorwrite[u as usize],
             ScheduleEntry::Dac => &self.dac,
-            ScheduleEntry::Memory => &self.mem,
         }
     }
 
@@ -779,13 +770,14 @@ impl Gpu {
     }
 
     /// The machine-wide event horizon, asked afresh of every unit: the
-    /// meet of the Command Processor's horizon, every table row's and the
-    /// earliest in-flight arrival on *any* registered signal, data or
-    /// credit wire alike ([`SignalBinder::next_event_cycle`]). A unit's
-    /// horizon speaks only for its own state; this fold is where wire
-    /// arrivals enter the machine's. Readers verify that events are
-    /// drained at their exact arrival cycle, so jumping past any arrival
-    /// would surface as a spurious verification failure.
+    /// meet of the Command Processor's horizon, every table row's, the
+    /// memory controller's and the earliest in-flight arrival on *any*
+    /// registered signal, data or credit wire alike
+    /// ([`SignalBinder::next_event_cycle`]). A unit's horizon speaks only
+    /// for its own state; this fold is where wire arrivals enter the
+    /// machine's. Readers verify that events are drained at their exact
+    /// arrival cycle, so jumping past any arrival would surface as a
+    /// spurious verification failure.
     ///
     /// The clock loop of [`run_trace`](Self::run_trace) jumps by what the
     /// per-unit sleep gates hold instead; this gate-free fold is the
@@ -801,6 +793,9 @@ impl Gpu {
             }
             h = h.meet(self.unit(row.entry).work_horizon());
         }
+        if !h.is_busy() {
+            h = h.meet(self.mem.work_horizon());
+        }
         if h.is_busy() {
             return Horizon::Busy;
         }
@@ -812,7 +807,8 @@ impl Gpu {
     /// gate holds, one with wire input still in flight towards it answers
     /// its unit's own and brings the binder's earliest arrival in (the
     /// unit's horizon does not cover its inputs), and any other row — a
-    /// reply waiting, its own wake-up due — is `Busy`.
+    /// reply waiting, its own wake-up due — is `Busy`. The ungated
+    /// controller answers its exact horizon.
     fn gate_horizon(&self) -> Horizon {
         let next = self.cycle;
         let mut h = self.cp.work_horizon();
@@ -833,6 +829,9 @@ impl Gpu {
             } else {
                 Horizon::Busy
             });
+        }
+        if !h.is_busy() {
+            h = h.meet(self.mem.work_horizon());
         }
         if h.is_busy() {
             return Horizon::Busy;
@@ -914,25 +913,15 @@ impl Gpu {
         let mut result = Ok(());
         for UnitRow { entry, gate } in table.iter_mut() {
             let entry = *entry;
-            if gated {
-                // What a wire-less unit's cached horizon misses is work the
-                // rows before it handed over, which only brings its next
-                // event closer: re-read a verdict that would leave it
-                // asleep.
-                if gate.wake.is_none() && gate.idle_until > cycle {
-                    gate.hold(self.unit(entry).work_horizon());
-                }
-                if gate.asleep(cycle, &self.mem) {
-                    // Queued work is no reason to clock a unit: one stalled
-                    // on output credits holds it asleep until a credit
-                    // returns.
-                    debug_assert!(
-                        !self.unit(entry).work_horizon().is_busy(),
-                        "{entry:?} left asleep on cycle {cycle} with a Busy horizon, {} queued",
-                        self.unit(entry).queued(),
-                    );
-                    continue;
-                }
+            if gated && gate.asleep(cycle, &self.mem) {
+                // Queued work is no reason to clock a unit: one stalled on
+                // output credits holds it asleep until a credit returns.
+                debug_assert!(
+                    !self.unit(entry).work_horizon().is_busy(),
+                    "{entry:?} left asleep on cycle {cycle} with a Busy horizon, {} queued",
+                    self.unit(entry).queued(),
+                );
+                continue;
             }
             let step = match entry {
                 ScheduleEntry::Streamer => self.streamer.clock(cycle, &mut self.mem),
@@ -956,10 +945,6 @@ impl Gpu {
                     self.dac.clock(&mut self.mem);
                     Ok(())
                 }
-                ScheduleEntry::Memory => {
-                    self.mem.clock(cycle);
-                    Ok(())
-                }
             };
             if let Err(e) = step {
                 gate.wake_up();
@@ -976,6 +961,8 @@ impl Gpu {
         }
         self.table = table;
         result?;
+        // The walk's last stage: every submit of the cycle is in.
+        self.mem.clock(cycle);
         // Every wire has latency >= 1, every clocked box polls all of its
         // ports and an asleep box has nothing due: an arrival left unread
         // on any wire, data or credit, is a box that forgot a poll.
@@ -1197,13 +1184,20 @@ impl Gpu {
             asleep: asleep.is_some(),
             wake_cycle: asleep.map(|gate| gate.idle_until).filter(|&at| at != Cycle::MAX),
         };
-        // The Command Processor is clocked ahead of the table and never
-        // gated; every other unit is one table row with its gate.
+        // The Command Processor and the memory controller clock around the
+        // table, never gated; every other unit is one row with its gate.
         let mut boxes = vec![status(&self.cp, None)];
         boxes.extend(self.table.iter().map(|row| {
             let asleep = self.skip_idle && row.gate.asleep(self.cycle, &self.mem);
             status(self.unit(row.entry), asleep.then_some(&row.gate))
         }));
+        boxes.push(BoxStatus {
+            name: "MemoryController".into(),
+            busy: self.mem.busy(),
+            queued: 0,
+            asleep: false,
+            wake_cycle: None,
+        });
         #[expect(
             clippy::disallowed_methods,
             reason = "a post-mortem copy out of the trace sink, a write-only observer of the wires"

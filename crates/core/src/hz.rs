@@ -41,28 +41,38 @@ const _: () = assert!(std::mem::size_of::<HzUpdate>() <= 112);
 /// buffer stops it taking tiles (back-pressure towards the generator).
 const PENDING_QUADS: usize = 64;
 
-/// The on-chip Hierarchical Z buffer: one max-depth entry per 8×8 block,
-/// quantized to the configured precision (8 bits in the paper, 256 KB for
+/// Depth precision of an on-chip HZ entry in bits (the paper's: 256 KB for
 /// 4096×4096).
+pub const DEPTH_BITS: u32 = 8;
+
+/// Conservative (round-up) quantization to [`DEPTH_BITS`].
+fn quantize_up(depth: f32) -> f32 {
+    const LEVELS: f32 = ((1 << DEPTH_BITS) - 1) as f32;
+    if !depth.is_finite() {
+        return f32::INFINITY;
+    }
+    (depth.clamp(0.0, 1.0) * LEVELS).ceil() / LEVELS
+}
+
+/// The on-chip Hierarchical Z buffer: one max-depth entry per 8×8 block,
+/// quantized to [`DEPTH_BITS`].
 #[derive(Debug)]
 pub struct HzBuffer {
     entries: Vec<f32>,
-    levels: f32,
 }
 
 impl HzBuffer {
     /// Creates a buffer for a `width`×`height` target, all entries at the
     /// conservative maximum (no rejection possible until cleared).
-    pub fn new(width: u32, height: u32, depth_bits: u32) -> Self {
+    pub fn new(width: u32, height: u32) -> Self {
         HzBuffer {
             entries: vec![f32::INFINITY; block_count(width, height)],
-            levels: ((1u64 << depth_bits) - 1) as f32,
         }
     }
 
     /// Resets every entry to `depth` (fast Z clear).
     pub fn clear(&mut self, depth: f32) {
-        let q = self.quantize_up(depth);
+        let q = quantize_up(depth);
         for e in &mut self.entries {
             *e = q;
         }
@@ -79,14 +89,6 @@ impl HzBuffer {
         }
     }
 
-    /// Conservative (round-up) quantization to the HZ precision.
-    fn quantize_up(&self, depth: f32) -> f32 {
-        if !depth.is_finite() {
-            return f32::INFINITY;
-        }
-        (depth.clamp(0.0, 1.0) * self.levels).ceil() / self.levels
-    }
-
     /// Sets a block's reference to the (round-up quantized) max depth
     /// reported by a Z-cache eviction — the true content of the block at
     /// that moment. References can move in both directions: depth
@@ -96,7 +98,7 @@ impl HzBuffer {
     /// cause a false rejection.
     pub fn update(&mut self, block: usize, max_depth: f32) {
         if block < self.entries.len() {
-            self.entries[block] = self.quantize_up(max_depth);
+            self.entries[block] = quantize_up(max_depth);
         }
     }
 
@@ -156,7 +158,7 @@ impl HierarchicalZ {
         out_late: PortSender<FragQuad>,
         stats: &mut attila_sim::StatsRegistry,
     ) -> Self {
-        let buffer = HzBuffer::new(width, height, config.depth_bits);
+        let buffer = HzBuffer::new(width, height);
         HierarchicalZ {
             config,
             in_tiles,
@@ -181,7 +183,7 @@ impl HierarchicalZ {
         if self.bound_z != Some((base, width, height)) {
             self.bound_z = Some((base, width, height));
             self.target_width = width;
-            self.buffer = HzBuffer::new(width, height, self.config.depth_bits);
+            self.buffer = HzBuffer::new(width, height);
         }
         self.buffer.clear(depth);
     }
@@ -233,8 +235,7 @@ impl HierarchicalZ {
             if self.bound_z != Some(key) {
                 self.bound_z = Some(key);
                 self.target_width = state.target_width;
-                self.buffer =
-                    HzBuffer::new(state.target_width, state.target_height, self.config.depth_bits);
+                self.buffer = HzBuffer::new(state.target_width, state.target_height);
             }
             // A batch whose depth function can raise stored values makes
             // the conservative maxima stale: stop culling until the next
@@ -465,13 +466,13 @@ mod tests {
 
     #[test]
     fn hz_buffer_starts_permissive() {
-        let b = HzBuffer::new(64, 64, 8);
+        let b = HzBuffer::new(64, 64);
         assert!(!b.rejects(0, 0.999), "uninitialized HZ must not reject");
     }
 
     #[test]
     fn clear_then_reject_behind() {
-        let mut b = HzBuffer::new(64, 64, 8);
+        let mut b = HzBuffer::new(64, 64);
         b.clear(0.5);
         assert!(b.rejects(3, 0.6), "tile behind the cleared depth");
         assert!(!b.rejects(3, 0.4), "tile in front survives");
@@ -479,7 +480,7 @@ mod tests {
 
     #[test]
     fn quantization_is_conservative() {
-        let mut b = HzBuffer::new(64, 64, 8);
+        let mut b = HzBuffer::new(64, 64);
         b.clear(0.5);
         // 0.5001 quantizes up to ~0.5019; a tile at 0.501 must NOT be
         // rejected even though it is behind 0.5, because 8-bit HZ cannot
@@ -489,7 +490,7 @@ mod tests {
 
     #[test]
     fn update_tracks_evicted_truth_in_both_directions() {
-        let mut b = HzBuffer::new(64, 64, 8);
+        let mut b = HzBuffer::new(64, 64);
         b.clear(0.8);
         b.update(2, 0.3);
         assert!(b.rejects(2, 0.4));

@@ -4,10 +4,11 @@
 //! question the top level asks of a box goes through this trait and one
 //! dispatch — the unit table of [`Gpu`](crate::gpu::Gpu) — instead of one
 //! hand list per question. `clock()` itself is not here: it is the one
-//! place units differ in signature (five take the memory controller, one
-//! *is* the controller), and stays a static match in `Gpu::try_step`.
+//! place units differ in signature (five take the memory controller), and
+//! stays a static match in `Gpu::try_step`. The memory controller itself
+//! is no unit: the walk clocks it last, on every stepped cycle.
 
-use attila_mem::{Client, MemoryController};
+use attila_mem::Client;
 use attila_sim::Horizon;
 
 /// What every clocked unit answers besides `clock()`.
@@ -33,24 +34,4 @@ pub trait Unit {
 
     /// Objects waiting in the unit's input queues and staging buffers.
     fn queued(&self) -> usize;
-}
-
-/// The memory controller serves the pipeline through its request/reply
-/// API, not signals: no wire is registered towards it.
-impl Unit for MemoryController {
-    fn name(&self) -> &str {
-        "MemoryController"
-    }
-
-    fn busy(&self) -> bool {
-        MemoryController::busy(self)
-    }
-
-    fn work_horizon(&self) -> Horizon {
-        MemoryController::work_horizon(self)
-    }
-
-    fn queued(&self) -> usize {
-        0
-    }
 }

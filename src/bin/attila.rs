@@ -53,6 +53,9 @@ struct Args {
     stv: Option<(PathBuf, u64, u64)>,
 }
 
+/// The widest `--stv` range: one column per cycle per signal (`--help` states it).
+const STV_COLUMNS: u64 = 10_000;
+
 fn usage() -> &'static str {
     "ATTILA cycle-level GPU simulator
 
@@ -96,7 +99,8 @@ Output:
 
 Tools:
     --stv <file> <from> <to> render a saved signal-trace file for the
-                             cycle range [from, to) and exit
+                             cycle range [from, to) and exit; the range
+                             holds 1 to 10000 cycles (one column each)
     viz <trace-file>         render a saved signal-trace dump as a single
                              self-contained HTML timeline: per-box
                              busy/stall lanes, DRAM bank row-buffer
@@ -275,7 +279,10 @@ fn parse_args() -> Result<Args, String> {
             "--stv" => {
                 let file = PathBuf::from(val("--stv")?);
                 let from = val("--stv")?.parse().map_err(|e| format!("--stv from: {e}"))?;
-                let to = val("--stv")?.parse().map_err(|e| format!("--stv to: {e}"))?;
+                let to: u64 = val("--stv")?.parse().map_err(|e| format!("--stv to: {e}"))?;
+                if !(1..=STV_COLUMNS).contains(&to.saturating_sub(from)) {
+                    return Err(format!("--stv spans 1 to {STV_COLUMNS} cycles, not {from}..{to}"));
+                }
                 args.stv = Some((file, from, to));
             }
             "--help" | "-h" => {

@@ -122,12 +122,6 @@ fn quickstart_baseline() {
 /// credit, a memory reply or their own filter are being clocked again.
 const WAITING_FLOOR: u64 = 220_000;
 
-/// Cycles below which the memory controller is being clocked while it only
-/// waits for a channel's bus or a reply's delivery. The floor sits between
-/// the 0 cycles of the frame it slept while its row was always due and the
-/// 54 978 it sleeps now.
-const CONTROLLER_FLOOR: u64 = 40_000;
-
 /// Also holds the units that wait more than they work to their sleep: the
 /// geometry front end stalls behind the shaders and on vertex fetches, and
 /// a texture unit spends most of a request waiting for its fills or its
@@ -150,12 +144,6 @@ fn doom3_like_baseline() {
         waiting >= WAITING_FLOOR,
         "the waiting units slept {waiting} box-cycles over {cycles} cycles \
          (floor {WAITING_FLOOR}); per box: {per_box:?}"
-    );
-    let controller = per_box.iter().find(|(name, _)| name == "MemoryController");
-    let controller = controller.map_or(0, |(_, n)| *n);
-    assert!(
-        controller >= CONTROLLER_FLOOR,
-        "the memory controller slept {controller} of {cycles} cycles (floor {CONTROLLER_FLOOR})"
     );
 }
 

@@ -54,6 +54,25 @@ fn cli_refuses_a_257th_texture_unit_before_simulating() {
 }
 
 #[test]
+fn cli_refuses_an_stv_range_it_cannot_render() {
+    // `--stv` draws one column per cycle: a `u64`-wide range rendered until killed.
+    let path = std::env::temp_dir().join(format!("attila-cli-stv-{}.txt", std::process::id()));
+    std::fs::write(&path, "3\tA->B.x\tone\n7\tA->B.x\ttwo\n").expect("write the trace");
+    let stv = |from: u64, to: u64| {
+        let args = [from, to].map(|c| c.to_string());
+        let out = attila_bin().arg("--stv").arg(&path).args(args).output().expect("attila runs");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    for (from, to) in [(5, 5), (7, 3), (0, 10_001), (0, u64::MAX)] {
+        let (code, stderr) = stv(from, to);
+        assert_eq!(code, Some(1), "{from}..{to}: stderr: {stderr}");
+        assert!(stderr.contains(&format!("spans 1 to 10000 cycles, not {from}..{to}")), "{stderr}");
+    }
+    assert_eq!(stv(0, 10_000).0, Some(0), "the widest range renders");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn cli_refuses_a_zero_stage_latency() {
     // A stage latency is a port latency; zero used to be simulated as one.
     let mut config = GpuConfig::baseline();
@@ -79,7 +98,7 @@ fn cli_refuses_a_zero_stage_latency() {
 #[test]
 fn cli_loads_a_config_that_still_names_retired_constants() {
     // `attila --dump-config` from before `fraggen.tile_size`,
-    // `hz.block_size`, `shader.group_size` and
+    // `hz.block_size`, `hz.depth_bits`, `shader.group_size` and
     // `memory.bytes_per_cycle_per_channel` became constants: the keys are
     // ignored and the file describes the same machine.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/baseline_config_with_retired_keys.json");

@@ -22,8 +22,10 @@ fn presets() -> Vec<(&'static str, GpuConfig)> {
 
 /// A unit is wired exactly when the binder holds a wake line under the
 /// name it answers with: every port registers a credit wire back to its
-/// writer. A unit whose wires were registered under another name turns
-/// wire-less here, and a wire naming no unit fails the endpoint check.
+/// writer. The DAC is the table's one wire-less row, and the memory
+/// controller, clocked after the table, is the report's last row. A unit
+/// whose wires were registered under another name turns wire-less here,
+/// and a wire naming no unit fails the endpoint check.
 #[test]
 fn every_wired_unit_answers_with_the_name_its_wires_were_registered_under() {
     for (preset, config) in presets() {
