@@ -119,6 +119,45 @@ pub const FORMAT_VERSION: u64 = 5;
 /// Most bytes [`Checkpoint::write_file`] hands to one `write` call.
 const WRITE_CHUNK: usize = 64 << 10;
 
+/// The file end of [`Json::write_pretty`]: text gathers in one
+/// [`WRITE_CHUNK`] buffer that goes to the file whenever it fills, so the
+/// document is never held whole. The first I/O error stops the writer
+/// and is kept for the caller.
+struct ChunkedFile {
+    file: std::fs::File,
+    buf: Vec<u8>,
+    written: u64,
+    error: Option<std::io::Error>,
+}
+
+impl ChunkedFile {
+    fn flush_chunk(&mut self) -> std::fmt::Result {
+        use std::io::Write;
+        let result = self.file.write_all(&self.buf);
+        self.written += self.buf.len() as u64;
+        self.buf.clear();
+        result.map_err(|e| {
+            self.error = Some(e);
+            std::fmt::Error
+        })
+    }
+}
+
+impl std::fmt::Write for ChunkedFile {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let mut rest = s.as_bytes();
+        while !rest.is_empty() {
+            let take = rest.len().min(WRITE_CHUNK - self.buf.len());
+            self.buf.extend_from_slice(&rest[..take]);
+            rest = &rest[take..];
+            if self.buf.len() == WRITE_CHUNK {
+                self.flush_chunk()?;
+            }
+        }
+        Ok(())
+    }
+}
+
 // ---------------------------------------------------------------------
 // Hashing
 // ---------------------------------------------------------------------
@@ -234,8 +273,13 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 /// CRC-32 (IEEE 802.3 polynomial) over `bytes` — a checkpoint's
 /// `body_crc` is this over the body's compact rendering.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0xffff_ffff, bytes) ^ 0xffff_ffff
+}
+
+/// Runs the CRC register `crc` over `bytes`; any split of a message into
+/// pieces leaves the same register.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = 0xffff_ffffu32;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let lo = (crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]])).to_le_bytes();
@@ -251,7 +295,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in words.remainder() {
         crc = t[0][((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
     }
-    crc ^ 0xffff_ffff
+    crc
+}
+
+/// [`crc32`] of `json.render()`, fed piece by piece as the text is
+/// written instead of over a rendered copy of a multi-megabyte body.
+fn render_crc32(json: &Json) -> u32 {
+    struct Crc(u32);
+    impl std::fmt::Write for Crc {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 = crc32_update(self.0, s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut crc = Crc(0xffff_ffff);
+    json.write_compact(&mut crc).expect("the CRC sink takes every write");
+    crc.0 ^ 0xffff_ffff
 }
 
 pub(crate) fn mismatch(reason: impl Into<String>) -> SimError {
@@ -538,7 +597,7 @@ impl Checkpoint {
     /// body CRC.
     pub fn to_json(&self) -> Json {
         let body = self.body.to_json();
-        let crc = crc32(body.render().as_bytes());
+        let crc = render_crc32(&body);
         Json::obj([
             ("magic", MAGIC.to_json()),
             ("version", FORMAT_VERSION.to_json()),
@@ -569,7 +628,7 @@ impl Checkpoint {
             return Err(SimError::CheckpointVersion { found, supported: FORMAT_VERSION });
         }
         let body_json = field_with(j, "body", Ok).map_err(refused)?;
-        let crc = crc32(body_json.render().as_bytes());
+        let crc = render_crc32(body_json);
         let stored: u32 = field(j, "body_crc").map_err(refused)?;
         if crc != stored {
             return Err(mismatch(format!(
@@ -599,28 +658,35 @@ impl Checkpoint {
 
     /// [`write_file`](Self::write_file), returning the bytes written.
     pub(crate) fn write_file_sized(&self, path: &Path) -> Result<u64, SimError> {
-        use std::io::Write;
-        let text = self.to_json().pretty();
+        let json = self.to_json();
         let tmp = path.with_extension("ckpt.tmp");
         let write = || {
-            let mut f = std::fs::File::create(&tmp)?;
             // Bounded writes: one multi-megabyte `write` makes ext4 back it
             // with megabyte page-cache folios, and allocating those took
             // 0.3 ms or 6–13 ms from one checkpoint to the next
             // (EXPERIMENTS.md).
-            for part in text.as_bytes().chunks(WRITE_CHUNK) {
-                f.write_all(part)?;
+            let mut out = ChunkedFile {
+                file: std::fs::File::create(&tmp)?,
+                buf: Vec::with_capacity(WRITE_CHUNK),
+                written: 0,
+                error: None,
+            };
+            if json.write_pretty(&mut out).and_then(|()| out.flush_chunk()).is_err() {
+                return Err(out
+                    .error
+                    .take()
+                    .unwrap_or_else(|| std::io::Error::other("JSON formatting failed")));
             }
-            f.sync_all()?;
-            drop(f);
-            std::fs::rename(&tmp, path)
+            out.file.sync_all()?;
+            drop(out.file);
+            std::fs::rename(&tmp, path)?;
+            Ok(out.written)
         };
         write().map_err(|e: std::io::Error| {
             // A write that failed part-way must not leave its temp file.
             let _ = std::fs::remove_file(&tmp);
             mismatch(format!("checkpoint write failed: {e}"))
-        })?;
-        Ok(text.len() as u64)
+        })
     }
 
     /// Reads and validates a checkpoint file.
@@ -690,6 +756,23 @@ mod tests {
         // byte, then five words chained and three bytes.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414f_a339);
+    }
+
+    #[test]
+    fn streamed_crc_is_the_crc_of_the_rendering() {
+        // Pieces of every length 1..=9 cross the 8-byte words at every
+        // offset; the register does not care where the cuts fall.
+        let text = b"The quick brown fox jumps over the lazy dog, twice over: 0123456789";
+        for piece in 1..=9 {
+            let crc = text.chunks(piece).fold(0xffff_ffff, crc32_update) ^ 0xffff_ffff;
+            assert_eq!(crc, crc32(text), "pieces of {piece}");
+        }
+        let doc = Json::obj([
+            ("name", Json::Str("a \"quoted\"\nline".into())),
+            ("bytes", SparseBytes::scan(&[3u8; 100]).to_json()),
+            ("list", Json::Arr(vec![Json::Num(1.5), Json::Null, Json::Bool(true)])),
+        ]);
+        assert_eq!(render_crc32(&doc), crc32(doc.render().as_bytes()));
     }
 
     #[test]

@@ -160,8 +160,7 @@ impl CommandProcessor {
                 let id = self.next_upload_id;
                 self.next_upload_id += 1;
                 self.stat_upload_bytes.add(data.len() as u64);
-                let bytes = Arc::try_unwrap(data).unwrap_or_else(|a| (*a).clone());
-                mem.submit_system_upload(cycle, id, address, bytes);
+                mem.submit_system_upload(cycle, id, address, data);
                 self.outstanding_uploads += 1;
                 self.stat_commands.inc();
             }

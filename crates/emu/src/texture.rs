@@ -915,20 +915,41 @@ pub fn encode_dxt3_block(texels: &[Vec4; 16]) -> [u8; 16] {
     out
 }
 
+/// Bytes one `width`×`height` level takes in the device layout: whole
+/// 4×4 blocks for compressed formats, whole 4×4 tiles otherwise.
+fn encoded_len(format: TexFormat, width: u32, height: u32) -> usize {
+    let blocks = width.div_ceil(4) as usize * height.div_ceil(4) as usize;
+    if format.is_compressed() {
+        blocks * format.block_bytes() as usize
+    } else {
+        blocks * 16 * format.bytes_per_texel() as usize
+    }
+}
+
 /// Writes uncompressed pixel data (row-major RGBA) into the 4×4-tiled
 /// layout expected by [`TextureEmulator`]; returns the bytes to upload.
-pub fn encode_tiled(
+pub fn encode_tiled(format: TexFormat, width: u32, height: u32, pixels: &[Vec4]) -> Vec<u8> {
+    let mut out = vec![0u8; encoded_len(format, width, height)];
+    encode_tiled_into(format, width, height, pixels, &mut out);
+    out
+}
+
+/// [`encode_tiled`] into `out`, which holds exactly the level's bytes.
+/// Padding texels of a part-filled tile are left as they are (zero in a
+/// fresh buffer, as `encode_tiled` gives them).
+pub fn encode_tiled_into(
     format: TexFormat,
     width: u32,
     height: u32,
     pixels: &[Vec4],
-) -> Vec<u8> {
-    assert_eq!(pixels.len(), (width * height) as usize);
+    out: &mut [u8],
+) {
+    assert_eq!(pixels.len(), width as usize * height as usize);
+    assert_eq!(out.len(), encoded_len(format, width, height));
     if format.is_compressed() {
         let bw = width.div_ceil(4);
         let bh = height.div_ceil(4);
         let bb = format.block_bytes() as usize;
-        let mut out = vec![0u8; (bw * bh) as usize * bb];
         for by in 0..bh {
             for bx in 0..bw {
                 let mut block = [Vec4::ZERO; 16];
@@ -947,12 +968,8 @@ pub fn encode_tiled(
                 }
             }
         }
-        out
     } else {
         let bpt = format.bytes_per_texel();
-        let tiles_per_row = width.div_ceil(4);
-        let rows_of_tiles = height.div_ceil(4);
-        let mut out = vec![0u8; (tiles_per_row * rows_of_tiles * 16) as usize * bpt as usize];
         let q = |v: f32| (v.clamp(0.0, 1.0) * 255.0).round() as u8;
         for y in 0..height {
             for x in 0..width {
@@ -976,7 +993,55 @@ pub fn encode_tiled(
                 }
             }
         }
-        out
+    }
+}
+
+/// Re-tiles row-major RGBA8 bytes into `format`'s 4×4-tiled layout in
+/// `out`, keeping the channels [`encode_tiled`] would: all four for
+/// `Rgba8`, red/green/blue for `Rgb8`, red for `L8`, alpha for `A8`.
+///
+/// Byte for byte what `encode_tiled` writes for the same image unpacked
+/// to floats, because quantizing an unpacked byte gives it back:
+/// `round(clamp(b / 255) · 255) == b` for all 256 bytes. `out` holds
+/// exactly the level's bytes; padding is left as it is.
+///
+/// # Panics
+///
+/// Panics for compressed formats, or when `rgba` or `out` has the
+/// wrong length.
+pub fn retile_rgba8(format: TexFormat, width: u32, height: u32, rgba: &[u8], out: &mut [u8]) {
+    let bpt = format.bytes_per_texel() as usize;
+    let (w, h) = (width as usize, height as usize);
+    assert_eq!(rgba.len(), w * h * 4);
+    assert_eq!(out.len(), encoded_len(format, width, height));
+    if w == 0 {
+        return;
+    }
+    let keep: &[usize] = match format {
+        TexFormat::Rgba8 => &[0, 1, 2, 3],
+        TexFormat::Rgb8 => &[0, 1, 2],
+        TexFormat::L8 => &[0],
+        TexFormat::A8 => &[3],
+        TexFormat::Dxt1 | TexFormat::Dxt3 => unreachable!("no per-texel size"),
+    };
+    let tiles_per_row = w.div_ceil(4);
+    for (y, row) in rgba.chunks_exact(w * 4).enumerate() {
+        // Texel index of (0, y): its tile row, then its row in the tile.
+        let row_start = (y / 4) * tiles_per_row * 16 + (y % 4) * 4;
+        // One span is the (up to) four texels of this row in one tile.
+        for (tile, span) in row.chunks(16).enumerate() {
+            let at = (row_start + tile * 16) * bpt;
+            let dst = &mut out[at..at + span.len() / 4 * bpt];
+            if bpt == 4 {
+                dst.copy_from_slice(span);
+            } else {
+                for (texel, src) in dst.chunks_exact_mut(bpt).zip(span.chunks_exact(4)) {
+                    for (d, &k) in texel.iter_mut().zip(keep) {
+                        *d = src[k];
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -1051,6 +1116,34 @@ mod tests {
         for b in 0..=255u8 {
             let divided = std::hint::black_box(b) as f32 / 255.0;
             assert_eq!(UNORM8[usize::from(b)].to_bits(), divided.to_bits(), "byte {b}");
+        }
+    }
+
+    /// What makes the driver's byte path exact: quantizing an unpacked
+    /// byte, as `encode_tiled` does, gives the byte back.
+    #[test]
+    fn unorm8_quantizes_back_to_its_byte() {
+        for b in 0..=255u8 {
+            let back = (UNORM8[usize::from(b)].clamp(0.0, 1.0) * 255.0).round();
+            assert_eq!(back, f32::from(b), "byte {b}");
+        }
+    }
+
+    #[test]
+    fn retile_matches_encode_tiled_of_the_float_image() {
+        let mut rng = attila_sim::TinyRng::new(0x7E71);
+        for (w, h) in [(1, 1), (5, 3), (64, 64)] {
+            let rgba: Vec<u8> = (0..w * h * 4).map(|_| rng.next_u64() as u8).collect();
+            let floats: Vec<Vec4> = rgba
+                .chunks_exact(4)
+                .map(|p| crate::fragops::unpack_rgba8([p[0], p[1], p[2], p[3]]))
+                .collect();
+            for format in [TexFormat::Rgba8, TexFormat::Rgb8, TexFormat::L8, TexFormat::A8] {
+                let encoded = encode_tiled(format, w, h, &floats);
+                let mut retiled = vec![0u8; encoded.len()];
+                retile_rgba8(format, w, h, &rgba, &mut retiled);
+                assert_eq!(retiled, encoded, "{format:?} {w}×{h}");
+            }
         }
     }
 

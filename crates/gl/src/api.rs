@@ -455,6 +455,33 @@ pub enum GlError {
     BadProgram(String),
     /// The driver's GPU memory heap is exhausted.
     OutOfMemory,
+    /// A `TexImage2D` whose pixel bytes do not match its size: a
+    /// `width`×`height` image needs `width · height · 4` RGBA bytes and
+    /// at least one texel.
+    BadTexture {
+        /// The texture object id.
+        id: u32,
+        /// Declared width in texels.
+        width: u32,
+        /// Declared height in texels.
+        height: u32,
+        /// Pixel bytes the size asks for.
+        expected: u64,
+        /// Pixel bytes the call carries.
+        given: u64,
+    },
+    /// A call names a slot past the end of a fixed-size table: a texture
+    /// unit, a vertex attribute or a program constant.
+    OutOfRange {
+        /// The call, as the trace names it.
+        call: &'static str,
+        /// The offending field.
+        field: &'static str,
+        /// Its value.
+        value: u32,
+        /// The table's size; valid values are `0..limit`.
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for GlError {
@@ -463,6 +490,17 @@ impl std::fmt::Display for GlError {
             GlError::UnknownObject(kind, id) => write!(f, "unknown {kind} object {id}"),
             GlError::BadProgram(e) => write!(f, "program failed to assemble: {e}"),
             GlError::OutOfMemory => write!(f, "GPU memory heap exhausted"),
+            GlError::BadTexture { id, width, height, expected, given } => {
+                write!(f, "TexImage2D {id}: a {width}×{height} texture ")?;
+                if *expected == 0 {
+                    write!(f, "has no texels ({given} bytes given)")
+                } else {
+                    write!(f, "needs {expected} RGBA bytes, got {given}")
+                }
+            }
+            GlError::OutOfRange { call, field, value, limit } => {
+                write!(f, "{call}: {field} {value} is out of range 0..{limit}")
+            }
         }
     }
 }
@@ -640,7 +678,8 @@ impl GlContext {
                     .buffers
                     .get(buffer)
                     .ok_or(GlError::UnknownObject("buffer", *buffer))?;
-                self.attributes[*attr as usize] = Some(AttributeBinding {
+                let slot = slot_mut(&mut self.attributes, "VertexAttribPointer", "attr", u32::from(*attr))?;
+                *slot = Some(AttributeBinding {
                     address: base + *offset as u64,
                     stride: *stride,
                     components: *components as u32,
@@ -649,7 +688,7 @@ impl GlContext {
                 self.state_dirty = true;
             }
             GlCall::DisableVertexAttrib { attr } => {
-                self.attributes[*attr as usize] = None;
+                *slot_mut(&mut self.attributes, "DisableVertexAttrib", "attr", u32::from(*attr))? = None;
                 self.state_dirty = true;
             }
             GlCall::TexImage2D { id, width, height, format, mipmapped, pixels } => {
@@ -684,7 +723,7 @@ impl GlContext {
                 if !self.textures.contains_key(id) {
                     return Err(GlError::UnknownObject("texture", *id));
                 }
-                self.bound_textures[*unit as usize] = Some(*id);
+                *slot_mut(&mut self.bound_textures, "BindTexture", "unit", u32::from(*unit))? = Some(*id);
                 self.state_dirty = true;
             }
             GlCall::RenderTexture { id, width, height } => {
@@ -735,12 +774,10 @@ impl GlContext {
                 self.state_dirty = true;
             }
             GlCall::ProgramEnvParameter { target_vertex, index, value } => {
-                let v = Vec4::new(value[0], value[1], value[2], value[3]);
-                if *target_vertex {
-                    self.vp_constants[*index as usize] = v;
-                } else {
-                    self.fp_constants[*index as usize] = v;
-                }
+                let constants =
+                    if *target_vertex { &mut self.vp_constants } else { &mut self.fp_constants };
+                *slot_mut(constants, "ProgramEnvParameter", "index", *index)? =
+                    Vec4::new(value[0], value[1], value[2], value[3]);
                 self.state_dirty = true;
             }
             GlCall::MatrixMode(m) => self.matrix_mode = *m,
@@ -948,54 +985,47 @@ impl GlContext {
         mipmapped: bool,
         pixels: &[u8],
     ) -> Result<(), GlError> {
-        assert_eq!(
-            pixels.len(),
-            (width * height * 4) as usize,
-            "TexImage2D expects row-major RGBA bytes"
-        );
-        let as_vec4: Vec<Vec4> = pixels
-            .chunks_exact(4)
-            .map(|p| fo::unpack_rgba8([p[0], p[1], p[2], p[3]]))
-            .collect();
+        let expected = u64::from(width) * u64::from(height) * 4;
+        let given = pixels.len() as u64;
+        if expected == 0 || given != expected {
+            return Err(GlError::BadTexture { id, width, height, expected, given });
+        }
         let fmt: tex::TexFormat = format.into();
         let mut desc = tex::TextureDesc::new_2d(width, height, fmt, 0);
         if mipmapped {
             desc = desc.with_full_mips();
         }
-        // Encode every mip level (box filter) into the device layout.
-        let mut encoded = Vec::new();
-        let mut level_pixels = as_vec4;
-        let (mut w, mut h) = (width, height);
-        for level in 0..desc.mip_levels {
-            if level > 0 {
-                let nw = (w / 2).max(1);
-                let nh = (h / 2).max(1);
-                let mut next = Vec::with_capacity((nw * nh) as usize);
-                for y in 0..nh {
-                    for x in 0..nw {
-                        let x0 = (x * 2).min(w - 1);
-                        let y0 = (y * 2).min(h - 1);
-                        let x1 = (x * 2 + 1).min(w - 1);
-                        let y1 = (y * 2 + 1).min(h - 1);
-                        let p = (level_pixels[(y0 * w + x0) as usize]
-                            + level_pixels[(y0 * w + x1) as usize]
-                            + level_pixels[(y1 * w + x0) as usize]
-                            + level_pixels[(y1 * w + x1) as usize])
-                            / 4.0;
-                        next.push(p);
-                    }
-                }
-                level_pixels = next;
-                w = nw;
-                h = nh;
-            }
-            encoded.extend(tex::encode_tiled(fmt, w, h, &level_pixels));
+        // Every level lands in its slice of one buffer laid out as the
+        // sampler addresses it.
+        let mut encoded = vec![0u8; desc.total_bytes() as usize];
+        let level = |l: u32| {
+            let at = desc.level_offset(l) as usize;
+            at..at + desc.level_bytes(l) as usize
+        };
+        // Level 0 of an uncompressed texture is the application's bytes,
+        // re-tiled: quantizing an unpacked byte gives the byte back.
+        if !fmt.is_compressed() {
+            tex::retile_rgba8(fmt, width, height, pixels, &mut encoded[level(0)]);
         }
-        assert_eq!(
-            encoded.len() as u64,
-            desc.total_bytes(),
-            "driver encoding must match the sampler's level layout"
-        );
+        // Box-filtered mips and block compression need the float image.
+        let first_float_level = u32::from(!fmt.is_compressed());
+        if first_float_level < desc.mip_levels {
+            let mut image: Vec<Vec4> = pixels
+                .chunks_exact(4)
+                .map(|p| tex::convert_texel(tex::TexFormat::Rgba8, p))
+                .collect();
+            let mut next = Vec::new();
+            let (mut w, mut h) = (width, height);
+            for l in 0..desc.mip_levels {
+                if l > 0 {
+                    (w, h) = box_filter(&image, w, h, &mut next);
+                    std::mem::swap(&mut image, &mut next);
+                }
+                if l >= first_float_level {
+                    tex::encode_tiled_into(fmt, w, h, &image, &mut encoded[level(l)]);
+                }
+            }
+        }
         let addr =
             self.alloc.alloc(encoded.len().max(4) as u64, 256).ok_or(GlError::OutOfMemory)?;
         desc.base_address = addr;
@@ -1150,6 +1180,39 @@ fn cols_to_mat(m: &[[f32; 4]; 4]) -> Mat4 {
         Vec4::from(m[2]),
         Vec4::from(m[3]),
     )
+}
+
+/// Slot `index` of one of the context's fixed-size tables, or the
+/// [`GlError::OutOfRange`] that names the call and field asking for it.
+fn slot_mut<'a, T>(
+    table: &'a mut [T],
+    call: &'static str,
+    field: &'static str,
+    index: u32,
+) -> Result<&'a mut T, GlError> {
+    let limit = table.len();
+    table
+        .get_mut(index as usize)
+        .ok_or(GlError::OutOfRange { call, field, value: index, limit })
+}
+
+/// Box-filters a `w`×`h` level into `next` (cleared first): each texel
+/// averages its 2×2 footprint, edges clamped. Returns the new size.
+fn box_filter(level: &[Vec4], w: u32, h: u32, next: &mut Vec<Vec4>) -> (u32, u32) {
+    let nw = (w / 2).max(1);
+    let nh = (h / 2).max(1);
+    next.clear();
+    next.reserve((nw * nh) as usize);
+    for y in 0..nh {
+        let y0 = ((y * 2).min(h - 1) * w) as usize;
+        let y1 = ((y * 2 + 1).min(h - 1) * w) as usize;
+        for x in 0..nw {
+            let x0 = (x * 2).min(w - 1) as usize;
+            let x1 = (x * 2 + 1).min(w - 1) as usize;
+            next.push((level[y0 + x0] + level[y0 + x1] + level[y1 + x0] + level[y1 + x1]) / 4.0);
+        }
+    }
+    (nw, nh)
 }
 
 /// Compiles a call list into a Command Processor stream.

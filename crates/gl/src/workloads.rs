@@ -141,55 +141,66 @@ fn add_box(mesh: &mut Mesh, min: [f32; 3], max: [f32; 3], uv: f32, inward: bool)
 // Procedural textures
 // ---------------------------------------------------------------------------
 
-/// Noisy checkerboard RGBA pixels.
-fn checker_texture(size: u32, rng: &mut TinyRng, base: [u8; 3], alt: [u8; 3]) -> Vec<u8> {
-    let mut out = Vec::with_capacity((size * size * 4) as usize);
-    for y in 0..size {
-        for x in 0..size {
-            let cell = ((x / 8) + (y / 8)) % 2 == 0;
-            let c = if cell { base } else { alt };
-            let noise = rng.range_u32(0, 24) as i16 - 12;
-            for ch in c {
-                out.push((ch as i16 + noise).clamp(0, 255) as u8);
-            }
-            out.push(255);
+/// An RGBA image of `size`² texels: texel `(x, y)` is `texel(x, y)`,
+/// called in row-major order (so seeded draws keep their order) and
+/// written in place into a buffer sized up front.
+fn fill_rgba(size: u32, mut texel: impl FnMut(u32, u32) -> [u8; 4]) -> Vec<u8> {
+    let row_bytes = size as usize * 4;
+    let mut out = vec![0u8; row_bytes * size as usize];
+    for (y, row) in (0..size).zip(out.chunks_exact_mut(row_bytes.max(1))) {
+        for (x, px) in (0..size).zip(row.chunks_exact_mut(4)) {
+            px.copy_from_slice(&texel(x, y));
         }
     }
     out
 }
 
+/// Noisy checkerboard RGBA pixels: one draw in `0..24` per texel picks
+/// its noise, so every texel is one of 2 × 24, built up front.
+fn checker_texture(size: u32, rng: &mut TinyRng, base: [u8; 3], alt: [u8; 3]) -> Vec<u8> {
+    let shades = |c: [u8; 3]| -> [[u8; 4]; 24] {
+        std::array::from_fn(|draw| {
+            let noise = draw as i16 - 12;
+            let ch = |v: u8| (v as i16 + noise).clamp(0, 255) as u8;
+            [ch(c[0]), ch(c[1]), ch(c[2]), 255]
+        })
+    };
+    let cells = [shades(base), shades(alt)];
+    fill_rgba(size, |x, y| {
+        let cell = usize::from((x / 8 + y / 8) % 2 != 0);
+        cells[cell][rng.range_u32(0, 24) as usize]
+    })
+}
+
 /// Blotchy "lightmap" pixels (slow cosine gradients + noise).
 fn lightmap_texture(size: u32, rng: &mut TinyRng) -> Vec<u8> {
-    let mut out = Vec::with_capacity((size * size * 4) as usize);
-    for y in 0..size {
-        for x in 0..size {
-            let fx = x as f32 / size as f32;
-            let fy = y as f32 / size as f32;
-            let v = 0.55
-                + 0.35 * (fx * 9.3).sin() * (fy * 7.1).cos()
-                + rng.range_f32(-0.05, 0.05);
-            let b = (v.clamp(0.05, 1.0) * 255.0) as u8;
-            out.extend_from_slice(&[b, b, b, 255]);
-        }
-    }
-    out
+    let unit = |i: u32| i as f32 / size as f32;
+    let columns: Vec<f32> = (0..size).map(|x| 0.35 * (unit(x) * 9.3).sin()).collect();
+    let rows: Vec<f32> = (0..size).map(|y| (unit(y) * 7.1).cos()).collect();
+    fill_rgba(size, |x, y| {
+        let v = 0.55 + columns[x as usize] * rows[y as usize] + rng.range_f32(-0.05, 0.05);
+        let b = (v.clamp(0.05, 1.0) * 255.0) as u8;
+        [b, b, b, 255]
+    })
 }
 
 /// Radial falloff texture (bright centre, dark edges) for light
 /// attenuation lookups.
 fn falloff_texture(size: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity((size * size * 4) as usize);
     let half = size as f32 / 2.0;
-    for y in 0..size {
-        for x in 0..size {
-            let dx = (x as f32 - half) / half;
-            let dy = (y as f32 - half) / half;
-            let d = (dx * dx + dy * dy).sqrt().min(1.0);
-            let v = ((1.0 - d) * 255.0) as u8;
-            out.extend_from_slice(&[v, v, v, 255]);
-        }
-    }
-    out
+    // The squared distance from the centre along one axis, the same for
+    // columns and rows.
+    let squares: Vec<f32> = (0..size)
+        .map(|i| {
+            let d = (i as f32 - half) / half;
+            d * d
+        })
+        .collect();
+    fill_rgba(size, |x, y| {
+        let d = (squares[x as usize] + squares[y as usize]).sqrt().min(1.0);
+        let v = ((1.0 - d) * 255.0) as u8;
+        [v, v, v, 255]
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1029,5 +1040,63 @@ mod tests {
         assert_eq!(uploads, 3, "one fresh texture per frame");
         let cmds = compile(trace.width, trace.height, &trace.calls).unwrap();
         assert_eq!(cmds.iter().filter(|c| matches!(c, GpuCommand::Draw(_))).count(), 3);
+    }
+
+    /// FNV-1a 64 over every `WriteBuffer` of the compiled stream in order
+    /// (address as 8 LE bytes, then the payload), then the decimal
+    /// command count.
+    fn upload_hash(trace: &GlTrace) -> u64 {
+        let cmds = compile(trace.width, trace.height, &trace.calls).unwrap();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for c in &cmds {
+            if let GpuCommand::WriteBuffer { address, data } = c {
+                eat(&address.to_le_bytes());
+                eat(data);
+            }
+        }
+        eat(cmds.len().to_string().as_bytes());
+        h
+    }
+
+    /// Every generator's compiled uploads, byte for byte. Between them
+    /// they cover RGBA8 with and without mips, RGB8, L8 with and without
+    /// mips and DXT1; the 20² size gives odd mip levels and part-filled
+    /// DXT blocks. A change to a generator, to `tex_image_2d` or to an
+    /// encoder that moves a single texel byte fails here.
+    #[test]
+    fn compiled_uploads_are_pinned() {
+        let p = WorkloadParams {
+            width: 48,
+            height: 40,
+            frames: 2,
+            texture_size: 20,
+            ..Default::default()
+        };
+        let cases = [
+            ("quickstart", upload_hash(&quickstart_trace(48, 40))),
+            ("doom3_like", upload_hash(&doom3_like(p))),
+            ("ut2004_like", upload_hash(&ut2004_like(p))),
+            ("fillrate", upload_hash(&fillrate(48, 40, 3, true))),
+            ("embedded_scene", upload_hash(&embedded_scene(p))),
+            ("texture_stream", upload_hash(&texture_stream(p))),
+        ];
+        let pinned = [
+            ("quickstart", 0x6c1a_0944_2cec_ba2c),
+            ("doom3_like", 0xc44a_bfcf_1e3b_c0dc),
+            ("ut2004_like", 0xb50d_5cb3_2448_913a),
+            ("fillrate", 0x3ee1_d16a_e049_2cea),
+            ("embedded_scene", 0xd7e6_6529_5cc3_5fdd),
+            ("texture_stream", 0x1bb6_4f3f_8682_6d99),
+        ];
+        let hex = |list: &[(&str, u64)]| -> Vec<String> {
+            list.iter().map(|(name, h)| format!("{name} {h:016x}")).collect()
+        };
+        assert_eq!(hex(&cases), hex(&pinned), "compiled uploads moved");
     }
 }

@@ -1,6 +1,6 @@
 //! The JSON value model and printers.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 /// A parsed JSON value.
 ///
@@ -73,89 +73,116 @@ impl Json {
     /// Renders compact JSON (no whitespace).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out).expect("a String takes every write");
         out
     }
 
     /// Renders pretty JSON (two-space indent), for config files.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        self.write_pretty(&mut out).expect("a String takes every write");
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    /// Writes [`render`](Self::render)'s text into `out` piece by piece,
+    /// so a large document can be hashed without being held whole.
+    ///
+    /// # Errors
+    ///
+    /// Passes on the first error `out` returns.
+    pub fn write_compact<W: Write>(&self, out: &mut W) -> fmt::Result {
+        self.write(out, None, 0)
+    }
+
+    /// Writes [`pretty`](Self::pretty)'s text into `out` piece by piece,
+    /// so a large document reaches a file without being held whole.
+    ///
+    /// # Errors
+    ///
+    /// Passes on the first error `out` returns.
+    pub fn write_pretty<W: Write>(&self, out: &mut W) -> fmt::Result {
+        self.write(out, Some(2), 0)
+    }
+
+    fn write<W: Write>(&self, out: &mut W, indent: Option<usize>, depth: usize) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
+            Json::Null => out.write_str("null"),
+            Json::Bool(true) => out.write_str("true"),
+            Json::Bool(false) => out.write_str("false"),
             Json::Num(x) => write_number(out, *x),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 write_seq(out, indent, depth, '[', ']', items.len(), |out, i, d| {
-                    items[i].write(out, indent, d);
-                });
+                    items[i].write(out, indent, d)
+                })
             }
             Json::Obj(fields) => {
                 write_seq(out, indent, depth, '{', '}', fields.len(), |out, i, d| {
-                    write_string(out, &fields[i].0);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    fields[i].1.write(out, indent, d);
-                });
+                    write_string(out, &fields[i].0)?;
+                    out.write_str(if indent.is_some() { ": " } else { ":" })?;
+                    fields[i].1.write(out, indent, d)
+                })
             }
         }
     }
 }
 
-fn write_seq(
-    out: &mut String,
+fn write_seq<W: Write>(
+    out: &mut W,
     indent: Option<usize>,
     depth: usize,
     open: char,
     close: char,
     len: usize,
-    mut item: impl FnMut(&mut String, usize, usize),
-) {
-    out.push(open);
+    mut item: impl FnMut(&mut W, usize, usize) -> fmt::Result,
+) -> fmt::Result {
+    out.write_char(open)?;
     if len == 0 {
-        out.push(close);
-        return;
+        return out.write_char(close);
     }
     for i in 0..len {
         if i > 0 {
-            out.push(',');
+            out.write_char(',')?;
         }
         if let Some(step) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', step * (depth + 1)));
+            write_line_break(out, step * (depth + 1))?;
         }
-        item(out, i, depth + 1);
+        item(out, i, depth + 1)?;
     }
     if let Some(step) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', step * depth));
+        write_line_break(out, step * depth)?;
     }
-    out.push(close);
+    out.write_char(close)
 }
 
-fn write_number(out: &mut String, x: f64) {
+/// A newline and `spaces` of indent.
+fn write_line_break<W: Write>(out: &mut W, spaces: usize) -> fmt::Result {
+    const BLANKS: &str = "                                ";
+    out.write_char('\n')?;
+    let mut left = spaces;
+    while left > 0 {
+        let run = left.min(BLANKS.len());
+        out.write_str(&BLANKS[..run])?;
+        left -= run;
+    }
+    Ok(())
+}
+
+fn write_number<W: Write>(out: &mut W, x: f64) -> fmt::Result {
     if !x.is_finite() {
         // JSON has no Inf/NaN; `null` is the least-bad conventional stand-in.
-        out.push_str("null");
+        out.write_str("null")
     } else if x == x.trunc() && x.abs() < 9.007_199_254_740_992e15 {
-        write_integer(out, x as i64);
+        write_integer(out, x as i64)
     } else {
         // Rust's shortest round-trip float formatting.
-        let _ = write!(out, "{x}");
+        write!(out, "{x}")
     }
 }
 
 /// Decimal digits without `fmt`: counts, offsets and small integers are
 /// most of the numbers a checkpoint or a config holds.
-fn write_integer(out: &mut String, v: i64) {
+fn write_integer<W: Write>(out: &mut W, v: i64) -> fmt::Result {
     let mut buf = [0u8; 20];
     let mut at = buf.len();
     let mut rest = v.unsigned_abs();
@@ -171,30 +198,28 @@ fn write_integer(out: &mut String, v: i64) {
         at -= 1;
         buf[at] = b'-';
     }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("ascii digits"));
+    out.write_str(std::str::from_utf8(&buf[at..]).expect("ascii digits"))
 }
 
 /// Writes a string literal. Text between characters that need an escape
 /// (`"`, `\`, anything below 0x20 — all ASCII, so every cut is a char
-/// boundary) moves with one `push_str`.
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
+/// boundary) moves with one `write_str`.
+fn write_string<W: Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     let mut rest = s;
     let needs_escape = |b: u8| b == b'"' || b == b'\\' || b < 0x20;
     while let Some(at) = rest.bytes().position(needs_escape) {
-        out.push_str(&rest[..at]);
+        out.write_str(&rest[..at])?;
         match rest.as_bytes()[at] {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            c => {
-                let _ = write!(out, "\\u{c:04x}");
-            }
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            c => write!(out, "\\u{c:04x}")?,
         }
         rest = &rest[at + 1..];
     }
-    out.push_str(rest);
-    out.push('"');
+    out.write_str(rest)?;
+    out.write_char('"')
 }

@@ -17,6 +17,7 @@
 //! handing the next free slot to its neighbours.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use attila_json::{array, field, field_with, FromJson, HexJson, Json, JsonError, JsonState, ToJson};
 use attila_sim::{Cycle, SignalName, TraceEvent, TraceSink};
@@ -246,7 +247,9 @@ struct ChannelState {
 struct SystemCopy {
     id: u64,
     dst: u64,
-    data: Vec<u8>,
+    /// Shared with the command that asked for it: the copy into GPU
+    /// memory at completion is the only copy of the payload.
+    data: Arc<Vec<u8>>,
     done_at: Cycle,
 }
 
@@ -408,7 +411,7 @@ impl MemoryController {
     /// Starts a buffer upload over the system bus (Command Processor
     /// "write buffer" command). Completion is reported via
     /// [`pop_finished_upload`](Self::pop_finished_upload).
-    pub fn submit_system_upload(&mut self, cycle: Cycle, id: u64, dst: u64, data: Vec<u8>) {
+    pub fn submit_system_upload(&mut self, cycle: Cycle, id: u64, dst: u64, data: Arc<Vec<u8>>) {
         let transfer =
             (data.len() as u64).div_ceil(self.config.system_bus_bytes_per_cycle.max(1));
         let start = cycle.max(self.system_bus_free_at);
@@ -1135,7 +1138,7 @@ mod tests {
     #[test]
     fn system_upload_writes_memory_after_latency() {
         let mut c = ctl();
-        c.submit_system_upload(0, 77, 512, vec![5u8; 256]);
+        c.submit_system_upload(0, 77, 512, Arc::new(vec![5u8; 256]));
         let mut finished_at = None;
         for cycle in 0..500 {
             c.clock(cycle);
@@ -1154,8 +1157,8 @@ mod tests {
     #[test]
     fn uploads_serialize_on_the_system_bus() {
         let mut c = ctl();
-        c.submit_system_upload(0, 1, 0, vec![1u8; 800]);
-        c.submit_system_upload(0, 2, 4096, vec![2u8; 800]);
+        c.submit_system_upload(0, 1, 0, Arc::new(vec![1u8; 800]));
+        c.submit_system_upload(0, 2, 4096, Arc::new(vec![2u8; 800]));
         let mut done = Vec::new();
         for cycle in 0..1000 {
             c.clock(cycle);

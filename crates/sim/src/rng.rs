@@ -36,6 +36,7 @@ impl TinyRng {
     }
 
     /// The next raw 64-bit draw.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -45,6 +46,7 @@ impl TinyRng {
     }
 
     /// A uniform integer in `[lo, hi)`. Empty ranges return `lo`.
+    #[inline]
     pub fn range_u32(&mut self, lo: u32, hi: u32) -> u32 {
         if hi <= lo {
             return lo;
@@ -54,6 +56,7 @@ impl TinyRng {
     }
 
     /// A uniform integer in `[lo, hi)`. Empty ranges return `lo`.
+    #[inline]
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         if hi <= lo {
             return lo;
@@ -62,6 +65,7 @@ impl TinyRng {
     }
 
     /// A uniform float in `[lo, hi)`. Empty ranges return `lo`.
+    #[inline]
     pub fn range_f32(&mut self, lo: f32, hi: f32) -> f32 {
         if hi <= lo {
             return lo;
@@ -70,16 +74,19 @@ impl TinyRng {
     }
 
     /// A uniform float in `[0, 1)` with 24 bits of precision.
+    #[inline]
     pub fn unit_f32(&mut self) -> f32 {
         ((self.next_u64() >> 40) as f32) * (1.0 / (1u64 << 24) as f32)
     }
 
     /// A fair coin flip.
+    #[inline]
     pub fn coin(&mut self) -> bool {
         self.next_u64() & 1 == 1
     }
 
     /// Draws `true` with probability `num / denom` (saturating at 1).
+    #[inline]
     pub fn chance(&mut self, num: u64, denom: u64) -> bool {
         if denom == 0 {
             return true;

@@ -111,3 +111,58 @@ fn cli_loads_a_config_that_still_names_retired_constants() {
     };
     assert_eq!(dump(&["--config", path]), dump(&[]));
 }
+
+#[test]
+fn cli_refuses_a_malformed_trace() {
+    // No trace input may panic the process: each of these used to reach
+    // an assertion or an index out of bounds inside `compile` (exit 101).
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data");
+    let from_data = |name: &str| {
+        std::fs::read_to_string(format!("{data}/{name}")).expect("read a checked-in trace")
+    };
+    let trace = |calls: &str| format!(r#"{{"width": 16, "height": 16, "calls": [{calls}, "SwapBuffers"]}}"#);
+    let texel = r#"{"TexImage2D": {"id": 1, "width": 1, "height": 1, "format": "Rgba8", "mipmapped": false, "pixels": [1, 2, 3, 4]}}"#;
+    let buffer = r#"{"BufferData": {"id": 1, "data": [0, 0, 0, 0]}}"#;
+    let cases = [
+        ("TexImage2D", from_data("malformed_trace_short_pixels.json")),
+        (
+            "TexImage2D",
+            trace(r#"{"TexImage2D": {"id": 1, "width": 65536, "height": 65536, "format": "Rgba8", "mipmapped": false, "pixels": []}}"#),
+        ),
+        (
+            "TexImage2D",
+            trace(r#"{"TexImage2D": {"id": 1, "width": 0, "height": 0, "format": "Rgba8", "mipmapped": true, "pixels": []}}"#),
+        ),
+        ("BindTexture", from_data("malformed_trace_texture_unit_99.json")),
+        ("DisableVertexAttrib", trace(r#"{"DisableVertexAttrib": {"attr": 200}}"#)),
+        (
+            "VertexAttribPointer",
+            trace(&format!(
+                r#"{buffer}, {{"VertexAttribPointer": {{"attr": 200, "buffer": 1, "components": 3, "stride": 12, "offset": 0}}}}"#
+            )),
+        ),
+        (
+            "ProgramEnvParameter",
+            trace(&format!(
+                r#"{texel}, {{"ProgramEnvParameter": {{"target_vertex": false, "index": 9999, "value": [0, 0, 0, 0]}}}}"#
+            )),
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("attila-cli-malformed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("make the temp dir");
+    for (i, (call, text)) in cases.iter().enumerate() {
+        let path = dir.join(format!("trace{i}.json"));
+        std::fs::write(&path, text).expect("write the trace");
+        let out = attila_bin()
+            .arg("--trace")
+            .arg(&path)
+            .arg("--out-dir")
+            .arg(dir.join("out"))
+            .output()
+            .expect("attila runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "case {i} ({call}): stderr: {stderr}");
+        assert!(stderr.contains(call), "case {i}: stderr names {call}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
