@@ -95,7 +95,7 @@
 use std::path::Path;
 
 use attila_json::{array, field, field_with, FromJson, HexJson, Json, JsonError, ToJson};
-use attila_mem::MemoryImage;
+use attila_mem::memory::{MemoryImage, PAGE_BYTES};
 use attila_sim::SimError;
 
 use crate::commands::GpuCommand;
@@ -343,28 +343,38 @@ pub struct SparseBytes {
 }
 
 impl SparseBytes {
-    /// The maximal runs of non-zero pages of `bytes`, found with one
-    /// page-sized slice compare (a `memcmp`) per page and copied; zero
-    /// pages are not copied and, in a lazily-zeroed image, never made
-    /// resident.
-    pub fn scan(bytes: &[u8]) -> Self {
-        let live = |page: &&[u8]| **page != [0u8; PAGE][..page.len()];
-        let mut extents = Vec::new();
-        let mut at = 0;
-        while at < bytes.len() {
-            let run: usize = bytes[at..].chunks(PAGE).take_while(live).map(<[u8]>::len).sum();
-            if run > 0 {
-                extents.push((at, bytes[at..at + run].to_vec()));
+    /// The maximal runs of non-zero 4 KiB pages of `image`. Only pages the
+    /// image holds bytes for are read — a page never written is skipped
+    /// without a look — and each of their 4 KiB pages is tested with one
+    /// slice compare (a `memcmp`); zero pages are not copied, so a page
+    /// written back to all zeros still yields no extent.
+    pub fn scan(image: &MemoryImage) -> Self {
+        const _: () = assert!(PAGE_BYTES.is_multiple_of(PAGE));
+        // `(offset, length)` of each run, grown while the next live 4 KiB
+        // page starts where it ends.
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for (index, page) in image.pages().enumerate() {
+            let Some(bytes) = page else { continue };
+            for (n, chunk) in bytes.chunks(PAGE).enumerate() {
+                if *chunk == [0u8; PAGE][..chunk.len()] {
+                    continue;
+                }
+                let at = index * PAGE_BYTES + n * PAGE;
+                match runs.last_mut() {
+                    Some((start, len)) if *start + *len == at => *len += chunk.len(),
+                    _ => runs.push((at, chunk.len())),
+                }
             }
-            at += run.max(PAGE);
         }
-        SparseBytes { len: bytes.len(), extents }
+        let extents =
+            runs.into_iter().map(|(at, len)| (at, image.read_vec(at as u64, len))).collect();
+        SparseBytes { len: image.size(), extents }
     }
 
     /// Writes the extents into `image` and touches nothing else: sound
     /// only for an image that is all zeros, as one fresh from `Gpu::new`
-    /// is — and then the omitted pages stay the untouched (never
-    /// resident) zero pages it allocated.
+    /// is — and then the omitted pages stay untouched: never written and
+    /// never made resident.
     pub(crate) fn write_into(&self, image: &mut MemoryImage) -> Result<(), SimError> {
         let size = image.size();
         if self.len != size {
@@ -738,6 +748,13 @@ impl Checkpoint {
 mod tests {
     use super::*;
 
+    /// An image holding exactly `bytes`.
+    fn image_of(bytes: &[u8]) -> MemoryImage {
+        let mut image = MemoryImage::new(bytes.len());
+        image.write(0, bytes);
+        image
+    }
+
     #[test]
     fn fnv_matches_known_vectors() {
         let hash = |bytes: &[u8]| {
@@ -769,7 +786,7 @@ mod tests {
         }
         let doc = Json::obj([
             ("name", Json::Str("a \"quoted\"\nline".into())),
-            ("bytes", SparseBytes::scan(&[3u8; 100]).to_json()),
+            ("bytes", SparseBytes::scan(&image_of(&[3u8; 100])).to_json()),
             ("list", Json::Arr(vec![Json::Num(1.5), Json::Null, Json::Bool(true)])),
         ]);
         assert_eq!(render_crc32(&doc), crc32(doc.render().as_bytes()));
@@ -781,7 +798,7 @@ mod tests {
         data[PAGE] = 7;
         data[3 * PAGE - 1] = 1;
         data[5 * PAGE + 16] = 255;
-        let sparse = SparseBytes::scan(&data);
+        let sparse = SparseBytes::scan(&image_of(&data));
         assert!(sparse.extents.iter().map(|e| e.0).eq([PAGE, 5 * PAGE]));
         assert_eq!(sparse.live_bytes(), 2 * PAGE + 17);
         let enc = sparse.to_json();

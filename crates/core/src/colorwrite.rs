@@ -17,7 +17,7 @@ use attila_json::{field, Json, JsonError, JsonState, ToJson};
 use attila_mem::{Client, MemoryController, RopCache};
 use attila_sim::{Counter, Cycle, Horizon, SimError};
 
-use crate::address::{pixel_address, surface_bytes, tile_address};
+use crate::address::{surface_bytes, tile_address};
 use crate::config::RopConfig;
 use crate::port::PortReceiver;
 use crate::rop::{self, Access, RopEngine, Round};
@@ -146,19 +146,18 @@ impl ColorWriteUnit {
         let state = &quad.tri.batch.state;
         self.stat_quads.inc();
         let mut wrote = false;
+        let (at, pixels) = rop::quad_pixels(mem, &quad, base, state.target_width);
         for i in 0..4 {
             if !quad.frags[i].alive {
                 continue;
             }
-            let (x, y) = quad.frag_coords(i);
-            let addr = pixel_address(base, state.target_width, x, y);
-            let mut stored = [0u8; 4];
-            mem.gpu_mem().read(addr, &mut stored);
+            let pixel = &mut pixels[at[i]..at[i] + 4];
+            let stored = [pixel[0], pixel[1], pixel[2], pixel[3]];
             let dst = unpack_rgba8(stored);
             let out = blend(&state.blend, quad.frags[i].color, dst);
             let packed = pack_rgba8(out);
             if packed != stored {
-                mem.gpu_mem_mut().write(addr, &packed);
+                pixel.copy_from_slice(&packed);
                 wrote = true;
             }
             self.stat_frags_written.inc();

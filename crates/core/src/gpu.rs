@@ -14,7 +14,7 @@ use attila_json::{impl_json_state, JsonState};
 use attila_mem::{Client, MemoryController};
 use attila_sim::{Cycle, Horizon, SignalBinder, SimError, StatsRegistry, WakeLine};
 
-use crate::address::pixel_address;
+use crate::address::{pixel_address, surface_bytes};
 use crate::checkpoint::{mismatch, refused, Checkpoint, CheckpointBody, SparseBytes};
 use crate::clipper::Clipper;
 use crate::colorwrite::ColorWriteUnit;
@@ -1036,7 +1036,7 @@ impl Gpu {
         width: u32,
         height: u32,
     ) -> Result<FrameDump, GpuError> {
-        let bytes = crate::address::surface_bytes(width, height);
+        let bytes = surface_bytes(width, height);
         let end = base.checked_add(bytes).ok_or_else(|| {
             GpuError::BadConfig(format!("framebuffer at {base:#x} wraps the address space"))
         })?;
@@ -1094,7 +1094,7 @@ impl Gpu {
                 frames: self.frames,
                 cycles_skipped: self.cycles_skipped,
                 commands_consumed: self.cp.commands_processed(),
-                memory: SparseBytes::scan(self.mem.gpu_mem().as_slice()),
+                memory: SparseBytes::scan(self.mem.gpu_mem()),
                 framebuffers: self.framebuffers.clone(),
                 boxes: self.save_state(),
             },
@@ -1234,8 +1234,11 @@ impl Gpu {
     /// Returns [`GpuError::Watchdog`] if the pipeline fails to drain
     /// within [`max_cycles`](Self::max_cycles), [`GpuError::Sim`] on an
     /// aborting verification failure, and [`GpuError::BadConfig`] when a
-    /// swap dumps an out-of-range framebuffer.
+    /// command reaches past the end of GPU memory (before any cycle runs;
+    /// see [`check_memory_ranges`](Self::check_memory_ranges)) or a swap
+    /// dumps an out-of-range framebuffer.
     pub fn run_trace(&mut self, commands: &[GpuCommand]) -> Result<RunResult, GpuError> {
+        self.check_memory_ranges(commands)?;
         self.enqueue(commands);
         let start_cycle = self.cycle;
         let start_frames = self.frames;
@@ -1287,6 +1290,47 @@ impl Gpu {
             frames: self.frames - start_frames,
             framebuffers: std::mem::take(&mut self.framebuffers),
         })
+    }
+
+    /// Refuses a command list that would touch memory past the end of the
+    /// GPU's image: every `WriteBuffer` range, and each `SetState`'s colour
+    /// and depth surfaces and bound texture extents. Unchecked, a machine
+    /// with less memory than the driver's memory map would panic inside
+    /// the memory image on the first such access.
+    ///
+    /// # Errors
+    ///
+    /// [`GpuError::BadConfig`] naming the first command that does not fit
+    /// and its range.
+    pub fn check_memory_ranges(&self, commands: &[GpuCommand]) -> Result<(), GpuError> {
+        let size = self.mem.gpu_mem().size() as u64;
+        for (n, command) in commands.iter().enumerate() {
+            let fits = |what: &str, base: u64, len: u64| {
+                if base.checked_add(len).is_some_and(|end| end <= size) {
+                    return Ok(());
+                }
+                Err(GpuError::BadConfig(format!(
+                    "command {n} ({}): {what} {base:#x}+{len} bytes runs past the end of GPU \
+                     memory ({size} bytes); raise memory.gpu_memory_mb",
+                    command.mnemonic()
+                )))
+            };
+            match command {
+                GpuCommand::WriteBuffer { address, data } => {
+                    fits("upload", *address, data.len() as u64)?;
+                }
+                GpuCommand::SetState(state) => {
+                    let surface = surface_bytes(state.target_width, state.target_height);
+                    fits("colour buffer", state.color_buffer, surface)?;
+                    fits("depth buffer", state.z_buffer, surface)?;
+                    for desc in state.textures.iter().flatten() {
+                        fits("texture", desc.base_address, desc.total_bytes())?;
+                    }
+                }
+                _ => {}
+            }
+        }
+        Ok(())
     }
 
     /// Writes the automatic checkpoint that has come due to
@@ -1472,5 +1516,38 @@ mod tests {
                 "framebuffer at 0xfffffffffffffff7 wraps the address space".into()
             ))
         );
+    }
+
+    #[test]
+    fn commands_past_the_end_of_memory_are_refused_before_the_first_cycle() {
+        use crate::state::RenderState;
+        use attila_emu::texture::{TexFormat, TextureDesc};
+        use std::sync::Arc;
+        let mut gpu = Gpu::new(GpuConfig::baseline());
+        let size = gpu.memory().gpu_mem().size() as u64;
+        let upload = |address| GpuCommand::WriteBuffer { address, data: Arc::new(vec![1; 64]) };
+        let with_texture = |base| {
+            let mut textures = vec![None; 16];
+            textures[3] = Some(TextureDesc::new_2d(8, 8, TexFormat::Rgba8, base));
+            GpuCommand::SetState(Box::new(RenderState {
+                textures: Arc::new(textures),
+                ..RenderState::default()
+            }))
+        };
+        let fits = [upload(size - 64), with_texture(size - 256), GpuCommand::Swap];
+        assert_eq!(gpu.check_memory_ranges(&fits), Ok(()));
+        let refused = |commands: &[GpuCommand]| match gpu.check_memory_ranges(commands) {
+            Err(GpuError::BadConfig(msg)) => msg,
+            other => panic!("not refused: {other:?}"),
+        };
+        assert!(refused(&[upload(size - 63)]).starts_with("command 0 (WRITE): upload "));
+        assert!(refused(&[upload(u64::MAX - 8)]).contains("runs past the end of GPU memory"));
+        let msg = refused(&[GpuCommand::Swap, with_texture(size - 255)]);
+        assert!(msg.starts_with("command 1 (STATE): texture "), "{msg}");
+        let far = RenderState { z_buffer: size, ..RenderState::default() };
+        let far = GpuCommand::SetState(Box::new(far));
+        assert!(refused(std::slice::from_ref(&far)).contains("depth buffer"));
+        assert!(matches!(gpu.run_trace(&[far]), Err(GpuError::BadConfig(_))));
+        assert_eq!(gpu.cycle(), 0, "no cycle ran");
     }
 }

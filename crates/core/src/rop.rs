@@ -21,8 +21,9 @@ use attila_mem::controller::split_transactions;
 use attila_mem::{CacheConfig, Client, Lookup, MemOp, MemRequest, MemoryController, RopCache};
 use attila_sim::{Cycle, SimError};
 
-use crate::address::FB_TILE_BYTES;
+use crate::address::{pixel_address, FB_BYTES_PER_PIXEL, FB_TILE_BYTES};
 use crate::config::RopConfig;
+use crate::types::FragQuad;
 
 /// Called for each dirty line written back, with the line's block index
 /// within the surface and its words as memory holds them.
@@ -230,9 +231,11 @@ impl RopEngine {
     /// cache's lossless delta scheme over the RGBA words — and submits the
     /// write-back.
     fn write_back(&mut self, mem: &mut MemoryController, line_addr: u64, on_evict: OnEvict<'_>) {
+        let mut bytes = [0u8; ZBLOCK_WORDS * 4];
+        mem.gpu_mem().read(line_addr, &mut bytes);
         let mut words = [0u32; ZBLOCK_WORDS];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = mem.gpu_mem().read_u32(line_addr + i as u64 * 4);
+        for (w, b) in words.iter_mut().zip(bytes.chunks_exact(4)) {
+            *w = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
         }
         let compressed = self.compression.then(|| compress_z_block(&words).level.bytes() as u32);
         let cache = self.cache.as_mut().expect("only a bound cache evicts");
@@ -328,6 +331,26 @@ pub(crate) enum Round {
         /// Whether both inputs wait on a wake-up event.
         waiting: bool,
     },
+}
+
+/// The surface bytes under `quad`'s four pixels, for both units'
+/// per-fragment read-modify-write: each pixel's byte offset into the
+/// span, and the span, which the memory image resolves with one page
+/// lookup instead of one per access.
+pub(crate) fn quad_pixels<'m>(
+    mem: &'m mut MemoryController,
+    quad: &FragQuad,
+    base: u64,
+    width: u32,
+) -> ([usize; 4], &'m mut [u8]) {
+    let addrs = [0, 1, 2, 3].map(|i| {
+        let (x, y) = quad.frag_coords(i);
+        pixel_address(base, width, x, y)
+    });
+    let lo = addrs.into_iter().min().expect("four pixels");
+    let end = addrs.into_iter().max().expect("four pixels") + u64::from(FB_BYTES_PER_PIXEL);
+    let span = mem.gpu_mem_mut().bytes_mut(lo, (end - lo) as usize);
+    (addrs.map(|a| (a - lo) as usize), span)
 }
 
 /// One arbitration round between a unit's early and late inputs: the

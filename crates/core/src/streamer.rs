@@ -309,12 +309,12 @@ impl Streamer {
                     inputs.push(Vec4::ZERO);
                     continue;
                 };
-                let addr = b.element_address(index);
+                let mut bytes = [0u8; 16];
+                let element = &mut bytes[..b.element_bytes() as usize];
+                mem.gpu_mem().read(b.element_address(index), element);
                 let mut v = Vec4::new(0.0, 0.0, 0.0, b.default_w);
-                for c in 0..b.components as usize {
-                    let mut bytes = [0u8; 4];
-                    mem.gpu_mem().read(addr + c as u64 * 4, &mut bytes);
-                    v[c] = f32::from_le_bytes(bytes);
+                for (c, word) in element.chunks_exact(4).enumerate() {
+                    v[c] = f32::from_le_bytes([word[0], word[1], word[2], word[3]]);
                 }
                 inputs.push(v);
             }

@@ -17,7 +17,7 @@ use attila_emu::texture::{TexelSource, TextureEmulator};
 use attila_emu::vector::Vec4;
 use attila_json::impl_json_state;
 use attila_mem::controller::split_transactions;
-use attila_mem::{Cache, Client, Lookup, MemOp, MemRequest, MemoryController};
+use attila_mem::{Cache, Client, Lookup, MemOp, MemRequest, MemoryController, MemoryImage};
 use attila_sim::{Counter, Cycle, Horizon, RunningCounter, SimError};
 
 use crate::config::TextureConfig;
@@ -30,24 +30,65 @@ use crate::unit::Unit;
 /// read go into `lines`, which stays in ascending order without
 /// duplicates so fills are issued deterministically — cache allocation
 /// (and therefore cycle counts) must not vary run to run.
+///
+/// It keeps the two image pages its latest reads resolved: the taps of
+/// one quad nearly always fall in one page, or in two when a trilinear
+/// sample reads two mip levels, so they pay one page-table lookup per
+/// page and then a slice load each.
 struct FootprintSource<'a> {
-    image: &'a [u8],
+    image: &'a MemoryImage,
+    /// The pages resolved, most recent first: first address and bytes.
+    pages: [(u64, &'a [u8]); 2],
     cache: &'a Cache,
     lines: &'a mut Vec<u64>,
 }
 
-impl FootprintSource<'_> {
+impl<'a> FootprintSource<'a> {
+    fn new(image: &'a MemoryImage, cache: &'a Cache, lines: &'a mut Vec<u64>) -> Self {
+        FootprintSource { image, pages: [(0, &[]); 2], cache, lines }
+    }
+
     fn note(&mut self, line: u64) {
         if let Err(at) = self.lines.binary_search(&line) {
             self.lines.insert(at, line);
         }
     }
+
+    /// Copies `buf.len()` bytes at `addr` out of `page` if it holds them
+    /// all.
+    #[inline(always)]
+    fn copy_from((base, bytes): (u64, &[u8]), addr: u64, buf: &mut [u8]) -> bool {
+        let offset = addr.wrapping_sub(base) as usize;
+        let hit = offset < bytes.len() && buf.len() <= bytes.len() - offset;
+        if hit {
+            buf.copy_from_slice(&bytes[offset..offset + buf.len()]);
+        }
+        hit
+    }
+
+    /// A read the most recent page does not hold: the other kept page,
+    /// else a page-table lookup that replaces it. A read that straddles
+    /// two pages goes to the image whole.
+    #[inline(never)]
+    fn read_other_page(&mut self, addr: u64, buf: &mut [u8]) {
+        self.pages.swap(0, 1);
+        if !Self::copy_from(self.pages[0], addr, buf) {
+            self.pages[0] = self.image.page_at(addr);
+            if !Self::copy_from(self.pages[0], addr, buf) {
+                self.image.read(addr, buf);
+            }
+        }
+    }
 }
 
 impl TexelSource for FootprintSource<'_> {
-    #[inline]
+    // Inlined into the sampler: as a call, the copy below became a
+    // `memcpy` call of its own.
+    #[inline(always)]
     fn read_bytes(&mut self, addr: u64, buf: &mut [u8]) {
-        self.image.read_bytes(addr, buf);
+        if !Self::copy_from(self.pages[0], addr, buf) {
+            self.read_other_page(addr, buf);
+        }
         let first = self.cache.line_addr(addr);
         let last = self.cache.line_addr(addr + buf.len() as u64 - 1);
         self.note(first);
@@ -275,11 +316,7 @@ impl TextureUnit {
                 ready_at: cycle + 1,
             };
         };
-        let mut source = FootprintSource {
-            image: mem.gpu_mem().as_slice(),
-            cache: &self.cache,
-            lines: &mut self.lines_todo,
-        };
+        let mut source = FootprintSource::new(mem.gpu_mem(), &self.cache, &mut self.lines_todo);
         let results =
             self.emulator.sample_quad(&desc, &mut source, &req.coords, req.lod_bias, req.projective);
         let texels = results.map(|r| r.value);

@@ -29,7 +29,7 @@ use attila_json::{field, Json, JsonError, JsonState, ToJson};
 use attila_mem::{Client, MemoryController, RopCache};
 use attila_sim::{Counter, Cycle, Horizon, SimError};
 
-use crate::address::{pixel_address, surface_bytes, tile_address, FB_TILE_BYTES};
+use crate::address::{surface_bytes, tile_address, FB_TILE_BYTES};
 use crate::config::RopConfig;
 use crate::hz::HzUpdate;
 use crate::port::{PortReceiver, PortSender};
@@ -237,21 +237,21 @@ impl ZStencilUnit {
         self.stat_quads.inc();
         let mut wrote = false;
         let mut raised = false;
+        let (at, words) = rop::quad_pixels(mem, &quad, z_base, target_width);
         for i in 0..4 {
             if !quad.frags[i].alive {
                 continue;
             }
             self.stat_frags_tested.inc();
-            let (x, y) = quad.frag_coords(i);
-            let addr = pixel_address(z_base, target_width, x, y);
-            let stored = mem.gpu_mem().read_u32(addr);
+            let word = &mut words[at[i]..at[i] + 4];
+            let stored = u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
             let frag_depth = quantize_depth(quad.frags[i].depth);
             let r = z_stencil_test(depth, stencil, frag_depth, stored);
             if r.written {
                 if unpack_depth_stencil(r.new_word).0 > unpack_depth_stencil(stored).0 {
                     raised = true;
                 }
-                mem.gpu_mem_mut().write_u32(addr, r.new_word);
+                word.copy_from_slice(&r.new_word.to_le_bytes());
                 wrote = true;
             }
             if r.pass {

@@ -247,8 +247,10 @@ struct ChannelState {
 struct SystemCopy {
     id: u64,
     dst: u64,
-    /// Shared with the command that asked for it: the copy into GPU
-    /// memory at completion is the only copy of the payload.
+    /// Shared with the command that asked for it. At completion the
+    /// image adopts every page the payload covers whole by reference and
+    /// copies only the ragged ends, so the payload is not copied at all
+    /// until something writes over it.
     data: Arc<Vec<u8>>,
     done_at: Cycle,
 }
@@ -450,7 +452,7 @@ impl MemoryController {
         while let Some(copy) = self.system_copies.front() {
             if copy.done_at <= cycle {
                 let copy = self.system_copies.pop_front().expect("front exists");
-                self.gpu_mem.write(copy.dst, &copy.data);
+                self.gpu_mem.write_shared(copy.dst, &copy.data);
                 self.bytes_written += copy.data.len() as u64;
                 self.finished_uploads.push_back(copy.id);
             } else {
@@ -1152,6 +1154,34 @@ mod tests {
         // 100 latency + 256/8 = 32 transfer.
         assert!(done >= 132, "done at {done}");
         assert_eq!(c.gpu_mem().read_vec(512, 4), vec![5u8; 4]);
+    }
+
+    #[test]
+    fn an_upload_is_never_written_through() {
+        use crate::memory::PAGE_BYTES;
+        // Three pages from mid-page 0: page 1 and 2 are covered whole and
+        // land by reference, the ragged ends of pages 0 and 3 are copied.
+        let mut c = ctl();
+        let upload: Arc<Vec<u8>> = Arc::new((0..3 * PAGE_BYTES).map(|i| i as u8 | 1).collect());
+        let dst = PAGE_BYTES as u64 / 2;
+        c.submit_system_upload(0, 9, dst, Arc::clone(&upload));
+        let mut cycle = 0;
+        while c.pop_finished_upload().is_none() {
+            c.clock(cycle);
+            cycle += 1;
+            assert!(cycle < 1_000_000, "the upload lands");
+        }
+        assert_eq!(c.gpu_mem().read_vec(dst, upload.len()), *upload);
+        assert_eq!(c.gpu_mem().shared_pages(), 2);
+        let shared = 2 * PAGE_BYTES as u64 + 12;
+        c.gpu_mem_mut().write_u32(shared, 0xfeed_f00d);
+        assert_eq!(c.gpu_mem().read_u32(shared), 0xfeed_f00d);
+        assert_eq!(c.gpu_mem().shared_pages(), 1, "the written page was copied");
+        assert!(upload.iter().enumerate().all(|(i, &b)| b == i as u8 | 1), "the upload moved");
+        let mut expect = upload.to_vec();
+        let at = (shared - dst) as usize;
+        expect[at..at + 4].copy_from_slice(&0xfeed_f00du32.to_le_bytes());
+        assert_eq!(c.gpu_mem().read_vec(dst, upload.len()), expect);
     }
 
     #[test]

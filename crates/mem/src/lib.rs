@@ -21,7 +21,8 @@
 //!    traffic never reaches DRAM.
 //!
 //! The simulator is execution driven, so the *functional* bytes live in a
-//! single [`MemoryImage`]; the timing models decide *when* transactions
+//! single [`MemoryImage`] (a page table whose pages can share an upload's
+//! bytes until written); the timing models decide *when* transactions
 //! complete and *how many bytes* move (after compression / fast-clear
 //! savings), while reads and writes always see real data.
 

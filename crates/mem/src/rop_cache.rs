@@ -126,9 +126,7 @@ impl RopCache {
         let _ = self.cache.flush();
         self.fast_clears += 1;
         let words = (self.block_states.len() * self.line_bytes as usize) / 4;
-        for i in 0..words {
-            mem.write_u32(self.buffer_base + i as u64 * 4, clear_word);
-        }
+        mem.fill_u32(self.buffer_base, words, clear_word);
     }
 
     /// Cache lookup (see [`Cache::lookup`]).

@@ -1,9 +1,13 @@
 //! Property tests for the memory hierarchy: the cache timing model
-//! against a reference set-associative oracle, and controller functional
-//! coherence under random traffic. Driven by the framework's seeded
-//! [`TinyRng`] so runs are reproducible offline.
+//! against a reference set-associative oracle, the paged memory image
+//! against a flat byte array, and controller functional coherence under
+//! random traffic. Driven by the framework's seeded [`TinyRng`] so runs
+//! are reproducible offline.
+
+use std::sync::Arc;
 
 use attila_mem::cache::{Cache, CacheConfig, Lookup};
+use attila_mem::memory::{MemoryImage, PAGE_BYTES};
 use attila_mem::{Client, MemOp, MemRequest, MemoryController};
 use attila_sim::TinyRng;
 
@@ -61,6 +65,89 @@ fn cache_matches_oracle() {
                 }
                 Lookup::Blocked => panic!("1 access/cycle never blocks, seed {seed}"),
             }
+        }
+    }
+}
+
+/// A range `[at, at + len)` inside `size` bytes that, more often than
+/// not, starts, ends or straddles a page boundary.
+fn ranged(rng: &mut TinyRng, size: usize) -> (usize, usize) {
+    let edge = rng.range_u64(0, size.div_ceil(PAGE_BYTES) as u64 + 1) as usize * PAGE_BYTES;
+    let near = |rng: &mut TinyRng| rng.range_u64(0, 9) as usize;
+    let len = match rng.range_u64(0, 4) {
+        0 => rng.range_u64(1, 9) as usize,
+        1 => rng.range_u64(1, PAGE_BYTES as u64) as usize,
+        _ => rng.range_u64(1, 3 * PAGE_BYTES as u64) as usize,
+    };
+    let at = match rng.range_u64(0, 4) {
+        0 => edge.saturating_sub(near(rng)),                  // ends on or just past an edge
+        1 => edge + near(rng),                                // starts on or just past one
+        2 => edge.saturating_sub(len.saturating_sub(near(rng))), // ends near one
+        _ => rng.range_u64(0, size as u64) as usize,
+    }
+    .min(size);
+    (at, len.min(size - at))
+}
+
+/// Every operation of the paged image, against a flat `Vec<u8>`: seeded
+/// sequences of writes, word writes, fills, uploads and reads over ranges
+/// that start, end and straddle page boundaries agree byte for byte, and
+/// no write ever reaches an upload's own bytes (copy-on-write).
+#[test]
+fn memory_image_matches_a_flat_model() {
+    for seed in 0..64u64 {
+        let mut rng = TinyRng::new(seed ^ 0x1a6e);
+        let pages = rng.range_u64(1, 6) as usize;
+        let size = pages * PAGE_BYTES - if rng.coin() { 0 } else { rng.range_u64(1, 999) as usize };
+        let mut image = MemoryImage::new(size);
+        let mut flat = vec![0u8; size];
+        let mut uploads: Vec<(Arc<Vec<u8>>, Vec<u8>)> = Vec::new();
+        for step in 0..200 {
+            let (at, len) = ranged(&mut rng, size);
+            let byte = rng.next_u64() as u8;
+            match rng.range_u64(0, 6) {
+                0 => {
+                    let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    image.write(at as u64, &data);
+                    flat[at..at + len].copy_from_slice(&data);
+                }
+                1 if at + 4 <= size => {
+                    let word = rng.next_u64() as u32;
+                    image.write_u32(at as u64, word);
+                    flat[at..at + 4].copy_from_slice(&word.to_le_bytes());
+                    assert_eq!(image.read_u32(at as u64), word, "seed {seed} step {step}");
+                }
+                2 => {
+                    let byte = if rng.coin() { 0 } else { byte };
+                    image.fill(at as u64, len, byte);
+                    flat[at..at + len].fill(byte);
+                }
+                3 => {
+                    let word = if rng.coin() { 0 } else { rng.next_u64() as u32 };
+                    let words = len / 4;
+                    image.fill_u32(at as u64, words, word);
+                    let pattern = word.to_le_bytes();
+                    for (i, b) in flat[at..at + words * 4].iter_mut().enumerate() {
+                        *b = pattern[i % 4];
+                    }
+                }
+                4 => {
+                    let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    let upload = Arc::new(data.clone());
+                    image.write_shared(at as u64, &upload);
+                    flat[at..at + len].copy_from_slice(&data);
+                    uploads.push((upload, data));
+                }
+                _ => {
+                    let mut buf = vec![0u8; len];
+                    image.read(at as u64, &mut buf);
+                    assert!(buf == flat[at..at + len], "seed {seed} step {step}: read {at}+{len}");
+                }
+            }
+        }
+        assert!(image.read_vec(0, size) == flat, "seed {seed}: the images differ");
+        for (n, (upload, bytes)) in uploads.iter().enumerate() {
+            assert!(**upload == *bytes, "seed {seed}: upload {n} was written through");
         }
     }
 }

@@ -457,8 +457,9 @@ fn run_sweep_cli(args: &Args) -> Result<(), CliError> {
 enum CliError {
     /// Bad arguments, unreadable files, invalid configs: exit 1.
     Usage(String),
-    /// The simulator aborted on a fault or hung past the watchdog:
-    /// exit 2 (fault) or 3 (hang), with the failure report on stderr.
+    /// The simulator refused the run (exit 1), aborted on a fault (exit
+    /// 2) or hung past the watchdog (exit 3), with any failure report on
+    /// stderr.
     Gpu(Box<GpuError>),
 }
 
@@ -642,7 +643,10 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             match *e {
                 GpuError::Watchdog { .. } => ExitCode::from(3),
-                _ => ExitCode::from(2),
+                // Refused before (or instead of) simulating: a typed
+                // refusal like any other bad input.
+                GpuError::BadConfig(_) => ExitCode::FAILURE,
+                GpuError::Sim { .. } => ExitCode::from(2),
             }
         }
     }

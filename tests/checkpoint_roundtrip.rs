@@ -9,7 +9,7 @@
 //! cycles.
 
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use attila::core::checkpoint::{crc32, SparseBytes, FORMAT_VERSION};
 use attila::core::commands::GpuCommand;
@@ -17,6 +17,7 @@ use attila::core::config::GpuConfig;
 use attila::core::gpu::Gpu;
 use attila::core::{trace_hash, Checkpoint, ShaderScheduling};
 use attila::gl::{compile, workloads, GlCall};
+use attila::mem::memory::{MemoryImage, PAGE_BYTES};
 use attila::sim::{SimError, TinyRng};
 use attila_json::Json;
 
@@ -432,6 +433,18 @@ fn quiescent_machine(config: GpuConfig, commands: &[GpuCommand], after: u64) -> 
     gpu
 }
 
+/// A flat copy of the image's bytes.
+fn dense(image: &MemoryImage) -> Vec<u8> {
+    image.read_vec(0, image.size())
+}
+
+/// An image holding exactly `bytes`, every page of it written.
+fn image_of(bytes: &[u8]) -> MemoryImage {
+    let mut image = MemoryImage::new(bytes.len());
+    image.write(0, bytes);
+    image
+}
+
 /// Bytes of the image that sit in 4 KiB pages with any non-zero byte —
 /// counted byte by byte, independently of the codec's page scan.
 fn bytes_in_live_pages(image: &[u8]) -> usize {
@@ -445,7 +458,7 @@ fn assert_file_is_byte_proportional(gpu: &Gpu, commands: &[GpuCommand], tag: &st
     let path = tmp_ckpt(tag, 3);
     gpu.capture_checkpoint().write_file(&path).expect("writes");
     let file = std::fs::metadata(&path).expect("written").len() as usize;
-    let live = bytes_in_live_pages(gpu.memory().gpu_mem().as_slice());
+    let live = bytes_in_live_pages(&dense(gpu.memory().gpu_mem()));
     assert!(live > 0, "{tag}: the image must hold something");
     assert!(
         file <= live * 22 / 10 + (256 << 10),
@@ -455,7 +468,7 @@ fn assert_file_is_byte_proportional(gpu: &Gpu, commands: &[GpuCommand], tag: &st
     assert_eq!(ckpt.body.memory.live_bytes(), live, "{tag}: extents are the non-zero pages");
     let restored = Gpu::restore(gpu.config().clone(), commands, &ckpt, None).expect("restores");
     assert!(
-        restored.memory().gpu_mem().as_slice() == gpu.memory().gpu_mem().as_slice(),
+        dense(restored.memory().gpu_mem()) == dense(gpu.memory().gpu_mem()),
         "{tag}: restored image differs"
     );
     let _ = std::fs::remove_file(&path);
@@ -495,7 +508,7 @@ fn file_size_is_proportional_to_the_live_pages() {
     while !gpu.quiescent() {
         gpu.try_step().expect("healthy run");
     }
-    assert!(bytes_in_live_pages(gpu.memory().gpu_mem().as_slice()) >= 4 * 256 * 256 * 4);
+    assert!(bytes_in_live_pages(&dense(gpu.memory().gpu_mem())) >= 4 * 256 * 256 * 4);
     assert_file_is_byte_proportional(&gpu, &commands, "size-texels");
 }
 
@@ -534,7 +547,7 @@ fn sparse_images_survive_encode_render_parse_decode() {
         images.push(image);
     }
     for (n, image) in images.iter().enumerate() {
-        let sparse = SparseBytes::scan(image);
+        let sparse = SparseBytes::scan(&image_of(image));
         assert_eq!(sparse.len, image.len());
         assert_eq!(sparse.live_bytes(), bytes_in_live_pages(image), "image {n}");
         let mut end = 0;
@@ -550,6 +563,113 @@ fn sparse_images_survive_encode_render_parse_decode() {
             assert!(dense(&back) == *image, "image {n}: bytes differ");
         }
     }
+}
+
+/// The extents a checkpoint must hold for `image`, found by a dense
+/// reference scan: every maximal run of 4 KiB pages with a non-zero byte,
+/// looked at byte by byte.
+fn dense_extents(image: &[u8]) -> Vec<(usize, Vec<u8>)> {
+    const PAGE: usize = 4096;
+    let mut extents: Vec<(usize, Vec<u8>)> = Vec::new();
+    for (n, page) in image.chunks(PAGE).enumerate() {
+        if page.iter().all(|&b| b == 0) {
+            continue;
+        }
+        match extents.last_mut() {
+            Some((at, bytes)) if *at + bytes.len() == n * PAGE => bytes.extend_from_slice(page),
+            _ => extents.push((n * PAGE, page.to_vec())),
+        }
+    }
+    extents
+}
+
+#[test]
+fn extents_do_not_depend_on_how_a_page_is_stored() {
+    // Pages never written, written, written back to zero, and shared with
+    // an upload (whose own 4 KiB pages are zero or noise), on images whose
+    // size is and is not a multiple of the page.
+    const PAGE: usize = 4096;
+    let mut kinds = [0usize; 4];
+    for seed in 0..48u64 {
+        let mut rng = TinyRng::new(seed ^ 0x5ca1ab1e);
+        let pages = rng.range_u64(1, 7) as usize * PAGE_BYTES;
+        let ragged = rng.range_u64(1, PAGE_BYTES as u64) as usize;
+        let size = if seed % 2 == 0 { pages } else { pages - ragged };
+        let mut image = MemoryImage::new(size);
+        let mut flat = vec![0u8; size];
+        let noise = |rng: &mut TinyRng, len: usize| -> Vec<u8> {
+            (0..len)
+                .map(|i| if (i / PAGE) % 3 == 1 { 0 } else { rng.next_u64() as u8 | 1 })
+                .collect()
+        };
+        for _ in 0..rng.range_u64(0, 8) {
+            let at = rng.range_u64(0, size as u64) as usize;
+            let len = (rng.range_u64(1, 3 * PAGE_BYTES as u64) as usize).min(size - at);
+            let kind = rng.range_u64(0, 4) as usize;
+            kinds[kind] += 1;
+            match kind {
+                0 => {
+                    let bytes = noise(&mut rng, len);
+                    image.write(at as u64, &bytes);
+                    flat[at..at + len].copy_from_slice(&bytes);
+                }
+                1 => {
+                    let upload = Arc::new(noise(&mut rng, len));
+                    image.write_shared(at as u64, &upload);
+                    flat[at..at + len].copy_from_slice(&upload);
+                }
+                2 => {
+                    image.write(at as u64, &vec![0; len]);
+                    flat[at..at + len].fill(0);
+                }
+                _ => {
+                    let word = if rng.range_u64(0, 2) == 0 { 0 } else { rng.next_u64() as u32 };
+                    let words = len / 4;
+                    image.fill_u32(at as u64, words, word);
+                    for (i, b) in flat[at..at + words * 4].iter_mut().enumerate() {
+                        *b = word.to_le_bytes()[i % 4];
+                    }
+                }
+            }
+        }
+        let sparse = SparseBytes::scan(&image);
+        assert_eq!(sparse.len, size, "seed {seed}");
+        assert!(sparse.extents == dense_extents(&flat), "seed {seed}: extents differ");
+        assert!(dense(&image) == flat, "seed {seed}: bytes differ");
+    }
+    assert!(kinds.iter().all(|&k| k > 10), "every kind of write is exercised: {kinds:?}");
+}
+
+#[test]
+fn a_shared_upload_runs_twice_the_same() {
+    // One compiled `texture_stream` (its uploads `Arc`'d in the command
+    // list) on two fresh machines in turn: the first run's pages share
+    // the uploads' bytes, so had any write gone through to them the
+    // second run would read different texels.
+    let params = workloads::WorkloadParams {
+        width: W,
+        height: H,
+        frames: 3,
+        texture_size: 256,
+        ..Default::default()
+    };
+    let trace = workloads::texture_stream(params);
+    let commands = compile(trace.width, trace.height, &trace.calls).expect("compiles");
+    let mut config = GpuConfig::baseline();
+    config.display.width = W;
+    config.display.height = H;
+    let run = || {
+        let mut gpu = Gpu::new(config.clone());
+        let result = gpu.run_trace(&commands).expect("drains");
+        assert!(gpu.memory().gpu_mem().shared_pages() > 0, "the textures land by reference");
+        (result.cycles, result.framebuffers, gpu.stats().csv())
+    };
+    let (cycles, frames, csv) = run();
+    assert_eq!(frames.len(), 3);
+    let again = run();
+    assert_eq!(again.0, cycles);
+    assert!(again.1 == frames, "frames differ on the second run");
+    assert!(again.2 == csv, "stats differ on the second run");
 }
 
 fn field_mut<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {

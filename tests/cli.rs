@@ -166,3 +166,34 @@ fn cli_refuses_a_malformed_trace() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn cli_refuses_gpu_memory_smaller_than_the_memory_map() {
+    // The driver's memory map puts its heap at 16 MiB: with 1 MiB of GPU
+    // memory the first upload used to panic inside the memory image.
+    let mut config = GpuConfig::baseline();
+    config.memory.gpu_memory_mb = 1;
+    let dir = std::env::temp_dir().join(format!("attila-cli-small-memory-{}", std::process::id()));
+    let path = dir.with_extension("json");
+    std::fs::write(&path, config.to_json()).expect("write the config");
+    for workload in ["quickstart", "texture_stream"] {
+        let out = attila_bin()
+            .arg("--config")
+            .arg(&path)
+            .args(["--workload", workload, "--width", "48", "--height", "48", "--frames", "1"])
+            .arg("--out-dir")
+            .arg(&dir)
+            .output()
+            .expect("attila runs");
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(1), "{workload}: stderr: {stderr}");
+        assert!(
+            stderr.contains("runs past the end of GPU memory (1048576 bytes)"),
+            "{workload}: stderr: {stderr}"
+        );
+        assert!(!stdout.contains("cycles:"), "{workload}: no cycle may be simulated: {stdout}");
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
