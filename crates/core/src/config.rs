@@ -21,8 +21,7 @@ use attila_sim::SimError;
 
 use attila_emu::isa::Opcode;
 use attila_emu::raster::TraversalAlgorithm;
-use attila_mem::{CacheConfig, GddrTiming, MemControllerConfig};
-
+use attila_mem::{CacheConfig, MemControllerConfig};
 
 /// Render-target / display parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,26 +90,7 @@ pub struct FragGenConfig {
     /// [`FB_TILE`](crate::address::FB_TILE).
     pub tiles_per_cycle: u32,
     /// Traversal algorithm (recursive is ATTILA's default).
-    pub traversal: Traversal,
-}
-
-/// Serializable mirror of [`TraversalAlgorithm`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Traversal {
-    /// McCool recursive descent.
-    #[default]
-    Recursive,
-    /// Neon-style tile scanning.
-    TileScan,
-}
-
-impl From<Traversal> for TraversalAlgorithm {
-    fn from(t: Traversal) -> Self {
-        match t {
-            Traversal::Recursive => TraversalAlgorithm::Recursive,
-            Traversal::TileScan => TraversalAlgorithm::TileScan,
-        }
-    }
+    pub traversal: TraversalAlgorithm,
 }
 
 /// Hierarchical-Z parameters.
@@ -140,41 +120,10 @@ pub struct RopConfig {
     /// Pipeline latency before the cache access (Table 1: 2 + memory).
     pub latency: u64,
     /// Cache geometry (Table 2).
-    pub cache: RopCacheConfig,
+    pub cache: CacheConfig,
     /// Whether the buffer compression algorithm is enabled (Z: 1:2/1:4
     /// lossless; colour compression is future work in the paper).
     pub compression: bool,
-}
-
-/// Serializable cache geometry (mirrors `attila_mem::CacheConfig`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RopCacheConfig {
-    /// Total bytes (Table 2: 16 KB).
-    pub size_bytes: u32,
-    /// Ways (Table 2: 4).
-    pub ways: u32,
-    /// Line bytes (Table 2: 256).
-    pub line_bytes: u32,
-    /// Ports (Table 2: 4 for Z/Color, 4×4 for texture).
-    pub ports: u32,
-}
-
-impl From<RopCacheConfig> for CacheConfig {
-    fn from(c: RopCacheConfig) -> Self {
-        CacheConfig {
-            size_bytes: c.size_bytes,
-            ways: c.ways,
-            line_bytes: c.line_bytes,
-            ports: c.ports,
-        }
-    }
-}
-
-impl RopCacheConfig {
-    /// Table 2 geometry with the given port count.
-    pub fn table2(ports: u32) -> Self {
-        RopCacheConfig { size_bytes: 16 * 1024, ways: 4, line_bytes: 256, ports }
-    }
 }
 
 /// Interpolator parameters.
@@ -249,80 +198,9 @@ pub struct TextureConfig {
     /// Pending quad-request queue entries per unit.
     pub request_queue: usize,
     /// Texture cache geometry (Table 2: 16 KB, 4-way, 256 B).
-    pub cache: RopCacheConfig,
+    pub cache: CacheConfig,
     /// Maximum anisotropy the units support (case study: 8).
     pub max_aniso: u32,
-}
-
-/// Memory-system parameters (mirrors `attila_mem` config, serializable).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemoryConfig {
-    /// GDDR channels (baseline: 4; case study: 2).
-    pub channels: usize,
-    /// Channel interleave granularity in bytes (256).
-    pub interleave_bytes: u64,
-    /// Transfer cycles per 64-byte transaction (4: 16 bytes per cycle on
-    /// the 64-bit DDR model).
-    pub transfer_cycles: u64,
-    /// tRCD — cycles from row ACTIVATE until a column command may issue;
-    /// the cost of a row miss (bank idle).
-    pub t_rcd: u64,
-    /// tRP — row precharge cycles; a row conflict (wrong row open) pays
-    /// `t_rp + t_rcd`.
-    pub t_rp: u64,
-    /// tRC — minimum cycles between ACTIVATEs to the same bank; bounds
-    /// row thrashing.
-    pub t_rc: u64,
-    /// Write→read turnaround penalty.
-    pub write_to_read_penalty: u64,
-    /// Read→write turnaround penalty.
-    pub read_to_write_penalty: u64,
-    /// DRAM page size in bytes.
-    pub page_bytes: u64,
-    /// Banks per channel.
-    pub banks: usize,
-    /// CAS-like read latency in cycles.
-    pub access_latency: u64,
-    /// Per-client controller queue entries.
-    pub queue_capacity: usize,
-    /// Crossbar latency added to replies.
-    pub bus_latency: u64,
-    /// System (PCIe-like) bus bytes per cycle per direction (paper: 8).
-    pub system_bus_bytes_per_cycle: u64,
-    /// System bus base latency.
-    pub system_bus_latency: u64,
-    /// GPU memory size in megabytes.
-    pub gpu_memory_mb: u32,
-}
-
-impl MemoryConfig {
-    /// Converts to the `attila-mem` controller configuration.
-    pub fn to_controller_config(&self) -> MemControllerConfig {
-        MemControllerConfig {
-            channels: self.channels,
-            interleave_bytes: self.interleave_bytes,
-            timing: GddrTiming {
-                transfer_cycles: self.transfer_cycles,
-                t_rcd: self.t_rcd,
-                t_rp: self.t_rp,
-                t_rc: self.t_rc,
-                write_to_read_penalty: self.write_to_read_penalty,
-                read_to_write_penalty: self.read_to_write_penalty,
-                page_bytes: self.page_bytes,
-                banks: self.banks,
-                access_latency: self.access_latency,
-            },
-            queue_capacity: self.queue_capacity,
-            bus_latency: self.bus_latency,
-            system_bus_bytes_per_cycle: self.system_bus_bytes_per_cycle,
-            system_bus_latency: self.system_bus_latency,
-        }
-    }
-
-    /// GPU memory size in bytes.
-    pub fn gpu_memory_bytes(&self) -> usize {
-        self.gpu_memory_mb as usize * 1024 * 1024
-    }
 }
 
 /// Statistics collection parameters.
@@ -360,7 +238,7 @@ pub struct GpuConfig {
     /// Texture unit pool parameters.
     pub texture: TextureConfig,
     /// Memory system parameters.
-    pub memory: MemoryConfig,
+    pub memory: MemControllerConfig,
     /// Statistics sampling parameters.
     pub stats: StatsConfig,
 }
@@ -377,10 +255,8 @@ impl_json_struct!(PrimitiveAssemblyConfig { input_queue, latency });
 impl_json_struct!(ClipperConfig { input_queue, latency });
 impl_json_struct!(SetupConfig { input_queue, latency });
 impl_json_struct!(FragGenConfig { input_queue, latency, tiles_per_cycle, traversal });
-impl_json_enum_unit!(Traversal { Recursive, TileScan });
 impl_json_struct!(HzConfig { enabled, input_queue, tiles_per_cycle, latency });
 impl_json_struct!(RopConfig { units, frags_per_cycle, input_queue, latency, cache, compression });
-impl_json_struct!(RopCacheConfig { size_bytes, ways, line_bytes, ports });
 impl_json_struct!(InterpolatorConfig { frags_per_cycle, base_latency, latency_per_attribute });
 impl_json_enum_unit!(ShaderScheduling { ThreadWindow, InOrderQueue });
 impl_json_struct!(ShaderConfig {
@@ -396,24 +272,6 @@ impl_json_struct!(ShaderConfig {
     instruction_latencies,
 });
 impl_json_struct!(TextureConfig { units, bilinears_per_cycle, request_queue, cache, max_aniso });
-impl_json_struct!(MemoryConfig {
-    channels,
-    interleave_bytes,
-    transfer_cycles,
-    t_rcd,
-    t_rp,
-    t_rc,
-    write_to_read_penalty,
-    read_to_write_penalty,
-    page_bytes,
-    banks,
-    access_latency,
-    queue_capacity,
-    bus_latency,
-    system_bus_bytes_per_cycle,
-    system_bus_latency,
-    gpu_memory_mb,
-});
 impl_json_struct!(StatsConfig { window_cycles });
 impl_json_struct!(GpuConfig {
     display,
@@ -455,7 +313,7 @@ impl GpuConfig {
                 input_queue: 16,
                 latency: 1,
                 tiles_per_cycle: 2,
-                traversal: Traversal::Recursive,
+                traversal: TraversalAlgorithm::Recursive,
             },
             hz: HzConfig {
                 enabled: true,
@@ -468,7 +326,7 @@ impl GpuConfig {
                 frags_per_cycle: 4,
                 input_queue: 16,
                 latency: 2,
-                cache: RopCacheConfig::table2(4),
+                cache: CacheConfig::attila_baseline(4),
                 compression: true,
             },
             colorwrite: RopConfig {
@@ -476,7 +334,7 @@ impl GpuConfig {
                 frags_per_cycle: 4,
                 input_queue: 16,
                 latency: 2,
-                cache: RopCacheConfig::table2(4),
+                cache: CacheConfig::attila_baseline(4),
                 compression: false,
             },
             interpolator: InterpolatorConfig {
@@ -500,27 +358,10 @@ impl GpuConfig {
                 units: 2,
                 bilinears_per_cycle: 1,
                 request_queue: 16,
-                cache: RopCacheConfig::table2(4),
+                cache: CacheConfig::attila_baseline(4),
                 max_aniso: 8,
             },
-            memory: MemoryConfig {
-                channels: 4,
-                interleave_bytes: 256,
-                transfer_cycles: 4,
-                t_rcd: 6,
-                t_rp: 6,
-                t_rc: 16,
-                write_to_read_penalty: 6,
-                read_to_write_penalty: 4,
-                page_bytes: 4096,
-                banks: 8,
-                access_latency: 8,
-                queue_capacity: 16,
-                bus_latency: 2,
-                system_bus_bytes_per_cycle: 8,
-                system_bus_latency: 100,
-                gpu_memory_mb: 64,
-            },
+            memory: MemControllerConfig::default(),
             stats: StatsConfig { window_cycles: 10_000 },
         }
     }
@@ -561,12 +402,12 @@ impl GpuConfig {
         c.shader.max_inputs = 32;
         c.shader.temp_registers = 128;
         c.zstencil.units = 1;
-        c.zstencil.cache = RopCacheConfig { size_bytes: 4096, ways: 2, line_bytes: 256, ports: 4 };
+        c.zstencil.cache = CacheConfig { size_bytes: 4096, ways: 2, ..c.zstencil.cache };
         c.zstencil.compression = false;
         c.colorwrite.units = 1;
         c.colorwrite.cache = c.zstencil.cache;
         c.texture.units = 1;
-        c.texture.cache = RopCacheConfig { size_bytes: 4096, ways: 2, line_bytes: 256, ports: 4 };
+        c.texture.cache = CacheConfig { size_bytes: 4096, ways: 2, ..c.texture.cache };
         c.texture.max_aniso = 1;
         c.hz.enabled = false;
         c.memory.channels = 1;
@@ -722,8 +563,50 @@ impl GpuConfig {
                 "memory.transfer_cycles must divide the {transaction}-byte transaction"
             ));
         }
-        if self.shader.max_inputs < crate::ffifo::GROUP_LANES {
+        // Clients split requests at transaction boundaries
+        // (`split_transactions`), so an interleave of whole transactions
+        // keeps each request inside one channel.
+        if self.memory.interleave_bytes == 0
+            || !self.memory.interleave_bytes.is_multiple_of(transaction)
+        {
+            return bad(format!(
+                "memory.interleave_bytes must be a non-zero multiple of the \
+                 {transaction}-byte transaction (got {})",
+                self.memory.interleave_bytes
+            ));
+        }
+        // Admission limits that no work could ever pass: the run would
+        // wait on them until the watchdog.
+        if self.streamer.max_memory_requests == 0 {
+            return bad("streamer.max_memory_requests must be at least 1");
+        }
+        let lanes = crate::ffifo::GROUP_LANES;
+        if self.shader.max_inputs < lanes {
             return bad("shader.max_inputs must hold at least one group");
+        }
+        // A quad reserves at least one temporary per fragment.
+        if self.shader.temp_registers < lanes {
+            return bad(format!(
+                "shader.temp_registers must hold at least one group ({lanes} registers)"
+            ));
+        }
+        if !self.shader.unified
+            && (self.shader.vertex_threads == 0 || self.shader.vertex_registers == 0)
+        {
+            return bad(
+                "non-unified configurations need shader.vertex_threads and \
+                 shader.vertex_registers >= 1",
+            );
+        }
+        if let Some(unknown) = self
+            .shader
+            .instruction_latencies
+            .keys()
+            .find(|mnemonic| Opcode::from_mnemonic(mnemonic).is_none())
+        {
+            return bad(format!(
+                "shader.instruction_latencies names `{unknown}`, which is no opcode"
+            ));
         }
         for (name, c) in [
             ("texture.cache", &self.texture.cache),
@@ -789,6 +672,7 @@ mod tests {
         assert_eq!(c.memory.channels, 4);
         assert_eq!(attila_mem::MAX_TRANSACTION as u64 / c.memory.transfer_cycles, 16);
         assert_eq!(c.memory.system_bus_bytes_per_cycle, 8);
+        assert_eq!(c.memory.gpu_memory_bytes(), 64 * 1024 * 1024);
         assert_eq!(c.shader.fragment_units, 2);
         assert!(c.shader.unified);
     }
@@ -875,24 +759,49 @@ mod tests {
 
     #[test]
     fn validate_rejects_degenerate_configs() {
-        let mut c = GpuConfig::baseline();
-        c.display.width = 0;
-        assert!(c.validate().unwrap_err().to_string().contains("display"));
-        let mut c = GpuConfig::baseline();
-        c.clipper.input_queue = 0;
-        assert!(c.validate().unwrap_err().to_string().contains("clipper.input_queue"));
-        let mut c = GpuConfig::baseline();
-        c.fraggen.tiles_per_cycle = 0;
-        assert!(c.validate().unwrap_err().to_string().contains("zero-width signal"));
-        let mut c = GpuConfig::baseline();
-        c.texture.cache.size_bytes = 0;
-        assert!(c.validate().unwrap_err().to_string().contains("texture.cache"));
-        let mut c = GpuConfig::baseline();
-        c.memory.queue_capacity = 0;
-        assert!(c.validate().unwrap_err().to_string().contains("memory.queue_capacity"));
-        let mut c = GpuConfig::baseline();
-        c.memory.banks = 0;
-        assert!(c.validate().unwrap_err().to_string().contains("memory.banks"));
+        type Edit = fn(&mut GpuConfig);
+        const LANES: usize = crate::ffifo::GROUP_LANES;
+        let refused: [(Edit, &str); 14] = [
+            (|c| c.display.width = 0, "display"),
+            (|c| c.clipper.input_queue = 0, "clipper.input_queue"),
+            (|c| c.fraggen.tiles_per_cycle = 0, "zero-width signal"),
+            (|c| c.texture.cache.size_bytes = 0, "texture.cache"),
+            (|c| c.memory.queue_capacity = 0, "memory.queue_capacity"),
+            (|c| c.memory.banks = 0, "memory.banks"),
+            // 0 would divide by zero in the channel interleave; 32 and 100
+            // would split a 64-byte transaction across two channels.
+            (|c| c.memory.interleave_bytes = 0, "memory.interleave_bytes"),
+            (|c| c.memory.interleave_bytes = 32, "memory.interleave_bytes"),
+            (|c| c.memory.interleave_bytes = 100, "memory.interleave_bytes"),
+            // Limits no work can pass: each would run a scene to the watchdog.
+            (|c| c.streamer.max_memory_requests = 0, "streamer.max_memory_requests"),
+            (|c| c.shader.temp_registers = LANES - 1, "shader.temp_registers"),
+            (|c| c.shader.vertex_threads = 0, "non-unified"),
+            (|c| c.shader.vertex_registers = 0, "non-unified"),
+            // A mistyped mnemonic would be dropped without a word.
+            (|c| _ = c.shader.instruction_latencies.insert("MAD_TYPO".into(), 40), "`MAD_TYPO`"),
+        ];
+        for (edit, names) in refused {
+            let mut c = GpuConfig::non_unified_baseline();
+            edit(&mut c);
+            let err = c.validate().unwrap_err();
+            assert!(matches!(err, SimError::InvalidConfig(_)), "{names}: {err:?}");
+            assert!(err.to_string().contains(names), "{names}: {err}");
+        }
+        // The edges just inside the interleave and admission rules, and an
+        // opcode left out of the latency table (it keeps its default).
+        let accepted: [Edit; 5] = [
+            |c| c.memory.interleave_bytes = 64,
+            |c| c.memory.interleave_bytes = 4096,
+            |c| c.streamer.max_memory_requests = 1,
+            |c| c.shader.temp_registers = LANES,
+            |c| _ = c.shader.instruction_latencies.remove("MAD"),
+        ];
+        for edit in accepted {
+            let mut c = GpuConfig::non_unified_baseline();
+            edit(&mut c);
+            assert_eq!(c.validate(), Ok(()), "{c:?}");
+        }
         // Unit counts: what the 8-bit unit index carries, and not one more.
         let with_units = |tus, rops| {
             let mut c = GpuConfig::baseline();
@@ -959,11 +868,29 @@ mod tests {
     }
 
     #[test]
-    fn memory_config_conversion() {
-        let m = GpuConfig::baseline().memory;
-        let cc = m.to_controller_config();
-        assert_eq!(cc.channels, 4);
-        assert_eq!(cc.timing.transfer_cycles, 4);
-        assert_eq!(m.gpu_memory_bytes(), 64 * 1024 * 1024);
+    fn presets_serialize_byte_for_byte() {
+        // FNV-1a-64 of each preset's `to_json()`: the config file format,
+        // and through it `config_hash` and every checkpoint header.
+        use ShaderScheduling::{InOrderQueue as InOrder, ThreadWindow as Window};
+        let pinned = [
+            (GpuConfig::baseline(), 0x9a3d83c5b1badbfb),
+            (GpuConfig::non_unified_baseline(), 0x8440c9bc8c24cd08),
+            (GpuConfig::case_study(1, Window), 0x6ef57d01da50f4f3),
+            (GpuConfig::case_study(2, Window), 0xa26b3d5d672b93ec),
+            (GpuConfig::case_study(3, Window), 0xecd693fb08170cbd),
+            (GpuConfig::case_study(1, InOrder), 0x1dbce06faa528baf),
+            (GpuConfig::case_study(2, InOrder), 0xdd4c8ad6b6be1178),
+            (GpuConfig::case_study(3, InOrder), 0x358d0bfbc1f48c09),
+            (GpuConfig::embedded(), 0x86e7fbb7f1d25067),
+            (GpuConfig::high_end(), 0x54ff2b81bb74a1f0),
+        ];
+        let fnv1a = |text: String| {
+            let step = |h: u64, b: u8| (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            text.bytes().fold(0xcbf2_9ce4_8422_2325, step)
+        };
+        let hashes: Vec<u64> = pinned.iter().map(|(c, _)| fnv1a(c.to_json())).collect();
+        let expected: Vec<u64> = pinned.iter().map(|&(_, hash)| hash).collect();
+        assert_eq!(hashes, expected, "every preset now: {hashes:#018x?}");
+        assert!(pinned.iter().all(|(c, _)| c.parameter_count() == 107));
     }
 }

@@ -73,7 +73,7 @@ impl FragmentGenerator {
         for _ in 0..self.config.tiles_per_cycle {
             if self.current.is_none() {
                 let Some(tri) = self.in_tris.try_pop(cycle)? else { break };
-                let tiles = covered_tiles(&tri.data.setup, FB_TILE, self.config.traversal.into());
+                let tiles = covered_tiles(&tri.data.setup, FB_TILE, self.config.traversal);
                 self.current = Some((tri, tiles, 0));
             }
             if !self.out_tiles.can_send(cycle) {

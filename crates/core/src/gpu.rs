@@ -349,10 +349,7 @@ impl Gpu {
 
         let mut binder = SignalBinder::new();
         let mut stats = StatsRegistry::new(config.stats.window_cycles);
-        let mem = MemoryController::new(
-            config.memory.to_controller_config(),
-            config.memory.gpu_memory_bytes(),
-        );
+        let mem = MemoryController::new(config.memory, config.memory.gpu_memory_bytes());
 
         let b = &mut binder;
         let n_rop = config.zstencil.units;

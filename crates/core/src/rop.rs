@@ -71,7 +71,7 @@ impl RopEngine {
         RopEngine {
             client,
             label,
-            geometry: config.cache.into(),
+            geometry: config.cache,
             compression: config.compression,
             cache: None,
             fills: BTreeMap::new(),

@@ -163,7 +163,7 @@ impl TextureUnit {
         let name = Self::name_of(unit.into());
         TextureUnit {
             unit,
-            cache: Cache::new(config.cache.into(), "Texture"),
+            cache: Cache::new(config.cache, "Texture"),
             config,
             in_requests,
             out_replies,

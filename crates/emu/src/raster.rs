@@ -14,6 +14,8 @@
 //! scanner in the style of Neon (ref \[16\]) and the recursive-descent
 //! rasterizer described by McCool (ref \[15\], the simulator's default).
 
+use attila_json::impl_json_enum_unit;
+
 use crate::vector::Vec4;
 
 /// A render-target viewport: maps NDC to pixel coordinates.
@@ -269,6 +271,8 @@ pub enum TraversalAlgorithm {
     /// Neon-style linear scan of tiles over the bounding box.
     TileScan,
 }
+
+impl_json_enum_unit!(TraversalAlgorithm { Recursive, TileScan });
 
 /// Enumerates the `tile`×`tile` aligned tiles that may contain covered
 /// pixels, in the order the selected traversal visits them.

@@ -8,11 +8,13 @@
 //!   column command can issue immediately and the access costs only the
 //!   data transfer.
 //! * **row miss** — the bank is idle (no row open); an ACTIVATE must run
-//!   first, costing [`BankTiming::t_rcd`] cycles before the column command.
+//!   first, costing [`t_rcd`](MemControllerConfig::t_rcd) cycles before the
+//!   column command.
 //! * **row conflict** — a *different* row is open; the bank must PRECHARGE
-//!   ([`BankTiming::t_rp`] cycles) and then ACTIVATE
-//!   ([`BankTiming::t_rcd`] cycles) before the column command, the most
-//!   expensive case.
+//!   ([`t_rp`](MemControllerConfig::t_rp) cycles) and then ACTIVATE
+//!   ([`t_rcd`](MemControllerConfig::t_rcd) cycles) before the column
+//!   command, the most expensive case. Two ACTIVATEs to one bank are at
+//!   least [`t_rc`](MemControllerConfig::t_rc) cycles apart.
 //!
 //! [`Bank`] models this as a four-state FSM — [`BankFsm::Idle`],
 //! [`BankFsm::Activating`], [`BankFsm::Active`], [`BankFsm::Precharging`]
@@ -27,32 +29,7 @@
 use attila_json::{array, impl_json_state, FromJson, HexJson, Json, JsonError, ToJson};
 use attila_sim::Cycle;
 
-/// Bank-level timing parameters, in core-clock cycles.
-///
-/// These mirror the classic DRAM datasheet parameters (scaled to the
-/// simulator's core clock, as the paper does for its "configurable cycle
-/// penalties"). They are carried inside
-/// [`GddrTiming`](crate::gddr::GddrTiming) and surfaced as sweepable knobs
-/// in the top-level GPU configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BankTiming {
-    /// tRCD — RAS-to-CAS delay: cycles from ACTIVATE until a column
-    /// command (read/write) may issue to the opened row.
-    pub t_rcd: Cycle,
-    /// tRP — row precharge time: cycles from PRECHARGE until the bank is
-    /// idle and may accept a new ACTIVATE.
-    pub t_rp: Cycle,
-    /// tRC — row cycle time: minimum cycles between two ACTIVATE commands
-    /// to the *same* bank. Bounds how fast one bank can thrash rows even
-    /// when tRP + tRCD would allow faster reopening.
-    pub t_rc: Cycle,
-}
-
-impl Default for BankTiming {
-    fn default() -> Self {
-        BankTiming { t_rcd: 6, t_rp: 6, t_rc: 16 }
-    }
-}
+use crate::controller::MemControllerConfig;
 
 /// The bank state machine.
 ///
@@ -119,8 +96,9 @@ pub struct BankAccess {
 /// # Examples
 ///
 /// ```
-/// use attila_mem::bank::{Bank, BankTiming, RowOutcome};
-/// let t = BankTiming { t_rcd: 6, t_rp: 6, t_rc: 16 };
+/// use attila_mem::bank::{Bank, RowOutcome};
+/// use attila_mem::MemControllerConfig;
+/// let t = MemControllerConfig { t_rcd: 6, t_rp: 6, t_rc: 16, ..Default::default() };
 /// let mut bank = Bank::new();
 /// let first = bank.access(0, 7, &t);
 /// assert_eq!(first.outcome, RowOutcome::Miss);
@@ -160,12 +138,6 @@ impl Bank {
         }
     }
 
-    /// The FSM state as of the last access (timed states may already have
-    /// lapsed; they advance on the next access).
-    pub fn state(&self) -> BankFsm {
-        self.state
-    }
-
     /// The row the bank holds (or is in the middle of opening), if any.
     /// This is the *arbitration* view: a scheduler probing for row hits
     /// treats an in-flight ACTIVATE as open, since by the time the data
@@ -193,7 +165,7 @@ impl Bank {
 
     /// Issues an ACTIVATE no earlier than `when`, respecting tRC against
     /// the previous ACTIVATE, and returns the cycle the row is usable.
-    fn activate(&mut self, when: Cycle, row: u64, t: &BankTiming) -> Cycle {
+    fn activate(&mut self, when: Cycle, row: u64, t: &MemControllerConfig) -> Cycle {
         let earliest = match self.last_activate {
             Some(prev) => when.max(prev.saturating_add(t.t_rc)),
             None => when,
@@ -212,7 +184,7 @@ impl Bank {
     /// arrive in non-decreasing cycle order; the FSM nevertheless handles
     /// an access landing while a timed state is still in flight (the
     /// schedule simply queues behind it).
-    pub fn access(&mut self, cycle: Cycle, row: u64, t: &BankTiming) -> BankAccess {
+    pub fn access(&mut self, cycle: Cycle, row: u64, t: &MemControllerConfig) -> BankAccess {
         self.settle(cycle);
         match self.state {
             BankFsm::Active { row: open } if open == row => {
@@ -329,8 +301,8 @@ mod tests {
     use super::*;
     use attila_json::JsonState;
 
-    fn t() -> BankTiming {
-        BankTiming { t_rcd: 6, t_rp: 6, t_rc: 16 }
+    fn t() -> MemControllerConfig {
+        MemControllerConfig { t_rcd: 6, t_rp: 6, t_rc: 16, ..Default::default() }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! while the cache tracks tags, dirtiness and port pressure to produce
 //! exact hit/miss/bandwidth behaviour.
 
-use attila_json::{field, field_with, HexJson, Json, JsonError, JsonState, ToJson};
+use attila_json::{
+    field, field_with, impl_json_struct, HexJson, Json, JsonError, JsonState, ToJson,
+};
 use attila_sim::Cycle;
 
 /// Geometry and port configuration of a cache.
@@ -39,6 +41,8 @@ impl CacheConfig {
         self.size_bytes / (self.ways * self.line_bytes)
     }
 }
+
+impl_json_struct!(CacheConfig { size_bytes, ways, line_bytes, ports });
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LineState {

@@ -19,10 +19,13 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use attila_json::{array, field, field_with, FromJson, HexJson, Json, JsonError, JsonState, ToJson};
+use attila_json::{
+    array, field, field_with, impl_json_struct, FromJson, HexJson, Json, JsonError, JsonState,
+    ToJson,
+};
 use attila_sim::{Cycle, SignalName, TraceEvent, TraceSink};
 
-use crate::gddr::{interleave, Direction, GddrChannel, GddrTiming, IssueReport};
+use crate::gddr::{interleave, Direction, GddrChannel, IssueReport};
 use crate::memory::MemoryImage;
 
 /// The GPU units that issue memory transactions (crossbar clients).
@@ -191,15 +194,46 @@ impl std::fmt::Display for MemQueueFull {
 
 impl std::error::Error for MemQueueFull {}
 
-/// Memory controller configuration.
-#[derive(Debug, Clone, PartialEq)]
+/// Memory-system configuration: the crossbar, the system bus, GPU memory
+/// size and the per-channel DRAM timing the [`GddrChannel`] and its
+/// [`Bank`](crate::bank::Bank)s read. It is also the `memory` section of
+/// the GPU config file, in this key order.
+///
+/// All cycle values are core-clock cycles (the paper scales GDDR3
+/// datasheet timings to the GPU core clock). A row miss costs `t_rcd`, a
+/// row conflict `t_rp + t_rcd`, both further bounded by `t_rc`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemControllerConfig {
     /// Number of GDDR channels (baseline: 4; case study: 2).
     pub channels: usize,
-    /// Channel interleave granularity in bytes (paper: 256).
+    /// Channel interleave granularity in bytes (paper: 256); a multiple of
+    /// [`MAX_TRANSACTION`], so no transaction straddles two channels.
     pub interleave_bytes: u64,
-    /// Per-channel DRAM timing.
-    pub timing: GddrTiming,
+    /// Cycles to transfer one 64-byte transaction (4 for a 64-bit DDR
+    /// channel at core clock: 16 bytes per cycle).
+    pub transfer_cycles: Cycle,
+    /// tRCD — cycles from ACTIVATE (row open) until a column command may
+    /// issue. A row *miss* (bank idle) pays exactly this.
+    pub t_rcd: Cycle,
+    /// tRP — cycles from PRECHARGE (row close) until the bank can accept
+    /// a new ACTIVATE. A row *conflict* pays `t_rp + t_rcd`.
+    pub t_rp: Cycle,
+    /// tRC — minimum cycles between two ACTIVATEs to the same bank;
+    /// bounds row thrashing even when `t_rp + t_rcd` would allow faster
+    /// reopening.
+    pub t_rc: Cycle,
+    /// Penalty when a read follows a write (bus turnaround, overlapped
+    /// with any row opening the access also needs).
+    pub write_to_read_penalty: Cycle,
+    /// Penalty when a write follows a read.
+    pub read_to_write_penalty: Cycle,
+    /// DRAM page (row) size in bytes.
+    pub page_bytes: u64,
+    /// Banks per channel; consecutive pages map to consecutive banks.
+    pub banks: usize,
+    /// Extra pipeline latency from command issue to first data (CAS-like),
+    /// applied to read replies only.
+    pub access_latency: Cycle,
     /// Per-client request queue capacity.
     pub queue_capacity: usize,
     /// Crossbar/bus latency added to every reply.
@@ -208,21 +242,60 @@ pub struct MemControllerConfig {
     pub system_bus_bytes_per_cycle: u64,
     /// Base latency of a system-bus transfer.
     pub system_bus_latency: Cycle,
+    /// GPU memory size in megabytes.
+    pub gpu_memory_mb: u32,
 }
 
 impl Default for MemControllerConfig {
+    /// The paper's baseline (Table 1): four 64-bit DDR channels
+    /// interleaved on 256 bytes, and one 8-byte-per-cycle system bus.
     fn default() -> Self {
         MemControllerConfig {
             channels: 4,
             interleave_bytes: 256,
-            timing: GddrTiming::default(),
+            transfer_cycles: 4,
+            t_rcd: 6,
+            t_rp: 6,
+            t_rc: 16,
+            write_to_read_penalty: 6,
+            read_to_write_penalty: 4,
+            page_bytes: 4096,
+            banks: 8,
+            access_latency: 8,
             queue_capacity: 16,
             bus_latency: 2,
             system_bus_bytes_per_cycle: 8,
             system_bus_latency: 100,
+            gpu_memory_mb: 64,
         }
     }
 }
+
+impl MemControllerConfig {
+    /// GPU memory size in bytes.
+    pub fn gpu_memory_bytes(&self) -> usize {
+        self.gpu_memory_mb as usize * 1024 * 1024
+    }
+}
+
+impl_json_struct!(MemControllerConfig {
+    channels,
+    interleave_bytes,
+    transfer_cycles,
+    t_rcd,
+    t_rp,
+    t_rc,
+    write_to_read_penalty,
+    read_to_write_penalty,
+    page_bytes,
+    banks,
+    access_latency,
+    queue_capacity,
+    bus_latency,
+    system_bus_bytes_per_cycle,
+    system_bus_latency,
+    gpu_memory_mb,
+});
 
 struct ChannelState {
     dram: GddrChannel,
@@ -293,7 +366,7 @@ impl MemoryController {
         assert!(config.channels > 0);
         let channels = (0..config.channels)
             .map(|_| ChannelState {
-                dram: GddrChannel::new(config.timing),
+                dram: GddrChannel::new(&config),
                 queues: Vec::new(),
                 queued: 0,
                 next_client: 0,

@@ -9,7 +9,7 @@
 //!
 //! The "configurable cycle penalty for opening a new memory page" is
 //! modeled with real per-bank state rather than a flat penalty: each
-//! [`GddrChannel`] owns [`GddrTiming::banks`] independent [`Bank`] FSMs,
+//! [`GddrChannel`] owns [`MemControllerConfig::banks`] independent [`Bank`] FSMs,
 //! so whether an access pays nothing (row hit), one ACTIVATE (row miss)
 //! or a PRECHARGE + ACTIVATE (row conflict) depends on which row each
 //! bank currently holds open. See [`bank`](crate::bank) for the FSM and
@@ -18,66 +18,8 @@
 use attila_json::{impl_json_state, FromJson, Json, JsonError, ToJson};
 use attila_sim::Cycle;
 
-use crate::bank::{Bank, BankAccess, BankTiming, RowOutcome};
-
-/// Timing parameters of one DRAM channel.
-///
-/// All values are in core-clock cycles (the paper scales GDDR3 datasheet
-/// timings to the GPU core clock). The bank-level parameters
-/// ([`t_rcd`](Self::t_rcd), [`t_rp`](Self::t_rp), [`t_rc`](Self::t_rc))
-/// replace the older flat `page_open_penalty`: a row miss costs `t_rcd`,
-/// a row conflict costs `t_rp + t_rcd`, both further bounded by `t_rc`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GddrTiming {
-    /// Cycles to transfer one 64-byte transaction (4 for a 64-bit DDR
-    /// channel at core clock).
-    pub transfer_cycles: Cycle,
-    /// tRCD — cycles from ACTIVATE (row open) until a column command may
-    /// issue. A row *miss* (bank idle) pays exactly this.
-    pub t_rcd: Cycle,
-    /// tRP — cycles from PRECHARGE (row close) until the bank can accept
-    /// a new ACTIVATE. A row *conflict* pays `t_rp + t_rcd`.
-    pub t_rp: Cycle,
-    /// tRC — minimum cycles between two ACTIVATEs to the same bank;
-    /// bounds row thrashing even when `t_rp + t_rcd` would allow faster
-    /// reopening.
-    pub t_rc: Cycle,
-    /// Penalty when a read follows a write (bus turnaround, overlapped
-    /// with any row opening the access also needs).
-    pub write_to_read_penalty: Cycle,
-    /// Penalty when a write follows a read.
-    pub read_to_write_penalty: Cycle,
-    /// Page (row) size in bytes.
-    pub page_bytes: u64,
-    /// Number of banks; consecutive pages map to consecutive banks.
-    pub banks: usize,
-    /// Extra pipeline latency from command issue to first data (CAS-like),
-    /// applied by the controller to read replies only.
-    pub access_latency: Cycle,
-}
-
-impl Default for GddrTiming {
-    fn default() -> Self {
-        GddrTiming {
-            transfer_cycles: 4,
-            t_rcd: 6,
-            t_rp: 6,
-            t_rc: 16,
-            write_to_read_penalty: 6,
-            read_to_write_penalty: 4,
-            page_bytes: 4096,
-            banks: 8,
-            access_latency: 8,
-        }
-    }
-}
-
-impl GddrTiming {
-    /// The bank-level subset of the timing, as the [`Bank`] FSM wants it.
-    pub fn bank_timing(&self) -> BankTiming {
-        BankTiming { t_rcd: self.t_rcd, t_rp: self.t_rp, t_rc: self.t_rc }
-    }
-}
+use crate::bank::{Bank, BankAccess, RowOutcome};
+use crate::controller::MemControllerConfig;
 
 /// Direction of a DRAM transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,8 +61,9 @@ pub struct IssueReport {
 /// # Examples
 ///
 /// ```
-/// use attila_mem::gddr::{Direction, GddrChannel, GddrTiming};
-/// let mut ch = GddrChannel::new(GddrTiming::default());
+/// use attila_mem::gddr::{Direction, GddrChannel};
+/// use attila_mem::MemControllerConfig;
+/// let mut ch = GddrChannel::new(&MemControllerConfig::default());
 /// let r1 = ch.issue(0, 0, Direction::Read);
 /// // Same row, back to back: only the 4-cycle transfer is added.
 /// let r2 = ch.issue(r1.done, 64, Direction::Read);
@@ -128,7 +71,7 @@ pub struct IssueReport {
 /// ```
 #[derive(Debug)]
 pub struct GddrChannel {
-    timing: GddrTiming,
+    config: MemControllerConfig,
     banks: Vec<Bank>,
     busy_until: Cycle,
     last_dir: Option<Direction>,
@@ -138,22 +81,18 @@ pub struct GddrChannel {
 }
 
 impl GddrChannel {
-    /// Creates an idle channel with all banks closed.
-    pub fn new(timing: GddrTiming) -> Self {
+    /// Creates an idle channel with all banks closed, timed by `config`'s
+    /// DRAM parameters.
+    pub fn new(config: &MemControllerConfig) -> Self {
         GddrChannel {
-            banks: vec![Bank::new(); timing.banks],
-            timing,
+            banks: vec![Bank::new(); config.banks],
+            config: *config,
             busy_until: 0,
             last_dir: None,
             total_transactions: 0,
             total_busy_cycles: 0,
             turnarounds: 0,
         }
-    }
-
-    /// The timing configuration.
-    pub fn timing(&self) -> &GddrTiming {
-        &self.timing
     }
 
     /// First cycle at which a new transaction may start.
@@ -165,8 +104,8 @@ impl GddrChannel {
     /// page numbers (they also identify the bank), so two addresses in
     /// the same page share both coordinates.
     pub fn decode(&self, addr: u64) -> (usize, u64) {
-        let row = addr / self.timing.page_bytes;
-        let bank = (row as usize) % self.timing.banks;
+        let row = addr / self.config.page_bytes;
+        let bank = (row as usize) % self.config.banks;
         (bank, row)
     }
 
@@ -191,18 +130,17 @@ impl GddrChannel {
         let start = cycle.max(self.busy_until);
         let (bank_idx, row) = self.decode(addr);
 
-        let bank_timing = self.timing.bank_timing();
         let BankAccess { outcome, row_ready } =
-            self.banks[bank_idx].access(start, row, &bank_timing);
+            self.banks[bank_idx].access(start, row, &self.config);
 
         let mut bus_ready = start;
         match (self.last_dir, dir) {
             (Some(Direction::Read), Direction::Write) => {
-                bus_ready += self.timing.read_to_write_penalty;
+                bus_ready += self.config.read_to_write_penalty;
                 self.turnarounds += 1;
             }
             (Some(Direction::Write), Direction::Read) => {
-                bus_ready += self.timing.write_to_read_penalty;
+                bus_ready += self.config.write_to_read_penalty;
                 self.turnarounds += 1;
             }
             _ => {}
@@ -210,7 +148,7 @@ impl GddrChannel {
         self.last_dir = Some(dir);
 
         let data_start = row_ready.max(bus_ready);
-        let done = data_start + self.timing.transfer_cycles;
+        let done = data_start + self.config.transfer_cycles;
         self.total_busy_cycles += done - start;
         self.busy_until = done;
         self.total_transactions += 1;
@@ -222,7 +160,7 @@ impl GddrChannel {
 
     /// Extra cycles between bus completion and read data availability.
     pub fn read_latency(&self) -> Cycle {
-        self.timing.access_latency
+        self.config.access_latency
     }
 
     /// Transactions serviced so far.
@@ -238,11 +176,6 @@ impl GddrChannel {
     /// Number of banks on this channel.
     pub fn bank_count(&self) -> usize {
         self.banks.len()
-    }
-
-    /// One bank, for per-bank statistics.
-    pub fn bank(&self, idx: usize) -> &Bank {
-        &self.banks[idx]
     }
 
     /// Accesses that found their row open, summed over banks.
@@ -278,7 +211,7 @@ impl_json_state!(GddrChannel {
     total_busy_cycles: hex,
     turnarounds: hex,
 } skip {
-    "configuration: timing parameters fixed at construction": timing,
+    "configuration: timing parameters fixed at construction": config,
 });
 
 /// `"R"` or `"W"`.
@@ -315,13 +248,13 @@ mod tests {
     use super::*;
     use attila_json::JsonState;
 
-    fn t() -> GddrTiming {
-        GddrTiming::default()
+    fn t() -> MemControllerConfig {
+        MemControllerConfig::default()
     }
 
     #[test]
     fn same_row_sequential_reads_are_pipelined() {
-        let mut ch = GddrChannel::new(t());
+        let mut ch = GddrChannel::new(&t());
         let r1 = ch.issue(0, 0, Direction::Read);
         assert_eq!(r1.outcome, RowOutcome::Miss);
         assert_eq!(r1.done, 6 + 4, "first access pays one ACTIVATE (tRCD)");
@@ -334,7 +267,7 @@ mod tests {
 
     #[test]
     fn row_change_in_same_bank_is_a_conflict() {
-        let mut ch = GddrChannel::new(t());
+        let mut ch = GddrChannel::new(&t());
         let r1 = ch.issue(0, 0, Direction::Read);
         // 8 banks * 4096-byte pages: +8 pages lands in the same bank.
         let r2 = ch.issue(r1.done, 8 * 4096, Direction::Read);
@@ -348,7 +281,7 @@ mod tests {
 
     #[test]
     fn different_banks_keep_rows_open() {
-        let mut ch = GddrChannel::new(t());
+        let mut ch = GddrChannel::new(&t());
         let r1 = ch.issue(0, 0, Direction::Read); // bank 0, row 0
         let r2 = ch.issue(r1.done, 4096, Direction::Read); // bank 1
         assert_eq!(r2.outcome, RowOutcome::Miss, "bank 1 is cold, not conflicting");
@@ -360,7 +293,7 @@ mod tests {
 
     #[test]
     fn turnaround_penalties() {
-        let mut ch = GddrChannel::new(t());
+        let mut ch = GddrChannel::new(&t());
         let r1 = ch.issue(0, 0, Direction::Read);
         let r2 = ch.issue(r1.done, 64, Direction::Write);
         assert_eq!(r2.done - r1.done, 4 + 4, "read->write penalty");
@@ -371,7 +304,7 @@ mod tests {
 
     #[test]
     fn turnaround_overlaps_with_row_opening() {
-        let mut ch = GddrChannel::new(t());
+        let mut ch = GddrChannel::new(&t());
         let r1 = ch.issue(0, 0, Direction::Read); // bank 0 open
         // Write to a cold bank: ACTIVATE (6) and read->write turnaround
         // (4) run concurrently; the longer one gates the transfer.
@@ -382,7 +315,7 @@ mod tests {
 
     #[test]
     fn channel_serializes_overlapping_requests() {
-        let mut ch = GddrChannel::new(t());
+        let mut ch = GddrChannel::new(&t());
         let r1 = ch.issue(0, 0, Direction::Read);
         // Issued "at cycle 0" but the channel is busy until r1.done.
         let r2 = ch.issue(0, 64, Direction::Read);
@@ -392,7 +325,7 @@ mod tests {
 
     #[test]
     fn utilization_counters() {
-        let mut ch = GddrChannel::new(t());
+        let mut ch = GddrChannel::new(&t());
         ch.issue(0, 0, Direction::Read); // miss: 10 busy cycles
         ch.issue(100, 64, Direction::Read); // hit: 4 busy cycles
         assert_eq!(ch.total_transactions(), 2);
@@ -401,7 +334,7 @@ mod tests {
 
     #[test]
     fn would_hit_probe_matches_issue_outcome() {
-        let mut ch = GddrChannel::new(t());
+        let mut ch = GddrChannel::new(&t());
         assert!(!ch.would_hit(0), "cold bank");
         let r1 = ch.issue(0, 0, Direction::Read);
         assert!(ch.would_hit(64), "same row now open");
@@ -413,11 +346,11 @@ mod tests {
 
     #[test]
     fn save_restore_round_trips_bank_state() {
-        let mut ch = GddrChannel::new(t());
+        let mut ch = GddrChannel::new(&t());
         ch.issue(0, 0, Direction::Read);
         ch.issue(20, 8 * 4096, Direction::Write); // conflict + turnaround
         let state = ch.save_state();
-        let mut fresh = GddrChannel::new(t());
+        let mut fresh = GddrChannel::new(&t());
         fresh.load_state(&state).unwrap();
         assert_eq!(fresh.save_state(), state);
         // Future timing is identical.
@@ -428,8 +361,8 @@ mod tests {
 
     #[test]
     fn load_rejects_mismatched_bank_count() {
-        let mut small = GddrChannel::new(GddrTiming { banks: 4, ..t() });
-        let state = GddrChannel::new(t()).save_state();
+        let mut small = GddrChannel::new(&MemControllerConfig { banks: 4, ..t() });
+        let state = GddrChannel::new(&t()).save_state();
         assert!(small.load_state(&state).is_err());
     }
 

@@ -25,6 +25,13 @@
 //! bytes until written); the timing models decide *when* transactions
 //! complete and *how many bytes* move (after compression / fast-clear
 //! savings), while reads and writes always see real data.
+//!
+//! The crate owns its parameter types, and they are the config file's:
+//! [`MemControllerConfig`] is the GPU config's `memory` section (channels,
+//! crossbar, system bus, memory size and the DRAM timings the channels and
+//! banks read), and [`CacheConfig`] is each texture and ROP `cache`
+//! section. Both serialize through `attila-json`, so the top-level
+//! `GpuConfig` composes them as they are, with no copy to convert.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -36,11 +43,11 @@ pub mod gddr;
 pub mod memory;
 pub mod rop_cache;
 
-pub use bank::{Bank, BankAccess, BankFsm, BankTiming, RowOutcome};
+pub use bank::{Bank, BankAccess, BankFsm, RowOutcome};
 pub use cache::{Cache, CacheConfig, Eviction, Lookup};
 pub use controller::{
     Client, MemControllerConfig, MemOp, MemReply, MemRequest, MemoryController, MAX_TRANSACTION,
 };
-pub use gddr::{Direction, GddrChannel, GddrTiming, IssueReport};
+pub use gddr::{Direction, GddrChannel, IssueReport};
 pub use memory::{BumpAllocator, MemoryImage};
 pub use rop_cache::{BlockState, RopCache};

@@ -197,3 +197,55 @@ fn cli_refuses_gpu_memory_smaller_than_the_memory_map() {
     std::fs::remove_file(&path).ok();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn cli_refuses_a_config_it_cannot_simulate() {
+    // Unrefused, each would run: an interleave of 0 divides by zero and 32
+    // or 100 splits a transaction across channels (exit 101); the three
+    // admission limits hold doom3 until the watchdog (exit 3); the
+    // mistyped mnemonic is dropped without a word (exit 0).
+    type Edit = fn(&mut GpuConfig);
+    let cases: [(Edit, &str); 7] = [
+        (|c| c.memory.interleave_bytes = 0, "memory.interleave_bytes"),
+        (|c| c.memory.interleave_bytes = 32, "memory.interleave_bytes"),
+        (|c| c.memory.interleave_bytes = 100, "memory.interleave_bytes"),
+        (|c| c.streamer.max_memory_requests = 0, "streamer.max_memory_requests"),
+        (|c| c.shader.temp_registers = 0, "shader.temp_registers"),
+        (
+            |c| {
+                *c = GpuConfig::non_unified_baseline();
+                c.shader.vertex_registers = 0;
+            },
+            "non-unified",
+        ),
+        (
+            |c| {
+                c.shader.instruction_latencies.insert("MAD_TYPO".into(), 40);
+            },
+            "`MAD_TYPO`",
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("attila-cli-bad-config-{}", std::process::id()));
+    let path = dir.with_extension("json");
+    for (i, (edit, names)) in cases.into_iter().enumerate() {
+        let mut config = GpuConfig::baseline();
+        edit(&mut config);
+        std::fs::write(&path, config.to_json()).expect("write the config");
+        let out = attila_bin()
+            .arg("--config")
+            .arg(&path)
+            .args(["--workload", "doom3", "--width", "64", "--height", "48", "--frames", "1"])
+            .args(["--max-cycles", "2000000", "--out-dir"])
+            .arg(&dir)
+            .output()
+            .expect("attila runs");
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(1), "case {i}: stderr: {stderr}");
+        assert!(stderr.contains("invalid configuration"), "case {i}: stderr: {stderr}");
+        assert!(stderr.contains(names), "case {i}: stderr names {names}: {stderr}");
+        assert!(!stdout.contains("cycles:"), "case {i}: no cycle may be simulated: {stdout}");
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}

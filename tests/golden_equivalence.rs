@@ -110,7 +110,7 @@ fn hz_disabled_renders_identically() {
 fn tile_scan_traversal_renders_identically() {
     let trace = workloads::ut2004_like(tiny_params());
     let mut config = GpuConfig::baseline();
-    config.fraggen.traversal = attila::core::config::Traversal::TileScan;
+    config.fraggen.traversal = attila::emu::raster::TraversalAlgorithm::TileScan;
     run_and_compare(config, &trace);
 }
 
