@@ -57,6 +57,26 @@ pub const GROUP_LANES: usize = 4;
 /// before it is launched underfilled.
 const STAGING_PATIENCE: Cycle = 8;
 
+/// The temporaries one fragment quad running `program` reserves, and the
+/// pool it reserves them in (the fragment or unified pool). Admission
+/// (`quad_fits`) and [`Gpu::check_programs`](crate::gpu::Gpu::check_programs)
+/// both read it: a need larger than the pool is never admitted.
+pub(crate) fn fragment_registers(config: &ShaderConfig, program: &Program) -> (usize, usize) {
+    (GROUP_LANES * program.temps_used().max(1), config.temp_registers)
+}
+
+/// The temporaries one vertex running `program` reserves, and the pool it
+/// reserves them in: the unified pool, or every vertex unit's registers
+/// when the pools are split. See [`fragment_registers`].
+pub(crate) fn vertex_registers(config: &ShaderConfig, program: &Program) -> (usize, usize) {
+    let pool = if config.unified {
+        config.temp_registers
+    } else {
+        config.vertex_units * config.vertex_registers
+    };
+    (program.temps_used().max(1), pool)
+}
+
 /// What a group computes.
 #[derive(Debug)]
 enum GroupPayload {
@@ -476,17 +496,16 @@ impl FragmentFifo {
     fn vertex_fits(&self, v: &VertexWork) -> Option<usize> {
         let c = &self.config;
         // Inputs first: they need no look at the vertex's program.
-        let (inputs_free, regs_used, regs) = if c.unified {
-            (self.inputs_used < c.max_inputs, self.regs_used, c.temp_registers)
+        let (inputs_free, regs_used) = if c.unified {
+            (self.inputs_used < c.max_inputs, self.regs_used)
         } else {
-            let threads = c.vertex_units * c.vertex_threads;
-            (self.v_inputs_used < threads, self.v_regs_used, c.vertex_units * c.vertex_registers)
+            (self.v_inputs_used < c.vertex_units * c.vertex_threads, self.v_regs_used)
         };
         if !inputs_free {
             return None;
         }
-        let temps = v.batch.state.vertex_program.temps_used().max(1);
-        (regs_used + temps <= regs).then_some(temps)
+        let (need, pool) = vertex_registers(c, &v.batch.state.vertex_program);
+        (regs_used + need <= pool).then_some(need)
     }
 
     /// Admission control for a quad: the registers its four fragments
@@ -495,8 +514,8 @@ impl FragmentFifo {
         if self.inputs_used + 4 > self.config.max_inputs {
             return None;
         }
-        let need_regs = 4 * q.tri.batch.state.fragment_program.temps_used().max(1);
-        (self.regs_used + need_regs <= self.config.temp_registers).then_some(need_regs)
+        let (need, pool) = fragment_registers(&self.config, &q.tri.batch.state.fragment_program);
+        (self.regs_used + need <= pool).then_some(need)
     }
 
     fn try_spawn_vertex_group(&mut self, _cycle: Cycle) -> bool {

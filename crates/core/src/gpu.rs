@@ -22,7 +22,7 @@ use crate::command_processor::{CommandProcessor, CpAction};
 use crate::commands::GpuCommand;
 use crate::config::GpuConfig;
 use crate::dac::Dac;
-use crate::ffifo::FragmentFifo;
+use crate::ffifo::{fragment_registers, vertex_registers, FragmentFifo};
 use crate::fraggen::FragmentGenerator;
 use crate::hz::HierarchicalZ;
 use crate::interpolator::Interpolator;
@@ -30,6 +30,7 @@ use crate::port::port;
 use crate::primitive_assembly::PrimitiveAssembly;
 use crate::report::{BoxStatus, FailureReport};
 use crate::setup::TriangleSetup;
+use crate::state::RenderState;
 use crate::streamer::Streamer;
 use crate::texunit::TextureUnit;
 use crate::unit::Unit;
@@ -1231,11 +1232,14 @@ impl Gpu {
     /// Returns [`GpuError::Watchdog`] if the pipeline fails to drain
     /// within [`max_cycles`](Self::max_cycles), [`GpuError::Sim`] on an
     /// aborting verification failure, and [`GpuError::BadConfig`] when a
-    /// command reaches past the end of GPU memory (before any cycle runs;
-    /// see [`check_memory_ranges`](Self::check_memory_ranges)) or a swap
-    /// dumps an out-of-range framebuffer.
+    /// command reaches past the end of GPU memory or a draw's program
+    /// needs more temporaries than its shader pool holds (before any cycle
+    /// runs; see [`check_memory_ranges`](Self::check_memory_ranges) and
+    /// [`check_programs`](Self::check_programs)) or a swap dumps an
+    /// out-of-range framebuffer.
     pub fn run_trace(&mut self, commands: &[GpuCommand]) -> Result<RunResult, GpuError> {
         self.check_memory_ranges(commands)?;
+        self.check_programs(commands)?;
         self.enqueue(commands);
         let start_cycle = self.cycle;
         let start_frames = self.frames;
@@ -1322,6 +1326,52 @@ impl Gpu {
                     fits("depth buffer", state.z_buffer, surface)?;
                     for desc in state.textures.iter().flatten() {
                         fits("texture", desc.base_address, desc.total_bytes())?;
+                    }
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Refuses a command list with a draw whose vertex or fragment program
+    /// needs more temporaries than the shader pool that would run it
+    /// holds. The Fragment FIFO's admission, which reads the same need and
+    /// pool, would never let its work in, and the run would wait for the
+    /// watchdog. Each draw runs the programs of the
+    /// `SetState` before it, or the Command Processor's current state.
+    ///
+    /// # Errors
+    ///
+    /// [`GpuError::BadConfig`] naming the first draw that cannot run, its
+    /// need and the pool.
+    pub fn check_programs(&self, commands: &[GpuCommand]) -> Result<(), GpuError> {
+        let shader = &self.config.shader;
+        let vertex_pool = if shader.unified {
+            "shader.temp_registers"
+        } else {
+            "shader.vertex_units × shader.vertex_registers"
+        };
+        let mut state: &RenderState = self.cp.state();
+        for (n, command) in commands.iter().enumerate() {
+            match command {
+                GpuCommand::SetState(s) => state = s,
+                GpuCommand::Draw(_) => {
+                    let programs = [
+                        ("vertex", vertex_registers(shader, &state.vertex_program), vertex_pool),
+                        (
+                            "fragment",
+                            fragment_registers(shader, &state.fragment_program),
+                            "shader.temp_registers",
+                        ),
+                    ];
+                    for (what, (need, pool), knob) in programs {
+                        if need > pool {
+                            return Err(GpuError::BadConfig(format!(
+                                "command {n} (DRAW): its {what} program needs {need} temporary \
+                                 registers, the pool that runs it holds {pool} ({knob})"
+                            )));
+                        }
                     }
                 }
                 _ => {}
@@ -1545,6 +1595,60 @@ mod tests {
         let far = GpuCommand::SetState(Box::new(far));
         assert!(refused(std::slice::from_ref(&far)).contains("depth buffer"));
         assert!(matches!(gpu.run_trace(&[far]), Err(GpuError::BadConfig(_))));
+        assert_eq!(gpu.cycle(), 0, "no cycle ran");
+    }
+
+    #[test]
+    fn a_draw_no_shader_pool_can_admit_is_refused_before_the_first_cycle() {
+        use crate::commands::{DrawCall, Primitive};
+        use crate::state::RenderState;
+        use std::sync::Arc;
+        // A program writing r0..r(temps - 1).
+        let program = |header: &str, temps: usize| {
+            let body: String = (0..temps).map(|r| format!("MOV r{r}, i0;\n")).collect();
+            let source = format!("{header}\n{body}MOV o0, r0;\nEND;");
+            Arc::new(attila_emu::asm::assemble(&source).expect("assembles"))
+        };
+        let draw = GpuCommand::Draw(DrawCall {
+            primitive: Primitive::Triangles,
+            vertex_count: 3,
+            index_buffer: None,
+        });
+        let with = |vertex_temps, fragment_temps| {
+            GpuCommand::SetState(Box::new(RenderState {
+                vertex_program: program("!!ATTILAvp1.0", vertex_temps),
+                fragment_program: program("!!ATTILAfp1.0", fragment_temps),
+                ..RenderState::default()
+            }))
+        };
+        let check = |config: GpuConfig, commands: &[GpuCommand]| {
+            Gpu::new(config).check_programs(commands).map_err(|e| e.to_string())
+        };
+        // A unified pool of 64 registers: 16 temporaries a quad.
+        let mut unified = GpuConfig::baseline();
+        unified.shader.temp_registers = 64;
+        assert_eq!(check(unified.clone(), &[with(4, 16), draw.clone()]), Ok(()));
+        assert_eq!(
+            check(unified.clone(), &[draw.clone(), with(4, 17), GpuCommand::Swap, draw.clone()]),
+            Err("bad GPU configuration: command 3 (DRAW): its fragment program needs 68 \
+                 temporary registers, the pool that runs it holds 64 (shader.temp_registers)"
+                .into()),
+            "the draw runs the state set before it"
+        );
+        assert_eq!(check(unified.clone(), &[with(4, 17)]), Ok(()), "no draw, nothing to run");
+        // Split pools: vertices run in every vertex unit's registers.
+        let mut split = GpuConfig::non_unified_baseline();
+        split.shader.vertex_units = 2;
+        split.shader.vertex_registers = 3;
+        assert_eq!(check(split.clone(), &[with(6, 1), draw.clone()]), Ok(()));
+        let msg = check(split, &[with(7, 1), draw.clone()]).unwrap_err();
+        assert!(
+            msg.ends_with("its vertex program needs 7 temporary registers, the pool that runs \
+                           it holds 6 (shader.vertex_units × shader.vertex_registers)"),
+            "{msg}"
+        );
+        let mut gpu = Gpu::new(unified);
+        assert!(matches!(gpu.run_trace(&[with(1, 20), draw]), Err(GpuError::BadConfig(_))));
         assert_eq!(gpu.cycle(), 0, "no cycle ran");
     }
 }

@@ -12,7 +12,7 @@
 //! Commit and the controller); here one box contains those stages, with
 //! the commit reorder buffer making shader-completion order irrelevant.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use attila_emu::vector::Vec4;
@@ -32,16 +32,112 @@ struct PendingVertex {
     seq: u32,
     index: u32,
     inputs: Vec<Vec4>,
-    replies_left: usize,
+}
+
+/// The vertices whose attribute fetches are in flight. One vertex's
+/// requests take consecutive ids, so a reply finds its vertex by that
+/// range; index-chunk ids fall between the ranges, never inside one.
+#[derive(Debug)]
+struct FetchBook<T> {
+    /// In no order.
+    entries: Vec<Booked<T>>,
+    /// Replies still owed, summed over the entries.
+    owed: usize,
+}
+
+/// A vertex in a [`FetchBook`]: its requests carry the ids `first_id ..
+/// first_id + requests`.
+#[derive(Debug)]
+struct Booked<T> {
+    first_id: u64,
+    requests: u64,
+    /// Replies still owed.
+    owed: u64,
+    vertex: T,
+}
+
+impl<T> FetchBook<T> {
+    fn new() -> Self {
+        FetchBook { entries: Vec::new(), owed: 0 }
+    }
+
+    /// Books a vertex whose `requests` fetches carry the ids from
+    /// `first_id` on.
+    fn insert(&mut self, first_id: u64, requests: usize, vertex: T) {
+        let n = requests as u64;
+        self.entries.push(Booked { first_id, requests: n, owed: n, vertex });
+        self.owed += requests;
+    }
+
+    /// Counts the reply to request `id`, and hands back its vertex when
+    /// that was the vertex's last reply. An id no vertex booked is
+    /// ignored.
+    fn reply(&mut self, id: u64) -> Option<T> {
+        let at = self.entries.iter().position(|e| id.wrapping_sub(e.first_id) < e.requests)?;
+        self.owed -= 1;
+        let owed = &mut self.entries[at].owed;
+        *owed -= 1;
+        if *owed > 0 {
+            return None;
+        }
+        Some(self.entries.swap_remove(at).vertex)
+    }
+}
+
+/// A batch's commit reorder buffer: vertex `seq` waits in slot `seq -
+/// next_seq` until every vertex before it has been committed.
+#[derive(Debug)]
+struct CommitRing<T> {
+    next_seq: u32,
+    slots: VecDeque<Option<T>>,
+}
+
+impl<T> CommitRing<T> {
+    /// An empty ring over `slots`, the storage of a retired one.
+    fn new(mut slots: VecDeque<Option<T>>) -> Self {
+        slots.clear();
+        CommitRing { next_seq: 0, slots }
+    }
+
+    fn insert(&mut self, seq: u32, vertex: T) {
+        let at = (seq - self.next_seq) as usize;
+        if at >= self.slots.len() {
+            self.slots.resize_with(at + 1, || None);
+        }
+        self.slots[at] = Some(vertex);
+    }
+
+    /// Whether vertex `next_seq` has arrived.
+    fn next_ready(&self) -> bool {
+        matches!(self.slots.front(), Some(Some(_)))
+    }
+
+    /// Takes vertex `next_seq`, once it has arrived.
+    fn pop_next(&mut self) -> Option<T> {
+        if !self.next_ready() {
+            return None;
+        }
+        self.next_seq += 1;
+        self.slots.pop_front().flatten()
+    }
 }
 
 /// Per-batch commit state: reorder buffer + progress.
 #[derive(Debug)]
 struct BatchCommit {
     batch_id: u64,
-    reorder: BTreeMap<u32, ShadedVertex>,
-    next_seq: u32,
+    reorder: CommitRing<ShadedVertex>,
     total: u32,
+}
+
+/// The head vertex as the fetch pass that could not start it left it.
+/// Its attribute transactions stay in `Streamer::fetch_pieces`.
+#[derive(Debug, Clone, Copy)]
+struct StalledVertex {
+    seq: u32,
+    index: u32,
+    /// `Streamer::vcache_changes` when the post-shading cache missed.
+    missed_at: u64,
 }
 
 /// The batch currently being fetched.
@@ -66,20 +162,26 @@ pub struct Streamer {
     pub out_assembled: PortSender<ShadedVertex>,
     active: Option<ActiveBatch>,
     commits: VecDeque<BatchCommit>,
+    /// The last retired batch's reorder storage, for the next batch.
+    spare_reorder: VecDeque<Option<ShadedVertex>>,
     ready_to_shade: VecDeque<VertexWork>,
-    pending: BTreeMap<u64, usize>,
-    pending_slots: Vec<Option<PendingVertex>>,
+    fetches: FetchBook<PendingVertex>,
     outstanding_mem: usize,
     /// Post-shading vertex cache for the batch being fetched
     /// (index → outputs), LRU-evicted.
     vcache: VecDeque<(u32, Arc<VertexOutputs>)>,
     vcache_batch: u64,
+    /// Bumped whenever an insert changes which indices the cache holds.
+    vcache_changes: u64,
     /// Recently fetched 64-byte index-buffer chunks.
     index_chunks: VecDeque<u64>,
     index_chunk_pending: Option<(u64, u64)>,
-    /// Scratch for one vertex's attribute-fetch transactions, `(address,
-    /// size)`; empty between vertices.
-    fetch_pieces: Vec<(u64, u32)>,
+    /// The head vertex, when the last fetch pass resolved it but could
+    /// not start it.
+    stalled: Option<StalledVertex>,
+    /// One vertex's attribute-fetch transactions, `(address, size,
+    /// channel)`: the last vertex started, or the stalled one.
+    fetch_pieces: Vec<(u64, u32, usize)>,
     /// The last fetch pass stopped where only a memory reply can let it
     /// go on: `max_memory_requests` outstanding, or an index chunk in
     /// flight. Cleared by a received shaded vertex, which may turn the
@@ -116,14 +218,16 @@ impl Streamer {
             out_assembled,
             active: None,
             commits: VecDeque::new(),
+            spare_reorder: VecDeque::new(),
             ready_to_shade: VecDeque::new(),
-            pending: BTreeMap::new(),
-            pending_slots: Vec::new(),
+            fetches: FetchBook::new(),
             outstanding_mem: 0,
             vcache: VecDeque::new(),
             vcache_batch: u64::MAX,
+            vcache_changes: 0,
             index_chunks: VecDeque::new(),
             index_chunk_pending: None,
+            stalled: None,
             fetch_pieces: Vec::new(),
             fetch_blocked: false,
             next_req_id: 0,
@@ -149,6 +253,7 @@ impl Streamer {
         if self.vcache_batch != batch_id {
             self.vcache.clear();
             self.vcache_batch = batch_id;
+            self.vcache_changes += 1;
         }
         if self.vcache.iter().any(|(i, _)| *i == index) {
             return;
@@ -157,6 +262,7 @@ impl Streamer {
             self.vcache.pop_front();
         }
         self.vcache.push_back((index, outputs));
+        self.vcache_changes += 1;
     }
 
     /// Advances the Streamer one cycle.
@@ -183,22 +289,14 @@ impl Streamer {
                     continue;
                 }
             }
-            if let Some(slot) = self.pending.remove(&reply.id) {
-                let done = {
-                    let pv = self.pending_slots[slot].as_mut().expect("slot occupied");
-                    pv.replies_left -= 1;
-                    pv.replies_left == 0
-                };
-                if done {
-                    let pv = self.pending_slots[slot].take().expect("slot occupied");
-                    self.ready_to_shade.push_back(VertexWork {
-                        obj: DynamicObject::new(self.ids.next_id()),
-                        batch: pv.batch,
-                        seq: pv.seq,
-                        index: pv.index,
-                        inputs: pv.inputs,
-                    });
-                }
+            if let Some(pv) = self.fetches.reply(reply.id) {
+                self.ready_to_shade.push_back(VertexWork {
+                    obj: DynamicObject::new(self.ids.next_id()),
+                    batch: pv.batch,
+                    seq: pv.seq,
+                    index: pv.index,
+                    inputs: pv.inputs,
+                });
             }
         }
 
@@ -216,151 +314,24 @@ impl Streamer {
                     let total = batch.draw.vertex_count;
                     self.commits.push_back(BatchCommit {
                         batch_id: batch.id,
-                        reorder: BTreeMap::new(),
-                        next_seq: 0,
+                        reorder: CommitRing::new(std::mem::take(&mut self.spare_reorder)),
                         total,
                     });
                     self.active = Some(ActiveBatch { batch, next_seq: 0, total });
+                    self.stalled = None;
                 }
             }
-            let Some(active) = &mut self.active else { break };
+            let Some(mut active) = self.active.take() else { break };
             if active.next_seq >= active.total {
-                self.active = None;
                 continue;
             }
-            let seq = active.next_seq;
-            let batch = Arc::clone(&active.batch);
-
-            // Resolve the vertex index (with index-chunk fetch timing).
-            let index = match batch.draw.index_buffer {
-                None => seq,
-                Some(ib) => {
-                    let addr = ib + seq as u64 * 4;
-                    let chunk = addr & !63;
-                    if !self.index_chunks.contains(&chunk) {
-                        if self.index_chunk_pending.is_none()
-                            && self.outstanding_mem < self.config.max_memory_requests
-                            && mem.can_accept(Client::Streamer, chunk)
-                        {
-                            let id = self.alloc_id();
-                            self.index_chunk_pending = Some((chunk, id));
-                            mem.submit(MemRequest {
-                                id,
-                                client: Client::Streamer,
-                                addr: chunk,
-                                op: MemOp::TimingRead { size: 64 },
-                            })
-                            .expect("can_accept checked");
-                            self.outstanding_mem += 1;
-                        }
-                        // Stall until the chunk arrives. Only a reply can
-                        // end it, unless the controller refused the fetch.
-                        self.fetch_blocked = self.index_chunk_pending.is_some()
-                            || self.outstanding_mem >= self.config.max_memory_requests;
-                        break;
-                    }
-                    mem.gpu_mem().read_u32(addr)
-                }
-            };
-
-            // Post-shading vertex cache.
-            if let Some(outputs) = self.vcache_lookup(batch.id, index) {
-                self.stat_vcache_hits.inc();
-                self.stat_vertices.inc();
-                let sv = ShadedVertex {
-                    obj: DynamicObject::new(self.ids.next_id()),
-                    batch: Arc::clone(&batch),
-                    seq,
-                    index,
-                    outputs,
-                };
-                self.insert_committed(sv);
-                if let Some(active) = &mut self.active {
-                    active.next_seq += 1;
-                }
-                continue;
-            }
-
-            // Fetch attributes: first the transactions the fetch costs,
-            // which decide whether the vertex can start this cycle at all.
-            self.fetch_pieces.clear();
-            for b in batch.state.attributes.iter().flatten() {
-                self.fetch_pieces.extend(attila_mem::controller::split_transactions(
-                    b.element_address(index),
-                    b.element_bytes() as u64,
-                ));
-            }
-            let over =
-                self.outstanding_mem + self.fetch_pieces.len() > self.config.max_memory_requests;
-            if over || self.fetch_pieces.iter().any(|(a, _)| !mem.can_accept(Client::Streamer, *a))
-            {
-                // Stall: too many outstanding fetches, which only a reply
-                // ends, or a controller queue that is full.
-                self.fetch_blocked = over;
-                break;
-            }
-            // Then the values, read from the memory image right here
-            // (execution-driven: the bytes are exact, the requests only
-            // charge the time — timing reads, whose replies carry no data)
-            // and converted to the internal 4x f32 format.
-            let mut inputs = Vec::with_capacity(batch.state.attributes.len());
-            for binding in batch.state.attributes.iter() {
-                let Some(b) = binding else {
-                    inputs.push(Vec4::ZERO);
-                    continue;
-                };
-                let mut bytes = [0u8; 16];
-                let element = &mut bytes[..b.element_bytes() as usize];
-                mem.gpu_mem().read(b.element_address(index), element);
-                let mut v = Vec4::new(0.0, 0.0, 0.0, b.default_w);
-                for (c, word) in element.chunks_exact(4).enumerate() {
-                    v[c] = f32::from_le_bytes([word[0], word[1], word[2], word[3]]);
-                }
-                inputs.push(v);
-            }
-            let slot = self
-                .pending_slots
-                .iter()
-                .position(|s| s.is_none())
-                .unwrap_or_else(|| {
-                    self.pending_slots.push(None);
-                    self.pending_slots.len() - 1
-                });
-            if self.fetch_pieces.is_empty() {
-                // No attributes bound: ready immediately.
-                self.ready_to_shade.push_back(VertexWork {
-                    obj: DynamicObject::new(self.ids.next_id()),
-                    batch: Arc::clone(&batch),
-                    seq,
-                    index,
-                    inputs,
-                });
-            } else {
-                let count = self.fetch_pieces.len();
-                for i in 0..count {
-                    let (addr, size) = self.fetch_pieces[i];
-                    let id = self.alloc_id();
-                    self.pending.insert(id, slot);
-                    mem.submit(MemRequest {
-                        id,
-                        client: Client::Streamer,
-                        addr,
-                        op: MemOp::TimingRead { size },
-                    })
-                    .expect("can_accept checked");
-                    self.outstanding_mem += 1;
-                }
-                self.pending_slots[slot] = Some(PendingVertex {
-                    batch,
-                    seq,
-                    index,
-                    inputs,
-                    replies_left: count,
-                });
-            }
-            self.stat_vertices.inc();
-            if let Some(active) = &mut self.active {
+            let started = self.start_vertex(&active, mem);
+            if started {
                 active.next_seq += 1;
+            }
+            self.active = Some(active);
+            if !started {
+                break;
             }
         }
 
@@ -376,16 +347,148 @@ impl Streamer {
         //    Table 1).
         while self.out_assembled.can_send(cycle) {
             let Some(head) = self.commits.front_mut() else { break };
-            if head.next_seq >= head.total {
-                self.commits.pop_front();
+            if head.reorder.next_seq >= head.total {
+                let done = self.commits.pop_front().expect("head exists");
+                self.spare_reorder = done.reorder.slots;
                 continue;
             }
-            let next = head.next_seq;
-            let Some(sv) = head.reorder.remove(&next) else { break };
-            head.next_seq += 1;
+            let Some(sv) = head.reorder.pop_next() else { break };
             self.out_assembled.try_send(cycle, sv)?;
         }
         Ok(())
+    }
+
+    /// Resolves and starts vertex `active.next_seq`: its index (fetching
+    /// the index chunk first), then a post-shading cache hit, or its
+    /// attribute fetches. Returns whether it started; a vertex that cannot
+    /// start stays the head, with `fetch_blocked` saying whether only a
+    /// memory reply can change that.
+    ///
+    /// A head that stalled after its cache lookup is not resolved again
+    /// (DESIGN.md §16.6): while its index word reads the same, the next
+    /// pass reuses its transactions, and repeats the lookup only if a
+    /// shaded vertex has changed the cache since.
+    fn start_vertex(&mut self, active: &ActiveBatch, mem: &mut MemoryController) -> bool {
+        let (batch, seq) = (&active.batch, active.next_seq);
+        let index = match batch.draw.index_buffer {
+            None => seq,
+            Some(ib) => {
+                let addr = ib + u64::from(seq) * 4;
+                let chunk = addr & !63;
+                if !self.index_chunks.contains(&chunk) {
+                    if self.index_chunk_pending.is_none()
+                        && self.outstanding_mem < self.config.max_memory_requests
+                        && mem.can_accept(Client::Streamer, chunk)
+                    {
+                        let id = self.alloc_id();
+                        self.index_chunk_pending = Some((chunk, id));
+                        mem.submit(MemRequest {
+                            id,
+                            client: Client::Streamer,
+                            addr: chunk,
+                            op: MemOp::TimingRead { size: 64 },
+                        })
+                        .expect("can_accept checked");
+                        self.outstanding_mem += 1;
+                    }
+                    // Stall until the chunk arrives. Only a reply can end
+                    // it, unless the controller refused the fetch.
+                    self.fetch_blocked = self.index_chunk_pending.is_some()
+                        || self.outstanding_mem >= self.config.max_memory_requests;
+                    return false;
+                }
+                mem.gpu_mem().read_u32(addr)
+            }
+        };
+
+        // Post-shading vertex cache.
+        let kept = self.stalled.take().filter(|s| s.seq == seq && s.index == index);
+        if kept.is_none_or(|s| s.missed_at != self.vcache_changes) {
+            if let Some(outputs) = self.vcache_lookup(batch.id, index) {
+                self.stat_vcache_hits.inc();
+                self.stat_vertices.inc();
+                let sv = ShadedVertex {
+                    obj: DynamicObject::new(self.ids.next_id()),
+                    batch: Arc::clone(batch),
+                    seq,
+                    index,
+                    outputs,
+                };
+                self.insert_committed(sv);
+                return true;
+            }
+        }
+
+        // Fetch attributes: first the transactions the fetch costs,
+        // which decide whether the vertex can start this cycle at all.
+        if kept.is_none() {
+            self.fetch_pieces.clear();
+            for b in batch.state.attributes.iter().flatten() {
+                let pieces = attila_mem::controller::split_transactions(
+                    b.element_address(index),
+                    b.element_bytes() as u64,
+                );
+                let channel = |addr| mem.config().channel_of(addr);
+                self.fetch_pieces.extend(pieces.map(|(a, size)| (a, size, channel(a))));
+            }
+        }
+        let over = self.outstanding_mem + self.fetch_pieces.len() > self.config.max_memory_requests;
+        let room = |&(_, _, ch): &(u64, u32, usize)| mem.can_accept_on(Client::Streamer, ch);
+        if over || !self.fetch_pieces.iter().all(room) {
+            // Stall: too many outstanding fetches, which only a reply
+            // ends, or a controller queue that is full.
+            self.stalled = Some(StalledVertex { seq, index, missed_at: self.vcache_changes });
+            self.fetch_blocked = over;
+            return false;
+        }
+        // Then the values, read from the memory image right here
+        // (execution-driven: the bytes are exact, the requests only
+        // charge the time — timing reads, whose replies carry no data)
+        // and converted to the internal 4x f32 format.
+        let mut inputs = Vec::with_capacity(batch.state.attributes.len());
+        for binding in batch.state.attributes.iter() {
+            let Some(b) = binding else {
+                inputs.push(Vec4::ZERO);
+                continue;
+            };
+            let mut bytes = [0u8; 16];
+            let element = &mut bytes[..b.element_bytes() as usize];
+            mem.gpu_mem().read(b.element_address(index), element);
+            let mut v = Vec4::new(0.0, 0.0, 0.0, b.default_w);
+            for (c, word) in element.chunks_exact(4).enumerate() {
+                v[c] = f32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+            }
+            inputs.push(v);
+        }
+        let batch = Arc::clone(batch);
+        if self.fetch_pieces.is_empty() {
+            // No attributes bound: ready immediately.
+            self.ready_to_shade.push_back(VertexWork {
+                obj: DynamicObject::new(self.ids.next_id()),
+                batch,
+                seq,
+                index,
+                inputs,
+            });
+        } else {
+            let first_id = self.next_req_id;
+            for &(addr, size, _) in &self.fetch_pieces {
+                let id = self.next_req_id;
+                self.next_req_id += 1;
+                mem.submit(MemRequest {
+                    id,
+                    client: Client::Streamer,
+                    addr,
+                    op: MemOp::TimingRead { size },
+                })
+                .expect("can_accept checked");
+            }
+            self.outstanding_mem += self.fetch_pieces.len();
+            let vertex = PendingVertex { batch, seq, index, inputs };
+            self.fetches.insert(first_id, self.fetch_pieces.len(), vertex);
+        }
+        self.stat_vertices.inc();
+        true
     }
 
     fn insert_committed(&mut self, sv: ShadedVertex) {
@@ -429,7 +532,7 @@ impl Unit for Streamer {
         self.active.is_some()
             || !self.commits.is_empty()
             || !self.ready_to_shade.is_empty()
-            || !self.pending.is_empty()
+            || self.fetches.owed > 0
             || !self.in_draws.idle()
             || !self.in_shaded.idle()
     }
@@ -449,7 +552,7 @@ impl Unit for Streamer {
         let commit = || {
             self.out_assembled.credits() > 0
                 && self.commits.front().is_some_and(|head| {
-                    head.next_seq >= head.total || head.reorder.contains_key(&head.next_seq)
+                    head.reorder.next_seq >= head.total || head.reorder.next_ready()
                 })
         };
         if fetch
@@ -466,7 +569,7 @@ impl Unit for Streamer {
         self.in_draws.len()
             + self.in_shaded.len()
             + self.ready_to_shade.len()
-            + self.pending.len()
+            + self.fetches.owed
     }
 }
 
@@ -480,7 +583,12 @@ impl_json_state!(Streamer { index_chunks: hex, next_req_id: hex, ids as ids_issu
     "wiring: rebuilt at elaboration": config, in_draws, out_work, in_shaded, out_assembled,
         stat_vertices, stat_vcache_hits, stat_shaded;
     "transient: per-batch fetch/shade bookkeeping, drained at the quiescent boundary (no active \
-     batch, no outstanding memory or shader work)": active, commits, ready_to_shade, pending,
-        pending_slots, outstanding_mem, vcache, vcache_batch, index_chunk_pending, fetch_pieces;
+     batch, no outstanding memory or shader work)": active, commits, spare_reorder,
+        ready_to_shade, fetches,
+        outstanding_mem, vcache, vcache_batch, vcache_changes, index_chunk_pending, stalled,
+        fetch_pieces;
     "transient: recomputed by every clock, unread with no batch active": fetch_blocked;
 });
+
+#[cfg(test)]
+mod tests;

@@ -25,7 +25,7 @@ use attila_json::{
 };
 use attila_sim::{Cycle, SignalName, TraceEvent, TraceSink};
 
-use crate::gddr::{interleave, Direction, GddrChannel, IssueReport};
+use crate::gddr::{Direction, GddrChannel, IssueReport};
 use crate::memory::MemoryImage;
 
 /// The GPU units that issue memory transactions (crossbar clients).
@@ -276,6 +276,45 @@ impl MemControllerConfig {
     pub fn gpu_memory_bytes(&self) -> usize {
         self.gpu_memory_mb as usize * 1024 * 1024
     }
+
+    /// The channel serving `addr` (the first half of
+    /// [`interleave`](crate::gddr::interleave)).
+    #[inline]
+    pub fn channel_of(&self, addr: u64) -> usize {
+        ((addr / self.interleave_bytes) % self.channels as u64) as usize
+    }
+
+    /// Where `addr` lands: [`interleave`](crate::gddr::interleave) to a
+    /// channel and a channel-local address, then [`GddrChannel::decode`] to
+    /// a bank and a row, in one pass that shares the interleave block
+    /// between the two halves.
+    pub fn route(&self, addr: u64) -> Route {
+        let (granularity, channels) = (self.interleave_bytes, self.channels as u64);
+        let block = addr / granularity;
+        let local = block / channels * granularity + (addr - block * granularity);
+        let row = local / self.page_bytes;
+        Route {
+            channel: (block % channels) as usize,
+            local,
+            bank: (row % self.banks as u64) as usize,
+            row,
+        }
+    }
+}
+
+/// A GPU address resolved to the DRAM coordinates the controller
+/// arbitrates and issues on ([`MemControllerConfig::route`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    /// The channel serving the address.
+    pub channel: usize,
+    /// The address within that channel.
+    pub local: u64,
+    /// The bank within the channel.
+    pub bank: usize,
+    /// The row: the page number within the channel, which also picks
+    /// the bank.
+    pub row: u64,
 }
 
 impl_json_struct!(MemControllerConfig {
@@ -297,6 +336,15 @@ impl_json_struct!(MemControllerConfig {
     gpu_memory_mb,
 });
 
+/// A request waiting in a channel queue, with the bank and row
+/// [`submit`](MemoryController::submit) decoded for it: arbitration probes
+/// and issues on them without dividing again.
+struct Queued {
+    req: MemRequest,
+    bank: usize,
+    row: u64,
+}
+
 struct ChannelState {
     dram: GddrChannel,
     /// Per-client request queues, dense by [`Client::index`]. Slots for
@@ -304,7 +352,7 @@ struct ChannelState {
     /// submit, never in the clock loop. Replaces the previous
     /// `BTreeMap<Client, VecDeque<_>>` so arbitration walks an array
     /// instead of rebuilding a key list every issue.
-    queues: Vec<VecDeque<MemRequest>>,
+    queues: Vec<VecDeque<Queued>>,
     /// Requests queued across all slots of this channel.
     queued: usize,
     /// Round-robin pointer over queue slots.
@@ -431,15 +479,21 @@ impl MemoryController {
     /// Free request-queue slots for `client` on the channel serving
     /// `addr` — lets callers reserve room for multi-transaction bursts.
     pub fn free_slots(&self, client: Client, addr: u64) -> usize {
-        let (ch, _) = interleave(addr, self.config.channels, self.config.interleave_bytes);
+        let ch = self.config.channel_of(addr);
         self.config.queue_capacity
             - self.channels[ch].queues.get(client.index()).map(|q| q.len()).unwrap_or(0)
     }
 
     /// Whether `client` can enqueue another request this cycle.
     pub fn can_accept(&self, client: Client, addr: u64) -> bool {
-        let (ch, _) = interleave(addr, self.config.channels, self.config.interleave_bytes);
-        self.channels[ch]
+        self.can_accept_on(client, self.config.channel_of(addr))
+    }
+
+    /// [`can_accept`](Self::can_accept) for a request already known to
+    /// land on `channel` (see [`MemControllerConfig::channel_of`]).
+    #[inline]
+    pub fn can_accept_on(&self, client: Client, channel: usize) -> bool {
+        self.channels[channel]
             .queues
             .get(client.index())
             .map(|q| q.len() < self.config.queue_capacity)
@@ -462,14 +516,13 @@ impl MemoryController {
     pub fn submit(&mut self, req: MemRequest) -> Result<(), MemQueueFull> {
         let size = req.op.size();
         assert!(size > 0 && size <= MAX_TRANSACTION, "transaction size {size} out of range");
-        let (ch_a, _) = interleave(req.addr, self.config.channels, self.config.interleave_bytes);
-        let (ch_b, _) = interleave(
-            req.addr + size as u64 - 1,
-            self.config.channels,
-            self.config.interleave_bytes,
+        let route = self.config.route(req.addr);
+        assert_eq!(
+            route.channel,
+            self.config.channel_of(req.addr + size as u64 - 1),
+            "transaction crosses a channel boundary"
         );
-        assert_eq!(ch_a, ch_b, "transaction crosses a channel boundary");
-        let ch = &mut self.channels[ch_a];
+        let ch = &mut self.channels[route.channel];
         let slot = req.client.index();
         if slot >= ch.queues.len() {
             ch.queues.resize_with(slot + 1, VecDeque::new);
@@ -477,7 +530,7 @@ impl MemoryController {
         if ch.queues[slot].len() >= self.config.queue_capacity {
             return Err(MemQueueFull);
         }
-        ch.queues[slot].push_back(req);
+        ch.queues[slot].push_back(Queued { req, bank: route.bank, row: route.row });
         ch.queued += 1;
         self.queued_requests += 1;
         Ok(())
@@ -521,6 +574,9 @@ impl MemoryController {
     /// Advances the controller one cycle: issues queued requests to idle
     /// channels, applies functional effects, and delivers due replies.
     pub fn clock(&mut self, cycle: Cycle) {
+        if !self.busy() {
+            return;
+        }
         // Complete system-bus uploads.
         while let Some(copy) = self.system_copies.front() {
             if copy.done_at <= cycle {
@@ -534,7 +590,6 @@ impl MemoryController {
         }
 
         // Issue to each channel that is free this cycle.
-        let (n_channels, granularity) = (self.config.channels, self.config.interleave_bytes);
         for ch_idx in 0..self.channels.len() {
             loop {
                 let ch = &mut self.channels[ch_idx];
@@ -546,30 +601,36 @@ impl MemoryController {
                 // DRAM row is already open wins; with no hit in sight the
                 // plain rotation order stands. Deterministic — the scan
                 // order and the bank probe depend only on simulator state.
+                // The pointer is below `n` unless a checkpoint said
+                // otherwise; the ring it starts is the same either way.
                 let n = ch.queues.len();
+                let mut slot = if ch.next_client < n { ch.next_client } else { ch.next_client % n };
                 let mut fallback = None;
                 let mut picked = None;
-                for off in 0..n {
-                    let slot = (ch.next_client + off) % n;
-                    let Some(req) = ch.queues[slot].front() else { continue };
-                    if fallback.is_none() {
-                        fallback = Some(slot);
+                for _ in 0..n {
+                    if let Some(front) = ch.queues[slot].front() {
+                        if fallback.is_none() {
+                            fallback = Some(slot);
+                        }
+                        if ch.dram.would_hit(front.bank, front.row) {
+                            picked = Some(slot);
+                            break;
+                        }
                     }
-                    let (_, local) = interleave(req.addr, n_channels, granularity);
-                    if ch.dram.would_hit(local) {
-                        picked = Some(slot);
-                        break;
+                    slot += 1;
+                    if slot == n {
+                        slot = 0;
                     }
                 }
                 let Some(slot) = picked.or(fallback) else { break };
-                ch.next_client = (slot + 1) % n;
-                let req = ch.queues[slot].pop_front().expect("slot checked non-empty");
+                ch.next_client = if slot + 1 == n { 0 } else { slot + 1 };
+                let Queued { req, bank, row } =
+                    ch.queues[slot].pop_front().expect("slot checked non-empty");
                 ch.queued -= 1;
                 self.queued_requests -= 1;
-                let (_, local) = interleave(req.addr, n_channels, granularity);
                 let size = req.op.size();
                 let dir = if req.op.is_read() { Direction::Read } else { Direction::Write };
-                let report = ch.dram.issue(cycle, local, dir);
+                let report = ch.dram.issue_row(cycle, bank, row, dir);
                 let done = report.done;
                 if self.trace.is_some() {
                     self.trace_issue(ch_idx, report, dir);
@@ -909,6 +970,50 @@ mod tests {
             }
         }
         panic!("no reply within {max} cycles");
+    }
+
+    /// `route`, which `submit` queues with each request, against the two
+    /// steps it fuses: `interleave`, then the channel's `decode`. Random
+    /// addresses, small and large, over random geometries that
+    /// `GpuConfig::validate` accepts: at least one channel, bank and page
+    /// byte, and an interleave that is a non-zero multiple of 64 bytes.
+    #[test]
+    fn route_matches_interleave_then_decode() {
+        use crate::gddr::interleave;
+        let mut rng = attila_sim::TinyRng::new(0x0_2007E);
+        let mut pick = |small: &[u64], hi: u64| {
+            if rng.range_u32(0, 2) == 0 {
+                small[rng.range_u32(0, small.len() as u32) as usize]
+            } else {
+                rng.range_u64(1, hi)
+            }
+        };
+        let mut configs = Vec::new();
+        for _ in 0..400 {
+            let channels = pick(&[1, 2, 3, 4, 8], 64) as usize;
+            let interleave_bytes = 64 * pick(&[1, 2, 3, 4, 64], 256);
+            let banks = pick(&[1, 2, 4, 8, 16], 64) as usize;
+            let page_bytes = pick(&[4096, 2048, 1, 1000], 1 << 17);
+            configs.push(MemControllerConfig {
+                channels,
+                interleave_bytes,
+                banks,
+                page_bytes,
+                ..MemControllerConfig::default()
+            });
+        }
+        let mut rng = attila_sim::TinyRng::new(0xADD7);
+        for config in configs {
+            let channel = GddrChannel::new(&config);
+            for _ in 0..250 {
+                let addr = rng.next_u64() >> rng.range_u32(0, 64);
+                let (ch, local) = interleave(addr, config.channels, config.interleave_bytes);
+                let (bank, row) = channel.decode(local);
+                let expect = Route { channel: ch, local, bank, row };
+                assert_eq!(config.route(addr), expect, "{addr:#x} under {config:?}");
+                assert_eq!(config.channel_of(addr), ch, "{addr:#x} under {config:?}");
+            }
+        }
     }
 
     #[test]

@@ -109,12 +109,13 @@ impl GddrChannel {
         (bank, row)
     }
 
-    /// Non-mutating probe: would a transaction at `addr` find its row
-    /// open (or already opening)? Used by the controller's row-hit-first
-    /// arbitration to pick the cheapest ready request without disturbing
-    /// bank state.
-    pub fn would_hit(&self, addr: u64) -> bool {
-        let (bank, row) = self.decode(addr);
+    /// Non-mutating probe: would a transaction at `(bank, row)` (see
+    /// [`decode`](Self::decode)) find its row open (or already opening)?
+    /// Used by the controller's row-hit-first arbitration to pick the
+    /// cheapest ready request without disturbing bank state; the
+    /// controller decodes each request once, when it is submitted.
+    #[inline]
+    pub(crate) fn would_hit(&self, bank: usize, row: u64) -> bool {
         self.banks[bank].open_row() == Some(row)
     }
 
@@ -127,9 +128,20 @@ impl GddrChannel {
     /// later — the two overlap, as in real DRAM where ACTIVATE is a bank
     /// command and turnaround a bus constraint.
     pub fn issue(&mut self, cycle: Cycle, addr: u64, dir: Direction) -> IssueReport {
-        let start = cycle.max(self.busy_until);
-        let (bank_idx, row) = self.decode(addr);
+        let (bank, row) = self.decode(addr);
+        self.issue_row(cycle, bank, row, dir)
+    }
 
+    /// [`issue`](Self::issue) for an address already decoded to `(bank,
+    /// row)`.
+    pub(crate) fn issue_row(
+        &mut self,
+        cycle: Cycle,
+        bank_idx: usize,
+        row: u64,
+        dir: Direction,
+    ) -> IssueReport {
+        let start = cycle.max(self.busy_until);
         let BankAccess { outcome, row_ready } =
             self.banks[bank_idx].access(start, row, &self.config);
 
@@ -334,12 +346,16 @@ mod tests {
 
     #[test]
     fn would_hit_probe_matches_issue_outcome() {
+        let hit = |ch: &GddrChannel, addr| {
+            let (bank, row) = ch.decode(addr);
+            ch.would_hit(bank, row)
+        };
         let mut ch = GddrChannel::new(&t());
-        assert!(!ch.would_hit(0), "cold bank");
+        assert!(!hit(&ch, 0), "cold bank");
         let r1 = ch.issue(0, 0, Direction::Read);
-        assert!(ch.would_hit(64), "same row now open");
-        assert!(!ch.would_hit(8 * 4096), "same bank, other row");
-        assert!(!ch.would_hit(4096), "other bank, cold");
+        assert!(hit(&ch, 64), "same row now open");
+        assert!(!hit(&ch, 8 * 4096), "same bank, other row");
+        assert!(!hit(&ch, 4096), "other bank, cold");
         let r2 = ch.issue(r1.done, 64, Direction::Read);
         assert_eq!(r2.outcome, RowOutcome::Hit);
     }

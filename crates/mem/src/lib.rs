@@ -46,7 +46,8 @@ pub mod rop_cache;
 pub use bank::{Bank, BankAccess, BankFsm, RowOutcome};
 pub use cache::{Cache, CacheConfig, Eviction, Lookup};
 pub use controller::{
-    Client, MemControllerConfig, MemOp, MemReply, MemRequest, MemoryController, MAX_TRANSACTION,
+    Client, MemControllerConfig, MemOp, MemReply, MemRequest, MemoryController, Route,
+    MAX_TRANSACTION,
 };
 pub use gddr::{Direction, GddrChannel, IssueReport};
 pub use memory::{BumpAllocator, MemoryImage};

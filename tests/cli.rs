@@ -249,3 +249,41 @@ fn cli_refuses_a_config_it_cannot_simulate() {
     std::fs::remove_file(&path).ok();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn cli_refuses_a_draw_no_shader_pool_can_admit() {
+    // `validate()` cannot see programs. doom3's lit fragment program needs
+    // 40 temporaries a quad, so a pool of 8 or 32 (both valid) would never
+    // admit it and the run would wait for the watchdog (exit 3); it is
+    // refused before the first cycle instead. A pool of 48 runs it.
+    let dir = std::env::temp_dir().join(format!("attila-cli-pool-{}", std::process::id()));
+    let path = dir.with_extension("json");
+    for (registers, code) in [(8, 1), (32, 1), (48, 0)] {
+        let mut config = GpuConfig::baseline();
+        config.shader.temp_registers = registers;
+        std::fs::write(&path, config.to_json()).expect("write the config");
+        let out = attila_bin()
+            .arg("--config")
+            .arg(&path)
+            .args(["--workload", "doom3", "--width", "64", "--height", "48", "--frames", "1"])
+            .arg("--out-dir")
+            .arg(&dir)
+            .output()
+            .expect("attila runs");
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(code), "{registers}: stderr: {stderr}");
+        if code == 1 {
+            let refusal = format!(
+                "command 22 (DRAW): its fragment program needs 40 temporary registers, the \
+                 pool that runs it holds {registers} (shader.temp_registers)"
+            );
+            assert!(stderr.contains(&refusal), "{registers}: stderr: {stderr}");
+            assert!(!stdout.contains("cycles:"), "{registers}: no cycle may be simulated");
+        } else {
+            assert!(stdout.contains("cycles:              210644"), "{registers}: {stdout}");
+        }
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -6,10 +6,14 @@
 //! against the parent's binary.
 //!
 //! A fifth row runs `doom3` under the in-order shader queue of the paper's
-//! Section 5 case study, the scheduler no CLI scene uses.
+//! Section 5 case study, the scheduler no CLI scene uses. A sixth runs the
+//! benchmark ledger's `ut2004_geometry` scene (`ut2004_like` at 48×48, two
+//! frames, 64² textures, detail 8): 52 620 vertices for few fragments, the
+//! Streamer's index-chunk, attribute-fetch and post-shading-cache path.
 //!
 //! The first four values were recorded at d371d8a, the parent of the
-//! texture fast path, the fifth at 5ae9def. A PR that moves them on purpose
+//! texture fast path, the fifth at 5ae9def, the sixth at de852b5, before
+//! the Streamer kept a stalled vertex's resolution. A PR that moves them on purpose
 //! (a timing-model change) re-pins them from the table the failure message
 //! prints and says why.
 
@@ -29,8 +33,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The trace `attila --workload name --width 160 --height 120 --frames 2`
-/// renders.
-fn cli_trace(name: &str) -> GlTrace {
+/// renders, or the ledger's `ut2004_geometry` scene.
+fn scene_trace(name: &str) -> GlTrace {
     let (width, height) = (160, 120);
     let params = WorkloadParams {
         width,
@@ -44,24 +48,34 @@ fn cli_trace(name: &str) -> GlTrace {
         "fillrate" => workloads::fillrate(width, height, 8, true),
         "ut2004" => workloads::ut2004_like(params),
         "texture_stream" => workloads::texture_stream(params),
+        "ut2004_geometry" => workloads::ut2004_like(WorkloadParams {
+            width: 48,
+            height: 48,
+            frames: 2,
+            texture_size: 64,
+            detail: 8,
+            seed: 0x00A7_711A,
+            ..Default::default()
+        }),
         other => unreachable!("no CLI scene {other}"),
     }
 }
 
 /// The pinned scenes: a CLI workload and the shader scheduler it runs under.
-const SCENES: [(&str, ShaderScheduling); 5] = [
+const SCENES: [(&str, ShaderScheduling); 6] = [
     ("doom3", ShaderScheduling::ThreadWindow),
     ("fillrate", ShaderScheduling::ThreadWindow),
     ("ut2004", ShaderScheduling::ThreadWindow),
     ("texture_stream", ShaderScheduling::ThreadWindow),
     ("doom3", ShaderScheduling::InOrderQueue),
+    ("ut2004_geometry", ShaderScheduling::ThreadWindow),
 ];
 
 /// One line per scene, `name cycles csv-digest frame-digest…` (the name
 /// followed by `/in-order` under the in-order queue), and the cycles the
 /// clock loop jumped over.
 fn outcome(name: &str, scheduling: ShaderScheduling) -> (String, u64) {
-    let trace = cli_trace(name);
+    let trace = scene_trace(name);
     let commands = GlPlayer::new().replay(&trace).expect("trace replays");
     let mut config = GpuConfig::baseline();
     config.display.width = trace.width;
@@ -86,20 +100,22 @@ fn outcome(name: &str, scheduling: ShaderScheduling) -> (String, u64) {
 
 /// `cycles`, then the FNV-64 of `stats().csv()` (equal to that of the
 /// CLI's `stats.csv`), then one FNV-64 per frame's RGBA bytes.
-const PINNED: [&str; 5] = [
+const PINNED: [&str; 6] = [
     "doom3 654791 c7019ddabd5df443 5b24a8d1196cf64a 55888f541ece4fc6",
     "fillrate 105471 db18374d496fb821 237be738ab153ec2",
     "ut2004 95869 21321263936b4612 6aeb9aa98c7a52d5 fbbca730eef6ba36",
     "texture_stream 23931 f3484820b783842b c2dc5c68095ecb6e 86905c155d90a609",
     "doom3/in-order 1296104 5e11eeb826eb2cd2 5b24a8d1196cf64a 55888f541ece4fc6",
+    "ut2004_geometry 476521 a528a72bd1632f7a e8929e32e2c41d6a 517f1779afa53655",
 ];
 
 /// `cycles_skipped` of each scene at ad85ddb, where the clock loop still
 /// jumped by a fresh fold of every unit's horizon behind a 32-step back-off
 /// and the memory controller clocked on every stepped cycle. Reading the
 /// gates instead may only find more idle cycles, never fewer. The fifth,
-/// the in-order queue's, is its count at 5ae9def.
-const SKIPPED_FLOOR: [u64; 5] = [15_300, 2_332, 13_425, 15_309, 15_563];
+/// the in-order queue's, is its count at 5ae9def; the sixth, the
+/// geometry scene's, at de852b5.
+const SKIPPED_FLOOR: [u64; 6] = [15_300, 2_332, 13_425, 15_309, 15_563, 38_533];
 
 #[test]
 fn cli_scenes_are_pinned() {
