@@ -1,7 +1,8 @@
 //! Table 1: bandwidths, queue sizes and latencies of the baseline ATTILA
 //! architecture — the configured values, plus measured steady-state
 //! throughput of the key units under a fill-rate microworkload to show
-//! the pipeline actually sustains its configured rates.
+//! the pipeline actually sustains its configured rates. A queue is the
+//! capacity `Gpu::new` gives the unit's input wire, or `-` if no key does.
 
 use attila_bench::{is_full_run, run_workload};
 use attila_core::config::GpuConfig;
@@ -15,57 +16,58 @@ fn main() {
         "{:<22} {:>18} {:>18} {:>12} {:>10}",
         "unit", "input bw", "output bw", "queue", "latency"
     );
-    let row = |unit: &str, ibw: &str, obw: &str, q: usize, lat: String| {
+    let row = |unit: &str, ibw: &str, obw: &str, q: Option<usize>, lat: String| {
+        let q = q.map_or("-".to_string(), |q| q.to_string());
         println!("{unit:<22} {ibw:>18} {obw:>18} {q:>12} {lat:>10}");
     };
-    row("Streamer", "1 index/cyc", "1 vertex/cyc", c.streamer.input_queue, "Mem".into());
+    row("Streamer", "1 index/cyc", "1 vertex/cyc", None, "Mem".into());
     row(
         "Primitive Assembly",
         "1 vertex/cyc",
         "1 triangle/cyc",
-        c.primitive_assembly.input_queue,
+        Some(c.primitive_assembly.input_queue),
         c.primitive_assembly.latency.to_string(),
     );
     row(
         "Clipping",
         "1 triangle/cyc",
         "1 triangle/cyc",
-        c.clipper.input_queue,
+        Some(c.clipper.input_queue),
         c.clipper.latency.to_string(),
     );
     row(
         "Triangle Setup",
         "1 triangle/cyc",
         "1 triangle/cyc",
-        c.setup.input_queue,
+        Some(c.setup.input_queue),
         c.setup.latency.to_string(),
     );
     row(
         "Fragment Generation",
         "1 triangle/cyc",
         &format!("{}x64 frag/cyc", c.fraggen.tiles_per_cycle),
-        c.fraggen.input_queue,
+        Some(c.fraggen.input_queue),
         c.fraggen.latency.to_string(),
     );
     row(
         "Hierarchical Z",
         &format!("{}x64 frag/cyc", c.hz.tiles_per_cycle),
         &format!("{}x64 frag/cyc", c.hz.tiles_per_cycle),
-        c.hz.input_queue,
+        Some(c.hz.input_queue),
         c.hz.latency.to_string(),
     );
     row(
         "Z Test",
         &format!("{} frag/cyc", c.zstencil.frags_per_cycle),
         &format!("{} frag/cyc", c.zstencil.frags_per_cycle),
-        c.zstencil.input_queue * 4,
+        Some(c.zstencil.input_queue * 4),
         format!("{}+Mem", c.zstencil.latency),
     );
     row(
         "Interpolator",
         &format!("{} frag/cyc", c.interpolator.frags_per_cycle),
         &format!("{} frag/cyc", c.interpolator.frags_per_cycle),
-        0,
+        None,
         format!(
             "{} to {}",
             c.interpolator.base_latency,
@@ -76,21 +78,21 @@ fn main() {
         "Color Write",
         &format!("{} frag/cyc", c.colorwrite.frags_per_cycle),
         "-",
-        c.colorwrite.input_queue * 4,
-        format!("{}+Mem", c.colorwrite.latency),
+        Some(c.colorwrite.input_queue * 4),
+        "Mem".into(),
     );
     row(
         "Vertex Shader",
         "1 vertex/cyc",
         "1 vertex/cyc",
-        c.shader.vertex_threads,
+        Some(c.shader.vertex_threads),
         "variable".into(),
     );
     row(
         "Fragment Shader",
         &format!("{GROUP_LANES} frag/cyc"),
         &format!("{GROUP_LANES} frag/cyc"),
-        c.shader.max_inputs / c.shader.fragment_units,
+        Some(c.shader.max_inputs / c.shader.fragment_units),
         "variable".into(),
     );
     println!();

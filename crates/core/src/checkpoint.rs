@@ -191,7 +191,7 @@ impl Fnv {
 }
 
 /// FNV-1a-64 over the config's compact JSON rendering: two configs hash
-/// equal exactly when every one of their ~100 parameters matches.
+/// equal exactly when every one of their 100 parameters matches.
 pub fn config_hash(config: &GpuConfig) -> u64 {
     let json = <GpuConfig as attila_json::ToJson>::to_json(config);
     let mut h = Fnv(Fnv::OFFSET);

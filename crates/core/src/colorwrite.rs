@@ -18,7 +18,7 @@ use attila_mem::{Client, MemoryController, RopCache};
 use attila_sim::{Counter, Cycle, Horizon, SimError};
 
 use crate::address::{surface_bytes, tile_address};
-use crate::config::RopConfig;
+use crate::config::ColorWriteConfig;
 use crate::port::PortReceiver;
 use crate::rop::{self, Access, RopEngine, Round};
 use crate::types::FragQuad;
@@ -28,7 +28,7 @@ use crate::unit::Unit;
 #[derive(Debug)]
 pub struct ColorWriteUnit {
     name: String,
-    config: RopConfig,
+    quads_per_cycle: u32,
     /// Shaded quads from the Fragment FIFO (early-Z) path.
     pub in_early: PortReceiver<FragQuad>,
     /// Shaded, Z-tested quads from the Z/stencil units (late-Z path).
@@ -55,15 +55,20 @@ impl ColorWriteUnit {
     /// Builds one colour write unit.
     pub fn new(
         unit: u8,
-        config: RopConfig,
+        config: ColorWriteConfig,
         in_early: PortReceiver<FragQuad>,
         in_late: PortReceiver<FragQuad>,
         stats: &mut attila_sim::StatsRegistry,
     ) -> Self {
         let name = Self::name_of(unit.into());
         ColorWriteUnit {
-            rop: RopEngine::new(Client::ColorWrite(unit), "Color", &config),
-            config,
+            rop: RopEngine::new(
+                Client::ColorWrite(unit),
+                "Color",
+                config.cache,
+                config.compression,
+            ),
+            quads_per_cycle: (config.frags_per_cycle / 4).max(1),
             in_early,
             in_late,
             prefer_late: false,
@@ -93,10 +98,9 @@ impl ColorWriteUnit {
         self.rop.collect_replies(mem);
         self.rop.drain_writebacks(mem);
 
-        let quads_per_cycle = (self.config.frags_per_cycle / 4).max(1);
         let mut did_work = false;
         self.waiting = false;
-        for _ in 0..quads_per_cycle {
+        for _ in 0..self.quads_per_cycle {
             // Alternate between the early and late inputs for fairness.
             let round =
                 rop::arbitrate(self.prefer_late, |late| self.try_process_head(cycle, mem, late))?;
@@ -232,7 +236,7 @@ impl JsonState for ColorWriteUnit {
             // quiescent checkpoint boundary.
             waiting: _,
             name: _,
-            config: _,
+            quads_per_cycle: _,
             in_early: _,
             in_late: _,
             stat_quads: _,
@@ -250,7 +254,7 @@ impl JsonState for ColorWriteUnit {
             prefer_late,
             waiting: _,
             name: _,
-            config: _,
+            quads_per_cycle: _,
             in_early: _,
             in_late: _,
             stat_quads: _,

@@ -31,7 +31,7 @@ use attila_emu::vector::Vec4;
 use attila_json::impl_json_state;
 use attila_sim::{Counter, Cycle, DynamicObject, Horizon, ObjectIdGen, SimError};
 
-use crate::config::{ShaderConfig, ShaderScheduling};
+use crate::config::{default_latency, ShaderConfig, ShaderScheduling};
 use crate::hz::route_rop;
 use crate::port::{PortReceiver, PortSender};
 use crate::types::{
@@ -313,11 +313,11 @@ pub struct FragmentFifo {
     stat_tex_requests: Counter,
     stat_frags_shaded: Counter,
     stat_killed: Counter,
-    /// Dense per-opcode latency overrides, indexed by `Opcode as usize` —
-    /// the configured `instruction_latencies` map flattened once at
-    /// construction so the per-thread issue path is an array load instead
-    /// of a `BTreeMap<String, _>` search on the mnemonic.
-    latency_table: [Option<Cycle>; Opcode::COUNT],
+    /// Execution latency per opcode (`Opcode as usize`): the defaults, then
+    /// the configured `instruction_latencies`, flattened once so issue is
+    /// an array load, not a search on the mnemonic. Untimed opcodes
+    /// ([`default_latency`]) hold 0 and are never read.
+    latency_table: [Cycle; Opcode::COUNT],
 }
 
 impl FragmentFifo {
@@ -337,11 +337,10 @@ impl FragmentFifo {
         tex_replies: Vec<PortReceiver<QuadTexReply>>,
         stats: &mut attila_sim::StatsRegistry,
     ) -> Self {
-        let mut latency_table = [None; Opcode::COUNT];
+        let mut latency_table = Opcode::ALL.map(|op| default_latency(op).unwrap_or(0));
         for (mnemonic, &latency) in &config.instruction_latencies {
-            if let Some(op) = Opcode::from_mnemonic(mnemonic) {
-                latency_table[op as usize] = Some(latency);
-            }
+            let op = Opcode::from_mnemonic(mnemonic).expect("validate() admits only opcodes");
+            latency_table[op as usize] = latency;
         }
         let mut units = Vec::new();
         for u in 0..config.fragment_units {
@@ -828,10 +827,9 @@ impl FragmentFifo {
         if step.executed {
             // The configurable per-opcode latency table (paper: execution
             // stages range from 1 to 9 cycles).
-            let latency = self.latency_table[step.op as usize].unwrap_or(step.latency);
             if let Some(r) = g.program.temp_dst(g.pc) {
                 let r = &mut g.reg_ready[r as usize];
-                *r = (*r).max(cycle + latency);
+                *r = (*r).max(cycle + self.latency_table[step.op as usize]);
             }
             g.advance();
         }

@@ -34,12 +34,13 @@
 //! (`rop.rs`) and keep what the paper says differs — the per-fragment
 //! operation, their ports and the HZ feedback.
 //!
-//! The top-level [`Gpu`] wires them per [`GpuConfig`] — over 100
-//! parameters with presets for the paper's baseline (Tables 1–2), the
-//! Section 5 case study, a non-unified variant, an embedded part and a
-//! high-end part. The [`golden`] module is the pure-functional reference
-//! renderer used (as the paper uses a real GeForce) to validate rendered
-//! output.
+//! The top-level [`Gpu`] wires them per [`GpuConfig`] — 100 parameters,
+//! each read by the timing model or named with the reason it is not in
+//! `tests/parameter_liveness.rs` — with presets for the paper's baseline
+//! (Tables 1–2), the Section 5 case study, a non-unified variant, an
+//! embedded part and a high-end part. The [`golden`] module is the
+//! pure-functional reference renderer used (as the paper uses a real
+//! GeForce) to validate rendered output.
 //!
 //! The clock loop is idle-aware: every box reports an event horizon
 //! (`work_horizon`, see [`attila_sim::Horizon`]) and

@@ -22,7 +22,6 @@ use attila_mem::{CacheConfig, Client, Lookup, MemOp, MemRequest, MemoryControlle
 use attila_sim::{Cycle, SimError};
 
 use crate::address::{pixel_address, FB_BYTES_PER_PIXEL, FB_TILE_BYTES};
-use crate::config::RopConfig;
 use crate::types::FragQuad;
 
 /// Called for each dirty line written back, with the line's block index
@@ -67,12 +66,17 @@ pub(crate) struct RopEngine {
 
 impl RopEngine {
     /// An unbound engine submitting as `client`.
-    pub(crate) fn new(client: Client, label: &'static str, config: &RopConfig) -> Self {
+    pub(crate) fn new(
+        client: Client,
+        label: &'static str,
+        geometry: CacheConfig,
+        compression: bool,
+    ) -> Self {
         RopEngine {
             client,
             label,
-            geometry: config.cache,
-            compression: config.compression,
+            geometry,
+            compression,
             cache: None,
             fills: BTreeMap::new(),
             reply_to_line: BTreeMap::new(),

@@ -30,7 +30,7 @@ use attila_mem::{Client, MemoryController, RopCache};
 use attila_sim::{Counter, Cycle, Horizon, SimError};
 
 use crate::address::{surface_bytes, tile_address, FB_TILE_BYTES};
-use crate::config::RopConfig;
+use crate::config::ZStencilConfig;
 use crate::hz::HzUpdate;
 use crate::port::{PortReceiver, PortSender};
 use crate::rop::{self, Access, RopEngine, Round};
@@ -41,7 +41,7 @@ use crate::unit::Unit;
 #[derive(Debug)]
 pub struct ZStencilUnit {
     name: String,
-    config: RopConfig,
+    quads_per_cycle: u32,
     /// Quads from Hierarchical Z (early-Z datapath).
     pub in_early: PortReceiver<FragQuad>,
     /// Shaded quads from the Fragment FIFO (late-Z datapath).
@@ -88,7 +88,7 @@ impl ZStencilUnit {
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         unit: u8,
-        config: RopConfig,
+        config: ZStencilConfig,
         in_early: PortReceiver<FragQuad>,
         in_late: PortReceiver<FragQuad>,
         out_early: PortSender<FragQuad>,
@@ -98,8 +98,8 @@ impl ZStencilUnit {
     ) -> Self {
         let name = Self::name_of(unit.into());
         ZStencilUnit {
-            rop: RopEngine::new(Client::ZStencil(unit), "Z", &config),
-            config,
+            rop: RopEngine::new(Client::ZStencil(unit), "Z", config.cache, config.compression),
+            quads_per_cycle: (config.frags_per_cycle / 4).max(1),
             in_early,
             in_late,
             out_early,
@@ -150,10 +150,9 @@ impl ZStencilUnit {
 
         self.rop.drain_writebacks(mem);
 
-        let quads_per_cycle = (self.config.frags_per_cycle / 4).max(1);
         let mut did_work = false;
         self.waiting = false;
-        for _ in 0..quads_per_cycle {
+        for _ in 0..self.quads_per_cycle {
             // Alternate between the early and late inputs for fairness.
             let round =
                 rop::arbitrate(self.prefer_late, |late| self.try_process_head(cycle, mem, late))?;
@@ -366,7 +365,7 @@ impl JsonState for ZStencilUnit {
             waiting: _,
             // The name is built from the unit index; the rest is wiring.
             name: _,
-            config: _,
+            quads_per_cycle: _,
             in_early: _,
             in_late: _,
             out_early: _,
@@ -394,7 +393,7 @@ impl JsonState for ZStencilUnit {
             hz_queue: _,
             waiting: _,
             name: _,
-            config: _,
+            quads_per_cycle: _,
             in_early: _,
             in_late: _,
             out_early: _,

@@ -568,33 +568,6 @@ impl Opcode {
     pub fn fragment_only(self) -> bool {
         self.is_texture() || matches!(self, Opcode::Kil | Opcode::Sin | Opcode::Cos)
     }
-
-    /// Default execution latency in cycles for the timing model. The
-    /// paper's shader pipeline has "an instruction dependent number of
-    /// execution stages (configurable, currently ranging from 1 to 9
-    /// cycles)".
-    pub fn default_latency(self) -> u64 {
-        match self {
-            Opcode::Mov | Opcode::Abs | Opcode::Frc | Opcode::Flr | Opcode::End => 1,
-            Opcode::Add
-            | Opcode::Sub
-            | Opcode::Min
-            | Opcode::Max
-            | Opcode::Slt
-            | Opcode::Sge
-            | Opcode::Cmp
-            | Opcode::Kil => 2,
-            Opcode::Mul => 3,
-            Opcode::Mad | Opcode::Lrp | Opcode::Xpd => 4,
-            Opcode::Dp3 | Opcode::Dp4 | Opcode::Dph => 4,
-            Opcode::Rcp | Opcode::Rsq => 6,
-            Opcode::Ex2 | Opcode::Lg2 | Opcode::Sin | Opcode::Cos => 8,
-            Opcode::Pow => 9,
-            // Texture latency is dominated by the memory system, not the
-            // ALU; the issue cost is 1.
-            Opcode::Tex | Opcode::Txb | Opcode::Txp => 1,
-        }
-    }
 }
 
 impl fmt::Display for Opcode {
@@ -839,8 +812,8 @@ pub(crate) enum Kind {
     End,
 }
 
-/// One instruction lowered for the interpreter: operands, mask, latency
-/// and the temporaries a scheduler must see ready before issuing it.
+/// One instruction lowered for the interpreter: operands, mask and the
+/// temporaries a scheduler must see ready before issuing it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Decoded {
     pub(crate) kind: Kind,
@@ -849,7 +822,6 @@ pub(crate) struct Decoded {
     pub(crate) srcs: [DecodedSrc; 3],
     pub(crate) dst: DecodedDst,
     pub(crate) saturate: bool,
-    pub(crate) latency: u64,
     pub(crate) sampler: u8,
     pub(crate) tex_target: TexTarget,
     /// Temporaries read or written, `temps[..n_temps]`.
@@ -899,7 +871,6 @@ impl Decoded {
             srcs,
             dst,
             saturate: inst.saturate,
-            latency: inst.op.default_latency(),
             sampler: inst.sampler,
             tex_target: inst.tex_target,
             temps,
@@ -1244,22 +1215,5 @@ mod tests {
         )
         .saturated();
         assert_eq!(i.to_string(), "MAD_SAT r0.xyz, i1, c4.wwww, -r2");
-    }
-
-    #[test]
-    fn latencies_are_in_paper_range() {
-        for op in [
-            Opcode::Mov,
-            Opcode::Add,
-            Opcode::Mul,
-            Opcode::Mad,
-            Opcode::Dp4,
-            Opcode::Rcp,
-            Opcode::Pow,
-            Opcode::Sin,
-        ] {
-            let lat = op.default_latency();
-            assert!((1..=9).contains(&lat), "{op} latency {lat} outside 1..=9");
-        }
     }
 }

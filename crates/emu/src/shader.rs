@@ -46,12 +46,8 @@ pub struct TextureRequest {
 /// Result of stepping a thread one instruction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StepResult {
-    /// The instruction executed; the timing model should charge `latency`
-    /// cycles before the result may be consumed.
-    Executed {
-        /// Execution latency of the retired instruction.
-        latency: u64,
-    },
+    /// The instruction executed; the timing model says when its result is ready.
+    Executed,
     /// A texture instruction started; the thread is blocked.
     Texture(TextureRequest),
     /// The program reached `END` (or the fragment was killed); outputs are
@@ -89,8 +85,6 @@ pub struct QuadTexture {
 pub struct GroupStep {
     /// The instruction's opcode.
     pub op: Opcode,
-    /// The opcode's default execution latency.
-    pub latency: u64,
     /// Whether some lane executed the instruction and moved past it (an
     /// ALU instruction, or a `KIL` that spared a lane).
     pub executed: bool,
@@ -289,7 +283,7 @@ impl ShaderEmulator {
         } else if step.finished[0] {
             StepResult::Finished { killed: step.killed[0] }
         } else {
-            StepResult::Executed { latency: step.latency }
+            StepResult::Executed
         }
     }
 
@@ -319,7 +313,6 @@ impl ShaderEmulator {
         let d = self.program.decoded()[pc];
         let mut step = GroupStep {
             op: d.op,
-            latency: d.latency,
             executed: false,
             finished: [false; 4],
             killed: [false; 4],
@@ -426,7 +419,7 @@ impl ShaderEmulator {
     ) -> ([Vec4; limits::OUTPUTS], bool) {
         loop {
             match self.step(thread) {
-                StepResult::Executed { .. } => {}
+                StepResult::Executed => {}
                 StepResult::Texture(req) => {
                     let texel = sample(&req);
                     self.complete_texture(thread, texel);
@@ -653,7 +646,7 @@ mod tests {
         assert_eq!(req.coords.x, 0.5);
         assert!(!req.projective);
         emu.complete_texture(t, Vec4::splat(0.9));
-        assert!(matches!(emu.step(t), StepResult::Executed { .. }));
+        assert!(matches!(emu.step(t), StepResult::Executed));
         assert!(matches!(emu.step(t), StepResult::Finished { killed: false }));
         assert_eq!(emu.output(t, 0), Vec4::splat(0.9));
     }

@@ -113,13 +113,13 @@ mod reference {
                     return StepResult::Finished { killed: true };
                 }
                 st.pc += 1;
-                return StepResult::Executed { latency: inst.op.default_latency() };
+                return StepResult::Executed;
             }
 
             let result = exec_alu(st, &self.constants, &inst);
             write_dst(st, &inst, result);
             st.pc += 1;
-            StepResult::Executed { latency: inst.op.default_latency() }
+            StepResult::Executed
         }
 
         pub fn complete_texture(&mut self, thread: ThreadId, texel: Vec4) {
@@ -341,7 +341,7 @@ fn request(r: &TextureRequest) -> Request {
 /// keys), its outputs and its `killed` flag.
 #[derive(Debug, PartialEq, Eq)]
 struct Run {
-    steps: Vec<(Option<u64>, Option<Request>, Option<bool>)>,
+    steps: Vec<(Option<Request>, Option<bool>)>,
     outputs: Vec<[u32; 4]>,
     killed: bool,
 }
@@ -384,13 +384,13 @@ fn run_thread(mut thread: impl Thread) -> Run {
     let mut steps = Vec::new();
     let killed = loop {
         match thread.step() {
-            StepResult::Executed { latency } => steps.push((Some(latency), None, None)),
+            StepResult::Executed => steps.push((None, None)),
             StepResult::Texture(req) => {
-                steps.push((None, Some(request(&req)), None));
+                steps.push((Some(request(&req)), None));
                 thread.complete(texel(req.coords));
             }
             StepResult::Finished { killed } => {
-                steps.push((None, None, Some(killed)));
+                steps.push((None, Some(killed)));
                 break killed;
             }
         }
@@ -449,7 +449,6 @@ fn decoded_interpreter_matches_the_per_instruction_one() {
         while !done.iter().all(|d| *d) {
             let step = group.step_group(&threads, &done);
             cov.ops.insert(step.op.mnemonic());
-            assert_eq!(step.latency, step.op.default_latency(), "{}", ctx());
             for lane in 0..LANES {
                 if step.finished[lane] {
                     done[lane] = true;
@@ -491,7 +490,7 @@ fn decoded_interpreter_matches_the_per_instruction_one() {
                 group.outputs(threads[lane])[..OUTPUTS].iter().map(|v| keys(*v)).collect();
             assert_eq!(outputs, want.outputs, "lane {lane} outputs, {}", ctx());
             assert_eq!(killed[lane], want.killed, "lane {lane} killed, {}", ctx());
-            let want_requests: Vec<Request> = want.steps.iter().filter_map(|s| s.1).collect();
+            let want_requests: Vec<Request> = want.steps.iter().filter_map(|s| s.0).collect();
             assert_eq!(requests[lane], want_requests, "lane {lane} requests, {}", ctx());
             if want.killed {
                 cov.killed_lanes += 1;

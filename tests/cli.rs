@@ -99,8 +99,11 @@ fn cli_refuses_a_zero_stage_latency() {
 fn cli_loads_a_config_that_still_names_retired_constants() {
     // `attila --dump-config` from before `fraggen.tile_size`,
     // `hz.block_size`, `hz.depth_bits`, `shader.group_size` and
-    // `memory.bytes_per_cycle_per_channel` became constants: the keys are
-    // ignored and the file describes the same machine.
+    // `memory.bytes_per_cycle_per_channel` became constants, and before
+    // seven keys the timing model never read were deleted:
+    // `streamer.input_queue`, `colorwrite.latency` and the
+    // `shader.instruction_latencies` of `TEX`, `TXB`, `TXP`, `KIL` and
+    // `END`. The keys are ignored and the file describes the same machine.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/baseline_config_with_retired_keys.json");
     let text = std::fs::read_to_string(path).expect("read the old dump");
     assert_eq!(GpuConfig::from_json(&text).unwrap(), GpuConfig::baseline());
